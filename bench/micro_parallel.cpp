@@ -94,14 +94,17 @@ int main() {
 
   set_parallel_threads(1);
   Tensor c_serial = matmul(a, b);
+  // Sample names carry the input size: quick and full mode measure
+  // different inputs and must never be compared with each other.
+  const std::string dim_tag = "/" + std::to_string(dim);
   const core::BenchSample gemm_serial_sample = bench::measure_ms(
-      "gemm_serial", [&] { c_serial = matmul(a, b); },
+      "gemm_serial" + dim_tag, [&] { c_serial = matmul(a, b); },
       static_cast<std::size_t>(repeats));
   const double gemm_serial = min_seconds(gemm_serial_sample);
   set_parallel_threads(threads);
   Tensor c_threaded = matmul(a, b);
   const core::BenchSample gemm_threaded_sample = bench::measure_ms(
-      "gemm_threaded", [&] { c_threaded = matmul(a, b); },
+      "gemm_threaded" + dim_tag, [&] { c_threaded = matmul(a, b); },
       static_cast<std::size_t>(repeats));
   const double gemm_threaded = min_seconds(gemm_threaded_sample);
   const bool gemm_identical = c_serial == c_threaded;
@@ -118,17 +121,18 @@ int main() {
       2);
   // The sweep is timed with a single repetition (no warm-up): one run is
   // already seconds-scale, and the byte-identity check needs its result.
+  const std::string sweep_tag = quick ? "/quick" : "/full";
   set_parallel_threads(1);
   std::vector<core::ScenarioSweepEntry> sweep_one;
   core::BenchSample sweep_serial_sample;
-  sweep_serial_sample.name = "sweep_serial";
+  sweep_serial_sample.name = "sweep_serial" + sweep_tag;
   sweep_serial_sample.values.push_back(
       bench::ms_of([&] { sweep_one = runner.run(jobs); }));
   const double sweep_serial = min_seconds(sweep_serial_sample);
   set_parallel_threads(threads);
   std::vector<core::ScenarioSweepEntry> sweep_n;
   core::BenchSample sweep_threaded_sample;
-  sweep_threaded_sample.name = "sweep_threaded";
+  sweep_threaded_sample.name = "sweep_threaded" + sweep_tag;
   sweep_threaded_sample.values.push_back(
       bench::ms_of([&] { sweep_n = runner.run(jobs); }));
   const double sweep_threaded = min_seconds(sweep_threaded_sample);

@@ -18,9 +18,10 @@ Additionally asserts two structural invariants on the *current*
 document, both immune to --warn-only because they indicate bugs rather
 than machine artifacts:
 
-  * threaded-vs-serial: whenever a (name_threaded, name_serial) pair is
-    present — gemm_threaded/gemm_serial, sweep_threaded/sweep_serial —
-    the threaded median must not exceed the serial median by more than
+  * threaded-vs-serial: whenever a threaded/serial pair of the same
+    input size is present — gemm_threaded/<dim> with gemm_serial/<dim>,
+    sweep_threaded/{quick,full} with sweep_serial/{quick,full} — the
+    threaded median must not exceed the serial median by more than
     --threaded-slack (default 0.10 = 10%). Threading that loses to
     serial execution is a grain-tuning / serial-fallback bug.
   * batched-vs-percell: when program_batched and program_percell are
@@ -115,12 +116,18 @@ def main():
               f"{', '.join(skipped)})")
 
     # Threaded must never lose to serial (beyond measurement slack) in
-    # the freshly measured document.
+    # the freshly measured document. Pairs match on the input-size suffix
+    # (gemm_threaded/512 with gemm_serial/512), never across sizes.
     violations = []
-    for threaded, serial in (("gemm_threaded", "gemm_serial"),
-                             ("sweep_threaded", "sweep_serial")):
-        if threaded not in current or serial not in current:
-            continue
+    pairs = []
+    for threaded in sorted(current):
+        for kind in ("gemm", "sweep"):
+            prefix = f"{kind}_threaded/"
+            if threaded.startswith(prefix):
+                serial = f"{kind}_serial/" + threaded[len(prefix):]
+                if serial in current:
+                    pairs.append((threaded, serial))
+    for threaded, serial in pairs:
         t = current[threaded]["median"]
         s = current[serial]["median"]
         ok = t <= s * (1.0 + args.threaded_slack)

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include "common/error.hpp"
+#include "persist/state_io.hpp"
 
 namespace xbarlife::core {
 
@@ -37,10 +38,10 @@ nn::Network build_model(const ExperimentConfig& config, Rng& rng) {
   throw InvalidArgument("unknown model");
 }
 
-TrainedModel train_model(const ExperimentConfig& config, bool skewed,
+TrainedModel train_model(const ExperimentConfig& config,
+                         const data::TrainTest& data, bool skewed,
                          const obs::Obs& obs) {
   Rng rng(config.seed);
-  const data::TrainTest data = data::make_synthetic(config.dataset);
   TrainedModel tm{build_model(config, rng), {}};
   if (skewed) {
     auto reg = make_skewed_regularizer(config.skew);
@@ -51,6 +52,95 @@ TrainedModel train_model(const ExperimentConfig& config, bool skewed,
     tm.history = train(tm.network, data, config.train_config, &reg, obs);
   }
   return tm;
+}
+
+TrainedModel train_model(const ExperimentConfig& config, bool skewed,
+                         const obs::Obs& obs) {
+  return train_model(config, data::make_synthetic(config.dataset), skewed,
+                     obs);
+}
+
+std::string dataset_key(const data::SyntheticSpec& spec) {
+  persist::StateWriter w;
+  w.u64(spec.classes);
+  w.u64(spec.train_per_class);
+  w.u64(spec.test_per_class);
+  w.u64(spec.channels);
+  w.u64(spec.height);
+  w.u64(spec.width);
+  w.f64(spec.noise);
+  w.u64(spec.texture_waves);
+  w.u64(spec.seed);
+  return w.data();
+}
+
+std::string training_key(const ExperimentConfig& config, bool skewed) {
+  persist::StateWriter w;
+  w.str(dataset_key(config.dataset));
+  w.u64(config.seed);
+  w.u8(static_cast<std::uint8_t>(config.model));
+  w.u64(config.mlp_hidden.size());
+  for (const std::size_t width : config.mlp_hidden) {
+    w.u64(width);
+  }
+  w.u64(config.vgg_width);
+  const TrainConfig& tc = config.train_config;
+  w.u64(tc.epochs);
+  w.u64(tc.batch);
+  w.f64(tc.learning_rate);
+  w.f64(tc.momentum);
+  w.f64(tc.lr_decay);
+  w.u64(tc.omega_freeze_epoch);
+  w.u64(tc.shuffle_seed);
+  w.f64(config.l2_lambda);
+  w.f64(config.skew.lambda1);
+  w.f64(config.skew.lambda2);
+  w.f64(config.skew.omega_factor);
+  w.boolean(skewed);
+  return w.data();
+}
+
+namespace {
+
+TrainedParams capture_params(TrainedModel& tm) {
+  TrainedParams out;
+  out.history = tm.history;
+  for (const nn::ParamRef& p : tm.network.params()) {
+    out.values.push_back(*p.value);
+    out.grads.push_back(*p.grad);
+  }
+  return out;
+}
+
+TrainedModel rebuild_model(const ExperimentConfig& config,
+                           const TrainedParams& params) {
+  Rng rng(config.seed);
+  TrainedModel tm{build_model(config, rng), params.history};
+  const std::vector<nn::ParamRef> refs = tm.network.params();
+  // Equal training keys imply equal models; guard the invariant anyway,
+  // since a tensor assignment would silently take the other shape.
+  XB_ASSERT(refs.size() == params.values.size(),
+            "trained parameters do not match the configured model");
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    XB_ASSERT(refs[i].value->shape() == params.values[i].shape(),
+              "trained parameter shape does not match " + refs[i].name);
+    *refs[i].value = params.values[i];
+    *refs[i].grad = params.grads[i];
+  }
+  return tm;
+}
+
+}  // namespace
+
+TrainedModel share_training(SharedSlots<TrainedParams>& trainings,
+                            std::size_t k, const ExperimentConfig& config,
+                            const data::TrainTest& data, bool skewed,
+                            const obs::Obs& obs) {
+  const auto params = trainings.acquire(k, [&] {
+    TrainedModel tm = train_model(config, data, skewed, obs);
+    return std::make_shared<const TrainedParams>(capture_params(tm));
+  });
+  return rebuild_model(config, *params);
 }
 
 ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
@@ -64,13 +154,19 @@ ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
     span_obs.trace = nullptr;
   }
   const obs::Span scenario_span(span_obs, "experiment.scenario");
+  const data::TrainTest data = data::make_synthetic(config.dataset);
   // Checkpoint mode re-runs the (deterministic) training phase on every
   // resume, so it runs unobserved: a resumed run's trace would otherwise
   // repeat the training events an uninterrupted run emits exactly once.
-  TrainedModel tm = train_model(config, uses_skewed_training(s),
+  TrainedModel tm = train_model(config, data, uses_skewed_training(s),
                                 store == nullptr ? obs : obs::Obs{});
-  const data::TrainTest data = data::make_synthetic(config.dataset);
+  return run_trained(config, s, std::move(tm), data, obs, store);
+}
 
+ScenarioOutcome run_trained(const ExperimentConfig& config, Scenario s,
+                            TrainedModel tm, const data::TrainTest& data,
+                            const obs::Obs& obs,
+                            persist::CheckpointStore* store) {
   ScenarioOutcome outcome;
   outcome.scenario = s;
   outcome.software_accuracy = tm.history.final_test_accuracy;
@@ -95,8 +191,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   ExperimentResult result;
   result.name = config.name;
   ExperimentConfig shared = config;
-  for (Scenario s : {Scenario::kTT, Scenario::kSTT, Scenario::kSTAT}) {
-    ScenarioOutcome outcome = run_scenario(shared, s, obs);
+  constexpr std::array<Scenario, 3> kScenarios{Scenario::kTT, Scenario::kSTT,
+                                               Scenario::kSTAT};
+  std::vector<std::string> keys;
+  for (const Scenario s : kScenarios) {
+    keys.push_back(training_key(config, uses_skewed_training(s)));
+  }
+  SharedSlots<TrainedParams> trainings(keys);
+  const data::TrainTest data = data::make_synthetic(config.dataset);
+  for (std::size_t k = 0; k < kScenarios.size(); ++k) {
+    const Scenario s = kScenarios[k];
+    const obs::Span scenario_span(obs, "experiment.scenario");
+    ScenarioOutcome outcome = run_trained(
+        shared, s,
+        share_training(trainings, k, shared, data, uses_skewed_training(s),
+                       obs),
+        data, obs);
     if (s == Scenario::kTT) {
       result.accuracy_traditional = outcome.software_accuracy;
       // One application-level target for every scenario (see the field's

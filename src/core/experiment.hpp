@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/lifetime.hpp"
+#include "core/shared_slots.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model_zoo.hpp"
@@ -70,15 +71,46 @@ struct ExperimentResult {
 /// Builds the configured model.
 nn::Network build_model(const ExperimentConfig& config, Rng& rng);
 
-/// Trains a fresh instance of the configured model with either the
-/// traditional L2 or the skewed regularizer. Returns the trained network
-/// and its history.
+/// Trains a fresh instance of the configured model on `data` with either
+/// the traditional L2 or the skewed regularizer. Returns the trained
+/// network and its history.
 struct TrainedModel {
   nn::Network network;
   TrainHistory history;
 };
+TrainedModel train_model(const ExperimentConfig& config,
+                         const data::TrainTest& data, bool skewed,
+                         const obs::Obs& obs = {});
+/// As above, on the configured synthetic dataset.
 TrainedModel train_model(const ExperimentConfig& config, bool skewed,
                          const obs::Obs& obs = {});
+
+/// Identity of a training run: the exact persist::StateWriter bytes of
+/// every field build_model, train_model and make_synthetic read (seed,
+/// dataset, model, mlp_hidden, vgg_width, train_config, l2_lambda, skew)
+/// plus the flavour. Equal keys train bit-identical models, so jobs with
+/// equal keys may share one training.
+std::string training_key(const ExperimentConfig& config, bool skewed);
+/// Identity of a synthetic dataset: the bytes of `spec` alone.
+std::string dataset_key(const data::SyntheticSpec& spec);
+
+/// A trained model's parameter values and gradients plus its history:
+/// enough to rebuild an identical TrainedModel without retraining.
+struct TrainedParams {
+  std::vector<Tensor> values;
+  std::vector<Tensor> grads;
+  TrainHistory history;
+};
+
+/// Position `k`'s trained model out of `trainings`: the owner of its key
+/// trains on `data` (observed through `obs`) and publishes the captured
+/// parameters; every position, owner included, rebuilds its own network
+/// from them (build_model with the same seed, then the parameters
+/// loaded), since deployment mutates the network it is given.
+TrainedModel share_training(SharedSlots<TrainedParams>& trainings,
+                            std::size_t k, const ExperimentConfig& config,
+                            const data::TrainTest& data, bool skewed,
+                            const obs::Obs& obs);
 
 /// Runs one scenario: trains (per the scenario's flavour), deploys, and
 /// simulates the lifetime protocol. The optional observability handle is
@@ -93,7 +125,15 @@ ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
                              const obs::Obs& obs = {},
                              persist::CheckpointStore* store = nullptr);
 
-/// Runs all three scenarios (T+T, ST+T, ST+AT).
+/// The deploy + lifetime half of run_scenario: derives the tuning target
+/// from `tm`'s history, deploys `tm` and simulates the lifetime on `data`.
+ScenarioOutcome run_trained(const ExperimentConfig& config, Scenario s,
+                            TrainedModel tm, const data::TrainTest& data,
+                            const obs::Obs& obs = {},
+                            persist::CheckpointStore* store = nullptr);
+
+/// Runs all three scenarios (T+T, ST+T, ST+AT) on one dataset; ST+T and
+/// ST+AT share one skewed training.
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const obs::Obs& obs = {});
 

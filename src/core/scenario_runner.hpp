@@ -10,10 +10,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "obs/fork.hpp"
 
 namespace xbarlife::core {
 
@@ -79,15 +81,33 @@ class ScenarioRunner {
   /// `obs.metrics` in the same order, and emits one `sweep_job_done`
   /// event per job — so the aggregated metrics and the event stream are
   /// byte-identical at any thread count (wall-clock fields aside).
+  ///
+  /// Jobs whose forked configs build the same dataset share one copy, and
+  /// jobs with the same training_key() share one training (ST+T and ST+AT
+  /// of a replicate), with bit-identical outcomes. A shared training's
+  /// events, spans and train.* counters appear once, in the lowest-index
+  /// job of the key.
   std::vector<ScenarioSweepEntry> run(const std::vector<ScenarioJob>& jobs,
                                       const obs::Obs& obs = {}) const;
 
-  /// Runs one job in the calling thread: derives the forked seeds, arms
-  /// the per-job watchdog, isolates exceptions into a failed entry, and
-  /// measures wall_ms. run() and the checkpointed sweep engine both fan
-  /// out over this, so a resumed sweep replays jobs bit-identically.
-  ScenarioSweepEntry run_single(const ScenarioJob& job,
-                                const obs::Obs& job_obs = {}) const;
+  /// The one fan-out run() and the checkpointed sweep engine share: runs
+  /// jobs[i] for every i in `indices` (ascending) in one pass over the
+  /// pool, one job per chunk, and hands each finished entry to
+  /// `done(i, entry)` on the thread that ran it. Each job derives its
+  /// forked seeds, arms the per-job watchdog, isolates exceptions into a
+  /// failed entry, and measures wall_ms.
+  ///
+  /// Datasets and trainings are shared within the pass only. A training
+  /// is observed (through fork.job(i)) only when i is the lowest index of
+  /// its key in the whole `jobs` list; any other job that has to train —
+  /// on a resumed run, or when the owner ran in an earlier pass — trains
+  /// unobserved. So serial == threaded and killed-and-resumed ==
+  /// uninterrupted stay byte-identical.
+  void run_each(
+      const std::vector<ScenarioJob>& jobs,
+      const std::vector<std::size_t>& indices, obs::ObsFork& fork,
+      const std::function<void(std::size_t, ScenarioSweepEntry)>& done)
+      const;
 
   /// Convenience fan-out: `replicates` copies of `base` per scenario.
   /// Replicate r of every scenario shares stream r.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 #include "core/report.hpp"
@@ -169,29 +168,28 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
   const std::size_t chunk = config.chunk > 0 ? config.chunk : 16;
   for (std::size_t start = 0; start < pending.size(); start += chunk) {
     const std::size_t end = std::min(pending.size(), start + chunk);
-    parallel_for(start, end, 1, [&](std::size_t b, std::size_t e) {
-      for (std::size_t k = b; k < e; ++k) {
-        const std::size_t idx = pending[k];
-        const ScenarioSweepEntry entry =
-            runner.run_single(jobs[idx], fork.job(idx));
-        SweepJobResult& job = out.jobs[idx];
-        job.scenario = entry.scenario;
-        job.stream = entry.stream;
-        job.seed = entry.seed;
-        job.software_accuracy = entry.outcome.software_accuracy;
-        job.tuning_target = entry.outcome.tuning_target;
-        job.lifetime_applications =
-            entry.outcome.lifetime.lifetime_applications;
-        job.sessions = entry.outcome.lifetime.sessions.size();
-        job.died = entry.outcome.lifetime.died;
-        job.failed = entry.failed;
-        job.timed_out = entry.timed_out;
-        job.error = entry.error;
-        job.entry_json = serialize_entry(idx, entry);
-        XB_ASSERT(!job.entry_json.empty(),
-                  "entry serializer returned nothing for " + job.label);
-        obs.progress_tick();
-      }
+    const std::vector<std::size_t> batch(
+        pending.begin() + static_cast<std::ptrdiff_t>(start),
+        pending.begin() + static_cast<std::ptrdiff_t>(end));
+    runner.run_each(jobs, batch, fork, [&](std::size_t idx,
+                                           ScenarioSweepEntry entry) {
+      SweepJobResult& job = out.jobs[idx];
+      job.scenario = entry.scenario;
+      job.stream = entry.stream;
+      job.seed = entry.seed;
+      job.software_accuracy = entry.outcome.software_accuracy;
+      job.tuning_target = entry.outcome.tuning_target;
+      job.lifetime_applications =
+          entry.outcome.lifetime.lifetime_applications;
+      job.sessions = entry.outcome.lifetime.sessions.size();
+      job.died = entry.outcome.lifetime.died;
+      job.failed = entry.failed;
+      job.timed_out = entry.timed_out;
+      job.error = entry.error;
+      job.entry_json = serialize_entry(idx, entry);
+      XB_ASSERT(!job.entry_json.empty(),
+                "entry serializer returned nothing for " + job.label);
+      obs.progress_tick();
     });
     for (std::size_t k = start; k < end; ++k) {
       out.jobs[pending[k]].trace_lines = fork.take_job_lines(pending[k]);

@@ -80,10 +80,16 @@ void Profiler::graft(const std::vector<RemoteSpan>& spans,
       graft_parent == kNoSpan ? 0 : records_[graft_parent].depth + 1;
   const std::size_t track =
       graft_parent == kNoSpan ? 0 : records_[graft_parent].track;
+  // Validate the whole batch before recording any of it, so a malformed
+  // batch leaves the profiler untouched. Compared without adding offset:
+  // a worker-supplied parent near SIZE_MAX would wrap the sum and attach
+  // to a client span outside the batch.
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    XB_CHECK(spans[i].parent == kNoSpan || spans[i].parent < i,
+             "grafted span parent must precede it in the batch");
+  }
   records_.reserve(offset + spans.size());
   for (const RemoteSpan& src : spans) {
-    XB_CHECK(src.parent == kNoSpan || src.parent + offset < records_.size(),
-             "grafted span parent must precede it in the batch");
     SpanRecord rec;
     rec.name = src.name;
     rec.parent = src.parent == kNoSpan ? graft_parent : src.parent + offset;

@@ -171,6 +171,61 @@ TEST(ObsDeterminism, ProfilerAggregatesIdenticalAcrossThreadCounts) {
             std::string::npos);
 }
 
+/// Label of the job an event line belongs to ("" when it has none).
+std::string job_of(const std::string& line) {
+  const std::size_t at = line.find("\"job\":\"");
+  if (at == std::string::npos) {
+    return "";
+  }
+  const std::size_t start = at + 7;
+  return line.substr(start, line.find('"', start) - start);
+}
+
+TEST(ObsDeterminism, SharedTrainingGridMatchesSerialAndIsObservedOnce) {
+  ThreadGuard guard;
+  // ST+T and ST+AT of a replicate share one training and all three
+  // scenarios one dataset.
+  const auto jobs = ScenarioRunner::cross(
+      tiny_config(), {Scenario::kTT, Scenario::kSTT, Scenario::kSTAT}, 2);
+
+  const SweepCapture serial = run_sweep(jobs, 1);
+  const SweepCapture threaded = run_sweep(jobs, 4);
+
+  EXPECT_EQ(serial.metrics_json, threaded.metrics_json);
+  EXPECT_EQ(serial.profile_skeleton, threaded.profile_skeleton);
+  EXPECT_EQ(serial.perfetto_stripped, threaded.perfetto_stripped);
+  ASSERT_EQ(serial.events.size(), threaded.events.size());
+  for (std::size_t i = 0; i < serial.events.size(); ++i) {
+    EXPECT_EQ(strip_wall_clock(serial.events[i]),
+              strip_wall_clock(threaded.events[i]))
+        << "event " << i;
+  }
+
+  // One train_epoch stream per training key, carried by its owner (the
+  // key's lowest-index job): T+T and ST+T of each replicate, never ST+AT.
+  const std::size_t epochs = tiny_config().train_config.epochs;
+  std::map<std::string, std::size_t> epoch_events;
+  for (const std::string& line : serial.events) {
+    if (line.find("\"event\":\"train_epoch\"") != std::string::npos) {
+      ++epoch_events[job_of(line)];
+    }
+  }
+  const std::map<std::string, std::size_t> expected{
+      {jobs[0].label, epochs},
+      {jobs[1].label, epochs},
+      {jobs[3].label, epochs},
+      {jobs[4].label, epochs}};
+  EXPECT_EQ(epoch_events, expected);
+  // train.epochs counts epochs actually run: four trainings, not six.
+  EXPECT_NE(serial.metrics_json.find("\"train.epochs\":" +
+                                     std::to_string(4 * epochs)),
+            std::string::npos)
+      << serial.metrics_json;
+  EXPECT_NE(serial.profile_skeleton.find("{\"name\":\"train.fit\",\"count\":4"),
+            std::string::npos)
+      << serial.profile_skeleton;
+}
+
 TEST(ObsDeterminism, OneSweepJobDoneEventPerJob) {
   ThreadGuard guard;
   const auto jobs =

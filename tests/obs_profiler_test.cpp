@@ -112,6 +112,30 @@ TEST(Profiler, AdoptWithOpenChildSpanThrows) {
   EXPECT_THROW(parent.adopt(child, "job"), Error);
 }
 
+TEST(Profiler, GraftRejectsParentThatWrapsOutOfTheBatch) {
+  Profiler prof;
+  const std::size_t root = prof.begin_span("client_root");
+  const std::size_t send = prof.begin_span("client_send");
+  const auto anchor = std::chrono::steady_clock::now();
+  // Two client spans precede the batch, so parent kNoSpan - 1 plus the
+  // batch offset 2 wraps to 0: the client root, outside the batch.
+  std::vector<Profiler::RemoteSpan> spans(2);
+  spans[0].name = "worker.request";
+  spans[1].name = "worker.execute";
+  spans[1].parent = kNoSpan - 1;
+  EXPECT_THROW(prof.graft(spans, anchor), InvalidArgument);
+  const std::size_t before = prof.records().size();
+  EXPECT_EQ(before, 2u);  // a rejected batch records nothing
+
+  // The same batch with an in-batch parent grafts under the open span.
+  spans[1].parent = 0;
+  prof.graft(spans, anchor);
+  EXPECT_EQ(prof.records()[before].parent, send);
+  EXPECT_EQ(prof.records()[before + 1].parent, before);
+  prof.end_span(send);
+  prof.end_span(root);
+}
+
 TEST(Profiler, ReportAggregatesByNameSorted) {
   Profiler prof;
   const std::size_t a = prof.begin_span("beta");
