@@ -806,13 +806,13 @@ int cmd_faults(const Args& args, CliOutput& out) {
   return 0;
 }
 
-/// Queries a serving worker for one xbarlife.workerstats.v1 snapshot.
-/// With no --remote / $XBARLIFE_REMOTE a throwaway in-process loopback
-/// worker answers, which doubles as an end-to-end protocol self-test.
-/// A comma-separated endpoint list fans out across the fleet: one table
-/// row set per worker and one workerstats.v1 document (with an
-/// "endpoint" key) per endpoint, in list order. An unreachable endpoint
-/// fails the whole command — status must never silently shrink a fleet.
+/// Queries every endpoint of --remote / $XBARLIFE_REMOTE (a plain
+/// address is a list of one) for an xbarlife.workerstats.v1 snapshot:
+/// one table row and one document (with an "endpoint" key) per endpoint,
+/// in list order. With neither set a throwaway in-process loopback worker
+/// answers, which doubles as an end-to-end protocol self-test. An
+/// unreachable endpoint fails the whole command — status must never
+/// silently shrink a fleet.
 int cmd_worker_status(const Args& args, CliOutput& out) {
   xbar::RemoteConfig rcfg;
   if (const char* env = std::getenv("XBARLIFE_REMOTE")) {
@@ -824,35 +824,10 @@ int cmd_worker_status(const Args& args, CliOutput& out) {
     rcfg.address = args.get("remote", "loopback");
   }
 
-  const bool fleet = rcfg.address.find(',') != std::string::npos;
-  if (!fleet) {
-    const xbar::WorkerStatsSnapshot snap = xbar::query_worker_status(rcfg);
-    TablePrinter table({"metric", "value"});
-    table.add_row({"endpoint", rcfg.address});
-    table.add_row({"build", snap.build});
-    table.add_row({"wire version", std::to_string(snap.wire_version)});
-    table.add_row({"request version",
-                   std::to_string(snap.request_version)});
-    table.add_row({"uptime (ms)", std::to_string(snap.uptime_ms)});
-    table.add_row({"requests served", std::to_string(snap.requests_served)});
-    table.add_row({"replay-cache hits", std::to_string(snap.replay_hits)});
-    table.add_row({"errors", std::to_string(snap.errors)});
-    table.add_row(
-        {"active connections", std::to_string(snap.active_connections)});
-    table.add_row(
-        {"connections total", std::to_string(snap.connections_total)});
-    out.human() << table.render();
-    out.finish_document("worker-status", snap.to_json());
-    return 0;
-  }
-
-  const std::vector<std::string> endpoints =
-      xbar::split_endpoints(rcfg.address);
   TablePrinter table({"endpoint", "build", "uptime (ms)", "requests",
                       "replays", "errors", "connections"});
-  std::vector<std::pair<std::string, xbar::WorkerStatsSnapshot>> snaps;
-  snaps.reserve(endpoints.size());
-  for (const std::string& endpoint : endpoints) {
+  std::vector<obs::JsonValue> docs;
+  for (const std::string& endpoint : xbar::split_endpoints(rcfg.address)) {
     xbar::RemoteConfig ecfg = rcfg;
     ecfg.address = endpoint;
     const xbar::WorkerStatsSnapshot snap = xbar::query_worker_status(ecfg);
@@ -862,12 +837,11 @@ int cmd_worker_status(const Args& args, CliOutput& out) {
                    std::to_string(snap.errors),
                    std::to_string(snap.active_connections) + "/" +
                        std::to_string(snap.connections_total)});
-    snaps.emplace_back(endpoint, snap);
+    docs.push_back(snap.to_json(endpoint));
   }
   out.human() << table.render();
-  // One document per endpoint, list order; each carries its endpoint key.
-  for (const auto& [endpoint, snap] : snaps) {
-    out.finish_document("worker-status", snap.to_json(endpoint));
+  for (obs::JsonValue& doc : docs) {
+    out.finish_document("worker-status", std::move(doc));
   }
   return 0;
 }
@@ -1022,13 +996,13 @@ int cmd_bench(const Args& args, CliOutput& out) {
                                nullptr, &remote);
     }));
 
-    // Pool form of the same pass over three loopback workers: dispatch
-    // stays on the array's single rendezvous owner, so the pool's cost
-    // over one remote link is pure bookkeeping.
+    // The same pass over three loopback workers: dispatch stays on the
+    // array's single rendezvous owner, so the cost over one remote link
+    // is pure bookkeeping.
     // check_bench_regression.py gates pool(3) <= remote(1) (with slack).
     xbar::RemoteConfig pool_cfg;
     pool_cfg.address = "loopback,loopback,loopback";
-    const xbar::PoolExecutor pool{pool_cfg};
+    const xbar::RemoteExecutor pool{pool_cfg};
     xbar::Crossbar xb_pool(n, n, {}, {});
     samples.push_back(measure("program_pool3_loopback", [&] {
       mapping::program_weights(xb_pool, w, plan, false, nullptr, nullptr,

@@ -168,8 +168,9 @@ def validate_metrics(metrics, where):
 
 def validate_workerstats(doc):
     """Checks an xbarlife.workerstats.v1 document (worker-status)."""
-    # Fleet fan-out (multi-endpoint worker-status) stamps the queried
-    # endpoint right after "schema"; single-endpoint docs omit it.
+    # worker-status stamps the queried endpoint right after "schema" on
+    # every document (a single address is a list of one); documents from
+    # builds before that omit it.
     base = list(doc.keys())
     if "endpoint" in base:
         if base.index("endpoint") != base.index("schema") + 1:

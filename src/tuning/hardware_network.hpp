@@ -172,7 +172,8 @@ class HardwareNetwork {
 
   /// Attaches a span profiler to every crossbar (null to detach): the
   /// remote executor nests worker-side span trees under per-sequence
-  /// "executor.remote.execute" spans. Must outlive this object.
+  /// "executor.remote.execute" spans, one name for every endpoint. Must
+  /// outlive this object.
   void attach_profiler(obs::Profiler* profiler);
 
   /// Ground-truth aging statistics per deployed layer.

@@ -170,9 +170,9 @@ class Crossbar {
   }
 
   /// Attaches a span profiler (null to detach). The remote executor opens
-  /// an "executor.remote.execute" span per shipped sequence and grafts the
-  /// worker's span tree under it; in-process backends ignore it. Must
-  /// outlive the crossbar.
+  /// one "executor.remote.execute" span per shipped sequence, whichever
+  /// endpoint serves it, and grafts the worker's span tree under it;
+  /// in-process backends ignore it. Must outlive the crossbar.
   void attach_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
   obs::Profiler* profiler() const { return profiler_; }
 

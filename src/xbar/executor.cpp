@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/pool.hpp"
 #include "xbar/remote.hpp"
 
 namespace xbarlife::xbar {
@@ -73,23 +72,9 @@ const PerCellExecutor g_percell;
 
 /// The remote backend carries configuration, so unlike sim/percell it is
 /// built on demand: from configure_remote_executor() when the CLI passed
-/// flags, else from the environment the first time "remote" resolves. A
-/// comma in the address promotes the backend to a PoolExecutor (the fleet
-/// form — same "remote" name, same envelope stamp for single endpoints).
+/// flags, else from the environment the first time "remote" resolves.
 std::mutex g_remote_mu;
-std::unique_ptr<ProgramExecutor> g_remote;
-/// Concrete view of g_remote: exactly one is non-null once built.
-PoolExecutor* g_remote_pool = nullptr;
-
-std::unique_ptr<ProgramExecutor> build_remote(const RemoteConfig& cfg) {
-  if (cfg.address.find(',') != std::string::npos) {
-    auto pool = std::make_unique<PoolExecutor>(cfg);
-    g_remote_pool = pool.get();
-    return pool;
-  }
-  g_remote_pool = nullptr;
-  return std::make_unique<RemoteExecutor>(cfg);
-}
+std::unique_ptr<RemoteExecutor> g_remote;
 
 ProgramExecutor& remote_instance() {
   std::lock_guard<std::mutex> lock(g_remote_mu);
@@ -103,7 +88,7 @@ ProgramExecutor& remote_instance() {
     if (const char* faults = std::getenv("XBARLIFE_REMOTE_FAULTS")) {
       cfg.fault_spec = faults;
     }
-    g_remote = build_remote(cfg);
+    g_remote = std::make_unique<RemoteExecutor>(cfg);
   }
   return *g_remote;
 }
@@ -182,7 +167,7 @@ void configure_remote_executor(const RemoteConfig& config) {
   // while selected (CLI flag handling configures before set_executor, but
   // tests may re-configure mid-run).
   const ProgramExecutor* old = g_remote.get();
-  g_remote = build_remote(config);
+  g_remote = std::make_unique<RemoteExecutor>(config);
   const ProgramExecutor* expected = old;
   g_active.compare_exchange_strong(expected, g_remote.get(),
                                    std::memory_order_acq_rel);
@@ -194,19 +179,15 @@ bool pin_executor_fallback() { return select_executor().pin_local_fallback(); }
 
 ExecutorDegradation executor_degradation() {
   ExecutorDegradation out;
-  const ProgramExecutor* remote = nullptr;
-  const PoolExecutor* pool = nullptr;
+  const RemoteExecutor* remote = nullptr;
   {
     std::lock_guard<std::mutex> lock(g_remote_mu);
     remote = g_remote.get();
-    pool = g_remote_pool;
   }
   if (remote == nullptr || !remote->degraded()) {
     return out;
   }
-  const RemoteLinkStats stats =
-      pool != nullptr ? pool->link_stats()
-                      : static_cast<const RemoteExecutor*>(remote)->link_stats();
+  const RemoteLinkStats stats = remote->link_stats();
   out.degraded = true;
   out.fallbacks = stats.fallbacks;
   out.retries = stats.retries;
@@ -216,19 +197,18 @@ ExecutorDegradation executor_degradation() {
 
 ExecutorPoolSummary executor_pool_summary() {
   ExecutorPoolSummary out;
-  const PoolExecutor* pool = nullptr;
+  const RemoteExecutor* pool = nullptr;
   {
     std::lock_guard<std::mutex> lock(g_remote_mu);
-    pool = g_remote_pool;
-    // Stamp only when the pool is the *active* backend: a configured but
-    // unselected pool must not perturb sim/percell documents.
-    if (pool == nullptr ||
-        g_active.load(std::memory_order_acquire) != g_remote.get()) {
+    pool = g_remote.get();
+    // Stamp only when a multi-endpoint remote backend is the *active*
+    // backend: a configured but unselected one must not perturb
+    // sim/percell documents, and single-endpoint documents keep their
+    // earlier shape.
+    if (pool == nullptr || pool->size() <= 1 ||
+        g_active.load(std::memory_order_acquire) != pool) {
       return out;
     }
-  }
-  if (pool->size() <= 1) {
-    return out;
   }
   out.active = true;
   out.endpoints = pool->endpoint_summaries();

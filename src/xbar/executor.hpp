@@ -4,7 +4,7 @@
 // Mirrors the PR 6 kernel registry: the backend is resolved once at
 // startup (--executor / XBARLIFE_EXECUTOR, unknown name -> exit 2 with
 // the usable list) and stamped into result/bench envelopes as the
-// "executor" key. Two in-process backends ship today:
+// "executor" key. Three backends ship today, two of them in-process:
 //
 //   sim      (default) column-batched simulator: contiguous pulse runs
 //            execute through Crossbar::program_batch, which hoists the
@@ -14,9 +14,11 @@
 //   percell  legacy reference: every pulse goes through the original
 //            one-call-per-cell Crossbar::program_cell path.
 //   remote   ships each sequence (plus full crossbar state) over a socket
-//            to a worker process — or the in-process loopback worker —
-//            with retry/backoff and graceful fallback to `sim` (see
-//            xbar/remote.hpp). Configured via --remote/--remote-faults or
+//            to one of a list of worker processes — or in-process
+//            loopback workers — with failover, retry/backoff and graceful
+//            fallback to `sim` (see xbar/remote.hpp, xbar/pool.hpp). A
+//            single address is a list of one. Configured via
+//            --remote/--remote-faults or
 //            XBARLIFE_REMOTE/XBARLIFE_REMOTE_FAULTS.
 #pragma once
 
@@ -112,9 +114,8 @@ struct ExecutorDegradation {
 /// back.
 ExecutorDegradation executor_degradation();
 
-/// One endpoint's worth of pool accounting, stamped into the optional
-/// "executor_pool" result-envelope key and rendered by `xbarlife
-/// worker-status` fleet mode.
+/// One endpoint's worth of remote-backend accounting, stamped into the
+/// optional "executor_pool" result-envelope key.
 struct PoolEndpointSummary {
   std::string address;
   std::string circuit;  ///< "healthy" / "suspect" / "open"
@@ -124,8 +125,8 @@ struct PoolEndpointSummary {
 };
 
 /// Pool summary for result documents. `active` only when the active
-/// backend is a worker pool with more than one endpoint, so documents
-/// from single-endpoint runs stay byte-identical to earlier builds.
+/// backend is the remote one with more than one endpoint, so documents
+/// from single-endpoint runs keep their earlier shape.
 struct ExecutorPoolSummary {
   bool active = false;
   std::vector<PoolEndpointSummary> endpoints;

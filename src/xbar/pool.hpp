@@ -1,11 +1,13 @@
-// Multi-worker executor pool: the fleet form of the "remote" backend.
+// Endpoint routing and health for the remote executor.
 //
-// A PoolExecutor shards sequence dispatch across N workers named by a
-// comma-separated endpoint list ("unix:/a,unix:/b,host:port,loopback").
-// Each array has a deterministic owning endpoint — rendezvous (highest-
-// random-weight) hashing of the array uid against every endpoint slot, so
-// adding or removing an endpoint moves only the keys that endpoint owned —
-// and every endpoint carries its own health state machine:
+// The remote backend (RemoteExecutor, xbar/remote.hpp) shards sequence
+// dispatch across the endpoints of a comma-separated list
+// ("unix:/a,unix:/b,host:port,loopback"; a plain address is a list of
+// one). Each array has a deterministic owning endpoint — rendezvous
+// (highest-random-weight) hashing of the array uid against every endpoint
+// slot, so adding or removing an endpoint moves only the keys that
+// endpoint owned — and every endpoint carries its own health state
+// machine:
 //
 //   healthy --failure--> suspect --(threshold consecutive)--> open
 //      ^                    |                                  |
@@ -15,7 +17,7 @@
 // Dispatch walks the array's rendezvous preference order, skipping
 // endpoints whose circuit is open (not yet probe-due), and fails over to
 // the next live endpoint *before* burning the global max_attempts budget:
-// one budget round means "the entire pool was tried and failed", so
+// one budget round means "every endpoint was tried and failed", so
 // local-sim fallback — and the executor_degradation stamp — engages only
 // when every worker is down. Byte-identity is preserved by construction:
 // every worker runs the stock SimExecutor on shipped full pre-state, so
@@ -25,15 +27,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "xbar/executor.hpp"
-#include "xbar/remote.hpp"
 
 namespace xbarlife::xbar {
 
@@ -56,7 +54,7 @@ std::uint64_t rendezvous_score(std::uint64_t key, std::string_view endpoint,
 std::vector<std::size_t> rendezvous_order(
     std::uint64_t key, const std::vector<std::string>& endpoints);
 
-/// Health state of one pool endpoint.
+/// Health state of one endpoint.
 enum class CircuitState : std::uint8_t {
   kHealthy = 0,  ///< no outstanding failures
   kSuspect = 1,  ///< failing, but below the open threshold
@@ -65,9 +63,13 @@ enum class CircuitState : std::uint8_t {
 
 const char* to_string(CircuitState state);
 
+/// Jitter stream `index` of a remote executor seeded with `seed`: stream
+/// 0 drives the retry backoff, stream 1 + i endpoint i's circuit probes.
+Rng jitter_stream(std::uint64_t seed, std::uint64_t index);
+
 /// Per-endpoint health state machine. Time-point driven (no internal
 /// clock) so tests pin transitions without sleeping; not thread-safe —
-/// the pool serializes access under its own mutex.
+/// the executor serializes access under its own mutex.
 class CircuitBreaker {
  public:
   struct Config {
@@ -116,61 +118,6 @@ class CircuitBreaker {
   std::chrono::milliseconds probe_backoff_;
   std::chrono::steady_clock::time_point probe_after_{};
   std::uint64_t opens_ = 0;
-};
-
-/// The pool backend. Still named "remote" — the pool is a deployment
-/// shape of the remote backend, not a different science — and built by
-/// the executor registry whenever the remote address holds a comma.
-class PoolExecutor final : public ProgramExecutor {
- public:
-  /// `config.address` is the comma-separated endpoint list;
-  /// `config.fault_spec` may be a ';'-separated per-endpoint list (see
-  /// net::split_fault_specs). Endpoint executors inherit the remaining
-  /// knobs with max_attempts pinned to 1 and fallback disabled: retry
-  /// budget and degradation are pool-wide decisions.
-  explicit PoolExecutor(RemoteConfig config);
-  ~PoolExecutor() override;
-
-  const char* name() const override { return "remote"; }
-  ExecReport execute(Crossbar& xb, const ProgramSequence& seq) const override;
-
-  /// True once at least one sequence exhausted the whole pool and fell
-  /// back to local execution (or the pool was pinned).
-  bool degraded() const override;
-  bool pin_local_fallback() const override;
-
-  /// Pool-aggregated link health: requests are logical sequences,
-  /// retries count failed endpoint attempts that failed over, reconnects
-  /// sum the endpoints' own reconnects, fallbacks count pool-wide
-  /// exhaustions.
-  RemoteLinkStats link_stats() const;
-
-  /// Per-endpoint request/failover/circuit accounting for the
-  /// `executor_pool` envelope stamp and `worker-status` fleet rendering.
-  std::vector<PoolEndpointSummary> endpoint_summaries() const;
-
-  std::size_t size() const { return endpoints_.size(); }
-  const RemoteConfig& config() const { return config_; }
-  const std::vector<std::string>& addresses() const { return addresses_; }
-
- private:
-  struct Endpoint;
-
-  void backoff_sleep(int round) const;
-  ExecReport run_local(Crossbar& xb, const ProgramSequence& seq) const;
-  /// Lazily creates per-endpoint telemetry in the registry installed via
-  /// set_remote_metrics (no-op when detached).
-  void count(std::size_t index, const char* suffix) const;
-  void set_circuit_gauge(std::size_t index, CircuitState state) const;
-
-  RemoteConfig config_;
-  std::vector<std::string> addresses_;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  mutable std::mutex mu_;  ///< circuits + stats; never held across I/O
-  mutable RemoteLinkStats stats_;
-  mutable bool degraded_ = false;
-  mutable bool pinned_ = false;
-  mutable Rng jitter_;
 };
 
 }  // namespace xbarlife::xbar

@@ -1,6 +1,5 @@
 #include "xbar/remote.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,15 +13,6 @@ namespace xbarlife::xbar {
 
 namespace {
 
-/// v2 appends the telemetry fields (want_telemetry + trace context on the
-/// request; has_telemetry + span tree + counter deltas on the response)
-/// after the complete v1 layout, so the worker still accepts v1 requests
-/// and answers them in v1 shape. v3 keeps the byte layout of v2 and
-/// signals that the peer distinguishes replay-cache hits with the
-/// kExecuteReplay frame type (a v2 client would skip that type and time
-/// out, so the hello handshake gates on it).
-constexpr std::uint8_t kRequestVersion = 3;
-constexpr std::uint8_t kResponseVersion = 3;
 constexpr std::uint8_t kStatsVersion = 1;
 /// Wire encoding of obs::kNoSpan in a shipped span tree.
 constexpr std::uint64_t kNoSpanWire = ~std::uint64_t{0};
@@ -82,60 +72,14 @@ aging::AgingParams read_aging_params(persist::StateReader& r) {
   return a;
 }
 
-std::atomic<obs::Registry*> g_remote_metrics{nullptr};
+}  // namespace
 
-/// fork_jitter_stream instance counter: every executor construction takes
-/// the next stream index, decorrelating backoff schedules process-wide.
-std::atomic<std::uint64_t> g_jitter_instances{0};
-
-/// Versioned hello / hello-ack payload: both directions stamp the wire
-/// version, the execute-request codec version, and the build string. An
-/// empty payload is a legacy peer and is accepted as-is.
 std::string hello_payload() {
   persist::StateWriter w;
   w.u8(net::kWireVersion);
   w.u8(kRequestVersion);
   w.str(kBuildVersion);
   return w.data();
-}
-
-/// Client-side hello-ack validation: rejects a worker that could not
-/// parse the requests this build will send. Empty = legacy, accepted.
-void check_hello_ack(std::string_view payload) {
-  if (payload.empty()) {
-    return;
-  }
-  std::uint8_t wire_v = 0;
-  std::uint8_t req_v = 0;
-  std::string build;
-  try {
-    persist::StateReader r(payload);
-    wire_v = r.u8();
-    req_v = r.u8();
-    build = r.str();
-  } catch (const Error&) {
-    throw net::WireError("remote worker sent a malformed hello ack payload");
-  }
-  if (wire_v != net::kWireVersion || req_v < kRequestVersion) {
-    throw net::WireError(
-        "remote worker (build " + build + ") speaks wire v" +
-        std::to_string(wire_v) + " / execute-request v" +
-        std::to_string(req_v) + "; this client (build " +
-        std::string(kBuildVersion) + ") needs wire v" +
-        std::to_string(net::kWireVersion) + " and execute-request >= v" +
-        std::to_string(kRequestVersion));
-  }
-}
-
-}  // namespace
-
-Rng fork_jitter_stream(std::uint64_t seed) {
-  return Rng(seed).fork(
-      g_jitter_instances.fetch_add(1, std::memory_order_relaxed));
-}
-
-void reset_jitter_instances_for_test() {
-  g_jitter_instances.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -175,10 +119,10 @@ std::string encode_execute_request(const Crossbar& xb,
 std::string execute_request(std::string_view payload) {
   persist::StateReader r(payload);
   const std::uint8_t version = r.u8();
-  if (version < 1 || version > kRequestVersion) {
+  if (version != kRequestVersion) {
     throw InvalidArgument("remote execute request version " +
                           std::to_string(version) +
-                          " is not supported (this worker speaks up to " +
+                          " is not supported (this worker speaks v" +
                           std::to_string(kRequestVersion) + ")");
   }
   const std::uint64_t rows = r.u64();
@@ -210,14 +154,9 @@ std::string execute_request(std::string_view payload) {
         std::to_string(state.size()) + "-byte state payload");
   }
   const ProgramSequence seq = ProgramSequence::load_state(r);
-  bool want_telemetry = false;
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  if (version >= 2) {
-    want_telemetry = r.boolean();
-    trace_id = r.u64();
-    span_id = r.u64();
-  }
+  const bool want_telemetry = r.boolean();
+  const std::uint64_t trace_id = r.u64();
+  const std::uint64_t span_id = r.u64();
   if (!r.done()) {
     throw InvalidArgument("remote execute request has trailing bytes");
   }
@@ -268,7 +207,7 @@ std::string execute_request(std::string_view payload) {
   const std::size_t serialize_span =
       want_telemetry ? prof.begin_span("worker.serialize") : 0;
   persist::StateWriter w;
-  w.u8(version);  // answer in the request's codec version
+  w.u8(kRequestVersion);
   w.u64(pulses.value());
   w.u64(traced.value());
   w.u64(report.results.size());
@@ -284,38 +223,36 @@ std::string execute_request(std::string_view payload) {
     prof.end_span(serialize_span);
     prof.end_span(request_span);
   }
-  if (version >= 2) {
-    w.boolean(want_telemetry);
-    if (want_telemetry) {
-      w.u64(trace_id);
-      w.u64(span_id);
-      const auto& records = prof.records();
-      w.u64(records.size());
-      for (const obs::SpanRecord& rec : records) {
-        w.str(rec.name);
-        w.u64(rec.parent == obs::kNoSpan ? kNoSpanWire
-                                         : static_cast<std::uint64_t>(
-                                               rec.parent));
-        w.f64(std::chrono::duration<double, std::milli>(rec.start -
-                                                        prof.epoch())
-                  .count());
-        w.f64(rec.dur_ms);
-        w.u64(rec.counters.size());
-        for (const auto& [cname, cvalue] : rec.counters) {
-          w.str(cname);
-          w.u64(cvalue);
-        }
+  w.boolean(want_telemetry);
+  if (want_telemetry) {
+    w.u64(trace_id);
+    w.u64(span_id);
+    const auto& records = prof.records();
+    w.u64(records.size());
+    for (const obs::SpanRecord& rec : records) {
+      w.str(rec.name);
+      w.u64(rec.parent == obs::kNoSpan ? kNoSpanWire
+                                       : static_cast<std::uint64_t>(
+                                             rec.parent));
+      w.f64(std::chrono::duration<double, std::milli>(rec.start -
+                                                      prof.epoch())
+                .count());
+      w.f64(rec.dur_ms);
+      w.u64(rec.counters.size());
+      for (const auto& [cname, cvalue] : rec.counters) {
+        w.str(cname);
+        w.u64(cvalue);
       }
-      std::vector<std::pair<std::string, std::uint64_t>> deltas;
-      reg.visit_counters([&deltas](const std::string& name,
-                                   std::uint64_t value) {
-        deltas.emplace_back(name, value);
-      });
-      w.u64(deltas.size());
-      for (const auto& [dname, dvalue] : deltas) {
-        w.str(dname);
-        w.u64(dvalue);
-      }
+    }
+    std::vector<std::pair<std::string, std::uint64_t>> deltas;
+    reg.visit_counters([&deltas](const std::string& name,
+                                 std::uint64_t value) {
+      deltas.emplace_back(name, value);
+    });
+    w.u64(deltas.size());
+    for (const auto& [dname, dvalue] : deltas) {
+      w.str(dname);
+      w.u64(dvalue);
     }
   }
   return w.data();
@@ -324,7 +261,7 @@ std::string execute_request(std::string_view payload) {
 ExecuteResponse decode_execute_response(std::string_view payload) {
   persist::StateReader r(payload);
   const std::uint8_t version = r.u8();
-  if (version < 1 || version > kResponseVersion) {
+  if (version != kRequestVersion) {
     throw InvalidArgument("remote execute response version " +
                           std::to_string(version) + " is not supported");
   }
@@ -337,40 +274,38 @@ ExecuteResponse decode_execute_response(std::string_view payload) {
     resp.results.push_back(r.f64());
   }
   resp.crossbar_state = r.str();
-  if (version >= 2) {
-    resp.has_telemetry = r.boolean();
-    if (resp.has_telemetry) {
-      resp.trace_id = r.u64();
-      resp.span_id = r.u64();
-      // Minimum bytes per span: name len (8) + parent (8) + two f64 (16)
-      // + counter count (8); per counter: name len (8) + value (8).
-      const std::size_t span_count = r.array_count(40);
-      resp.spans.reserve(span_count);
-      for (std::size_t i = 0; i < span_count; ++i) {
-        obs::Profiler::RemoteSpan span;
-        span.name = r.str();
-        const std::uint64_t parent = r.u64();
-        span.parent = parent == kNoSpanWire
-                          ? obs::kNoSpan
-                          : static_cast<std::size_t>(parent);
-        span.start_offset_ms = r.f64();
-        span.dur_ms = r.f64();
-        const std::size_t counter_count = r.array_count(16);
-        span.counters.reserve(counter_count);
-        for (std::size_t c = 0; c < counter_count; ++c) {
-          std::string cname = r.str();
-          const std::uint64_t cvalue = r.u64();
-          span.counters.emplace_back(std::move(cname), cvalue);
-        }
-        resp.spans.push_back(std::move(span));
+  resp.has_telemetry = r.boolean();
+  if (resp.has_telemetry) {
+    resp.trace_id = r.u64();
+    resp.span_id = r.u64();
+    // Minimum bytes per span: name len (8) + parent (8) + two f64 (16)
+    // + counter count (8); per counter: name len (8) + value (8).
+    const std::size_t span_count = r.array_count(40);
+    resp.spans.reserve(span_count);
+    for (std::size_t i = 0; i < span_count; ++i) {
+      obs::Profiler::RemoteSpan span;
+      span.name = r.str();
+      const std::uint64_t parent = r.u64();
+      span.parent = parent == kNoSpanWire
+                        ? obs::kNoSpan
+                        : static_cast<std::size_t>(parent);
+      span.start_offset_ms = r.f64();
+      span.dur_ms = r.f64();
+      const std::size_t counter_count = r.array_count(16);
+      span.counters.reserve(counter_count);
+      for (std::size_t c = 0; c < counter_count; ++c) {
+        std::string cname = r.str();
+        const std::uint64_t cvalue = r.u64();
+        span.counters.emplace_back(std::move(cname), cvalue);
       }
-      const std::size_t delta_count = r.array_count(16);
-      resp.counter_deltas.reserve(delta_count);
-      for (std::size_t i = 0; i < delta_count; ++i) {
-        std::string dname = r.str();
-        const std::uint64_t dvalue = r.u64();
-        resp.counter_deltas.emplace_back(std::move(dname), dvalue);
-      }
+      resp.spans.push_back(std::move(span));
+    }
+    const std::size_t delta_count = r.array_count(16);
+    resp.counter_deltas.reserve(delta_count);
+    for (std::size_t i = 0; i < delta_count; ++i) {
+      std::string dname = r.str();
+      const std::uint64_t dvalue = r.u64();
+      resp.counter_deltas.emplace_back(std::move(dname), dvalue);
     }
   }
   if (!r.done()) {
@@ -428,9 +363,7 @@ WorkerStatsSnapshot decode_worker_stats(std::string_view payload) {
 obs::JsonValue WorkerStatsSnapshot::to_json(std::string_view endpoint) const {
   obs::JsonValue doc = obs::JsonValue::object();
   doc.set("schema", "xbarlife.workerstats.v1");
-  if (!endpoint.empty()) {
-    doc.set("endpoint", endpoint);
-  }
+  doc.set("endpoint", endpoint);
   doc.set("build", build);
   doc.set("wire_version", wire_version);
   doc.set("request_version", request_version);
@@ -494,30 +427,26 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
     try {
       switch (frame.type) {
         case net::MsgType::kHello: {
-          // An empty payload is a legacy client: accepted, acked with our
-          // versions so IT can decide. A versioned payload is rejected
-          // only when this worker could not parse what the client will
-          // send (different wire version or a newer request codec).
+          // The client must speak exactly this worker's wire and
+          // execute codec versions; anything else (an empty payload
+          // included) is answered with kError.
           std::string mismatch;
-          if (!frame.payload.empty()) {
-            try {
-              persist::StateReader hr(frame.payload);
-              const std::uint8_t wire_v = hr.u8();
-              const std::uint8_t req_v = hr.u8();
-              const std::string build = hr.str();
-              if (wire_v != net::kWireVersion || req_v > kRequestVersion) {
-                mismatch =
-                    "protocol mismatch: client (build " + build +
-                    ") speaks wire v" + std::to_string(wire_v) +
-                    " / execute-request v" + std::to_string(req_v) +
-                    "; this worker (build " + std::string(kBuildVersion) +
-                    ") speaks wire v" + std::to_string(net::kWireVersion) +
-                    " and execute-request <= v" +
-                    std::to_string(kRequestVersion);
-              }
-            } catch (const Error&) {
-              mismatch = "malformed hello payload";
+          try {
+            persist::StateReader hr(frame.payload);
+            const std::uint8_t wire_v = hr.u8();
+            const std::uint8_t req_v = hr.u8();
+            const std::string build = hr.str();
+            if (wire_v != net::kWireVersion || req_v != kRequestVersion) {
+              mismatch =
+                  "protocol mismatch: client (build " + build +
+                  ") speaks wire v" + std::to_string(wire_v) +
+                  " / execute-request v" + std::to_string(req_v) +
+                  "; this worker (build " + std::string(kBuildVersion) +
+                  ") speaks wire v" + std::to_string(net::kWireVersion) +
+                  " and execute-request v" + std::to_string(kRequestVersion);
             }
+          } catch (const Error&) {
+            mismatch = "malformed hello payload";
           }
           if (!mismatch.empty()) {
             if (opts.stats != nullptr) {
@@ -535,7 +464,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
         }
         case net::MsgType::kHeartbeat: {
           // With stats attached the ack stamps uptime + protocol
-          // versions; legacy clients simply ignore the payload.
+          // versions; the executor's liveness probe ignores the payload.
           persist::StateWriter w;
           if (opts.stats != nullptr) {
             w.u64(static_cast<std::uint64_t>(
@@ -662,371 +591,6 @@ void LoopbackWorker::stop() {
   for (std::thread& t : drained) {
     t.join();
   }
-}
-
-// ---------------------------------------------------------------------------
-// RemoteExecutor.
-
-struct RemoteExecutor::Link {
-  std::unique_ptr<net::Transport> transport;
-};
-
-RemoteExecutor::RemoteExecutor(RemoteConfig config)
-    : config_(std::move(config)),
-      fault_plan_(net::FaultPlan::parse(config_.fault_spec)),
-      jitter_(fork_jitter_stream(config_.jitter_seed)) {
-  if (config_.max_attempts < 1) {
-    throw InvalidArgument("remote executor: max_attempts must be >= 1");
-  }
-}
-
-RemoteExecutor::~RemoteExecutor() {
-  drop_connection();
-  loopback_.reset();
-}
-
-void RemoteExecutor::count(const char* name, std::uint64_t delta) const {
-  obs::Registry* reg = g_remote_metrics.load(std::memory_order_acquire);
-  if (reg != nullptr) {
-    reg->counter(config_.metric_prefix + "." + name).add(delta);
-  }
-}
-
-void RemoteExecutor::ensure_connected(std::unique_lock<std::mutex>&) const {
-  if (link_ != nullptr) {
-    return;
-  }
-  std::unique_ptr<net::Transport> t;
-  if (config_.address == "loopback") {
-    if (loopback_ == nullptr) {
-      loopback_ = std::make_unique<LoopbackWorker>(fault_plan_);
-    }
-    t = loopback_->connect();
-  } else {
-    t = net::dial(config_.address, config_.dial_timeout);
-  }
-  t = net::maybe_wrap_faulty(std::move(t), fault_plan_, 2 * connections_);
-  if (connections_ > 0) {
-    ++stats_.reconnects;
-    count("reconnects");
-  }
-  ++connections_;
-  link_ = std::make_unique<Link>(std::move(t));
-  // Hello handshake: prove the peer speaks xbarlife.wire.v1 — and a
-  // compatible execute-request codec — before shipping a full-state
-  // request. Both sides stamp their versions; see check_hello_ack.
-  const std::uint64_t id = ++next_seq_;
-  net::write_frame(*link_->transport, net::MsgType::kHello, id,
-                   hello_payload());
-  const net::Frame ack = read_matching(
-      net::MsgType::kHelloAck, id,
-      std::chrono::steady_clock::now() + config_.request_deadline);
-  if (ack.type == net::MsgType::kError) {
-    persist::StateReader er(ack.payload);
-    throw net::WireError("remote worker refused the handshake: " + er.str());
-  }
-  check_hello_ack(ack.payload);
-}
-
-void RemoteExecutor::drop_connection() const {
-  if (link_ != nullptr) {
-    link_->transport->close();
-    link_.reset();
-  }
-}
-
-net::Frame RemoteExecutor::read_matching(
-    net::MsgType want, std::uint64_t want_id,
-    std::chrono::steady_clock::time_point deadline) const {
-  for (;;) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      throw net::TransportTimeout(
-          "remote executor: no response within the request deadline");
-    }
-    net::Frame frame = net::read_frame(*link_->transport, left);
-    if (frame.seq_id != want_id) {
-      continue;  // stale frame: a duplicated or late earlier response
-    }
-    if (frame.type == want || frame.type == net::MsgType::kError ||
-        (want == net::MsgType::kExecuteResult &&
-         frame.type == net::MsgType::kExecuteReplay)) {
-      // A kExecuteReplay satisfies a kExecuteResult wait: same payload,
-      // distinct type so the caller can account it as a replay.
-      return frame;
-    }
-    // Matching id but unexpected type: a protocol-confused peer; skip.
-  }
-}
-
-bool RemoteExecutor::probe_liveness() const {
-  if (link_ == nullptr) {
-    return false;
-  }
-  try {
-    const std::uint64_t id = ++next_seq_;
-    net::write_frame(*link_->transport, net::MsgType::kHeartbeat, id);
-    const auto probe_deadline =
-        std::chrono::steady_clock::now() +
-        std::min(config_.request_deadline, std::chrono::milliseconds(250));
-    read_matching(net::MsgType::kHeartbeatAck, id, probe_deadline);
-    return true;
-  } catch (const net::TransportError&) {
-    return false;
-  }
-}
-
-void RemoteExecutor::backoff_sleep(int attempt) const {
-  // Exponential base capped at backoff_max, jittered by a factor in
-  // [0.5, 1.0) so a fleet of clients does not retry in lockstep. The
-  // sleep runs in small slices polling the cooperative shutdown flag, so
-  // SIGINT never hangs in a backoff.
-  std::chrono::milliseconds base = config_.backoff_initial;
-  for (int i = 1; i < attempt && base < config_.backoff_max; ++i) {
-    base *= 2;
-  }
-  base = std::min(base, config_.backoff_max);
-  const double factor = 0.5 + 0.5 * jitter_.uniform();
-  auto remaining = std::chrono::milliseconds(
-      static_cast<std::int64_t>(static_cast<double>(base.count()) * factor));
-  constexpr std::chrono::milliseconds kSlice{10};
-  while (remaining.count() > 0) {
-    if (shutdown_requested()) {
-      throw InterruptedError(
-          "shutdown requested during remote executor retry backoff");
-    }
-    const auto nap = std::min(remaining, kSlice);
-    std::this_thread::sleep_for(nap);
-    remaining -= nap;
-  }
-}
-
-ExecReport RemoteExecutor::run_local(Crossbar& xb,
-                                     const ProgramSequence& seq) const {
-  return SimExecutor{}.execute(xb, seq);
-}
-
-ExecReport RemoteExecutor::execute(Crossbar& xb,
-                                   const ProgramSequence& seq) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (pinned_) {
-    return run_local(xb, seq);
-  }
-  ++stats_.requests;
-  // With a profiler attached the request carries a trace context and asks
-  // the worker to profile itself; the worker's span tree grafts under
-  // this client-side span so one --profile run shows client wait vs.
-  // worker rebuild/execute/serialize. The RAII guard closes the span on
-  // every exit path, the fallback and error paths included.
-  obs::Profiler* profiler = xb.profiler();
-  struct SpanGuard {
-    obs::Profiler* profiler;
-    std::size_t index = 0;
-    SpanGuard(obs::Profiler* p, const std::string& name) : profiler(p) {
-      if (profiler != nullptr) {
-        index = profiler->begin_span(name + ".execute");
-      }
-    }
-    ~SpanGuard() {
-      if (profiler != nullptr) {
-        profiler->end_span(index);
-      }
-    }
-  } span_guard(profiler, config_.span_prefix.empty() ? config_.metric_prefix
-                                                     : config_.span_prefix);
-  const bool want_telemetry = profiler != nullptr;
-  // One id per logical request across all its retries: the replay key
-  // (and, with telemetry, the trace id the worker echoes back).
-  const std::uint64_t id = ++next_seq_;
-  const std::string payload = encode_execute_request(
-      xb, seq, want_telemetry, id,
-      want_telemetry ? static_cast<std::uint64_t>(span_guard.index) : 0);
-  bool timed_out_on_live_link = false;
-  for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    // Cooperative shutdown is honored between retries (backoff_sleep
-    // polls the flag), never before a healthy first attempt: a requested
-    // shutdown must not strand an in-progress session that a working
-    // link would complete — checkpointing loops handle the flag at their
-    // own snapshot boundaries.
-    if (attempt > 0) {
-      ++stats_.retries;
-      count("retries");
-      backoff_sleep(attempt);
-    }
-    try {
-      ensure_connected(lock);
-      if (timed_out_on_live_link && !probe_liveness()) {
-        // The link swallowed a request or response; prove liveness before
-        // re-shipping the (large) request, reconnecting if the probe dies.
-        drop_connection();
-        ensure_connected(lock);
-      }
-      timed_out_on_live_link = false;
-      const auto sent_at = std::chrono::steady_clock::now();
-      net::write_frame(*link_->transport, net::MsgType::kExecute, id,
-                       payload);
-      const net::Frame frame = read_matching(
-          net::MsgType::kExecuteResult, id,
-          sent_at + config_.request_deadline);
-      if (frame.type == net::MsgType::kError) {
-        persist::StateReader er(frame.payload);
-        throw RemoteWorkerError("remote worker rejected the request: " +
-                                er.str());
-      }
-      ExecuteResponse resp = decode_execute_response(frame.payload);
-      // Fresh work and replay-cache hits account separately on both
-      // sides of the wire (the worker marks hits with kExecuteReplay),
-      // so <prefix>.requests only ever counts sequences the worker
-      // actually executed and totals reconcile with worker-status.
-      count(frame.type == net::MsgType::kExecuteReplay ? "replay_served"
-                                                       : "requests");
-      if (obs::Registry* reg =
-              g_remote_metrics.load(std::memory_order_acquire)) {
-        reg->bucketed_histogram(config_.metric_prefix + ".request_ms")
-            .observe(std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - sent_at)
-                         .count());
-      }
-      persist::StateReader sr(resp.crossbar_state);
-      xb.load_state(sr);
-      xb.credit_pulse_counters(resp.pulses, resp.traced_pulses);
-      if (profiler != nullptr && resp.has_telemetry && resp.trace_id == id) {
-        // Exactly one graft per logical request: only the one successful
-        // decode reaches here, a replay-cache hit returns the original
-        // telemetry, and the degraded fallback path ships none.
-        profiler->graft(resp.spans, sent_at);
-        if (obs::Registry* reg =
-                g_remote_metrics.load(std::memory_order_acquire)) {
-          for (const auto& [name, value] : resp.counter_deltas) {
-            // Namespaced: the client already credits pulse counters from
-            // the response, so the raw names would double-count.
-            reg->counter("worker." + name).add(value);
-          }
-        }
-      }
-      ExecReport report;
-      report.results = std::move(resp.results);
-      report.stats = seq.stats();
-      xb.note_sequence_executed(report.stats);
-      return report;
-    } catch (const net::TransportTimeout&) {
-      timed_out_on_live_link = true;
-    } catch (const net::TransportError&) {
-      drop_connection();
-      timed_out_on_live_link = false;
-    }
-  }
-  drop_connection();
-  if (!config_.fallback_to_sim) {
-    throw net::TransportError(
-        "remote executor: worker at '" + config_.address +
-        "' unreachable after " + std::to_string(config_.max_attempts) +
-        " attempt(s) and local fallback is disabled");
-  }
-  // Graceful degradation: the request never mutated local state (every
-  // attempt shipped the same pre-state), so executing locally now yields
-  // exactly what a successful remote run would have.
-  degraded_ = true;
-  ++stats_.fallbacks;
-  count("fallbacks");
-  return run_local(xb, seq);
-}
-
-bool RemoteExecutor::degraded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return degraded_;
-}
-
-bool RemoteExecutor::pin_local_fallback() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pinned_) {
-    return false;
-  }
-  pinned_ = true;
-  degraded_ = true;
-  return true;
-}
-
-RemoteLinkStats RemoteExecutor::link_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-bool RemoteExecutor::probe() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  try {
-    ensure_connected(lock);
-  } catch (const net::TransportError&) {
-    drop_connection();
-    return false;
-  }
-  if (!probe_liveness()) {
-    drop_connection();
-    return false;
-  }
-  return true;
-}
-
-WorkerStatsSnapshot query_worker_status(const RemoteConfig& config) {
-  std::unique_ptr<LoopbackWorker> loopback;
-  std::unique_ptr<net::Transport> t;
-  if (config.address == "loopback") {
-    loopback = std::make_unique<LoopbackWorker>(
-        net::FaultPlan::parse(config.fault_spec));
-    t = loopback->connect();
-  } else {
-    t = net::dial(config.address, config.dial_timeout);
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + config.request_deadline;
-  std::uint64_t next_id = 0;
-  const auto read_matching = [&](net::MsgType want,
-                                 std::uint64_t want_id) -> net::Frame {
-    for (;;) {
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        throw net::TransportTimeout(
-            "worker status: no response within the request deadline");
-      }
-      net::Frame frame = net::read_frame(*t, left);
-      if (frame.seq_id != want_id) {
-        continue;
-      }
-      if (frame.type == want || frame.type == net::MsgType::kError) {
-        return frame;
-      }
-    }
-  };
-  std::uint64_t id = ++next_id;
-  net::write_frame(*t, net::MsgType::kHello, id, hello_payload());
-  const net::Frame ack = read_matching(net::MsgType::kHelloAck, id);
-  if (ack.type == net::MsgType::kError) {
-    persist::StateReader er(ack.payload);
-    throw net::WireError("remote worker refused the handshake: " + er.str());
-  }
-  check_hello_ack(ack.payload);
-  id = ++next_id;
-  net::write_frame(*t, net::MsgType::kStats, id);
-  const net::Frame stats = read_matching(net::MsgType::kStatsAck, id);
-  if (stats.type == net::MsgType::kError) {
-    persist::StateReader er(stats.payload);
-    throw net::WireError("remote worker cannot answer a stats request: " +
-                         er.str());
-  }
-  WorkerStatsSnapshot snap = decode_worker_stats(stats.payload);
-  t->close();
-  return snap;
-}
-
-void set_remote_metrics(obs::Registry* registry) {
-  g_remote_metrics.store(registry, std::memory_order_release);
-}
-
-obs::Registry* remote_metrics_registry() {
-  return g_remote_metrics.load(std::memory_order_acquire);
 }
 
 }  // namespace xbarlife::xbar

@@ -9,17 +9,18 @@
 // run is byte-identical to a local `sim` run *by construction* — the same
 // deterministic code executes on the same bits, just in another process.
 //
-// Fault tolerance: each execute() retries under one fixed sequence id with
-// per-request deadlines and jittered exponential backoff, reconnecting on
-// transport errors. Because every request carries the full pre-state,
-// re-execution after a lost response is naturally idempotent — and the
-// worker additionally caches its last response per connection, replaying
-// it without re-executing when the same id arrives again. When every
-// attempt is exhausted the executor degrades gracefully (when enabled):
-// the sequence runs on the local SimExecutor, the executor marks itself
-// degraded (stamped into the result document, and picked up by the
-// resilience ladder's fallback-executor rung), and the run continues with
-// bit-identical results.
+// Fault tolerance: each execute() keeps one request id across every
+// attempt on every endpoint, with per-request deadlines, per-endpoint
+// circuit breakers, failover, and jittered exponential backoff (see
+// xbar/pool.hpp for routing and health). Because every request carries
+// the full pre-state, re-execution after a lost response is naturally
+// idempotent — and the worker additionally caches its last response per
+// connection, replaying it without re-executing when the same id arrives
+// again. When every attempt is exhausted the executor degrades gracefully
+// (when enabled): the sequence runs on the local SimExecutor, the
+// executor marks itself degraded (stamped into the result document, and
+// picked up by the resilience ladder's fallback-executor rung), and the
+// run continues with bit-identical results.
 #pragma once
 
 #include <atomic>
@@ -55,14 +56,22 @@ class RemoteWorkerError : public Error {
 // Worker-side protocol handlers (shared by the loopback thread and the
 // xbarlife-worker app).
 
+/// The execute codec version. Peers exchange it in the hello handshake
+/// and both sides accept exactly this version: requests carry the trace
+/// context, responses the optional telemetry, and replay-cache hits come
+/// back as kExecuteReplay frames.
+inline constexpr std::uint8_t kRequestVersion = 3;
+
+/// Versioned hello / hello-ack payload: the wire version, the execute
+/// codec version, and the build string.
+std::string hello_payload();
+
 /// Serializes a kExecute payload: geometry, device/aging parameters, the
 /// nonideality configuration (so the worker can rebuild the identical
 /// array), the full crossbar state, and the sequence. When
 /// `want_telemetry` is set the request additionally carries a trace
 /// context (trace_id / span_id) and asks the worker to profile itself and
-/// ship its span tree + metric deltas back in the response; the v1 field
-/// layout is preserved as a prefix, so v1 workers still parse the
-/// geometry before rejecting the version.
+/// ship its span tree + metric deltas back in the response.
 std::string encode_execute_request(const Crossbar& xb,
                                    const ProgramSequence& seq,
                                    bool want_telemetry = false,
@@ -130,12 +139,9 @@ struct WorkerStatsSnapshot {
   /// verbatim into the document (the client never re-parses it).
   std::string metrics_json;
 
-  /// Renders the xbarlife.workerstats.v1 document. A non-empty
-  /// `endpoint` adds an "endpoint" key right after "schema" — fleet mode
-  /// (`worker-status` against an endpoint list) emits one document per
-  /// worker and the key says which one answered. Single-endpoint
-  /// documents omit it and stay byte-identical to earlier builds.
-  obs::JsonValue to_json(std::string_view endpoint = {}) const;
+  /// Renders the xbarlife.workerstats.v1 document; `endpoint` (the
+  /// address that answered) follows "schema".
+  obs::JsonValue to_json(std::string_view endpoint) const;
 };
 
 WorkerStatsSnapshot decode_worker_stats(std::string_view payload);
@@ -202,45 +208,36 @@ class LoopbackWorker {
 // The remote executor backend.
 
 struct RemoteConfig {
-  /// "loopback" (in-process worker thread), "unix:/path", or "host:port".
+  /// One endpoint or a comma-separated list of them; each is "loopback"
+  /// (in-process worker thread), "unix:/path", or "host:port". A single
+  /// address is a pool of one.
   std::string address = "loopback";
   /// FaultPlan spec injected on the client->worker direction (and, for
   /// loopback, independently on the worker->client direction). Empty
-  /// means a clean link.
+  /// means a clean link; a ';'-separated list applies per endpoint (see
+  /// net::split_fault_specs).
   std::string fault_spec;
   /// Per-request deadline covering send + worker execution + response.
   std::chrono::milliseconds request_deadline{2000};
   std::chrono::milliseconds dial_timeout{500};
-  /// Total tries per sequence (first attempt + retries) before degrading.
+  /// Budget rounds per sequence before degrading. A round tries every
+  /// admitted endpoint once in rendezvous order, so failing over to the
+  /// next endpoint is free and only "every endpoint failed" burns one.
   int max_attempts = 5;
-  /// Exponential backoff between attempts: initial * 2^k, capped, with
-  /// multiplicative jitter in [0.5, 1.0). Every executor forks its own
-  /// jitter stream from this seed and a process-wide instance counter
-  /// (fork_jitter_stream), so two executors sharing the default seed
-  /// still draw decorrelated backoff schedules instead of retrying in
-  /// lockstep.
+  /// Exponential backoff between rounds: initial * 2^k, capped, with
+  /// multiplicative jitter in [0.5, 1.0). The executor forks its backoff
+  /// stream from this seed as jitter_stream(seed, 0) and endpoint i's
+  /// circuit-probe stream as jitter_stream(seed, 1 + i), so its streams
+  /// differ from each other and the same config reproduces them.
   std::chrono::milliseconds backoff_initial{10};
   std::chrono::milliseconds backoff_max{250};
   std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ULL;
   /// Degrade to the local SimExecutor when all attempts fail; when false
   /// the executor throws TransportError instead (CLI exit 3).
   bool fallback_to_sim = true;
-  /// Metric-name prefix for this executor's lazily created telemetry
-  /// (counters + the request_ms histogram). The pool backend names its
-  /// endpoints "executor.pool.<i>" so their series merge deterministically
-  /// without colliding.
-  std::string metric_prefix = "executor.remote";
-  /// Profiler span-name prefix; empty means "use metric_prefix". The pool
-  /// backend profiles every endpoint under the shared "executor.pool"
-  /// name: which endpoint owns an array depends on construction order
-  /// (the crossbar uid counter), which threaded runs interleave, and
-  /// profile skeletons must stay byte-identical across thread counts —
-  /// only the deterministic pool-wide total is a span, the per-endpoint
-  /// split stays in the metric registry.
-  std::string span_prefix;
-  /// Pool circuit breaker (ignored by a single-endpoint executor):
-  /// consecutive failures before an endpoint's circuit opens
-  /// (healthy -> suspect on the first failure, open at the threshold)...
+  /// Circuit breaker: consecutive failures before an endpoint's circuit
+  /// opens (healthy -> suspect on the first failure, open at the
+  /// threshold)...
   int circuit_failure_threshold = 2;
   /// ...and the jittered exponential backoff between half-open heartbeat
   /// probes of an open endpoint.
@@ -248,23 +245,19 @@ struct RemoteConfig {
   std::chrono::milliseconds probe_backoff_max{2000};
 };
 
-/// Forks a per-instance backoff-jitter stream: `seed` is combined with a
-/// process-wide monotonically increasing instance counter, so executors
-/// sharing a (default) seed never draw identical schedules.
-Rng fork_jitter_stream(std::uint64_t seed);
-
-/// Resets the fork_jitter_stream instance counter so a test can pin the
-/// exact fork sequence. Not for production use.
-void reset_jitter_instances_for_test();
-
 /// Link-health counters (process-lifetime totals for this executor).
 struct RemoteLinkStats {
   std::uint64_t requests = 0;    ///< sequences submitted
-  std::uint64_t retries = 0;     ///< re-sent attempts after a failure
+  std::uint64_t retries = 0;     ///< attempts after the first, any endpoint
   std::uint64_t reconnects = 0;  ///< connections re-established
   std::uint64_t fallbacks = 0;   ///< sequences executed via local fallback
 };
 
+/// The remote backend (implemented in xbar/pool.cpp). Each array has a
+/// deterministic owning endpoint (rendezvous hashing of its uid), every
+/// endpoint has its own circuit breaker, and dispatch fails over to the
+/// next live endpoint before spending the max_attempts budget; local-sim
+/// fallback engages only when every endpoint failed in every round.
 class RemoteExecutor final : public ProgramExecutor {
  public:
   explicit RemoteExecutor(RemoteConfig config);
@@ -283,56 +276,47 @@ class RemoteExecutor final : public ProgramExecutor {
   bool pin_local_fallback() const override;
 
   RemoteLinkStats link_stats() const;
-  const RemoteConfig& config() const { return config_; }
 
-  /// Half-open circuit probe: connects (or reuses the link) and runs one
-  /// heartbeat round trip. True when the endpoint answered; false drops
-  /// the connection. Never ships a request and never counts a fallback.
-  bool probe() const;
+  /// Per-endpoint request/failover/circuit accounting for the
+  /// `executor_pool` envelope stamp.
+  std::vector<PoolEndpointSummary> endpoint_summaries() const;
+
+  std::size_t size() const { return endpoints_.size(); }
+  const std::vector<std::string>& addresses() const { return addresses_; }
 
  private:
-  struct Link;
+  struct Endpoint;
 
-  void ensure_connected(std::unique_lock<std::mutex>& lock) const;
-  void drop_connection() const;
-  net::Frame read_matching(net::MsgType want, std::uint64_t want_id,
-                           std::chrono::steady_clock::time_point deadline)
-      const;
-  bool probe_liveness() const;
-  void backoff_sleep(int attempt) const;
-  ExecReport run_local(Crossbar& xb, const ProgramSequence& seq) const;
-  void count(const char* name, std::uint64_t delta = 1) const;
+  void backoff_sleep(int round) const;
 
   RemoteConfig config_;
-  net::FaultPlan fault_plan_;
-  mutable std::mutex mu_;
-  mutable std::unique_ptr<Link> link_;
-  mutable std::unique_ptr<LoopbackWorker> loopback_;
-  mutable std::uint64_t next_seq_ = 0;
-  mutable std::uint64_t connections_ = 0;
+  std::vector<std::string> addresses_;
+  /// Request (and trace) ids, plus hello/heartbeat ids: one counter for
+  /// every frame this executor sends.
+  mutable std::atomic<std::uint64_t> next_id_{0};
+  std::vector<std::unique_ptr<Endpoint>> endpoints_;
+  mutable std::mutex mu_;  ///< circuits + stats; never held across I/O
   mutable RemoteLinkStats stats_;
   mutable bool degraded_ = false;
   mutable bool pinned_ = false;
   mutable Rng jitter_;
 };
 
-/// Dials `config.address` ("loopback" spins up a throwaway in-process
-/// worker), performs the versioned hello handshake, and requests one
-/// stats snapshot. Throws TransportError / WireError on failure.
+/// Dials `config.address` (one endpoint; "loopback" spins up a throwaway
+/// in-process worker), performs the versioned hello handshake, and
+/// requests one stats snapshot. Throws TransportError / WireError on
+/// failure.
 WorkerStatsSnapshot query_worker_status(const RemoteConfig& config);
 
-/// Registry the remote backend lazily creates its link metrics in
-/// (<metric_prefix>.requests / .replay_served / .retries / .reconnects /
-/// .fallbacks counters plus the bucketed <metric_prefix>.request_ms
-/// round-trip histogram). Metrics are created only when the corresponding
-/// event first occurs, so a clean run emits no remote metrics and stays
-/// byte-identical to `sim` goldens. Pass nullptr to detach; the registry
-/// must outlive remote execution.
+/// Registry the remote backend lazily creates its link metrics in: per
+/// endpoint i the executor.remote.<i>.{requests,replay_served,reconnects,
+/// failovers,circuit_opens} counters, the bucketed
+/// executor.remote.<i>.request_ms round-trip histogram and the
+/// executor.remote.<i>.circuit_state gauge, plus the executor-wide
+/// executor.remote.fallbacks counter. Each metric is created only when
+/// its event first occurs, so a fault-free run emits no failover,
+/// circuit, or fallback series. Pass nullptr to detach; the registry must
+/// outlive remote execution.
 void set_remote_metrics(obs::Registry* registry);
-
-/// The registry installed by set_remote_metrics (nullptr when detached).
-/// The pool backend records its per-endpoint counters and circuit-state
-/// gauges here, next to the endpoints' own link metrics.
-obs::Registry* remote_metrics_registry();
 
 }  // namespace xbarlife::xbar

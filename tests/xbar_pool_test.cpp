@@ -1,10 +1,12 @@
-// Worker-pool contract tests: endpoint-list parsing, rendezvous owner
-// selection (determinism, duplicate-address spread, minimal movement on
-// membership change), the per-endpoint circuit-breaker state machine
-// (time-point driven, no sleeps), failover dispatch that never burns the
-// global budget while a live endpoint remains, the deterministic
-// kill-matrix chaos suite, pool-wide exhaustion fallback, and the
-// executor-registry / envelope-summary wiring.
+// Multi-endpoint contract tests of the remote executor: endpoint-list
+// parsing, rendezvous owner selection (determinism, duplicate-address
+// spread, minimal movement on membership change), the per-endpoint
+// circuit-breaker state machine (time-point driven, no sleeps), failover
+// dispatch that never burns the global budget while a live endpoint
+// remains, the deterministic kill-matrix chaos suite, pool-wide
+// exhaustion fallback, and the executor-registry /
+// envelope-summary wiring. The single-endpoint counterparts of the
+// fallback, pin and validation tests live in xbar_remote_test.cpp.
 #include "xbar/pool.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "persist/state_io.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/remote.hpp"
 
 namespace xbarlife::xbar {
 namespace {
@@ -290,39 +293,40 @@ TEST(Circuit, RejectsNonPositiveThreshold) {
   EXPECT_THROW(CircuitBreaker(cfg, Rng(1)), InvalidArgument);
 }
 
-// Satellite 1: a shared default jitter_seed must not put two executors in
-// retry lockstep — every fork_jitter_stream call draws a fresh stream.
+// The jitter streams of one executor — the retry backoff (stream 0) and
+// each endpoint's circuit probes (stream 1 + i) — must differ from each
+// other, so endpoints do not probe in lockstep, and the same config must
+// reproduce them exactly.
 TEST(Circuit, ForkedJitterStreamsDivergeAndReproduce) {
-  reset_jitter_instances_for_test();
-  Rng a = fork_jitter_stream(0x9e3779b97f4a7c15ULL);
-  Rng b = fork_jitter_stream(0x9e3779b97f4a7c15ULL);
-  std::vector<double> da, db;
-  for (int i = 0; i < 8; ++i) {
-    da.push_back(a.uniform());
-    db.push_back(b.uniform());
+  const RemoteConfig cfg = pool_config("loopback,loopback,loopback");
+  const auto draws = [&cfg](std::uint64_t stream) {
+    Rng rng = jitter_stream(cfg.jitter_seed, stream);
+    std::vector<double> out;
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(rng.uniform());
+    }
+    return out;
+  };
+  std::set<std::vector<double>> distinct;
+  for (std::uint64_t stream = 0; stream <= 3; ++stream) {
+    EXPECT_EQ(draws(stream), draws(stream)) << "stream " << stream;
+    distinct.insert(draws(stream));
   }
-  EXPECT_NE(da, db) << "same-seed executors draw identical jitter";
-
-  // Resetting the instance counter replays the exact fork sequence: the
-  // schedules are deterministic, just not shared.
-  reset_jitter_instances_for_test();
-  Rng a2 = fork_jitter_stream(0x9e3779b97f4a7c15ULL);
-  std::vector<double> da2;
-  for (int i = 0; i < 8; ++i) {
-    da2.push_back(a2.uniform());
-  }
-  EXPECT_EQ(da, da2);
+  EXPECT_EQ(distinct.size(), 4u) << "two streams of one executor coincide";
 }
 
 // ---------------------------------------------------------------------------
 // Pool dispatch.
 
 TEST(Pool, RejectsSingleEndpointConfigsItCannotParse) {
-  EXPECT_THROW(PoolExecutor(pool_config("loopback,,loopback")),
+  EXPECT_THROW(RemoteExecutor(pool_config("loopback,,loopback")),
                InvalidArgument);
   RemoteConfig bad = pool_config("loopback,loopback");
   bad.max_attempts = 0;
-  EXPECT_THROW(PoolExecutor{bad}, InvalidArgument);
+  EXPECT_THROW(RemoteExecutor{bad}, InvalidArgument);
+  RemoteConfig bad_spec = pool_config("loopback,loopback");
+  bad_spec.fault_spec = "drop=2.0";
+  EXPECT_THROW(RemoteExecutor{bad_spec}, InvalidArgument);
 }
 
 TEST(Pool, LoopbackPoolMatchesSimByteIdentical) {
@@ -330,7 +334,7 @@ TEST(Pool, LoopbackPoolMatchesSimByteIdentical) {
   Crossbar local(6, 5, dev(), ag_crosstalk());
   Crossbar pooled(6, 5, dev(), ag_crosstalk());
 
-  const PoolExecutor pool{pool_config("loopback,loopback,loopback")};
+  const RemoteExecutor pool{pool_config("loopback,loopback,loopback")};
   ASSERT_EQ(pool.size(), 3u);
   const ExecReport want = SimExecutor{}.execute(local, seq);
   const ExecReport got = pool.execute(pooled, seq);
@@ -343,7 +347,7 @@ TEST(Pool, LoopbackPoolMatchesSimByteIdentical) {
 }
 
 TEST(Pool, DispatchFollowsTheRendezvousOwner) {
-  const PoolExecutor pool{pool_config("loopback,loopback,loopback")};
+  const RemoteExecutor pool{pool_config("loopback,loopback,loopback")};
   const ProgramSequence seq = mixed_sequence(4, 4);
   for (std::size_t slot = 0; slot < pool.size(); ++slot) {
     auto xb = crossbar_owned_by(slot, pool.addresses());
@@ -365,7 +369,7 @@ TEST(Pool, DeadOwnerFailsOverWithoutBurningTheBudget) {
   // Endpoint 0 can never answer; its arrays must fail over to a live
   // worker inside the same budget round — zero fallbacks, zero
   // degradation, byte-identical results.
-  const PoolExecutor pool{pool_config("127.0.0.1:1,loopback,loopback")};
+  const RemoteExecutor pool{pool_config("127.0.0.1:1,loopback,loopback")};
   const ProgramSequence seq = mixed_sequence(4, 4);
 
   auto owned = crossbar_owned_by(0, pool.addresses());
@@ -390,7 +394,7 @@ TEST(Pool, DeadOwnerFailsOverWithoutBurningTheBudget) {
 }
 
 TEST(Pool, RepeatedFailuresOpenTheCircuitAndDispatchSkipsIt) {
-  const PoolExecutor pool{pool_config("127.0.0.1:1,loopback,loopback")};
+  const RemoteExecutor pool{pool_config("127.0.0.1:1,loopback,loopback")};
   const ProgramSequence seq = mixed_sequence(4, 4);
 
   // Two dead-owner requests: failure #2 opens endpoint 0's circuit.
@@ -436,7 +440,7 @@ TEST(Pool, KillMatrixAnySingleEndpointDownIsInvisible) {
       }
       RemoteConfig cfg = pool_config("loopback,loopback,loopback");
       cfg.fault_spec = spec;
-      const PoolExecutor pool{cfg};
+      const RemoteExecutor pool{cfg};
 
       for (int arrays = 0; arrays < 4; ++arrays) {
         Crossbar local(5, 4, dev(), ag_crosstalk());
@@ -457,7 +461,7 @@ TEST(Pool, KillMatrixAnySingleEndpointDownIsInvisible) {
 
 TEST(Pool, WholePoolDownFallsBackToLocalSim) {
   RemoteConfig cfg = pool_config("127.0.0.1:1,127.0.0.1:1,127.0.0.1:1");
-  const PoolExecutor pool{cfg};
+  const RemoteExecutor pool{cfg};
   const ProgramSequence seq = mixed_sequence(4, 4);
 
   Crossbar local(4, 4, dev(), ag_crosstalk());
@@ -473,18 +477,22 @@ TEST(Pool, WholePoolDownFallsBackToLocalSim) {
   const RemoteLinkStats stats = pool.link_stats();
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.fallbacks, 1u);
-  // max_attempts=2 rounds over 3 endpoints: every attempt failed over.
-  EXPECT_GE(stats.retries, 3u);
+  // max_attempts=2 rounds over 3 endpoints: every attempt after the
+  // first counts as a retry.
+  EXPECT_EQ(stats.retries, 5u);
 }
 
 TEST(Pool, WholePoolDownWithFallbackDisabledThrows) {
   RemoteConfig cfg = pool_config("127.0.0.1:1,127.0.0.1:1");
   cfg.fallback_to_sim = false;
   cfg.max_attempts = 1;
-  const PoolExecutor pool{cfg};
+  const RemoteExecutor pool{cfg};
   Crossbar xb(4, 4, dev(), ag_crosstalk());
+  const std::string before = snapshot(xb);
   EXPECT_THROW(pool.execute(xb, mixed_sequence(4, 4)),
                net::TransportError);
+  // A failed request must leave the local array untouched.
+  EXPECT_EQ(snapshot(xb), before);
   EXPECT_FALSE(pool.degraded());
   EXPECT_EQ(pool.link_stats().fallbacks, 0u);
 }
@@ -494,7 +502,7 @@ TEST(Pool, WorkerRejectionDoesNotFailOver) {
   // the shipped array) would be rejected identically by every worker:
   // the pool must rethrow instead of spraying the bad request across the
   // fleet, and no failover may be counted.
-  const PoolExecutor pool{pool_config("loopback,loopback")};
+  const RemoteExecutor pool{pool_config("loopback,loopback")};
   Crossbar xb(3, 3, dev(), ag_crosstalk());
   EXPECT_THROW(pool.execute(xb, mixed_sequence(8, 8)), RemoteWorkerError);
   for (const auto& ep : pool.endpoint_summaries()) {
@@ -504,7 +512,7 @@ TEST(Pool, WorkerRejectionDoesNotFailOver) {
 }
 
 TEST(Pool, PinLocalFallbackRoutesEverythingLocal) {
-  const PoolExecutor pool{pool_config("127.0.0.1:1,127.0.0.1:1")};
+  const RemoteExecutor pool{pool_config("127.0.0.1:1,127.0.0.1:1")};
   EXPECT_TRUE(pool.pin_local_fallback());
   EXPECT_FALSE(pool.pin_local_fallback());  // only the transition is true
   EXPECT_TRUE(pool.degraded());
@@ -517,6 +525,9 @@ TEST(Pool, PinLocalFallbackRoutesEverythingLocal) {
   const ExecReport want = SimExecutor{}.execute(local, seq);
   const ExecReport got = pool.execute(pooled, seq);
   EXPECT_EQ(got.results, want.results);
+  EXPECT_EQ(snapshot(pooled), snapshot(local));
+  EXPECT_EQ(pool.link_stats().retries, 0u);
+  EXPECT_EQ(pool.link_stats().requests, 0u);
   for (const auto& ep : pool.endpoint_summaries()) {
     EXPECT_EQ(ep.failovers, 0u);
     EXPECT_EQ(ep.requests, 0u);
@@ -529,7 +540,7 @@ TEST(Pool, PinLocalFallbackRoutesEverythingLocal) {
 TEST(Pool, PerEndpointCountersLandInTheAttachedRegistry) {
   obs::Registry reg;
   set_remote_metrics(&reg);
-  const PoolExecutor pool{pool_config("127.0.0.1:1,loopback,loopback")};
+  const RemoteExecutor pool{pool_config("127.0.0.1:1,loopback,loopback")};
   const ProgramSequence seq = mixed_sequence(4, 4);
   auto owned = crossbar_owned_by(0, pool.addresses());
   ASSERT_NE(owned, nullptr);
@@ -538,11 +549,16 @@ TEST(Pool, PerEndpointCountersLandInTheAttachedRegistry) {
 
   // The dead owner counts a failover under its own prefix; whichever
   // live endpoint completed the request counts it under its prefix.
-  EXPECT_EQ(reg.counter("executor.pool.0.failovers").value(), 1u);
+  EXPECT_EQ(reg.counter("executor.remote.0.failovers").value(), 1u);
   const std::uint64_t served =
-      reg.counter("executor.pool.1.requests").value() +
-      reg.counter("executor.pool.2.requests").value();
+      reg.counter("executor.remote.1.requests").value() +
+      reg.counter("executor.remote.2.requests").value();
   EXPECT_EQ(served, 1u);
+  // The failure moved endpoint 0 to suspect; no pool-wide series exists
+  // for a request that never fell back.
+  EXPECT_EQ(reg.gauge("executor.remote.0.circuit_state").value(), 1.0);
+  EXPECT_EQ(reg.to_json().dump().find("executor.remote.fallbacks"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,7 +568,7 @@ TEST(Pool, RegistryBuildsPoolForCommaAddressAndStampsSummary) {
   RemoteConfig cfg = pool_config("loopback,loopback,loopback");
   configure_remote_executor(cfg);
   set_executor("remote");
-  EXPECT_EQ(executor_name(), "remote");  // pools keep the remote name
+  EXPECT_EQ(executor_name(), "remote");
 
   ExecutorPoolSummary summary = executor_pool_summary();
   ASSERT_TRUE(summary.active);

@@ -2,7 +2,10 @@
 // request validation (including the corrupt-geometry bomb), loopback
 // byte-identity against the local sim backend, idempotent replay, retry /
 // fallback behavior against dead endpoints, shutdown responsiveness, and
-// a deterministic chaos matrix over seeded fault schedules.
+// a deterministic chaos matrix over seeded fault schedules. The chaos and
+// replay-accounting tests run over one and three endpoints; the pool
+// counterparts of the fallback, pin and validation tests live in
+// xbar_pool_test.cpp.
 #include "xbar/remote.hpp"
 
 #include <gtest/gtest.h>
@@ -56,10 +59,15 @@ ProgramSequence mixed_sequence(std::size_t rows, std::size_t cols) {
   return b.build();
 }
 
-/// A fast-failing config against an endpoint that will never answer.
-RemoteConfig dead_endpoint_config() {
+/// The endpoint lists shared behaviour is checked over: one endpoint and
+/// a pool of three.
+const std::vector<std::string> kLoopbackLists = {"loopback",
+                                                 "loopback,loopback,loopback"};
+
+/// A fast-failing config against endpoints that will never answer.
+RemoteConfig dead_endpoint_config(const std::string& address = "127.0.0.1:1") {
   RemoteConfig cfg;
-  cfg.address = "127.0.0.1:1";
+  cfg.address = address;
   cfg.dial_timeout = 100ms;
   cfg.request_deadline = 200ms;
   cfg.max_attempts = 2;
@@ -105,9 +113,23 @@ TEST(RemoteCodec, NonidealConfigurationShipsWithTheRequest) {
 }
 
 TEST(RemoteCodec, RejectsUnsupportedVersion) {
-  persist::StateWriter w;
-  w.u8(42);
-  EXPECT_THROW(execute_request(w.data()), InvalidArgument);
+  // Only the current codec version is accepted: a future one, and the
+  // v1/v2 layouts earlier builds spoke, in both directions.
+  persist::StateWriter future;
+  future.u8(42);
+  EXPECT_THROW(execute_request(future.data()), InvalidArgument);
+  Crossbar xb(3, 3, dev(), ag_crosstalk());
+  const std::string request = encode_execute_request(xb, mixed_sequence(3, 3));
+  const std::string response = execute_request(request);
+  for (const std::uint8_t old : {std::uint8_t{1}, std::uint8_t{2}}) {
+    SCOPED_TRACE("version " + std::to_string(old));
+    std::string old_request = request;
+    old_request[0] = static_cast<char>(old);
+    EXPECT_THROW(execute_request(old_request), InvalidArgument);
+    std::string old_response = response;
+    old_response[0] = static_cast<char>(old);
+    EXPECT_THROW(decode_execute_response(old_response), InvalidArgument);
+  }
 }
 
 TEST(RemoteCodec, RejectsGeometryNotBackedByState) {
@@ -149,7 +171,7 @@ TEST(ServeConnection, AnswersHelloHeartbeatAndShutdown) {
     EXPECT_TRUE(serve_connection(*t, opts));  // true: saw kShutdown
   });
 
-  net::write_frame(*client, net::MsgType::kHello, 1);
+  net::write_frame(*client, net::MsgType::kHello, 1, hello_payload());
   EXPECT_EQ(net::read_frame(*client, 1000ms).type, net::MsgType::kHelloAck);
   net::write_frame(*client, net::MsgType::kHeartbeat, 2);
   EXPECT_EQ(net::read_frame(*client, 1000ms).type,
@@ -283,9 +305,11 @@ TEST(RemoteExecutor_, DeadEndpointFallsBackToSimByteIdentical) {
   Crossbar local(6, 5, dev(), ag_crosstalk());
   Crossbar remote_xb(6, 5, dev(), ag_crosstalk());
 
-  SimExecutor{}.execute(local, seq);
+  // The one fallback, byte-identical by construction because no failed
+  // attempt mutated local state.
+  const ExecReport want = SimExecutor{}.execute(local, seq);
   const RemoteExecutor remote{dead_endpoint_config()};
-  remote.execute(remote_xb, seq);
+  EXPECT_EQ(remote.execute(remote_xb, seq).results, want.results);
 
   EXPECT_EQ(snapshot(remote_xb), snapshot(local));
   EXPECT_TRUE(remote.degraded());
@@ -306,6 +330,7 @@ TEST(RemoteExecutor_, DeadEndpointWithoutFallbackThrowsTransportError) {
   // A failed request must leave the local array untouched.
   EXPECT_EQ(snapshot(xb), before);
   EXPECT_FALSE(remote.degraded());
+  EXPECT_EQ(remote.link_stats().fallbacks, 0u);
 }
 
 TEST(RemoteExecutor_, PinLocalFallbackSkipsTheLinkEntirely) {
@@ -374,31 +399,34 @@ TEST(RemoteExecutor_, ChaosMatrixCompletesOrFallsBackByteIdentical) {
       "seed=6,drop=0.5,disconnect=0.2",
       "seed=7,drop=0.1,corrupt=0.05,disconnect=0.02,delay_ms=1",
   };
-  for (const std::string& spec : specs) {
-    SCOPED_TRACE("fault spec: " + spec);
-    RemoteConfig cfg;
-    cfg.fault_spec = spec;
-    cfg.request_deadline = 150ms;
-    cfg.max_attempts = 4;
-    cfg.backoff_initial = 1ms;
-    cfg.backoff_max = 4ms;
-    const RemoteExecutor remote{cfg};
+  for (const std::string& address : kLoopbackLists) {
+    for (const std::string& spec : specs) {
+      SCOPED_TRACE("address: " + address + ", fault spec: " + spec);
+      RemoteConfig cfg;
+      cfg.address = address;
+      cfg.fault_spec = spec;
+      cfg.request_deadline = 150ms;
+      cfg.max_attempts = 4;
+      cfg.backoff_initial = 1ms;
+      cfg.backoff_max = 4ms;
+      const RemoteExecutor remote{cfg};
 
-    Crossbar local(6, 5, dev(), ag_crosstalk());
-    Crossbar remote_xb(6, 5, dev(), ag_crosstalk());
-    for (int round = 0; round < 4; ++round) {
-      const ProgramSequence seq = mixed_sequence(6, 5);
-      const ExecReport local_report = SimExecutor{}.execute(local, seq);
-      const ExecReport remote_report = remote.execute(remote_xb, seq);
-      EXPECT_EQ(remote_report.results, local_report.results);
+      Crossbar local(6, 5, dev(), ag_crosstalk());
+      Crossbar remote_xb(6, 5, dev(), ag_crosstalk());
+      for (int round = 0; round < 4; ++round) {
+        const ProgramSequence seq = mixed_sequence(6, 5);
+        const ExecReport local_report = SimExecutor{}.execute(local, seq);
+        const ExecReport remote_report = remote.execute(remote_xb, seq);
+        EXPECT_EQ(remote_report.results, local_report.results);
+      }
+      // Whether the schedule let the requests through (possibly after
+      // retries, failovers and reconnects) or forced fallbacks, the final
+      // state is byte-identical to the local run.
+      EXPECT_EQ(snapshot(remote_xb), snapshot(local));
+      const RemoteLinkStats stats = remote.link_stats();
+      EXPECT_EQ(stats.requests, 4u);
+      EXPECT_EQ(remote.degraded(), stats.fallbacks > 0);
     }
-    // Whether the schedule let the requests through (possibly after
-    // retries and reconnects) or forced fallbacks, the final state is
-    // byte-identical to the local run.
-    EXPECT_EQ(snapshot(remote_xb), snapshot(local));
-    const RemoteLinkStats stats = remote.link_stats();
-    EXPECT_EQ(stats.requests, 4u);
-    EXPECT_EQ(remote.degraded(), stats.fallbacks > 0);
   }
 }
 
@@ -426,61 +454,69 @@ TEST(RemoteExecutor_, ChaosScheduleIsReproducible) {
   EXPECT_EQ(a.fallbacks, b.fallbacks);
 }
 
-// Satellite 2 (replay accounting): a retried request answered from the
-// worker's replay cache must count as `replay_served`, never inflate the
-// fresh-request counter, and the totals must reconcile — every logical
-// submission resolves to exactly one fresh result, one replay, or one
-// fallback. Pulse accounting must not inflate either: each sequence's
-// pulses are credited exactly once no matter how many retries it took.
+// Replay accounting: a retried request answered from the worker's replay
+// cache must count as `replay_served`, never inflate the fresh-request
+// counter, and the totals must reconcile — every logical submission
+// resolves to exactly one fresh result, one replay, or one fallback.
+// Pulse accounting must not inflate either: each sequence's pulses are
+// credited exactly once no matter how many retries it took. Holds for one
+// endpoint and for a pool, where a retry reaches the same endpoint after
+// a full round.
 TEST(RemoteExecutor_, ReplayAccountingReconcilesUnderLossySchedules) {
   const std::vector<std::string> specs = {
       "seed=1,drop=0.2",
       "seed=6,drop=0.5,disconnect=0.2",
       "seed=5,drop=0.15,corrupt=0.1,dup=0.1,disconnect=0.05",
   };
-  bool any_replays = false;
-  for (const std::string& spec : specs) {
-    SCOPED_TRACE("fault spec: " + spec);
-    obs::Registry reg;
-    set_remote_metrics(&reg);
-    RemoteConfig cfg;
-    cfg.fault_spec = spec;
-    cfg.request_deadline = 150ms;
-    cfg.max_attempts = 6;
-    cfg.backoff_initial = 1ms;
-    cfg.backoff_max = 4ms;
-    const RemoteExecutor remote{cfg};
+  for (const std::string& address : kLoopbackLists) {
+    bool any_replays = false;
+    for (const std::string& spec : specs) {
+      SCOPED_TRACE("address: " + address + ", fault spec: " + spec);
+      obs::Registry reg;
+      set_remote_metrics(&reg);
+      RemoteConfig cfg;
+      cfg.address = address;
+      cfg.fault_spec = spec;
+      cfg.request_deadline = 150ms;
+      cfg.max_attempts = 6;
+      cfg.backoff_initial = 1ms;
+      cfg.backoff_max = 4ms;
+      const RemoteExecutor remote{cfg};
 
-    obs::Counter pulses, traced;
-    Crossbar xb(6, 5, dev(), ag_crosstalk());
-    xb.attach_pulse_counters(&pulses, &traced);
-    constexpr std::uint64_t kSequences = 6;
-    std::uint64_t expected_pulses = 0;
-    for (std::uint64_t i = 0; i < kSequences; ++i) {
-      const ProgramSequence seq = mixed_sequence(6, 5);
-      expected_pulses += seq.stats().pulses;
-      remote.execute(xb, seq);
+      obs::Counter pulses, traced;
+      Crossbar xb(6, 5, dev(), ag_crosstalk());
+      xb.attach_pulse_counters(&pulses, &traced);
+      constexpr std::uint64_t kSequences = 6;
+      std::uint64_t expected_pulses = 0;
+      for (std::uint64_t i = 0; i < kSequences; ++i) {
+        const ProgramSequence seq = mixed_sequence(6, 5);
+        expected_pulses += seq.stats().pulses;
+        remote.execute(xb, seq);
+      }
+      set_remote_metrics(nullptr);
+
+      const RemoteLinkStats stats = remote.link_stats();
+      std::uint64_t fresh = 0;
+      std::uint64_t replays = 0;
+      for (std::size_t i = 0; i < remote.size(); ++i) {
+        const std::string prefix = "executor.remote." + std::to_string(i);
+        fresh += reg.counter(prefix + ".requests").value();
+        replays += reg.counter(prefix + ".replay_served").value();
+      }
+      ASSERT_EQ(stats.requests, kSequences);
+      EXPECT_EQ(fresh + replays + stats.fallbacks, kSequences)
+          << "fresh=" << fresh << " replays=" << replays
+          << " fallbacks=" << stats.fallbacks;
+      // Retries resolved by a replayed response must not have re-credited
+      // the pulse counters: exactly one credit per logical sequence.
+      EXPECT_EQ(pulses.value(), expected_pulses);
+      EXPECT_EQ(xb.total_pulses(), expected_pulses);
+      any_replays = any_replays || replays > 0;
     }
-    set_remote_metrics(nullptr);
-
-    const RemoteLinkStats stats = remote.link_stats();
-    const std::uint64_t fresh =
-        reg.counter("executor.remote.requests").value();
-    const std::uint64_t replays =
-        reg.counter("executor.remote.replay_served").value();
-    ASSERT_EQ(stats.requests, kSequences);
-    EXPECT_EQ(fresh + replays + stats.fallbacks, kSequences)
-        << "fresh=" << fresh << " replays=" << replays
-        << " fallbacks=" << stats.fallbacks;
-    // Retries resolved by a replayed response must not have re-credited
-    // the pulse counters: exactly one credit per logical sequence.
-    EXPECT_EQ(pulses.value(), expected_pulses);
-    EXPECT_EQ(xb.total_pulses(), expected_pulses);
-    any_replays = any_replays || replays > 0;
+    // At least one lossy schedule must actually exercise the replay path,
+    // or this test pins nothing.
+    EXPECT_TRUE(any_replays) << "address: " << address;
   }
-  // At least one lossy schedule must actually exercise the replay path,
-  // or this test pins nothing.
-  EXPECT_TRUE(any_replays);
 }
 
 // ---------------------------------------------------------------------------
@@ -508,7 +544,7 @@ TEST(RemoteCodec, WorkerStatsSnapshotRoundTrips) {
       decode_worker_stats(state.encode_snapshot());
   EXPECT_EQ(snap.build, kBuildVersion);
   EXPECT_EQ(snap.wire_version, net::kWireVersion);
-  EXPECT_GE(snap.request_version, 2);
+  EXPECT_EQ(snap.request_version, kRequestVersion);
   EXPECT_EQ(snap.requests_served, 7u);
   EXPECT_EQ(snap.replay_hits, 2u);
   EXPECT_EQ(snap.errors, 1u);
@@ -516,8 +552,10 @@ TEST(RemoteCodec, WorkerStatsSnapshotRoundTrips) {
   EXPECT_EQ(snap.connections_total, 5u);
   EXPECT_NE(snap.metrics_json.find("worker.request_ms"), std::string::npos);
 
-  const std::string doc = snap.to_json().dump();
-  EXPECT_EQ(doc.find("{\"schema\":\"xbarlife.workerstats.v1\""), 0u);
+  const std::string doc = snap.to_json("loopback").dump();
+  EXPECT_EQ(doc.find("{\"schema\":\"xbarlife.workerstats.v1\","
+                     "\"endpoint\":\"loopback\""),
+            0u);
   EXPECT_NE(doc.find("\"requests_served\":7"), std::string::npos);
 }
 
@@ -542,13 +580,13 @@ TEST(ServeConnection, StatsEndpointReportsLiveAccounting) {
 
   // Versioned hello: the ack carries the worker's versions and build.
   net::write_frame(*client, net::MsgType::kHello, 1,
-                   client_hello(net::kWireVersion, 2));
+                   client_hello(net::kWireVersion, kRequestVersion));
   const net::Frame hello_ack = net::read_frame(*client, 1000ms);
   ASSERT_EQ(hello_ack.type, net::MsgType::kHelloAck);
   {
     persist::StateReader r(hello_ack.payload);
     EXPECT_EQ(r.u8(), net::kWireVersion);
-    EXPECT_GE(r.u8(), 2);
+    EXPECT_EQ(r.u8(), kRequestVersion);
     EXPECT_EQ(r.str(), kBuildVersion);
   }
 
@@ -629,7 +667,7 @@ TEST(ServeConnection, HeartbeatAckStampsUptimeAndVersions) {
   const std::uint64_t uptime_ms = r.u64();
   EXPECT_LT(uptime_ms, 60'000u);  // this worker just started
   EXPECT_EQ(r.u8(), net::kWireVersion);
-  EXPECT_GE(r.u8(), 2);
+  EXPECT_EQ(r.u8(), kRequestVersion);
   EXPECT_TRUE(r.done());
   client->close();
   worker.join();
@@ -649,22 +687,29 @@ TEST(ServeConnection, RejectsHelloFromMismatchedPeer) {
   });
 
   // Wrong wire version.
-  net::write_frame(*client, net::MsgType::kHello, 1, client_hello(9, 2));
+  net::write_frame(*client, net::MsgType::kHello, 1,
+                   client_hello(9, kRequestVersion));
   const net::Frame wire_err = net::read_frame(*client, 1000ms);
   EXPECT_EQ(wire_err.type, net::MsgType::kError);
   {
     persist::StateReader r(wire_err.payload);
     EXPECT_NE(r.str().find("protocol mismatch"), std::string::npos);
   }
-  // A request codec newer than this worker speaks.
-  net::write_frame(*client, net::MsgType::kHello, 2,
-                   client_hello(net::kWireVersion, 99));
-  EXPECT_EQ(net::read_frame(*client, 1000ms).type, net::MsgType::kError);
-  EXPECT_EQ(stats.errors.load(), 2u);
+  // A request codec newer than this worker speaks, the v1/v2 codecs of
+  // earlier builds, and an empty (unversioned) hello.
+  const std::vector<std::string> rejected = {
+      client_hello(net::kWireVersion, 99), client_hello(net::kWireVersion, 1),
+      client_hello(net::kWireVersion, 2), std::string()};
+  std::uint64_t id = 2;
+  for (const std::string& payload : rejected) {
+    net::write_frame(*client, net::MsgType::kHello, id++, payload);
+    EXPECT_EQ(net::read_frame(*client, 1000ms).type, net::MsgType::kError);
+  }
+  EXPECT_EQ(stats.errors.load(), 1u + rejected.size());
 
   // The connection survives, and a matching hello still succeeds.
-  net::write_frame(*client, net::MsgType::kHello, 3,
-                   client_hello(net::kWireVersion, 2));
+  net::write_frame(*client, net::MsgType::kHello, id,
+                   client_hello(net::kWireVersion, kRequestVersion));
   EXPECT_EQ(net::read_frame(*client, 1000ms).type, net::MsgType::kHelloAck);
   client->close();
   worker.join();
@@ -674,7 +719,7 @@ TEST(RemoteExecutor_, QueryWorkerStatusOverLoopback) {
   const WorkerStatsSnapshot snap = query_worker_status(RemoteConfig{});
   EXPECT_EQ(snap.build, kBuildVersion);
   EXPECT_EQ(snap.wire_version, net::kWireVersion);
-  EXPECT_GE(snap.request_version, 2);
+  EXPECT_EQ(snap.request_version, kRequestVersion);
   EXPECT_GE(snap.connections_total, 1u);
   EXPECT_EQ(snap.requests_served, 0u);
 }
@@ -777,7 +822,8 @@ TEST(RemoteExecutor_, ProfiledExecuteGraftsTheWorkerSpanTree) {
   // round-trip histogram.
   const std::string dump = registry.to_json().dump();
   EXPECT_NE(dump.find("\"worker.aging.pulses\""), std::string::npos);
-  EXPECT_NE(dump.find("\"executor.remote.request_ms\""), std::string::npos);
+  EXPECT_NE(dump.find("\"executor.remote.0.request_ms\""),
+            std::string::npos);
 }
 
 TEST(RemoteExecutor_, DegradedFallbackGraftsNoWorkerSpans) {
