@@ -102,7 +102,6 @@
 #include "core/scenario_runner.hpp"
 #include "core/sweep_checkpoint.hpp"
 #include "device/memristor.hpp"
-#include "net/wire.hpp"
 #include "nn/serialize.hpp"
 #include "obs/obs.hpp"
 #include "obs/perfetto.hpp"
@@ -211,21 +210,9 @@ class CliOutput {
                                                           args.command);
       progress_->attach_counters(&registry_);
     }
-
-    // Let the remote executor drop its link-health counters (retries/
-    // reconnects/fallbacks) into the embedded metrics registry. Counters
-    // are created lazily on the first event, so clean runs emit none.
-    xbar::set_remote_metrics(&registry_);
-    // Same contract for client-side wire telemetry (net.frame_bytes_in/
-    // out, net.crc_failures): lazily created, so non-remote runs stay
-    // byte-identical. The worker side of a loopback link scopes its own
-    // registry per serving thread and never counts here.
-    net::set_wire_metrics(&registry_);
   }
 
   ~CliOutput() {
-    net::set_wire_metrics(nullptr);
-    xbar::set_remote_metrics(nullptr);
     // On the error paths emit() never runs; the status file must still
     // end on a finished snapshot so watchers see the run stop. Swallow
     // write failures — this is a destructor on an already-failing path.
@@ -1167,15 +1154,7 @@ int main(int argc, char** argv) {
     if (args.flag("remote") || args.flag("remote-faults")) {
       // Explicit remote-link configuration replaces the default lazily
       // built remote backend (env still seeds the fields the flags omit).
-      xbar::RemoteConfig rcfg;
-      if (const char* env = std::getenv("XBARLIFE_REMOTE")) {
-        if (env[0] != '\0') {
-          rcfg.address = env;
-        }
-      }
-      if (const char* env = std::getenv("XBARLIFE_REMOTE_FAULTS")) {
-        rcfg.fault_spec = env;
-      }
+      xbar::RemoteConfig rcfg = xbar::remote_config_from_env();
       if (args.flag("remote")) {
         rcfg.address = args.get("remote", "loopback");
       }

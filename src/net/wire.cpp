@@ -1,7 +1,5 @@
 #include "net/wire.hpp"
 
-#include <atomic>
-
 #include "obs/metrics.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
@@ -12,33 +10,9 @@ namespace {
 
 constexpr char kMagic[4] = {'X', 'B', 'W', '1'};
 
-std::atomic<obs::Registry*> g_wire_metrics{nullptr};
-thread_local obs::Registry* t_wire_metrics = nullptr;
-thread_local bool t_wire_metrics_active = false;
-
-obs::Registry* current_wire_metrics() {
-  if (t_wire_metrics_active) {
-    return t_wire_metrics;
-  }
-  return g_wire_metrics.load(std::memory_order_acquire);
-}
-
 }  // namespace
 
-void set_wire_metrics(obs::Registry* registry) {
-  g_wire_metrics.store(registry, std::memory_order_release);
-}
-
-WireMetricsScope::WireMetricsScope(obs::Registry* registry)
-    : saved_(t_wire_metrics), saved_active_(t_wire_metrics_active) {
-  t_wire_metrics = registry;
-  t_wire_metrics_active = true;
-}
-
-WireMetricsScope::~WireMetricsScope() {
-  t_wire_metrics = saved_;
-  t_wire_metrics_active = saved_active_;
-}
+void set_wire_metrics(obs::Registry* /*registry*/) {}
 
 const char* to_string(MsgType type) {
   switch (type) {
@@ -93,16 +67,17 @@ std::string encode_frame(MsgType type, std::uint64_t seq_id,
 }
 
 void write_frame(Transport& t, MsgType type, std::uint64_t seq_id,
-                 std::string_view payload) {
+                 std::string_view payload, obs::Registry* metrics) {
   const std::string frame = encode_frame(type, seq_id, payload);
   t.send(frame);
-  if (obs::Registry* metrics = current_wire_metrics()) {
+  if (metrics != nullptr) {
     metrics->bucketed_histogram("net.frame_bytes_out")
         .observe(static_cast<double>(frame.size()));
   }
 }
 
-Frame read_frame(Transport& t, std::chrono::milliseconds timeout) {
+Frame read_frame(Transport& t, std::chrono::milliseconds timeout,
+                 obs::Registry* metrics) {
   char header[kFrameHeaderSize];
   t.recv_exact(header, kFrameHeaderSize, timeout);
   persist::StateReader r(std::string_view(header, kFrameHeaderSize));
@@ -153,13 +128,13 @@ Frame read_frame(Transport& t, std::chrono::milliseconds timeout) {
     }
   }
   if (persist::crc32(frame.payload) != expected_crc) {
-    if (obs::Registry* metrics = current_wire_metrics()) {
+    if (metrics != nullptr) {
       metrics->counter("net.crc_failures").add();
     }
     throw WireError("frame payload CRC mismatch (corrupt " +
                     std::string(to_string(frame.type)) + " frame)");
   }
-  if (obs::Registry* metrics = current_wire_metrics()) {
+  if (metrics != nullptr) {
     metrics->bucketed_histogram("net.frame_bytes_in")
         .observe(static_cast<double>(kFrameHeaderSize + payload_len));
   }

@@ -72,27 +72,8 @@ enum class MsgType : std::uint8_t {
 
 const char* to_string(MsgType type);
 
-/// Installs the process-default registry wire telemetry reports into:
-/// bucketed "net.frame_bytes_in"/"net.frame_bytes_out" histograms and a
-/// "net.crc_failures" counter, all lazily created on first frame so runs
-/// that never touch the wire stay byte-identical. Pass nullptr to detach.
+/// No-op, kept for its only caller, bench_e2e/xbarlife_e2e.cpp.
 void set_wire_metrics(obs::Registry* registry);
-
-/// RAII thread-local override of the wire-metrics registry. The worker
-/// serving loop installs one per connection so worker-side frames land in
-/// the worker's stats registry (or nowhere) instead of double-counting
-/// into the client registry when the loopback worker shares the process.
-class WireMetricsScope {
- public:
-  explicit WireMetricsScope(obs::Registry* registry);
-  ~WireMetricsScope();
-  WireMetricsScope(const WireMetricsScope&) = delete;
-  WireMetricsScope& operator=(const WireMetricsScope&) = delete;
-
- private:
-  obs::Registry* saved_;
-  bool saved_active_;
-};
 
 struct Frame {
   MsgType type = MsgType::kError;
@@ -105,13 +86,20 @@ std::string encode_frame(MsgType type, std::uint64_t seq_id,
                          std::string_view payload);
 
 /// Encodes and sends one frame as a single Transport::send() call, so
-/// fault injection operates on whole frames.
+/// fault injection operates on whole frames. With `metrics` set, the
+/// frame's size lands in its bucketed "net.frame_bytes_out" histogram
+/// (created on first use, so runs that never touch the wire stay
+/// byte-identical).
 void write_frame(Transport& t, MsgType type, std::uint64_t seq_id,
-                 std::string_view payload = {});
+                 std::string_view payload = {},
+                 obs::Registry* metrics = nullptr);
 
 /// Reads one frame within `timeout`. Throws TransportTimeout (stream
 /// position preserved — see Transport::recv_exact), TransportError, or
-/// WireError on an integrity failure.
-Frame read_frame(Transport& t, std::chrono::milliseconds timeout);
+/// WireError on an integrity failure. With `metrics` set, a good frame's
+/// size lands in "net.frame_bytes_in" and a CRC mismatch bumps the
+/// "net.crc_failures" counter.
+Frame read_frame(Transport& t, std::chrono::milliseconds timeout,
+                 obs::Registry* metrics = nullptr);
 
 }  // namespace xbarlife::net

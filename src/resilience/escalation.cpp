@@ -88,15 +88,16 @@ RescueOutcome EscalationLadder::rescue(const RescueContext& ctx,
     return tr.converged;
   };
 
-  // Rung 0: when the active executor is running degraded (the remote
+  // Rung 0: when the network's executor is running degraded (the remote
   // backend fell back mid-session), pin execution to its local fallback
   // path and retune once with the link failure out of the picture — the
   // cheapest possible rescue, since nothing about the array changes. The
-  // pin is permanent and pin_executor_fallback() returns true only on
-  // the transition, so later rescues skip this rung entirely.
-  if (xbar::executor_degraded() &&
+  // pin is permanent and pin_local_fallback() returns true only on the
+  // transition, so later rescues skip this rung entirely.
+  const xbar::ProgramExecutor& executor = ctx.hw.executor();
+  if (executor.degraded() &&
       attempt(Rung::kFallbackExecutor, [&] {
-        if (!xbar::pin_executor_fallback()) {
+        if (!executor.pin_local_fallback()) {
           return false;
         }
         // Reprogram every layer so any sequence lost to the dying link

@@ -14,19 +14,19 @@ void HardwareFaultConfig::validate() const {
 
 HardwareNetwork::HardwareNetwork(nn::Network& net,
                                  const device::DeviceParams& dev,
-                                 const aging::AgingParams& aging)
-    : HardwareNetwork(net, dev, aging, HardwareFaultConfig{}) {}
-
-HardwareNetwork::HardwareNetwork(nn::Network& net,
-                                 const device::DeviceParams& dev,
                                  const aging::AgingParams& aging,
-                                 const HardwareFaultConfig& faults)
-    : net_(&net), dev_(dev), aging_(aging), faults_(faults) {
+                                 const HardwareFaultConfig& faults,
+                                 const xbar::ProgramExecutor& executor)
+    : net_(&net),
+      executor_(&executor),
+      dev_(dev),
+      aging_(aging),
+      faults_(faults) {
   dev_.validate();
   aging_.validate();
   faults_.validate();
   // One seed stream per layer so adding a layer does not reshuffle the
-  // fault maps of the others.
+  // owner keys and fault maps of the others.
   Rng fault_root(faults_.fault_seed);
   std::size_t layer_index = 0;
   for (const nn::MappableWeight& mw : net.mappable_weights()) {
@@ -41,9 +41,10 @@ HardwareNetwork::HardwareNetwork(nn::Network& net,
         layer.logical_rows + (faults_.active() ? faults_.spare_rows : 0);
     layer.xbar = std::make_unique<xbar::Crossbar>(
         physical_rows, mw.value->shape()[1], dev_, aging_);
+    const std::uint64_t layer_seed = fault_root.fork(layer_index)();
+    layer.xbar->set_owner_key(layer_seed);
     if (faults_.nonideal.any()) {
-      layer.xbar->configure_nonideality(faults_.nonideal,
-                                        fault_root.fork(layer_index)());
+      layer.xbar->configure_nonideality(faults_.nonideal, layer_seed);
     }
     layer.stuck.assign(physical_rows * mw.value->shape()[1], 0);
     layer.pinned_g.assign(physical_rows * mw.value->shape()[1], 0.0f);
@@ -72,6 +73,7 @@ void HardwareNetwork::attach_metrics(obs::Registry& registry) {
   for (DeployedLayer& layer : layers_) {
     layer.xbar->attach_pulse_counters(&pulses, &traced);
     layer.xbar->attach_executor_counters(&sequences, &batches);
+    layer.xbar->attach_metrics(&registry);
   }
 }
 
@@ -193,12 +195,12 @@ mapping::MappingReport HardwareNetwork::program_layer(std::size_t i) {
     // Identity fast path: byte-for-byte the pre-resilience behaviour.
     layer.last_report = mapping::program_weights(
         *layer.xbar, targets_[i], *layer.plan, /*skip_unchanged=*/true,
-        &layer.stuck, &layer.pinned_g);
+        &layer.stuck, &layer.pinned_g, nullptr, executor_);
   } else {
     const Tensor physical = physical_targets(i);
     layer.last_report = mapping::program_weights(
         *layer.xbar, physical, *layer.plan, /*skip_unchanged=*/true,
-        &layer.stuck, &layer.pinned_g, &mask);
+        &layer.stuck, &layer.pinned_g, &mask, executor_);
   }
   return layer.last_report;
 }

@@ -1,6 +1,10 @@
 // HardwareNetwork: a software-trained network deployed onto one memristor
 // crossbar per mappable weight matrix.
 //
+// It is also the run context of its arrays: it holds the ProgramExecutor
+// every mapping write, tuning step and rescue pulses through, and hands
+// each crossbar its registry, profiler and owner key.
+//
 // The object keeps three views in sync:
 //   * target weights  — what software training produced (the goal),
 //   * crossbar state  — the programmed, quantized, aged reality,
@@ -17,6 +21,7 @@
 #include "nn/network.hpp"
 #include "obs/metrics.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/executor.hpp"
 
 namespace xbarlife::tuning {
 
@@ -85,18 +90,21 @@ using NetworkEvaluator = std::function<double()>;
 class HardwareNetwork {
  public:
   /// Builds one crossbar per mappable weight of `net`. `net` must outlive
-  /// this object and is mutated by sync_* calls.
-  HardwareNetwork(nn::Network& net, const device::DeviceParams& dev,
-                  const aging::AgingParams& aging);
-
-  /// Same, with a hardware-fault model: each crossbar is manufactured
-  /// with `faults.nonideal` installed (per-layer streams forked from
-  /// `faults.fault_seed`) and `faults.spare_rows` extra physical rows.
-  HardwareNetwork(nn::Network& net, const device::DeviceParams& dev,
-                  const aging::AgingParams& aging,
-                  const HardwareFaultConfig& faults);
+  /// this object and is mutated by sync_* calls. Layer i's stream
+  /// Rng(faults.fault_seed).fork(i) gives its crossbar an owner key and,
+  /// under an active fault model, the seed of its `faults.nonideal`
+  /// fault map and noise streams; the model also adds
+  /// `faults.spare_rows` physical rows. Every sequence runs through
+  /// `executor`, which must outlive this object.
+  HardwareNetwork(
+      nn::Network& net, const device::DeviceParams& dev,
+      const aging::AgingParams& aging, const HardwareFaultConfig& faults = {},
+      const xbar::ProgramExecutor& executor = xbar::select_executor());
 
   const HardwareFaultConfig& fault_config() const { return faults_; }
+
+  /// The backend every sequence on these arrays runs through.
+  const xbar::ProgramExecutor& executor() const { return *executor_; }
 
   std::size_t layer_count() const { return layers_.size(); }
   DeployedLayer& layer(std::size_t i);
@@ -162,11 +170,12 @@ class HardwareNetwork {
   /// Bad-cell census of layer `i`, restricted to its active cells.
   LayerFaultCounts fault_counts(std::size_t i) const;
 
-  /// Attaches observability counters from `registry` to every crossbar:
-  /// pulse counters ("aging.pulses", "aging.traced_pulses") on the
-  /// RepresentativeTracker, plus executor counters ("executor.sequences",
-  /// "executor.column_batches") counting executed ProgramSequences and
-  /// their per-column pulse batches. The registry must outlive this
+  /// Attaches `registry` to every crossbar: pulse counters
+  /// ("aging.pulses", "aging.traced_pulses") on the RepresentativeTracker,
+  /// executor counters ("executor.sequences", "executor.column_batches")
+  /// counting executed ProgramSequences and their per-column pulse
+  /// batches, and the registry itself, which the remote executor's link
+  /// and wire telemetry report into. The registry must outlive this
   /// object.
   void attach_metrics(obs::Registry& registry);
 
@@ -208,6 +217,7 @@ class HardwareNetwork {
   mapping::MappingReport program_layer(std::size_t i);
 
   nn::Network* net_;
+  const xbar::ProgramExecutor* executor_;
   device::DeviceParams dev_;
   aging::AgingParams aging_;
   HardwareFaultConfig faults_;

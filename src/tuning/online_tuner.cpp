@@ -75,7 +75,7 @@ std::uint64_t OnlineTuner::apply_sign_updates(HardwareNetwork& hw) {
     }
     if (!builder.empty()) {
       const xbar::ExecReport exec =
-          xbar::select_executor().execute(xb, builder.build());
+          hw.executor().execute(xb, builder.build());
       pulses += exec.stats.pulses;
     }
   }

@@ -1,7 +1,6 @@
 #include "xbar/crossbar.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "common/error.hpp"
@@ -10,13 +9,6 @@
 
 namespace xbarlife::xbar {
 
-namespace {
-/// Source of Crossbar::uid(): a process-wide construction counter. Array
-/// uids key the executor pool's owner hashing only, so the (benign) race
-/// on ordering across threads never influences simulation results.
-std::atomic<std::uint64_t> g_crossbar_uids{0};
-}  // namespace
-
 Crossbar::Crossbar(std::size_t rows, std::size_t cols,
                    const device::DeviceParams& params,
                    const aging::AgingParams& aging_params)
@@ -24,8 +16,7 @@ Crossbar::Crossbar(std::size_t rows, std::size_t cols,
       cols_(cols),
       params_(params),
       model_(aging_params),
-      tracker_(rows, cols),
-      uid_(g_crossbar_uids.fetch_add(1, std::memory_order_relaxed)) {
+      tracker_(rows, cols) {
   XB_CHECK(rows > 0 && cols > 0, "crossbar must be non-empty");
   params_.validate();
   cells_.reserve(rows * cols);

@@ -52,12 +52,13 @@ class Crossbar {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  /// Process-unique array id, assigned in construction order. The
-  /// executor pool's rendezvous hash keys on it to pick each array's
-  /// owning endpoint; it never influences simulation results (byte
-  /// identity holds on every endpoint), so the thread-ordering race on
-  /// assignment is benign.
-  std::uint64_t uid() const { return uid_; }
+  /// Rendezvous key the remote executor hashes to pick the array's
+  /// owning endpoint. Whoever owns the array sets it: HardwareNetwork
+  /// draws one per layer from the job's fault_seed, so ownership depends
+  /// on the job, never on construction order or thread count. Defaults to
+  /// 0; it never influences simulation results.
+  void set_owner_key(std::uint64_t key) { owner_key_ = key; }
+  std::uint64_t owner_key() const { return owner_key_; }
   const device::DeviceParams& device_params() const { return params_; }
   const aging::AgingModel& aging_model() const { return model_; }
 
@@ -176,6 +177,13 @@ class Crossbar {
   void attach_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
   obs::Profiler* profiler() const { return profiler_; }
 
+  /// Attaches the registry (null to detach) the remote executor, its
+  /// endpoint links and the frame codec report into while executing on
+  /// this array; in-process backends ignore it. Must outlive the
+  /// crossbar.
+  void attach_metrics(obs::Registry* metrics) { metrics_ = metrics; }
+  obs::Registry* metrics() const { return metrics_; }
+
   std::uint64_t total_pulses() const { return total_pulses_; }
 
   /// Array-wide thermal-crosstalk stress pool shared by every cell.
@@ -218,7 +226,7 @@ class Crossbar {
   aging::AgingModel model_;
   std::vector<device::Memristor> cells_;
   aging::RepresentativeTracker tracker_;
-  std::uint64_t uid_ = 0;
+  std::uint64_t owner_key_ = 0;
   /// Hoisted per-pulse constants for program_batch; fixed at construction
   /// (depends only on params_/model_).
   device::PulseContext pulse_ctx_;
@@ -227,6 +235,7 @@ class Crossbar {
   obs::Counter* seq_counter_ = nullptr;
   obs::Counter* batch_counter_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
+  obs::Registry* metrics_ = nullptr;
   /// Engaged only by configure_nonideality with a nonzero config.
   std::optional<NonidealityConfig> nonideal_;
   std::uint64_t nonideality_seed_ = 0;

@@ -79,16 +79,7 @@ std::unique_ptr<RemoteExecutor> g_remote;
 ProgramExecutor& remote_instance() {
   std::lock_guard<std::mutex> lock(g_remote_mu);
   if (g_remote == nullptr) {
-    RemoteConfig cfg;
-    if (const char* addr = std::getenv("XBARLIFE_REMOTE")) {
-      if (addr[0] != '\0') {
-        cfg.address = addr;
-      }
-    }
-    if (const char* faults = std::getenv("XBARLIFE_REMOTE_FAULTS")) {
-      cfg.fault_spec = faults;
-    }
-    g_remote = std::make_unique<RemoteExecutor>(cfg);
+    g_remote = std::make_unique<RemoteExecutor>(remote_config_from_env());
   }
   return *g_remote;
 }
@@ -161,6 +152,19 @@ std::vector<std::string> available_executors() {
   return {"sim", "percell", "remote"};
 }
 
+RemoteConfig remote_config_from_env() {
+  RemoteConfig cfg;
+  if (const char* addr = std::getenv("XBARLIFE_REMOTE")) {
+    if (addr[0] != '\0') {
+      cfg.address = addr;
+    }
+  }
+  if (const char* faults = std::getenv("XBARLIFE_REMOTE_FAULTS")) {
+    cfg.fault_spec = faults;
+  }
+  return cfg;
+}
+
 void configure_remote_executor(const RemoteConfig& config) {
   std::lock_guard<std::mutex> lock(g_remote_mu);
   // Keep g_active coherent when the remote backend is being replaced
@@ -172,10 +176,6 @@ void configure_remote_executor(const RemoteConfig& config) {
   g_active.compare_exchange_strong(expected, g_remote.get(),
                                    std::memory_order_acq_rel);
 }
-
-bool executor_degraded() { return select_executor().degraded(); }
-
-bool pin_executor_fallback() { return select_executor().pin_local_fallback(); }
 
 ExecutorDegradation executor_degradation() {
   ExecutorDegradation out;

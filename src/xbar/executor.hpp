@@ -71,8 +71,10 @@ class PerCellExecutor final : public ProgramExecutor {
   ExecReport execute(Crossbar& xb, const ProgramSequence& seq) const override;
 };
 
-/// Returns the process-wide active executor, resolving XBARLIFE_EXECUTOR
-/// on first use (throws InvalidArgument for an unknown value).
+/// Returns the process default executor, resolving XBARLIFE_EXECUTOR on
+/// first use (throws InvalidArgument for an unknown value). It is only a
+/// default: tuning::HardwareNetwork takes the executor it programs
+/// through and falls back to this one when none is given.
 const ProgramExecutor& select_executor();
 
 /// Activates a backend by name ("sim", "percell", "remote"; "" / "auto"
@@ -87,19 +89,20 @@ std::vector<std::string> available_executors();
 
 struct RemoteConfig;
 
+/// The remote backend's configuration from XBARLIFE_REMOTE and
+/// XBARLIFE_REMOTE_FAULTS; unset variables keep the RemoteConfig
+/// defaults (the in-process loopback worker, a clean link).
+RemoteConfig remote_config_from_env();
+
 /// Installs (or replaces) the remote backend's configuration. Call before
 /// set_executor("remote"); without it, resolving "remote" builds the
 /// backend from XBARLIFE_REMOTE / XBARLIFE_REMOTE_FAULTS (defaulting to
 /// the in-process loopback worker).
+///
+/// Replacing destroys the previous remote executor, so this must not be
+/// called while a tuning::HardwareNetwork built on the old one is alive:
+/// configure first, then build networks.
 void configure_remote_executor(const RemoteConfig& config);
-
-/// True when the active backend reports itself degraded (remote fallback
-/// engaged). The resilience ladder's fallback-executor rung keys off it.
-bool executor_degraded();
-
-/// Pins the active backend to its local fallback path; true only on the
-/// transition (so the ladder rung runs at most once).
-bool pin_executor_fallback();
 
 /// Degradation summary stamped into result documents.
 struct ExecutorDegradation {

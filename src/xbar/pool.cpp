@@ -108,11 +108,7 @@ const char* to_string(CircuitState state) {
 CircuitBreaker::CircuitBreaker(const Config& config, Rng jitter)
     : config_(config),
       jitter_(std::move(jitter)),
-      probe_backoff_(config.probe_backoff_initial) {
-  if (config_.failure_threshold < 1) {
-    throw InvalidArgument("circuit breaker: failure_threshold must be >= 1");
-  }
-}
+      probe_backoff_(config.probe_backoff_initial) {}
 
 std::chrono::milliseconds CircuitBreaker::jittered(
     std::chrono::milliseconds base) {
@@ -138,7 +134,7 @@ bool CircuitBreaker::record_failure(
     probe_after_ = now + jittered(probe_backoff_);
     return false;
   }
-  if (consecutive_failures_ >= config_.failure_threshold) {
+  if (consecutive_failures_ >= kFailureThreshold) {
     state_ = CircuitState::kOpen;
     ++opens_;
     probe_backoff_ = config_.probe_backoff_initial;
@@ -149,20 +145,14 @@ bool CircuitBreaker::record_failure(
   return false;
 }
 
-Rng jitter_stream(std::uint64_t seed, std::uint64_t index) {
-  return Rng(seed).fork(index);
+Rng jitter_stream(std::uint64_t index) {
+  return Rng(0x9e3779b97f4a7c15ULL).fork(index);
 }
 
 // ---------------------------------------------------------------------------
 // Endpoint links.
 
 namespace {
-
-std::atomic<obs::Registry*> g_remote_metrics{nullptr};
-
-obs::Registry* remote_metrics() {
-  return g_remote_metrics.load(std::memory_order_acquire);
-}
 
 /// The message a worker put in a kError frame.
 std::string error_text(const net::Frame& frame) {
@@ -197,9 +187,10 @@ void check_hello_ack(std::string_view payload) {
 
 /// One endpoint's connection: dials the address (or an in-process
 /// loopback worker), proves the peer speaks this build's protocol with
-/// the versioned hello, and matches response frames by id. Retry,
-/// failover and fallback belong to the executor. Not thread-safe: the
-/// owner serializes access.
+/// the versioned hello, and matches response frames by id. Frames count
+/// into the registry each call is handed (the executing array's, or
+/// none). Retry, failover and fallback belong to the executor. Not
+/// thread-safe: the owner serializes access.
 class Link {
  public:
   Link(std::string address, const std::string& fault_spec,
@@ -220,7 +211,7 @@ class Link {
   /// Connects and handshakes unless already connected. Returns true when
   /// this re-established a dropped connection. A failed dial or
   /// handshake leaves the link disconnected.
-  bool connect() {
+  bool connect(obs::Registry* metrics) {
     if (transport_ != nullptr) {
       return false;
     }
@@ -242,11 +233,12 @@ class Link {
     try {
       const std::uint64_t id = next_id();
       net::write_frame(*transport_, net::MsgType::kHello, id,
-                       hello_payload());
+                       hello_payload(), metrics);
       const net::Frame ack =
           read_matching(net::MsgType::kHelloAck, id,
                         std::chrono::steady_clock::now() +
-                            config_.request_deadline);
+                            config_.request_deadline,
+                        metrics);
       if (ack.type == net::MsgType::kError) {
         throw net::WireError("remote worker refused the handshake: " +
                              error_text(ack));
@@ -271,7 +263,8 @@ class Link {
   /// distinct type so the caller can account it as a replay). Stale
   /// frames — duplicated or late earlier responses — are skipped.
   net::Frame read_matching(net::MsgType want, std::uint64_t want_id,
-                           std::chrono::steady_clock::time_point deadline) {
+                           std::chrono::steady_clock::time_point deadline,
+                           obs::Registry* metrics) {
     for (;;) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
@@ -279,7 +272,7 @@ class Link {
         throw net::TransportTimeout(
             "remote executor: no response within the request deadline");
       }
-      net::Frame frame = net::read_frame(*transport_, left);
+      net::Frame frame = net::read_frame(*transport_, left, metrics);
       if (frame.seq_id == want_id &&
           (frame.type == want || frame.type == net::MsgType::kError ||
            (want == net::MsgType::kExecuteResult &&
@@ -291,14 +284,16 @@ class Link {
 
   /// One heartbeat round trip on the current connection, bounded by the
   /// request deadline and at most 250 ms.
-  bool heartbeat() {
+  bool heartbeat(obs::Registry* metrics) {
     try {
       const std::uint64_t id = next_id();
-      net::write_frame(*transport_, net::MsgType::kHeartbeat, id);
+      net::write_frame(*transport_, net::MsgType::kHeartbeat, id, {},
+                       metrics);
       read_matching(net::MsgType::kHeartbeatAck, id,
                     std::chrono::steady_clock::now() +
                         std::min(config_.request_deadline,
-                                 std::chrono::milliseconds(250)));
+                                 std::chrono::milliseconds(250)),
+                    metrics);
       return true;
     } catch (const net::TransportError&) {
       return false;
@@ -368,40 +363,39 @@ struct RemoteExecutor::Endpoint {
         link(std::move(address), fault_spec, config, ids),
         circuit(std::move(c)) {}
 
-  /// Lazily creates per-endpoint telemetry in the registry installed via
-  /// set_remote_metrics (no-op when detached).
-  void count(const char* suffix) const {
-    if (obs::Registry* reg = remote_metrics()) {
+  /// Lazily creates per-endpoint telemetry in `reg` (no-op when null).
+  void count(obs::Registry* reg, const char* suffix) const {
+    if (reg != nullptr) {
       reg->counter(prefix + suffix).add(1);
     }
   }
 
   /// Publishes the circuit state. Called only on state *transitions*, so
   /// fault-free runs emit no circuit gauges.
-  void publish_circuit() const {
-    if (obs::Registry* reg = remote_metrics()) {
+  void publish_circuit(obs::Registry* reg) const {
+    if (reg != nullptr) {
       reg->gauge(prefix + "circuit_state")
           .set(static_cast<double>(static_cast<std::uint8_t>(circuit.state())));
     }
   }
 
-  void connect() {
-    if (link.connect()) {
+  void connect(obs::Registry* reg) {
+    if (link.connect(reg)) {
       reconnects.fetch_add(1, std::memory_order_relaxed);
-      count("reconnects");
+      count(reg, "reconnects");
     }
   }
 
   /// Half-open re-admission: proves the endpoint answers a heartbeat
   /// before it is trusted with a (large) full-state request.
-  bool probe() {
+  bool probe(obs::Registry* reg) {
     std::lock_guard<std::mutex> lock(io_mu);
     try {
-      connect();
+      connect(reg);
     } catch (const net::TransportError&) {
       return false;
     }
-    if (!link.heartbeat()) {
+    if (!link.heartbeat(reg)) {
       link.drop();
       return false;
     }
@@ -414,19 +408,20 @@ struct RemoteExecutor::Endpoint {
   /// and re-sends the same id, which the worker answers from its replay
   /// cache. Any other transport error drops the connection.
   Reply attempt(std::uint64_t id, const std::string& payload,
-                std::chrono::milliseconds deadline) {
+                std::chrono::milliseconds deadline, obs::Registry* reg) {
     std::lock_guard<std::mutex> lock(io_mu);
     try {
-      connect();
-      if (timed_out && !link.heartbeat()) {
+      connect(reg);
+      if (timed_out && !link.heartbeat(reg)) {
         link.drop();
-        connect();
+        connect(reg);
       }
       timed_out = false;
       const auto sent_at = std::chrono::steady_clock::now();
-      net::write_frame(link.transport(), net::MsgType::kExecute, id, payload);
+      net::write_frame(link.transport(), net::MsgType::kExecute, id, payload,
+                       reg);
       return {link.read_matching(net::MsgType::kExecuteResult, id,
-                                 sent_at + deadline),
+                                 sent_at + deadline, reg),
               sent_at};
     } catch (const net::TransportTimeout&) {
       timed_out = link.connected();
@@ -441,19 +436,18 @@ struct RemoteExecutor::Endpoint {
 RemoteExecutor::RemoteExecutor(RemoteConfig config)
     : config_(std::move(config)),
       addresses_(split_endpoints(config_.address)),
-      jitter_(jitter_stream(config_.jitter_seed, 0)) {
+      jitter_(jitter_stream(0)) {
   if (config_.max_attempts < 1) {
     throw InvalidArgument("remote executor: max_attempts must be >= 1");
   }
   const std::vector<std::string> specs =
       net::split_fault_specs(config_.fault_spec, addresses_.size());
-  const CircuitBreaker::Config breaker{config_.circuit_failure_threshold,
-                                       config_.probe_backoff_initial,
+  const CircuitBreaker::Config breaker{config_.probe_backoff_initial,
                                        config_.probe_backoff_max};
   for (std::size_t i = 0; i < addresses_.size(); ++i) {
     endpoints_.push_back(std::make_unique<Endpoint>(
         addresses_[i], i, specs[i], config_, next_id_,
-        CircuitBreaker(breaker, jitter_stream(config_.jitter_seed, 1 + i))));
+        CircuitBreaker(breaker, jitter_stream(1 + i))));
   }
 }
 
@@ -502,6 +496,7 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
   // this client-side span so one --profile run shows client wait vs.
   // worker rebuild/execute/serialize.
   obs::Profiler* profiler = xb.profiler();
+  obs::Registry* reg = xb.metrics();
   const SpanGuard span(profiler);
   // One id per logical request, reused on every attempt and endpoint: the
   // worker's replay key and the trace id it echoes back.
@@ -509,11 +504,12 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
   const std::string payload =
       encode_execute_request(xb, seq, profiler != nullptr, id,
                              profiler != nullptr ? span.index : 0);
-  // The owner and failover order are a pure function of the array uid and
-  // the endpoint list: the same array always prefers the same worker, and
-  // membership changes move only the keys the changed endpoint owned.
+  // The owner and failover order are a pure function of the array's owner
+  // key and the endpoint list: the same array always prefers the same
+  // worker, and membership changes move only the keys the changed endpoint
+  // owned.
   const std::vector<std::size_t> order =
-      rendezvous_order(xb.uid(), addresses_);
+      rendezvous_order(xb.owner_key(), addresses_);
   bool first_attempt = true;
   // One budget round = one pass over the live endpoints. Failing over to
   // the next endpoint is free; only "everyone failed" burns a round.
@@ -549,10 +545,10 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
     }
     for (const std::size_t i : candidates) {
       Endpoint& ep = *endpoints_[i];
-      if (needs_probe[i] && !ep.probe()) {
+      if (needs_probe[i] && !ep.probe(reg)) {
         std::lock_guard<std::mutex> lock(mu_);
         ep.circuit.record_failure(std::chrono::steady_clock::now());
-        ep.publish_circuit();
+        ep.publish_circuit(reg);
         continue;
       }
       if (!first_attempt) {
@@ -562,15 +558,15 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
       first_attempt = false;
       Endpoint::Reply reply;
       try {
-        reply = ep.attempt(id, payload, config_.request_deadline);
+        reply = ep.attempt(id, payload, config_.request_deadline, reg);
       } catch (const net::TransportError&) {
         std::lock_guard<std::mutex> lock(mu_);
         ++ep.failovers;
-        ep.count("failovers");
+        ep.count(reg, "failovers");
         if (ep.circuit.record_failure(std::chrono::steady_clock::now())) {
-          ep.count("circuit_opens");
+          ep.count(reg, "circuit_opens");
         }
-        ep.publish_circuit();
+        ep.publish_circuit(reg);
         continue;
       }
       // A worker-side rejection is deterministic: every endpoint runs the
@@ -580,7 +576,6 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
                                 error_text(reply.frame));
       }
       ExecuteResponse resp = decode_execute_response(reply.frame.payload);
-      obs::Registry* reg = remote_metrics();
       if (reg != nullptr) {
         // Fresh work and replay-cache hits account separately on both
         // sides of the wire (the worker marks hits with kExecuteReplay),
@@ -615,7 +610,7 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
         const bool was_healthy = ep.circuit.state() == CircuitState::kHealthy;
         ep.circuit.record_success();
         if (!was_healthy) {
-          ep.publish_circuit();
+          ep.publish_circuit(reg);
         }
         ++ep.requests;
       }
@@ -641,7 +636,7 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
     degraded_ = true;
     ++stats_.fallbacks;
   }
-  if (obs::Registry* reg = remote_metrics()) {
+  if (reg != nullptr) {
     reg->counter("executor.remote.fallbacks").add(1);
   }
   return SimExecutor{}.execute(xb, seq);
@@ -694,12 +689,12 @@ std::vector<PoolEndpointSummary> RemoteExecutor::endpoint_summaries() const {
 WorkerStatsSnapshot query_worker_status(const RemoteConfig& config) {
   std::atomic<std::uint64_t> ids{0};
   Link link(config.address, config.fault_spec, config, ids);
-  link.connect();
+  link.connect(nullptr);
   const std::uint64_t id = link.next_id();
   net::write_frame(link.transport(), net::MsgType::kStats, id);
   const net::Frame stats = link.read_matching(
       net::MsgType::kStatsAck, id,
-      std::chrono::steady_clock::now() + config.request_deadline);
+      std::chrono::steady_clock::now() + config.request_deadline, nullptr);
   if (stats.type == net::MsgType::kError) {
     throw net::WireError("remote worker cannot answer a stats request: " +
                          error_text(stats));
@@ -707,8 +702,6 @@ WorkerStatsSnapshot query_worker_status(const RemoteConfig& config) {
   return decode_worker_stats(stats.payload);
 }
 
-void set_remote_metrics(obs::Registry* registry) {
-  g_remote_metrics.store(registry, std::memory_order_release);
-}
+void set_remote_metrics(obs::Registry* /*registry*/) {}
 
 }  // namespace xbarlife::xbar

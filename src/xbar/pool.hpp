@@ -4,12 +4,12 @@
 // dispatch across the endpoints of a comma-separated list
 // ("unix:/a,unix:/b,host:port,loopback"; a plain address is a list of
 // one). Each array has a deterministic owning endpoint — rendezvous
-// (highest-random-weight) hashing of the array uid against every endpoint
-// slot, so adding or removing an endpoint moves only the keys that
-// endpoint owned — and every endpoint carries its own health state
-// machine:
+// (highest-random-weight) hashing of the array's owner key (see
+// Crossbar::owner_key) against every endpoint slot, so adding or removing
+// an endpoint moves only the keys that endpoint owned — and every
+// endpoint carries its own health state machine:
 //
-//   healthy --failure--> suspect --(threshold consecutive)--> open
+//   healthy --failure--> suspect --(2 consecutive)--> open
 //      ^                    |                                  |
 //      +----- success ------+        half-open heartbeat probe +
 //                                    (jittered exponential backoff)
@@ -63,19 +63,21 @@ enum class CircuitState : std::uint8_t {
 
 const char* to_string(CircuitState state);
 
-/// Jitter stream `index` of a remote executor seeded with `seed`: stream
-/// 0 drives the retry backoff, stream 1 + i endpoint i's circuit probes.
-Rng jitter_stream(std::uint64_t seed, std::uint64_t index);
+/// Jitter stream `index` of a remote executor, forked from one fixed
+/// seed: stream 0 drives the retry backoff, stream 1 + i endpoint i's
+/// circuit probes.
+Rng jitter_stream(std::uint64_t index);
 
 /// Per-endpoint health state machine. Time-point driven (no internal
 /// clock) so tests pin transitions without sleeping; not thread-safe —
 /// the executor serializes access under its own mutex.
 class CircuitBreaker {
  public:
+  /// Consecutive failures before the circuit opens (the first failure
+  /// always moves healthy -> suspect).
+  static constexpr int kFailureThreshold = 2;
+
   struct Config {
-    /// Consecutive failures before the circuit opens (the first failure
-    /// always moves healthy -> suspect).
-    int failure_threshold = 2;
     /// Half-open probe schedule: initial * 2^k, capped, with
     /// multiplicative jitter in [0.5, 1.0) from the seeded stream.
     std::chrono::milliseconds probe_backoff_initial{100};

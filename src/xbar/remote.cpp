@@ -399,10 +399,9 @@ struct ConnectionScope {
 
 bool serve_connection(net::Transport& t, const ServeOptions& opts) {
   // Worker-side frames count into the worker's stats registry (or
-  // nowhere) — never into the process-default registry, which on a
-  // loopback link belongs to the client and would double-count.
-  net::WireMetricsScope wire_scope(
-      opts.stats != nullptr ? &opts.stats->metrics : nullptr);
+  // nowhere).
+  obs::Registry* metrics =
+      opts.stats != nullptr ? &opts.stats->metrics : nullptr;
   ConnectionScope connection_scope(opts.stats);
   // One-deep idempotent-replay cache: clients retry strictly their most
   // recent request id, so caching the last response suffices to answer a
@@ -418,7 +417,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
     }
     net::Frame frame;
     try {
-      frame = net::read_frame(t, opts.idle_poll);
+      frame = net::read_frame(t, opts.idle_poll, metrics);
     } catch (const net::TransportTimeout&) {
       continue;  // idle: loop back to the stop-flag checks
     } catch (const net::TransportError&) {
@@ -455,11 +454,11 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
             persist::StateWriter w;
             w.str(mismatch);
             net::write_frame(t, net::MsgType::kError, frame.seq_id,
-                             w.data());
+                             w.data(), metrics);
             break;
           }
           net::write_frame(t, net::MsgType::kHelloAck, frame.seq_id,
-                           hello_payload());
+                           hello_payload(), metrics);
           break;
         }
         case net::MsgType::kHeartbeat: {
@@ -475,7 +474,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
             w.u8(kRequestVersion);
           }
           net::write_frame(t, net::MsgType::kHeartbeatAck, frame.seq_id,
-                           w.data());
+                           w.data(), metrics);
           break;
         }
         case net::MsgType::kExecute: {
@@ -491,7 +490,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
               opts.stats->metrics.counter("worker.replay_served").add(1);
             }
             net::write_frame(t, net::MsgType::kExecuteReplay, frame.seq_id,
-                             cached_response);
+                             cached_response, metrics);
             break;
           }
           {
@@ -507,7 +506,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
               persist::StateWriter w;
               w.str(e.what());
               net::write_frame(t, net::MsgType::kError, frame.seq_id,
-                               w.data());
+                               w.data(), metrics);
               break;
             }
             if (opts.stats != nullptr) {
@@ -520,7 +519,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
             }
           }
           net::write_frame(t, net::MsgType::kExecuteResult, frame.seq_id,
-                           cached_response);
+                           cached_response, metrics);
           break;
         }
         case net::MsgType::kStats: {
@@ -528,10 +527,10 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
             persist::StateWriter w;
             w.str("worker stats are not enabled on this endpoint");
             net::write_frame(t, net::MsgType::kError, frame.seq_id,
-                             w.data());
+                             w.data(), metrics);
           } else {
             net::write_frame(t, net::MsgType::kStatsAck, frame.seq_id,
-                             opts.stats->encode_snapshot());
+                             opts.stats->encode_snapshot(), metrics);
           }
           break;
         }

@@ -155,10 +155,9 @@ struct ServeOptions {
   /// Also stop when the process-wide cooperative shutdown flag is set.
   bool honor_shutdown_flag = true;
   /// Optional shared stats (uptime, request/latency accounting, wire
-  /// telemetry, kStats snapshots). With none attached kStats is answered
-  /// with kError and worker-side frames count nowhere — serve_connection
-  /// always scopes the wire-metrics registry per thread, so a loopback
-  /// worker never leaks frame telemetry into the client's registry.
+  /// telemetry, kStats snapshots). Worker-side frames count into its
+  /// registry; with none attached kStats is answered with kError and
+  /// worker-side frames count nowhere.
   WorkerStatsState* stats = nullptr;
 };
 
@@ -225,22 +224,16 @@ struct RemoteConfig {
   /// next endpoint is free and only "every endpoint failed" burns one.
   int max_attempts = 5;
   /// Exponential backoff between rounds: initial * 2^k, capped, with
-  /// multiplicative jitter in [0.5, 1.0). The executor forks its backoff
-  /// stream from this seed as jitter_stream(seed, 0) and endpoint i's
-  /// circuit-probe stream as jitter_stream(seed, 1 + i), so its streams
-  /// differ from each other and the same config reproduces them.
+  /// multiplicative jitter in [0.5, 1.0) drawn from jitter_stream(0)
+  /// (endpoint i's circuit probes draw from jitter_stream(1 + i)).
   std::chrono::milliseconds backoff_initial{10};
   std::chrono::milliseconds backoff_max{250};
-  std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ULL;
   /// Degrade to the local SimExecutor when all attempts fail; when false
   /// the executor throws TransportError instead (CLI exit 3).
   bool fallback_to_sim = true;
-  /// Circuit breaker: consecutive failures before an endpoint's circuit
-  /// opens (healthy -> suspect on the first failure, open at the
-  /// threshold)...
-  int circuit_failure_threshold = 2;
-  /// ...and the jittered exponential backoff between half-open heartbeat
-  /// probes of an open endpoint.
+  /// Circuit breaker: the jittered exponential backoff between half-open
+  /// heartbeat probes of an open endpoint (a circuit opens after
+  /// CircuitBreaker::kFailureThreshold consecutive failures).
   std::chrono::milliseconds probe_backoff_initial{100};
   std::chrono::milliseconds probe_backoff_max{2000};
 };
@@ -254,10 +247,22 @@ struct RemoteLinkStats {
 };
 
 /// The remote backend (implemented in xbar/pool.cpp). Each array has a
-/// deterministic owning endpoint (rendezvous hashing of its uid), every
-/// endpoint has its own circuit breaker, and dispatch fails over to the
-/// next live endpoint before spending the max_attempts budget; local-sim
-/// fallback engages only when every endpoint failed in every round.
+/// deterministic owning endpoint (rendezvous hashing of its owner key),
+/// every endpoint has its own circuit breaker, and dispatch fails over to
+/// the next live endpoint before spending the max_attempts budget;
+/// local-sim fallback engages only when every endpoint failed in every
+/// round.
+///
+/// Telemetry goes to the executing array's registry (Crossbar::metrics,
+/// nothing when detached): per endpoint i the executor.remote.<i>.
+/// {requests,replay_served,reconnects,failovers,circuit_opens} counters,
+/// the bucketed executor.remote.<i>.request_ms round-trip histogram and
+/// the executor.remote.<i>.circuit_state gauge, the executor-wide
+/// executor.remote.fallbacks counter, the worker.* counter deltas of
+/// profiled requests, and the net.* frame telemetry of every frame sent
+/// or read on the array's behalf. Each metric is created only when its
+/// event first occurs, so a fault-free run emits no failover, circuit, or
+/// fallback series.
 class RemoteExecutor final : public ProgramExecutor {
  public:
   explicit RemoteExecutor(RemoteConfig config);
@@ -308,15 +313,7 @@ class RemoteExecutor final : public ProgramExecutor {
 /// failure.
 WorkerStatsSnapshot query_worker_status(const RemoteConfig& config);
 
-/// Registry the remote backend lazily creates its link metrics in: per
-/// endpoint i the executor.remote.<i>.{requests,replay_served,reconnects,
-/// failovers,circuit_opens} counters, the bucketed
-/// executor.remote.<i>.request_ms round-trip histogram and the
-/// executor.remote.<i>.circuit_state gauge, plus the executor-wide
-/// executor.remote.fallbacks counter. Each metric is created only when
-/// its event first occurs, so a fault-free run emits no failover,
-/// circuit, or fallback series. Pass nullptr to detach; the registry must
-/// outlive remote execution.
+/// No-op, kept for its only caller, bench_e2e/xbarlife_e2e.cpp.
 void set_remote_metrics(obs::Registry* registry);
 
 }  // namespace xbarlife::xbar

@@ -15,6 +15,8 @@
 #include "obs/perfetto.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sink.hpp"
+#include "xbar/executor.hpp"
+#include "xbar/remote.hpp"
 
 namespace xbarlife::core {
 namespace {
@@ -91,9 +93,19 @@ struct SweepCapture {
   std::vector<ScenarioSweepEntry> entries;
 };
 
+/// Replaces a remote process executor with a fresh one built from the
+/// same environment, so every captured sweep starts unconnected, as in a
+/// new process: a sweep's wire telemetry includes its handshakes.
+void fresh_remote_executor() {
+  if (xbar::executor_name() == "remote") {
+    xbar::configure_remote_executor(xbar::remote_config_from_env());
+  }
+}
+
 SweepCapture run_sweep(const std::vector<ScenarioJob>& jobs,
                        std::size_t threads) {
   set_parallel_threads(threads);
+  fresh_remote_executor();
   obs::Registry registry;
   obs::MemorySink sink;
   obs::EventTrace trace(&sink);

@@ -16,6 +16,9 @@
 #include "common/parallel.hpp"
 #include "core/fault_campaign.hpp"
 #include "core/shared_slots.hpp"
+#include "obs/metrics.hpp"
+#include "xbar/executor.hpp"
+#include "xbar/remote.hpp"
 
 namespace xbarlife::core {
 namespace {
@@ -170,6 +173,50 @@ TEST(ScenarioRunner, PoisonedJobDoesNotLoseTheOthers) {
   EXPECT_EQ(entries[1].label, "j1");
   EXPECT_NE(entries[1].seed, 0u);
   EXPECT_TRUE(entries[1].outcome.lifetime.sessions.empty());
+}
+
+// Which worker of a pool owns which array is a function of the jobs'
+// seeds, never of construction order: the same sweep gives the same
+// per-endpoint accounting on a second run in one process and at any
+// thread count.
+TEST(ScenarioRunner, PoolOwnershipIsIdenticalAcrossRunsAndThreadCounts) {
+  ThreadGuard guard;
+  ExperimentConfig cfg = tiny_config();
+  cfg.lifetime.max_sessions = 4;
+  const auto jobs =
+      ScenarioRunner::cross(cfg, {Scenario::kTT, Scenario::kSTT}, 2);
+  ASSERT_EQ(jobs.size(), 4u);
+  const auto run = [&jobs](std::size_t threads) {
+    set_parallel_threads(threads);
+    // A fresh executor per run, so its accounting starts at zero.
+    xbar::RemoteConfig rc;
+    rc.address = "loopback,loopback,loopback";
+    xbar::configure_remote_executor(rc);
+    xbar::set_executor("remote");
+    obs::Registry reg;
+    ScenarioRunner().run(jobs, obs::Obs{&reg});
+    // Per endpoint: requests, failovers, circuit opens.
+    std::vector<std::uint64_t> out;
+    const xbar::ExecutorPoolSummary pool = xbar::executor_pool_summary();
+    EXPECT_EQ(pool.endpoints.size(), 3u);
+    for (std::size_t i = 0; i < pool.endpoints.size(); ++i) {
+      const xbar::PoolEndpointSummary& ep = pool.endpoints[i];
+      EXPECT_EQ(reg.counter("executor.remote." + std::to_string(i) +
+                            ".requests")
+                    .value(),
+                ep.requests);
+      out.insert(out.end(), {ep.requests, ep.failovers, ep.circuit_opens});
+    }
+    xbar::set_executor("sim");
+    return out;
+  };
+  const std::vector<std::uint64_t> first = run(1);
+  EXPECT_EQ(run(1), first) << "second run in the same process";
+  EXPECT_EQ(run(4), first) << "four threads";
+  EXPECT_EQ(run(4), first) << "four threads, again";
+  // More than one endpoint owns arrays, so the equality is not trivial.
+  ASSERT_EQ(first.size(), 9u);
+  EXPECT_GE((first[0] > 0) + (first[3] > 0) + (first[6] > 0), 2);
 }
 
 // ---------------------------------------------------------------------

@@ -249,8 +249,7 @@ TEST(EscalationLadder, DegradedModeKeepsServingAboveFloor) {
 // every sequence falls back because the worker address never answers),
 // the first rescue pins execution to the local path, retunes, and the
 // pin is recorded exactly once — later rescues in the same run skip the
-// rung because pin_executor_fallback() only returns true on the
-// transition.
+// rung because pin_local_fallback() only returns true on the transition.
 TEST(EscalationLadder, FallbackExecutorRungEngagesOncePerProcess) {
   // A dead endpoint with fast-failing retries: every remote attempt
   // falls back to local sim execution, marking the backend degraded.
@@ -308,13 +307,18 @@ TEST(EscalationLadder, FallbackExecutorRungEngagesOncePerProcess) {
   EXPECT_GT(o.lifetime.sessions.size(), 0u);
 }
 
-// With sim (or any in-process backend) active, executor_degraded() stays
-// false and the rung never fires — pin_executor_fallback() on sim is a
-// no-op returning false.
+// On a network built over sim (or any in-process backend), the rung's
+// degraded() check stays false and it never fires — pin_local_fallback()
+// on sim is a no-op returning false.
 TEST(EscalationLadder, FallbackExecutorRungInertOnLocalBackends) {
-  xbar::set_executor("sim");
-  EXPECT_FALSE(xbar::executor_degraded());
-  EXPECT_FALSE(xbar::pin_executor_fallback());
+  core::ExperimentConfig cfg = tiny_config();
+  Rng rng(cfg.seed);
+  nn::Network net = core::build_model(cfg, rng);
+  const xbar::SimExecutor sim;
+  tuning::HardwareNetwork hw(net, cfg.device, cfg.aging, {}, sim);
+  EXPECT_EQ(&hw.executor(), &sim);
+  EXPECT_FALSE(hw.executor().degraded());
+  EXPECT_FALSE(hw.executor().pin_local_fallback());
 }
 
 }  // namespace

@@ -73,19 +73,20 @@ RemoteConfig pool_config(const std::string& address) {
   return cfg;
 }
 
-/// Allocates crossbars until one's rendezvous owner is endpoint `slot`,
-/// so dispatch tests can pin which endpoint a request prefers. The uid is
-/// a process-wide construction counter, so this terminates fast.
+/// A crossbar whose rendezvous owner is endpoint `slot`, so dispatch tests
+/// can pin which endpoint a request prefers: searches owner keys from 0
+/// until one lands on the slot, which terminates fast.
 std::unique_ptr<Crossbar> crossbar_owned_by(
     std::size_t slot, const std::vector<std::string>& addresses,
     std::size_t rows = 4, std::size_t cols = 4) {
-  for (int tries = 0; tries < 256; ++tries) {
-    auto xb = std::make_unique<Crossbar>(rows, cols, dev(), ag_crosstalk());
-    if (rendezvous_order(xb->uid(), addresses)[0] == slot) {
+  auto xb = std::make_unique<Crossbar>(rows, cols, dev(), ag_crosstalk());
+  for (std::uint64_t key = 0; key < 256; ++key) {
+    if (rendezvous_order(key, addresses)[0] == slot) {
+      xb->set_owner_key(key);
       return xb;
     }
   }
-  ADD_FAILURE() << "no array owned by slot " << slot << " within 256 tries";
+  ADD_FAILURE() << "no key owned by slot " << slot << " below 256";
   return nullptr;
 }
 
@@ -206,7 +207,6 @@ TEST(Pool, FaultSpecListSplitsPerEndpoint) {
 
 CircuitBreaker::Config breaker_config() {
   CircuitBreaker::Config cfg;
-  cfg.failure_threshold = 2;
   cfg.probe_backoff_initial = 100ms;
   cfg.probe_backoff_max = 400ms;
   return cfg;
@@ -287,20 +287,13 @@ TEST(Circuit, FailedProbesDoubleTheBackoffUpToTheCap) {
   EXPECT_LE(cb.probe_after(), t0 + 100ms);
 }
 
-TEST(Circuit, RejectsNonPositiveThreshold) {
-  CircuitBreaker::Config cfg;
-  cfg.failure_threshold = 0;
-  EXPECT_THROW(CircuitBreaker(cfg, Rng(1)), InvalidArgument);
-}
-
 // The jitter streams of one executor — the retry backoff (stream 0) and
 // each endpoint's circuit probes (stream 1 + i) — must differ from each
-// other, so endpoints do not probe in lockstep, and the same config must
+// other, so endpoints do not probe in lockstep, and every executor must
 // reproduce them exactly.
 TEST(Circuit, ForkedJitterStreamsDivergeAndReproduce) {
-  const RemoteConfig cfg = pool_config("loopback,loopback,loopback");
-  const auto draws = [&cfg](std::uint64_t stream) {
-    Rng rng = jitter_stream(cfg.jitter_seed, stream);
+  const auto draws = [](std::uint64_t stream) {
+    Rng rng = jitter_stream(stream);
     std::vector<double> out;
     for (int i = 0; i < 8; ++i) {
       out.push_back(rng.uniform());
@@ -539,13 +532,12 @@ TEST(Pool, PinLocalFallbackRoutesEverythingLocal) {
 
 TEST(Pool, PerEndpointCountersLandInTheAttachedRegistry) {
   obs::Registry reg;
-  set_remote_metrics(&reg);
   const RemoteExecutor pool{pool_config("127.0.0.1:1,loopback,loopback")};
   const ProgramSequence seq = mixed_sequence(4, 4);
   auto owned = crossbar_owned_by(0, pool.addresses());
   ASSERT_NE(owned, nullptr);
+  owned->attach_metrics(&reg);
   pool.execute(*owned, seq);
-  set_remote_metrics(nullptr);
 
   // The dead owner counts a failover under its own prefix; whichever
   // live endpoint completed the request counts it under its prefix.

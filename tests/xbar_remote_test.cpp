@@ -473,7 +473,6 @@ TEST(RemoteExecutor_, ReplayAccountingReconcilesUnderLossySchedules) {
     for (const std::string& spec : specs) {
       SCOPED_TRACE("address: " + address + ", fault spec: " + spec);
       obs::Registry reg;
-      set_remote_metrics(&reg);
       RemoteConfig cfg;
       cfg.address = address;
       cfg.fault_spec = spec;
@@ -486,6 +485,7 @@ TEST(RemoteExecutor_, ReplayAccountingReconcilesUnderLossySchedules) {
       obs::Counter pulses, traced;
       Crossbar xb(6, 5, dev(), ag_crosstalk());
       xb.attach_pulse_counters(&pulses, &traced);
+      xb.attach_metrics(&reg);
       constexpr std::uint64_t kSequences = 6;
       std::uint64_t expected_pulses = 0;
       for (std::uint64_t i = 0; i < kSequences; ++i) {
@@ -493,7 +493,6 @@ TEST(RemoteExecutor_, ReplayAccountingReconcilesUnderLossySchedules) {
         expected_pulses += seq.stats().pulses;
         remote.execute(xb, seq);
       }
-      set_remote_metrics(nullptr);
 
       const RemoteLinkStats stats = remote.link_stats();
       std::uint64_t fresh = 0;
@@ -724,6 +723,52 @@ TEST(RemoteExecutor_, QueryWorkerStatusOverLoopback) {
   EXPECT_EQ(snap.requests_served, 0u);
 }
 
+// Wire telemetry lands on the side that sent or read each frame, by
+// construction: the client's frames in the executing array's registry,
+// the worker's in its stats registry.
+TEST(RemoteExecutor_, WireTelemetryLandsInTheArrayAndWorkerRegistries) {
+  const std::string path = testing::TempDir() + "xbw_wire_sides.sock";
+  const std::unique_ptr<net::Listener> listener =
+      net::listen("unix:" + path);
+  WorkerStatsState worker_stats;
+  std::thread worker([&] {
+    try {
+      const std::unique_ptr<net::Transport> conn = listener->accept(2000ms);
+      ServeOptions opts;
+      opts.idle_poll = 20ms;
+      opts.stats = &worker_stats;
+      serve_connection(*conn, opts);
+    } catch (const net::TransportError&) {
+      // no client arrived; the expectations below fail
+    }
+  });
+  obs::Registry client;
+  {
+    RemoteConfig cfg;
+    cfg.address = "unix:" + path;
+    const RemoteExecutor remote{cfg};
+    Crossbar xb(5, 4, dev(), ag_crosstalk());
+    xb.attach_metrics(&client);
+    remote.execute(xb, mixed_sequence(5, 4));
+    EXPECT_EQ(remote.link_stats().fallbacks, 0u);
+  }  // the executor closes its link, which ends the serving loop
+  worker.join();
+  listener->close();
+  std::remove(path.c_str());
+
+  // The client sent hello + execute and read the hello ack + result; the
+  // worker read and sent the mirror frames.
+  obs::Registry& served = worker_stats.metrics;
+  EXPECT_EQ(client.histogram("net.frame_bytes_out").count(), 2u);
+  EXPECT_EQ(client.histogram("net.frame_bytes_in").count(), 2u);
+  EXPECT_EQ(served.histogram("net.frame_bytes_in").count(), 2u);
+  EXPECT_EQ(served.histogram("net.frame_bytes_out").count(), 2u);
+  EXPECT_EQ(client.histogram("net.frame_bytes_out").sum(),
+            served.histogram("net.frame_bytes_in").sum());
+  EXPECT_EQ(client.histogram("net.frame_bytes_in").sum(),
+            served.histogram("net.frame_bytes_out").sum());
+}
+
 TEST(RemoteExecutor_, RejectsWorkerSpeakingAnOlderRequestCodec) {
   // A fake "old worker" that acks the hello with execute-request v1: the
   // client must refuse the endpoint with a WireError instead of sending
@@ -782,16 +827,15 @@ bool has_ancestor(const std::vector<obs::SpanRecord>& recs, std::size_t idx,
 TEST(RemoteExecutor_, ProfiledExecuteGraftsTheWorkerSpanTree) {
   obs::Profiler prof;
   obs::Registry registry;
-  set_remote_metrics(&registry);
   Crossbar xb(5, 4, dev(), ag_crosstalk());
   xb.attach_profiler(&prof);
+  xb.attach_metrics(&registry);
   const RemoteExecutor remote{RemoteConfig{}};
 
   const std::size_t root = prof.begin_span("command");
   remote.execute(xb, mixed_sequence(5, 4));
   remote.execute(xb, mixed_sequence(5, 4));
   prof.end_span(root);
-  set_remote_metrics(nullptr);
 
   // One client-side execute span and one grafted worker tree per request.
   EXPECT_EQ(count_spans(prof, "executor.remote.execute"), 2u);
