@@ -266,15 +266,14 @@ def validate_degradation(deg):
 
 
 def validate_executor_pool(pool):
-    """Checks the optional 'executor_pool' stamp (emitted only when the
-    active backend is a worker pool with more than one endpoint)."""
+    """Checks the 'executor_pool' stamp (emitted exactly when the active
+    backend is the remote one; a single address is a pool of one)."""
     if not isinstance(pool, dict) or list(pool.keys()) != ["endpoints"]:
         fail("'executor_pool' must be an object with the single key "
              "'endpoints'")
     endpoints = pool["endpoints"]
-    if not isinstance(endpoints, list) or len(endpoints) < 2:
-        fail("'executor_pool.endpoints' must list at least two endpoints "
-             "(single-endpoint runs must not stamp a pool)")
+    if not isinstance(endpoints, list) or not endpoints:
+        fail("'executor_pool.endpoints' must list at least one endpoint")
     for index, entry in enumerate(endpoints):
         if not isinstance(entry, dict) \
                 or list(entry.keys()) != POOL_ENDPOINT_KEYS:
@@ -293,8 +292,8 @@ def validate_executor_pool(pool):
 
 def validate_result(result):
     keys = list(result.keys())
-    # Optional keys: "executor_pool" right after "executor" (only when a
-    # multi-endpoint worker pool is active), "executor_degradation" after
+    # Optional keys: "executor_pool" right after "executor" (exactly when
+    # the remote executor is active), "executor_degradation" after
     # "executor" / "executor_pool" (only when the remote backend fell
     # back), "profile" trailing — clean runs stay byte-identical to
     # pre-feature builds.
@@ -323,9 +322,10 @@ def validate_result(result):
     if result["executor"] not in KNOWN_EXECUTORS:
         fail(f"result 'executor' {result['executor']!r} not in "
              f"{KNOWN_EXECUTORS}")
+    if (pool is not None) != (result["executor"] == "remote"):
+        fail("'executor_pool' must be present exactly when the executor "
+             "is 'remote'")
     if pool is not None:
-        if result["executor"] != "remote":
-            fail("'executor_pool' is only valid for the remote executor")
         validate_executor_pool(pool)
     if degradation is not None:
         if result["executor"] != "remote":

@@ -20,8 +20,8 @@ obs::JsonValue result_document(std::string_view command,
   doc.set("kernel", kernels::kernel_name());
   doc.set("executor", xbar::executor_name());
   // "executor_pool" is an optional key directly after "executor": it
-  // appears only when the active backend is a worker pool with more than
-  // one endpoint, so single-endpoint and in-process documents stay
+  // appears exactly when the active backend is the remote one (a single
+  // address is a pool of one), so in-process documents stay
   // byte-identical to earlier builds.
   const xbar::ExecutorPoolSummary pool = xbar::executor_pool_summary();
   if (pool.active) {

@@ -1,6 +1,7 @@
 #include "core/scenario_runner.hpp"
 
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -76,6 +77,7 @@ void ScenarioRunner::run_each(
       obs::Obs span_handle = job_obs;
       span_handle.metrics = nullptr;
       const auto start = std::chrono::steady_clock::now();
+      std::exception_ptr interrupted;
       try {
         const JobDeadline deadline(job_timeout_ms_, job.label);
         const obs::Span job_span(span_handle, "sweep.job");
@@ -90,6 +92,11 @@ void ScenarioRunner::run_each(
                            uses_skewed_training(job.scenario),
                            observed[i] ? job_obs : obs::Obs{}),
             *data, job_obs);
+      } catch (const InterruptedError&) {
+        // A shutdown request honoured mid-job (a remote retry backoff
+        // polls it) is not a job failure: rethrown below, so the job is
+        // neither recorded nor snapshotted and a resume reruns it.
+        interrupted = std::current_exception();
       } catch (const TimeoutError& e) {
         // The watchdog fired: record the job as timed out (a failure
         // subtype) so --strict and the rollups can single it out.
@@ -110,6 +117,9 @@ void ScenarioRunner::run_each(
       // still release them, or a later job waiting on its slot would hang.
       datasets.finish(k);
       trainings.finish(k);
+      if (interrupted) {
+        std::rethrow_exception(interrupted);
+      }
       entry.wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();

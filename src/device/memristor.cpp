@@ -34,6 +34,7 @@ void DeviceParams::validate() const {
   XB_CHECK(r_min_fresh > 0.0, "r_min_fresh must be positive");
   XB_CHECK(r_max_fresh > r_min_fresh, "need r_max_fresh > r_min_fresh");
   XB_CHECK(levels >= 2, "need at least two levels");
+  XB_CHECK(levels <= kMaxLevels, "levels exceeds DeviceParams::kMaxLevels");
   XB_CHECK(v_prog > 0.0, "programming voltage must be positive");
   XB_CHECK(t_pulse_s > 0.0, "pulse width must be positive");
   XB_CHECK(temperature_k > 0.0, "temperature must be positive");

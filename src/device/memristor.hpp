@@ -23,6 +23,11 @@ struct DeviceParams {
   /// caps the pulse current regardless of how conductive the cell is.
   double compliance_current_a = 3e-4;
 
+  /// Upper bound on `levels`, far above any multi-level cell (the
+  /// shipped configs use 8 and 16): per-cell aging statistics walk every
+  /// level, so an unbounded count from the wire would pin a worker.
+  static constexpr std::size_t kMaxLevels = 1u << 16;
+
   double g_min() const { return 1.0 / r_max_fresh; }
   double g_max() const { return 1.0 / r_min_fresh; }
   void validate() const;

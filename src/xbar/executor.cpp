@@ -201,12 +201,10 @@ ExecutorPoolSummary executor_pool_summary() {
   {
     std::lock_guard<std::mutex> lock(g_remote_mu);
     pool = g_remote.get();
-    // Stamp only when a multi-endpoint remote backend is the *active*
-    // backend: a configured but unselected one must not perturb
-    // sim/percell documents, and single-endpoint documents keep their
-    // earlier shape.
-    if (pool == nullptr || pool->size() <= 1 ||
-        g_active.load(std::memory_order_acquire) != pool) {
+    // Stamp only when the remote backend is the *active* one: a
+    // configured but unselected one must not perturb sim/percell
+    // documents.
+    if (pool == nullptr || g_active.load(std::memory_order_acquire) != pool) {
       return out;
     }
   }

@@ -127,9 +127,8 @@ struct PoolEndpointSummary {
   std::uint64_t circuit_opens = 0;  ///< times its circuit opened
 };
 
-/// Pool summary for result documents. `active` only when the active
-/// backend is the remote one with more than one endpoint, so documents
-/// from single-endpoint runs keep their earlier shape.
+/// Pool summary for result documents. `active` exactly when the active
+/// backend is the remote one, whatever its endpoint count.
 struct ExecutorPoolSummary {
   bool active = false;
   std::vector<PoolEndpointSummary> endpoints;

@@ -41,6 +41,7 @@ device::DeviceParams read_device_params(persist::StateReader& r) {
   p.t_pulse_s = r.f64();
   p.temperature_k = r.f64();
   p.compliance_current_a = r.f64();
+  p.validate();
   return p;
 }
 

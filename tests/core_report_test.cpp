@@ -77,9 +77,9 @@ TEST(ResultDocumentTest, EnvelopeKeysAndSchema) {
       result_document("lifetime", obs::JsonValue::object(), nullptr);
   ASSERT_TRUE(doc.is_object());
   const auto* obj = doc.as_object();
-  // Under a multi-endpoint XBARLIFE_REMOTE pool the envelope carries the
-  // executor_pool stamp directly after "executor" (the suite runs under
-  // every backend, pools included); otherwise exactly the six base keys.
+  // Under the remote executor the envelope carries the executor_pool
+  // stamp directly after "executor" (the suite runs under every backend);
+  // otherwise exactly the six base keys.
   const bool pooled = xbar::executor_pool_summary().active;
   const std::size_t shift = pooled ? 1 : 0;
   ASSERT_EQ(obj->size(), 6u + shift);

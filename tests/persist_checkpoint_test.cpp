@@ -208,7 +208,9 @@ TEST(StateIo, ProgramSequenceCorruptionFuzzFailsClosed) {
   }
   for (std::size_t len = 0; len < good.size(); ++len) {
     try {
-      StateReader r(good.substr(0, len));
+      // StateReader keeps a view: the prefix must outlive it.
+      const std::string prefix = good.substr(0, len);
+      StateReader r(prefix);
       (void)xbar::ProgramSequence::load_state(r);
     } catch (const Error&) {
     }

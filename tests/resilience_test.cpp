@@ -136,12 +136,12 @@ TEST(RowPermutation, RejectsNonInjectiveAndOutOfRange) {
 }
 
 TEST(EscalationRungs, NamesAreStable) {
-  EXPECT_EQ(to_string(Rung::kFallbackExecutor), "fallback_executor");
-  EXPECT_EQ(to_string(Rung::kRetry), "retry");
-  EXPECT_EQ(to_string(Rung::kRemap), "remap");
-  EXPECT_EQ(to_string(Rung::kFaultMask), "fault_mask");
-  EXPECT_EQ(to_string(Rung::kSpareRows), "spare_rows");
-  EXPECT_EQ(to_string(Rung::kDegraded), "degraded");
+  EXPECT_STREQ(to_string(Rung::kFallbackExecutor), "fallback_executor");
+  EXPECT_STREQ(to_string(Rung::kRetry), "retry");
+  EXPECT_STREQ(to_string(Rung::kRemap), "remap");
+  EXPECT_STREQ(to_string(Rung::kFaultMask), "fault_mask");
+  EXPECT_STREQ(to_string(Rung::kSpareRows), "spare_rows");
+  EXPECT_STREQ(to_string(Rung::kDegraded), "degraded");
 }
 
 // The acceptance gate for wiring the fault model in at all: with every

@@ -574,10 +574,13 @@ TEST(Pool, RegistryBuildsPoolForCommaAddressAndStampsSummary) {
   set_executor("sim");
   EXPECT_FALSE(executor_pool_summary().active);
 
-  // A single-endpoint remote never stamps a pool summary.
+  // A single address is a pool of one and stamps like any other pool.
   configure_remote_executor(RemoteConfig{});
   set_executor("remote");
-  EXPECT_FALSE(executor_pool_summary().active);
+  summary = executor_pool_summary();
+  ASSERT_TRUE(summary.active);
+  ASSERT_EQ(summary.endpoints.size(), 1u);
+  EXPECT_EQ(summary.endpoints[0].address, "loopback");
   set_executor("sim");
 }
 

@@ -150,6 +150,27 @@ TEST(RemoteCodec, RejectsGeometryNotBackedByState) {
   }
 }
 
+TEST(RemoteCodec, RejectsUnboundedLevels) {
+  // Aging statistics walk every level of every cell, so a crafted level
+  // count must be refused at decode time, not pin the worker's CPU.
+  Crossbar xb(3, 3, dev(), ag_crosstalk());
+  std::string request = encode_execute_request(xb, mixed_sequence(3, 3));
+  // levels is the u64 after version (u8), rows, cols (u64) and the two
+  // fresh resistance bounds (f64).
+  constexpr std::size_t kLevelsOffset = 1 + 4 * 8;
+  persist::StateWriter levels;
+  levels.u64(std::uint64_t{1} << 40);
+  request.replace(kLevelsOffset, 8, levels.data());
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    execute_request(request);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxLevels"), std::string::npos);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+}
+
 TEST(RemoteCodec, RejectsTrailingBytes) {
   Crossbar xb(3, 3, dev(), ag_crosstalk());
   std::string request =
