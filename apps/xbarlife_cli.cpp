@@ -13,7 +13,6 @@
 //                      [--compare-ladder] [--checkpoint PATH]
 //                      [--job-timeout MS] [--strict]
 //   xbarlife device    [--pulses N] [--target-r OHMS]
-//   xbarlife bench     [--reps N] [--dim N]
 //   xbarlife worker-status [--remote ADDR]
 //   xbarlife models
 //   xbarlife info
@@ -78,23 +77,22 @@
 // cooperative shutdown (snapshot written, resumable), 7 checkpoint
 // corrupt with no valid fallback generation, 8 job/watchdog timeout,
 // 1 anything else. The full table lives in docs/output_schema.md.
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
-#include "core/bench_report.hpp"
 #include "core/experiment.hpp"
 #include "core/fault_campaign.hpp"
 #include "core/model_registry.hpp"
@@ -106,11 +104,8 @@
 #include "obs/obs.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/sink.hpp"
-#include "nn/quantized.hpp"
 #include "persist/checkpoint.hpp"
-#include "mapping/mapper.hpp"
 #include "tensor/kernels/kernels.hpp"
-#include "tensor/matmul.hpp"
 #include "xbar/executor.hpp"
 #include "xbar/pool.hpp"
 #include "xbar/remote.hpp"
@@ -130,6 +125,26 @@ struct Args {
     auto it = options.find(name);
     return it != options.end() && !it->second.empty() ? it->second
                                                       : fallback;
+  }
+  /// A numeric flag's value, or `fallback` when the flag is absent. A
+  /// count (unsigned T) takes digits only; a double must be finite. A flag
+  /// given without a value or with a malformed one throws InvalidArgument
+  /// naming the flag (exit 2).
+  template <typename T>
+  T number(const std::string& name, T fallback) const {
+    auto it = options.find(name);
+    if (it == options.end()) {
+      return fallback;
+    }
+    if (it->second.empty()) {
+      throw xbarlife::InvalidArgument("--" + name + " needs a value");
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      return parse_real(it->second, "--" + name);
+    } else {
+      static_assert(std::is_unsigned_v<T>);
+      return static_cast<T>(parse_count(it->second, "--" + name));
+    }
   }
 };
 
@@ -249,8 +264,8 @@ class CliOutput {
     emit(command, std::move(data), nullptr, /*include_profile=*/false);
   }
 
-  /// Emits a pre-built document (e.g. xbarlife.bench.v1) as the stream's
-  /// final line instead of a result.v1 envelope.
+  /// Emits a pre-built document (e.g. xbarlife.workerstats.v1) as the
+  /// stream's final line instead of a result.v1 envelope.
   void finish_document(const std::string& command,
                        const obs::JsonValue& doc) {
     finish_progress();
@@ -338,13 +353,9 @@ class CliOutput {
 core::ExperimentConfig config_for(const Args& args) {
   core::ExperimentConfig cfg =
       core::make_model_config(args.get("model", "lenet5"));
-  if (args.flag("sessions")) {
-    cfg.lifetime.max_sessions =
-        static_cast<std::size_t>(std::stoul(args.get("sessions", "100")));
-  }
-  if (args.flag("seed")) {
-    cfg.seed = std::stoull(args.get("seed", "7"));
-  }
+  cfg.lifetime.max_sessions =
+      args.number("sessions", cfg.lifetime.max_sessions);
+  cfg.seed = args.number("seed", cfg.seed);
   if (args.flag("quantized")) {
     cfg.lifetime.tuning.quantized_eval = true;
   }
@@ -372,35 +383,23 @@ core::Scenario scenario_for(const Args& args) {
 /// flags are reproducible without an extra option.
 void apply_fault_flags(const Args& args, core::ExperimentConfig& cfg) {
   tuning::HardwareFaultConfig& f = cfg.faults;
-  if (args.flag("stuck-off")) {
-    f.nonideal.stuck_off_fraction = std::stod(args.get("stuck-off", "0"));
-  }
-  if (args.flag("stuck-on")) {
-    f.nonideal.stuck_on_fraction = std::stod(args.get("stuck-on", "0"));
-  }
-  if (args.flag("write-noise")) {
-    f.nonideal.write_noise_sigma = std::stod(args.get("write-noise", "0"));
-  }
-  if (args.flag("read-noise")) {
-    f.nonideal.read_noise_sigma = std::stod(args.get("read-noise", "0"));
-  }
-  if (args.flag("line-resistance")) {
-    f.nonideal.line_resistance =
-        std::stod(args.get("line-resistance", "0"));
-  }
-  if (args.flag("spare-rows")) {
-    f.spare_rows = static_cast<std::size_t>(
-        std::stoul(args.get("spare-rows", "0")));
-  }
-  f.fault_seed =
-      std::stoull(args.get("fault-seed", std::to_string(cfg.seed)));
+  f.nonideal.stuck_off_fraction =
+      args.number("stuck-off", f.nonideal.stuck_off_fraction);
+  f.nonideal.stuck_on_fraction =
+      args.number("stuck-on", f.nonideal.stuck_on_fraction);
+  f.nonideal.write_noise_sigma =
+      args.number("write-noise", f.nonideal.write_noise_sigma);
+  f.nonideal.read_noise_sigma =
+      args.number("read-noise", f.nonideal.read_noise_sigma);
+  f.nonideal.line_resistance =
+      args.number("line-resistance", f.nonideal.line_resistance);
+  f.spare_rows = args.number("spare-rows", f.spare_rows);
+  f.fault_seed = args.number("fault-seed", cfg.seed);
   if (args.flag("no-ladder")) {
     cfg.lifetime.resilience.ladder_enabled = false;
   }
-  if (args.flag("accuracy-floor")) {
-    cfg.lifetime.resilience.degraded_accuracy_floor =
-        std::stod(args.get("accuracy-floor", "0.5"));
-  }
+  cfg.lifetime.resilience.degraded_accuracy_floor = args.number(
+      "accuracy-floor", cfg.lifetime.resilience.degraded_accuracy_floor);
   f.validate();
   cfg.lifetime.resilience.validate();
 }
@@ -445,7 +444,7 @@ double job_timeout_for(const Args& args) {
   if (!args.flag("job-timeout")) {
     return 0.0;
   }
-  const double ms = std::stod(args.get("job-timeout", "0"));
+  const double ms = args.number("job-timeout", 0.0);
   if (ms <= 0.0) {
     throw xbarlife::InvalidArgument("--job-timeout must be positive");
   }
@@ -454,11 +453,7 @@ double job_timeout_for(const Args& args) {
 
 /// Validated --chunk value (jobs per snapshot; 16 when absent).
 std::size_t checkpoint_chunk_for(const Args& args) {
-  if (!args.flag("chunk")) {
-    return 16;
-  }
-  const auto chunk =
-      static_cast<std::size_t>(std::stoul(args.get("chunk", "16")));
+  const std::size_t chunk = args.number<std::size_t>("chunk", 16);
   if (chunk == 0) {
     throw xbarlife::InvalidArgument("--chunk must be positive");
   }
@@ -618,9 +613,8 @@ void enforce_strict(const Args& args, std::ostream& human,
 
 int cmd_sweep(const Args& args, CliOutput& out) {
   core::ExperimentConfig cfg = config_for(args);
-  const auto replicates = static_cast<std::size_t>(
-      std::stoul(args.get("replicates", "2")));
-  core::ScenarioRunner runner(std::stoull(args.get("seed", "7")));
+  const std::size_t replicates = args.number<std::size_t>("replicates", 2);
+  core::ScenarioRunner runner(args.number<std::uint64_t>("seed", 7));
   runner.set_job_timeout_ms(job_timeout_for(args));
   const auto jobs = core::ScenarioRunner::cross(
       cfg,
@@ -704,9 +698,8 @@ int cmd_faults(const Args& args, CliOutput& out) {
   core::FaultCampaignConfig campaign;
   campaign.base = config_for(args);
   campaign.scenarios = {scenario_for(args)};
-  campaign.replicates = static_cast<std::size_t>(
-      std::stoul(args.get("replicates", "1")));
-  campaign.campaign_seed = std::stoull(args.get("seed", "7"));
+  campaign.replicates = args.number<std::size_t>("replicates", 1);
+  campaign.campaign_seed = args.number<std::uint64_t>("seed", 7);
   campaign.checkpoint_path = checkpoint_path_for(args);
   campaign.checkpoint_chunk = checkpoint_chunk_for(args);
   campaign.job_timeout_ms = job_timeout_for(args);
@@ -720,17 +713,14 @@ int cmd_faults(const Args& args, CliOutput& out) {
   const auto wns =
       split_list(args.get("write-noise", "0"), "write-noise");
   const auto rns = split_list(args.get("read-noise", "0"), "read-noise");
-  const double line_r = std::stod(args.get("line-resistance", "0"));
-  const auto spare_rows = static_cast<std::size_t>(
-      std::stoul(args.get("spare-rows", "0")));
+  const double line_r = args.number("line-resistance", 0.0);
+  const std::size_t spare_rows = args.number<std::size_t>("spare-rows", 0);
   resilience::ResilienceConfig policy;
   if (args.flag("no-ladder")) {
     policy.ladder_enabled = false;
   }
-  if (args.flag("accuracy-floor")) {
-    policy.degraded_accuracy_floor =
-        std::stod(args.get("accuracy-floor", "0.5"));
-  }
+  policy.degraded_accuracy_floor =
+      args.number("accuracy-floor", policy.degraded_accuracy_floor);
   for (const std::string& off : offs) {
     for (const std::string& on : ons) {
       for (const std::string& wn : wns) {
@@ -738,10 +728,14 @@ int cmd_faults(const Args& args, CliOutput& out) {
           core::FaultPoint point;
           point.label =
               "off" + off + "_on" + on + "_wn" + wn + "_rn" + rn;
-          point.faults.nonideal.stuck_off_fraction = std::stod(off);
-          point.faults.nonideal.stuck_on_fraction = std::stod(on);
-          point.faults.nonideal.write_noise_sigma = std::stod(wn);
-          point.faults.nonideal.read_noise_sigma = std::stod(rn);
+          point.faults.nonideal.stuck_off_fraction =
+              parse_real(off, "--stuck-off");
+          point.faults.nonideal.stuck_on_fraction =
+              parse_real(on, "--stuck-on");
+          point.faults.nonideal.write_noise_sigma =
+              parse_real(wn, "--write-noise");
+          point.faults.nonideal.read_noise_sigma =
+              parse_real(rn, "--read-noise");
           point.faults.nonideal.line_resistance = line_r;
           point.faults.spare_rows = spare_rows;
           point.resilience = policy;
@@ -839,9 +833,8 @@ int cmd_device(const Args& args, CliOutput& out) {
   ap.thermal_crosstalk = 0.0;
   aging::AgingModel model(ap);
   device::Memristor m(&dev, &model);
-  const auto pulses =
-      static_cast<std::size_t>(std::stoul(args.get("pulses", "100")));
-  const double target = std::stod(args.get("target-r", "30000"));
+  const std::size_t pulses = args.number<std::size_t>("pulses", 100);
+  const double target = args.number("target-r", 30000.0);
   for (std::size_t i = 0; i < pulses; ++i) {
     m.program(target);
   }
@@ -866,141 +859,6 @@ int cmd_device(const Args& args, CliOutput& out) {
   data.set("usable_levels", m.usable_levels());
   data.set("levels", dev.levels);
   out.finish("device", std::move(data));
-  return 0;
-}
-
-/// Downscaled in-process perf smoke: one GEMM kernel, one sweep fan-out,
-/// one lifetime scenario. Reports xbarlife.bench.v1 (the same schema the
-/// bench/ binaries emit) so CI can gate on regressions with
-/// scripts/check_bench_regression.py.
-int cmd_bench(const Args& args, CliOutput& out) {
-  const auto reps = static_cast<std::size_t>(
-      std::stoul(args.get("reps", "5")));
-  const auto dim = static_cast<std::size_t>(
-      std::stoul(args.get("dim", "96")));
-  if (reps == 0) {
-    throw xbarlife::InvalidArgument("--reps must be at least 1");
-  }
-  const auto ms_of = [](const std::function<void()>& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  const auto measure = [&](const std::string& name,
-                           const std::function<void()>& fn) {
-    core::BenchSample sample;
-    sample.name = name;
-    fn();  // warm-up repetition, not recorded
-    for (std::size_t r = 0; r < reps; ++r) {
-      sample.values.push_back(ms_of(fn));
-    }
-    return sample;
-  };
-  out.human() << "Bench smoke: " << reps << " repetition(s), "
-              << parallel_threads() << " thread(s)...\n";
-
-  std::vector<core::BenchSample> samples;
-
-  Rng rng(11);
-  Tensor a(Shape{dim, dim});
-  Tensor b(Shape{dim, dim});
-  a.fill_gaussian(rng, 0.0f, 1.0f);
-  b.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor c(Shape{dim, dim});
-  samples.push_back(measure("gemm_" + std::to_string(dim),
-                            [&] { c = matmul(a, b); }));
-
-  // Int8 path: code once (amortized in real inference), time the
-  // quantized GEMM + dequantize itself.
-  const nn::QuantizedTensor qa = nn::quantize_activations(a);
-  const nn::QuantizedTensor qw = nn::quantize_weights(b, nn::QuantSpec{});
-  samples.push_back(measure("gemm_s8_" + std::to_string(dim),
-                            [&] { c = nn::quantized_linear(qa, qw, nullptr); }));
-
-  core::ExperimentConfig cfg;
-  cfg.name = "bench-mlp";
-  cfg.model = core::ExperimentConfig::Model::kMlp;
-  cfg.mlp_hidden = {16};
-  cfg.dataset.classes = 4;
-  cfg.dataset.channels = 1;
-  cfg.dataset.height = 8;
-  cfg.dataset.width = 8;
-  cfg.dataset.train_per_class = 8;
-  cfg.dataset.test_per_class = 4;
-  cfg.train_config.epochs = 2;
-  cfg.train_config.batch = 8;
-  cfg.lifetime.max_sessions = 6;
-  cfg.lifetime.tuning.max_iterations = 10;
-  cfg.lifetime.tuning.eval_samples = 16;
-  cfg.lifetime.selection_eval_samples = 16;
-  cfg.target_accuracy_fraction = 0.8;
-
-  // The workloads run unobserved: instrumentation is zero-cost when no
-  // sink is attached, and timing the bare path keeps the numbers honest.
-  samples.push_back(measure("lifetime_scenario", [&] {
-    core::run_scenario(cfg, core::Scenario::kTT);
-  }));
-
-  const core::ScenarioRunner runner(21);
-  const auto jobs = core::ScenarioRunner::cross(
-      cfg, {core::Scenario::kTT, core::Scenario::kSTT}, 2);
-  samples.push_back(
-      measure("sweep_fanout", [&] { runner.run(jobs); }));
-
-  // Batched vs per-cell programming: a full-array write pass
-  // (skip_unchanged=false pulses every cell every rep) through each
-  // executor backend on its own persistent crossbar. The pair feeds
-  // check_bench_regression.py's batched <= percell invariant.
-  {
-    const std::size_t n = 64;
-    Rng prng(31);
-    Tensor w(Shape{n, n});
-    w.fill_gaussian(prng, 0.0f, 0.5f);
-    const mapping::WeightRange wr = mapping::weight_range_of(w);
-    const mapping::MappingPlan plan(wr, {1e4, 1e5}, 32);
-    const xbar::SimExecutor sim;
-    const xbar::PerCellExecutor percell;
-    xbar::Crossbar xb_batched(n, n, {}, {});
-    samples.push_back(measure("program_batched", [&] {
-      mapping::program_weights(xb_batched, w, plan, false, nullptr, nullptr,
-                               nullptr, &sim);
-    }));
-    xbar::Crossbar xb_percell(n, n, {}, {});
-    samples.push_back(measure("program_percell", [&] {
-      mapping::program_weights(xb_percell, w, plan, false, nullptr, nullptr,
-                               nullptr, &percell);
-    }));
-
-    // Remote programming over the in-process loopback worker: the same
-    // full-array write pass shipped as one wire.v1 round trip per rep.
-    // check_bench_regression.py bounds its overhead against batched.
-    const xbar::RemoteExecutor remote{xbar::RemoteConfig{}};
-    xbar::Crossbar xb_remote(n, n, {}, {});
-    samples.push_back(measure("program_remote_loopback", [&] {
-      mapping::program_weights(xb_remote, w, plan, false, nullptr, nullptr,
-                               nullptr, &remote);
-    }));
-
-    // The same pass over three loopback workers: dispatch stays on the
-    // array's single rendezvous owner, so the cost over one remote link
-    // is pure bookkeeping.
-    // check_bench_regression.py gates pool(3) <= remote(1) (with slack).
-    xbar::RemoteConfig pool_cfg;
-    pool_cfg.address = "loopback,loopback,loopback";
-    const xbar::RemoteExecutor pool{pool_cfg};
-    xbar::Crossbar xb_pool(n, n, {}, {});
-    samples.push_back(measure("program_pool3_loopback", [&] {
-      mapping::program_weights(xb_pool, w, plan, false, nullptr, nullptr,
-                               nullptr, &pool);
-    }));
-  }
-
-  out.human() << core::bench_table(samples);
-  out.finish_document(
-      "bench",
-      core::bench_document("xbarlife bench", samples, parallel_threads()));
   return 0;
 }
 
@@ -1053,11 +911,6 @@ int cmd_info() {
              "            cross product of the fault lists\n"
              "  device    [--pulses N] [--target-r OHMS]\n"
              "            age a single device and report its window\n"
-             "  bench     [--reps N] [--dim N]\n"
-             "            in-process perf smoke (GEMM, int8 GEMM, lifetime\n"
-             "            scenario, sweep fan-out, batched vs per-cell vs\n"
-             "            remote-loopback programming); --json emits\n"
-             "            xbarlife.bench.v1\n"
              "  worker-status [--remote ADDR]\n"
              "            query a serving worker for one live\n"
              "            xbarlife.workerstats.v1 snapshot (uptime,\n"
@@ -1141,8 +994,7 @@ int main(int argc, char** argv) {
   try {
     const Args args = parse(argc, argv);
     if (args.flag("threads")) {
-      set_parallel_threads(
-          static_cast<std::size_t>(std::stoul(args.get("threads", "1"))));
+      set_parallel_threads(args.number<std::size_t>("threads", 1));
     }
     if (args.flag("kernel")) {
       kernels::set_kernel(args.get("kernel", "auto"));
@@ -1195,9 +1047,6 @@ int main(int argc, char** argv) {
     }
     if (args.command == "device") {
       return cmd_device(args, out);
-    }
-    if (args.command == "bench") {
-      return cmd_bench(args, out);
     }
     if (args.command == "worker-status") {
       return cmd_worker_status(args, out);

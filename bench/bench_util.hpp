@@ -8,13 +8,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
-#include <vector>
-
-#include "core/bench_report.hpp"
 
 namespace xbarlife::bench {
 
@@ -48,35 +44,6 @@ inline double ms_of(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Measures `fn` `reps` times (after one unrecorded warm-up) into a
-/// bench.v1 sample; the raw per-repetition values feed the median/p10/p90
-/// summary in core::bench_document.
-inline core::BenchSample measure_ms(const std::string& name,
-                                    const std::function<void()>& fn,
-                                    std::size_t reps) {
-  core::BenchSample sample;
-  sample.name = name;
-  fn();
-  for (std::size_t r = 0; r < reps; ++r) {
-    sample.values.push_back(ms_of(fn));
-  }
-  return sample;
-}
-
-/// Writes the versioned xbarlife.bench.v1 document for `samples` to
-/// results/<tool>.bench.json (and returns the path) so every bench binary
-/// leaves a machine-readable perf record next to its CSV/JSON output.
-inline std::string write_bench_json(
-    const std::string& tool, const std::vector<core::BenchSample>& samples,
-    std::size_t threads) {
-  const std::string path = results_path(tool + ".bench.json");
-  std::ofstream(path) << core::bench_document(tool, samples, threads)
-                             .dump()
-                      << "\n";
-  std::cout << "bench.v1 JSON written to " << path << "\n";
-  return path;
 }
 
 }  // namespace xbarlife::bench

@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -98,23 +100,6 @@ void BM_CrossbarVmm(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarVmm)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_ProgramWeights(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Tensor w = random_matrix(n, n, 5);
-  const mapping::WeightRange wr = mapping::weight_range_of(w);
-  const mapping::MappingPlan plan(wr, {1e4, 1e5}, 32);
-  for (auto _ : state) {
-    state.PauseTiming();
-    xbar::Crossbar xb(n, n, {}, {});
-    state.ResumeTiming();
-    auto report = mapping::program_weights(xb, w, plan);
-    benchmark::DoNotOptimize(report.programmed_cells);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_ProgramWeights)->Arg(64)->Arg(128);
-
 /// Pure pulse-stream execution: a pre-built full-array ProgramSequence
 /// (one pulse per cell, canonical column-batched order) executed on a
 /// persistent crossbar through a fixed backend, with the observability
@@ -126,11 +111,9 @@ BENCHMARK(BM_ProgramWeights)->Arg(64)->Arg(128);
 /// shared pool, on top of its transcendental hoists (with nonzero
 /// crosstalk the pool accumulation is order-dependent FP and serializes
 /// both backends alike — the gap shrinks to the hoists, ~1.6x).
-/// This isolates the programming hot path the executor owns —
-/// BM_ProgramWeights above covers the end-to-end write-verify pass
-/// under default params, whose target computation is
-/// backend-independent. check_bench_regression.py asserts
-/// batched <= percell on the CLI twins of this pair.
+/// This isolates the programming hot path the executor owns; the
+/// BM_ProgramPass family below times the full write-verify pass under
+/// default params, and scripts/check_micro_ratios.py gates it.
 void execute_sequence_with(benchmark::State& state,
                            const xbar::ProgramExecutor& exec) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -176,9 +159,7 @@ BENCHMARK(BM_ProgramWeightsPerCell)->Arg(64)->Arg(128);
 /// trip — request encode (array params + state + sequence), framing +
 /// CRC both ways, the worker's array rebuild and execution, response
 /// decode, and the client-side state restore. The gap vs
-/// BM_ProgramWeightsBatched is the protocol's cost; the CLI twin
-/// (program_remote_loopback) feeds check_bench_regression.py's
-/// remote-overhead bound.
+/// BM_ProgramWeightsBatched is the protocol's cost.
 void BM_ProgramWeightsRemoteLoopback(benchmark::State& state) {
   const xbar::RemoteExecutor exec{xbar::RemoteConfig{}};
   execute_sequence_with(state, exec);
@@ -189,8 +170,7 @@ BENCHMARK(BM_ProgramWeightsRemoteLoopback)->Arg(64)->Arg(128);
 /// workers: every request still lands on the array's single rendezvous
 /// owner, so this vs the one-endpoint benchmark above isolates the
 /// multi-endpoint dispatch bookkeeping (hash, circuit check, accounting)
-/// from protocol cost. The CLI twin (program_pool3_loopback) feeds
-/// check_bench_regression.py's pool(3) <= remote(1) bound.
+/// from protocol cost.
 void BM_ProgramWeightsPool(benchmark::State& state) {
   xbar::RemoteConfig cfg;
   cfg.address = "loopback";
@@ -201,6 +181,56 @@ void BM_ProgramWeightsPool(benchmark::State& state) {
   execute_sequence_with(state, exec);
 }
 BENCHMARK(BM_ProgramWeightsPool)->Args({64, 3})->Args({128, 3});
+
+/// One full-array write pass through `mapping::program_weights` — 64x64
+/// Gaussian weights on a 10k-100k window with 32 levels, default device
+/// and aging params, `skip_unchanged=false` so every rep pulses every
+/// cell — on a crossbar that persists across reps, through one executor
+/// per benchmark argument. scripts/check_micro_ratios.py gates this
+/// family's medians: batched <= percell x 1.10, remote_loopback <=
+/// batched x 12, pool3_loopback <= remote_loopback x 1.25.
+void BM_ProgramPass(benchmark::State& state, const std::string& backend) {
+  constexpr std::size_t n = 64;
+  Rng rng(31);
+  Tensor w(Shape{n, n});
+  w.fill_gaussian(rng, 0.0f, 0.5f);
+  const mapping::MappingPlan plan(mapping::weight_range_of(w), {1e4, 1e5},
+                                  32);
+  std::unique_ptr<xbar::ProgramExecutor> exec;
+  if (backend == "sim") {
+    exec = std::make_unique<xbar::SimExecutor>();
+  } else if (backend == "percell") {
+    exec = std::make_unique<xbar::PerCellExecutor>();
+  } else {
+    xbar::RemoteConfig cfg;
+    cfg.address = backend;  // a remote endpoint list
+    exec = std::make_unique<xbar::RemoteExecutor>(cfg);
+  }
+  xbar::Crossbar xb(n, n, {}, {});
+  const auto pass = [&] {
+    return mapping::program_weights(xb, w, plan, false, nullptr, nullptr,
+                                    nullptr, exec.get());
+  };
+  pass();  // warm-up, not timed (a remote link connects here)
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pass().programmed_cells);
+  }
+}
+// A fixed pass count keeps every backend on the same aging trajectory:
+// each repetition times passes 2-6 of a fresh crossbar.
+BENCHMARK_CAPTURE(BM_ProgramPass, batched, std::string("sim"))
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProgramPass, percell, std::string("percell"))
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProgramPass, remote_loopback, std::string("loopback"))
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProgramPass, pool3_loopback,
+                  std::string("loopback,loopback,loopback"))
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_StressIncrement(benchmark::State& state) {
   aging::AgingModel model({});

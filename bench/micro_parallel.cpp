@@ -20,9 +20,15 @@ using namespace xbarlife;
 
 namespace {
 
-double min_seconds(const core::BenchSample& sample) {
-  return *std::min_element(sample.values.begin(), sample.values.end()) /
-         1e3;
+/// Fastest of `reps` timed runs of `fn` after one unrecorded warm-up, in
+/// seconds.
+double min_seconds(const std::function<void()>& fn, int reps) {
+  fn();
+  double best = bench::ms_of(fn);
+  for (int r = 1; r < reps; ++r) {
+    best = std::min(best, bench::ms_of(fn));
+  }
+  return best / 1e3;
 }
 
 core::ExperimentConfig sweep_config(bool quick) {
@@ -94,19 +100,12 @@ int main() {
 
   set_parallel_threads(1);
   Tensor c_serial = matmul(a, b);
-  // Sample names carry the input size: quick and full mode measure
-  // different inputs and must never be compared with each other.
-  const std::string dim_tag = "/" + std::to_string(dim);
-  const core::BenchSample gemm_serial_sample = bench::measure_ms(
-      "gemm_serial" + dim_tag, [&] { c_serial = matmul(a, b); },
-      static_cast<std::size_t>(repeats));
-  const double gemm_serial = min_seconds(gemm_serial_sample);
+  const double gemm_serial =
+      min_seconds([&] { c_serial = matmul(a, b); }, repeats);
   set_parallel_threads(threads);
   Tensor c_threaded = matmul(a, b);
-  const core::BenchSample gemm_threaded_sample = bench::measure_ms(
-      "gemm_threaded" + dim_tag, [&] { c_threaded = matmul(a, b); },
-      static_cast<std::size_t>(repeats));
-  const double gemm_threaded = min_seconds(gemm_threaded_sample);
+  const double gemm_threaded =
+      min_seconds([&] { c_threaded = matmul(a, b); }, repeats);
   const bool gemm_identical = c_serial == c_threaded;
   const double gemm_speedup = gemm_serial / gemm_threaded;
   std::cout << "gemm " << dim << "^3: serial " << gemm_serial
@@ -121,21 +120,14 @@ int main() {
       2);
   // The sweep is timed with a single repetition (no warm-up): one run is
   // already seconds-scale, and the byte-identity check needs its result.
-  const std::string sweep_tag = quick ? "/quick" : "/full";
   set_parallel_threads(1);
   std::vector<core::ScenarioSweepEntry> sweep_one;
-  core::BenchSample sweep_serial_sample;
-  sweep_serial_sample.name = "sweep_serial" + sweep_tag;
-  sweep_serial_sample.values.push_back(
-      bench::ms_of([&] { sweep_one = runner.run(jobs); }));
-  const double sweep_serial = min_seconds(sweep_serial_sample);
+  const double sweep_serial =
+      bench::ms_of([&] { sweep_one = runner.run(jobs); }) / 1e3;
   set_parallel_threads(threads);
   std::vector<core::ScenarioSweepEntry> sweep_n;
-  core::BenchSample sweep_threaded_sample;
-  sweep_threaded_sample.name = "sweep_threaded" + sweep_tag;
-  sweep_threaded_sample.values.push_back(
-      bench::ms_of([&] { sweep_n = runner.run(jobs); }));
-  const double sweep_threaded = min_seconds(sweep_threaded_sample);
+  const double sweep_threaded =
+      bench::ms_of([&] { sweep_n = runner.run(jobs); }) / 1e3;
   set_parallel_threads(1);
   const bool sweep_identical = sweeps_identical(sweep_one, sweep_n);
   const double sweep_speedup = sweep_serial / sweep_threaded;
@@ -164,10 +156,5 @@ int main() {
   const std::string out = bench::results_path("micro_parallel.json");
   std::ofstream(out) << json.str();
   std::cout << "JSON written to " << out << "\n";
-  bench::write_bench_json(
-      "micro_parallel",
-      {gemm_serial_sample, gemm_threaded_sample, sweep_serial_sample,
-       sweep_threaded_sample},
-      threads);
   return (gemm_identical && sweep_identical) ? 0 : 1;
 }

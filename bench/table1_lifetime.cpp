@@ -40,17 +40,10 @@ int main() {
                 {"network", "acc_traditional", "acc_skewed", "life_tt",
                  "life_stt", "life_stat", "ratio_stt", "ratio_stat"});
 
-  std::vector<core::BenchSample> bench_samples;
   for (const core::ExperimentConfig& cfg : configs) {
     std::cout << "\nRunning " << cfg.name
               << " (3 scenarios, training twice)...\n";
-    core::ExperimentResult result;
-    core::BenchSample sample;
-    sample.name =
-        "experiment_" + cfg.name.substr(0, cfg.name.find(" /"));
-    sample.values.push_back(
-        bench::ms_of([&] { result = core::run_experiment(cfg); }));
-    bench_samples.push_back(std::move(sample));
+    const core::ExperimentResult result = core::run_experiment(cfg);
     const auto life = [&](core::Scenario s) {
       return result.outcome(s).lifetime.lifetime_applications;
     };
@@ -82,6 +75,5 @@ int main() {
                "ordering with T+T << ST+T <= ST+AT; absolute factors depend\n"
                "on the (substituted) aging constants, see DESIGN.md.\n";
   std::cout << "CSV written to results/table1_lifetime.csv\n";
-  bench::write_bench_json("table1_lifetime", bench_samples, 1);
   return 0;
 }

@@ -8,8 +8,6 @@ way. The final document's type is auto-detected:
   * result documents   — schema "xbarlife.result.v1" with keys
                          schema/command/kernel/executor/data/metrics (+ optional
                          trailing "profile" span-aggregate rollup),
-  * bench documents    — schema "xbarlife.bench.v1" (median/p10/p90 per
-                         result, pinned thread count, git rev),
   * profile documents  — Chrome trace_event/Perfetto JSON as written by
                          --profile (otherData.schema "xbarlife.profile.v1"),
   * worker stats       — schema "xbarlife.workerstats.v1" as emitted by
@@ -48,7 +46,6 @@ import sys
 import zlib
 
 RESULT_SCHEMA = "xbarlife.result.v1"
-BENCH_SCHEMA = "xbarlife.bench.v1"
 PROFILE_SCHEMA = "xbarlife.profile.v1"
 CKPT_SCHEMA = "xbarlife.ckpt.v1"
 CKPT_KINDS = ("train", "lifetime", "sweep", "faults")
@@ -59,9 +56,6 @@ DEGRADATION_KEYS = ["fallback_executor", "fallbacks", "retries", "reconnects"]
 POOL_ENDPOINT_KEYS = ["address", "circuit", "requests", "failovers",
                       "circuit_opens"]
 CIRCUIT_STATES = ("healthy", "suspect", "open")
-BENCH_KEYS = ["schema", "tool", "kernel", "executor", "threads", "git_rev",
-              "results"]
-BENCH_RESULT_KEYS = ["name", "unit", "reps", "median", "p10", "p90"]
 WORKERSTATS_SCHEMA = "xbarlife.workerstats.v1"
 WORKERSTATS_KEYS = ["schema", "build", "wire_version", "request_version",
                     "uptime_ms", "requests_served", "replay_hits", "errors",
@@ -354,36 +348,6 @@ def validate_result(result):
     return f"command={result['command']!r}"
 
 
-def validate_bench(doc):
-    if list(doc.keys()) != BENCH_KEYS:
-        fail(f"bench document keys {list(doc.keys())} != {BENCH_KEYS}")
-    if not isinstance(doc["kernel"], str) or not doc["kernel"]:
-        fail("bench 'kernel' must be a non-empty string")
-    if doc["executor"] not in KNOWN_EXECUTORS:
-        fail(f"bench 'executor' {doc['executor']!r} not in {KNOWN_EXECUTORS}")
-    if not isinstance(doc["threads"], int) or doc["threads"] < 1:
-        fail("bench 'threads' must be a positive integer")
-    if not isinstance(doc["git_rev"], str) or not doc["git_rev"]:
-        fail("bench 'git_rev' must be a non-empty string")
-    results = doc["results"]
-    if not isinstance(results, list) or not results:
-        fail("bench 'results' must be a non-empty list")
-    for index, entry in enumerate(results):
-        # Extra keys (e.g. a passed-through histogram summary) must
-        # trail the pinned prefix; bench_to_json.py never strips them.
-        if list(entry.keys())[:len(BENCH_RESULT_KEYS)] != BENCH_RESULT_KEYS:
-            fail(f"bench result {index} keys {list(entry.keys())} do not "
-                 f"start with {BENCH_RESULT_KEYS}")
-        if "histogram" in entry:
-            validate_histograms({entry["name"]: entry["histogram"]},
-                                f"bench result {index}")
-        if entry["reps"] < 1:
-            fail(f"bench result {index} has no repetitions")
-        if not entry["p10"] <= entry["median"] <= entry["p90"]:
-            fail(f"bench result {index} percentiles out of order")
-    return f"tool={doc['tool']!r}, {len(results)} results"
-
-
 def validate_profile(doc):
     """Checks a Chrome trace_event/Perfetto document written by --profile."""
     if doc.get("displayTimeUnit") != "ms":
@@ -503,8 +467,6 @@ def main():
         fail("final line is an event, not a result document")
     if "traceEvents" in result:
         detail = validate_profile(result)
-    elif result.get("schema") == BENCH_SCHEMA:
-        detail = validate_bench(result)
     elif result.get("schema") == WORKERSTATS_SCHEMA:
         detail = validate_workerstats(result)
     elif result.get("schema") == PROGRESS_SCHEMA:

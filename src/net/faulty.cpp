@@ -3,21 +3,14 @@
 #include <chrono>
 #include <thread>
 
+#include "common/parse.hpp"
+
 namespace xbarlife::net {
 
 namespace {
 
 double parse_probability(const std::string& key, const std::string& value) {
-  double p = 0.0;
-  try {
-    std::size_t used = 0;
-    p = std::stod(value, &used);
-    if (used != value.size()) {
-      throw std::invalid_argument(value);
-    }
-  } catch (const std::exception&) {
-    throw InvalidArgument("fault spec: bad value '" + value + "' for " + key);
-  }
+  const double p = parse_real(value, "fault spec: " + key);
   if (key != "delay_ms" && (p < 0.0 || p > 1.0)) {
     throw InvalidArgument("fault spec: " + key + "=" + value +
                           " must lie in [0, 1]");
@@ -51,11 +44,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "seed") {
-      try {
-        plan.seed = std::stoull(value);
-      } catch (const std::exception&) {
-        throw InvalidArgument("fault spec: bad seed '" + value + "'");
-      }
+      plan.seed = parse_count(value, "fault spec: seed");
     } else if (key == "drop") {
       plan.drop = parse_probability(key, value);
     } else if (key == "corrupt") {

@@ -13,6 +13,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/parse.hpp"
+
 namespace xbarlife::net {
 
 namespace {
@@ -128,14 +130,11 @@ ParsedAddress parse_address(const std::string& address) {
   if (out.host == "localhost") {
     out.host = "127.0.0.1";
   }
-  unsigned long port = 0;
-  try {
-    port = std::stoul(address.substr(colon + 1));
-  } catch (const std::exception&) {
-    port = 65536;
-  }
+  const std::string what = "port in address '" + address + "'";
+  const std::uint64_t port = parse_count(address.substr(colon + 1), what);
   if (port > 65535) {
-    throw InvalidArgument("bad port in address '" + address + "'");
+    throw InvalidArgument(what + ": " + std::to_string(port) +
+                          " exceeds 65535");
   }
   out.port = static_cast<std::uint16_t>(port);
   return out;

@@ -3,10 +3,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace xbarlife::aging {
 namespace {
+
+/// Stress values from 0 through a dense log-spaced sweep (1e-12 .. 1e-1 s)
+/// that carries both default-parameter bounds of a 10k-100k window down to
+/// the resistance floor.
+std::vector<double> stress_sweep() {
+  std::vector<double> out{0.0};
+  constexpr int kPoints = 4000;
+  for (int i = 0; i <= kPoints; ++i) {
+    out.push_back(std::pow(10.0, -12.0 + 11.0 * i / kPoints));
+  }
+  return out;
+}
 
 TEST(AgingParams, Validation) {
   AgingParams p;
@@ -55,16 +70,23 @@ TEST(AgingModel, StressScalesWithCurrentPower) {
 }
 
 TEST(AgingModel, WindowShrinksMonotonicallyFromBothEnds) {
-  AgingModel model({});
+  const AgingParams p;
+  AgingModel model(p);
   double prev_max = 1e5;
   double prev_min = 1e4;
-  for (double s : {1e-6, 1e-5, 1e-4, 1e-3}) {
+  for (const double s : stress_sweep()) {
     const AgedWindow w = model.aged_window(1e4, 1e5, s);
-    EXPECT_LE(w.r_max, prev_max);
-    EXPECT_LE(w.r_min, prev_min);
+    ASSERT_TRUE(std::isfinite(w.r_max) && std::isfinite(w.r_min)) << s;
+    ASSERT_LE(w.r_max, prev_max) << s;
+    ASSERT_LE(w.r_min, prev_min) << s;
+    ASSERT_GE(w.r_min, p.r_floor) << s;
+    ASSERT_GE(w.r_max, p.r_floor) << s;
     prev_max = w.r_max;
     prev_min = w.r_min;
   }
+  // The sweep spans the whole aging range: both bounds end on the floor.
+  EXPECT_DOUBLE_EQ(prev_max, p.r_floor);
+  EXPECT_DOUBLE_EQ(prev_min, p.r_floor);
 }
 
 TEST(AgingModel, UpperBoundDegradesFasterThanLower) {
@@ -94,16 +116,22 @@ TEST(AgingModel, FloorIsRespected) {
 
 TEST(AgingModel, UsableLevelsFig4Collapse) {
   // Fig. 4's story: 8 fresh levels collapse as stress accumulates, the
-  // top levels disappearing first.
+  // top levels disappearing first, until the window closes for good.
   AgingModel model({});
   EXPECT_EQ(model.usable_levels(1e4, 1e5, 8, 0.0), 8u);
   std::size_t prev = 8;
-  for (double s : {1e-5, 5e-5, 2e-4, 1e-3}) {
+  bool closed = false;
+  for (const double s : stress_sweep()) {
     const std::size_t now = model.usable_levels(1e4, 1e5, 8, s);
-    EXPECT_LE(now, prev);
+    ASSERT_LE(now, prev) << s;
+    const AgedWindow w = model.aged_window(1e4, 1e5, s);
+    closed = closed || w.r_max <= w.r_min;
+    if (closed) {
+      ASSERT_EQ(now, 0u) << s;
+    }
     prev = now;
   }
-  EXPECT_LT(prev, 8u);
+  EXPECT_TRUE(closed);
 }
 
 TEST(AgingModel, UsableLevelsZeroWhenWindowDead) {
@@ -122,6 +150,23 @@ TEST(AgingModel, RejectsInvalidQueries) {
   EXPECT_THROW(model.aged_r_max(1e5, -1.0), InvalidArgument);
   EXPECT_THROW(model.aged_window(1e5, 1e4, 0.0), InvalidArgument);
   EXPECT_THROW(model.usable_levels(1e4, 1e5, 1, 0.0), InvalidArgument);
+}
+
+// Eq. (5)'s acceleration factors never produce NaN, infinity or negative
+// stress, from cryogenic to far-above-operating temperatures, at zero to
+// ampere-scale currents and femtosecond to second-long pulses.
+TEST(AgingModel, StressIncrementFiniteAndNonNegativeAtExtremes) {
+  AgingModel model({});
+  for (const double temp : {1e-3, 1.0, 4.2, 77.0, 300.0, 400.0, 1e3, 1e4}) {
+    for (const double current : {0.0, 1e-12, 1e-6, 4e-5, 1e-2, 1.0}) {
+      for (const double width : {0.0, 1e-15, 1e-9, 1e-7, 1e-3, 1.0}) {
+        const double ds = model.stress_increment(width, temp, current);
+        EXPECT_TRUE(std::isfinite(ds) && ds >= 0.0)
+            << "T=" << temp << " I=" << current << " t=" << width
+            << " -> " << ds;
+      }
+    }
+  }
 }
 
 // Property sweep: for any temperature above reference and any current

@@ -26,17 +26,21 @@ constexpr const char* kUnwritable =
 
 std::string cli_path() { return XBARLIFE_CLI_PATH; }
 
-/// Runs the CLI with `args`, discarding stdout/stderr, and returns its
-/// exit code (-1 when the shell itself failed).
-int run_cli(const std::string& args) {
-  const std::string cmd =
-      cli_path() + " " + args + " >/dev/null 2>&1";
+/// Runs a shell command and returns its exit code (-1 when the shell
+/// itself failed).
+int exit_code_of(const std::string& cmd) {
   const int status = std::system(cmd.c_str());
 #ifdef _WIN32
   return status;
 #else
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 #endif
+}
+
+/// Runs the CLI with `args`, discarding stdout/stderr, and returns its
+/// exit code.
+int run_cli(const std::string& args) {
+  return exit_code_of(cli_path() + " " + args + " >/dev/null 2>&1");
 }
 
 std::string slurp(const std::string& path) {
@@ -85,8 +89,6 @@ INSTANTIATE_TEST_SUITE_P(
         SinkCase{"faults", "--profile"},
         SinkCase{"device", "--json"}, SinkCase{"device", "--trace"},
         SinkCase{"device", "--profile"},
-        SinkCase{"bench", "--json"}, SinkCase{"bench", "--trace"},
-        SinkCase{"bench", "--profile"},
         SinkCase{"models", "--json"}, SinkCase{"models", "--trace"},
         SinkCase{"models", "--profile"}),
     [](const ::testing::TestParamInfo<SinkCase>& info) {
@@ -97,8 +99,30 @@ TEST(CliOutput, UnknownCommandExitsUsage) {
   EXPECT_EQ(run_cli("frobnicate"), 2);
 }
 
-TEST(CliOutput, BenchRejectsZeroReps) {
-  EXPECT_EQ(run_cli("bench --reps 0"), 2);
+// Numeric flags fail closed: a sign on a count, trailing characters,
+// overflow, NaN/inf or a missing value is a usage error (exit 2) whose
+// message names the flag — never a wrapped count that runs for ever or a
+// silently parsed prefix. `timeout` turns a hang into a failure.
+TEST(CliOutput, NumericFlagsFailClosed) {
+  const std::string err = ::testing::TempDir() + "xbarlife_cli_numeric.err";
+  const struct {
+    const char* flag;
+    const char* value;
+  } cases[] = {{"pulses", "-1"},       {"pulses", "5abc"},
+               {"pulses", ""},         {"pulses", "abc"},
+               {"pulses", "+5"},       {"pulses", "18446744073709551616"},
+               {"target-r", "nan"},    {"target-r", "inf"},
+               {"target-r", "1e999"},  {"target-r", "3e4x"}};
+  for (const auto& c : cases) {
+    const std::string args = std::string("device --") + c.flag + " " + c.value;
+    EXPECT_EQ(exit_code_of("timeout 10 " + cli_path() + " " + args +
+                           " >/dev/null 2>" + err),
+              2)
+        << args;
+    EXPECT_NE(slurp(err).find(std::string("--") + c.flag), std::string::npos)
+        << args << ": " << slurp(err);
+  }
+  EXPECT_EQ(run_cli("device --pulses 3 --target-r 2.5e4"), 0);
 }
 
 // An impossibly small --job-timeout expires every job instantly: the

@@ -170,6 +170,16 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("bogus=1"), InvalidArgument);
   EXPECT_THROW(FaultPlan::parse("drop"), InvalidArgument);
   EXPECT_THROW(FaultPlan::parse("drop=abc"), InvalidArgument);
+  // NaN passes a range check by comparison, so it must fail at parsing.
+  EXPECT_THROW(FaultPlan::parse("drop=nan"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("delay_ms=nan"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("delay_ms=inf"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("drop=0.1x"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("drop= 0.1"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("seed=-1"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("seed=7x"), InvalidArgument);
+  EXPECT_THROW(FaultPlan::parse("seed=18446744073709551616"),
+               InvalidArgument);
 }
 
 TEST(FaultyTransport, ScheduleIsDeterministicPerSeedAndStream) {
@@ -317,6 +327,12 @@ TEST(SocketTransport, DialUnreachableThrowsTransportError) {
   // TransportError (reconnectable), not a hang.
   EXPECT_THROW(dial("127.0.0.1:1", 500ms), TransportError);
   EXPECT_THROW(dial("not an address", 500ms), InvalidArgument);
+  // A port must be all digits and at most 65535; "80abc" is not port 80.
+  for (const char* bad : {"127.0.0.1:80abc", "127.0.0.1:-80", "127.0.0.1:+80",
+                          "127.0.0.1:65536", "127.0.0.1: 80"}) {
+    EXPECT_THROW(dial(bad, 500ms), InvalidArgument) << bad;
+    EXPECT_THROW(listen(bad), InvalidArgument) << bad;
+  }
 }
 
 }  // namespace
