@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): the computational kernels under
-// the experiment harness — GEMM, im2col, crossbar VMM, programming and
-// the aging-model hot path.
+// the experiment harness — GEMM, im2col, crossbar VMM, programming, the
+// aging-model hot path and the per-session lifetime passes (aging
+// statistics, drift, the SGD step).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "common/rng.hpp"
 #include "device/memristor.hpp"
 #include "mapping/mapper.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/im2col.hpp"
 #include "xbar/remote.hpp"
@@ -242,6 +244,74 @@ void BM_StressIncrement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StressIncrement);
+
+/// A 768 x 64 array (the MLP's first layer) aged unevenly: cell i took
+/// i % 97 pulses at random targets under the default crosstalk.
+std::unique_ptr<xbar::Crossbar> aged_array() {
+  auto xb = std::make_unique<xbar::Crossbar>(768, 64, device::DeviceParams{},
+                                             aging::AgingParams{});
+  Rng rng(8);
+  xbar::SequenceBuilder builder(xb->rows(), xb->cols());
+  for (std::size_t pass = 0; pass < 96; ++pass) {
+    for (std::size_t c = 0; c < xb->cols(); ++c) {
+      for (std::size_t r = 0; r < xb->rows(); ++r) {
+        if (pass < (r * xb->cols() + c) % 97) {
+          builder.pulse(r, c, rng.uniform(1e4, 1e5));
+        }
+      }
+    }
+    xbar::SimExecutor().execute(*xb, builder.build());
+  }
+  return xb;
+}
+
+/// Per-session aging statistics over one aged layer.
+void BM_AgingStats(benchmark::State& state) {
+  static const std::unique_ptr<xbar::Crossbar> xb = aged_array();
+  for (auto _ : state) {
+    const xbar::CrossbarAgingStats s = xb->aging_stats();
+    benchmark::DoNotOptimize(s.mean_usable_levels);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(xb->cells().size()));
+}
+BENCHMARK(BM_AgingStats)->Unit(benchmark::kMicrosecond);
+
+/// One between-session drift step over the same aged layer.
+void BM_DriftPass(benchmark::State& state) {
+  static const std::unique_ptr<xbar::Crossbar> xb = aged_array();
+  Rng rng(9);
+  for (auto _ : state) {
+    xb->drift_pass(rng, 0.02);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(xb->cells().size()));
+}
+BENCHMARK(BM_DriftPass)->Unit(benchmark::kMicrosecond);
+
+/// One momentum-SGD step over the MLP's first layer (weight and bias).
+void BM_SgdStep(benchmark::State& state) {
+  Tensor weight = random_matrix(768, 64, 10);
+  Tensor weight_grad = random_matrix(768, 64, 11);
+  Tensor bias(Shape{64});
+  Tensor bias_grad(Shape{64}, 0.01f);
+  std::vector<nn::ParamRef> params(2);
+  params[0].value = &weight;
+  params[0].grad = &weight_grad;
+  params[1].value = &bias;
+  params[1].grad = &bias_grad;
+  nn::SgdOptimizer opt({0.01, 0.9});
+  for (auto _ : state) {
+    opt.step(params);
+    benchmark::DoNotOptimize(weight.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(weight.numel() +
+                                                    bias.numel()));
+}
+BENCHMARK(BM_SgdStep)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

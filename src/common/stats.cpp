@@ -7,19 +7,6 @@
 
 namespace xbarlife {
 
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.count_ == 0) {
     return;

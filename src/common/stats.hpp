@@ -4,6 +4,7 @@
 // quantization errors, tuning-iteration counts and aging trajectories.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -13,7 +14,18 @@ namespace xbarlife {
 /// Welford-style single-pass accumulator for mean/variance/min/max.
 class RunningStats {
  public:
-  void add(double x);
+  void add(double x) {
+    if (count_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+  }
 
   /// Merge another accumulator (parallel-friendly Chan et al. combine).
   void merge(const RunningStats& other);

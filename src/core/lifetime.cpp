@@ -26,16 +26,7 @@ void LifetimeSimulator::apply_drift(tuning::HardwareNetwork& hw, Rng& rng) {
     return;
   }
   for (std::size_t li = 0; li < hw.layer_count(); ++li) {
-    xbar::Crossbar& xb = *hw.layer(li).xbar;
-    for (std::size_t r = 0; r < xb.rows(); ++r) {
-      for (std::size_t c = 0; c < xb.cols(); ++c) {
-        const double factor =
-            1.0 + rng.gaussian(0.0, config_.drift.sigma);
-        const double drifted =
-            xb.cell(r, c).resistance() * std::max(factor, 0.05);
-        xb.drift_cell(r, c, drifted);
-      }
-    }
+    hw.layer(li).xbar->drift_pass(rng, config_.drift.sigma);
   }
 }
 
@@ -244,6 +235,10 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
 
   obs.progress_phase("lifetime.sessions", next_session_,
                      config_.max_sessions);
+  // Phase spans inside a session are profiler-only, like tuning's: the
+  // event stream and the checkpointed trace lines keep their shape.
+  obs::Obs phases;
+  phases.profiler = run_obs.profiler;
   for (std::size_t session = next_session_;
        session < config_.max_sessions && !result_.died; ++session) {
     check_job_deadline();
@@ -261,6 +256,7 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
     // Recoverable drift accumulated while processing the previous chunk
     // of applications; online tuning is the routine corrector.
     if (session > 0) {
+      const obs::Span span(phases, "lifetime.drift");
       apply_drift(hw, drift_rng_);
     }
     tuning::TuningResult tr =
@@ -317,9 +313,12 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
     rec.converged = tr.converged;
     rec.accuracy = tr.final_accuracy;
     rec.pulses_total = hw.total_pulses();
-    for (const xbar::CrossbarAgingStats& stats : hw.aging_stats()) {
-      rec.layer_mean_aged_rmax.push_back(stats.mean_aged_r_max);
-      rec.layer_mean_usable_levels.push_back(stats.mean_usable_levels);
+    {
+      const obs::Span span(phases, "lifetime.aging_stats");
+      for (const xbar::CrossbarAgingStats& stats : hw.aging_stats()) {
+        rec.layer_mean_aged_rmax.push_back(stats.mean_aged_r_max);
+        rec.layer_mean_usable_levels.push_back(stats.mean_usable_levels);
+      }
     }
     if (ladder_active) {
       rec.resilience_active = true;

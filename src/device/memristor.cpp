@@ -83,15 +83,9 @@ double Memristor::program(double target_r) {
 
 double Memristor::program_with(const PulseContext& ctx, double target_r) {
   XB_CHECK(target_r > 0.0, "target resistance must be positive");
-  // Inlined aged_window(): identical expressions to AgingModel::aged_r_max/
-  // aged_r_min, with the shared-exponent pow computed once.
-  const double s = stress();
-  const double pf = std::pow(s, ctx.m_f);
-  const double r_max = std::max(ctx.r_floor, ctx.r_fresh_max - ctx.a_f * pf);
-  const double pg = ctx.shared_window_exponent ? pf : std::pow(s, ctx.m_g);
-  const double r_min = std::max(ctx.r_floor, ctx.r_fresh_min - ctx.a_g * pg);
-  const double achieved =
-      std::clamp(target_r, std::min(r_min, r_max), std::max(r_min, r_max));
+  const aging::AgedWindow w = aged_window_of(ctx, stress());
+  const double achieved = std::clamp(target_r, std::min(w.r_min, w.r_max),
+                                     std::max(w.r_min, w.r_max));
   const double current =
       std::min(ctx.v_prog / achieved, ctx.compliance_current_a);
   // Inlined stress_increment(): stress_scale * (I/I_ref)^alpha, matching
@@ -111,8 +105,12 @@ void Memristor::force_resistance(double r) {
 }
 
 void Memristor::drift_to(double r) {
+  drift_to(make_pulse_context(*params_, *model_), r);
+}
+
+void Memristor::drift_to(const PulseContext& ctx, double r) {
   XB_CHECK(r > 0.0, "drift target must be positive");
-  const aging::AgedWindow w = aged_window();
+  const aging::AgedWindow w = aged_window_of(ctx, stress());
   resistance_ = std::clamp(r, std::min(w.r_min, w.r_max),
                            std::max(w.r_min, w.r_max));
 }

@@ -6,6 +6,8 @@
 // temperature factor and the programming current (see aging/aging_model.hpp).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "aging/aging_model.hpp"
@@ -68,6 +70,20 @@ struct PulseContext {
 PulseContext make_pulse_context(const DeviceParams& params,
                                 const aging::AgingModel& model);
 
+/// The Eq. 6/7 aged window at effective stress `s` (>= 0): the exact
+/// expressions of AgingModel::aged_r_max / aged_r_min, with one pow when
+/// the two exponents match. Every hot per-cell window (batched pulses,
+/// drift, the aging statistics pass) comes from here, so they stay
+/// bit-identical to the checked AgingModel path.
+inline aging::AgedWindow aged_window_of(const PulseContext& ctx, double s) {
+  const double pf = std::pow(s, ctx.m_f);
+  const double pg = ctx.shared_window_exponent ? pf : std::pow(s, ctx.m_g);
+  aging::AgedWindow w;
+  w.r_min = std::max(ctx.r_floor, ctx.r_fresh_min - ctx.a_g * pg);
+  w.r_max = std::max(ctx.r_floor, ctx.r_fresh_max - ctx.a_f * pf);
+  return w;
+}
+
 class Memristor {
  public:
   /// `params` and `model` must outlive the device; one shared instance per
@@ -129,6 +145,10 @@ class Memristor {
   /// paper): moves the stored resistance without a programming pulse and
   /// without aging. Clamped into the current aged window.
   void drift_to(double r);
+
+  /// drift_to() with the window constants taken from `ctx` (built from
+  /// this device's params/model pair); bit-identical state.
+  void drift_to(const PulseContext& ctx, double r);
 
   /// Simulator-only: pins the stored resistance without a pulse and without
   /// the aged-window clamp. Used by the fault-injection layer to hold a

@@ -33,9 +33,4 @@ double LinearMap::weight_to_conductance(double weight) const {
   return scale_ * (clamped - w_.w_min) + g_min_;
 }
 
-double LinearMap::conductance_to_weight(double g) const {
-  const double clamped = std::clamp(g, g_min_, g_max_);
-  return inv_scale_ * (clamped - g_min_) + w_.w_min;
-}
-
 }  // namespace xbarlife::mapping

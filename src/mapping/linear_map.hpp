@@ -7,6 +7,8 @@
 // resistance range rather than a per-device one.
 #pragma once
 
+#include <algorithm>
+
 #include "tensor/tensor.hpp"
 
 namespace xbarlife::mapping {
@@ -28,7 +30,10 @@ class LinearMap {
   LinearMap(WeightRange w, double g_min, double g_max);
 
   double weight_to_conductance(double weight) const;
-  double conductance_to_weight(double g) const;
+  double conductance_to_weight(double g) const {
+    const double clamped = std::clamp(g, g_min_, g_max_);
+    return inv_scale_ * (clamped - g_min_) + w_.w_min;
+  }
 
   const WeightRange& weight_range() const { return w_; }
   double g_min() const { return g_min_; }

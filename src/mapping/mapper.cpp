@@ -25,11 +25,6 @@ double MappingPlan::target_resistance(double weight) const {
   return quantizer_.level_resistance(level);
 }
 
-double MappingPlan::weight_of_resistance(double r) const {
-  XB_CHECK(r > 0.0, "resistance must be positive");
-  return map_.conductance_to_weight(1.0 / r);
-}
-
 Tensor predict_effective_weights(
     const Tensor& weights, const MappingPlan& plan,
     const std::function<aging::AgedWindow(std::size_t, std::size_t)>&

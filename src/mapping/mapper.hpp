@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "aging/aging_model.hpp"
+#include "common/error.hpp"
 #include "mapping/linear_map.hpp"
 #include "mapping/quantizer.hpp"
 #include "tensor/tensor.hpp"
@@ -44,7 +45,10 @@ class MappingPlan {
   double target_resistance(double weight) const;
 
   /// Weight recovered from a programmed resistance.
-  double weight_of_resistance(double r) const;
+  double weight_of_resistance(double r) const {
+    XB_CHECK(r > 0.0, "resistance must be positive");
+    return map_.conductance_to_weight(1.0 / r);
+  }
 
  private:
   // Order matters: map_ is initialized from quantizer_'s usable range.

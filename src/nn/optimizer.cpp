@@ -20,9 +20,14 @@ void SgdOptimizer::step(const std::vector<ParamRef>& params) {
     Tensor& v = it->second;
     XB_ASSERT(v.shape() == p.value->shape(),
               "velocity buffer shape drifted");
-    for (std::size_t i = 0; i < v.numel(); ++i) {
-      v[i] = mu * v[i] - lr * (*p.grad)[i];
-      (*p.value)[i] += v[i];
+    XB_CHECK(p.grad->numel() == v.numel(),
+             "gradient size does not match its parameter");
+    const std::span<float> vel = v.flat();
+    const std::span<float> w = p.value->flat();
+    const std::span<const float> g = p.grad->flat();
+    for (std::size_t i = 0; i < vel.size(); ++i) {
+      vel[i] = mu * vel[i] - lr * g[i];
+      w[i] += vel[i];
     }
   }
 }

@@ -21,8 +21,10 @@ void L2Regularizer::add_gradient(const Tensor& w,
                                  Tensor& grad) const {
   XB_CHECK(grad.shape() == w.shape(), "regularizer gradient shape mismatch");
   const auto scale = static_cast<float>(2.0 * lambda_);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    grad[i] += scale * w[i];
+  const std::span<const float> wv = w.flat();
+  const std::span<float> gv = grad.flat();
+  for (std::size_t i = 0; i < wv.size(); ++i) {
+    gv[i] += scale * wv[i];
   }
 }
 
@@ -43,8 +45,8 @@ double SkewedL2Regularizer::omega(const Tensor& w,
     return *frozen_omegas_[layer_index];
   }
   RunningStats rs;
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    rs.add(static_cast<double>(w[i]));
+  for (const float x : w.flat()) {
+    rs.add(static_cast<double>(x));
   }
   return omega_factor_ * rs.stddev();
 }
@@ -76,8 +78,8 @@ double SkewedL2Regularizer::penalty(const Tensor& w,
   const double om = omega(w, layer_index);
   double left = 0.0;
   double right = 0.0;
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    const double d = static_cast<double>(w[i]) - om;
+  for (const float x : w.flat()) {
+    const double d = static_cast<double>(x) - om;
     if (d < 0.0) {
       left += d * d;
     } else {
@@ -94,9 +96,11 @@ void SkewedL2Regularizer::add_gradient(const Tensor& w,
   const auto om = static_cast<float>(omega(w, layer_index));
   const auto s1 = static_cast<float>(2.0 * lambda1_);
   const auto s2 = static_cast<float>(2.0 * lambda2_);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    const float d = w[i] - om;
-    grad[i] += (d < 0.0f ? s1 : s2) * d;
+  const std::span<const float> wv = w.flat();
+  const std::span<float> gv = grad.flat();
+  for (std::size_t i = 0; i < wv.size(); ++i) {
+    const float d = wv[i] - om;
+    gv[i] += (d < 0.0f ? s1 : s2) * d;
   }
 }
 

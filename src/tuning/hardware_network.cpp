@@ -213,16 +213,33 @@ void HardwareNetwork::sync_network_to_hardware() {
     const DeployedLayer& layer = layers_[i];
     XB_CHECK(layer.plan != nullptr,
              "sync before first deploy: " + layer.name);
-    const std::size_t cols = layer.xbar->cols();
-    Tensor eff(Shape{layer.logical_rows, cols});
+    const xbar::Crossbar& xb = *layer.xbar;
+    const mapping::MappingPlan& plan = *layer.plan;
+    const std::size_t cols = xb.cols();
+    Tensor& value = *mappable[i].value;
+    XB_CHECK(value.shape() == Shape({layer.logical_rows, cols}),
+             "mappable weight shape does not match its crossbar: " +
+                 layer.name);
+    const std::span<float> eff = value.flat();
+    const std::span<const device::Memristor> cells = xb.cells();
     for (std::size_t r = 0; r < layer.logical_rows; ++r) {
       const std::size_t pr = layer.physical_row(r);
-      for (std::size_t c = 0; c < cols; ++c) {
-        eff.at(r, c) = static_cast<float>(layer.plan->weight_of_resistance(
-            layer.xbar->read_resistance(pr, c)));
+      float* out = eff.data() + r * cols;
+      if (xb.nonideal()) {
+        // Read noise draws from one ordered stream: keep the
+        // row-major read order.
+        for (std::size_t c = 0; c < cols; ++c) {
+          out[c] = static_cast<float>(
+              plan.weight_of_resistance(xb.read_resistance(pr, c)));
+        }
+      } else {
+        const device::Memristor* row = cells.data() + pr * cols;
+        for (std::size_t c = 0; c < cols; ++c) {
+          out[c] = static_cast<float>(
+              plan.weight_of_resistance(row[c].resistance()));
+        }
       }
     }
-    *mappable[i].value = std::move(eff);
   }
 }
 
@@ -434,8 +451,12 @@ void HardwareNetwork::load_state(persist::StateReader& r) {
       g = r.f32();
     }
     l.row_perm.resize(r.array_count(8));
+    XB_CHECK(l.row_perm.empty() || l.row_perm.size() == l.logical_rows,
+             "row permutation snapshot does not cover the logical rows");
     for (std::size_t& p : l.row_perm) {
       p = r.u64();
+      XB_CHECK(p < l.xbar->rows(),
+               "row permutation snapshot entry out of physical range");
     }
     l.xbar->load_state(r);
   }

@@ -28,7 +28,11 @@ std::uint64_t OnlineTuner::apply_sign_updates(HardwareNetwork& hw) {
   for (std::size_t li = 0; li < hw.layer_count(); ++li) {
     DeployedLayer& layer = hw.layer(li);
     XB_CHECK(layer.plan != nullptr, "tuning before deployment");
-    const Tensor& grad = *mappable[li].grad;
+    xbar::Crossbar& xb = *layer.xbar;
+    const std::size_t cols = xb.cols();
+    XB_CHECK(mappable[li].grad->shape() == Shape({layer.logical_rows, cols}),
+             "gradient shape does not match its crossbar: " + layer.name);
+    const std::span<const float> grad = mappable[li].grad->flat();
     const mapping::ResistanceRange& range =
         layer.plan->quantizer().range();
     const double g_lo = range.g_min();
@@ -37,34 +41,41 @@ std::uint64_t OnlineTuner::apply_sign_updates(HardwareNetwork& hw) {
 
     // Layer-wise selectivity threshold.
     double mean_abs = 0.0;
-    for (std::size_t i = 0; i < grad.numel(); ++i) {
-      mean_abs += std::fabs(static_cast<double>(grad[i]));
+    for (const float g : grad) {
+      mean_abs += std::fabs(static_cast<double>(g));
     }
-    mean_abs /= static_cast<double>(grad.numel());
+    mean_abs /= static_cast<double>(grad.size());
     const double threshold = config_.min_grad_fraction * mean_abs;
 
-    xbar::Crossbar& xb = *layer.xbar;
     // Emit this layer's update pulses as one column-batched command
     // stream: cells are visited in the canonical column-major order
     // (matching the sequence's per-column batching), each at most once,
     // so the readbacks below are independent of the later execution.
     // Gradients are logical (weight-matrix) coordinates; the crossbar may
     // hold spare rows and a remap permutation, so go through physical_row.
-    xbar::SequenceBuilder builder(xb.rows(), xb.cols());
-    for (std::size_t c = 0; c < xb.cols(); ++c) {
+    // An ideal array's reads are its stored values; a nonideal one's go
+    // through the periphery, whose read noise draws from one ordered
+    // stream, in this visiting order.
+    const std::span<const device::Memristor> cells = xb.cells();
+    const bool ideal = !xb.nonideal();
+    XB_CHECK(layer.stuck.size() == cells.size(),
+             "bad-cell list does not match its crossbar: " + layer.name);
+    xbar::SequenceBuilder builder(xb.rows(), cols);
+    for (std::size_t c = 0; c < cols; ++c) {
       for (std::size_t r = 0; r < layer.logical_rows; ++r) {
         const std::size_t pr = layer.physical_row(r);
-        if (layer.stuck[pr * xb.cols() + c] != 0) {
+        if (layer.stuck[pr * cols + c] != 0) {
           continue;  // write-verify blacklisted this cell
         }
-        const auto g = static_cast<double>(grad.at(r, c));
+        const auto g = static_cast<double>(grad[r * cols + c]);
         if (std::fabs(g) < threshold || g == 0.0) {
           continue;
         }
         // Weight must move along -grad; weight grows with conductance
         // (Eq. (4) is monotone increasing), so the pulse polarity is the
         // sign of -grad in conductance space.
-        const double cond = xb.read_conductance(pr, c);
+        const double cond = ideal ? cells[pr * cols + c].conductance()
+                                  : xb.read_conductance(pr, c);
         const double target =
             std::clamp(g < 0.0 ? cond + dg : cond - dg, g_lo, g_hi);
         if (std::fabs(target - cond) < 0.25 * dg) {
@@ -89,6 +100,10 @@ TuningResult OnlineTuner::tune(HardwareNetwork& hw,
   XB_CHECK(tune_data.size() > 0 && eval_data.size() > 0,
            "tuning needs non-empty datasets");
   const obs::Span tuning_span(obs, "tuning.session");
+  // The phases inside a session are profiler spans only: event traces and
+  // metrics documents keep their session-level shape.
+  obs::Obs phases;
+  phases.profiler = obs.profiler;
   nn::Network& net = hw.network();
   const data::Dataset eval_slice =
       eval_data.head(config_.eval_samples);
@@ -96,15 +111,20 @@ TuningResult OnlineTuner::tune(HardwareNetwork& hw,
   // Accuracy evaluations optionally run on the int8 path, with specs
   // re-derived per call: deploys/remaps between calls change the plans.
   const auto evaluate = [&]() {
+    const obs::Span span(phases, "tuning.evaluate");
     if (config_.quantized_eval) {
       return net.evaluate_quantized(eval_slice.images, eval_slice.labels,
                                     hw.quant_specs());
     }
     return net.evaluate(eval_slice.images, eval_slice.labels);
   };
+  const auto sync = [&]() {
+    const obs::Span span(phases, "tuning.sync");
+    hw.sync_network_to_hardware();
+  };
 
   TuningResult result;
-  hw.sync_network_to_hardware();
+  sync();
   result.start_accuracy = evaluate();
   double acc = result.start_accuracy;
   double best_acc = acc;
@@ -129,10 +149,14 @@ TuningResult OnlineTuner::tune(HardwareNetwork& hw,
         data::make_batch(tune_data, cursor_, config_.batch);
     cursor_ += batch.labels.size();
 
-    net.compute_gradients(batch.images, batch.labels);
-    const std::uint64_t iter_pulses = apply_sign_updates(hw);
+    std::uint64_t iter_pulses = 0;
+    {
+      const obs::Span span(phases, "tuning.sign_update");
+      net.compute_gradients(batch.images, batch.labels);
+      iter_pulses = apply_sign_updates(hw);
+    }
     result.pulses += iter_pulses;
-    hw.sync_network_to_hardware();
+    sync();
     acc = evaluate();
     if (acc > best_acc + 1e-9) {
       best_acc = acc;

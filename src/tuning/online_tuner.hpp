@@ -78,10 +78,12 @@ class OnlineTuner {
   std::size_t cursor() const { return cursor_; }
   void set_cursor(std::size_t cursor) { cursor_ = cursor; }
 
- private:
-  /// One sign-update pass over every deployed layer; returns pulses spent.
+  /// One sign-update pass over every deployed layer from the gradients
+  /// the network currently holds (tune() computes them on a minibatch
+  /// first); returns pulses spent.
   std::uint64_t apply_sign_updates(HardwareNetwork& hw);
 
+ private:
   TuningConfig config_;
   std::size_t cursor_ = 0;  ///< rolling tuning-batch cursor
 };

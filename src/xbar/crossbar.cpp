@@ -82,8 +82,8 @@ double Crossbar::apply_post_pulse_nonideality(std::size_t r, std::size_t c,
                                                    : params_.r_min_fresh;
     m.force_resistance(achieved);
   } else if (nonideal_->write_noise_sigma > 0.0) {
-    m.drift_to(1.0 / apply_write_noise(*nonideal_, 1.0 / achieved,
-                                       write_rng_));
+    m.drift_to(pulse_ctx_, 1.0 / apply_write_noise(*nonideal_, 1.0 / achieved,
+                                                   write_rng_));
     achieved = m.resistance();
   }
   return achieved;
@@ -183,7 +183,21 @@ void Crossbar::drift_cell(std::size_t r, std::size_t c, double new_r) {
   if (faults_ != nullptr && faults_->at(r, c) != FaultMap::Fault::kNone) {
     return;  // Stuck cells do not drift.
   }
-  mutable_cell(r, c).drift_to(new_r);
+  mutable_cell(r, c).drift_to(pulse_ctx_, new_r);
+}
+
+void Crossbar::drift_pass(Rng& rng, double sigma) {
+  g_cache_valid_ = false;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t c = 0; c < cols_; ++c) {
+      device::Memristor& m = cells_[r * cols_ + c];
+      const double factor = 1.0 + rng.gaussian(0.0, sigma);
+      const double drifted = m.resistance() * std::max(factor, 0.05);
+      if (faults_ == nullptr || faults_->at(r, c) == FaultMap::Fault::kNone) {
+        m.drift_to(pulse_ctx_, drifted);
+      }
+    }
+  }
 }
 
 double Crossbar::read_conductance(std::size_t r, std::size_t c) const {
@@ -272,6 +286,15 @@ struct AgingPartial {
 }  // namespace
 
 CrossbarAgingStats Crossbar::aging_stats() const {
+  // The fresh level grid of AgingModel::usable_levels, built once per call:
+  // it is non-decreasing, so the levels inside a window [r_min, r_max] are
+  // one contiguous run found by two binary searches.
+  std::vector<double> grid(params_.levels);
+  const double step = (params_.r_max_fresh - params_.r_min_fresh) /
+                      static_cast<double>(params_.levels - 1);
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    grid[k] = params_.r_min_fresh + static_cast<double>(k) * step;
+  }
   const AgingPartial total = parallel_reduce(
       0, cells_.size(), 2048, AgingPartial{},
       [&](std::size_t begin, std::size_t end) {
@@ -281,10 +304,16 @@ CrossbarAgingStats Crossbar::aging_stats() const {
           const double stress = cell.stress();
           p.sum_stress += stress;
           p.max_stress = std::max(p.max_stress, stress);
-          const double rmax = cell.aged_window().r_max;
-          p.sum_rmax += rmax;
-          p.min_rmax = std::min(p.min_rmax, rmax);
-          const std::size_t levels = cell.usable_levels();
+          const aging::AgedWindow w =
+              device::aged_window_of(pulse_ctx_, stress);
+          p.sum_rmax += w.r_max;
+          p.min_rmax = std::min(p.min_rmax, w.r_max);
+          const std::size_t levels =
+              w.usable()
+                  ? static_cast<std::size_t>(
+                        std::upper_bound(grid.begin(), grid.end(), w.r_max) -
+                        std::lower_bound(grid.begin(), grid.end(), w.r_min))
+                  : 0;
           p.sum_levels += static_cast<double>(levels);
           p.min_levels = std::min(p.min_levels, levels);
           p.pulses += cell.pulse_count();

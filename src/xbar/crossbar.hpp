@@ -64,6 +64,11 @@ class Crossbar {
 
   const device::Memristor& cell(std::size_t r, std::size_t c) const;
 
+  /// Every cell, row-major (cell(r, c) is cells()[r * cols() + c]): the
+  /// unchecked read view for passes over the whole array. Stored values
+  /// only; reads through the periphery go through read_*.
+  std::span<const device::Memristor> cells() const { return cells_; }
+
   /// Installs analog non-idealities on this array: a manufacture-time
   /// stuck-at FaultMap drawn from `seed` (faulty cells are pinned at their
   /// defect value immediately), cycle-to-cycle write noise applied on every
@@ -127,6 +132,12 @@ class Crossbar {
   /// Recoverable drift on cell (r, c): resistance moves without a pulse.
   /// Stuck cells do not drift — the defect pins them.
   void drift_cell(std::size_t r, std::size_t c, double new_r);
+
+  /// One drift step over the whole array, row-major: each cell draws one
+  /// factor 1 + N(0, sigma) from `rng` and drifts to its resistance times
+  /// max(factor, 0.05). Stuck cells draw their sample but do not move.
+  /// Bit-identical to the same drift_cell loop.
+  void drift_pass(Rng& rng, double sigma);
 
   /// Conductance as seen by the read periphery: the stored value plus
   /// read noise and IR-drop attenuation when nonideality is configured.

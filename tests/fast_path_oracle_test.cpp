@@ -1,0 +1,523 @@
+// Oracle tests for the lifetime loop's flat fast paths.
+//
+// Each fast path (the aging statistics pass, the drift pass, network sync,
+// tuning sign updates, the SGD step and the regularizers) is checked
+// against a reference written with the checked public API only — the
+// exhaustive-enumeration-plus-bound idiom with a bound of zero: every
+// case must agree bit for bit.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "common/stats.hpp"
+#include "data/synthetic.hpp"
+#include "nn/model_zoo.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/regularizer.hpp"
+#include "persist/state_io.hpp"
+#include "tuning/online_tuner.hpp"
+#include "xbar/crossbar.hpp"
+#include "xbar/program_sequence.hpp"
+
+namespace xbarlife {
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+std::string array_state(const xbar::Crossbar& xb) {
+  persist::StateWriter w;
+  xb.save_state(w);
+  return w.data();
+}
+
+/// Restores the pool size on scope exit.
+class ThreadCount {
+ public:
+  explicit ThreadCount(std::size_t n) : saved_(parallel_threads()) {
+    set_parallel_threads(n);
+  }
+  ~ThreadCount() { set_parallel_threads(saved_); }
+  ThreadCount(const ThreadCount&) = delete;
+  ThreadCount& operator=(const ThreadCount&) = delete;
+
+ private:
+  std::size_t saved_;
+};
+
+// --- aged window and aging statistics ---------------------------------------
+
+TEST(FastPathOracle, AgedWindowHelperMatchesAgingModel) {
+  // Stresses from zero and a denormal through well past window collapse.
+  std::vector<double> stresses{0.0, std::numeric_limits<double>::denorm_min(),
+                               1e-300};
+  for (double s = 1e-15; s < 1e4; s *= 1.07) {
+    stresses.push_back(s);
+  }
+  for (const double m_g : {0.85, 0.7}) {
+    aging::AgingParams ap;
+    ap.m_g = m_g;
+    const aging::AgingModel model(ap);
+    const device::DeviceParams dev;
+    const device::PulseContext ctx = device::make_pulse_context(dev, model);
+    for (const double s : stresses) {
+      const aging::AgedWindow want =
+          model.aged_window(dev.r_min_fresh, dev.r_max_fresh, s);
+      const aging::AgedWindow got = device::aged_window_of(ctx, s);
+      ASSERT_TRUE(same_bits(got.r_min, want.r_min)) << "m_g=" << m_g
+                                                    << " s=" << s;
+      ASSERT_TRUE(same_bits(got.r_max, want.r_max)) << "m_g=" << m_g
+                                                    << " s=" << s;
+    }
+  }
+}
+
+/// The aging statistics recomputed cell by cell through the checked
+/// Memristor accessors, reduced over the same chunks (the 2048-cell grain
+/// Crossbar::aging_stats reduces at) in the same order.
+xbar::CrossbarAgingStats reference_aging_stats(const xbar::Crossbar& xb) {
+  struct Partial {
+    double sum_stress = 0.0;
+    double max_stress = 0.0;
+    double sum_rmax = 0.0;
+    double min_rmax = std::numeric_limits<double>::infinity();
+    double sum_levels = 0.0;
+    std::size_t min_levels = std::numeric_limits<std::size_t>::max();
+    std::uint64_t pulses = 0;
+  };
+  const std::size_t n = xb.rows() * xb.cols();
+  const std::size_t grain = 2048;
+  Partial total;
+  for (std::size_t begin = 0; begin < n; begin += grain) {
+    Partial p;
+    for (std::size_t i = begin; i < std::min(n, begin + grain); ++i) {
+      const device::Memristor& cell = xb.cell(i / xb.cols(), i % xb.cols());
+      p.sum_stress += cell.stress();
+      p.max_stress = std::max(p.max_stress, cell.stress());
+      p.sum_rmax += cell.aged_window().r_max;
+      p.min_rmax = std::min(p.min_rmax, cell.aged_window().r_max);
+      p.sum_levels += static_cast<double>(cell.usable_levels());
+      p.min_levels = std::min(p.min_levels, cell.usable_levels());
+      p.pulses += cell.pulse_count();
+    }
+    total.sum_stress += p.sum_stress;
+    total.max_stress = std::max(total.max_stress, p.max_stress);
+    total.sum_rmax += p.sum_rmax;
+    total.min_rmax = std::min(total.min_rmax, p.min_rmax);
+    total.sum_levels += p.sum_levels;
+    total.min_levels = std::min(total.min_levels, p.min_levels);
+    total.pulses += p.pulses;
+  }
+  xbar::CrossbarAgingStats s;
+  s.mean_stress = total.sum_stress / static_cast<double>(n);
+  s.max_stress = total.max_stress;
+  s.mean_aged_r_max = total.sum_rmax / static_cast<double>(n);
+  s.min_aged_r_max = total.min_rmax;
+  s.mean_usable_levels = total.sum_levels / static_cast<double>(n);
+  s.min_usable_levels = total.min_levels;
+  s.total_pulses = total.pulses;
+  return s;
+}
+
+void expect_same_stats(const xbar::CrossbarAgingStats& got,
+                       const xbar::CrossbarAgingStats& want,
+                       const std::string& label) {
+  EXPECT_TRUE(same_bits(got.mean_stress, want.mean_stress)) << label;
+  EXPECT_TRUE(same_bits(got.max_stress, want.max_stress)) << label;
+  EXPECT_TRUE(same_bits(got.mean_aged_r_max, want.mean_aged_r_max)) << label;
+  EXPECT_TRUE(same_bits(got.min_aged_r_max, want.min_aged_r_max)) << label;
+  EXPECT_TRUE(same_bits(got.mean_usable_levels, want.mean_usable_levels))
+      << label;
+  EXPECT_EQ(got.min_usable_levels, want.min_usable_levels) << label;
+  EXPECT_EQ(got.total_pulses, want.total_pulses) << label;
+}
+
+TEST(FastPathOracle, AgingStatsMatchCheckedAccessorsBitForBit) {
+  // 48 x 64 = 3072 cells: two reduction chunks. Cell i takes i % 181 hot
+  // pulses, so the array spans fresh cells through collapsed windows.
+  const std::size_t rows = 48;
+  const std::size_t cols = 64;
+  std::size_t cases = 0;
+  for (const double m_g : {0.85, 0.7}) {
+    for (const double crosstalk : {0.0, 2e-4}) {
+      for (const std::size_t levels : {std::size_t{2}, std::size_t{16}}) {
+        device::DeviceParams dev;
+        dev.levels = levels;
+        aging::AgingParams ap;
+        ap.m_g = m_g;
+        ap.thermal_crosstalk = crosstalk;
+        xbar::Crossbar xb(rows, cols, dev, ap);
+        const std::string label = "m_g=" + std::to_string(m_g) +
+                                  " crosstalk=" + std::to_string(crosstalk) +
+                                  " levels=" + std::to_string(levels);
+        std::size_t collapsed = 0;
+        for (std::size_t i = 0; i < rows * cols; ++i) {
+          const std::size_t r = i / cols;
+          const std::size_t c = i % cols;
+          for (std::size_t k = 0; k < i % 181; ++k) {
+            xb.program_cell(r, c, dev.r_min_fresh);
+          }
+          collapsed += xb.cell(r, c).usable_levels() == 0;
+        }
+        ASSERT_GT(collapsed, 0u) << label << ": no window collapsed";
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          const ThreadCount scope(threads);
+          expect_same_stats(xb.aging_stats(), reference_aging_stats(xb),
+                            label + " threads=" + std::to_string(threads));
+          ++cases;
+        }
+        // A fresh array: every stress is exactly zero.
+        xbar::Crossbar fresh(rows, cols, dev, ap);
+        expect_same_stats(fresh.aging_stats(), reference_aging_stats(fresh),
+                          label + " fresh");
+      }
+    }
+  }
+  EXPECT_EQ(cases, 16u);
+}
+
+// --- drift pass -----------------------------------------------------------
+
+void age(xbar::Crossbar& xb) {
+  Rng rng(11);
+  for (std::size_t r = 0; r < xb.rows(); ++r) {
+    for (std::size_t c = 0; c < xb.cols(); ++c) {
+      const auto pulses = static_cast<std::size_t>(rng.uniform_int(0, 120));
+      for (std::size_t k = 0; k < pulses; ++k) {
+        xb.program_cell(r, c, rng.uniform(1.0e4, 1.0e5));
+      }
+    }
+  }
+}
+
+TEST(FastPathOracle, DriftPassMatchesDriftCellLoop) {
+  xbar::NonidealityConfig stuck;
+  stuck.stuck_off_fraction = 0.05;
+  stuck.stuck_on_fraction = 0.05;
+  xbar::NonidealityConfig noisy;
+  noisy.write_noise_sigma = 0.05;
+  xbar::NonidealityConfig both = stuck;
+  both.write_noise_sigma = 0.05;
+  both.read_noise_sigma = 0.02;
+  const std::map<std::string, xbar::NonidealityConfig> configs{
+      {"ideal", {}}, {"stuck", stuck}, {"write-noise", noisy},
+      {"stuck+noise", both}};
+  for (const auto& [name, config] : configs) {
+    for (const double sigma : {0.03, 0.9}) {
+      xbar::Crossbar fast(12, 20, device::DeviceParams{},
+                          aging::AgingParams{});
+      xbar::Crossbar ref(12, 20, device::DeviceParams{},
+                         aging::AgingParams{});
+      fast.configure_nonideality(config, 5);
+      ref.configure_nonideality(config, 5);
+      age(fast);
+      age(ref);
+      ASSERT_EQ(array_state(fast), array_state(ref)) << name;
+      Rng fast_rng(3);
+      Rng ref_rng(3);
+      for (int pass = 0; pass < 3; ++pass) {
+        fast.drift_pass(fast_rng, sigma);
+        for (std::size_t r = 0; r < ref.rows(); ++r) {
+          for (std::size_t c = 0; c < ref.cols(); ++c) {
+            const double factor = 1.0 + ref_rng.gaussian(0.0, sigma);
+            ref.drift_cell(r, c,
+                           ref.cell(r, c).resistance() *
+                               std::max(factor, 0.05));
+          }
+        }
+        EXPECT_EQ(array_state(fast), array_state(ref))
+            << name << " sigma=" << sigma << " pass " << pass;
+        EXPECT_EQ(fast_rng(), ref_rng()) << name << " pass " << pass;
+        // The VMM cache must see the drifted cells.
+        const std::vector<float> v(fast.rows(), 0.5f);
+        std::vector<float> fast_i(fast.cols());
+        std::vector<float> ref_i(ref.cols());
+        fast.vmm(v, fast_i);
+        ref.vmm(v, ref_i);
+        EXPECT_EQ(fast_i, ref_i) << name << " pass " << pass;
+      }
+    }
+  }
+}
+
+// --- network sync and sign updates ----------------------------------------
+
+/// Effective weights the checked per-element path computes.
+std::vector<Tensor> reference_sync(tuning::HardwareNetwork& hw) {
+  std::vector<Tensor> out;
+  for (std::size_t i = 0; i < hw.layer_count(); ++i) {
+    const tuning::DeployedLayer& layer = hw.layer(i);
+    Tensor eff(Shape{layer.logical_rows, layer.xbar->cols()});
+    for (std::size_t r = 0; r < layer.logical_rows; ++r) {
+      for (std::size_t c = 0; c < layer.xbar->cols(); ++c) {
+        eff.at(r, c) = static_cast<float>(layer.plan->weight_of_resistance(
+            layer.xbar->read_resistance(layer.physical_row(r), c)));
+      }
+    }
+    out.push_back(std::move(eff));
+  }
+  return out;
+}
+
+/// The sign-update pass through checked accessors: Tensor::at gradients
+/// and Crossbar::read_conductance readbacks in column-major order.
+std::uint64_t reference_sign_updates(tuning::HardwareNetwork& hw,
+                                     const tuning::TuningConfig& config) {
+  std::uint64_t pulses = 0;
+  auto mappable = hw.network().mappable_weights();
+  for (std::size_t li = 0; li < hw.layer_count(); ++li) {
+    tuning::DeployedLayer& layer = hw.layer(li);
+    const Tensor& grad = *mappable[li].grad;
+    const mapping::ResistanceRange& range = layer.plan->quantizer().range();
+    const double g_lo = range.g_min();
+    const double g_hi = range.g_max();
+    const double dg = config.step_fraction * (g_hi - g_lo);
+    double mean_abs = 0.0;
+    for (std::size_t i = 0; i < grad.numel(); ++i) {
+      mean_abs += std::fabs(static_cast<double>(grad[i]));
+    }
+    mean_abs /= static_cast<double>(grad.numel());
+    const double threshold = config.min_grad_fraction * mean_abs;
+    xbar::Crossbar& xb = *layer.xbar;
+    xbar::SequenceBuilder builder(xb.rows(), xb.cols());
+    for (std::size_t c = 0; c < xb.cols(); ++c) {
+      for (std::size_t r = 0; r < layer.logical_rows; ++r) {
+        const std::size_t pr = layer.physical_row(r);
+        if (layer.stuck.at(pr * xb.cols() + c) != 0) {
+          continue;
+        }
+        const auto g = static_cast<double>(grad.at(r, c));
+        if (std::fabs(g) < threshold || g == 0.0) {
+          continue;
+        }
+        const double cond = xb.read_conductance(pr, c);
+        const double target =
+            std::clamp(g < 0.0 ? cond + dg : cond - dg, g_lo, g_hi);
+        if (std::fabs(target - cond) < 0.25 * dg) {
+          continue;
+        }
+        builder.pulse(pr, c, 1.0 / target);
+      }
+    }
+    if (!builder.empty()) {
+      pulses += hw.executor().execute(xb, builder.build()).stats.pulses;
+    }
+  }
+  return pulses;
+}
+
+/// One trained network deployed onto its arrays.
+struct Deployed {
+  nn::Network net;
+  std::unique_ptr<tuning::HardwareNetwork> hw;
+
+  explicit Deployed(const tuning::HardwareFaultConfig& faults)
+      : net([] {
+          Rng rng(21);
+          return nn::make_mlp(12, {24}, 4, rng);
+        }()) {
+    hw = std::make_unique<tuning::HardwareNetwork>(
+        net, device::DeviceParams{}, aging::AgingParams{}, faults);
+    if (faults.spare_rows > 0) {
+      // Serve logical rows from a shuffled set of physical rows.
+      const std::size_t logical = hw->layer(0).logical_rows;
+      std::vector<std::size_t> perm(logical);
+      for (std::size_t r = 0; r < logical; ++r) {
+        perm[r] = (r * 7 + 3) % (logical + faults.spare_rows);
+      }
+      hw->set_row_permutation(0, perm);
+    }
+    hw->deploy(tuning::MappingPolicy::kFresh, 16);
+  }
+
+  std::string state() const {
+    persist::StateWriter w;
+    hw->save_state(w);
+    return w.data();
+  }
+};
+
+void expect_same_weights(const std::vector<Tensor>& got,
+                         const std::vector<Tensor>& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].shape(), want[i].shape()) << label;
+    for (std::size_t k = 0; k < got[i].numel(); ++k) {
+      ASSERT_TRUE(same_bits(got[i][k], want[i][k]))
+          << label << " layer " << i << " element " << k;
+    }
+  }
+}
+
+TEST(FastPathOracle, SyncAndSignUpdatesMatchCheckedPath) {
+  tuning::HardwareFaultConfig read_noise;
+  read_noise.nonideal.read_noise_sigma = 0.03;
+  read_noise.fault_seed = 9;
+  tuning::HardwareFaultConfig permuted = read_noise;
+  permuted.spare_rows = 3;
+  permuted.nonideal.stuck_off_fraction = 0.04;
+  const std::map<std::string, tuning::HardwareFaultConfig> configs{
+      {"ideal", {}}, {"read-noise", read_noise}, {"permuted", permuted}};
+  const data::TrainTest data = data::make_blobs(4, 12, 40, 10, 0.3, 4);
+  for (const auto& [name, faults] : configs) {
+    Deployed fast(faults);
+    Deployed ref(faults);
+    ASSERT_EQ(fast.state(), ref.state()) << name;
+    tuning::TuningConfig config;
+    config.min_grad_fraction = 0.5;
+    tuning::OnlineTuner tuner(config);
+    for (std::size_t iter = 0; iter < 4; ++iter) {
+      const data::Batch batch = data::make_batch(data.train, iter * 16, 16);
+      fast.net.compute_gradients(batch.images, batch.labels);
+      ref.net.compute_gradients(batch.images, batch.labels);
+      const std::uint64_t fast_pulses = tuner.apply_sign_updates(*fast.hw);
+      const std::uint64_t ref_pulses = reference_sign_updates(*ref.hw, config);
+      EXPECT_EQ(fast_pulses, ref_pulses) << name << " iteration " << iter;
+      EXPECT_GT(fast_pulses, 0u) << name << " iteration " << iter;
+      EXPECT_EQ(fast.state(), ref.state()) << name << " iteration " << iter;
+
+      fast.hw->sync_network_to_hardware();
+      const std::vector<Tensor> want = reference_sync(*ref.hw);
+      ref.net.load_mappable_weights(want);
+      expect_same_weights(fast.net.save_mappable_weights(), want,
+                          name + " iteration " + std::to_string(iter));
+      // Same read-noise stream positions and network parameters.
+      EXPECT_EQ(fast.state(), ref.state()) << name << " iteration " << iter;
+    }
+  }
+}
+
+// --- training step --------------------------------------------------------
+
+Tensor random_tensor(Shape shape, std::uint64_t seed) {
+  Tensor t(std::move(shape));
+  Rng rng(seed);
+  t.fill_gaussian(rng, 0.1f, 0.5f);
+  return t;
+}
+
+void expect_same_tensor(const Tensor& got, const Tensor& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.shape(), want.shape()) << label;
+  for (std::size_t i = 0; i < got.numel(); ++i) {
+    ASSERT_TRUE(same_bits(got[i], want[i])) << label << " element " << i;
+  }
+}
+
+TEST(FastPathOracle, SgdStepMatchesScalarReference) {
+  for (const double momentum : {0.0, 0.9}) {
+    const nn::SgdConfig config{0.05, momentum};
+    std::vector<Tensor> values{random_tensor(Shape{7, 13}, 1),
+                               random_tensor(Shape{13}, 2)};
+    std::vector<Tensor> grads{random_tensor(Shape{7, 13}, 3),
+                              random_tensor(Shape{13}, 4)};
+    std::vector<Tensor> ref_values = values;
+    std::vector<Tensor> velocity{Tensor(Shape{7, 13}), Tensor(Shape{13})};
+    std::vector<nn::ParamRef> params;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      nn::ParamRef p;
+      p.value = &values[i];
+      p.grad = &grads[i];
+      params.push_back(p);
+    }
+    nn::SgdOptimizer opt(config);
+    const auto lr = static_cast<float>(config.learning_rate);
+    const auto mu = static_cast<float>(config.momentum);
+    for (int step = 0; step < 5; ++step) {
+      opt.step(params);
+      for (std::size_t p = 0; p < values.size(); ++p) {
+        for (std::size_t i = 0; i < velocity[p].numel(); ++i) {
+          velocity[p][i] = mu * velocity[p][i] - lr * grads[p][i];
+          ref_values[p][i] += velocity[p][i];
+        }
+        expect_same_tensor(values[p], ref_values[p],
+                           "step " + std::to_string(step));
+      }
+      for (Tensor& g : grads) {
+        g.scale_(-0.7f);
+      }
+    }
+  }
+}
+
+TEST(FastPathOracle, SgdStepRejectsMismatchedGradient) {
+  Tensor value(Shape{4, 4});
+  Tensor grad(Shape{5});
+  nn::ParamRef p;
+  p.value = &value;
+  p.grad = &grad;
+  nn::SgdOptimizer opt({0.1, 0.9});
+  EXPECT_THROW(opt.step({p}), InvalidArgument);
+}
+
+TEST(FastPathOracle, RegularizersMatchScalarReference) {
+  const Tensor w = random_tensor(Shape{9, 11}, 5);
+  const Tensor grad0 = random_tensor(Shape{9, 11}, 6);
+
+  const nn::L2Regularizer l2(1e-3);
+  Tensor grad = grad0;
+  l2.add_gradient(w, 0, grad);
+  Tensor want = grad0;
+  const auto scale = static_cast<float>(2.0 * 1e-3);
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    want[i] += scale * w[i];
+  }
+  expect_same_tensor(grad, want, "L2 gradient");
+
+  nn::SkewedL2Regularizer skewed(4e-3, 1e-4, 0.8);
+  for (const bool frozen : {false, true}) {
+    if (frozen) {
+      skewed.freeze_omega(0, 0.05);
+    }
+    double om = 0.05;
+    if (!frozen) {
+      RunningStats rs;
+      for (std::size_t i = 0; i < w.numel(); ++i) {
+        rs.add(static_cast<double>(w[i]));
+      }
+      om = 0.8 * rs.stddev();
+    }
+    const std::string label = frozen ? "frozen" : "live";
+    EXPECT_TRUE(same_bits(skewed.omega(w, 0), om)) << label;
+
+    double left = 0.0;
+    double right = 0.0;
+    for (std::size_t i = 0; i < w.numel(); ++i) {
+      const double d = static_cast<double>(w[i]) - om;
+      (d < 0.0 ? left : right) += d * d;
+    }
+    EXPECT_TRUE(same_bits(skewed.penalty(w, 0), 4e-3 * left + 1e-4 * right))
+        << label;
+
+    grad = grad0;
+    skewed.add_gradient(w, 0, grad);
+    want = grad0;
+    const auto omf = static_cast<float>(om);
+    const auto s1 = static_cast<float>(2.0 * 4e-3);
+    const auto s2 = static_cast<float>(2.0 * 1e-4);
+    for (std::size_t i = 0; i < w.numel(); ++i) {
+      const float d = w[i] - omf;
+      want[i] += (d < 0.0f ? s1 : s2) * d;
+    }
+    expect_same_tensor(grad, want, "skewed gradient " + label);
+  }
+}
+
+}  // namespace
+}  // namespace xbarlife
