@@ -451,9 +451,10 @@ double job_timeout_for(const Args& args) {
   return ms;
 }
 
-/// Validated --chunk value (jobs per snapshot; 16 when absent).
+/// Validated --chunk value (jobs per snapshot).
 std::size_t checkpoint_chunk_for(const Args& args) {
-  const std::size_t chunk = args.number<std::size_t>("chunk", 16);
+  const std::size_t chunk =
+      args.number<std::size_t>("chunk", core::kDefaultSweepChunk);
   if (chunk == 0) {
     throw xbarlife::InvalidArgument("--chunk must be positive");
   }
@@ -590,20 +591,36 @@ int cmd_lifetime(const Args& args, CliOutput& out) {
   return 0;
 }
 
-/// Shared --strict gate for sweep-shaped commands: any failed job (a
-/// timed-out job is failed with timed_out set) turns into a
-/// ConvergenceError naming the timeout count when one contributed.
-void enforce_strict(const Args& args, std::ostream& human,
-                    std::string_view what, std::size_t failed,
-                    std::size_t timed_out, std::size_t total) {
-  if (failed == 0) {
+/// Checkpoint line for grid commands, with the restored/executed split
+/// on a resumed run; nothing without a checkpoint.
+void report_checkpoint(std::ostream& human, const std::string& checkpoint,
+                       const core::SweepOutcome& outcome) {
+  if (checkpoint.empty()) {
     return;
   }
-  std::string detail = std::to_string(failed) + " of " +
-                       std::to_string(total) + " " + std::string(what) +
-                       " jobs failed";
-  if (timed_out > 0) {
-    detail += " (" + std::to_string(timed_out) + " timed out)";
+  human << "checkpoint: " << checkpoint << " (generation "
+        << outcome.checkpoint_generation << ")";
+  if (outcome.resumed) {
+    human << ", " << outcome.resumed_jobs << " job(s) restored, "
+          << outcome.executed_jobs << " executed"
+          << (outcome.fallback_used ? " (fallback generation)" : "");
+  }
+  human << "\n";
+}
+
+/// Shared --strict gate for grid commands: any failed job (a timed-out
+/// job is failed with timed_out set) turns into a ConvergenceError naming
+/// the timeout count when one contributed.
+void enforce_strict(const Args& args, std::ostream& human,
+                    std::string_view what, const core::SweepOutcome& outcome) {
+  if (outcome.failed_jobs == 0) {
+    return;
+  }
+  std::string detail = std::to_string(outcome.failed_jobs) + " of " +
+                       std::to_string(outcome.jobs.size()) + " " +
+                       std::string(what) + " jobs failed";
+  if (outcome.timed_out_jobs > 0) {
+    detail += " (" + std::to_string(outcome.timed_out_jobs) + " timed out)";
   }
   human << detail << "\n";
   if (args.flag("strict")) {
@@ -624,73 +641,35 @@ int cmd_sweep(const Args& args, CliOutput& out) {
               << cfg.name << " across " << parallel_threads()
               << " thread(s)...\n";
 
-  const std::string ckpt = checkpoint_path_for(args);
-  if (!ckpt.empty()) {
-    core::CheckpointedSweepConfig sweep_config;
-    sweep_config.checkpoint_path = ckpt;
-    sweep_config.kind = "sweep";
-    sweep_config.chunk = checkpoint_chunk_for(args);
-    const core::CheckpointedSweepOutcome outcome =
-        core::run_checkpointed_sweep(
-            runner, jobs, sweep_config,
-            [](std::size_t, const core::ScenarioSweepEntry& entry) {
-              return core::sweep_entry_json_deterministic(entry).dump();
-            },
-            out.obs());
-    out.human() << core::checkpointed_sweep_table(outcome);
-    out.human() << "checkpoint: " << ckpt << " (generation "
-                << outcome.checkpoint_generation << ")";
-    if (outcome.resumed) {
-      out.human() << ", " << outcome.resumed_jobs
-                  << " job(s) restored, " << outcome.executed_jobs
-                  << " executed"
-                  << (outcome.fallback_used ? " (fallback generation)"
-                                            : "");
-    }
-    out.human() << "\n";
+  core::SweepConfig sweep_config;
+  sweep_config.checkpoint_path = checkpoint_path_for(args);
+  sweep_config.chunk = checkpoint_chunk_for(args);
+  const bool resumable = !sweep_config.checkpoint_path.empty();
+  const core::SweepOutcome outcome = core::run_sweep(
+      runner, jobs, sweep_config,
+      [resumable](std::size_t, const core::ScenarioSweepEntry& entry) {
+        return core::sweep_entry_json(entry, !resumable).dump();
+      },
+      out.obs());
+  out.human() << core::sweep_table(outcome);
+  report_checkpoint(out.human(), sweep_config.checkpoint_path, outcome);
 
-    obs::JsonValue sweep = obs::JsonValue::object();
-    sweep.set("job_count", outcome.jobs.size());
-    obs::JsonValue entries_json = obs::JsonValue::array();
-    for (const core::SweepJobResult& job : outcome.jobs) {
-      entries_json.push_back(obs::JsonValue::raw(job.entry_json));
-    }
-    sweep.set("jobs", std::move(entries_json));
-
-    obs::JsonValue data = obs::JsonValue::object();
-    data.set("config", core::experiment_config_json(cfg));
-    data.set("quantized", cfg.lifetime.tuning.quantized_eval);
-    data.set("sweep_seed", runner.sweep_seed());
-    data.set("replicates", replicates);
-    data.set("sweep", std::move(sweep));
-    data.set("resume", resume_json("sweep"));
-    out.finish_deterministic("sweep", std::move(data));
-    enforce_strict(args, out.human(), "sweep", outcome.failed_jobs,
-                   outcome.timed_out_jobs, outcome.jobs.size());
-    return 0;
-  }
-
-  // The runner only ticks; the sweep-wide phase is declared here (the
-  // checkpointed engine declares its own, resume-aware).
-  out.obs().progress_phase("sweep.jobs", 0, jobs.size());
-  const auto entries = runner.run(jobs, out.obs());
-  out.human() << core::sweep_table(entries);
-
+  obs::JsonValue sweep = obs::JsonValue::object();
+  sweep.set("job_count", outcome.jobs.size());
+  sweep.set("jobs", core::entries_json(outcome));
   obs::JsonValue data = obs::JsonValue::object();
   data.set("config", core::experiment_config_json(cfg));
   data.set("quantized", cfg.lifetime.tuning.quantized_eval);
   data.set("sweep_seed", runner.sweep_seed());
   data.set("replicates", replicates);
-  data.set("sweep", core::sweep_entries_json(entries));
-  out.finish("sweep", std::move(data));
-  std::size_t failed = 0;
-  std::size_t timed_out = 0;
-  for (const core::ScenarioSweepEntry& e : entries) {
-    failed += e.failed;
-    timed_out += e.timed_out;
+  data.set("sweep", std::move(sweep));
+  if (resumable) {
+    data.set("resume", resume_json("sweep"));
+    out.finish_deterministic("sweep", std::move(data));
+  } else {
+    out.finish("sweep", std::move(data));
   }
-  enforce_strict(args, out.human(), "sweep", failed, timed_out,
-                 entries.size());
+  enforce_strict(args, out.human(), "sweep", outcome);
   return 0;
 }
 
@@ -759,21 +738,10 @@ int cmd_faults(const Args& args, CliOutput& out) {
               << " replicate(s) on " << campaign.base.name << " ("
               << job_count << " jobs, " << parallel_threads()
               << " thread(s))...\n";
-  const core::FaultCampaignResult result =
+  const core::SweepOutcome result =
       core::run_fault_campaign(campaign, out.obs());
-  out.human() << core::fault_campaign_table(result);
-  if (!campaign.checkpoint_path.empty()) {
-    out.human() << "checkpoint: " << campaign.checkpoint_path
-                << " (generation " << result.checkpoint_generation << ")";
-    if (result.resumed_jobs > 0) {
-      out.human() << ", " << result.resumed_jobs
-                  << " job(s) restored, " << result.executed_jobs
-                  << " executed"
-                  << (result.fallback_used ? " (fallback generation)"
-                                           : "");
-    }
-    out.human() << "\n";
-  }
+  out.human() << core::sweep_table(result);
+  report_checkpoint(out.human(), campaign.checkpoint_path, result);
 
   obs::JsonValue data = obs::JsonValue::object();
   data.set("config", core::experiment_config_json(campaign.base));
@@ -782,8 +750,7 @@ int cmd_faults(const Args& args, CliOutput& out) {
     data.set("resume", resume_json("faults"));
   }
   out.finish_deterministic("faults", std::move(data));
-  enforce_strict(args, out.human(), "campaign", result.failed_jobs,
-                 result.timed_out_jobs, result.jobs.size());
+  enforce_strict(args, out.human(), "campaign", result);
   return 0;
 }
 

@@ -100,6 +100,45 @@ std::string training_key(const ExperimentConfig& config, bool skewed) {
   return w.data();
 }
 
+std::string scenario_key(const ExperimentConfig& config, Scenario s) {
+  persist::StateWriter w;
+  w.str(training_key(config, uses_skewed_training(s)));
+  w.u8(static_cast<std::uint8_t>(s));
+  const device::DeviceParams& d = config.device;
+  const aging::AgingParams& a = config.aging;
+  const xbar::NonidealityConfig& n = config.faults.nonideal;
+  const LifetimeConfig& lc = config.lifetime;
+  const tuning::TuningConfig& tc = lc.tuning;
+  const resilience::ResilienceConfig& rc = lc.resilience;
+  for (const double v :
+       {d.r_min_fresh, d.r_max_fresh, d.v_prog, d.t_pulse_s,
+        d.temperature_k, d.compliance_current_a, a.activation_energy_ev,
+        a.reference_temp_k, a.reference_current_a, a.current_exponent,
+        a.a_f, a.m_f, a.a_g, a.m_g, a.r_floor, a.thermal_crosstalk,
+        n.write_noise_sigma, n.read_noise_sigma, n.stuck_off_fraction,
+        n.stuck_on_fraction, n.line_resistance, tc.target_accuracy,
+        tc.min_grad_fraction, tc.step_fraction, lc.drift.sigma,
+        lc.rescue_switch_margin, rc.degraded_accuracy_floor,
+        config.absolute_tuning_target, config.target_accuracy_fraction}) {
+    w.f64(v);
+  }
+  for (const std::uint64_t v :
+       {std::uint64_t{d.levels}, std::uint64_t{config.faults.spare_rows},
+        config.faults.fault_seed, std::uint64_t{lc.levels},
+        lc.apps_per_session, std::uint64_t{lc.max_sessions},
+        std::uint64_t{tc.max_iterations}, std::uint64_t{tc.batch},
+        std::uint64_t{tc.eval_samples}, std::uint64_t{tc.plateau_iterations},
+        lc.drift_seed, std::uint64_t{lc.selection_eval_samples},
+        std::uint64_t{rc.retry_passes}}) {
+    w.u64(v);
+  }
+  for (const bool v : {tc.quantized_eval, rc.enabled, rc.ladder_enabled,
+                       rc.fault_masking, rc.spare_row_redundancy}) {
+    w.boolean(v);
+  }
+  return w.data();
+}
+
 namespace {
 
 TrainedParams capture_params(TrainedModel& tm) {

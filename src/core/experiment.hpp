@@ -93,6 +93,11 @@ TrainedModel train_model(const ExperimentConfig& config, bool skewed,
 std::string training_key(const ExperimentConfig& config, bool skewed);
 /// Identity of a synthetic dataset: the bytes of `spec` alone.
 std::string dataset_key(const data::SyntheticSpec& spec);
+/// Identity of a whole scenario run: the training_key plus the scenario
+/// and every device, aging, fault, lifetime (max_sessions included) and
+/// tuning-target field the deployment reads. Equal keys give
+/// bit-identical outcomes.
+std::string scenario_key(const ExperimentConfig& config, Scenario s);
 
 /// A trained model's parameter values and gradients plus its history:
 /// enough to rebuild an identical TrainedModel without retraining.

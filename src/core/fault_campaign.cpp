@@ -1,12 +1,8 @@
 #include "core/fault_campaign.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "common/error.hpp"
-#include "common/table.hpp"
-#include "core/report.hpp"
-#include "core/sweep_checkpoint.hpp"
 
 namespace xbarlife::core {
 
@@ -25,10 +21,9 @@ void FaultCampaignConfig::validate() const {
 }
 
 obs::JsonValue campaign_entry_json(const ScenarioSweepEntry& entry,
-                                   const std::string& point,
-                                   const std::string& job_label) {
+                                   const std::string& point) {
   obs::JsonValue out = obs::JsonValue::object();
-  out.set("label", job_label);
+  out.set("label", entry.label);
   out.set("point", point);
   out.set("scenario", to_string(entry.scenario));
   out.set("stream", entry.stream);
@@ -61,194 +56,73 @@ obs::JsonValue campaign_entry_json(const ScenarioSweepEntry& entry,
   return out;
 }
 
-namespace {
-
-struct JobSpec {
-  ScenarioJob job;
-  std::string point;
-};
-
-std::vector<JobSpec> build_jobs(const FaultCampaignConfig& config) {
-  std::vector<JobSpec> specs;
-  specs.reserve(config.points.size() * config.scenarios.size() *
-                config.replicates);
+std::vector<ScenarioJob> fault_campaign_jobs(
+    const FaultCampaignConfig& config) {
+  std::vector<ScenarioJob> jobs;
+  jobs.reserve(config.points.size() * config.scenarios.size() *
+               config.replicates);
   for (const FaultPoint& point : config.points) {
     for (std::size_t rep = 0; rep < config.replicates; ++rep) {
       for (const Scenario s : config.scenarios) {
-        JobSpec spec;
-        spec.point = point.label;
-        spec.job.label = point.label + "/" + std::string(to_string(s)) +
-                         "/r" + std::to_string(rep);
-        spec.job.config = config.base;
-        spec.job.config.faults = point.faults;
-        spec.job.config.lifetime.resilience = point.resilience;
-        spec.job.scenario = s;
+        ScenarioJob job;
+        job.label = point.label + "/" + std::string(to_string(s)) + "/r" +
+                    std::to_string(rep);
+        job.config = config.base;
+        job.config.faults = point.faults;
+        job.config.lifetime.resilience = point.resilience;
+        job.scenario = s;
         // Replicate r shares stream r across every point and scenario, so
         // the grid's cells are directly comparable.
-        spec.job.stream = rep;
-        specs.push_back(std::move(spec));
+        job.stream = rep;
+        jobs.push_back(std::move(job));
       }
     }
   }
-  return specs;
+  return jobs;
 }
 
-}  // namespace
-
-FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config,
-                                       const obs::Obs& obs) {
+SweepOutcome run_fault_campaign(const FaultCampaignConfig& config,
+                                const obs::Obs& obs) {
   config.validate();
   const obs::Span campaign_span(obs, "faults.campaign");
-  const std::vector<JobSpec> specs = build_jobs(config);
-
-  FaultCampaignResult result;
-  result.campaign_seed = config.campaign_seed;
-  result.jobs.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    result.jobs[i].label = specs[i].job.label;
-  }
-
   ScenarioRunner runner(config.campaign_seed);
   runner.set_job_timeout_ms(config.job_timeout_ms);
-
-  if (!config.checkpoint_path.empty()) {
-    // Crash-safe path: the shared sweep engine owns chunking, snapshots,
-    // resume, and the deterministic fan-in.
-    std::vector<ScenarioJob> jobs;
-    jobs.reserve(specs.size());
-    for (const JobSpec& spec : specs) {
-      jobs.push_back(spec.job);
-    }
-    CheckpointedSweepConfig sweep_config;
-    sweep_config.checkpoint_path = config.checkpoint_path;
-    sweep_config.kind = "faults";
-    sweep_config.chunk = config.checkpoint_chunk;
-    const CheckpointedSweepOutcome outcome = run_checkpointed_sweep(
-        runner, jobs, sweep_config,
-        [&specs](std::size_t idx, const ScenarioSweepEntry& entry) {
-          return campaign_entry_json(entry, specs[idx].point,
-                                     specs[idx].job.label)
-              .dump();
-        },
-        obs);
-    for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-      result.jobs[i].entry_json = outcome.jobs[i].entry_json;
-      result.jobs[i].resumed = outcome.jobs[i].resumed;
-    }
-    result.resumed_jobs = outcome.resumed_jobs;
-    result.executed_jobs = outcome.executed_jobs;
-    result.failed_jobs = outcome.failed_jobs;
-    result.timed_out_jobs = outcome.timed_out_jobs;
-    result.checkpoint_generation = outcome.checkpoint_generation;
-    result.fallback_used = outcome.fallback_used;
-    obs.count("faults.jobs_resumed", result.resumed_jobs);
-    obs.count("faults.jobs_executed", result.executed_jobs);
-    if (obs.trace_enabled()) {
-      // Deterministic fields only: executed/resumed depend on where the
-      // previous run was killed, which would break the resume contract's
-      // trace byte-identity.
-      obs.event("campaign_done",
-                {{"campaign_seed", result.campaign_seed},
-                 {"jobs", result.jobs.size()},
-                 {"failed", result.failed_jobs}});
-    }
-    return result;
+  SweepConfig sweep;
+  sweep.checkpoint_path = config.checkpoint_path;
+  sweep.kind = "faults";
+  sweep.chunk = config.checkpoint_chunk;
+  const std::size_t jobs_per_point =
+      config.replicates * config.scenarios.size();
+  SweepOutcome out = run_sweep(
+      runner, fault_campaign_jobs(config), sweep,
+      [&config, jobs_per_point](std::size_t i,
+                                const ScenarioSweepEntry& entry) {
+        return campaign_entry_json(entry,
+                                   config.points[i / jobs_per_point].label)
+            .dump();
+      },
+      obs);
+  if (out.resumed_jobs > 0) {
+    obs.count("faults.jobs_resumed", out.resumed_jobs);
   }
-
-  // Non-checkpoint path: chunked fan-out through ScenarioRunner::run,
-  // byte-identical to pre-engine builds. The chunk size is a constant —
-  // NOT the pool size — so batch composition (and with it the
-  // batch-relative fields of sweep_job_done trace events) is identical
-  // at any thread count.
-  // Batches flow through ScenarioRunner::run, which only sees one batch
-  // at a time; the campaign-wide phase is declared here.
-  obs.progress_phase("faults.jobs", 0, specs.size());
-  constexpr std::size_t kChunk = 16;
-  for (std::size_t start = 0; start < specs.size(); start += kChunk) {
-    const std::size_t end = std::min(specs.size(), start + kChunk);
-    std::vector<ScenarioJob> batch;
-    batch.reserve(end - start);
-    for (std::size_t k = start; k < end; ++k) {
-      batch.push_back(specs[k].job);
-    }
-    const std::vector<ScenarioSweepEntry> entries = runner.run(batch, obs);
-    for (std::size_t k = start; k < end; ++k) {
-      FaultCampaignJob& job = result.jobs[k];
-      job.entry = entries[k - start];
-      job.entry_json =
-          campaign_entry_json(*job.entry, specs[k].point, job.label)
-              .dump();
-      ++result.executed_jobs;
-    }
-  }
-  obs.count("faults.jobs_executed", result.executed_jobs);
-
-  for (const FaultCampaignJob& job : result.jobs) {
-    result.failed_jobs += job.entry->failed;
-    result.timed_out_jobs += job.entry->timed_out;
-  }
+  obs.count("faults.jobs_executed", out.executed_jobs);
   if (obs.trace_enabled()) {
-    obs.event("campaign_done",
-              {{"campaign_seed", result.campaign_seed},
-               {"jobs", result.jobs.size()},
-               {"executed", result.executed_jobs},
-               {"resumed", result.resumed_jobs},
-               {"failed", result.failed_jobs}});
+    // Deterministic fields only: executed/resumed depend on where a
+    // previous run was killed, which would break the resume contract's
+    // trace byte-identity.
+    obs.event("campaign_done", {{"campaign_seed", out.sweep_seed},
+                                {"jobs", out.jobs.size()},
+                                {"failed", out.failed_jobs}});
   }
-  return result;
-}
-
-obs::JsonValue fault_campaign_json(const FaultCampaignResult& result) {
-  obs::JsonValue results = obs::JsonValue::array();
-  for (const FaultCampaignJob& job : result.jobs) {
-    XB_ASSERT(!job.entry_json.empty(),
-              "campaign job has no entry: " + job.label);
-    results.push_back(obs::JsonValue::raw(job.entry_json));
-  }
-  obs::JsonValue out = obs::JsonValue::object();
-  out.set("campaign_seed", result.campaign_seed);
-  out.set("job_count", result.jobs.size());
-  out.set("results", std::move(results));
   return out;
 }
 
-std::string fault_campaign_table(const FaultCampaignResult& result) {
-  TablePrinter table({"job", "source", "lifetime apps", "outcome"});
-  for (const FaultCampaignJob& job : result.jobs) {
-    std::string apps = "-";
-    std::string outcome;
-    if (job.entry_json.find("\"failed\":true") != std::string::npos) {
-      outcome = "error";
-      const std::string needle = "\"error\":\"";
-      const std::size_t pos = job.entry_json.find(needle);
-      if (pos != std::string::npos) {
-        const std::size_t stop =
-            job.entry_json.find('"', pos + needle.size());
-        outcome = "error: " + job.entry_json.substr(
-                                  pos + needle.size(),
-                                  stop - pos - needle.size());
-      }
-    } else {
-      const std::string needle = "\"lifetime_applications\":";
-      const std::size_t pos = job.entry_json.find(needle);
-      if (pos != std::string::npos) {
-        std::size_t i = pos + needle.size();
-        std::string digits;
-        while (i < job.entry_json.size() &&
-               job.entry_json[i] >= '0' && job.entry_json[i] <= '9') {
-          digits += job.entry_json[i];
-          ++i;
-        }
-        apps = digits;
-      }
-      outcome = job.entry_json.find("\"died\":true") != std::string::npos
-                    ? "died"
-                    : "survived cap";
-    }
-    table.add_row(
-        {job.label, job.resumed ? "checkpoint" : "run", apps, outcome});
-  }
-  return table.render();
+obs::JsonValue fault_campaign_json(const SweepOutcome& result) {
+  obs::JsonValue out = obs::JsonValue::object();
+  out.set("campaign_seed", result.sweep_seed);
+  out.set("job_count", result.jobs.size());
+  out.set("results", entries_json(result));
+  return out;
 }
 
 }  // namespace xbarlife::core

@@ -4,20 +4,19 @@
 // spare-row budgets, ladder on/off) across lifetime scenarios and
 // replicates, reusing ScenarioRunner's forked-seed fan-out so the whole
 // grid is pinned by one campaign seed — byte-identical at any thread
-// count. Per-job failures are isolated (a throwing scenario becomes a
-// failed entry, not a fatal error), and an optional checkpoint file makes
-// the campaign resumable through the shared crash-safe sweep engine
-// (core/sweep_checkpoint.hpp): completed entries are persisted as
-// serialized JSON inside an "xbarlife.ckpt.v1" snapshot and spliced back
-// verbatim on resume, so a killed-and-resumed campaign emits the same
-// result document as an uninterrupted one.
+// count. The grid runs through the one grid engine
+// (core/sweep_checkpoint.hpp): per-job failures are isolated (a throwing
+// scenario becomes a failed entry, not a fatal error), and an optional
+// checkpoint file makes the campaign resumable — completed entries are
+// persisted as serialized JSON inside an "xbarlife.ckpt.v1" snapshot and
+// spliced back verbatim on resume, so a killed-and-resumed campaign emits
+// the same result document as an uninterrupted one.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/scenario_runner.hpp"
+#include "core/sweep_checkpoint.hpp"
 #include "resilience/resilience.hpp"
 
 namespace xbarlife::core {
@@ -42,56 +41,36 @@ struct FaultCampaignConfig {
   std::string checkpoint_path;
   /// Jobs per snapshot chunk when checkpointing (the save cadence; a
   /// killed campaign loses at most one chunk of work).
-  std::size_t checkpoint_chunk = 16;
+  std::size_t checkpoint_chunk = kDefaultSweepChunk;
   /// Per-job watchdog budget in wall-clock ms; <= 0 disables it.
   double job_timeout_ms = 0.0;
 
   void validate() const;
 };
 
-/// Per-job campaign outcome: the job's identity plus its persisted entry
-/// JSON. `entry` is present only for jobs executed in this process (jobs
-/// restored from a checkpoint carry their stored JSON instead).
-struct FaultCampaignJob {
-  std::string label;
-  std::string entry_json;  ///< deterministic (no wall-clock fields)
-  bool resumed = false;    ///< restored from the checkpoint file
-  std::optional<ScenarioSweepEntry> entry;
-};
-
-struct FaultCampaignResult {
-  std::uint64_t campaign_seed = 0;
-  std::vector<FaultCampaignJob> jobs;
-  std::size_t resumed_jobs = 0;
-  std::size_t executed_jobs = 0;
-  std::size_t failed_jobs = 0;     ///< includes timed-out jobs
-  std::size_t timed_out_jobs = 0;  ///< killed by the --job-timeout watchdog
-  std::uint64_t checkpoint_generation = 0;
-  bool fallback_used = false;  ///< restored from the .bak generation
-};
+/// The campaign's job list, point-major: each point's replicates x
+/// scenarios are contiguous, labelled "<point>/<scenario>/r<rep>", and
+/// replicate r runs on seed stream r.
+std::vector<ScenarioJob> fault_campaign_jobs(const FaultCampaignConfig& config);
 
 /// Deterministic entry document for one campaign job (excludes wall_ms —
 /// the one nondeterministic sweep field — so stored and fresh entries
 /// serialize identically).
 obs::JsonValue campaign_entry_json(const ScenarioSweepEntry& entry,
-                                   const std::string& point,
-                                   const std::string& job_label);
+                                   const std::string& point);
 
 /// Runs (or resumes) the campaign. Throws InvalidArgument on an empty or
 /// inconsistent grid, IoError when the checkpoint file belongs to a
 /// different campaign, CheckpointError when every snapshot generation is
 /// corrupt, and InterruptedError when a cooperative shutdown left jobs
 /// pending (completed work is already snapshotted).
-FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config,
-                                       const obs::Obs& obs = {});
+SweepOutcome run_fault_campaign(const FaultCampaignConfig& config,
+                                const obs::Obs& obs = {});
 
 /// The campaign's result-document "data" payload:
 ///   {"campaign_seed":..., "job_count":N, "results":[<entries>]}
 /// Entries restored from a checkpoint are spliced verbatim, so resumed
 /// and uninterrupted campaigns dump identical bytes.
-obs::JsonValue fault_campaign_json(const FaultCampaignResult& result);
-
-/// Console summary, one row per job.
-std::string fault_campaign_table(const FaultCampaignResult& result);
+obs::JsonValue fault_campaign_json(const SweepOutcome& result);
 
 }  // namespace xbarlife::core

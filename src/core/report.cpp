@@ -250,10 +250,8 @@ std::string lifetime_session_table(const LifetimeResult& result,
   return table.render();
 }
 
-namespace {
-
-obs::JsonValue sweep_entry_json_impl(const ScenarioSweepEntry& entry,
-                                     bool with_wall_ms) {
+obs::JsonValue sweep_entry_json(const ScenarioSweepEntry& entry,
+                                bool with_wall_ms) {
   obs::JsonValue out = obs::JsonValue::object();
   out.set("label", entry.label);
   out.set("scenario", to_string(entry.scenario));
@@ -282,46 +280,6 @@ obs::JsonValue sweep_entry_json_impl(const ScenarioSweepEntry& entry,
     out.set("wall_ms", entry.wall_ms);
   }
   return out;
-}
-
-}  // namespace
-
-obs::JsonValue sweep_entry_json(const ScenarioSweepEntry& entry) {
-  return sweep_entry_json_impl(entry, /*with_wall_ms=*/true);
-}
-
-obs::JsonValue sweep_entry_json_deterministic(
-    const ScenarioSweepEntry& entry) {
-  return sweep_entry_json_impl(entry, /*with_wall_ms=*/false);
-}
-
-obs::JsonValue sweep_entries_json(
-    const std::vector<ScenarioSweepEntry>& entries) {
-  obs::JsonValue jobs = obs::JsonValue::array();
-  for (const ScenarioSweepEntry& e : entries) {
-    jobs.push_back(sweep_entry_json(e));
-  }
-  obs::JsonValue out = obs::JsonValue::object();
-  out.set("job_count", entries.size());
-  out.set("jobs", std::move(jobs));
-  return out;
-}
-
-std::string sweep_table(const std::vector<ScenarioSweepEntry>& entries) {
-  TablePrinter table({"run", "sw acc", "target", "lifetime apps",
-                      "sessions", "outcome"});
-  for (const ScenarioSweepEntry& e : entries) {
-    if (e.failed) {
-      table.add_row({e.label, "-", "-", "-", "-", "error: " + e.error});
-      continue;
-    }
-    table.add_row({e.label, format_double(e.outcome.software_accuracy, 3),
-                   format_double(e.outcome.tuning_target, 3),
-                   std::to_string(e.outcome.lifetime.lifetime_applications),
-                   std::to_string(e.outcome.lifetime.sessions.size()),
-                   e.outcome.lifetime.died ? "died" : "survived cap"});
-  }
-  return table.render();
 }
 
 void emit_checkpoint_saved(const obs::Obs& obs, std::string_view kind,

@@ -52,15 +52,12 @@ obs::JsonValue scenario_outcome_json(const ScenarioOutcome& outcome);
 std::string lifetime_session_table(const LifetimeResult& result,
                                    std::size_t max_rows = 0);
 
-obs::JsonValue sweep_entry_json(const ScenarioSweepEntry& entry);
-/// Checkpoint-mode variant: identical to sweep_entry_json but omits the
-/// nondeterministic wall_ms field, so a killed-and-resumed run's result
-/// document is byte-identical to an uninterrupted one.
-obs::JsonValue sweep_entry_json_deterministic(
-    const ScenarioSweepEntry& entry);
-obs::JsonValue sweep_entries_json(
-    const std::vector<ScenarioSweepEntry>& entries);
-std::string sweep_table(const std::vector<ScenarioSweepEntry>& entries);
+/// One sweep job's result-document entry. `with_wall_ms` appends the
+/// job's wall-clock time; checkpoint-mode documents leave it out, so a
+/// killed-and-resumed run's document is byte-identical to an
+/// uninterrupted one.
+obs::JsonValue sweep_entry_json(const ScenarioSweepEntry& entry,
+                                bool with_wall_ms);
 
 /// Persist meta trace lines. These are spliced into the trace verbatim
 /// (no seq, no t_ms) so checkpoint I/O never shifts the deterministic

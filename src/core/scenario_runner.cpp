@@ -3,17 +3,31 @@
 #include <chrono>
 #include <exception>
 #include <memory>
-#include <numeric>
 #include <set>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "core/sweep_checkpoint.hpp"
 
 namespace xbarlife::core {
 
 ScenarioRunner::ScenarioRunner(std::uint64_t sweep_seed)
     : sweep_seed_(sweep_seed) {}
+
+ExperimentConfig ScenarioRunner::forked_config(const ScenarioJob& job) const {
+  // The stream index — not the array index — selects the fork, so
+  // reordering or filtering a job list never changes surviving jobs.
+  Rng stream_rng = Rng(sweep_seed_).fork(job.stream);
+  ExperimentConfig cfg = job.config;
+  cfg.seed = stream_rng();
+  cfg.dataset.seed = stream_rng();
+  cfg.lifetime.drift_seed = stream_rng();
+  // Drawn unconditionally (fourth in the stream) so fault-enabled and
+  // fault-free sweeps share the first three seeds.
+  cfg.faults.fault_seed = stream_rng();
+  return cfg;
+}
 
 void ScenarioRunner::run_each(
     const std::vector<ScenarioJob>& jobs,
@@ -28,21 +42,11 @@ void ScenarioRunner::run_each(
   std::set<std::string> seen;
   configs.reserve(jobs.size());
   train_keys.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // The stream index — not the array index — selects the fork, so
-    // reordering or filtering a job list never changes surviving jobs.
-    Rng stream_rng = Rng(sweep_seed_).fork(jobs[i].stream);
-    ExperimentConfig cfg = jobs[i].config;
-    cfg.seed = stream_rng();
-    cfg.dataset.seed = stream_rng();
-    cfg.lifetime.drift_seed = stream_rng();
-    // Drawn unconditionally (fourth in the stream) so fault-enabled and
-    // fault-free sweeps share the first three seeds.
-    cfg.faults.fault_seed = stream_rng();
+  for (const ScenarioJob& job : jobs) {
+    configs.push_back(forked_config(job));
     train_keys.push_back(
-        training_key(cfg, uses_skewed_training(jobs[i].scenario)));
+        training_key(configs.back(), uses_skewed_training(job.scenario)));
     observed.push_back(seen.insert(train_keys.back()).second);
-    configs.push_back(std::move(cfg));
   }
 
   std::vector<std::string> data_keys;
@@ -130,67 +134,15 @@ void ScenarioRunner::run_each(
 
 std::vector<ScenarioSweepEntry> ScenarioRunner::run(
     const std::vector<ScenarioJob>& jobs, const obs::Obs& obs) const {
+  // The grid engine without a checkpoint; its serializer keeps the full
+  // entries instead of rendering a document.
   std::vector<ScenarioSweepEntry> entries(jobs.size());
-
-  // Jobs run concurrently, so each gets a forked child context (private
-  // registry, buffered trace, private profiler); merge_into() below fans
-  // them back in job-index order, which keeps the merged stream
-  // independent of scheduling.
-  std::vector<std::string> labels;
-  labels.reserve(jobs.size());
-  for (const ScenarioJob& job : jobs) {
-    labels.push_back(job.label);
-  }
-  obs::ObsFork fork(obs, std::move(labels));
-
-  // Entries are written by index, so the merged sweep is identical
-  // however the pool schedules the jobs. Inside a job every parallel_for
-  // nests and therefore runs in the fixed serial order.
-  std::vector<std::size_t> all(jobs.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  run_each(jobs, all, fork, [&](std::size_t i, ScenarioSweepEntry entry) {
-    entries[i] = std::move(entry);
-    // Heartbeat as jobs complete (any order); the enclosing phase is
-    // set by the caller, which knows the full campaign size — this
-    // run() may only see one resumable batch of it.
-    obs.progress_tick();
-  });
-
-  // Deterministic fan-in: buffered job traces, registries, and span
-  // profiles merge in job order, each job closed by its sweep_job_done
-  // event.
-  fork.merge_into([&](std::size_t i) {
-    if (obs.metrics_enabled()) {
-      obs.metrics->histogram("sweep.job_ms").observe(entries[i].wall_ms);
-    }
-    obs.count("sweep.jobs");
-    if (entries[i].failed) {
-      obs.count("sweep.failed_jobs");
-    }
-    if (obs.trace_enabled()) {
-      const ScenarioSweepEntry& e = entries[i];
-      std::vector<obs::Field> fields{
-          {"job", e.label},
-          {"index", i},
-          {"scenario", to_string(e.scenario)},
-          {"stream", e.stream},
-          {"seed", e.seed},
-          {"software_accuracy", e.outcome.software_accuracy},
-          {"tuning_target", e.outcome.tuning_target},
-          {"lifetime_applications",
-           e.outcome.lifetime.lifetime_applications},
-          {"sessions", e.outcome.lifetime.sessions.size()},
-          {"died", e.outcome.lifetime.died},
-          {"wall_ms", e.wall_ms}};
-      if (e.timed_out) {
-        fields.emplace_back("timed_out", true);
-      }
-      if (e.failed) {
-        fields.emplace_back("error", e.error);
-      }
-      obs.event("sweep_job_done", fields);
-    }
-  });
+  run_sweep(*this, jobs, SweepConfig{},
+            [&entries](std::size_t i, ScenarioSweepEntry entry) {
+              entries[i] = std::move(entry);
+              return std::string();
+            },
+            obs);
   return entries;
 }
 

@@ -69,18 +69,23 @@ class ScenarioRunner {
   }
   double job_timeout_ms() const { return job_timeout_ms_; }
 
+  /// The job's config with seed / dataset.seed / lifetime.drift_seed /
+  /// faults.fault_seed replaced by draws from
+  /// Rng(sweep_seed).fork(job.stream): exactly what the job runs.
+  ExperimentConfig forked_config(const ScenarioJob& job) const;
+
   /// Runs every job (across the shared thread pool when it has more than
-  /// one thread) and returns entries in job order. Each job's config gets
-  /// seed / dataset.seed / lifetime.drift_seed replaced by draws from
-  /// Rng(sweep_seed).fork(job.stream).
+  /// one thread) and returns entries in job order, each job on its
+  /// forked_config().
   ///
-  /// When observability is attached, every job runs against a private
+  /// This is run_sweep (core/sweep_checkpoint.hpp) without a checkpoint:
+  /// when observability is attached, every job runs against a private
   /// registry and an in-memory event trace (context field "job" = label);
-  /// after the fan-out the runner splices the buffered traces into
-  /// `obs.trace`'s sink in job-index order, merges the registries into
-  /// `obs.metrics` in the same order, and emits one `sweep_job_done`
-  /// event per job — so the aggregated metrics and the event stream are
-  /// byte-identical at any thread count (wall-clock fields aside).
+  /// after the fan-out the buffered traces splice into `obs.trace`'s sink
+  /// in job-index order, the registries merge into `obs.metrics` in the
+  /// same order, and one `sweep_job_done` event closes each job — so the
+  /// aggregated metrics and the event stream are byte-identical at any
+  /// thread count (wall-clock fields aside).
   ///
   /// Jobs whose forked configs build the same dataset share one copy, and
   /// jobs with the same training_key() share one training (ST+T and ST+AT
@@ -90,12 +95,11 @@ class ScenarioRunner {
   std::vector<ScenarioSweepEntry> run(const std::vector<ScenarioJob>& jobs,
                                       const obs::Obs& obs = {}) const;
 
-  /// The one fan-out run() and the checkpointed sweep engine share: runs
-  /// jobs[i] for every i in `indices` (ascending) in one pass over the
-  /// pool, one job per chunk, and hands each finished entry to
-  /// `done(i, entry)` on the thread that ran it. Each job derives its
-  /// forked seeds, arms the per-job watchdog, isolates exceptions into a
-  /// failed entry, and measures wall_ms.
+  /// The grid engine's fan-out: runs jobs[i] for every i in `indices`
+  /// (ascending) in one pass over the pool, one job per chunk, and hands
+  /// each finished entry to `done(i, entry)` on the thread that ran it.
+  /// Each job runs on its forked_config(), arms the per-job watchdog,
+  /// isolates exceptions into a failed entry, and measures wall_ms.
   ///
   /// Datasets and trainings are shared within the pass only. A training
   /// is observed (through fork.job(i)) only when i is the lowest index of

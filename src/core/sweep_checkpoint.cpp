@@ -1,48 +1,52 @@
 #include "core/sweep_checkpoint.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 #include "core/report.hpp"
 #include "obs/fork.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
 
 namespace xbarlife::core {
 
 namespace {
 
-/// The engine's snapshot target: a view over the job list and the
-/// (partially filled) result vector. Only completed jobs — non-empty
-/// entry_json — are serialized.
+/// Identity of a grid: its kind, root seed and every job's label, stream
+/// and forked scenario config (max_sessions included — unlike a lifetime
+/// snapshot, a finished entry cannot continue toward a longer cap).
+std::uint64_t grid_fingerprint(const ScenarioRunner& runner,
+                               const std::vector<ScenarioJob>& jobs,
+                               const std::string& kind) {
+  persist::Fingerprint fp;
+  fp.add(std::string_view{"sweep-ckpt"});
+  fp.add(kind);
+  fp.add(runner.sweep_seed());
+  fp.add(static_cast<std::uint64_t>(jobs.size()));
+  for (const ScenarioJob& job : jobs) {
+    fp.add(job.label);
+    fp.add(job.stream);
+    fp.add(scenario_key(runner.forked_config(job), job.scenario));
+  }
+  return fp.value();
+}
+
+/// The engine's snapshot target: a view over the (partially filled) row
+/// vector. Only completed jobs — non-empty entry_json — are serialized.
 class SweepState : public persist::Checkpointable {
  public:
-  SweepState(const CheckpointedSweepConfig& config,
-             std::uint64_t sweep_seed,
-             const std::vector<ScenarioJob>& jobs,
+  SweepState(std::string kind, std::uint64_t fingerprint,
              std::vector<SweepJobResult>& results)
-      : config_(&config),
-        sweep_seed_(sweep_seed),
-        jobs_(&jobs),
+      : kind_(std::move(kind)),
+        fingerprint_(fingerprint),
         results_(&results) {}
 
-  std::string kind() const override { return config_->kind; }
+  std::string kind() const override { return kind_; }
 
-  std::uint64_t fingerprint() const override {
-    persist::Fingerprint fp;
-    fp.add(std::string_view{"sweep-ckpt"});
-    fp.add(config_->kind);
-    fp.add(sweep_seed_);
-    fp.add(config_->config_salt);
-    fp.add(static_cast<std::uint64_t>(jobs_->size()));
-    for (const ScenarioJob& job : *jobs_) {
-      fp.add(job.label);
-      fp.add(static_cast<std::uint64_t>(job.scenario));
-      fp.add(job.stream);
-    }
-    return fp.value();
-  }
+  std::uint64_t fingerprint() const override { return fingerprint_; }
 
   std::string serialize() const override {
     persist::StateWriter w;
@@ -103,60 +107,70 @@ class SweepState : public persist::Checkpointable {
   }
 
  private:
-  const CheckpointedSweepConfig* config_;
-  std::uint64_t sweep_seed_;
-  const std::vector<ScenarioJob>* jobs_;
+  std::string kind_;
+  std::uint64_t fingerprint_;
   std::vector<SweepJobResult>* results_;
 };
 
 }  // namespace
 
-CheckpointedSweepOutcome run_checkpointed_sweep(
-    const ScenarioRunner& runner, const std::vector<ScenarioJob>& jobs,
-    const CheckpointedSweepConfig& config,
-    const EntrySerializer& serialize_entry, const obs::Obs& obs) {
-  XB_CHECK(!config.checkpoint_path.empty(),
-           "checkpointed sweep needs a checkpoint path");
+SweepOutcome run_sweep(const ScenarioRunner& runner,
+                       const std::vector<ScenarioJob>& jobs,
+                       const SweepConfig& config,
+                       const EntrySerializer& serialize_entry,
+                       const obs::Obs& obs) {
   XB_CHECK(static_cast<bool>(serialize_entry),
-           "checkpointed sweep needs an entry serializer");
+           "sweep needs an entry serializer");
+  const bool persistent = !config.checkpoint_path.empty();
+  XB_CHECK(!persistent || config.chunk > 0,
+           "checkpointed sweep needs a positive chunk size");
 
-  CheckpointedSweepOutcome out;
+  SweepOutcome out;
+  out.sweep_seed = runner.sweep_seed();
   out.jobs.resize(jobs.size());
+  std::vector<std::string> labels;
+  labels.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     out.jobs[i].label = jobs[i].label;
+    labels.push_back(jobs[i].label);
   }
 
-  SweepState state(config, runner.sweep_seed(), jobs, out.jobs);
-  persist::CheckpointStore store(config.checkpoint_path);
-  const auto info = store.load(state);
-  if (info.has_value()) {
-    out.resumed = true;
-    out.fallback_used = info->fallback_used;
-    for (const SweepJobResult& job : out.jobs) {
-      out.resumed_jobs += job.resumed;
+  std::optional<SweepState> state;
+  std::optional<persist::CheckpointStore> store;
+  if (persistent) {
+    state.emplace(config.kind, grid_fingerprint(runner, jobs, config.kind),
+                  out.jobs);
+    store.emplace(config.checkpoint_path);
+    const auto info = store->load(*state);
+    if (info.has_value()) {
+      out.resumed = true;
+      out.fallback_used = info->fallback_used;
+      for (const SweepJobResult& job : out.jobs) {
+        out.resumed_jobs += job.resumed;
+      }
+      emit_resume_event(obs, config.kind, info->generation,
+                        info->fallback_used);
     }
-    emit_resume_event(obs, config.kind, info->generation,
-                      info->fallback_used);
   }
 
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < out.jobs.size(); ++i) {
-    if (out.jobs[i].entry_json.empty()) {
+    if (!out.jobs[i].resumed) {
       pending.push_back(i);
     }
   }
 
-  // Trace-only fork parent: child registries and profilers are never
-  // merged here — a resumed run cannot reconstruct the killed process's
-  // metrics, so checkpoint-mode documents omit them (the CLI renders
-  // them via the deterministic finisher) and the engine doesn't pay for
-  // collecting them.
-  obs::Obs fork_parent;
-  fork_parent.trace = obs.trace;
-  std::vector<std::string> labels;
-  labels.reserve(jobs.size());
-  for (const ScenarioJob& job : jobs) {
-    labels.push_back(job.label);
+  // Jobs run concurrently, so each gets a forked child context. Without a
+  // checkpoint the fork mirrors `obs` and merge_into() fans registries,
+  // profiles and traces back in. With one, the fork is trace-only: a
+  // resumed run cannot reconstruct the killed process's metrics, so
+  // checkpoint-mode documents omit them (the CLI renders them via the
+  // deterministic finisher) and the engine doesn't pay for collecting
+  // them.
+  obs::Obs fork_parent = obs;
+  if (persistent) {
+    fork_parent = obs::Obs{};
+    fork_parent.trace = obs.trace;
   }
   obs::ObsFork fork(fork_parent, std::move(labels));
 
@@ -165,7 +179,9 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
   obs.progress_phase(config.kind + ".jobs",
                      out.jobs.size() - pending.size(), out.jobs.size());
 
-  const std::size_t chunk = config.chunk > 0 ? config.chunk : 16;
+  // Rows are written by index, so the outcome is identical however the
+  // pool schedules the jobs.
+  const std::size_t chunk = persistent ? config.chunk : pending.size();
   for (std::size_t start = 0; start < pending.size(); start += chunk) {
     const std::size_t end = std::min(pending.size(), start + chunk);
     const std::vector<std::size_t> batch(
@@ -186,17 +202,21 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
       job.failed = entry.failed;
       job.timed_out = entry.timed_out;
       job.error = entry.error;
-      job.entry_json = serialize_entry(idx, entry);
-      XB_ASSERT(!job.entry_json.empty(),
+      job.wall_ms = entry.wall_ms;
+      job.entry_json = serialize_entry(idx, std::move(entry));
+      XB_ASSERT(!persistent || !job.entry_json.empty(),
                 "entry serializer returned nothing for " + job.label);
       obs.progress_tick();
     });
+    out.executed_jobs += end - start;
+    if (!persistent) {
+      continue;
+    }
     for (std::size_t k = start; k < end; ++k) {
       out.jobs[pending[k]].trace_lines = fork.take_job_lines(pending[k]);
     }
-    out.executed_jobs += end - start;
-    store.save(state);
-    emit_checkpoint_saved(obs, config.kind, store.generation());
+    store->save(*state);
+    emit_checkpoint_saved(obs, config.kind, store->generation());
     // Cooperative shutdown boundary: the chunk just finished is on disk,
     // so stopping here loses nothing — and every attempt makes at least
     // one chunk of progress even when the signal arrived mid-chunk.
@@ -205,50 +225,77 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
           config.kind + " run interrupted with " +
           std::to_string(pending.size() - end) +
           " job(s) pending; resume with the same checkpoint: " +
-          store.path());
+          store->path());
     }
   }
-  out.checkpoint_generation = store.generation();
+  if (persistent) {
+    out.checkpoint_generation = store->generation();
+  }
 
   // Deterministic fan-in, strictly in global job order: restored and
   // fresh jobs are indistinguishable here, so the merged stream never
-  // depends on where the run was killed.
-  for (std::size_t i = 0; i < out.jobs.size(); ++i) {
+  // depends on where the run was killed. Without a checkpoint,
+  // merge_into() has already spliced job i's trace, registry and profile
+  // when this runs.
+  const auto fan_in = [&](std::size_t i) {
     const SweepJobResult& job = out.jobs[i];
     out.failed_jobs += job.failed;
     out.timed_out_jobs += job.timed_out;
+    if (!persistent && obs.metrics_enabled()) {
+      obs.metrics->histogram("sweep.job_ms").observe(job.wall_ms);
+    }
     obs.count("sweep.jobs");
     if (job.failed) {
       obs.count("sweep.failed_jobs");
     }
-    if (obs.trace_enabled()) {
-      for (const std::string& line : job.trace_lines) {
-        obs.trace->emit_line(line);
-      }
-      std::vector<obs::Field> fields{
-          {"job", job.label},
-          {"index", i},
-          {"scenario", to_string(job.scenario)},
-          {"stream", job.stream},
-          {"seed", job.seed},
-          {"software_accuracy", job.software_accuracy},
-          {"tuning_target", job.tuning_target},
-          {"lifetime_applications", job.lifetime_applications},
-          {"sessions", job.sessions},
-          {"died", job.died}};
-      if (job.timed_out) {
-        fields.emplace_back("timed_out", true);
-      }
-      if (job.failed) {
-        fields.emplace_back("error", job.error);
-      }
-      obs.event("sweep_job_done", fields);
+    if (!obs.trace_enabled()) {
+      return;
     }
+    for (const std::string& line : job.trace_lines) {
+      obs.trace->emit_line(line);
+    }
+    std::vector<obs::Field> fields{
+        {"job", job.label},
+        {"index", i},
+        {"scenario", to_string(job.scenario)},
+        {"stream", job.stream},
+        {"seed", job.seed},
+        {"software_accuracy", job.software_accuracy},
+        {"tuning_target", job.tuning_target},
+        {"lifetime_applications", job.lifetime_applications},
+        {"sessions", job.sessions},
+        {"died", job.died}};
+    if (!persistent) {
+      fields.emplace_back("wall_ms", job.wall_ms);
+    }
+    if (job.timed_out) {
+      fields.emplace_back("timed_out", true);
+    }
+    if (job.failed) {
+      fields.emplace_back("error", job.error);
+    }
+    obs.event("sweep_job_done", fields);
+  };
+  if (persistent) {
+    for (std::size_t i = 0; i < out.jobs.size(); ++i) {
+      fan_in(i);
+    }
+  } else {
+    fork.merge_into(fan_in);
   }
   return out;
 }
 
-std::string checkpointed_sweep_table(const CheckpointedSweepOutcome& out) {
+obs::JsonValue entries_json(const SweepOutcome& out) {
+  obs::JsonValue entries = obs::JsonValue::array();
+  for (const SweepJobResult& job : out.jobs) {
+    XB_ASSERT(!job.entry_json.empty(), "sweep job has no entry: " + job.label);
+    entries.push_back(obs::JsonValue::raw(job.entry_json));
+  }
+  return entries;
+}
+
+std::string sweep_table(const SweepOutcome& out) {
   TablePrinter table({"run", "source", "sw acc", "target", "lifetime apps",
                       "sessions", "outcome"});
   for (const SweepJobResult& job : out.jobs) {

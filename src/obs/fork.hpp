@@ -1,6 +1,6 @@
 // Deterministic per-job observability contexts for fan-out layers.
 //
-// A fan-out layer (core::ScenarioRunner, core::run_fault_campaign) runs N
+// A fan-out layer (core::run_sweep, the one grid engine) runs N
 // independent jobs concurrently, but the merged metrics, event stream, and
 // span profile must be byte-identical at any thread count. ObsFork is the
 // one implementation of that plumbing: it forks the parent Obs into N

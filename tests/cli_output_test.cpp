@@ -135,6 +135,21 @@ TEST(CliOutput, StrictTripsOnTimedOutSweepJobs) {
   EXPECT_EQ(run_cli(cmd + " --strict"), 4);
 }
 
+// A grid checkpoint pins every job's config: reusing a finished mlp
+// sweep's snapshot for a LeNet-5 sweep fails closed with the IoError
+// exit code instead of "restoring" foreign entries.
+TEST(CliOutput, SweepCheckpointFromAnotherModelExitsIo) {
+  const std::string ckpt = ::testing::TempDir() + "xbarlife_cli_model.ckpt";
+  std::remove(ckpt.c_str());
+  std::remove((ckpt + ".bak").c_str());
+  const std::string cmd =
+      "sweep --sessions 1 --replicates 1 --checkpoint " + ckpt;
+  EXPECT_EQ(run_cli(cmd + " --model mlp"), 0);
+  EXPECT_EQ(run_cli(cmd + " --model lenet5"), 3);
+  std::remove(ckpt.c_str());
+  std::remove((ckpt + ".bak").c_str());
+}
+
 // Outside a fan-out there is no entry to isolate the failure into: an
 // expired lifetime deadline propagates as TimeoutError (exit 8).
 TEST(CliOutput, LifetimeWatchdogExpiryExitsTimeout) {

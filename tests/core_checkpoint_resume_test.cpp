@@ -270,7 +270,7 @@ TEST(LifetimeCheckpoint, FaultedLadderCampaignResumesAcrossBackends) {
 // ---------------------------------------------------------------------
 // Checkpointed sweep engine: per-chunk snapshots, any thread count.
 
-std::string sweep_doc(const CheckpointedSweepOutcome& outcome) {
+std::string sweep_doc(const SweepOutcome& outcome) {
   std::string out;
   for (const SweepJobResult& job : outcome.jobs) {
     out += job.entry_json;
@@ -279,19 +279,19 @@ std::string sweep_doc(const CheckpointedSweepOutcome& outcome) {
   return out;
 }
 
-CheckpointedSweepOutcome run_sweep_checkpointed(
+SweepOutcome run_sweep_checkpointed(
     const std::vector<ScenarioJob>& jobs, const std::string& path,
     obs::EventTrace* trace) {
   ScenarioRunner runner(33);
-  CheckpointedSweepConfig config;
+  SweepConfig config;
   config.checkpoint_path = path;
   config.chunk = 2;
   obs::Obs obs;
   obs.trace = trace;
-  return run_checkpointed_sweep(
+  return run_sweep(
       runner, jobs, config,
       [](std::size_t, const ScenarioSweepEntry& entry) {
-        return sweep_entry_json_deterministic(entry).dump();
+        return sweep_entry_json(entry, /*with_wall_ms=*/false).dump();
       },
       obs);
 }
@@ -311,7 +311,7 @@ TEST(SweepCheckpoint, KillAtEveryChunkBoundaryIsByteIdentical) {
     remove_generations(ref_path);
     obs::MemorySink ref_sink;
     obs::EventTrace ref_trace(&ref_sink);
-    const CheckpointedSweepOutcome reference =
+    const SweepOutcome reference =
         run_sweep_checkpointed(jobs, ref_path, &ref_trace);
     EXPECT_FALSE(reference.resumed);
     EXPECT_EQ(reference.executed_jobs, jobs.size());
@@ -320,7 +320,7 @@ TEST(SweepCheckpoint, KillAtEveryChunkBoundaryIsByteIdentical) {
     remove_generations(killed_path);
     obs::MemorySink killed_sink;
     obs::EventTrace killed_trace(&killed_sink);
-    CheckpointedSweepOutcome resumed;
+    SweepOutcome resumed;
     std::size_t interrupts = 0;
     bool completed = false;
     for (std::size_t attempt = 0; attempt < 32 && !completed; ++attempt) {
@@ -397,7 +397,7 @@ TEST(Watchdog, TimedOutJobsAreIsolatedFailuresWithTimedOutSet) {
     EXPECT_FALSE(entry.error.empty());
     // --strict counts timed-out jobs as failures; the document marks the
     // subtype so consumers can tell a watchdog kill from a crash.
-    const std::string json = sweep_entry_json(entry).dump();
+    const std::string json = sweep_entry_json(entry, true).dump();
     EXPECT_NE(json.find("\"failed\":true"), std::string::npos);
     EXPECT_NE(json.find("\"timed_out\":true"), std::string::npos);
   }
@@ -413,7 +413,7 @@ TEST(Watchdog, FaultCampaignCountsTimedOutJobs) {
   clean.label = "clean";
   cc.points.push_back(clean);
   cc.job_timeout_ms = 0.001;
-  const FaultCampaignResult result = run_fault_campaign(cc);
+  const SweepOutcome result = run_fault_campaign(cc);
   EXPECT_EQ(result.timed_out_jobs, result.jobs.size());
   // Timed-out jobs are failed jobs: the --strict gate trips on them.
   EXPECT_EQ(result.failed_jobs, result.jobs.size());

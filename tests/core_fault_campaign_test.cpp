@@ -7,12 +7,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "obs/event_trace.hpp"
+#include "obs/sink.hpp"
 
 namespace xbarlife::core {
 namespace {
@@ -113,7 +116,7 @@ TEST(FaultCampaign, FailedJobsAreRecordedNotFatal) {
   // inside the fan-out. The campaign must record the failures per entry
   // and still assemble a complete result document.
   cc.base.lifetime.levels = 1;
-  const FaultCampaignResult result = run_fault_campaign(cc);
+  const SweepOutcome result = run_fault_campaign(cc);
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_EQ(result.failed_jobs, result.jobs.size());
   const std::string doc = fault_campaign_json(result).dump();
@@ -137,7 +140,7 @@ TEST(FaultCampaign, CheckpointResumeIsByteIdentical) {
   std::remove((path + ".bak").c_str());
   cc.checkpoint_path = path;
   cc.checkpoint_chunk = 3;
-  const FaultCampaignResult full = run_fault_campaign(cc);
+  const SweepOutcome full = run_fault_campaign(cc);
   EXPECT_EQ(full.resumed_jobs, 0u);
   EXPECT_EQ(full.executed_jobs, full.jobs.size());
   EXPECT_EQ(full.checkpoint_generation, 2u);
@@ -155,7 +158,7 @@ TEST(FaultCampaign, CheckpointResumeIsByteIdentical) {
     out << bytes;
   }
 
-  const FaultCampaignResult resumed = run_fault_campaign(cc);
+  const SweepOutcome resumed = run_fault_campaign(cc);
   EXPECT_EQ(resumed.resumed_jobs, 3u);
   EXPECT_EQ(resumed.executed_jobs, resumed.jobs.size() - 3);
   EXPECT_TRUE(resumed.fallback_used);
@@ -166,7 +169,11 @@ TEST(FaultCampaign, CheckpointResumeIsByteIdentical) {
 
 TEST(FaultCampaign, RejectsForeignCheckpoints) {
   FaultCampaignConfig cc = tiny_campaign();
-  const std::string path = ::testing::TempDir() + "xbarlife_ck_bad.jsonl";
+  cc.replicates = 1;
+  cc.base.lifetime.max_sessions = 1;
+  const std::string path = ::testing::TempDir() + "xbarlife_ck_bad.ckpt";
+  std::remove(path.c_str());
+  std::remove((path + ".bak").c_str());
   {
     std::ofstream out(path, std::ios::trunc);
     out << "{\"something\":\"else\"}\n";
@@ -174,14 +181,83 @@ TEST(FaultCampaign, RejectsForeignCheckpoints) {
   cc.checkpoint_path = path;
   EXPECT_THROW(run_fault_campaign(cc), IoError);
 
-  // A checkpoint from a different campaign seed is also rejected.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"checkpoint\":\"xbarlife.faults.v1\",\"campaign_seed\":999"
-        << ",\"jobs\":4}\n";
-  }
-  EXPECT_THROW(run_fault_campaign(cc), IoError);
+  // A real snapshot of a finished campaign fails closed under any change
+  // its entries depend on, and still resumes under the same config.
   std::remove(path.c_str());
+  const std::size_t jobs = run_fault_campaign(cc).jobs.size();
+  FaultCampaignConfig sessions = cc;
+  sessions.base.lifetime.max_sessions = 6;
+  EXPECT_THROW(run_fault_campaign(sessions), IoError);
+  FaultCampaignConfig model = cc;
+  model.base.model = ExperimentConfig::Model::kLeNet5;
+  EXPECT_THROW(run_fault_campaign(model), IoError);
+  FaultCampaignConfig spares = cc;
+  spares.points[1].faults.spare_rows = 4;
+  spares.points[1].resilience.ladder_enabled = false;
+  EXPECT_THROW(run_fault_campaign(spares), IoError);
+  EXPECT_EQ(run_fault_campaign(cc).resumed_jobs, jobs);
+  std::remove(path.c_str());
+  std::remove((path + ".bak").c_str());
+}
+
+/// A campaign's event stream with the wall-clock ("_ms") fields and the
+/// seq-less checkpoint meta events removed, one event per line.
+std::vector<std::string> stripped_trace(const FaultCampaignConfig& cc) {
+  obs::MemorySink sink;
+  obs::EventTrace trace(&sink);
+  obs::Obs obs;
+  obs.trace = &trace;
+  run_fault_campaign(cc, obs);
+  const std::regex wall_clock(",\"[A-Za-z0-9_.]*_ms\":[-+0-9.eE]+");
+  std::vector<std::string> out;
+  for (const std::string& line : sink.lines()) {
+    if (line.rfind("{\"event\":\"checkpoint_saved\"", 0) != 0 &&
+        line.rfind("{\"event\":\"resume\"", 0) != 0) {
+      out.push_back(std::regex_replace(line, wall_clock, ""));
+    }
+  }
+  return out;
+}
+
+// One engine with or without a checkpoint: a grid longer than one
+// snapshot chunk emits the same stream either way — job indices run
+// 0..N-1, and the training every job shares is observed once.
+TEST(FaultCampaign, UncheckpointedGridTraceMatchesCheckpointed) {
+  ThreadGuard guard;
+  set_parallel_threads(2);
+  FaultCampaignConfig cc = tiny_campaign();
+  cc.replicates = 1;
+  cc.base.lifetime.max_sessions = 1;
+  cc.points.clear();
+  for (std::size_t p = 0; p < 17; ++p) {
+    FaultPoint point;
+    point.label = "p" + std::to_string(p);
+    point.faults.nonideal.stuck_off_fraction = 0.002 * static_cast<double>(p);
+    cc.points.push_back(point);
+  }
+  const std::vector<std::string> plain = stripped_trace(cc);
+
+  cc.checkpoint_path = ::testing::TempDir() + "xbarlife_ck_grid17.ckpt";
+  std::remove(cc.checkpoint_path.c_str());
+  std::remove((cc.checkpoint_path + ".bak").c_str());
+  const std::vector<std::string> checkpointed = stripped_trace(cc);
+  std::remove(cc.checkpoint_path.c_str());
+  std::remove((cc.checkpoint_path + ".bak").c_str());
+
+  std::size_t done = 0;
+  std::size_t epochs = 0;
+  for (const std::string& line : plain) {
+    if (line.find("\"event\":\"sweep_job_done\"") != std::string::npos) {
+      EXPECT_NE(line.find(",\"index\":" + std::to_string(done) + ","),
+                std::string::npos)
+          << line;
+      ++done;
+    }
+    epochs += line.find("\"event\":\"train_epoch\"") != std::string::npos;
+  }
+  EXPECT_EQ(done, cc.points.size());
+  EXPECT_EQ(epochs, cc.base.train_config.epochs);
+  EXPECT_EQ(plain, checkpointed);
 }
 
 }  // namespace

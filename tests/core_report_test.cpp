@@ -128,13 +128,13 @@ TEST(ResultDocumentTest, SweepEntriesJsonShape) {
   entry.outcome.software_accuracy = 0.75;
   entry.outcome.tuning_target = 0.7;
   entry.outcome.lifetime = sample_lifetime();
-  const obs::JsonValue j = sweep_entries_json({entry});
-  EXPECT_EQ(j.find("job_count")->dump(), "1");
-  const obs::JsonValue& job = (*j.find("jobs")->as_array())[0];
+  const obs::JsonValue job = sweep_entry_json(entry, /*with_wall_ms=*/true);
   EXPECT_EQ(job.find("label")->dump(), "\"T+T/r0\"");
   EXPECT_EQ(job.find("lifetime_applications")->dump(), "300");
   EXPECT_EQ(job.find("died")->dump(), "true");
   EXPECT_NE(job.find("wall_ms"), nullptr);
+  // Checkpoint-mode entries carry no wall clock.
+  EXPECT_EQ(sweep_entry_json(entry, false).find("wall_ms"), nullptr);
 }
 
 TEST(ResultDocumentTest, SessionTableSubsamplesButKeepsLastRow) {

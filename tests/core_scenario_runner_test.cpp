@@ -429,37 +429,32 @@ TEST_P(SharedSweep, FaultGridJobsMatchTheirStandaloneRuns) {
   stuck.faults.nonideal.stuck_off_fraction = 0.02;
   stuck.faults.spare_rows = 2;
   cc.points = {clean, stuck};
-  const FaultCampaignResult result = run_fault_campaign(cc);
+  const SweepOutcome result = run_fault_campaign(cc);
   // The checkpointed engine fans out through the same pass.
   cc.checkpoint_path = ::testing::TempDir() + "shared_fault_grid_" +
                        std::string(GetParam()) + ".ckpt";
   std::remove(cc.checkpoint_path.c_str());
   std::remove((cc.checkpoint_path + ".bak").c_str());
-  const FaultCampaignResult checkpointed = run_fault_campaign(cc);
+  const SweepOutcome checkpointed = run_fault_campaign(cc);
   std::remove(cc.checkpoint_path.c_str());
   std::remove((cc.checkpoint_path + ".bak").c_str());
-  set_parallel_threads(1);
-  ASSERT_EQ(checkpointed.jobs.size(), result.jobs.size());
-  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    EXPECT_EQ(checkpointed.jobs[i].entry_json, result.jobs[i].entry_json);
-  }
 
-  std::vector<ScenarioJob> jobs;
-  std::vector<ScenarioSweepEntry> entries;
-  for (const FaultCampaignJob& job : result.jobs) {
-    ASSERT_TRUE(job.entry.has_value()) << job.label;
-    ScenarioJob spec;
-    spec.label = job.label;
-    spec.config = cc.base;
-    spec.scenario = job.entry->scenario;
-    const FaultPoint& point =
-        job.label.rfind("clean/", 0) == 0 ? clean : stuck;
-    spec.config.faults = point.faults;
-    spec.config.lifetime.resilience = point.resilience;
-    jobs.push_back(spec);
-    entries.push_back(*job.entry);
-  }
+  // Full outcomes: the campaign's job list through ScenarioRunner::run
+  // reproduces every campaign entry, and each job equals its standalone
+  // run.
+  const std::vector<ScenarioJob> jobs = fault_campaign_jobs(cc);
+  const std::vector<ScenarioSweepEntry> entries =
+      ScenarioRunner(cc.campaign_seed).run(jobs);
+  set_parallel_threads(1);
   ASSERT_EQ(jobs.size(), 4u);
+  ASSERT_EQ(result.jobs.size(), jobs.size());
+  ASSERT_EQ(checkpointed.jobs.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(checkpointed.jobs[i].entry_json, result.jobs[i].entry_json);
+    const std::string point = i < 2 ? "clean" : "stuck";
+    EXPECT_EQ(campaign_entry_json(entries[i], point).dump(),
+              result.jobs[i].entry_json);
+  }
   expect_matches_standalone(jobs, entries);
 }
 
