@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): the computational kernels under
-// the experiment harness — GEMM, im2col, crossbar VMM, programming, the
-// aging-model hot path and the per-session lifetime passes (aging
-// statistics, drift, the SGD step).
+// the experiment harness — GEMM, im2col, one LeNet-5 training step,
+// crossbar VMM, programming, the aging-model hot path and the
+// per-session lifetime passes (aging statistics, drift, the SGD step).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "device/memristor.hpp"
 #include "mapping/mapper.hpp"
+#include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/im2col.hpp"
@@ -75,12 +76,32 @@ void BM_Im2col(benchmark::State& state) {
   Tensor image(Shape{3 * side * side});
   Rng rng(3);
   image.fill_gaussian(rng, 0.0f, 1.0f);
+  Tensor cols(Shape{g.patch_size(), g.out_h() * g.out_w()});
   for (auto _ : state) {
-    Tensor patches = im2col(image, g);
-    benchmark::DoNotOptimize(patches.data());
+    im2col(image.flat(), g, cols.flat());
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Im2col)->Arg(16)->Arg(32);
+
+/// One LeNet-5 training step (forward, loss, backward, SGD) on a batch
+/// of 16 3x16x16 images, the shape the lenet5 workloads train on.
+void BM_LeNetTrainStep(benchmark::State& state) {
+  Rng rng(12);
+  nn::Network net = nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng);
+  Tensor x = random_matrix(16, 3 * 16 * 16, 13);
+  std::vector<std::int32_t> labels(16);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int32_t>(i % 10);
+  }
+  nn::SgdOptimizer opt({0.01, 0.9});
+  for (auto _ : state) {
+    const nn::TrainStats stats = net.train_batch(x, labels, opt, nullptr);
+    benchmark::DoNotOptimize(stats.loss);
+  }
+}
+BENCHMARK(BM_LeNetTrainStep)->Unit(benchmark::kMicrosecond);
 
 void BM_CrossbarVmm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

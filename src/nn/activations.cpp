@@ -30,9 +30,11 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 Tanh::Tanh(std::string name) : Layer(std::move(name)) {}
 
 Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
-  output_ = input;
+  output_ = Tensor(input.shape());
+  const float* x = input.data();
+  float* y = output_.data();
   for (std::size_t i = 0; i < output_.numel(); ++i) {
-    output_[i] = std::tanh(output_[i]);
+    y[i] = std::tanh(x[i]);
   }
   return output_;
 }
@@ -40,9 +42,12 @@ Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
 Tensor Tanh::backward(const Tensor& grad_output) {
   XB_CHECK(grad_output.shape() == output_.shape(),
            "Tanh backward shape mismatch");
-  Tensor grad = grad_output;
+  Tensor grad(grad_output.shape());
+  const float* g = grad_output.data();
+  const float* y = output_.data();
+  float* out = grad.data();
   for (std::size_t i = 0; i < grad.numel(); ++i) {
-    grad[i] *= 1.0f - output_[i] * output_[i];
+    out[i] = g[i] * (1.0f - y[i] * y[i]);
   }
   return grad;
 }

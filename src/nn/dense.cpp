@@ -30,9 +30,11 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   input_ = input;
   Tensor out = matmul(input, weight_);
   const std::size_t batch = out.shape()[0];
-  for (std::size_t b = 0; b < batch; ++b) {
+  const float* bias = bias_.data();
+  float* row = out.data();
+  for (std::size_t b = 0; b < batch; ++b, row += out_features_) {
     for (std::size_t j = 0; j < out_features_; ++j) {
-      out.at(b, j) += bias_[j];
+      row[j] += bias[j];
     }
   }
   return out;
@@ -51,19 +53,26 @@ Tensor Dense::forward_quantized(const Tensor& input, const QuantSpec& spec) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  // dx = dy W^T
+  return matmul_nt(grad_output, weight_);
+}
+
+void Dense::backward_params(const Tensor& grad_output) {
   XB_CHECK(grad_output.shape().rank() == 2 &&
                grad_output.shape()[0] == input_.shape()[0] &&
                grad_output.shape()[1] == out_features_,
            "Dense backward shape mismatch");
-  // dW = x^T dy ; db = sum over batch of dy ; dx = dy W^T
+  // dW = x^T dy ; db = sum over batch of dy
   weight_grad_.add_(matmul_tn(input_, grad_output));
   const std::size_t batch = grad_output.shape()[0];
-  for (std::size_t b = 0; b < batch; ++b) {
+  float* bias_grad = bias_grad_.data();
+  const float* row = grad_output.data();
+  for (std::size_t b = 0; b < batch; ++b, row += out_features_) {
     for (std::size_t j = 0; j < out_features_; ++j) {
-      bias_grad_[j] += grad_output.at(b, j);
+      bias_grad[j] += row[j];
     }
   }
-  return matmul_nt(grad_output, weight_);
 }
 
 std::vector<ParamRef> Dense::params() {

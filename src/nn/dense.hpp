@@ -19,6 +19,7 @@ class Dense final : public Layer {
   Tensor forward_quantized(const Tensor& input,
                            const QuantSpec& spec) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::size_t output_features(std::size_t input_features) const override;
   LayerKind kind() const override { return LayerKind::kDense; }

@@ -66,6 +66,14 @@ class Layer {
   /// accumulating parameter gradients and returning the input gradient.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() without the input gradient, for a network's first layer,
+  /// whose input gradient nothing reads. Parameter gradients accumulate
+  /// exactly as backward() accumulates them; layers that own a weight
+  /// matrix override this to skip the input-gradient GEMM.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Parameter references; empty for parameter-free layers.
   virtual std::vector<ParamRef> params() { return {}; }
 

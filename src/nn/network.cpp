@@ -27,9 +27,9 @@ const Layer& Network::layer(std::size_t i) const {
 
 Tensor Network::forward(const Tensor& input, bool training) {
   XB_CHECK(!layers_.empty(), "network has no layers");
-  Tensor x = input;
-  for (auto& l : layers_) {
-    x = l->forward(x, training);
+  Tensor x = layers_[0]->forward(input, training);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    x = layers_[i]->forward(x, training);
   }
   return x;
 }
@@ -86,12 +86,13 @@ double Network::evaluate_quantized(const Tensor& inputs,
   return static_cast<double>(hits) / static_cast<double>(n);
 }
 
-Tensor Network::backward(const Tensor& grad_output) {
+void Network::backward(const Tensor& grad_output) {
+  XB_CHECK(!layers_.empty(), "network has no layers");
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->backward(g);
   }
-  return g;
+  layers_[0]->backward_params(g);
 }
 
 void Network::zero_grad() {

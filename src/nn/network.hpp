@@ -61,8 +61,9 @@ class Network {
                             std::span<const QuantSpec> specs,
                             std::size_t batch = 64);
 
-  /// Backward pass from a loss gradient; fills parameter gradients.
-  Tensor backward(const Tensor& grad_output);
+  /// Backward pass from a loss gradient; fills parameter gradients. The
+  /// first layer computes no input gradient (see Layer::backward_params).
+  void backward(const Tensor& grad_output);
 
   /// Zeroes all parameter gradients.
   void zero_grad();

@@ -1,7 +1,5 @@
 #include "nn/pool.hpp"
 
-#include <limits>
-
 #include "common/error.hpp"
 
 namespace xbarlife::nn {
@@ -34,20 +32,26 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
   const auto& g = geometry_;
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
-  Tensor out(Shape{batch_, g.channels * oh * ow});
-  argmax_.assign(batch_ * g.channels * oh * ow, 0);
+  const std::size_t per_out = g.channels * oh * ow;
+  Tensor out(Shape{batch_, per_out});
+  argmax_.assign(batch_ * per_out, 0);
   for (std::size_t b = 0; b < batch_; ++b) {
     const float* x = input.data() + b * g.channels * g.in_h * g.in_w;
+    float* y = out.data() + b * per_out;
+    std::size_t* arg = argmax_.data() + b * per_out;
     for (std::size_t c = 0; c < g.channels; ++c) {
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          // Seeded from the window's first tap, so a window with no
+          // finite maximum (all -inf, or NaN first) still routes its
+          // gradient inside itself.
+          const std::size_t first =
+              (c * g.in_h + oy * g.stride) * g.in_w + ox * g.stride;
+          float best = x[first];
+          std::size_t best_idx = first;
           for (std::size_t wy = 0; wy < g.window; ++wy) {
             for (std::size_t wx = 0; wx < g.window; ++wx) {
-              const std::size_t iy = oy * g.stride + wy;
-              const std::size_t ix = ox * g.stride + wx;
-              const std::size_t idx = (c * g.in_h + iy) * g.in_w + ix;
+              const std::size_t idx = first + wy * g.in_w + wx;
               if (x[idx] > best) {
                 best = x[idx];
                 best_idx = idx;
@@ -55,8 +59,8 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
             }
           }
           const std::size_t o = (c * oh + oy) * ow + ox;
-          out.at(b, o) = best;
-          argmax_[b * g.channels * oh * ow + o] = best_idx;
+          y[o] = best;
+          arg[o] = best_idx;
         }
       }
     }
@@ -71,10 +75,14 @@ Tensor MaxPool2D::backward(const Tensor& grad_output) {
                grad_output.shape()[0] == batch_ &&
                grad_output.shape()[1] == per_out,
            "MaxPool2D backward shape mismatch");
-  Tensor grad_input(Shape{batch_, g.channels * g.in_h * g.in_w});
+  const std::size_t per_in = g.channels * g.in_h * g.in_w;
+  Tensor grad_input(Shape{batch_, per_in});
   for (std::size_t b = 0; b < batch_; ++b) {
+    float* gx = grad_input.data() + b * per_in;
+    const float* gy = grad_output.data() + b * per_out;
+    const std::size_t* arg = argmax_.data() + b * per_out;
     for (std::size_t o = 0; o < per_out; ++o) {
-      grad_input.at(b, argmax_[b * per_out + o]) += grad_output.at(b, o);
+      gx[arg[o]] += gy[o];
     }
   }
   return grad_input;

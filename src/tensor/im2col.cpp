@@ -1,10 +1,9 @@
 #include "tensor/im2col.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
-#include "tensor/kernels/kernels.hpp"
 
 namespace xbarlife {
 
@@ -16,100 +15,100 @@ void ConvGeometry::validate() const {
            "kernel larger than padded input");
 }
 
-Tensor im2col(const Tensor& image, const ConvGeometry& g) {
+void im2col(std::span<const float> image, const ConvGeometry& g,
+            std::span<float> cols) {
   g.validate();
-  XB_CHECK(image.numel() == g.in_channels * g.in_h * g.in_w,
+  XB_CHECK(image.size() == g.in_channels * g.in_h * g.in_w,
            "im2col input numel mismatch");
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
-  Tensor patches(Shape{oh * ow, g.patch_size()});
-  const float* src = image.data();
-  float* dst = patches.data();
-  const kernels::KernelSet& ks = kernels::select();
-  // Each output row owns a disjoint slice of `patches`, so the gather can
-  // fan out over rows without changing any result bit (the kernel row
-  // copy is pure data movement, identical across dispatch variants).
-  parallel_for(0, oh, 8, [&](std::size_t oy_begin, std::size_t oy_end) {
-    for (std::size_t oy = oy_begin; oy < oy_end; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        float* row = dst + (oy * ow + ox) * g.patch_size();
-        // For fixed (ox, ky) the source column ix = ox*stride + kx - pad
-        // advances by exactly 1 per kx, so each kernel row splits into
-        // left zero-pad, one contiguous copy, and right zero-pad.
-        const auto base = static_cast<long long>(ox * g.stride) -
-                          static_cast<long long>(g.pad);
-        const auto kernel_ll = static_cast<long long>(g.kernel);
-        const long long lo = std::clamp(-base, 0LL, kernel_ll);
-        const long long hi =
-            std::clamp(static_cast<long long>(g.in_w) - base, lo, kernel_ll);
-        std::size_t idx = 0;
-        for (std::size_t c = 0; c < g.in_channels; ++c) {
-          for (std::size_t ky = 0; ky < g.kernel; ++ky, idx += g.kernel) {
-            // Signed arithmetic for the padded coordinate.
-            const auto iy = static_cast<long long>(oy * g.stride + ky) -
-                            static_cast<long long>(g.pad);
-            if (iy < 0 || iy >= static_cast<long long>(g.in_h) || hi == lo) {
-              std::fill(row + idx, row + idx + g.kernel, 0.0f);
-              continue;
-            }
-            const float* src_row =
-                src + (c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w;
-            std::fill(row + idx, row + idx + static_cast<std::size_t>(lo),
-                      0.0f);
-            const auto run = static_cast<std::size_t>(hi - lo);
-            // An indirect kernel call costs more than it saves on the
-            // few-float runs of small convolutions; copy those inline.
-            if (run < 16) {
-              std::copy_n(src_row + base + lo, run,
-                          row + idx + static_cast<std::size_t>(lo));
-            } else {
-              ks.copy_row(src_row + base + lo,
-                          row + idx + static_cast<std::size_t>(lo), run);
-            }
-            std::fill(row + idx + static_cast<std::size_t>(hi),
-                      row + idx + g.kernel, 0.0f);
+  XB_CHECK(cols.size() == g.patch_size() * oh * ow,
+           "im2col patch matrix size mismatch");
+  const auto s = static_cast<std::ptrdiff_t>(g.stride);
+  const auto in_w = static_cast<std::ptrdiff_t>(g.in_w);
+  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
+  const auto out_w = static_cast<std::ptrdiff_t>(ow);
+  float* row = cols.data();
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, row += oh * ow) {
+        // Output column ox reads input column ox*stride + off; [lo, hi)
+        // are the columns whose tap lands inside the image, the rest
+        // read padding.
+        const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kx) - pad;
+        const std::ptrdiff_t lo =
+            std::min(out_w, off >= 0 ? 0 : (-off + s - 1) / s);
+        const std::ptrdiff_t hi =
+            std::clamp((in_w - off + s - 1) / s, lo, out_w);
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          float* dst = row + oy * ow;
+          const auto iy = static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+                          pad;
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) {
+            std::fill(dst, dst + ow, 0.0f);
+            continue;
           }
+          const float* src =
+              image.data() + (c * g.in_h + static_cast<std::size_t>(iy)) *
+                                 g.in_w;
+          std::fill(dst, dst + lo, 0.0f);
+          if (s == 1 && hi > lo) {
+            std::copy(src + lo + off, src + hi + off, dst + lo);
+          } else {
+            for (std::ptrdiff_t ox = lo; ox < hi; ++ox) {
+              dst[ox] = src[ox * s + off];
+            }
+          }
+          std::fill(dst + hi, dst + ow, 0.0f);
         }
       }
     }
-  });
-  return patches;
+  }
 }
 
-Tensor col2im(const Tensor& patches, const ConvGeometry& g) {
+void col2im(std::span<const float> cols, const ConvGeometry& g,
+            std::span<float> image) {
   g.validate();
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
-  XB_CHECK(patches.shape().rank() == 2 &&
-               patches.shape()[0] == oh * ow &&
-               patches.shape()[1] == g.patch_size(),
+  const std::size_t pixels = oh * ow;
+  XB_CHECK(cols.size() == g.patch_size() * pixels,
            "col2im patch shape mismatch");
-  Tensor image(Shape{g.in_channels * g.in_h * g.in_w});
-  float* dst = image.data();
-  const float* src = patches.data();
+  XB_CHECK(image.size() == g.in_channels * g.in_h * g.in_w,
+           "col2im image numel mismatch");
+  // Pixel-major walk: every image element receives its contributions in
+  // ascending output-pixel order, the order the sums are defined in.
+  const auto stride = static_cast<std::ptrdiff_t>(g.stride);
+  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
+  const auto in_h = static_cast<std::ptrdiff_t>(g.in_h);
+  const auto in_w = static_cast<std::ptrdiff_t>(g.in_w);
+  const auto kernel = static_cast<std::ptrdiff_t>(g.kernel);
   for (std::size_t oy = 0; oy < oh; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
-      const float* row = src + (oy * ow + ox) * g.patch_size();
-      std::size_t idx = 0;
+      // cols index of tap (c, ky, kx) at this pixel, advanced by one
+      // patch row per tap.
+      std::size_t tap = oy * ow + ox;
       for (std::size_t c = 0; c < g.in_channels; ++c) {
-        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-          const auto iy = static_cast<long long>(oy * g.stride + ky) -
-                          static_cast<long long>(g.pad);
-          for (std::size_t kx = 0; kx < g.kernel; ++kx, ++idx) {
-            const auto ix = static_cast<long long>(ox * g.stride + kx) -
-                            static_cast<long long>(g.pad);
-            if (iy >= 0 && ix >= 0 &&
-                iy < static_cast<long long>(g.in_h) &&
-                ix < static_cast<long long>(g.in_w)) {
-              dst[(c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
-                  static_cast<std::size_t>(ix)] += row[idx];
+        for (std::ptrdiff_t ky = 0; ky < kernel; ++ky) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy) * stride + ky - pad;
+          if (iy < 0 || iy >= in_h) {
+            tap += g.kernel * pixels;
+            continue;
+          }
+          float* dst = image.data() +
+                       (c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w;
+          for (std::ptrdiff_t kx = 0; kx < kernel; ++kx, tap += pixels) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox) * stride + kx - pad;
+            if (ix >= 0 && ix < in_w) {
+              dst[ix] += cols[tap];
             }
           }
         }
       }
     }
   }
-  return image;
 }
 
 }  // namespace xbarlife

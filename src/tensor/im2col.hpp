@@ -3,9 +3,17 @@
 // Convolutions in the NN substrate are computed as GEMMs over im2col
 // patches, matching how the crossbar executes them: each output pixel's
 // receptive field becomes one input vector applied to the weight matrix.
+//
+// One patch layout, `cols = (patch_size, out_h*out_w)` row-major: row
+// (c, ky, kx) holds that kernel tap for every output pixel. A convolution
+// forward is then `W^T * cols`, whose product rows are already the
+// channel-major (NCHW) output, and `cols` itself is the `patches^T`
+// operand of the weight gradient (see docs/kernels.md "Convolution
+// lowering").
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "tensor/tensor.hpp"
 
@@ -27,12 +35,15 @@ struct ConvGeometry {
   void validate() const;
 };
 
-/// Lowers a single image (C x H x W flat tensor of numel C*H*W) into a patch
-/// matrix of shape (out_h*out_w, patch_size).
-Tensor im2col(const Tensor& image, const ConvGeometry& g);
+/// Lowers one image (flat C*H*W) into `cols`, a (patch_size, out_h*out_w)
+/// patch matrix; every element of `cols` is written.
+void im2col(std::span<const float> image, const ConvGeometry& g,
+            std::span<float> cols);
 
-/// Adjoint of im2col: scatters a patch-gradient matrix of shape
-/// (out_h*out_w, patch_size) back into an image gradient (flat C*H*W).
-Tensor col2im(const Tensor& patches, const ConvGeometry& g);
+/// Adjoint of im2col: adds a (patch_size, out_h*out_w) patch gradient into
+/// the image gradient `image` (flat C*H*W). Contributions reach each image
+/// element in ascending output-pixel order.
+void col2im(std::span<const float> cols, const ConvGeometry& g,
+            std::span<float> image);
 
 }  // namespace xbarlife

@@ -3,8 +3,6 @@
 // compiles away and avx2_kernels() returns nullptr so the registry never
 // offers it. The registry additionally gates on runtime CPUID, so this
 // code never executes on a CPU without AVX2+FMA.
-#include <cstring>
-
 #include "tensor/kernels/kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -263,13 +261,8 @@ void gemm_s8_avx2(const std::int8_t* a, const std::int8_t* b,
   }
 }
 
-void copy_row_avx2(const float* src, float* dst, std::size_t n) {
-  std::memcpy(dst, src, n * sizeof(float));
-}
-
 constexpr KernelSet kAvx2{
-    "avx2",       gemm_avx2,    gemm_nt_avx2,
-    vmm_avx2,     gemm_s8_avx2, copy_row_avx2,
+    "avx2", gemm_avx2, gemm_nt_avx2, vmm_avx2, gemm_s8_avx2,
 };
 
 }  // namespace

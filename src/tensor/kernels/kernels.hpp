@@ -1,7 +1,7 @@
 // Runtime-dispatched compute kernels.
 //
 // Every dense inner loop in the simulator (GEMM, the crossbar VMM, the
-// im2col row copy, the int8 quantized GEMM) funnels through a KernelSet
+// int8 quantized GEMM) funnels through a KernelSet
 // chosen once at startup: AVX2+FMA on capable x86-64, NEON on aarch64,
 // and a portable scalar fallback everywhere. Selection is overridable
 // with the XBARLIFE_KERNEL environment variable or the CLI --kernel flag
@@ -56,10 +56,6 @@ struct KernelSet {
   void (*gemm_s8)(const std::int8_t* a, const std::int8_t* b,
                   std::int32_t* c, std::size_t m, std::size_t k,
                   std::size_t n, std::size_t row_begin, std::size_t row_end);
-
-  /// Contiguous row copy used by im2col's patch gather (pure data
-  /// movement; bit-exact across variants by construction).
-  void (*copy_row)(const float* src, float* dst, std::size_t n);
 };
 
 /// Returns the active kernel set. First call resolves XBARLIFE_KERNEL

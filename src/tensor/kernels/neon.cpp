@@ -1,7 +1,5 @@
 // NEON kernel variant for aarch64, where NEON (ASIMD) is architectural.
 // Not compiled on other targets; the registry sees nullptr there.
-#include <cstring>
-
 #include "tensor/kernels/kernels.hpp"
 
 #if defined(__ARM_NEON) && defined(__aarch64__)
@@ -114,13 +112,8 @@ void gemm_s8_neon(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
   }
 }
 
-void copy_row_neon(const float* src, float* dst, std::size_t n) {
-  std::memcpy(dst, src, n * sizeof(float));
-}
-
 constexpr KernelSet kNeon{
-    "neon",       gemm_neon,    gemm_nt_neon,
-    vmm_neon,     gemm_s8_neon, copy_row_neon,
+    "neon", gemm_neon, gemm_nt_neon, vmm_neon, gemm_s8_neon,
 };
 
 }  // namespace

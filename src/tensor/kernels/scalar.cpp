@@ -2,8 +2,6 @@
 // target-specific intrinsics and is compiled without extra ISA flags so
 // it runs on the x86-64/aarch64 baseline; it is also the variant pinned
 // by golden tests (XBARLIFE_KERNEL=scalar) for host-independent bytes.
-#include <cstring>
-
 #include "tensor/kernels/kernels.hpp"
 
 namespace xbarlife::kernels {
@@ -81,13 +79,8 @@ void gemm_s8_scalar(const std::int8_t* a, const std::int8_t* b,
   }
 }
 
-void copy_row_scalar(const float* src, float* dst, std::size_t n) {
-  std::memcpy(dst, src, n * sizeof(float));
-}
-
 constexpr KernelSet kScalar{
-    "scalar",        gemm_scalar,    gemm_nt_scalar,
-    vmm_scalar,      gemm_s8_scalar, copy_row_scalar,
+    "scalar", gemm_scalar, gemm_nt_scalar, vmm_scalar, gemm_s8_scalar,
 };
 
 }  // namespace

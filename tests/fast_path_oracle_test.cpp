@@ -1,7 +1,8 @@
 // Oracle tests for the lifetime loop's flat fast paths.
 //
 // Each fast path (the aging statistics pass, the drift pass, network sync,
-// tuning sign updates, the SGD step and the regularizers) is checked
+// tuning sign updates, the SGD step, the regularizers and the convolution
+// lowering, including the network's first-layer backward) is checked
 // against a reference written with the checked public API only — the
 // exhaustive-enumeration-plus-bound idiom with a bound of zero: every
 // case must agree bit for bit.
@@ -21,10 +22,15 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "data/synthetic.hpp"
+#include "nn/conv.hpp"
+#include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/regularizer.hpp"
 #include "persist/state_io.hpp"
+#include "tensor/im2col.hpp"
+#include "tensor/kernels/kernels.hpp"
+#include "tensor/matmul.hpp"
 #include "tuning/online_tuner.hpp"
 #include "xbar/crossbar.hpp"
 #include "xbar/program_sequence.hpp"
@@ -516,6 +522,221 @@ TEST(FastPathOracle, RegularizersMatchScalarReference) {
       want[i] += (d < 0.0f ? s1 : s2) * d;
     }
     expect_same_tensor(grad, want, "skewed gradient " + label);
+  }
+}
+
+// --- convolution lowering ----------------------------------------------------
+
+/// One image as the (pixels, patch) row-layout patch matrix, written from
+/// the definition (pure data movement, so any correct gather has these
+/// bits).
+Tensor row_patches(const float* image, const ConvGeometry& g) {
+  const std::size_t ow = g.out_w();
+  Tensor patches(Shape{g.out_h() * ow, g.patch_size()});
+  for (std::size_t p = 0; p < patches.shape()[0]; ++p) {
+    std::size_t k = 0;
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+        for (std::size_t kx = 0; kx < g.kernel; ++kx, ++k) {
+          const auto iy = static_cast<long long>((p / ow) * g.stride + ky) -
+                          static_cast<long long>(g.pad);
+          const auto ix = static_cast<long long>((p % ow) * g.stride + kx) -
+                          static_cast<long long>(g.pad);
+          if (iy >= 0 && ix >= 0 && iy < static_cast<long long>(g.in_h) &&
+              ix < static_cast<long long>(g.in_w)) {
+            patches.at(p, k) =
+                image[(c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
+                      static_cast<std::size_t>(ix)];
+          }
+        }
+      }
+    }
+  }
+  return patches;
+}
+
+/// Scatters a (pixels, patch) gradient back onto one image gradient in
+/// ascending pixel order.
+void row_col2im(const Tensor& gpatches, const ConvGeometry& g, float* image) {
+  const std::size_t ow = g.out_w();
+  for (std::size_t p = 0; p < gpatches.shape()[0]; ++p) {
+    std::size_t k = 0;
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+        for (std::size_t kx = 0; kx < g.kernel; ++kx, ++k) {
+          const auto iy = static_cast<long long>((p / ow) * g.stride + ky) -
+                          static_cast<long long>(g.pad);
+          const auto ix = static_cast<long long>((p % ow) * g.stride + kx) -
+                          static_cast<long long>(g.pad);
+          if (iy >= 0 && ix >= 0 && iy < static_cast<long long>(g.in_h) &&
+              ix < static_cast<long long>(g.in_w)) {
+            image[(c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
+                  static_cast<std::size_t>(ix)] += gpatches.at(p, k);
+          }
+        }
+      }
+    }
+  }
+}
+
+struct ConvResult {
+  Tensor y;
+  Tensor grad_input;
+  Tensor weight_grad;
+  Tensor bias_grad;
+};
+
+/// The row-layout composition: per sample im2col -> matmul -> transpose
+/// to channel-major, then matmul_tn / matmul_nt / col2im, with weight and
+/// bias partials added to the starting gradients in sample order.
+ConvResult reference_conv(const ConvGeometry& g, const Tensor& w,
+                          const Tensor& bias, const Tensor& x,
+                          const Tensor& gy, const Tensor& weight_grad0,
+                          const Tensor& bias_grad0) {
+  const std::size_t batch = x.shape()[0];
+  const std::size_t per_sample = x.shape()[1];
+  const std::size_t pixels = g.out_h() * g.out_w();
+  const std::size_t oc = w.shape()[1];
+  ConvResult r{Tensor(Shape{batch, oc * pixels}),
+               Tensor(Shape{batch, per_sample}), weight_grad0, bias_grad0};
+  for (std::size_t b = 0; b < batch; ++b) {
+    const Tensor patches = row_patches(x.data() + b * per_sample, g);
+    const Tensor y = matmul(patches, w);
+    Tensor gyb(Shape{pixels, oc});
+    Tensor bg(Shape{oc});
+    for (std::size_t p = 0; p < pixels; ++p) {
+      for (std::size_t c = 0; c < oc; ++c) {
+        r.y.at(b, c * pixels + p) = y.at(p, c) + bias[c];
+        gyb.at(p, c) = gy.at(b, c * pixels + p);
+        bg[c] += gyb.at(p, c);
+      }
+    }
+    r.weight_grad.add_(matmul_tn(patches, gyb));
+    r.bias_grad.add_(bg);
+    row_col2im(matmul_nt(gyb, w), g, r.grad_input.data() + b * per_sample);
+  }
+  return r;
+}
+
+/// Restores the active kernel variant on scope exit.
+class KernelVariant {
+ public:
+  explicit KernelVariant(const std::string& name)
+      : saved_(kernels::kernel_name()) {
+    kernels::set_kernel(name);
+  }
+  ~KernelVariant() { kernels::set_kernel(saved_); }
+  KernelVariant(const KernelVariant&) = delete;
+  KernelVariant& operator=(const KernelVariant&) = delete;
+
+ private:
+  std::string saved_;
+};
+
+TEST(FastPathOracle, ConvMatchesRowLayoutComposition) {
+  struct Case {
+    ConvGeometry g;
+    std::size_t out_channels;
+  };
+  const Case cases[] = {
+      {{3, 16, 16, 5, 1, 0}, 6},   // LeNet-5 conv1
+      {{6, 6, 6, 5, 1, 0}, 16},    // LeNet-5 conv2
+      {{2, 8, 8, 3, 1, 1}, 5},     // padded
+      {{3, 9, 9, 3, 2, 1}, 7},     // strided and padded
+      {{2, 11, 11, 4, 3, 0}, 4},   // strided
+      {{12, 7, 7, 5, 1, 2}, 9},    // patch 300 crosses the AVX2 kKc block
+  };
+  for (const std::string& variant : kernels::available()) {
+    const KernelVariant kv(variant);
+    for (const std::size_t threads : {1u, 4u}) {
+      const ThreadCount tc(threads);
+      for (const Case& cs : cases) {
+        const ConvGeometry& g = cs.g;
+        for (const std::size_t batch : {1u, 3u, 16u}) {
+          const std::string label =
+              variant + " t" + std::to_string(threads) + " b" +
+              std::to_string(batch) + " c" + std::to_string(g.in_channels) +
+              " k" + std::to_string(g.kernel) + " s" +
+              std::to_string(g.stride) + " p" + std::to_string(g.pad);
+          Rng rng(g.patch_size() + batch);
+          nn::Conv2D conv(g, cs.out_channels, rng, "conv");
+          std::vector<nn::ParamRef> params = conv.params();
+          *params[1].value = random_tensor(Shape{cs.out_channels}, 21);
+          const Tensor weight_grad0 =
+              random_tensor(params[0].grad->shape(), 22);
+          const Tensor bias_grad0 = random_tensor(Shape{cs.out_channels}, 23);
+          const Tensor x = random_tensor(
+              Shape{batch, g.in_channels * g.in_h * g.in_w}, 24 + batch);
+          const std::size_t out_features =
+              cs.out_channels * g.out_h() * g.out_w();
+          const Tensor gy = random_tensor(Shape{batch, out_features}, 25);
+          const ConvResult want =
+              reference_conv(g, *params[0].value, *params[1].value, x, gy,
+                             weight_grad0, bias_grad0);
+
+          *params[0].grad = weight_grad0;
+          *params[1].grad = bias_grad0;
+          expect_same_tensor(conv.forward(x, true), want.y, label + " y");
+          expect_same_tensor(conv.backward(gy), want.grad_input,
+                             label + " grad_input");
+          expect_same_tensor(*params[0].grad, want.weight_grad,
+                             label + " weight_grad");
+          expect_same_tensor(*params[1].grad, want.bias_grad,
+                             label + " bias_grad");
+
+          *params[0].grad = weight_grad0;
+          *params[1].grad = bias_grad0;
+          conv.backward_params(gy);
+          expect_same_tensor(*params[0].grad, want.weight_grad,
+                             label + " backward_params weight_grad");
+          expect_same_tensor(*params[1].grad, want.bias_grad,
+                             label + " backward_params bias_grad");
+        }
+      }
+    }
+  }
+}
+
+TEST(FastPathOracle, FirstLayerSkipLeavesGradientsAndStepIdentical) {
+  // Network::backward asks its first layer for parameter gradients only;
+  // the reference walks every layer's full backward() by hand.
+  const auto build = [](bool lenet) {
+    Rng rng(40);
+    return lenet ? nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng)
+                 : nn::make_mlp(48, {24, 12}, 10, rng);
+  };
+  for (const bool lenet : {true, false}) {
+    const std::string label = lenet ? "lenet5" : "mlp";
+    nn::Network net = build(lenet);
+    nn::Network ref = build(lenet);
+    const std::size_t features = lenet ? 3 * 16 * 16 : 48;
+    const Tensor x = random_tensor(Shape{5, features}, 41);
+    const std::vector<std::int32_t> labels{0, 3, 9, 4, 7};
+    nn::SgdOptimizer opt({0.05, 0.9});
+    nn::SgdOptimizer ref_opt({0.05, 0.9});
+    for (int step = 0; step < 2; ++step) {
+      net.train_batch(x, labels, opt, nullptr);
+
+      ref.zero_grad();
+      nn::SoftmaxCrossEntropy loss;
+      loss.forward(ref.forward(x, /*training=*/true), labels);
+      Tensor g = loss.backward();
+      for (std::size_t i = ref.layer_count(); i-- > 0;) {
+        g = ref.layer(i).backward(g);
+      }
+      std::vector<nn::ParamRef> got = net.params();
+      std::vector<nn::ParamRef> want = ref.params();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_same_tensor(*got[i].grad, *want[i].grad,
+                           label + " " + want[i].name + " grad");
+      }
+      ref_opt.step(want);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_same_tensor(*got[i].value, *want[i].value,
+                           label + " " + want[i].name + " after step");
+      }
+    }
   }
 }
 

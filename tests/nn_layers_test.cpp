@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -198,6 +199,28 @@ TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 5.0f);
   EXPECT_FLOAT_EQ(gx[2], 0.0f);
+}
+
+TEST(MaxPoolLayer, AllNegativeInfinityWindowKeepsGradientInside) {
+  // Channel 1's only window holds no finite value: its output is -inf
+  // and its gradient must land inside that window, not on channel 0.
+  PoolGeometry g{2, 2, 2, 2, 2};
+  MaxPool2D pool(g, "pool");
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor x(Shape{1, 8},
+           std::vector<float>{1.0f, 9.0f, 3.0f, 4.0f, -inf, -inf, -inf, -inf});
+  Tensor y = pool.forward(x, false);
+  EXPECT_FLOAT_EQ(y[0], 9.0f);
+  EXPECT_EQ(y[1], -inf);
+  Tensor gx =
+      pool.backward(Tensor(Shape{1, 2}, std::vector<float>{5.0f, 7.0f}));
+  EXPECT_FLOAT_EQ(gx[0], 0.0f);
+  EXPECT_FLOAT_EQ(gx[1], 5.0f);
+  float channel1 = 0.0f;
+  for (std::size_t i = 4; i < 8; ++i) {
+    channel1 += gx[i];
+  }
+  EXPECT_FLOAT_EQ(channel1, 7.0f);
 }
 
 TEST(AvgPoolLayer, AveragesWindows) {
