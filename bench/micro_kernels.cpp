@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark): the computational kernels under
-// the experiment harness — GEMM, im2col, one LeNet-5 training step,
+// the experiment harness — GEMM, im2col, tanh per kernel variant, one
+// LeNet-5 training step and one accuracy evaluation,
 // crossbar VMM, programming, the aging-model hot path and the
 // per-session lifetime passes (aging statistics, drift, the SGD step).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -102,6 +104,52 @@ void BM_LeNetTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LeNetTrainStep)->Unit(benchmark::kMicrosecond);
+
+/// One accuracy evaluation of LeNet-5 over 128 3x16x16 samples, the
+/// online tuner's eval_samples, in the default 64-sample batches.
+void BM_LeNetEvaluate(benchmark::State& state) {
+  Rng rng(12);
+  nn::Network net = nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng);
+  Tensor x = random_matrix(128, 3 * 16 * 16, 13);
+  std::vector<std::int32_t> labels(128);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int32_t>(i % 10);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.evaluate(x, labels));
+  }
+}
+BENCHMARK(BM_LeNetEvaluate)->Unit(benchmark::kMicrosecond);
+
+/// tanh over one `tanh1` activation of a 64-sample LeNet-5 batch (6
+/// channels of 12x12 pixels, 55,296 floats) through one kernel variant.
+void BM_Tanh(benchmark::State& state, const std::string& variant) {
+  const std::vector<std::string> names = kernels::available();
+  if (std::find(names.begin(), names.end(), variant) == names.end()) {
+    state.SkipWithError("variant not available on this host");
+    return;
+  }
+  const std::string active = kernels::kernel_name();
+  kernels::set_kernel(variant);
+  const auto fn = kernels::select().tanh;
+  kernels::set_kernel(active);
+  constexpr std::size_t kN = 64 * 6 * 12 * 12;
+  const Tensor x = random_matrix(1, kN, 14);
+  std::vector<float> y(kN);
+  for (auto _ : state) {
+    fn(x.data(), y.data(), kN);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kN));
+}
+BENCHMARK_CAPTURE(BM_Tanh, scalar, std::string("scalar"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Tanh, avx2, std::string("avx2"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Tanh, neon, std::string("neon"))
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CrossbarVmm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "tensor/kernels/kernels.hpp"
 
 namespace xbarlife::nn {
 
@@ -31,11 +32,7 @@ Tanh::Tanh(std::string name) : Layer(std::move(name)) {}
 
 Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
   output_ = Tensor(input.shape());
-  const float* x = input.data();
-  float* y = output_.data();
-  for (std::size_t i = 0; i < output_.numel(); ++i) {
-    y[i] = std::tanh(x[i]);
-  }
+  kernels::select().tanh(input.data(), output_.data(), output_.numel());
   return output_;
 }
 

@@ -10,6 +10,10 @@
 #include <immintrin.h>
 
 namespace xbarlife::kernels {
+
+// Defined in tanh.cpp, which builds it without FMA contraction.
+void tanh_avx2(const float* x, float* y, std::size_t n);
+
 namespace {
 
 // GEBP-style blocking: an MR x NR register tile over a packed KC-deep
@@ -262,7 +266,7 @@ void gemm_s8_avx2(const std::int8_t* a, const std::int8_t* b,
 }
 
 constexpr KernelSet kAvx2{
-    "avx2", gemm_avx2, gemm_nt_avx2, vmm_avx2, gemm_s8_avx2,
+    "avx2", gemm_avx2, gemm_nt_avx2, vmm_avx2, gemm_s8_avx2, tanh_avx2,
 };
 
 }  // namespace

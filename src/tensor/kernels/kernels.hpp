@@ -1,7 +1,7 @@
 // Runtime-dispatched compute kernels.
 //
-// Every dense inner loop in the simulator (GEMM, the crossbar VMM, the
-// int8 quantized GEMM) funnels through a KernelSet
+// The simulator's dense inner loops (GEMM, the crossbar VMM, the int8
+// quantized GEMM) and the tanh activation funnel through a KernelSet
 // chosen once at startup: AVX2+FMA on capable x86-64, NEON on aarch64,
 // and a portable scalar fallback everywhere. Selection is overridable
 // with the XBARLIFE_KERNEL environment variable or the CLI --kernel flag
@@ -11,9 +11,11 @@
 // fixed ascending-k accumulation order that depends only on the operand
 // shapes — never on how callers partition rows/columns across threads.
 // Results are therefore bit-identical at any thread count *per dispatch
-// variant*. Different variants (scalar vs avx2) may differ in the last
-// ulp because the vector kernels use FMA; tests and goldens that need
-// host-independent bytes pin XBARLIFE_KERNEL=scalar.
+// variant*. The float GEMMs and the VMM of different variants (scalar vs
+// avx2) may differ in the last ulp because the vector kernels use FMA;
+// tests and goldens that need host-independent bytes pin
+// XBARLIFE_KERNEL=scalar. gemm_s8 and tanh give the same bits on every
+// variant.
 //
 // Accumulation policy: float accumulators everywhere (scalar included).
 // See docs/kernels.md for the rationale and the error model.
@@ -56,7 +58,15 @@ struct KernelSet {
   void (*gemm_s8)(const std::int8_t* a, const std::int8_t* b,
                   std::int32_t* c, std::size_t m, std::size_t k,
                   std::size_t n, std::size_t row_begin, std::size_t row_end);
+
+  /// y[i] = tanh(x[i]) for i in [0, n), with std::tanh's bits on every
+  /// variant (see tanh_reference).
+  void (*tanh)(const float* x, float* y, std::size_t n);
 };
+
+/// The scalar tanh every variant's `tanh` matches bit for bit: a port of
+/// the fdlibm tanhf glibc uses (src/tensor/kernels/tanh.cpp).
+void tanh_reference(const float* x, float* y, std::size_t n);
 
 /// Returns the active kernel set. First call resolves XBARLIFE_KERNEL
 /// (throws InvalidArgument for unknown values); afterwards it is a single

@@ -114,6 +114,7 @@ void gemm_s8_neon(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
 
 constexpr KernelSet kNeon{
     "neon", gemm_neon, gemm_nt_neon, vmm_neon, gemm_s8_neon,
+    tanh_reference,
 };
 
 }  // namespace

@@ -81,6 +81,7 @@ void gemm_s8_scalar(const std::int8_t* a, const std::int8_t* b,
 
 constexpr KernelSet kScalar{
     "scalar", gemm_scalar, gemm_nt_scalar, vmm_scalar, gemm_s8_scalar,
+    tanh_reference,
 };
 
 }  // namespace

@@ -36,11 +36,16 @@ TEST(ReLULayer, BackwardMasksGradient) {
 }
 
 TEST(TanhLayer, ForwardValues) {
+  // Nine values: one 8-lane block and a tail on the vector variants, which
+  // must all return std::tanh's bits.
   Tanh t;
-  Tensor x(Shape{1, 2}, std::vector<float>{0.0f, 1.0f});
+  const std::vector<float> v{0.0f, 1.0f,  -1.0f, 0.25f, -3.0f,
+                             21.9f, 22.0f, -1e-20f, 0.5f};
+  Tensor x(Shape{1, v.size()}, v);
   Tensor y = t.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 0.0f);
-  EXPECT_NEAR(y[1], std::tanh(1.0f), 1e-6f);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(y[i], std::tanh(v[i])) << "x=" << v[i];
+  }
 }
 
 TEST(SigmoidLayer, ForwardValues) {

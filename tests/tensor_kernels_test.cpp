@@ -1,14 +1,17 @@
 // Runtime-dispatched kernel layer: registry behavior, per-variant parity
 // against the naive reference (including odd/tail shapes that stress the
-// SIMD remainder paths), NaN/Inf/denormal propagation, and the per-variant
-// thread-count byte-identity contract.
+// SIMD remainder paths), NaN/Inf/denormal propagation, the per-variant
+// thread-count byte-identity contract, and tanh's bit identity with
+// std::tanh on every variant.
 #include "tensor/kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -215,6 +218,111 @@ TEST_F(KernelVariantFixture, Int8GemmExactAcrossVariants) {
     std::vector<std::int32_t> c(m * n, 0);
     kernels::select().gemm_s8(a.data(), b.data(), c.data(), m, k, n, 0, m);
     EXPECT_EQ(c, ref) << name;  // integer accumulate: exact, not approx
+  }
+}
+
+// --- tanh: std::tanh's bits on every variant ---------------------------
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+float float_of(std::uint32_t u) {
+  float f = 0.0f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+/// Checks tanh_reference against std::tanh and every available variant
+/// against tanh_reference, bit for bit, reporting the first mismatch of
+/// each.
+void expect_tanh_bits(const std::vector<float>& x) {
+  std::vector<float> libm(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    libm[i] = std::tanh(x[i]);
+  }
+  std::vector<float> ref(x.size());
+  kernels::tanh_reference(x.data(), ref.data(), x.size());
+  const auto expect_same = [&](const std::vector<float>& got,
+                               const std::vector<float>& want,
+                               const std::string& what) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (bits_of(got[i]) != bits_of(want[i])) {
+        ADD_FAILURE() << what << ": tanh(0x" << std::hex << bits_of(x[i])
+                      << ") = 0x" << bits_of(got[i]) << ", want 0x"
+                      << bits_of(want[i]);
+        return;
+      }
+    }
+  };
+  expect_same(ref, libm, "reference vs std::tanh");
+  for (const std::string& name : kernels::available()) {
+    kernels::set_kernel(name);
+    std::vector<float> got(x.size());
+    kernels::select().tanh(x.data(), got.data(), x.size());
+    expect_same(got, ref, name + " vs reference");
+    expect_same(got, libm, name + " vs std::tanh");
+  }
+}
+
+TEST_F(KernelVariantFixture, TanhBitsStridedSweep) {
+  // Every 1021st bit pattern (a prime stride, so mantissas vary too):
+  // about 4.2M inputs over both signs, every exponent, and NaN payloads.
+  constexpr std::uint64_t kStride = 1021;
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::vector<float> x;
+  x.reserve(kChunk);
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += kStride) {
+    x.push_back(float_of(static_cast<std::uint32_t>(u)));
+    if (x.size() == kChunk) {
+      expect_tanh_bits(x);
+      x.clear();
+    }
+  }
+  expect_tanh_bits(x);
+}
+
+TEST_F(KernelVariantFixture, TanhBitsAtBranchBoundaries) {
+  // The thresholds of __tanhf (2^-55, 1, 22) and, at the doubled argument
+  // expm1 sees, of __expm1f (2^-25, 0.5 ln2, 1.5 ln2), with neighbours.
+  const std::uint32_t named[] = {
+      0x00000000, 0x00000001, 0x24000000, 0x32800000, 0x33000000,
+      0x3e317218, 0x3eb17218, 0x3f051592, 0x3f851592, 0x3f800000,
+      0x41b00000, 0x7f7fffff, 0x7f800000, 0x7fc00000, 0x7f800001};
+  std::vector<float> x;
+  for (const std::uint32_t u : named) {
+    for (const std::uint32_t v : {u - 1, u, u + 1}) {
+      x.push_back(float_of(v));
+      x.push_back(float_of(v ^ 0x80000000u));
+    }
+  }
+  expect_tanh_bits(x);
+}
+
+TEST_F(KernelVariantFixture, TanhTailLengths) {
+  // Lengths 0..17 cover an empty call, a pure tail, one and two 8-lane
+  // blocks with every tail length; the variant must not write past n.
+  Rng rng(21);
+  for (std::size_t n = 0; n <= 17; ++n) {
+    std::vector<float> x(n);
+    for (float& v : x) {
+      v = static_cast<float>(rng.uniform(-4.0, 4.0));
+    }
+    if (n > 3) {
+      x[n / 2] = std::numeric_limits<float>::infinity();
+      x[n - 1] = std::numeric_limits<float>::quiet_NaN();
+    }
+    expect_tanh_bits(x);
+    for (const std::string& name : kernels::available()) {
+      kernels::set_kernel(name);
+      std::vector<float> y(n + 8, 7.0f);
+      kernels::select().tanh(x.data(), y.data(), n);
+      for (std::size_t i = n; i < y.size(); ++i) {
+        EXPECT_EQ(y[i], 7.0f) << name << " wrote past n=" << n;
+      }
+    }
   }
 }
 
