@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): the computational kernels under
-// the experiment harness — GEMM, im2col, tanh per kernel variant, one
-// LeNet-5 training step and one accuracy evaluation,
+// the experiment harness — GEMM, the LeNet-5 and VGG-16 convolutions'
+// forward and weight gradient, tanh per kernel variant, one LeNet-5 and
+// one VGG-16 training step, one LeNet-5 accuracy evaluation,
 // crossbar VMM, programming, the aging-model hot path and the
 // per-session lifetime passes (aging statistics, drift, the SGD step).
 #include <benchmark/benchmark.h>
@@ -14,10 +15,10 @@
 #include "common/rng.hpp"
 #include "device/memristor.hpp"
 #include "mapping/mapper.hpp"
+#include "nn/conv.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/im2col.hpp"
 #include "xbar/remote.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/matmul.hpp"
@@ -72,20 +73,68 @@ void BM_MatmulS8(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulS8)->Arg(64)->Arg(256);
 
-void BM_Im2col(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  ConvGeometry g{3, side, side, 3, 1, 1};
-  Tensor image(Shape{3 * side * side});
-  Rng rng(3);
-  image.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor cols(Shape{g.patch_size(), g.out_h() * g.out_w()});
+/// A LeNet-5 convolution layer on 3x16x16 inputs: conv1 (3x16x16 -> 6
+/// channels of 12x12) or conv2 (6x6x6 -> 16 channels of 2x2); or a
+/// padded 3x3 VGG-16 (width 4, 3x32x32 inputs) layer: conv2 (4x32x32 ->
+/// 4, the first block) or conv10 (32x4x4 -> 32, the last conv of the
+/// fourth block).
+struct ConvShape {
+  ConvGeometry g;
+  std::size_t out_channels;
+};
+const ConvShape kConv1{{3, 16, 16, 5, 1, 0}, 6};
+const ConvShape kConv2{{6, 6, 6, 5, 1, 0}, 16};
+const ConvShape kVggConv2{{4, 32, 32, 3, 1, 1}, 4};
+const ConvShape kVggConv10{{32, 4, 4, 3, 1, 1}, 32};
+
+/// One Conv2D forward over state.range(0) samples (64 = an evaluation
+/// batch, 16 = a training batch).
+void BM_ConvForward(benchmark::State& state, const ConvShape& shape) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  Rng rng(15);
+  nn::Conv2D conv(shape.g, shape.out_channels, rng, "conv");
+  const ConvGeometry& g = shape.g;
+  const Tensor x = random_matrix(batch, g.in_channels * g.in_h * g.in_w, 16);
   for (auto _ : state) {
-    im2col(image.flat(), g, cols.flat());
-    benchmark::DoNotOptimize(cols.data());
+    Tensor y = conv.forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_ConvForward, conv1, kConv1)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ConvForward, conv2, kConv2)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ConvForward, vgg_conv2, kVggConv2)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ConvForward, vgg_conv10, kVggConv10)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
+
+/// The weight and bias gradients of one Conv2D over state.range(0)
+/// samples (`backward_params`, what a network's first layer runs).
+void BM_ConvWeightGrad(benchmark::State& state, const ConvShape& shape) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  Rng rng(15);
+  nn::Conv2D conv(shape.g, shape.out_channels, rng, "conv");
+  const ConvGeometry& g = shape.g;
+  const Tensor x = random_matrix(batch, g.in_channels * g.in_h * g.in_w, 16);
+  const Tensor gy = random_matrix(
+      batch, shape.out_channels * g.out_h() * g.out_w(), 17);
+  conv.forward(x, true);
+  const float* weight_grad = conv.params()[0].grad->data();
+  for (auto _ : state) {
+    conv.backward_params(gy);
+    benchmark::DoNotOptimize(weight_grad);
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_Im2col)->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_ConvWeightGrad, conv1, kConv1)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ConvWeightGrad, conv2, kConv2)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ConvWeightGrad, vgg_conv2, kVggConv2)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ConvWeightGrad, vgg_conv10, kVggConv10)
+    ->Arg(64)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 /// One LeNet-5 training step (forward, loss, backward, SGD) on a batch
 /// of 16 3x16x16 images, the shape the lenet5 workloads train on.
@@ -104,6 +153,24 @@ void BM_LeNetTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LeNetTrainStep)->Unit(benchmark::kMicrosecond);
+
+/// One VGG-16 training step (width 4, 100 classes) on a batch of 16
+/// 3x32x32 images, the vgg16 model's training shape.
+void BM_Vgg16TrainStep(benchmark::State& state) {
+  Rng rng(12);
+  nn::Network net = nn::make_vgg16(nn::ImageSpec{3, 32, 32}, 100, 4, rng);
+  Tensor x = random_matrix(16, 3 * 32 * 32, 13);
+  std::vector<std::int32_t> labels(16);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int32_t>(i * 7 % 100);
+  }
+  nn::SgdOptimizer opt({0.005, 0.9});
+  for (auto _ : state) {
+    const nn::TrainStats stats = net.train_batch(x, labels, opt, nullptr);
+    benchmark::DoNotOptimize(stats.loss);
+  }
+}
+BENCHMARK(BM_Vgg16TrainStep)->Unit(benchmark::kMicrosecond);
 
 /// One accuracy evaluation of LeNet-5 over 128 3x16x16 samples, the
 /// online tuner's eval_samples, in the default 64-sample batches.

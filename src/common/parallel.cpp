@@ -167,6 +167,14 @@ void set_parallel_threads(std::size_t n) {
 
 bool in_parallel_region() { return t_in_region; }
 
+std::size_t parallel_grain(std::size_t count) {
+  const std::size_t threads = t_in_region ? 1 : parallel_threads();
+  if (threads == 1) {
+    return std::max<std::size_t>(1, count);
+  }
+  return std::max<std::size_t>(1, (count + 4 * threads - 1) / (4 * threads));
+}
+
 std::size_t parallel_chunk_count(std::size_t begin, std::size_t end,
                                  std::size_t grain) {
   if (end <= begin) {

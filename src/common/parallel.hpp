@@ -46,6 +46,13 @@ void set_parallel_threads(std::size_t n);
 /// nested parallel_for runs inline.
 bool in_parallel_region();
 
+/// Load-balancing grain for `count` independent work items whose
+/// partition never shows up in the bits: ~4 chunks per pool thread, and
+/// `count` (one chunk, run inline) where the work runs serially — a
+/// one-thread pool or inside a parallel region, where the pool size is
+/// not read (the running fan-out holds it).
+std::size_t parallel_grain(std::size_t count);
+
 /// Number of chunks [begin, end) splits into at the given grain (the
 /// partition parallel_for/parallel_reduce use). grain < 1 is treated as 1.
 std::size_t parallel_chunk_count(std::size_t begin, std::size_t end,

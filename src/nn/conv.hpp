@@ -1,4 +1,5 @@
-// 2-D convolution layer (square kernels) lowered to GEMM via im2col.
+// 2-D convolution layer (square kernels) lowered to GEMM over patches
+// gathered straight from the input images.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -10,9 +11,11 @@ namespace xbarlife::nn {
 ///
 /// The kernel tensor is stored as a (patch_size, out_channels) matrix, the
 /// orientation the crossbar mapper expects (inputs drive rows, output
-/// channels are columns). Per sample the forward is `W^T * cols` over the
-/// (patch_size, pixels) im2col matrix, which yields the channel-major
-/// output row directly.
+/// channels are columns). The forward is one batch-wide `W^T * patches`
+/// over the (patch_size, batch*pixels) patch matrix, computed tile by
+/// tile from column tiles the tap table gathers; its product rows are
+/// the channel-major outputs. The weight gradient re-gathers each
+/// sample's (pixels, patch_size) patches from the saved input.
 class Conv2D final : public Layer {
  public:
   Conv2D(ConvGeometry geometry, std::size_t out_channels, Rng& rng,
@@ -34,6 +37,8 @@ class Conv2D final : public Layer {
  private:
   /// Checks a (batch, C*H*W) input and returns the batch size.
   std::size_t check_input(const Tensor& input) const;
+  /// Checks `grad_output` against the last forward and returns its batch.
+  std::size_t check_grad_output(const Tensor& grad_output) const;
   /// Accumulates the weight and bias gradients and, when `grad_input` is
   /// non-null, writes the input gradient into it.
   void backprop(const Tensor& grad_output, Tensor* grad_input);
@@ -44,7 +49,8 @@ class Conv2D final : public Layer {
   Tensor bias_;         // (out_channels)
   Tensor weight_grad_;
   Tensor bias_grad_;
-  std::vector<Tensor> cols_;  // (patch_size, pixels) im2col per sample
+  TapTable taps_;
+  Tensor input_;  // the last forward's input, (batch, C*H*W)
 };
 
 }  // namespace xbarlife::nn

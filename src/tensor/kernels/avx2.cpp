@@ -36,21 +36,19 @@ inline __m256i tail_mask(std::size_t active) {
 }
 
 /// Packs B[k0:k1, j0:j0+width] into a (k1-k0) x kNr column panel,
-/// zero-padding the lanes past `width`. Zero pad lanes are safe: the
-/// store side never writes them, and 0 * a stays confined to the lane.
+/// zero-padding the lanes past `width` (masked loads zero them and never
+/// touch memory past the row). Zero pad lanes are safe: the store side
+/// never writes them, and 0 * a stays confined to the lane.
 inline void pack_b(const float* b, float* panel, std::size_t n,
                    std::size_t k0, std::size_t k1, std::size_t j0,
                    std::size_t width) {
+  const __m256i m_lo = tail_mask(width < 8 ? width : 8);
+  const __m256i m_hi = tail_mask(width > 8 ? width - 8 : 0);
   for (std::size_t kk = k0; kk < k1; ++kk) {
     const float* src = b + kk * n + j0;
     float* dst = panel + (kk - k0) * kNr;
-    std::size_t j = 0;
-    for (; j < width; ++j) {
-      dst[j] = src[j];
-    }
-    for (; j < kNr; ++j) {
-      dst[j] = 0.0f;
-    }
+    _mm256_store_ps(dst, _mm256_maskload_ps(src, m_lo));
+    _mm256_store_ps(dst + 8, _mm256_maskload_ps(src + 8, m_hi));
   }
 }
 

@@ -23,8 +23,8 @@ void check_rank2(const Tensor& t, const char* name) {
 constexpr std::size_t kSerialFlopThreshold = 8u << 20;
 
 /// Row grain for the threaded GEMM paths. Small products collapse to a
-/// single chunk (serial); large ones split into ~4 chunks per thread for
-/// load balance. A thread-count-dependent grain is safe here because the
+/// single chunk (serial); large ones take parallel_grain's ~4 chunks per
+/// thread. A thread-count-dependent grain is safe here because the
 /// kernels compute each output element in a partition-independent order
 /// (see kernels.hpp), so the partition never shows up in the bits.
 std::size_t gemm_grain(std::size_t m, std::size_t k, std::size_t n) {
@@ -32,8 +32,7 @@ std::size_t gemm_grain(std::size_t m, std::size_t k, std::size_t n) {
   if (flops < kSerialFlopThreshold) {
     return m;  // single chunk -> parallel_for runs it inline
   }
-  const std::size_t threads = parallel_threads();
-  return std::max<std::size_t>(1, (m + 4 * threads - 1) / (4 * threads));
+  return parallel_grain(m);
 }
 
 /// C += A * B via the active kernel, threaded over row chunks. Threads

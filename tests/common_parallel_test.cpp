@@ -111,6 +111,28 @@ TEST(Parallel, NestedParallelForRunsInline) {
   EXPECT_TRUE(nested_seen.load());
 }
 
+TEST(Parallel, GrainIsOneChunkWhenSerialOrNested) {
+  ThreadGuard guard;
+  set_parallel_threads(1);
+  EXPECT_EQ(parallel_grain(100), 100u);
+  EXPECT_EQ(parallel_grain(0), 1u);
+  set_parallel_threads(4);
+  const std::size_t threads = parallel_threads();
+  EXPECT_EQ(parallel_grain(100),
+            threads == 1 ? 100u : (100 + 4 * threads - 1) / (4 * threads));
+  EXPECT_EQ(parallel_grain(1), 1u);
+  // Inside a region nested loops run inline, so the grain is the whole
+  // range; the pool size is not read there (the running fan-out holds
+  // the pool, and asking for it would wait on that fan-out forever).
+  std::atomic<int> whole{0};
+  parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {
+    if (parallel_grain(100) == 100) {
+      whole.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(whole.load(), 8);
+}
+
 TEST(Parallel, ExceptionPropagatesToCaller) {
   ThreadGuard guard;
   for (std::size_t threads : {1u, 4u}) {

@@ -652,7 +652,9 @@ TEST(FastPathOracle, ConvMatchesRowLayoutComposition) {
       const ThreadCount tc(threads);
       for (const Case& cs : cases) {
         const ConvGeometry& g = cs.g;
-        for (const std::size_t batch : {1u, 3u, 16u}) {
+        // 5 samples give conv2 (4 pixels) a partial 16-column panel that
+        // straddles samples; 64 is the evaluation batch.
+        for (const std::size_t batch : {1u, 3u, 5u, 16u, 64u}) {
           const std::string label =
               variant + " t" + std::to_string(threads) + " b" +
               std::to_string(batch) + " c" + std::to_string(g.in_channels) +
@@ -692,6 +694,48 @@ TEST(FastPathOracle, ConvMatchesRowLayoutComposition) {
           expect_same_tensor(*params[1].grad, want.bias_grad,
                              label + " backward_params bias_grad");
         }
+      }
+    }
+  }
+}
+
+TEST(FastPathOracle, ConvBatchSizeChangesMatchFreshLayer) {
+  // The tuning loop evaluates 64-sample batches and trains on 16: one
+  // layer run at 64 -> 16 -> 64 samples must give, pass by pass, the
+  // bits of a fresh layer with the same parameters.
+  const ConvGeometry geometries[] = {{3, 16, 16, 5, 1, 0},
+                                     {6, 6, 6, 5, 1, 0}};
+  for (const std::string& variant : kernels::available()) {
+    const KernelVariant kv(variant);
+    for (const ConvGeometry& g : geometries) {
+      const std::size_t out_channels = g.in_channels == 3 ? 6 : 16;
+      const std::size_t features = g.in_channels * g.in_h * g.in_w;
+      const std::size_t out_features = out_channels * g.out_h() * g.out_w();
+      Rng rng(g.patch_size());
+      nn::Conv2D conv(g, out_channels, rng, "conv");
+      std::uint64_t seed = 60;
+      for (const std::size_t batch : {64u, 16u, 64u}) {
+        const std::string label = variant + " c" +
+                                  std::to_string(g.in_channels) + " b" +
+                                  std::to_string(batch) + " seed " +
+                                  std::to_string(seed);
+        const Tensor x = random_tensor(Shape{batch, features}, seed++);
+        const Tensor gy = random_tensor(Shape{batch, out_features}, seed++);
+        Rng fresh_rng(g.patch_size());
+        nn::Conv2D fresh(g, out_channels, fresh_rng, "conv");
+        *fresh.params()[1].value = *conv.params()[1].value;
+        for (nn::Conv2D* layer : {&conv, &fresh}) {
+          layer->params()[0].grad->fill(0.0f);
+          layer->params()[1].grad->fill(0.0f);
+        }
+        expect_same_tensor(conv.forward(x, true), fresh.forward(x, true),
+                           label + " y");
+        expect_same_tensor(conv.backward(gy), fresh.backward(gy),
+                           label + " grad_input");
+        expect_same_tensor(*conv.params()[0].grad, *fresh.params()[0].grad,
+                           label + " weight_grad");
+        expect_same_tensor(*conv.params()[1].grad, *fresh.params()[1].grad,
+                           label + " bias_grad");
       }
     }
   }

@@ -179,6 +179,25 @@ TEST(ConvLayer, ParallelBatchMatchesSerialBitwise) {
   EXPECT_TRUE(*params[0].grad == wgrad_serial);
 }
 
+TEST(ConvLayer, BackwardFailsClosedWithoutMatchingForward) {
+  // The gradients re-gather patches from the last forward's input, so
+  // a backward with no forward, or for another batch, must throw.
+  Rng rng(32);
+  ConvGeometry g{2, 6, 6, 3, 1, 1};
+  Conv2D conv(g, 4, rng, "conv");
+  const Tensor gy3(Shape{3, 4 * 6 * 6}, 0.5f);
+  EXPECT_THROW(conv.backward(gy3), InvalidArgument);
+  EXPECT_THROW(conv.backward_params(gy3), InvalidArgument);
+
+  conv.forward(Tensor(Shape{2, 2 * 6 * 6}, 1.0f), true);
+  EXPECT_THROW(conv.backward(gy3), InvalidArgument);
+  EXPECT_THROW(conv.backward_params(gy3), InvalidArgument);
+  EXPECT_THROW(conv.backward(Tensor(Shape{2, 4 * 6 * 6 - 1})),
+               InvalidArgument);
+  EXPECT_NO_THROW(conv.backward(Tensor(Shape{2, 4 * 6 * 6}, 0.5f)));
+  EXPECT_NO_THROW(conv.backward_params(Tensor(Shape{2, 4 * 6 * 6}, 0.5f)));
+}
+
 TEST(MaxPoolLayer, SelectsWindowMaxima) {
   PoolGeometry g{1, 4, 4, 2, 2};
   MaxPool2D pool(g, "pool");

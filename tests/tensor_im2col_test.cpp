@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -11,10 +13,12 @@
 namespace xbarlife {
 namespace {
 
-/// im2col into a fresh (patch_size, pixels) tensor.
+/// One image's (patch_size, pixels) patch matrix: all of its columns,
+/// gathered in one tile.
 Tensor lower(const Tensor& image, const ConvGeometry& g) {
-  Tensor cols(Shape{g.patch_size(), g.out_h() * g.out_w()});
-  im2col(image.flat(), g, cols.flat());
+  const std::size_t pixels = g.out_h() * g.out_w();
+  Tensor cols(Shape{g.patch_size(), pixels});
+  TapTable(g).gather_cols(image.flat(), 0, pixels, cols.flat());
   return cols;
 }
 
@@ -107,16 +111,75 @@ TEST(Im2col, PaddingYieldsZeros) {
 
 TEST(Im2col, InputSizeMismatchThrows) {
   ConvGeometry g{1, 4, 4, 3, 1, 0};
+  const TapTable taps(g);
   Tensor cols(Shape{g.patch_size(), g.out_h() * g.out_w()});
-  EXPECT_THROW(im2col(Tensor(Shape{15}).flat(), g, cols.flat()),
+  EXPECT_THROW(taps.gather_cols(Tensor(Shape{15}).flat(), 0, 4, cols.flat()),
                InvalidArgument);
   Tensor image(Shape{16});
-  EXPECT_THROW(im2col(image.flat(), g, Tensor(Shape{3, 3}).flat()),
+  EXPECT_THROW(
+      taps.gather_cols(image.flat(), 0, 4, Tensor(Shape{3, 3}).flat()),
+      InvalidArgument);
+  // Columns past the batch, or a reversed range.
+  EXPECT_THROW(taps.gather_cols(image.flat(), 2, 6,
+                                Tensor(Shape{g.patch_size(), 4}).flat()),
+               InvalidArgument);
+  EXPECT_THROW(taps.gather_cols(image.flat(), 3, 1, cols.flat()),
+               InvalidArgument);
+  Tensor rows(Shape{g.out_h() * g.out_w(), g.patch_size()});
+  EXPECT_THROW(taps.gather_rows(Tensor(Shape{15}).flat(), rows.flat()),
+               InvalidArgument);
+  EXPECT_THROW(taps.gather_rows(image.flat(), Tensor(Shape{3, 3}).flat()),
                InvalidArgument);
 }
 
+TEST(Im2col, BatchTilesAndRowsMatchPerImageColumns) {
+  // Column tiles of the batch-wide patch matrix, at every width and
+  // offset (tiles that straddle images included), and each image's
+  // (pixels, patch) rows are slices of the one-image columns. Kernels of
+  // 1 to 3 taps per row give runs shorter than 4 floats, whose 4-float
+  // moves must stop at the end of the image and of the rows. The last
+  // geometry pads by more than the kernel: some pixels read only zeros.
+  const ConvGeometry geometries[] = {{2, 6, 6, 3, 1, 1}, {3, 7, 7, 3, 2, 0},
+                                     {6, 6, 6, 5, 1, 0}, {2, 5, 5, 1, 1, 0},
+                                     {3, 6, 6, 2, 1, 0}, {1, 3, 3, 2, 1, 3}};
+  for (const ConvGeometry& g : geometries) {
+    const TapTable taps(g);
+    const std::size_t patch = g.patch_size();
+    const std::size_t pixels = g.out_h() * g.out_w();
+    const std::size_t per_image = g.in_channels * g.in_h * g.in_w;
+    constexpr std::size_t kBatch = 3;
+    Rng rng(patch + pixels);
+    Tensor images(Shape{kBatch, per_image});
+    images.fill_gaussian(rng, 0.0f, 1.0f);
+    std::vector<Tensor> cols;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      Tensor image(Shape{per_image});
+      std::copy_n(images.data() + b * per_image, per_image, image.data());
+      cols.push_back(lower(image, g));
+      Tensor rows(Shape{pixels, patch});
+      taps.gather_rows(image.flat(), rows.flat());
+      EXPECT_TRUE(rows == cols.back().transposed());
+    }
+    const std::size_t n = kBatch * pixels;
+    for (std::size_t width = 1; width <= n; width += 3) {
+      for (std::size_t j0 = 0; j0 < n; j0 += width) {
+        const std::size_t w = std::min(width, n - j0);
+        Tensor tile(Shape{patch, w});
+        taps.gather_cols(images.flat(), j0, j0 + w, tile.flat());
+        for (std::size_t t = 0; t < patch; ++t) {
+          for (std::size_t i = 0; i < w; ++i) {
+            const std::size_t j = j0 + i;
+            ASSERT_EQ(tile.at(t, i), cols[j / pixels].at(t, j % pixels))
+                << "width " << width << " column " << j << " tap " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Col2im, IsAdjointOfIm2col) {
-  // <im2col(x), y> == <x, col2im(y)> — the defining adjoint property,
+  // <patches(x), y> == <x, col2im(y)> — the defining adjoint property,
   // checked with random tensors.
   ConvGeometry g{2, 6, 5, 3, 1, 1};
   Rng rng(11);
@@ -182,12 +245,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1, 12, 5, 0)));
 
 TEST(Im2col, MatchesDefinitionAndAdjointOnStridedGeometries) {
-  // Every element of im2col and col2im against the per-tap definition,
-  // and <col2im(g), x> == <g, im2col(x)> in float, on padded and strided
-  // geometries (stride > 1 takes im2col's strided gather).
+  // Every element of the gathered patch matrix and col2im against the
+  // per-tap definition, and <col2im(g), x> == <g, patches(x)> in float,
+  // on padded and strided geometries.
   const ConvGeometry geometries[] = {
       {1, 7, 7, 3, 2, 0}, {2, 8, 8, 3, 2, 1}, {3, 9, 9, 2, 3, 1},
-      {1, 6, 6, 5, 1, 4}, {2, 5, 5, 3, 3, 2}, {4, 16, 16, 5, 1, 0}};
+      {1, 6, 6, 5, 1, 4}, {2, 5, 5, 3, 3, 2}, {4, 16, 16, 5, 1, 0},
+      {1, 3, 3, 2, 1, 3}};
   for (const ConvGeometry& g : geometries) {
     SCOPED_TRACE(::testing::Message()
                  << g.in_channels << "x" << g.in_h << "x" << g.in_w << " k"

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -140,6 +141,28 @@ TEST(Matmul, ParallelMatchesSerialBitwise) {
   EXPECT_TRUE(matmul(a, b) == serial);
   EXPECT_TRUE(matmul_tn(a.transposed(), b) == serial_tn);
   EXPECT_TRUE(matmul_nt(a, b.transposed()) == serial_nt);
+  set_parallel_threads(1);
+}
+
+TEST(Matmul, LargeProductInsideFanOutMatchesSerial) {
+  // 2*m*k*n is above the serial-flop threshold, so outside a region the
+  // product would split into row chunks; inside a fan-out it runs inline
+  // and must neither wait on the busy pool nor change a bit.
+  Rng rng(321);
+  const Tensor a = random_matrix(128, 160, rng);
+  const Tensor b = random_matrix(160, 256, rng);
+  set_parallel_threads(1);
+  const Tensor serial = matmul(a, b);
+  set_parallel_threads(4);
+  std::vector<Tensor> nested(4);
+  parallel_for(0, nested.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      nested[i] = matmul(a, b);
+    }
+  });
+  for (const Tensor& t : nested) {
+    EXPECT_TRUE(t == serial);
+  }
   set_parallel_threads(1);
 }
 
