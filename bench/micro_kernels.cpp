@@ -2,8 +2,10 @@
 // the experiment harness — GEMM, the LeNet-5 and VGG-16 convolutions'
 // forward and weight gradient, tanh per kernel variant, one LeNet-5 and
 // one VGG-16 training step, one LeNet-5 accuracy evaluation,
-// crossbar VMM, programming, the aging-model hot path and the
-// per-session lifetime passes (aging statistics, drift, the SGD step).
+// crossbar VMM, programming, the array-state codec of the wire and of
+// checkpoints (CRC-32, crossbar save/load, execute-request encoding), the
+// aging-model hot path and the per-session lifetime passes (aging
+// statistics, drift, the SGD step).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +21,8 @@
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
+#include "persist/checkpoint.hpp"
+#include "persist/state_io.hpp"
 #include "xbar/remote.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/matmul.hpp"
@@ -369,6 +373,75 @@ BENCHMARK_CAPTURE(BM_ProgramPass, pool3_loopback,
                   std::string("loopback,loopback,loopback"))
     ->Iterations(5)
     ->Unit(benchmark::kMillisecond);
+
+/// CRC-32 of `range(0)` bytes: every wire frame and checkpoint payload is
+/// checksummed once on each side.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(13);
+  std::string buf(static_cast<std::size_t>(state.range(0)), '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rng() & 0xffU);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(persist::crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(2097152);
+
+/// Saves or loads the full state of the MLP's first array (768 inputs +
+/// bias row, 64 outputs): what each remote request ships both ways and
+/// each checkpoint writes per layer.
+void BM_CrossbarStateCodec(benchmark::State& state, bool load) {
+  xbar::Crossbar xb(769, 64, {}, {});
+  persist::StateWriter saved;
+  xb.save_state(saved);
+  for (auto _ : state) {
+    if (load) {
+      persist::StateReader r(saved.data());
+      xb.load_state(r);
+      benchmark::DoNotOptimize(&xb);
+    } else {
+      persist::StateWriter w(xb.state_bytes());
+      xb.save_state(w);
+      benchmark::DoNotOptimize(w.data().data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(saved.size()));
+}
+BENCHMARK_CAPTURE(BM_CrossbarStateCodec, save, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CrossbarStateCodec, load, true)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Encodes one remote execute request for the same array: a write pass
+/// of one pulse per cell plus a verify per column.
+void BM_EncodeExecuteRequest(benchmark::State& state, std::size_t rows,
+                             std::size_t cols) {
+  xbar::Crossbar xb(rows, cols, {}, {});
+  Rng rng(12);
+  xbar::SequenceBuilder builder(rows, cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      builder.pulse(r, c, rng.uniform(1e4, 1e5));
+    }
+    builder.verify(0, c);
+  }
+  const xbar::ProgramSequence seq = builder.build();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string request = xbar::encode_execute_request(xb, seq);
+    bytes = request.size();
+    benchmark::DoNotOptimize(request.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_EncodeExecuteRequest, 769x64, 769, 64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_StressIncrement(benchmark::State& state) {
   aging::AgingModel model({});

@@ -114,10 +114,11 @@ void RepresentativeTracker::reset() {
 
 void RepresentativeTracker::save_state(persist::StateWriter& w) const {
   w.u64(stress_.size());
+  char* p = w.extend(stress_.size() * kBlockStateBytes);
   for (std::size_t b = 0; b < stress_.size(); ++b) {
-    w.f64(stress_[b]);
-    w.f64(self_ambient_[b]);
-    w.u64(pulses_[b]);
+    p = persist::put(p, stress_[b]);
+    p = persist::put(p, self_ambient_[b]);
+    p = persist::put(p, pulses_[b]);
   }
   w.f64(ambient_);
 }
@@ -126,10 +127,11 @@ void RepresentativeTracker::load_state(persist::StateReader& r) {
   const std::uint64_t blocks = r.u64();
   XB_CHECK(blocks == stress_.size(),
            "tracker snapshot block count does not match array geometry");
+  const char* p = r.take(stress_.size() * kBlockStateBytes);
   for (std::size_t b = 0; b < stress_.size(); ++b) {
-    stress_[b] = r.f64();
-    self_ambient_[b] = r.f64();
-    pulses_[b] = r.u64();
+    p = persist::get(p, stress_[b]);
+    p = persist::get(p, self_ambient_[b]);
+    p = persist::get(p, pulses_[b]);
   }
   ambient_ = r.f64();
 }

@@ -92,8 +92,16 @@ class RepresentativeTracker {
   /// Serializes the traced history (per-block stress/ambient/pulses plus
   /// the array-wide ambient pool). Geometry and attached counters are not
   /// part of the snapshot; load_state checks the block count matches.
+  /// The blocks travel as one run of kBlockStateBytes each: stress,
+  /// ambient self share (f64), pulses (u64).
   void save_state(persist::StateWriter& w) const;
   void load_state(persist::StateReader& r);
+
+  static constexpr std::size_t kBlockStateBytes = 2 * 8 + 8;
+  /// Exact size of the save_state payload.
+  std::size_t state_bytes() const {
+    return 8 + stress_.size() * kBlockStateBytes + 8;
+  }
 
  private:
   std::size_t block_index(std::size_t r, std::size_t c) const;

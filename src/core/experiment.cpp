@@ -71,7 +71,7 @@ std::string dataset_key(const data::SyntheticSpec& spec) {
   w.f64(spec.noise);
   w.u64(spec.texture_waves);
   w.u64(spec.seed);
-  return w.data();
+  return w.release();
 }
 
 std::string training_key(const ExperimentConfig& config, bool skewed) {
@@ -97,7 +97,7 @@ std::string training_key(const ExperimentConfig& config, bool skewed) {
   w.f64(config.skew.lambda2);
   w.f64(config.skew.omega_factor);
   w.boolean(skewed);
-  return w.data();
+  return w.release();
 }
 
 std::string scenario_key(const ExperimentConfig& config, Scenario s) {
@@ -136,7 +136,7 @@ std::string scenario_key(const ExperimentConfig& config, Scenario s) {
                        rc.fault_masking, rc.spare_row_redundancy}) {
     w.boolean(v);
   }
-  return w.data();
+  return w.release();
 }
 
 namespace {

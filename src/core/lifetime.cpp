@@ -107,7 +107,7 @@ std::string LifetimeSimulator::serialize() const {
   for (const std::string& line : trace_lines_) {
     w.str(line);
   }
-  return w.data();
+  return w.release();
 }
 
 void LifetimeSimulator::restore(std::string_view payload) {

@@ -74,7 +74,7 @@ class SweepState : public persist::Checkpointable {
         w.str(line);
       }
     }
-    return w.data();
+    return w.release();
   }
 
   void restore(std::string_view payload) override {

@@ -108,7 +108,7 @@ std::string Trainer::serialize() const {
   for (const std::string& line : trace_lines_) {
     w.str(line);
   }
-  return w.data();
+  return w.release();
 }
 
 void Trainer::restore(std::string_view payload) {

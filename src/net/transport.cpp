@@ -29,6 +29,11 @@ struct PipeChannel {
   std::mutex mu;
   std::condition_variable cv;
   std::string buf;
+  /// Bytes of `buf` already read. Reads advance it instead of erasing
+  /// the front (which would memmove everything queued behind a frame
+  /// header); the buffer is emptied once a read drains it, which the
+  /// lockstep request/response protocol does after every frame.
+  std::size_t head = 0;
   bool closed = false;
 
   void push(std::string_view bytes) {
@@ -45,14 +50,18 @@ struct PipeChannel {
   void pop_exact(char* dst, std::size_t n, std::chrono::milliseconds timeout) {
     std::unique_lock<std::mutex> lock(mu);
     if (!cv.wait_for(lock, timeout,
-                     [&] { return buf.size() >= n || closed; })) {
+                     [&] { return buf.size() - head >= n || closed; })) {
       throw TransportTimeout("pipe transport: read timed out");
     }
-    if (buf.size() < n) {
+    if (buf.size() - head < n) {
       throw TransportError("pipe transport: connection closed by peer");
     }
-    std::memcpy(dst, buf.data(), n);
-    buf.erase(0, n);
+    std::memcpy(dst, buf.data() + head, n);
+    head += n;
+    if (head == buf.size()) {
+      buf.clear();
+      head = 0;
+    }
   }
 
   void mark_closed() {

@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <cstring>
+
 #include "obs/metrics.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
@@ -49,11 +51,11 @@ std::string encode_frame(MsgType type, std::uint64_t seq_id,
                     " bytes exceeds the protocol maximum of " +
                     std::to_string(kMaxFramePayload));
   }
-  persist::StateWriter w;
-  w.u8(static_cast<std::uint8_t>(kMagic[0]));
-  w.u8(static_cast<std::uint8_t>(kMagic[1]));
-  w.u8(static_cast<std::uint8_t>(kMagic[2]));
-  w.u8(static_cast<std::uint8_t>(kMagic[3]));
+  // One buffer sized for header + payload: the payload is copied once.
+  persist::StateWriter w(kFrameHeaderSize + payload.size());
+  for (const char m : kMagic) {
+    w.u8(static_cast<std::uint8_t>(m));
+  }
   w.u8(kWireVersion);
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(0);  // flags (reserved)
@@ -61,19 +63,24 @@ std::string encode_frame(MsgType type, std::uint64_t seq_id,
   w.u64(seq_id);
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u32(persist::crc32(payload));
-  std::string out = w.data();
-  out.append(payload.data(), payload.size());
-  return out;
+  if (!payload.empty()) {
+    std::memcpy(w.extend(payload.size()), payload.data(), payload.size());
+  }
+  return w.release();
 }
 
-void write_frame(Transport& t, MsgType type, std::uint64_t seq_id,
-                 std::string_view payload, obs::Registry* metrics) {
-  const std::string frame = encode_frame(type, seq_id, payload);
+void send_frame(Transport& t, std::string_view frame,
+                obs::Registry* metrics) {
   t.send(frame);
   if (metrics != nullptr) {
     metrics->bucketed_histogram("net.frame_bytes_out")
         .observe(static_cast<double>(frame.size()));
   }
+}
+
+void write_frame(Transport& t, MsgType type, std::uint64_t seq_id,
+                 std::string_view payload, obs::Registry* metrics) {
+  send_frame(t, encode_frame(type, seq_id, payload), metrics);
 }
 
 Frame read_frame(Transport& t, std::chrono::milliseconds timeout,

@@ -85,11 +85,15 @@ struct Frame {
 std::string encode_frame(MsgType type, std::uint64_t seq_id,
                          std::string_view payload);
 
-/// Encodes and sends one frame as a single Transport::send() call, so
-/// fault injection operates on whole frames. With `metrics` set, the
-/// frame's size lands in its bucketed "net.frame_bytes_out" histogram
+/// Sends one frame built by encode_frame as a single Transport::send()
+/// call, so fault injection operates on whole frames. With `metrics` set,
+/// the frame's size lands in its bucketed "net.frame_bytes_out" histogram
 /// (created on first use, so runs that never touch the wire stay
-/// byte-identical).
+/// byte-identical). A retried request re-sends the frame it encoded once.
+void send_frame(Transport& t, std::string_view frame,
+                obs::Registry* metrics = nullptr);
+
+/// encode_frame + send_frame.
 void write_frame(Transport& t, MsgType type, std::uint64_t seq_id,
                  std::string_view payload = {},
                  obs::Registry* metrics = nullptr);

@@ -1,6 +1,8 @@
 #include "tuning/hardware_network.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -351,19 +353,23 @@ std::uint64_t HardwareNetwork::total_pulses() const {
 
 namespace {
 
-void write_tensor_values(persist::StateWriter& w, const Tensor& t) {
-  w.u64(t.numel());
-  for (const float v : t.flat()) {
-    w.f32(v);
+/// A count-prefixed run of u8/f32 values travels as one raw block (the
+/// state format is the native little-endian layout).
+template <class T>
+void write_run(persist::StateWriter& w, std::span<const T> v) {
+  w.u64(v.size());
+  if (!v.empty()) {
+    std::memcpy(w.extend(v.size_bytes()), v.data(), v.size_bytes());
   }
 }
 
-void read_tensor_values(persist::StateReader& r, Tensor& t) {
-  const std::uint64_t n = r.u64();
-  XB_CHECK(n == t.numel(),
-           "tensor snapshot size does not match the network topology");
-  for (float& v : t.flat()) {
-    v = r.f32();
+/// Reads a run written by write_run into `v`, whose size the snapshot
+/// must match (`what` names the mismatch).
+template <class T>
+void read_run(persist::StateReader& r, std::span<T> v, const char* what) {
+  XB_CHECK(r.u64() == v.size(), what);
+  if (!v.empty()) {
+    std::memcpy(v.data(), r.take(v.size_bytes()), v.size_bytes());
   }
 }
 
@@ -390,14 +396,8 @@ void HardwareNetwork::save_state(persist::StateWriter& w) const {
     w.u64(l.last_report.clamped_cells);
     w.f64(l.last_report.quantization_rmse);
     w.f64(l.last_report.mean_target_conductance);
-    w.u64(l.stuck.size());
-    for (const std::uint8_t s : l.stuck) {
-      w.u8(s);
-    }
-    w.u64(l.pinned_g.size());
-    for (const float g : l.pinned_g) {
-      w.f32(g);
-    }
+    write_run<std::uint8_t>(w, l.stuck);
+    write_run<float>(w, l.pinned_g);
     w.u64(l.row_perm.size());
     for (const std::size_t p : l.row_perm) {
       w.u64(p);
@@ -406,12 +406,12 @@ void HardwareNetwork::save_state(persist::StateWriter& w) const {
   }
   w.u64(targets_.size());
   for (const Tensor& t : targets_) {
-    write_tensor_values(w, t);
+    write_run(w, t.flat());
   }
   std::vector<nn::ParamRef> params = net_->params();
   w.u64(params.size());
   for (const nn::ParamRef& p : params) {
-    write_tensor_values(w, *p.value);
+    write_run(w, std::as_const(*p.value).flat());
   }
 }
 
@@ -438,18 +438,10 @@ void HardwareNetwork::load_state(persist::StateReader& r) {
     l.last_report.clamped_cells = r.u64();
     l.last_report.quantization_rmse = r.f64();
     l.last_report.mean_target_conductance = r.f64();
-    const std::uint64_t n_stuck = r.u64();
-    XB_CHECK(n_stuck == l.stuck.size(),
-             "bad-cell snapshot size does not match the crossbar");
-    for (std::uint8_t& s : l.stuck) {
-      s = r.u8();
-    }
-    const std::uint64_t n_pinned = r.u64();
-    XB_CHECK(n_pinned == l.pinned_g.size(),
-             "pinned-cell snapshot size does not match the crossbar");
-    for (float& g : l.pinned_g) {
-      g = r.f32();
-    }
+    read_run<std::uint8_t>(
+        r, l.stuck, "bad-cell snapshot size does not match the crossbar");
+    read_run<float>(r, l.pinned_g,
+                    "pinned-cell snapshot size does not match the crossbar");
     l.row_perm.resize(r.array_count(8));
     XB_CHECK(l.row_perm.empty() || l.row_perm.size() == l.logical_rows,
              "row permutation snapshot does not cover the logical rows");
@@ -464,13 +456,15 @@ void HardwareNetwork::load_state(persist::StateReader& r) {
   XB_CHECK(n_targets == targets_.size(),
            "target snapshot count does not match this network");
   for (Tensor& t : targets_) {
-    read_tensor_values(r, t);
+    read_run(r, t.flat(),
+             "tensor snapshot size does not match the network topology");
   }
   std::vector<nn::ParamRef> params = net_->params();
   XB_CHECK(r.u64() == params.size(),
            "parameter snapshot count does not match this network");
   for (nn::ParamRef& p : params) {
-    read_tensor_values(r, *p.value);
+    read_run(r, p.value->flat(),
+             "tensor snapshot size does not match the network topology");
   }
 }
 

@@ -346,12 +346,13 @@ CrossbarAgingStats Crossbar::aging_stats() const {
 void Crossbar::save_state(persist::StateWriter& w) const {
   w.u64(rows_);
   w.u64(cols_);
+  char* p = w.extend(cells_.size() * kCellStateBytes);
   for (const device::Memristor& cell : cells_) {
-    w.f64(cell.resistance());
-    w.f64(cell.own_stress());
-    w.f64(cell.last_stress_increment());
-    w.f64(cell.ambient_self_share());
-    w.u64(cell.pulse_count());
+    p = persist::put(p, cell.resistance());
+    p = persist::put(p, cell.own_stress());
+    p = persist::put(p, cell.last_stress_increment());
+    p = persist::put(p, cell.ambient_self_share());
+    p = persist::put(p, cell.pulse_count());
   }
   tracker_.save_state(w);
   w.u64(total_pulses_);
@@ -360,17 +361,28 @@ void Crossbar::save_state(persist::StateWriter& w) const {
   persist::write_rng_state(w, read_rng_);
 }
 
+std::size_t Crossbar::state_bytes() const {
+  return 2 * 8 + cells_.size() * kCellStateBytes + tracker_.state_bytes() +
+         8 + 8 + 2 * persist::kRngStateBytes;
+}
+
 void Crossbar::load_state(persist::StateReader& r) {
   const std::uint64_t rows = r.u64();
   const std::uint64_t cols = r.u64();
   XB_CHECK(rows == rows_ && cols == cols_,
            "crossbar snapshot geometry does not match this array");
+  const char* p = r.take(cells_.size() * kCellStateBytes);
   for (device::Memristor& cell : cells_) {
-    const double resistance = r.f64();
-    const double stress = r.f64();
-    const double last_increment = r.f64();
-    const double self_share = r.f64();
-    const std::uint64_t pulses = r.u64();
+    double resistance = 0.0;
+    double stress = 0.0;
+    double last_increment = 0.0;
+    double self_share = 0.0;
+    std::uint64_t pulses = 0;
+    p = persist::get(p, resistance);
+    p = persist::get(p, stress);
+    p = persist::get(p, last_increment);
+    p = persist::get(p, self_share);
+    p = persist::get(p, pulses);
     cell.restore_state(resistance, stress, last_increment, self_share,
                        pulses);
   }

@@ -206,7 +206,14 @@ class Crossbar {
   /// serialized — both are deterministic functions of the config/seed the
   /// owner re-applies on reconstruction (stuck pins are then overwritten
   /// by the restored cell resistances, which already include them).
+  /// The cells travel as one block of kCellStateBytes per cell, in
+  /// row-major order: resistance, stress, last increment, ambient self
+  /// share (f64 each), pulse count (u64).
   void save_state(persist::StateWriter& w) const;
+
+  static constexpr std::size_t kCellStateBytes = 4 * 8 + 8;
+  /// Exact size of the save_state payload.
+  std::size_t state_bytes() const;
 
   /// Restores a save_state snapshot onto an identically-shaped array that
   /// has already been configured the same way (same nonideality config and

@@ -310,13 +310,14 @@ class Link {
   std::uint64_t connections_ = 0;
 };
 
-/// Closes the client-side remote-execute span on every exit path.
+/// A client-side profiler span, closed on every exit path. These spans
+/// are profiler-only: no trace events, no metrics.
 struct SpanGuard {
   obs::Profiler* profiler;
   std::size_t index = 0;
-  explicit SpanGuard(obs::Profiler* p) : profiler(p) {
+  SpanGuard(obs::Profiler* p, std::string_view name) : profiler(p) {
     if (profiler != nullptr) {
-      index = profiler->begin_span("executor.remote.execute");
+      index = profiler->begin_span(name);
     }
   }
   ~SpanGuard() {
@@ -339,13 +340,12 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 // ---------------------------------------------------------------------------
 // RemoteExecutor.
 
-struct RemoteExecutor::Endpoint {
-  /// A response frame and when its request was sent.
-  struct Reply {
-    net::Frame frame;
-    std::chrono::steady_clock::time_point sent_at;
-  };
+struct RemoteExecutor::Reply {
+  net::Frame frame;
+  std::chrono::steady_clock::time_point sent_at;  ///< request went out
+};
 
+struct RemoteExecutor::Endpoint {
   std::string prefix;  ///< "executor.remote.<i>." metric-name prefix
   std::mutex io_mu;    ///< serializes `link` and `timed_out`
   Link link;
@@ -407,7 +407,7 @@ struct RemoteExecutor::Endpoint {
   /// connection: the next attempt here proves it alive with a heartbeat
   /// and re-sends the same id, which the worker answers from its replay
   /// cache. Any other transport error drops the connection.
-  Reply attempt(std::uint64_t id, const std::string& payload,
+  Reply attempt(std::uint64_t id, std::string_view frame,
                 std::chrono::milliseconds deadline, obs::Registry* reg) {
     std::lock_guard<std::mutex> lock(io_mu);
     try {
@@ -418,8 +418,7 @@ struct RemoteExecutor::Endpoint {
       }
       timed_out = false;
       const auto sent_at = std::chrono::steady_clock::now();
-      net::write_frame(link.transport(), net::MsgType::kExecute, id, payload,
-                       reg);
+      net::send_frame(link.transport(), frame, reg);
       return {link.read_matching(net::MsgType::kExecuteResult, id,
                                  sent_at + deadline, reg),
               sent_at};
@@ -493,23 +492,123 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
   }
   // With a profiler attached the request carries a trace context and asks
   // the worker to profile itself; the worker's span tree grafts under
-  // this client-side span so one --profile run shows client wait vs.
-  // worker rebuild/execute/serialize.
+  // this client-side span, next to the client's own encode / frame /
+  // wait / decode / restore phases, so one --profile run shows the codec
+  // against the worker's rebuild/execute/serialize.
   obs::Profiler* profiler = xb.profiler();
   obs::Registry* reg = xb.metrics();
-  const SpanGuard span(profiler);
+  const SpanGuard span(profiler, "executor.remote.execute");
   // One id per logical request, reused on every attempt and endpoint: the
-  // worker's replay key and the trace id it echoes back.
+  // worker's replay key and the trace id it echoes back. The frame (and
+  // its CRC) is therefore encoded once and re-sent as is.
   const std::uint64_t id = ++next_id_;
-  const std::string payload =
-      encode_execute_request(xb, seq, profiler != nullptr, id,
-                             profiler != nullptr ? span.index : 0);
+  Reply reply;
+  Endpoint* ep = nullptr;
+  {
+    std::string frame;
+    {
+      std::string payload;
+      {
+        const SpanGuard encode(profiler, "executor.remote.encode");
+        payload = encode_execute_request(
+            xb, seq, profiler != nullptr, id,
+            profiler != nullptr ? span.index : 0);
+      }
+      const SpanGuard framing(profiler, "executor.remote.frame");
+      frame = net::encode_frame(net::MsgType::kExecute, id, payload);
+    }
+    const SpanGuard wait(profiler, "executor.remote.wait");
+    ep = exchange(xb.owner_key(), id, frame, reg, reply);
+  }
+  if (ep == nullptr) {
+    if (!config_.fallback_to_sim) {
+      throw net::TransportError(
+          "remote executor: all " + std::to_string(endpoints_.size()) +
+          " worker endpoint(s) of '" + config_.address +
+          "' unreachable after " + std::to_string(config_.max_attempts) +
+          " round(s) and local fallback is disabled");
+    }
+    // Graceful degradation: no attempt mutated local state (every attempt
+    // shipped the same pre-state), so executing locally now yields exactly
+    // what any worker would have produced.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      degraded_ = true;
+      ++stats_.fallbacks;
+    }
+    if (reg != nullptr) {
+      reg->counter("executor.remote.fallbacks").add(1);
+    }
+    return SimExecutor{}.execute(xb, seq);
+  }
+  // A worker-side rejection is deterministic: every endpoint runs the
+  // same code on the same bits, so it is raised, never failed over.
+  if (reply.frame.type == net::MsgType::kError) {
+    throw RemoteWorkerError("remote worker rejected the request: " +
+                            error_text(reply.frame));
+  }
+  ExecuteResponse resp;
+  {
+    const SpanGuard decode(profiler, "executor.remote.decode");
+    resp = decode_execute_response(reply.frame.payload);
+  }
+  if (reg != nullptr) {
+    // Fresh work and replay-cache hits account separately on both sides
+    // of the wire (the worker marks hits with kExecuteReplay), so
+    // <prefix>requests only counts sequences the worker actually executed
+    // and totals reconcile with worker-status.
+    reg->counter(ep->prefix +
+                 (reply.frame.type == net::MsgType::kExecuteReplay
+                      ? "replay_served"
+                      : "requests"))
+        .add(1);
+    reg->bucketed_histogram(ep->prefix + "request_ms")
+        .observe(ms_since(reply.sent_at));
+  }
+  {
+    const SpanGuard restore(profiler, "executor.remote.restore");
+    persist::StateReader sr(resp.crossbar_state);
+    xb.load_state(sr);
+    xb.credit_pulse_counters(resp.pulses, resp.traced_pulses);
+  }
+  if (profiler != nullptr && resp.has_telemetry && resp.trace_id == id) {
+    // Exactly one graft per logical request: only the one successful
+    // decode reaches here, a replay-cache hit returns the original
+    // telemetry, and the degraded fallback path ships none.
+    profiler->graft(resp.spans, reply.sent_at);
+    if (reg != nullptr) {
+      for (const auto& [name, value] : resp.counter_deltas) {
+        // Namespaced: the client already credits pulse counters from
+        // the response, so the raw names would double-count.
+        reg->counter("worker." + name).add(value);
+      }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const bool was_healthy = ep->circuit.state() == CircuitState::kHealthy;
+    ep->circuit.record_success();
+    if (!was_healthy) {
+      ep->publish_circuit(reg);
+    }
+    ++ep->requests;
+  }
+  ExecReport report;
+  report.results = std::move(resp.results);
+  report.stats = seq.stats();
+  xb.note_sequence_executed(report.stats);
+  return report;
+}
+
+RemoteExecutor::Endpoint* RemoteExecutor::exchange(
+    std::uint64_t owner_key, std::uint64_t id, std::string_view frame,
+    obs::Registry* reg, Reply& reply) const {
   // The owner and failover order are a pure function of the array's owner
   // key and the endpoint list: the same array always prefers the same
   // worker, and membership changes move only the keys the changed endpoint
   // owned.
   const std::vector<std::size_t> order =
-      rendezvous_order(xb.owner_key(), addresses_);
+      rendezvous_order(owner_key, addresses_);
   bool first_attempt = true;
   // One budget round = one pass over the live endpoints. Failing over to
   // the next endpoint is free; only "everyone failed" burns a round.
@@ -556,9 +655,9 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
         ++stats_.retries;
       }
       first_attempt = false;
-      Endpoint::Reply reply;
       try {
-        reply = ep.attempt(id, payload, config_.request_deadline, reg);
+        reply = ep.attempt(id, frame, config_.request_deadline, reg);
+        return &ep;
       } catch (const net::TransportError&) {
         std::lock_guard<std::mutex> lock(mu_);
         ++ep.failovers;
@@ -567,79 +666,10 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
           ep.count(reg, "circuit_opens");
         }
         ep.publish_circuit(reg);
-        continue;
       }
-      // A worker-side rejection is deterministic: every endpoint runs the
-      // same code on the same bits, so it is raised, never failed over.
-      if (reply.frame.type == net::MsgType::kError) {
-        throw RemoteWorkerError("remote worker rejected the request: " +
-                                error_text(reply.frame));
-      }
-      ExecuteResponse resp = decode_execute_response(reply.frame.payload);
-      if (reg != nullptr) {
-        // Fresh work and replay-cache hits account separately on both
-        // sides of the wire (the worker marks hits with kExecuteReplay),
-        // so <prefix>requests only counts sequences the worker actually
-        // executed and totals reconcile with worker-status.
-        reg->counter(ep.prefix +
-                     (reply.frame.type == net::MsgType::kExecuteReplay
-                          ? "replay_served"
-                          : "requests"))
-            .add(1);
-        reg->bucketed_histogram(ep.prefix + "request_ms")
-            .observe(ms_since(reply.sent_at));
-      }
-      persist::StateReader sr(resp.crossbar_state);
-      xb.load_state(sr);
-      xb.credit_pulse_counters(resp.pulses, resp.traced_pulses);
-      if (profiler != nullptr && resp.has_telemetry && resp.trace_id == id) {
-        // Exactly one graft per logical request: only the one successful
-        // decode reaches here, a replay-cache hit returns the original
-        // telemetry, and the degraded fallback path ships none.
-        profiler->graft(resp.spans, reply.sent_at);
-        if (reg != nullptr) {
-          for (const auto& [name, value] : resp.counter_deltas) {
-            // Namespaced: the client already credits pulse counters from
-            // the response, so the raw names would double-count.
-            reg->counter("worker." + name).add(value);
-          }
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const bool was_healthy = ep.circuit.state() == CircuitState::kHealthy;
-        ep.circuit.record_success();
-        if (!was_healthy) {
-          ep.publish_circuit(reg);
-        }
-        ++ep.requests;
-      }
-      ExecReport report;
-      report.results = std::move(resp.results);
-      report.stats = seq.stats();
-      xb.note_sequence_executed(report.stats);
-      return report;
     }
   }
-  if (!config_.fallback_to_sim) {
-    throw net::TransportError(
-        "remote executor: all " + std::to_string(endpoints_.size()) +
-        " worker endpoint(s) of '" + config_.address +
-        "' unreachable after " + std::to_string(config_.max_attempts) +
-        " round(s) and local fallback is disabled");
-  }
-  // Graceful degradation: no attempt mutated local state (every attempt
-  // shipped the same pre-state), so executing locally now yields exactly
-  // what any worker would have produced.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    degraded_ = true;
-    ++stats_.fallbacks;
-  }
-  if (reg != nullptr) {
-    reg->counter("executor.remote.fallbacks").add(1);
-  }
-  return SimExecutor{}.execute(xb, seq);
+  return nullptr;
 }
 
 bool RemoteExecutor::degraded() const {

@@ -34,32 +34,31 @@ SequenceStats ProgramSequence::stats() const {
 
 void ProgramSequence::save_state(persist::StateWriter& w) const {
   w.u64(ops_.size());
+  char* p = w.extend(ops_.size() * kOpStateBytes);
   for (const ProgramOp& op : ops_) {
-    w.u8(static_cast<std::uint8_t>(op.kind));
-    w.u32(op.row);
-    w.u32(op.col);
-    w.f64(op.value);
+    p = persist::put(p, static_cast<std::uint8_t>(op.kind));
+    p = persist::put(p, op.row);
+    p = persist::put(p, op.col);
+    p = persist::put(p, op.value);
   }
 }
 
 ProgramSequence ProgramSequence::load_state(persist::StateReader& r) {
   ProgramSequence seq;
-  // Each op occupies exactly 17 payload bytes (kind u8 + row/col u32 +
-  // value f64); array_count rejects corrupt prefixes before the reserve.
-  const std::size_t n = r.array_count(17);
-  seq.ops_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ProgramOp op;
-    const std::uint8_t kind = r.u8();
+  // array_count rejects a corrupt prefix before the resize.
+  seq.ops_.resize(r.array_count(kOpStateBytes));
+  const char* p = r.take(seq.ops_.size() * kOpStateBytes);
+  for (ProgramOp& op : seq.ops_) {
+    std::uint8_t kind = 0;
+    p = persist::get(p, kind);
     if (kind > static_cast<std::uint8_t>(OpKind::kBarrier)) {
       throw InvalidArgument("ProgramSequence: bad op kind " +
                             std::to_string(kind));
     }
     op.kind = static_cast<OpKind>(kind);
-    op.row = r.u32();
-    op.col = r.u32();
-    op.value = r.f64();
-    seq.ops_.push_back(op);
+    p = persist::get(p, op.row);
+    p = persist::get(p, op.col);
+    p = persist::get(p, op.value);
   }
   return seq;
 }

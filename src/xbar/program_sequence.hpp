@@ -86,10 +86,13 @@ class ProgramSequence {
 
   SequenceStats stats() const;
 
-  /// Wire format: op count, then (kind, row, col, value-bits) per op.
-  /// Floats travel bit-cast, so a round trip is byte-identical.
+  /// Wire format: op count, then one block of kOpStateBytes per op
+  /// (kind u8, row u32, col u32, value-bits f64). Floats travel bit-cast,
+  /// so a round trip is byte-identical.
   void save_state(persist::StateWriter& w) const;
   static ProgramSequence load_state(persist::StateReader& r);
+
+  static constexpr std::size_t kOpStateBytes = 1 + 4 + 4 + 8;
 
   bool operator==(const ProgramSequence&) const = default;
 

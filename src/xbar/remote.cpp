@@ -1,5 +1,6 @@
 #include "xbar/remote.hpp"
 
+#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
@@ -17,9 +18,9 @@ constexpr std::uint8_t kStatsVersion = 1;
 /// Wire encoding of obs::kNoSpan in a shipped span tree.
 constexpr std::uint64_t kNoSpanWire = ~std::uint64_t{0};
 
-/// Serialized size of one cell in Crossbar::save_state (4 f64 + 1 u64);
-/// used to reject request geometries the shipped state cannot back.
-constexpr std::uint64_t kStateBytesPerCell = 40;
+/// Request bytes besides the crossbar state and the sequence's ops: a
+/// generous bound, used only to size the request buffer once.
+constexpr std::size_t kRequestFixedBytes = 512;
 
 void write_device_params(persist::StateWriter& w,
                          const device::DeviceParams& p) {
@@ -58,6 +59,17 @@ void write_aging_params(persist::StateWriter& w, const aging::AgingParams& a) {
   w.f64(a.thermal_crosstalk);
 }
 
+/// The crossbar state as a length-prefixed string (the layout w.str() of
+/// a separate save_state buffer would give), written in place.
+void write_state(persist::StateWriter& w, const Crossbar& xb) {
+  const std::size_t bytes = xb.state_bytes();
+  w.u64(bytes);
+  const std::size_t start = w.size();
+  xb.save_state(w);
+  XB_CHECK(w.size() - start == bytes,
+           "crossbar state_bytes() disagrees with save_state");
+}
+
 aging::AgingParams read_aging_params(persist::StateReader& r) {
   aging::AgingParams a;
   a.activation_energy_ev = r.f64();
@@ -80,7 +92,7 @@ std::string hello_payload() {
   w.u8(net::kWireVersion);
   w.u8(kRequestVersion);
   w.str(kBuildVersion);
-  return w.data();
+  return w.release();
 }
 
 // ---------------------------------------------------------------------------
@@ -91,7 +103,8 @@ std::string encode_execute_request(const Crossbar& xb,
                                    bool want_telemetry,
                                    std::uint64_t trace_id,
                                    std::uint64_t span_id) {
-  persist::StateWriter w;
+  persist::StateWriter w(kRequestFixedBytes + xb.state_bytes() +
+                        seq.size() * ProgramSequence::kOpStateBytes);
   w.u8(kRequestVersion);
   w.u64(xb.rows());
   w.u64(xb.cols());
@@ -107,14 +120,12 @@ std::string encode_execute_request(const Crossbar& xb,
     w.f64(cfg->line_resistance);
     w.u64(xb.nonideality_seed());
   }
-  persist::StateWriter state;
-  xb.save_state(state);
-  w.str(state.data());
+  write_state(w, xb);
   seq.save_state(w);
   w.boolean(want_telemetry);
   w.u64(trace_id);
   w.u64(span_id);
-  return w.data();
+  return w.release();
 }
 
 std::string execute_request(std::string_view payload) {
@@ -141,14 +152,14 @@ std::string execute_request(std::string_view payload) {
     cfg.line_resistance = r.f64();
     nonideal_seed = r.u64();
   }
-  const std::string state = r.str();
+  const std::string_view state = r.str_view();
   // Geometry sanity before any allocation: the shipped state serializes
-  // every cell at kStateBytesPerCell bytes, so a count the state cannot
-  // back is corrupt (or hostile) and must not drive the array allocation.
-  if (rows == 0 || cols == 0 ||
-      rows > state.size() / kStateBytesPerCell ||
-      cols > state.size() / kStateBytesPerCell ||
-      rows * cols > state.size() / kStateBytesPerCell) {
+  // every cell at kCellStateBytes bytes, so a count the state cannot back
+  // is corrupt (or hostile) and must not drive the array allocation.
+  constexpr std::uint64_t kPerCell = Crossbar::kCellStateBytes;
+  if (rows == 0 || cols == 0 || rows > state.size() / kPerCell ||
+      cols > state.size() / kPerCell ||
+      rows * cols > state.size() / kPerCell) {
     throw InvalidArgument(
         "remote execute request geometry " + std::to_string(rows) + "x" +
         std::to_string(cols) + " is not backed by its " +
@@ -207,17 +218,17 @@ std::string execute_request(std::string_view payload) {
 
   const std::size_t serialize_span =
       want_telemetry ? prof.begin_span("worker.serialize") : 0;
-  persist::StateWriter w;
+  persist::StateWriter w(kRequestFixedBytes + xb.state_bytes() +
+                        report.results.size() * 8);
   w.u8(kRequestVersion);
   w.u64(pulses.value());
   w.u64(traced.value());
   w.u64(report.results.size());
-  for (const double v : report.results) {
-    w.f64(v);
+  if (!report.results.empty()) {
+    std::memcpy(w.extend(report.results.size() * 8), report.results.data(),
+                report.results.size() * 8);
   }
-  persist::StateWriter state_out;
-  xb.save_state(state_out);
-  w.str(state_out.data());
+  write_state(w, xb);
   if (want_telemetry) {
     // Close the whole tree before encoding it; the telemetry encoding
     // itself is the only work the spans cannot cover.
@@ -256,7 +267,7 @@ std::string execute_request(std::string_view payload) {
       w.u64(dvalue);
     }
   }
-  return w.data();
+  return w.release();
 }
 
 ExecuteResponse decode_execute_response(std::string_view payload) {
@@ -269,12 +280,12 @@ ExecuteResponse decode_execute_response(std::string_view payload) {
   ExecuteResponse resp;
   resp.pulses = r.u64();
   resp.traced_pulses = r.u64();
-  const std::size_t n = r.array_count(8);
-  resp.results.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    resp.results.push_back(r.f64());
+  resp.results.resize(r.array_count(8));
+  if (!resp.results.empty()) {
+    std::memcpy(resp.results.data(), r.take(resp.results.size() * 8),
+                resp.results.size() * 8);
   }
-  resp.crossbar_state = r.str();
+  resp.crossbar_state = r.str_view();
   resp.has_telemetry = r.boolean();
   if (resp.has_telemetry) {
     resp.trace_id = r.u64();
@@ -334,7 +345,7 @@ std::string WorkerStatsState::encode_snapshot() const {
   // The registry travels pre-rendered: the client splices the JSON dump
   // verbatim (JsonValue::raw) instead of re-parsing metric structures.
   w.str(metrics.to_json().dump());
-  return w.data();
+  return w.release();
 }
 
 WorkerStatsSnapshot decode_worker_stats(std::string_view payload) {

@@ -84,12 +84,13 @@ std::string encode_execute_request(const Crossbar& xb,
 /// inconsistent request; serve_connection turns that into a kError frame.
 std::string execute_request(std::string_view payload);
 
-/// Decoded kExecuteResult payload.
+/// Decoded kExecuteResult payload. `crossbar_state` views the decoded
+/// payload, so the payload must outlive the response's use of it.
 struct ExecuteResponse {
   std::vector<double> results;     ///< per-op outcomes, sequence-aligned
   std::uint64_t pulses = 0;        ///< pulse-counter delta for crediting
   std::uint64_t traced_pulses = 0; ///< traced-pulse delta for crediting
-  std::string crossbar_state;      ///< post-execution save_state payload
+  std::string_view crossbar_state; ///< post-execution save_state payload
   /// Worker-side telemetry, present only when the request asked for it.
   bool has_telemetry = false;
   std::uint64_t trace_id = 0;  ///< echo of the request trace context
@@ -291,7 +292,15 @@ class RemoteExecutor final : public ProgramExecutor {
 
  private:
   struct Endpoint;
+  struct Reply;
 
+  /// Sends the encoded request `frame` to the array's endpoints in
+  /// rendezvous order with failover, circuit breaking and backoff, until
+  /// one answers (its reply lands in `reply`) or every round is spent
+  /// (nullptr).
+  Endpoint* exchange(std::uint64_t owner_key, std::uint64_t id,
+                     std::string_view frame, obs::Registry* reg,
+                     Reply& reply) const;
   void backoff_sleep(int round) const;
 
   RemoteConfig config_;

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -85,8 +86,8 @@ TEST(RemoteCodec, RequestRoundTripsThroughWorkerHandler) {
   Crossbar remote_copy(5, 4, dev(), ag_crosstalk());
 
   const std::string request = encode_execute_request(remote_copy, seq);
-  const ExecuteResponse resp =
-      decode_execute_response(execute_request(request));
+  const std::string response = execute_request(request);
+  const ExecuteResponse resp = decode_execute_response(response);
 
   const ExecReport local_report = SimExecutor{}.execute(local, seq);
   EXPECT_EQ(resp.results, local_report.results);
@@ -105,9 +106,9 @@ TEST(RemoteCodec, NonidealConfigurationShipsWithTheRequest) {
   Crossbar shipped(6, 6, dev(), ag_crosstalk());
   shipped.configure_nonideality(cfg, 99);
 
-  const ExecuteResponse resp =
-      decode_execute_response(execute_request(encode_execute_request(
-          shipped, seq)));
+  const std::string response =
+      execute_request(encode_execute_request(shipped, seq));
+  const ExecuteResponse resp = decode_execute_response(response);
   SimExecutor{}.execute(local, seq);
   EXPECT_EQ(resp.crossbar_state, snapshot(local));
 }
@@ -176,6 +177,75 @@ TEST(RemoteCodec, RejectsTrailingBytes) {
   std::string request =
       encode_execute_request(xb, mixed_sequence(3, 3)) + "junk";
   EXPECT_THROW(execute_request(request), Error);
+}
+
+/// Runs `decode` on `bytes`; a clean decode or a typed decoding error
+/// (InvalidArgument / CheckpointError / WireError) passes, anything else
+/// (another exception, an allocation failure) fails. Out-of-range reads
+/// show up under the ASan/UBSan build.
+template <class Decode>
+void expect_fails_closed(const Decode& decode, const std::string& bytes,
+                         const std::string& what) {
+  try {
+    decode(bytes);
+  } catch (const InvalidArgument&) {
+  } catch (const CheckpointError&) {
+  } catch (const net::WireError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": untyped failure: " << e.what();
+  }
+}
+
+TEST(RemoteCodec, CorruptionOfEveryByteAndTruncationFailsClosed) {
+  // The execute request (decoded and run by the worker) and the execute
+  // response (decoded, then restored into the client's array the way the
+  // executor does it) of a 3x4 array: every single-byte flip and every
+  // truncation either decodes or throws a typed error. The shipped state
+  // goes through the block readers (crossbar cells, tracker blocks,
+  // sequence ops, per-op results).
+  NonidealityConfig cfg;
+  cfg.write_noise_sigma = 0.01;
+  cfg.stuck_off_fraction = 0.1;
+  Crossbar xb(3, 4, dev(), ag_crosstalk());
+  xb.configure_nonideality(cfg, 5);
+  const ProgramSequence seq = mixed_sequence(3, 4);
+  const std::string request = encode_execute_request(xb, seq, true, 3, 1);
+  const std::string response = execute_request(request);
+
+  struct Case {
+    const char* name;
+    std::string good;
+    std::function<void(const std::string&)> decode;
+  };
+  const std::vector<Case> cases = {
+      {"request", request,
+       [](const std::string& bytes) { (void)execute_request(bytes); }},
+      {"response", response,
+       [&](const std::string& bytes) {
+         const ExecuteResponse resp = decode_execute_response(bytes);
+         Crossbar client(3, 4, dev(), ag_crosstalk());
+         client.configure_nonideality(cfg, 5);
+         persist::StateReader sr(resp.crossbar_state);
+         client.load_state(sr);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.decode(c.good);  // the unmodified bytes decode cleanly
+    for (std::size_t i = 0; i < c.good.size(); ++i) {
+      for (const unsigned mask : {0x01U, 0x80U, 0xffU}) {
+        std::string mutated = c.good;
+        mutated[i] = static_cast<char>(
+            static_cast<unsigned char>(mutated[i]) ^ mask);
+        expect_fails_closed(c.decode, mutated,
+                            "flip at " + std::to_string(i));
+      }
+    }
+    for (std::size_t len = 0; len < c.good.size(); ++len) {
+      expect_fails_closed(c.decode, c.good.substr(0, len),
+                          "truncation to " + std::to_string(len));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -858,8 +928,15 @@ TEST(RemoteExecutor_, ProfiledExecuteGraftsTheWorkerSpanTree) {
   remote.execute(xb, mixed_sequence(5, 4));
   prof.end_span(root);
 
-  // One client-side execute span and one grafted worker tree per request.
+  // One client-side execute span with its codec phases, and one grafted
+  // worker tree, per request.
   EXPECT_EQ(count_spans(prof, "executor.remote.execute"), 2u);
+  for (const char* name :
+       {"executor.remote.encode", "executor.remote.frame",
+        "executor.remote.wait", "executor.remote.decode",
+        "executor.remote.restore"}) {
+    EXPECT_EQ(count_spans(prof, name), 2u) << name;
+  }
   for (const char* name : {"worker.request", "worker.rebuild",
                            "worker.execute", "worker.serialize"}) {
     EXPECT_EQ(count_spans(prof, name), 2u) << name;
@@ -900,6 +977,11 @@ TEST(RemoteExecutor_, DegradedFallbackGraftsNoWorkerSpans) {
   EXPECT_TRUE(remote.degraded());
 
   EXPECT_EQ(count_spans(prof, "executor.remote.execute"), 1u);
+  // The request was encoded and waited on, but nothing came back to
+  // decode or restore.
+  EXPECT_EQ(count_spans(prof, "executor.remote.wait"), 1u);
+  EXPECT_EQ(count_spans(prof, "executor.remote.decode"), 0u);
+  EXPECT_EQ(count_spans(prof, "executor.remote.restore"), 0u);
   for (const obs::SpanRecord& rec : prof.records()) {
     EXPECT_FALSE(rec.open);
     EXPECT_NE(rec.name.rfind("worker.", 0), 0u) << rec.name;
