@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): the computational kernels under
 // the experiment harness — GEMM, the LeNet-5 and VGG-16 convolutions'
 // forward and weight gradient, tanh per kernel variant, one LeNet-5 and
-// one VGG-16 training step, one LeNet-5 accuracy evaluation,
+// one VGG-16 training step, one MLP training step under each regularizer
+// and its fused update pass, one LeNet-5 accuracy evaluation,
 // crossbar VMM, programming, the array-state codec of the wire and of
 // checkpoints (CRC-32, crossbar save/load, execute-request encoding), the
 // aging-model hot path and the per-session lifetime passes (aging
@@ -20,6 +21,7 @@
 #include "nn/conv.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/regularizer.hpp"
 #include "obs/metrics.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
@@ -157,6 +159,70 @@ void BM_LeNetTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LeNetTrainStep)->Unit(benchmark::kMicrosecond);
+
+/// T's L2 or ST's skewed regularizer at the default training parameters
+/// (core::ExperimentConfig), the skewed omegas frozen at `weights` as
+/// they are after the first epoch.
+std::unique_ptr<nn::Regularizer> train_regularizer(
+    bool skewed, const std::vector<const Tensor*>& weights) {
+  if (!skewed) {
+    return std::make_unique<nn::L2Regularizer>(1e-4);
+  }
+  auto reg = std::make_unique<nn::SkewedL2Regularizer>(5e-4, 5e-5, -1.0);
+  reg->freeze_omegas(weights);
+  return reg;
+}
+
+/// One MLP training step (768->64->32->10, batch 16), the mlp workloads'
+/// training shape, under T's L2 or ST's skewed regularizer.
+void BM_MlpTrainStep(benchmark::State& state, bool skewed) {
+  Rng rng(12);
+  nn::Network net = nn::make_mlp(768, {64, 32}, 10, rng);
+  std::vector<const Tensor*> weights;
+  for (const nn::MappableWeight& mw : net.mappable_weights()) {
+    weights.push_back(mw.value);
+  }
+  const std::unique_ptr<nn::Regularizer> reg =
+      train_regularizer(skewed, weights);
+  Tensor x = random_matrix(16, 768, 13);
+  std::vector<std::int32_t> labels(16);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<std::int32_t>(i % 10);
+  }
+  nn::SgdOptimizer opt({0.01, 0.9});
+  for (auto _ : state) {
+    const nn::TrainStats stats = net.train_batch(x, labels, opt, reg.get());
+    benchmark::DoNotOptimize(stats.penalty);
+  }
+}
+BENCHMARK_CAPTURE(BM_MlpTrainStep, l2, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MlpTrainStep, skewed, true)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The training step's one pass over the MLP's 768x64 first-layer weight:
+/// regularizer gradient, penalty sums and momentum SGD.
+void BM_RegularizedUpdate(benchmark::State& state, bool skewed) {
+  Tensor weight = random_matrix(768, 64, 10);
+  weight.scale_(0.05f);
+  Tensor grad = random_matrix(768, 64, 11);
+  grad.scale_(1e-3f);
+  const std::unique_ptr<nn::Regularizer> reg =
+      train_regularizer(skewed, {&weight});
+  nn::SgdOptimizer opt({0.01, 0.9});
+  for (auto _ : state) {
+    const nn::RegularizerTerm term = reg->term(weight, 0);
+    const nn::PenaltySums sums = opt.update(weight, grad, &term);
+    benchmark::DoNotOptimize(sums.right);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(weight.numel()));
+}
+BENCHMARK_CAPTURE(BM_RegularizedUpdate, l2, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RegularizedUpdate, skewed, true)
+    ->Unit(benchmark::kMicrosecond);
 
 /// One VGG-16 training step (width 4, 100 classes) on a batch of 16
 /// 3x32x32 images, the vgg16 model's training shape.

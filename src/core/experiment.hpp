@@ -96,7 +96,8 @@ std::string dataset_key(const data::SyntheticSpec& spec);
 /// Identity of a whole scenario run: the training_key plus the scenario
 /// and every device, aging, fault, lifetime (max_sessions included) and
 /// tuning-target field the deployment reads. Equal keys give
-/// bit-identical outcomes.
+/// bit-identical outcomes. Only `name`, a label, is left out; a test
+/// (ConfigKeys in core_scenario_runner_test) flips every other field.
 std::string scenario_key(const ExperimentConfig& config, Scenario s);
 
 /// A trained model's parameter values and gradients plus its history:

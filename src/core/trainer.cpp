@@ -1,5 +1,7 @@
 #include "core/trainer.hpp"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -201,16 +203,17 @@ TrainHistory Trainer::run(const obs::Obs& obs,
       const obs::Span epoch_span(run_obs, "train.epoch");
       const auto order =
           data::shuffled_indices(data_->train.size(), shuffle_rng_);
-      const data::Dataset shuffled = data_->train.subset(order);
 
       double loss_sum = 0.0;
       double penalty_sum = 0.0;
       double acc_sum = 0.0;
       std::size_t batches = 0;
-      for (std::size_t start = 0; start < shuffled.size();
+      // Each batch gathers its samples straight from the training set.
+      for (std::size_t start = 0; start < order.size();
            start += config_.batch) {
-        const data::Batch batch =
-            data::make_batch(shuffled, start, config_.batch);
+        const data::Dataset batch = data_->train.subset(
+            std::span(order).subspan(
+                start, std::min(config_.batch, order.size() - start)));
         const nn::TrainStats stats =
             net_->train_batch(batch.images, batch.labels, optimizer_,
                               regularizer_);

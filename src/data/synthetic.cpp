@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -50,16 +51,35 @@ void render_sample(const SyntheticSpec& spec, const ClassModel& model,
   const double dy = rng.uniform(-2.0, 2.0);
   const double h = static_cast<double>(spec.height);
   const double w = static_cast<double>(spec.width);
+  const std::size_t waves = spec.texture_waves;
+  // Each wave's phase terms fx*(x+dx)/w per column and fy*(y+dy)/h per
+  // row, computed once per channel: the pixel loop only adds them, with
+  // the doubles the per-pixel expression gave.
+  std::vector<double> col_terms(waves * spec.width);
+  std::vector<double> row_terms(waves * spec.height);
   std::size_t idx = 0;
   for (std::size_t c = 0; c < spec.channels; ++c) {
+    const std::vector<TextureWave>& channel_waves = model.waves[c];
+    for (std::size_t k = 0; k < waves; ++k) {
+      const TextureWave& tw = channel_waves[k];
+      for (std::size_t x = 0; x < spec.width; ++x) {
+        col_terms[k * spec.width + x] =
+            tw.fx * (static_cast<double>(x) + dx) / w;
+      }
+      for (std::size_t y = 0; y < spec.height; ++y) {
+        row_terms[k * spec.height + y] =
+            tw.fy * (static_cast<double>(y) + dy) / h;
+      }
+    }
     for (std::size_t y = 0; y < spec.height; ++y) {
       for (std::size_t x = 0; x < spec.width; ++x, ++idx) {
         double v = 0.0;
-        for (const TextureWave& tw : model.waves[c]) {
+        for (std::size_t k = 0; k < waves; ++k) {
+          const TextureWave& tw = channel_waves[k];
           const double arg =
               2.0 * std::numbers::pi *
-                  (tw.fx * (static_cast<double>(x) + dx) / w +
-                   tw.fy * (static_cast<double>(y) + dy) / h) +
+                  (col_terms[k * spec.width + x] +
+                   row_terms[k * spec.height + y]) +
               tw.phase;
           v += tw.amplitude * std::sin(arg);
         }

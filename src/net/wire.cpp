@@ -120,7 +120,7 @@ Frame read_frame(Transport& t, std::chrono::milliseconds timeout,
                     " exceeds the protocol maximum of " +
                     std::to_string(kMaxFramePayload));
   }
-  frame.payload.resize(payload_len);
+  frame.payload = FramePayload(payload_len);
   if (payload_len > 0) {
     try {
       t.recv_exact(frame.payload.data(), payload_len, timeout);

@@ -27,7 +27,9 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -75,10 +77,34 @@ const char* to_string(MsgType type);
 /// No-op, kept for its only caller, bench_e2e/xbarlife_e2e.cpp.
 void set_wire_metrics(obs::Registry* registry);
 
+/// A frame's payload bytes. The storage is allocated without being
+/// zero-filled, since read_frame overwrites all of it (about 1.6 MB per
+/// execute frame); read them through the string_view conversion.
+class FramePayload {
+ public:
+  FramePayload() = default;
+  /// `size` bytes of unspecified content.
+  explicit FramePayload(std::size_t size)
+      : bytes_(std::make_unique_for_overwrite<char[]>(size)), size_(size) {}
+
+  char* data() { return bytes_.get(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  operator std::string_view() const { return {bytes_.get(), size_}; }
+
+  friend bool operator==(const FramePayload& a, std::string_view b) {
+    return std::string_view(a) == b;
+  }
+
+ private:
+  std::unique_ptr<char[]> bytes_;
+  std::size_t size_ = 0;
+};
+
 struct Frame {
   MsgType type = MsgType::kError;
   std::uint64_t seq_id = 0;
-  std::string payload;
+  FramePayload payload;
 };
 
 /// Encodes one complete frame (header + payload) as a byte string.

@@ -76,6 +76,10 @@ Tensor BatchNorm::backward(const Tensor& grad_output) {
                grad_output.shape()[0] == batch_ &&
                grad_output.shape()[1] == features_,
            "BatchNorm backward shape mismatch");
+  if (!accumulate_grads()) {
+    gamma_grad_.zero();
+    beta_grad_.zero();
+  }
   Tensor grad_input(grad_output.shape());
   const auto n = static_cast<double>(batch_);
   for (std::size_t f = 0; f < features_; ++f) {

@@ -158,6 +158,7 @@ void Conv2D::backprop(const Tensor& grad_output, Tensor* grad_input) {
   const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
   const std::size_t oc = out_channels_;
   const std::size_t per_sample = input_.shape()[1];
+  const bool accumulate = accumulate_grads();
   // Per-sample weight/bias contributions land in index-addressed slots and
   // are merged in sample order below, so the accumulated gradients do not
   // depend on the thread count. Weight partials are dW^T, (out_ch, patch).
@@ -203,14 +204,18 @@ void Conv2D::backprop(const Tensor& grad_output, Tensor* grad_input) {
   parallel_for(0, batch, parallel_grain(batch), run_samples);
   // The merge runs in the partials' (out_ch, patch) layout, where each
   // sample's partial is one contiguous add: the weight gradient is
-  // transposed in, gets the partials in sample order, and is transposed
-  // back.
+  // transposed in (or starts from zero when written), gets the partials
+  // in sample order, and is transposed back.
   float* wg = weight_grad_.data();
   std::vector<float> wg_t(oc * patch);
-  for (std::size_t i = 0; i < patch; ++i) {
-    for (std::size_t c = 0; c < oc; ++c) {
-      wg_t[c * patch + i] = wg[i * oc + c];
+  if (accumulate) {
+    for (std::size_t i = 0; i < patch; ++i) {
+      for (std::size_t c = 0; c < oc; ++c) {
+        wg_t[c * patch + i] = wg[i * oc + c];
+      }
     }
+  } else {
+    bias_grad_.zero();
   }
   float* acc = wg_t.data();
   float* bgrad = bias_grad_.data();

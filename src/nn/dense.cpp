@@ -63,8 +63,12 @@ void Dense::backward_params(const Tensor& grad_output) {
                grad_output.shape()[0] == input_.shape()[0] &&
                grad_output.shape()[1] == out_features_,
            "Dense backward shape mismatch");
-  // dW = x^T dy ; db = sum over batch of dy
-  weight_grad_.add_(matmul_tn(input_, grad_output));
+  // dW = x^T dy, straight into the gradient; db = sum over batch of dy
+  const bool accumulate = accumulate_grads();
+  matmul_tn_into(input_, grad_output, weight_grad_, accumulate);
+  if (!accumulate) {
+    bias_grad_.zero();
+  }
   const std::size_t batch = grad_output.shape()[0];
   float* bias_grad = bias_grad_.data();
   const float* row = grad_output.data();

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/quantized.hpp"
@@ -63,7 +64,8 @@ class Layer {
   }
 
   /// Propagates `grad_output` (same shape as the last forward output) back,
-  /// accumulating parameter gradients and returning the input gradient.
+  /// accumulating parameter gradients (writing them after
+  /// overwrite_grads()) and returning the input gradient.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// backward() without the input gradient, for a network's first layer,
@@ -86,11 +88,21 @@ class Layer {
   /// Zeroes all parameter gradients.
   void zero_grad();
 
+  /// Makes the next backward() or backward_params() write this layer's
+  /// parameter gradients instead of adding to them: zero_grad() folded
+  /// into the backward pass, with no pass over the gradients of its own.
+  void overwrite_grads() { overwrite_grads_ = true; }
+
  protected:
   explicit Layer(std::string name) : name_(std::move(name)) {}
 
+  /// For a backward pass: false once after overwrite_grads() (write the
+  /// parameter gradients), true otherwise (accumulate into them).
+  bool accumulate_grads() { return !std::exchange(overwrite_grads_, false); }
+
  private:
   std::string name_;
+  bool overwrite_grads_ = false;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -11,6 +11,9 @@ Network::Network(std::string name) : name_(std::move(name)) {}
 
 Network& Network::add(LayerPtr layer) {
   XB_CHECK(layer != nullptr, "cannot add null layer");
+  for (const ParamRef& p : layer->params()) {
+    params_.push_back(p);
+  }
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -88,6 +91,9 @@ double Network::evaluate_quantized(const Tensor& inputs,
 
 void Network::backward(const Tensor& grad_output) {
   XB_CHECK(!layers_.empty(), "network has no layers");
+  for (auto& l : layers_) {
+    l->overwrite_grads();
+  }
   Tensor g = grad_output;
   for (std::size_t i = layers_.size() - 1; i > 0; --i) {
     g = layers_[i]->backward(g);
@@ -99,16 +105,6 @@ void Network::zero_grad() {
   for (auto& l : layers_) {
     l->zero_grad();
   }
-}
-
-std::vector<ParamRef> Network::params() {
-  std::vector<ParamRef> all;
-  for (auto& l : layers_) {
-    for (ParamRef& p : l->params()) {
-      all.push_back(p);
-    }
-  }
-  return all;
 }
 
 std::vector<MappableWeight> Network::mappable_weights() {
@@ -134,26 +130,27 @@ TrainStats Network::train_batch(const Tensor& input,
                                 std::span<const std::int32_t> labels,
                                 SgdOptimizer& optimizer,
                                 const Regularizer* regularizer) {
-  zero_grad();
   Tensor logits = forward(input, /*training=*/true);
   TrainStats stats;
   stats.loss = loss_.forward(logits, labels);
   stats.accuracy = accuracy(logits, labels);
   backward(loss_.backward());
-  if (regularizer != nullptr) {
-    auto weights = mappable_weights();
-    for (const MappableWeight& mw : weights) {
-      stats.penalty += regularizer->penalty(*mw.value, mw.index);
-      regularizer->add_gradient(*mw.value, mw.index, *mw.grad);
+  // Mappable weights take the regularizer's term under their index in
+  // mappable_weights() order; the penalty sums them in that order.
+  std::size_t index = 0;
+  for (const ParamRef& p : params_) {
+    if (regularizer == nullptr || !p.mappable) {
+      optimizer.update(*p.value, *p.grad, nullptr);
+      continue;
     }
+    const RegularizerTerm term = regularizer->term(*p.value, index++);
+    stats.penalty += term.penalty(optimizer.update(*p.value, *p.grad, &term));
   }
-  optimizer.step(params());
   return stats;
 }
 
 double Network::compute_gradients(const Tensor& input,
                                   std::span<const std::int32_t> labels) {
-  zero_grad();
   Tensor logits = forward(input, /*training=*/false);
   const double loss = loss_.forward(logits, labels);
   backward(loss_.backward());

@@ -61,21 +61,24 @@ class Network {
                             std::span<const QuantSpec> specs,
                             std::size_t batch = 64);
 
-  /// Backward pass from a loss gradient; fills parameter gradients. The
+  /// Backward pass from a loss gradient; writes every parameter gradient
+  /// (the previous pass's are replaced, so it needs no zero_grad()). The
   /// first layer computes no input gradient (see Layer::backward_params).
   void backward(const Tensor& grad_output);
 
   /// Zeroes all parameter gradients.
   void zero_grad();
 
-  /// All parameters of all layers.
-  std::vector<ParamRef> params();
+  /// All parameters of all layers, in layer order.
+  const std::vector<ParamRef>& params() { return params_; }
 
   /// The weight matrices that get mapped onto crossbars, in layer order.
   std::vector<MappableWeight> mappable_weights();
 
-  /// One SGD step on a batch: forward, loss, backward, regularizer
-  /// gradient, optimizer update. Returns the batch statistics.
+  /// One SGD step on a batch: forward, loss, backward, then one pass per
+  /// parameter tensor that adds the regularizer gradient (mappable
+  /// weights) and applies the optimizer update. Each gradient is left
+  /// holding what the update used. Returns the batch statistics.
   TrainStats train_batch(const Tensor& input,
                          std::span<const std::int32_t> labels,
                          SgdOptimizer& optimizer,
@@ -107,6 +110,8 @@ class Network {
  private:
   std::string name_;
   std::vector<LayerPtr> layers_;
+  /// Every layer's parameters, gathered as the layers are added.
+  std::vector<ParamRef> params_;
   SoftmaxCrossEntropy loss_;
 };
 

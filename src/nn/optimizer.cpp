@@ -11,25 +11,21 @@ SgdOptimizer::SgdOptimizer(SgdConfig config) : config_(config) {
 }
 
 void SgdOptimizer::step(const std::vector<ParamRef>& params) {
-  const auto lr = static_cast<float>(config_.learning_rate);
-  const auto mu = static_cast<float>(config_.momentum);
   for (const ParamRef& p : params) {
     XB_CHECK(p.value != nullptr && p.grad != nullptr,
              "optimizer given null parameter");
-    auto [it, inserted] = velocity_.try_emplace(p.value, p.value->shape());
-    Tensor& v = it->second;
-    XB_ASSERT(v.shape() == p.value->shape(),
-              "velocity buffer shape drifted");
-    XB_CHECK(p.grad->numel() == v.numel(),
-             "gradient size does not match its parameter");
-    const std::span<float> vel = v.flat();
-    const std::span<float> w = p.value->flat();
-    const std::span<const float> g = p.grad->flat();
-    for (std::size_t i = 0; i < vel.size(); ++i) {
-      vel[i] = mu * vel[i] - lr * g[i];
-      w[i] += vel[i];
-    }
+    update(*p.value, *p.grad, nullptr);
   }
+}
+
+PenaltySums SgdOptimizer::update(Tensor& value, Tensor& grad,
+                                 const RegularizerTerm* term) {
+  auto [it, inserted] = velocity_.try_emplace(&value, value.shape());
+  Tensor& v = it->second;
+  XB_ASSERT(v.shape() == value.shape(), "velocity buffer shape drifted");
+  return update_tensor(value.flat(), grad.flat(), v.flat(),
+                       static_cast<float>(config_.learning_rate),
+                       static_cast<float>(config_.momentum), term);
 }
 
 void SgdOptimizer::set_learning_rate(double lr) {

@@ -1,11 +1,13 @@
 // SGD optimizer with momentum (Eq. (3) of the paper plus classical
-// momentum). The regularizer gradient is folded in by Network::train_batch,
-// not here, so the optimizer stays a pure parameter updater.
+// momentum). Network::train_batch hands it each parameter with its
+// regularizer term, and one pass over the tensor adds the regularizer
+// gradient and applies the update (nn/update.hpp).
 #pragma once
 
 #include <unordered_map>
 
 #include "nn/layer.hpp"
+#include "nn/update.hpp"
 
 namespace xbarlife::nn {
 
@@ -20,6 +22,12 @@ class SgdOptimizer {
 
   /// Applies one update to every parameter: v = mu*v - lr*grad; w += v.
   void step(const std::vector<ParamRef>& params);
+
+  /// One update of `value` in a single pass: with a `term`, grad +=
+  /// reg'(value) first (grad keeps the sum), and the term's penalty sums
+  /// over the pre-update value are returned.
+  PenaltySums update(Tensor& value, Tensor& grad,
+                     const RegularizerTerm* term);
 
   void set_learning_rate(double lr);
   double learning_rate() const { return config_.learning_rate; }

@@ -1,31 +1,39 @@
 #include "nn/regularizer.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
 namespace xbarlife::nn {
 
+double Regularizer::penalty(const Tensor& w, std::size_t layer_index) const {
+  const RegularizerTerm t = term(w, layer_index);
+  return t.penalty(penalty_sums(w.flat(), t));
+}
+
+void Regularizer::add_gradient(const Tensor& w, std::size_t layer_index,
+                               Tensor& grad) const {
+  XB_CHECK(grad.shape() == w.shape(), "regularizer gradient shape mismatch");
+  add_term_gradient(w.flat(), grad.flat(), term(w, layer_index));
+}
+
 L2Regularizer::L2Regularizer(double lambda) : lambda_(lambda) {
   XB_CHECK(lambda >= 0.0, "L2 lambda must be non-negative");
 }
 
-double L2Regularizer::penalty(const Tensor& w,
-                              std::size_t /*layer_index*/) const {
-  return lambda_ * static_cast<double>(w.squared_norm());
-}
-
-void L2Regularizer::add_gradient(const Tensor& w,
-                                 std::size_t /*layer_index*/,
-                                 Tensor& grad) const {
-  XB_CHECK(grad.shape() == w.shape(), "regularizer gradient shape mismatch");
-  const auto scale = static_cast<float>(2.0 * lambda_);
-  const std::span<const float> wv = w.flat();
-  const std::span<float> gv = grad.flat();
-  for (std::size_t i = 0; i < wv.size(); ++i) {
-    gv[i] += scale * wv[i];
-  }
+RegularizerTerm L2Regularizer::term(const Tensor& /*w*/,
+                                    std::size_t /*layer_index*/) const {
+  // omega = 0 on both sides with one sum: d = w - 0 is w itself, so the
+  // gradient is 2 * lambda * w and the sum is ||W||^2.
+  RegularizerTerm t;
+  t.grad_left = static_cast<float>(2.0 * lambda_);
+  t.grad_right = t.grad_left;
+  t.split = -std::numeric_limits<double>::infinity();
+  t.lambda_right = lambda_;
+  t.float_sum = true;
+  return t;
 }
 
 SkewedL2Regularizer::SkewedL2Regularizer(double lambda1, double lambda2,
@@ -73,35 +81,16 @@ void SkewedL2Regularizer::freeze_omegas(
   }
 }
 
-double SkewedL2Regularizer::penalty(const Tensor& w,
-                                    std::size_t layer_index) const {
-  const double om = omega(w, layer_index);
-  double left = 0.0;
-  double right = 0.0;
-  for (const float x : w.flat()) {
-    const double d = static_cast<double>(x) - om;
-    if (d < 0.0) {
-      left += d * d;
-    } else {
-      right += d * d;
-    }
-  }
-  return lambda1_ * left + lambda2_ * right;
-}
-
-void SkewedL2Regularizer::add_gradient(const Tensor& w,
-                                       std::size_t layer_index,
-                                       Tensor& grad) const {
-  XB_CHECK(grad.shape() == w.shape(), "regularizer gradient shape mismatch");
-  const auto om = static_cast<float>(omega(w, layer_index));
-  const auto s1 = static_cast<float>(2.0 * lambda1_);
-  const auto s2 = static_cast<float>(2.0 * lambda2_);
-  const std::span<const float> wv = w.flat();
-  const std::span<float> gv = grad.flat();
-  for (std::size_t i = 0; i < wv.size(); ++i) {
-    const float d = wv[i] - om;
-    gv[i] += (d < 0.0f ? s1 : s2) * d;
-  }
+RegularizerTerm SkewedL2Regularizer::term(const Tensor& w,
+                                          std::size_t layer_index) const {
+  RegularizerTerm t;
+  t.omega = omega(w, layer_index);
+  t.omega_f = static_cast<float>(t.omega);
+  t.grad_left = static_cast<float>(2.0 * lambda1_);
+  t.grad_right = static_cast<float>(2.0 * lambda2_);
+  t.lambda_left = lambda1_;
+  t.lambda_right = lambda2_;
+  return t;
 }
 
 }  // namespace xbarlife::nn

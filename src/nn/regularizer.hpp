@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "nn/update.hpp"
 #include "tensor/tensor.hpp"
 
 namespace xbarlife::nn {
@@ -21,21 +22,26 @@ class Regularizer {
  public:
   virtual ~Regularizer() = default;
 
+  /// This regularizer's rule for weights `w` of layer `layer_index` at
+  /// this step (omega resolved once), as the fused training step applies
+  /// it (nn/update.hpp).
+  virtual RegularizerTerm term(const Tensor& w,
+                               std::size_t layer_index) const = 0;
+
   /// Penalty value contributed by layer `layer_index` with weights `w`.
-  virtual double penalty(const Tensor& w, std::size_t layer_index) const = 0;
+  double penalty(const Tensor& w, std::size_t layer_index) const;
 
   /// Accumulates d(penalty)/dw into `grad` (same shape as `w`).
-  virtual void add_gradient(const Tensor& w, std::size_t layer_index,
-                            Tensor& grad) const = 0;
+  void add_gradient(const Tensor& w, std::size_t layer_index,
+                    Tensor& grad) const;
 };
 
 /// Classic L2: lambda * ||W||^2.
 class L2Regularizer final : public Regularizer {
  public:
   explicit L2Regularizer(double lambda);
-  double penalty(const Tensor& w, std::size_t layer_index) const override;
-  void add_gradient(const Tensor& w, std::size_t layer_index,
-                    Tensor& grad) const override;
+  RegularizerTerm term(const Tensor& w,
+                       std::size_t layer_index) const override;
   double lambda() const { return lambda_; }
 
  private:
@@ -56,9 +62,8 @@ class SkewedL2Regularizer final : public Regularizer {
  public:
   SkewedL2Regularizer(double lambda1, double lambda2, double omega_factor);
 
-  double penalty(const Tensor& w, std::size_t layer_index) const override;
-  void add_gradient(const Tensor& w, std::size_t layer_index,
-                    Tensor& grad) const override;
+  RegularizerTerm term(const Tensor& w,
+                       std::size_t layer_index) const override;
 
   /// Reference weight used for `w` at `layer_index`: the frozen value when
   /// set, otherwise omega_factor * stddev(w).

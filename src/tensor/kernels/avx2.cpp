@@ -56,52 +56,57 @@ inline void pack_b(const float* b, float* panel, std::size_t n,
 /// the packed panel. Every output element is an ascending-k FMA chain —
 /// the order depends only on (k, blocking constants), never on how the
 /// caller partitioned rows, so results are bit-identical at any thread
-/// count.
+/// count. kTransA reads A from its (K x M) transpose (same products, same
+/// order); without `load_c` the tile adds to zero instead of to C.
 ///
 /// The accumulators are individually named __m256 locals on purpose:
 /// with `__m256 acc[kRows]` arrays gcc keeps the tile in stack memory
 /// and interchanges the loops, turning the register tile into a
 /// load-FMA-store stream at a third of the throughput. Named locals +
 /// if constexpr pin all 12 accumulators in ymm registers.
-template <std::size_t kRows>
+template <std::size_t kRows, bool kTransA>
 inline void micro_kernel(const float* a, const float* panel, float* c,
-                         std::size_t k, std::size_t n, std::size_t i0,
-                         std::size_t j0, std::size_t k0, std::size_t kc,
-                         std::size_t width) {
+                         std::size_t m, std::size_t k, std::size_t n,
+                         std::size_t i0, std::size_t j0, std::size_t k0,
+                         std::size_t kc, std::size_t width, bool load_c) {
   static_assert(kRows >= 1 && kRows <= kMr);
   const __m256 zero = _mm256_setzero_ps();
   __m256 c0l = zero, c0h = zero, c1l = zero, c1h = zero;
   __m256 c2l = zero, c2h = zero, c3l = zero, c3h = zero;
   __m256 c4l = zero, c4h = zero, c5l = zero, c5h = zero;
-  const float* ap = a + i0 * k + k0;
+  // A(i0 + r, k0 + kk) sits at ap + kk * a_ks + r * a_rs.
+  const float* ap = kTransA ? a + k0 * m + i0 : a + i0 * k + k0;
+  const std::size_t a_rs = kTransA ? 1 : k;
+  const std::size_t a_ks = kTransA ? m : 1;
   for (std::size_t kk = 0; kk < kc; ++kk) {
+    const float* ak = ap + kk * a_ks;
     const __m256 b_lo = _mm256_load_ps(panel + kk * kNr);
     const __m256 b_hi = _mm256_load_ps(panel + kk * kNr + 8);
-    __m256 a_bc = _mm256_broadcast_ss(ap + kk);
+    __m256 a_bc = _mm256_broadcast_ss(ak);
     c0l = _mm256_fmadd_ps(a_bc, b_lo, c0l);
     c0h = _mm256_fmadd_ps(a_bc, b_hi, c0h);
     if constexpr (kRows > 1) {
-      a_bc = _mm256_broadcast_ss(ap + k + kk);
+      a_bc = _mm256_broadcast_ss(ak + a_rs);
       c1l = _mm256_fmadd_ps(a_bc, b_lo, c1l);
       c1h = _mm256_fmadd_ps(a_bc, b_hi, c1h);
     }
     if constexpr (kRows > 2) {
-      a_bc = _mm256_broadcast_ss(ap + 2 * k + kk);
+      a_bc = _mm256_broadcast_ss(ak + 2 * a_rs);
       c2l = _mm256_fmadd_ps(a_bc, b_lo, c2l);
       c2h = _mm256_fmadd_ps(a_bc, b_hi, c2h);
     }
     if constexpr (kRows > 3) {
-      a_bc = _mm256_broadcast_ss(ap + 3 * k + kk);
+      a_bc = _mm256_broadcast_ss(ak + 3 * a_rs);
       c3l = _mm256_fmadd_ps(a_bc, b_lo, c3l);
       c3h = _mm256_fmadd_ps(a_bc, b_hi, c3h);
     }
     if constexpr (kRows > 4) {
-      a_bc = _mm256_broadcast_ss(ap + 4 * k + kk);
+      a_bc = _mm256_broadcast_ss(ak + 4 * a_rs);
       c4l = _mm256_fmadd_ps(a_bc, b_lo, c4l);
       c4h = _mm256_fmadd_ps(a_bc, b_hi, c4h);
     }
     if constexpr (kRows > 5) {
-      a_bc = _mm256_broadcast_ss(ap + 5 * k + kk);
+      a_bc = _mm256_broadcast_ss(ak + 5 * a_rs);
       c5l = _mm256_fmadd_ps(a_bc, b_lo, c5l);
       c5h = _mm256_fmadd_ps(a_bc, b_hi, c5h);
     }
@@ -114,11 +119,55 @@ inline void micro_kernel(const float* a, const float* panel, float* c,
   const __m256 acc_hi[kMr] = {c0h, c1h, c2h, c3h, c4h, c5h};
   for (std::size_t r = 0; r < kRows; ++r) {
     float* crow = c + (i0 + r) * n + j0;
-    const __m256 c_lo = _mm256_maskload_ps(crow, m_lo);
+    const __m256 c_lo = load_c ? _mm256_maskload_ps(crow, m_lo) : zero;
     _mm256_maskstore_ps(crow, m_lo, _mm256_add_ps(c_lo, acc_lo[r]));
     if (hi_active > 0) {
-      const __m256 c_hi = _mm256_maskload_ps(crow + 8, m_hi);
+      const __m256 c_hi = load_c ? _mm256_maskload_ps(crow + 8, m_hi) : zero;
       _mm256_maskstore_ps(crow + 8, m_hi, _mm256_add_ps(c_hi, acc_hi[r]));
+    }
+  }
+}
+
+template <bool kTransA>
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n, std::size_t row_begin,
+               std::size_t row_end, bool accumulate) {
+  alignas(32) float panel[kKc * kNr];
+  for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
+    const std::size_t kc = (k0 + kKc < k ? k0 + kKc : k) - k0;
+    const bool load_c = accumulate || k0 > 0;
+    for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+      const std::size_t width = j0 + kNr < n ? kNr : n - j0;
+      pack_b(b, panel, n, k0, k0 + kc, j0, width);
+      std::size_t i = row_begin;
+      for (; i + kMr <= row_end; i += kMr) {
+        micro_kernel<kMr, kTransA>(a, panel, c, m, k, n, i, j0, k0, kc,
+                                   width, load_c);
+      }
+      switch (row_end - i) {
+        case 1:
+          micro_kernel<1, kTransA>(a, panel, c, m, k, n, i, j0, k0, kc,
+                                   width, load_c);
+          break;
+        case 2:
+          micro_kernel<2, kTransA>(a, panel, c, m, k, n, i, j0, k0, kc,
+                                   width, load_c);
+          break;
+        case 3:
+          micro_kernel<3, kTransA>(a, panel, c, m, k, n, i, j0, k0, kc,
+                                   width, load_c);
+          break;
+        case 4:
+          micro_kernel<4, kTransA>(a, panel, c, m, k, n, i, j0, k0, kc,
+                                   width, load_c);
+          break;
+        case 5:
+          micro_kernel<5, kTransA>(a, panel, c, m, k, n, i, j0, k0, kc,
+                                   width, load_c);
+          break;
+        default:
+          break;
+      }
     }
   }
 }
@@ -126,38 +175,13 @@ inline void micro_kernel(const float* a, const float* panel, float* c,
 void gemm_avx2(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, std::size_t row_begin,
                std::size_t row_end) {
-  (void)m;
-  alignas(32) float panel[kKc * kNr];
-  for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-    const std::size_t kc = (k0 + kKc < k ? k0 + kKc : k) - k0;
-    for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
-      const std::size_t width = j0 + kNr < n ? kNr : n - j0;
-      pack_b(b, panel, n, k0, k0 + kc, j0, width);
-      std::size_t i = row_begin;
-      for (; i + kMr <= row_end; i += kMr) {
-        micro_kernel<kMr>(a, panel, c, k, n, i, j0, k0, kc, width);
-      }
-      switch (row_end - i) {
-        case 1:
-          micro_kernel<1>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 2:
-          micro_kernel<2>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 3:
-          micro_kernel<3>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 4:
-          micro_kernel<4>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 5:
-          micro_kernel<5>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        default:
-          break;
-      }
-    }
-  }
+  gemm_rows<false>(a, b, c, m, k, n, row_begin, row_end, true);
+}
+
+void gemm_tn_avx2(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n, std::size_t row_begin,
+                  std::size_t row_end, bool accumulate) {
+  gemm_rows<true>(a, b, c, m, k, n, row_begin, row_end, accumulate);
 }
 
 /// Horizontal sum with a fixed lane-pairing order (identical for every
@@ -264,7 +288,8 @@ void gemm_s8_avx2(const std::int8_t* a, const std::int8_t* b,
 }
 
 constexpr KernelSet kAvx2{
-    "avx2", gemm_avx2, gemm_nt_avx2, vmm_avx2, gemm_s8_avx2, tanh_avx2,
+    "avx2",   gemm_avx2,    gemm_nt_avx2, gemm_tn_avx2,
+    vmm_avx2, gemm_s8_avx2, tanh_avx2,
 };
 
 }  // namespace

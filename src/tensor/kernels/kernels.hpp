@@ -47,6 +47,16 @@ struct KernelSet {
                   std::size_t k, std::size_t n, std::size_t row_begin,
                   std::size_t row_end);
 
+  /// C(MxN) = A^T * B, or C += A^T * B with `accumulate`, where a is
+  /// (K x M) row-major: the weight-gradient product x^T * dy read straight
+  /// from x, serial over [row_begin, row_end). Each element takes gemm's
+  /// operations on the materialized A^T in gemm's order, so the bits are
+  /// gemm's accumulating into C, or, without `accumulate`, into a zeroed
+  /// C (which this never zero-fills in a separate pass). Needs k > 0.
+  void (*gemm_tn)(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n, std::size_t row_begin,
+                  std::size_t row_end, bool accumulate);
+
   /// Crossbar vector-matrix multiply: out[c] = sum_r v[r] * g[r*cols + c]
   /// for c in [col_begin, col_end). `out` is pre-zeroed by the caller.
   void (*vmm)(const float* v, const float* g, float* out, std::size_t rows,

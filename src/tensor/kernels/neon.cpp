@@ -6,24 +6,32 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
+
 namespace xbarlife::kernels {
 namespace {
 
 // Same blocking story as the scalar variant but with explicit 4-wide
 // axpy over C's row. Per output element the accumulation is ascending-k
 // fused multiply-adds, independent of the caller's row partition.
-void gemm_neon(const float* a, const float* b, float* c, std::size_t m,
+// kTransA reads A from its (K x M) transpose; without `accumulate` each
+// row of C is zeroed just before its first k-block adds into it.
+template <bool kTransA>
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n, std::size_t row_begin,
-               std::size_t row_end) {
-  (void)m;
+               std::size_t row_end, bool accumulate) {
   constexpr std::size_t kBlockK = 64;
   const std::size_t n4 = n - n % 4;
   for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
     const std::size_t k1 = k0 + kBlockK < k ? k0 + kBlockK : k;
     for (std::size_t i = row_begin; i < row_end; ++i) {
       float* crow = c + i * n;
+      if (k0 == 0 && !accumulate) {
+        std::fill(crow, crow + n, 0.0f);
+      }
       for (std::size_t kk = k0; kk < k1; ++kk) {
-        const float32x4_t av = vdupq_n_f32(a[i * k + kk]);
+        const float aik = kTransA ? a[kk * m + i] : a[i * k + kk];
+        const float32x4_t av = vdupq_n_f32(aik);
         const float* brow = b + kk * n;
         std::size_t j = 0;
         for (; j < n4; j += 4) {
@@ -31,11 +39,23 @@ void gemm_neon(const float* a, const float* b, float* c, std::size_t m,
                     vfmaq_f32(vld1q_f32(crow + j), av, vld1q_f32(brow + j)));
         }
         for (; j < n; ++j) {
-          crow[j] += a[i * k + kk] * brow[j];
+          crow[j] += aik * brow[j];
         }
       }
     }
   }
+}
+
+void gemm_neon(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n, std::size_t row_begin,
+               std::size_t row_end) {
+  gemm_rows<false>(a, b, c, m, k, n, row_begin, row_end, true);
+}
+
+void gemm_tn_neon(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n, std::size_t row_begin,
+                  std::size_t row_end, bool accumulate) {
+  gemm_rows<true>(a, b, c, m, k, n, row_begin, row_end, accumulate);
 }
 
 void gemm_nt_neon(const float* a, const float* b, float* c, std::size_t m,
@@ -113,8 +133,8 @@ void gemm_s8_neon(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
 }
 
 constexpr KernelSet kNeon{
-    "neon", gemm_neon, gemm_nt_neon, vmm_neon, gemm_s8_neon,
-    tanh_reference,
+    "neon",   gemm_neon,    gemm_nt_neon,   gemm_tn_neon,
+    vmm_neon, gemm_s8_neon, tanh_reference,
 };
 
 }  // namespace

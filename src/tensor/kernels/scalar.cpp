@@ -4,6 +4,8 @@
 // by golden tests (XBARLIFE_KERNEL=scalar) for host-independent bytes.
 #include "tensor/kernels/kernels.hpp"
 
+#include <algorithm>
+
 namespace xbarlife::kernels {
 namespace {
 
@@ -11,17 +13,22 @@ namespace {
 // C's row, which the compiler auto-vectorizes. Per output element the
 // accumulation is plain ascending-k float adds — independent of
 // row_begin/row_end, so any caller partition yields identical bits.
-void gemm_scalar(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, std::size_t row_begin,
-                 std::size_t row_end) {
-  (void)m;
+// kTransA reads A from its (K x M) transpose; without `accumulate` each
+// row of C is zeroed just before its first k-block adds into it.
+template <bool kTransA>
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n, std::size_t row_begin,
+               std::size_t row_end, bool accumulate) {
   constexpr std::size_t kBlockK = 64;
   for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
     const std::size_t k1 = k0 + kBlockK < k ? k0 + kBlockK : k;
     for (std::size_t i = row_begin; i < row_end; ++i) {
       float* crow = c + i * n;
+      if (k0 == 0 && !accumulate) {
+        std::fill(crow, crow + n, 0.0f);
+      }
       for (std::size_t kk = k0; kk < k1; ++kk) {
-        const float aik = a[i * k + kk];
+        const float aik = kTransA ? a[kk * m + i] : a[i * k + kk];
         const float* brow = b + kk * n;
         for (std::size_t j = 0; j < n; ++j) {
           crow[j] += aik * brow[j];
@@ -29,6 +36,18 @@ void gemm_scalar(const float* a, const float* b, float* c, std::size_t m,
       }
     }
   }
+}
+
+void gemm_scalar(const float* a, const float* b, float* c, std::size_t m,
+                 std::size_t k, std::size_t n, std::size_t row_begin,
+                 std::size_t row_end) {
+  gemm_rows<false>(a, b, c, m, k, n, row_begin, row_end, true);
+}
+
+void gemm_tn_scalar(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t k, std::size_t n, std::size_t row_begin,
+                    std::size_t row_end, bool accumulate) {
+  gemm_rows<true>(a, b, c, m, k, n, row_begin, row_end, accumulate);
 }
 
 void gemm_nt_scalar(const float* a, const float* b, float* c, std::size_t m,
@@ -80,8 +99,8 @@ void gemm_s8_scalar(const std::int8_t* a, const std::int8_t* b,
 }
 
 constexpr KernelSet kScalar{
-    "scalar", gemm_scalar, gemm_nt_scalar, vmm_scalar, gemm_s8_scalar,
-    tanh_reference,
+    "scalar",       gemm_scalar,    gemm_nt_scalar, gemm_tn_scalar,
+    vmm_scalar,     gemm_s8_scalar, tanh_reference,
 };
 
 }  // namespace

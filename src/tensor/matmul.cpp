@@ -79,20 +79,37 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   check_rank2(a, "A");
   check_rank2(b, "B");
+  Tensor c(Shape{a.shape()[1], b.shape()[1]});
+  matmul_tn_into(a, b, c, /*accumulate=*/false);
+  return c;
+}
+
+void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& c,
+                    bool accumulate) {
+  check_rank2(a, "A");
+  check_rank2(b, "B");
+  check_rank2(c, "C");
   const std::size_t k = a.shape()[0];
   const std::size_t m = a.shape()[1];
+  const std::size_t n = b.shape()[1];
   if (b.shape()[0] != k) {
     throw ShapeError("matmul_tn inner dimension mismatch");
   }
-  const std::size_t n = b.shape()[1];
-  // Materialize A^T (an O(k*m) copy, negligible next to the O(m*k*n)
-  // multiply) and reuse the row-parallel GEMM. The previous in-place
-  // formulation chunked C's columns at a fixed 128, which serialized
-  // every backward pass with n <= 128.
-  const Tensor at = a.transposed();
-  Tensor c(Shape{m, n});
-  gemm_dispatch(at.data(), b.data(), c.data(), m, k, n);
-  return c;
+  if (c.shape()[0] != m || c.shape()[1] != n) {
+    throw ShapeError("matmul_tn output shape mismatch");
+  }
+  if (k == 0) {
+    if (!accumulate) {
+      c.zero();
+    }
+    return;
+  }
+  const kernels::KernelSet& ks = kernels::select();
+  parallel_for(0, m, gemm_grain(m, k, n),
+               [&](std::size_t row_begin, std::size_t row_end) {
+                 ks.gemm_tn(a.data(), b.data(), c.data(), m, k, n, row_begin,
+                            row_end, accumulate);
+               });
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

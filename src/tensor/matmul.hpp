@@ -21,10 +21,15 @@ namespace xbarlife {
 /// C = A(MxK) * B(KxN). All tensors rank-2; C is allocated by the call.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// C = A^T(MxK from KxM... ) * B — i.e. matmul(transpose(a), b) with the
-/// transpose materialized internally. a is (K x M), b is (K x N),
-/// result (M x N).
+/// C = A^T * B — matmul(a.transposed(), b) with A read in place, never
+/// transposed. a is (K x M), b is (K x N), result (M x N).
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
+
+/// matmul_tn into a preallocated (M x N) `c`: c = A^T * B, or c += A^T * B
+/// with `accumulate` (the bits of matmul_accumulate(a.transposed(), b, c)).
+/// Either way c is written in the GEMM's own pass, with no zero-fill.
+void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& c,
+                    bool accumulate);
 
 /// matmul(a, transpose(b)): a is (M x K), b is (N x K), result (M x N).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);

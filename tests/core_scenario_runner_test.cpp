@@ -10,7 +10,10 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -318,6 +321,186 @@ TEST(TrainingKey, IgnoresDeploymentAndLifetimeFields) {
   ++retrained.seed;
   ++retrained.train_config.epochs;
   EXPECT_EQ(dataset_key(retrained.dataset), data_key);
+}
+
+/// Calls visit(name, field, training) on every field of a (forked)
+/// config, `training` telling whether train_model or make_synthetic reads
+/// it. The structured bindings name every member of each struct, so a
+/// field added to any of them stops this from compiling until it is
+/// listed here, and the test below then checks that the keys cover it.
+template <class Visit>
+void visit_config_fields(ExperimentConfig& c, Visit visit) {
+  auto& [name, model, vgg_width, mlp_hidden, dataset, train_config,
+         l2_lambda, skew, device, aging, faults, lifetime,
+         absolute_tuning_target, target_accuracy_fraction, seed] = c;
+  (void)name;  // a label: scenario_key documents it as not keyed
+  visit("model", model, true);
+  visit("vgg_width", vgg_width, true);
+  visit("mlp_hidden", mlp_hidden, true);
+  visit("l2_lambda", l2_lambda, true);
+  visit("seed", seed, true);
+  visit("absolute_tuning_target", absolute_tuning_target, false);
+  visit("target_accuracy_fraction", target_accuracy_fraction, false);
+  {
+    auto& [classes, train_per_class, test_per_class, channels, height,
+           width, noise, texture_waves, data_seed] = dataset;
+    visit("dataset.classes", classes, true);
+    visit("dataset.train_per_class", train_per_class, true);
+    visit("dataset.test_per_class", test_per_class, true);
+    visit("dataset.channels", channels, true);
+    visit("dataset.height", height, true);
+    visit("dataset.width", width, true);
+    visit("dataset.noise", noise, true);
+    visit("dataset.texture_waves", texture_waves, true);
+    visit("dataset.seed", data_seed, true);
+  }
+  {
+    auto& [epochs, batch, learning_rate, momentum, lr_decay,
+           omega_freeze_epoch, shuffle_seed] = train_config;
+    visit("train_config.epochs", epochs, true);
+    visit("train_config.batch", batch, true);
+    visit("train_config.learning_rate", learning_rate, true);
+    visit("train_config.momentum", momentum, true);
+    visit("train_config.lr_decay", lr_decay, true);
+    visit("train_config.omega_freeze_epoch", omega_freeze_epoch, true);
+    visit("train_config.shuffle_seed", shuffle_seed, true);
+  }
+  {
+    auto& [lambda1, lambda2, omega_factor] = skew;
+    visit("skew.lambda1", lambda1, true);
+    visit("skew.lambda2", lambda2, true);
+    visit("skew.omega_factor", omega_factor, true);
+  }
+  {
+    auto& [r_min_fresh, r_max_fresh, levels, v_prog, t_pulse_s,
+           temperature_k, compliance_current_a] = device;
+    visit("device.r_min_fresh", r_min_fresh, false);
+    visit("device.r_max_fresh", r_max_fresh, false);
+    visit("device.levels", levels, false);
+    visit("device.v_prog", v_prog, false);
+    visit("device.t_pulse_s", t_pulse_s, false);
+    visit("device.temperature_k", temperature_k, false);
+    visit("device.compliance_current_a", compliance_current_a, false);
+  }
+  {
+    auto& [activation_energy_ev, reference_temp_k, reference_current_a,
+           current_exponent, a_f, m_f, a_g, m_g, r_floor,
+           thermal_crosstalk] = aging;
+    visit("aging.activation_energy_ev", activation_energy_ev, false);
+    visit("aging.reference_temp_k", reference_temp_k, false);
+    visit("aging.reference_current_a", reference_current_a, false);
+    visit("aging.current_exponent", current_exponent, false);
+    visit("aging.a_f", a_f, false);
+    visit("aging.m_f", m_f, false);
+    visit("aging.a_g", a_g, false);
+    visit("aging.m_g", m_g, false);
+    visit("aging.r_floor", r_floor, false);
+    visit("aging.thermal_crosstalk", thermal_crosstalk, false);
+  }
+  {
+    auto& [nonideal, spare_rows, fault_seed] = faults;
+    auto& [write_noise_sigma, read_noise_sigma, stuck_off_fraction,
+           stuck_on_fraction, line_resistance] = nonideal;
+    visit("faults.spare_rows", spare_rows, false);
+    visit("faults.fault_seed", fault_seed, false);
+    visit("faults.nonideal.write_noise_sigma", write_noise_sigma, false);
+    visit("faults.nonideal.read_noise_sigma", read_noise_sigma, false);
+    visit("faults.nonideal.stuck_off_fraction", stuck_off_fraction, false);
+    visit("faults.nonideal.stuck_on_fraction", stuck_on_fraction, false);
+    visit("faults.nonideal.line_resistance", line_resistance, false);
+  }
+  {
+    auto& [levels, apps_per_session, max_sessions, tuning, drift,
+           drift_seed, selection_eval_samples, rescue_switch_margin,
+           resilience] = lifetime;
+    visit("lifetime.levels", levels, false);
+    visit("lifetime.apps_per_session", apps_per_session, false);
+    visit("lifetime.max_sessions", max_sessions, false);
+    visit("lifetime.drift_seed", drift_seed, false);
+    visit("lifetime.selection_eval_samples", selection_eval_samples, false);
+    visit("lifetime.rescue_switch_margin", rescue_switch_margin, false);
+    auto& [sigma] = drift;
+    visit("lifetime.drift.sigma", sigma, false);
+    auto& [max_iterations, target_accuracy, batch, min_grad_fraction,
+           step_fraction, eval_samples, plateau_iterations,
+           quantized_eval] = tuning;
+    visit("lifetime.tuning.max_iterations", max_iterations, false);
+    visit("lifetime.tuning.target_accuracy", target_accuracy, false);
+    visit("lifetime.tuning.batch", batch, false);
+    visit("lifetime.tuning.min_grad_fraction", min_grad_fraction, false);
+    visit("lifetime.tuning.step_fraction", step_fraction, false);
+    visit("lifetime.tuning.eval_samples", eval_samples, false);
+    visit("lifetime.tuning.plateau_iterations", plateau_iterations, false);
+    visit("lifetime.tuning.quantized_eval", quantized_eval, false);
+    auto& [enabled, ladder_enabled, retry_passes, fault_masking,
+           spare_row_redundancy, degraded_accuracy_floor] = resilience;
+    visit("lifetime.resilience.enabled", enabled, false);
+    visit("lifetime.resilience.ladder_enabled", ladder_enabled, false);
+    visit("lifetime.resilience.retry_passes", retry_passes, false);
+    visit("lifetime.resilience.fault_masking", fault_masking, false);
+    visit("lifetime.resilience.spare_row_redundancy", spare_row_redundancy,
+          false);
+    visit("lifetime.resilience.degraded_accuracy_floor",
+          degraded_accuracy_floor, false);
+  }
+}
+
+/// Changes one config field to another valid-looking value.
+template <class T>
+void flip(T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = !field;
+  } else if constexpr (std::is_same_v<T, ExperimentConfig::Model>) {
+    field = field == ExperimentConfig::Model::kMlp
+                ? ExperimentConfig::Model::kLeNet5
+                : ExperimentConfig::Model::kMlp;
+  } else if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
+    field.push_back(8);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    field = field * 1.5 + 0.25;
+  } else {
+    ++field;
+  }
+}
+
+TEST(ConfigKeys, EveryFieldOfTheForkedConfigIsKeyed) {
+  // Each field on its own: a training input must change training_key and
+  // scenario_key, a deployment field scenario_key alone.
+  const ScenarioRunner runner(3);
+  ScenarioJob job{"ST+AT", tiny_config(), Scenario::kSTAT, 1};
+  const ExperimentConfig base = runner.forked_config(job);
+  const std::string train_key = training_key(base, true);
+  const std::string key = scenario_key(base, Scenario::kSTAT);
+  std::size_t fields = 0;
+  for (std::size_t target = 0;; ++target) {
+    ExperimentConfig cfg = base;
+    std::string name;
+    bool training = false;
+    std::size_t index = 0;
+    visit_config_fields(cfg, [&](const char* field_name, auto& field,
+                                 bool reads_training) {
+      if (index++ == target) {
+        flip(field);
+        name = field_name;
+        training = reads_training;
+      }
+    });
+    if (name.empty()) {
+      fields = target;
+      break;
+    }
+    EXPECT_NE(scenario_key(cfg, Scenario::kSTAT), key) << name;
+    if (training) {
+      EXPECT_NE(training_key(cfg, true), train_key) << name;
+    } else {
+      EXPECT_EQ(training_key(cfg, true), train_key) << name;
+    }
+  }
+  EXPECT_EQ(fields, 71u);
+  ExperimentConfig renamed = base;
+  renamed.name = "other";
+  EXPECT_EQ(scenario_key(renamed, Scenario::kSTAT), key);
+  EXPECT_NE(scenario_key(base, Scenario::kSTT), key);
 }
 
 ExperimentConfig tiny_lenet_config() {

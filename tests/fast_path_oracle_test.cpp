@@ -1,8 +1,9 @@
 // Oracle tests for the lifetime loop's flat fast paths.
 //
 // Each fast path (the aging statistics pass, the drift pass, network sync,
-// tuning sign updates, the SGD step, the regularizers and the convolution
-// lowering, including the network's first-layer backward) is checked
+// tuning sign updates, the SGD step, the regularizers, the fused training
+// step and the convolution lowering, including the network's first-layer
+// backward) is checked
 // against a reference written with the checked public API only — the
 // exhaustive-enumeration-plus-bound idiom with a bound of zero: every
 // case must agree bit for bit.
@@ -15,18 +16,21 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "core/experiment.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/regularizer.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -779,6 +783,368 @@ TEST(FastPathOracle, FirstLayerSkipLeavesGradientsAndStepIdentical) {
       for (std::size_t i = 0; i < got.size(); ++i) {
         expect_same_tensor(*got[i].value, *want[i].value,
                            label + " " + want[i].name + " after step");
+      }
+    }
+  }
+}
+
+// --- fused training step -------------------------------------------------
+
+/// A regularizer as the references below apply it, pass by pass.
+struct RefRegularizer {
+  enum class Kind { kNone, kL2, kSkewed } kind = Kind::kNone;
+  double lambda1 = 0.0;  ///< L2's lambda, or the skewed left side's
+  double lambda2 = 0.0;
+  double factor = 0.0;
+  /// Skewed omegas per mappable index; empty = live (factor * stddev).
+  std::vector<double> frozen;
+
+  std::unique_ptr<nn::Regularizer> make() const {
+    if (kind == Kind::kL2) {
+      return std::make_unique<nn::L2Regularizer>(lambda1);
+    }
+    if (kind == Kind::kNone) {
+      return nullptr;
+    }
+    auto skewed =
+        std::make_unique<nn::SkewedL2Regularizer>(lambda1, lambda2, factor);
+    for (std::size_t i = 0; i < frozen.size(); ++i) {
+      skewed->freeze_omega(i, frozen[i]);
+    }
+    return skewed;
+  }
+
+  std::string label() const {
+    switch (kind) {
+      case Kind::kNone:
+        return "none";
+      case Kind::kL2:
+        return "l2";
+      case Kind::kSkewed:
+        return frozen.empty() ? "skewed live" : "skewed frozen";
+    }
+    return "?";
+  }
+};
+
+/// The penalty of weight `index` and its gradient added into `grad`, as
+/// the separate penalty() and add_gradient() passes computed them.
+double reference_regularize(const RefRegularizer& r, const Tensor& w,
+                            std::size_t index, Tensor& grad) {
+  if (r.kind == RefRegularizer::Kind::kL2) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < w.numel(); ++i) {
+      sum += static_cast<double>(w[i]) * static_cast<double>(w[i]);
+    }
+    const auto scale = static_cast<float>(2.0 * r.lambda1);
+    for (std::size_t i = 0; i < w.numel(); ++i) {
+      grad[i] += scale * w[i];
+    }
+    return r.lambda1 * static_cast<double>(static_cast<float>(sum));
+  }
+  double om = 0.0;
+  if (r.frozen.empty()) {
+    RunningStats rs;
+    for (std::size_t i = 0; i < w.numel(); ++i) {
+      rs.add(static_cast<double>(w[i]));
+    }
+    om = r.factor * rs.stddev();
+  } else {
+    om = r.frozen[index];
+  }
+  double left = 0.0;
+  double right = 0.0;
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    const double d = static_cast<double>(w[i]) - om;
+    if (d < 0.0) {
+      left += d * d;
+    } else {
+      right += d * d;
+    }
+  }
+  const auto omf = static_cast<float>(om);
+  const auto s1 = static_cast<float>(2.0 * r.lambda1);
+  const auto s2 = static_cast<float>(2.0 * r.lambda2);
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    const float d = w[i] - omf;
+    grad[i] += (d < 0.0f ? s1 : s2) * d;
+  }
+  return r.lambda1 * left + r.lambda2 * right;
+}
+
+/// The momentum-SGD pass: v = mu*v - lr*g; w += v.
+void reference_sgd(Tensor& w, const Tensor& g, Tensor& v, float lr,
+                   float mu) {
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    v[i] = mu * v[i] - lr * g[i];
+    w[i] += v[i];
+  }
+}
+
+std::vector<RefRegularizer> reference_regularizers(
+    std::vector<double> frozen) {
+  std::vector<RefRegularizer> out(5);
+  out[1].kind = RefRegularizer::Kind::kL2;
+  out[1].lambda1 = 3e-3;
+  for (std::size_t i = 2; i < 4; ++i) {
+    out[i].kind = RefRegularizer::Kind::kSkewed;
+    out[i].lambda1 = 4e-3;
+    out[i].lambda2 = 2e-4;
+    out[i].factor = -0.8;
+  }
+  out[3].frozen = std::move(frozen);
+  // lambda1 == lambda2 == 0: the gradient adds (+-0) * d.
+  out[4].kind = RefRegularizer::Kind::kSkewed;
+  out[4].frozen = out[3].frozen;
+  return out;
+}
+
+TEST(FastPathOracle, FusedUpdateMatchesSeparatePasses) {
+  // One pass per tensor against the three passes it replaced, on values
+  // that include +-0, denormals, exact omega hits, NaN and +-inf. NaN
+  // payloads: every NaN an element meets comes from one source (its w, its
+  // g, or inf - inf), so the result does not depend on operand order.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min() / 3.0f;
+  const float omega = 0.0625f;
+  for (const std::size_t n : {23u, 1001u}) {
+    for (const bool specials : {false, true}) {
+      Tensor w = random_tensor(Shape{n}, 70 + n);
+      Tensor g = random_tensor(Shape{n}, 71 + n);
+      Tensor v = random_tensor(Shape{n}, 72 + n);
+      const float w_set[] = {0.0f, -0.0f, denorm, -denorm, tiny,
+                             -tiny, omega, std::nextafter(omega, 0.0f)};
+      const float g_set[] = {0.0f, -0.0f, denorm, -tiny};
+      for (std::size_t i = 0; i < std::size(w_set); ++i) {
+        w[i] = w_set[i];
+        g[i + 8] = g_set[i % std::size(g_set)];
+        v[i + 12] = i % 2 == 0 ? -0.0f : denorm;
+      }
+      if (specials) {
+        w[16] = nan;
+        w[17] = inf;
+        w[18] = -inf;
+        g[19] = nan;
+        g[20] = inf;
+        g[21] = -inf;
+      }
+      // Live omegas only over finite weights (a NaN or inf makes every
+      // omega NaN and hides the rest).
+      for (const RefRegularizer& reg :
+           reference_regularizers({static_cast<double>(omega)})) {
+        if (specials && reg.kind == RefRegularizer::Kind::kSkewed &&
+            reg.frozen.empty()) {
+          continue;
+        }
+        const std::unique_ptr<nn::Regularizer> regularizer = reg.make();
+        for (const double momentum : {0.0, 0.9}) {
+          const std::string label = reg.label() + " n" + std::to_string(n) +
+                                    (specials ? " specials" : "") + " mu " +
+                                    std::to_string(momentum);
+          nn::SgdOptimizer opt({0.05, momentum});
+          Tensor w_got = w;
+          Tensor g_got = g;
+          opt.set_velocity(&w_got, v);
+          double penalty = 0.0;
+          if (regularizer != nullptr) {
+            const nn::RegularizerTerm term = regularizer->term(w_got, 0);
+            penalty = term.penalty(opt.update(w_got, g_got, &term));
+          } else {
+            opt.update(w_got, g_got, nullptr);
+          }
+
+          Tensor w_want = w;
+          Tensor g_want = g;
+          Tensor v_want = v;
+          double penalty_want = 0.0;
+          if (regularizer != nullptr) {
+            penalty_want = reference_regularize(reg, w_want, 0, g_want);
+            EXPECT_TRUE(same_bits(regularizer->penalty(w, 0), penalty_want))
+                << label << " penalty()";
+            Tensor g_added = g;
+            regularizer->add_gradient(w, 0, g_added);
+            expect_same_tensor(g_added, g_want, label + " add_gradient()");
+          }
+          reference_sgd(w_want, g_want, v_want, 0.05f,
+                        static_cast<float>(momentum));
+          EXPECT_TRUE(same_bits(penalty, penalty_want)) << label;
+          expect_same_tensor(w_got, w_want, label + " w");
+          expect_same_tensor(g_got, g_want, label + " g");
+          expect_same_tensor(*opt.velocity_for(&w_got), v_want, label + " v");
+        }
+      }
+    }
+  }
+}
+
+/// Today's training step with the checked public API: zero_grad, every
+/// layer's full backward, then per mappable weight the penalty and its
+/// gradient, then one SGD pass per parameter. Returns the penalty.
+double reference_train_step(nn::Network& net, const Tensor& x,
+                            const std::vector<std::int32_t>& labels,
+                            const RefRegularizer& reg, float lr, float mu,
+                            std::vector<Tensor>& velocity) {
+  net.zero_grad();
+  nn::SoftmaxCrossEntropy loss;
+  loss.forward(net.forward(x, /*training=*/true), labels);
+  Tensor g = loss.backward();
+  for (std::size_t i = net.layer_count(); i-- > 0;) {
+    g = net.layer(i).backward(g);
+  }
+  const std::vector<nn::ParamRef> params = net.params();
+  double penalty = 0.0;
+  if (reg.kind != RefRegularizer::Kind::kNone) {
+    std::size_t index = 0;
+    for (const nn::ParamRef& p : params) {
+      if (p.mappable) {
+        penalty += reference_regularize(reg, *p.value, index++, *p.grad);
+      }
+    }
+  }
+  for (std::size_t i = velocity.size(); i < params.size(); ++i) {
+    velocity.emplace_back(params[i].value->shape());
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    reference_sgd(*params[i].value, *params[i].grad, velocity[i], lr, mu);
+  }
+  return penalty;
+}
+
+/// Writes +-0, denormals and omega hits into the first elements of every
+/// mappable weight (finite values only: a NaN or inf weight turns the
+/// whole forward pass into NaNs from two sources, whose payloads would
+/// then depend on each GEMM's operand order).
+void plant_edge_weights(nn::Network& net, float omega) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float values[] = {0.0f, -0.0f, denorm, -denorm, omega};
+  for (const nn::ParamRef& p : net.params()) {
+    if (p.mappable) {
+      for (std::size_t i = 0; i < std::size(values); ++i) {
+        (*p.value)[i * 7] = values[i];
+      }
+    }
+  }
+}
+
+TEST(FastPathOracle, TrainBatchMatchesSeparatePassesReference) {
+  const float omega = 0.03125f;
+  const auto build = [omega](bool lenet) {
+    Rng rng(80);
+    nn::Network net = lenet ? nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng)
+                            : nn::make_mlp(48, {24, 12}, 10, rng);
+    plant_edge_weights(net, omega);
+    return net;
+  };
+  const std::vector<std::int32_t> labels{0, 3, 9, 4, 7, 1};
+  for (const std::string& variant : kernels::available()) {
+    const KernelVariant kv(variant);
+    for (const bool lenet : {false, true}) {
+      const std::size_t features = lenet ? 3 * 16 * 16 : 48;
+      Tensor x = random_tensor(Shape{labels.size(), features}, 81);
+      x[0] = -0.0f;
+      x[1] = std::numeric_limits<float>::denorm_min();
+      const std::size_t mappable = build(lenet).mappable_weights().size();
+      for (const RefRegularizer& reg : reference_regularizers(
+               std::vector<double>(mappable, static_cast<double>(omega)))) {
+        const std::unique_ptr<nn::Regularizer> regularizer = reg.make();
+        for (const double momentum : {0.0, 0.9}) {
+          const std::string label = variant + (lenet ? " lenet5 " : " mlp ") +
+                                    reg.label() + " mu " +
+                                    std::to_string(momentum);
+          nn::Network net = build(lenet);
+          nn::Network ref = build(lenet);
+          nn::SgdOptimizer opt({0.05, momentum});
+          std::vector<Tensor> velocity;
+          for (int step = 0; step < 3; ++step) {
+            const std::string at = label + " step " + std::to_string(step);
+            const nn::TrainStats stats =
+                net.train_batch(x, labels, opt, regularizer.get());
+            const double penalty = reference_train_step(
+                ref, x, labels, reg, 0.05f, static_cast<float>(momentum),
+                velocity);
+            EXPECT_TRUE(same_bits(stats.penalty, penalty)) << at;
+            const std::vector<nn::ParamRef> got = net.params();
+            const std::vector<nn::ParamRef> want = ref.params();
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              const std::string name = at + " " + want[i].name;
+              expect_same_tensor(*got[i].value, *want[i].value, name);
+              expect_same_tensor(*got[i].grad, *want[i].grad, name + " grad");
+              expect_same_tensor(*opt.velocity_for(got[i].value), velocity[i],
+                                 name + " velocity");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// core::train_model on a small dataset: 2 epochs of 5 steps, so the
+/// skewed runs cover a live omega (epoch 0) and a frozen one (epoch 1).
+core::ExperimentConfig digest_config(bool lenet) {
+  core::ExperimentConfig cfg;
+  cfg.model = lenet ? core::ExperimentConfig::Model::kLeNet5
+                    : core::ExperimentConfig::Model::kMlp;
+  cfg.dataset.height = 16;
+  cfg.dataset.width = 16;
+  cfg.dataset.train_per_class = 8;
+  cfg.dataset.test_per_class = 2;
+  cfg.train_config.epochs = 2;
+  cfg.train_config.batch = 16;
+  return cfg;
+}
+
+std::string_view bytes_of(const Tensor& t) {
+  return {reinterpret_cast<const char*>(t.data()), t.numel() * sizeof(float)};
+}
+
+/// FNV-1a over every parameter value and gradient, every EpochStats field
+/// and the final test accuracy.
+std::uint64_t training_digest(core::TrainedModel& tm) {
+  persist::Fingerprint fp;
+  for (const nn::ParamRef& p : tm.network.params()) {
+    fp.add(bytes_of(*p.value));
+    fp.add(bytes_of(*p.grad));
+  }
+  for (const core::EpochStats& es : tm.history.epochs) {
+    fp.add(static_cast<std::uint64_t>(es.epoch));
+    fp.add(es.loss);
+    fp.add(es.penalty);
+    fp.add(es.train_accuracy);
+    fp.add(es.test_accuracy);
+  }
+  fp.add(tm.history.final_test_accuracy);
+  return fp.value();
+}
+
+TEST(FastPathOracle, TrainModelDigestsArePinned) {
+  // Written by the separate-pass training step (penalty, add_gradient,
+  // SGD step, zero-filled gradients) before the step was fused; the order
+  // is mlp T, mlp ST, lenet5 T, lenet5 ST.
+  const std::map<std::string, std::vector<std::uint64_t>> pinned{
+      {"scalar",
+       {0x2c0c4a200a5e553cULL, 0xd9748452aec6bed0ULL, 0xc029cab824285a07ULL,
+        0xe069c94e4154cfb2ULL}},
+      {"avx2",
+       {0xfd77f154f525997dULL, 0xd23e53102e9f6f02ULL, 0x0cf0f640730ab553ULL,
+        0x5ce7add9acf604e7ULL}},
+  };
+  for (const std::string& variant : kernels::available()) {
+    const auto it = pinned.find(variant);
+    if (it == pinned.end()) {
+      continue;  // no digest recorded for this variant
+    }
+    const KernelVariant kv(variant);
+    std::size_t k = 0;
+    for (const bool lenet : {false, true}) {
+      for (const bool skewed : {false, true}) {
+        core::TrainedModel tm = core::train_model(digest_config(lenet), skewed);
+        EXPECT_EQ(training_digest(tm), it->second[k++])
+            << variant << (lenet ? " lenet5" : " mlp")
+            << (skewed ? " ST" : " T");
       }
     }
   }

@@ -107,6 +107,37 @@ TEST_P(KernelVariantSweep, MatmulMatchesNaivePerVariant) {
   }
 }
 
+TEST_P(KernelVariantSweep, TransposedGemmHasTheBitsOfGemmOnTheTranspose) {
+  // matmul_tn_into reads A from its (K x M) storage in the GEMM's own
+  // order: written, it equals a GEMM into a zeroed C whatever C held;
+  // accumulated, a GEMM accumulating into C.
+  const auto [m, k, n] = GetParam();
+  Rng rng(m * 31 + k * 7 + n);
+  const Tensor at = random_matrix(k, m, rng);
+  const Tensor b = random_matrix(k, n, rng);
+  const Tensor c0 = random_matrix(m, n, rng);
+  const auto same_bytes = [](const Tensor& x, const Tensor& y) {
+    return x.shape() == y.shape() &&
+           std::memcmp(x.data(), y.data(), x.numel() * sizeof(float)) == 0;
+  };
+  for (const std::string& name : kernels::available()) {
+    kernels::set_kernel(name);
+    const std::string label = name + " m=" + std::to_string(m) +
+                              " k=" + std::to_string(k) +
+                              " n=" + std::to_string(n);
+    const Tensor written = matmul(at.transposed(), b);
+    Tensor got = c0;
+    matmul_tn_into(at, b, got, /*accumulate=*/false);
+    EXPECT_TRUE(same_bytes(got, written)) << label << " written";
+    EXPECT_TRUE(same_bytes(matmul_tn(at, b), written)) << label << " matmul_tn";
+    Tensor accumulated = c0;
+    matmul_accumulate(at.transposed(), b, accumulated);
+    got = c0;
+    matmul_tn_into(at, b, got, /*accumulate=*/true);
+    EXPECT_TRUE(same_bytes(got, accumulated)) << label << " accumulated";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     OddAndTailShapes, KernelVariantSweep,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(1, 9, 17),
