@@ -1,4 +1,4 @@
-// Elementwise activation layers plus Flatten and Dropout.
+// Elementwise activation layers plus Flatten.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -35,21 +35,6 @@ class Tanh final : public Layer {
   Tensor output_;
 };
 
-/// 1 / (1 + exp(-x))
-class Sigmoid final : public Layer {
- public:
-  explicit Sigmoid(std::string name = "sigmoid");
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::size_t output_features(std::size_t input_features) const override {
-    return input_features;
-  }
-  LayerKind kind() const override { return LayerKind::kActivation; }
-
- private:
-  Tensor output_;
-};
-
 /// Shape marker between conv stacks and dense heads. Data is already flat
 /// per sample, so forward is the identity; the layer exists so topology
 /// descriptions read naturally and feature bookkeeping stays explicit.
@@ -62,24 +47,6 @@ class Flatten final : public Layer {
     return input_features;
   }
   LayerKind kind() const override { return LayerKind::kFlatten; }
-};
-
-/// Inverted dropout: active only in training mode.
-class Dropout final : public Layer {
- public:
-  Dropout(double rate, std::uint64_t seed, std::string name = "dropout");
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::size_t output_features(std::size_t input_features) const override {
-    return input_features;
-  }
-  LayerKind kind() const override { return LayerKind::kDropout; }
-
- private:
-  double rate_;
-  Rng rng_;
-  Tensor mask_;
-  bool last_training_ = false;
 };
 
 }  // namespace xbarlife::nn

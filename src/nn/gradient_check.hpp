@@ -17,8 +17,7 @@ struct GradCheckResult {
 
 /// Compares analytic parameter gradients against central finite differences
 /// of the data loss. Checks at most `max_per_param` scalars per parameter
-/// tensor (strided to cover the tensor). Dropout layers must be absent or
-/// the comparison is meaningless.
+/// tensor (strided to cover the tensor).
 GradCheckResult check_gradients(Network& net, const Tensor& input,
                                 std::span<const std::int32_t> labels,
                                 double eps = 1e-3,

@@ -14,8 +14,6 @@ std::string to_string(LayerKind kind) {
       return "activation";
     case LayerKind::kFlatten:
       return "flatten";
-    case LayerKind::kDropout:
-      return "dropout";
   }
   return "unknown";
 }

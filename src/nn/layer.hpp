@@ -23,7 +23,6 @@ enum class LayerKind {
   kPool,
   kActivation,
   kFlatten,
-  kDropout,
 };
 
 /// Returns "dense", "conv", ... for reports.
@@ -49,7 +48,8 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Computes outputs for a batch. Input is rank-2: (batch, features).
-  /// `training` enables stochastic behaviour (dropout).
+  /// `training` is true inside a training step. No layer reads it yet;
+  /// it is where a layer may skip saving what only backward needs.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Int8 inference forward on `spec`'s quantization grid. Layers that

@@ -7,6 +7,41 @@
 
 namespace xbarlife::nn {
 
+namespace {
+
+/// Mean accuracy of `forward_chunk`'s logits over `inputs`, evaluated in
+/// chunks of `batch` rows: the loop evaluate() and evaluate_quantized()
+/// share.
+template <class Forward>
+double evaluate_chunks(const Tensor& inputs,
+                       std::span<const std::int32_t> labels,
+                       std::size_t batch, Forward&& forward_chunk) {
+  XB_CHECK(inputs.shape().rank() == 2, "evaluate expects (n, features)");
+  XB_CHECK(batch > 0, "batch must be positive");
+  const std::size_t n = inputs.shape()[0];
+  XB_CHECK(labels.size() == n, "labels/inputs size mismatch");
+  if (n == 0) {
+    return 0.0;
+  }
+  const std::size_t features = inputs.shape()[1];
+  std::size_t hits = 0;
+  for (std::size_t start = 0; start < n; start += batch) {
+    const std::size_t count = std::min(batch, n - start);
+    Tensor chunk(Shape{count, features},
+                 std::vector<float>(
+                     inputs.data() + start * features,
+                     inputs.data() + (start + count) * features));
+    const Tensor logits = forward_chunk(chunk);
+    const double acc =
+        accuracy(logits, labels.subspan(start, count));
+    hits += static_cast<std::size_t>(
+        acc * static_cast<double>(count) + 0.5);
+  }
+  return static_cast<double>(hits) / static_cast<double>(n);
+}
+
+}  // namespace
+
 Network::Network(std::string name) : name_(std::move(name)) {}
 
 Network& Network::add(LayerPtr layer) {
@@ -65,28 +100,9 @@ double Network::evaluate_quantized(const Tensor& inputs,
                                    std::span<const std::int32_t> labels,
                                    std::span<const QuantSpec> specs,
                                    std::size_t batch) {
-  XB_CHECK(inputs.shape().rank() == 2, "evaluate expects (n, features)");
-  XB_CHECK(batch > 0, "batch must be positive");
-  const std::size_t n = inputs.shape()[0];
-  XB_CHECK(labels.size() == n, "labels/inputs size mismatch");
-  if (n == 0) {
-    return 0.0;
-  }
-  const std::size_t features = inputs.shape()[1];
-  std::size_t hits = 0;
-  for (std::size_t start = 0; start < n; start += batch) {
-    const std::size_t count = std::min(batch, n - start);
-    Tensor chunk(Shape{count, features},
-                 std::vector<float>(
-                     inputs.data() + start * features,
-                     inputs.data() + (start + count) * features));
-    Tensor logits = forward_quantized(chunk, specs);
-    const double acc =
-        accuracy(logits, labels.subspan(start, count));
-    hits += static_cast<std::size_t>(
-        acc * static_cast<double>(count) + 0.5);
-  }
-  return static_cast<double>(hits) / static_cast<double>(n);
+  return evaluate_chunks(inputs, labels, batch, [&](const Tensor& chunk) {
+    return forward_quantized(chunk, specs);
+  });
 }
 
 void Network::backward(const Tensor& grad_output) {
@@ -160,28 +176,9 @@ double Network::compute_gradients(const Tensor& input,
 double Network::evaluate(const Tensor& inputs,
                          std::span<const std::int32_t> labels,
                          std::size_t batch) {
-  XB_CHECK(inputs.shape().rank() == 2, "evaluate expects (n, features)");
-  XB_CHECK(batch > 0, "batch must be positive");
-  const std::size_t n = inputs.shape()[0];
-  XB_CHECK(labels.size() == n, "labels/inputs size mismatch");
-  if (n == 0) {
-    return 0.0;
-  }
-  const std::size_t features = inputs.shape()[1];
-  std::size_t hits = 0;
-  for (std::size_t start = 0; start < n; start += batch) {
-    const std::size_t count = std::min(batch, n - start);
-    Tensor chunk(Shape{count, features},
-                 std::vector<float>(
-                     inputs.data() + start * features,
-                     inputs.data() + (start + count) * features));
-    Tensor logits = forward(chunk, /*training=*/false);
-    const double acc =
-        accuracy(logits, labels.subspan(start, count));
-    hits += static_cast<std::size_t>(
-        acc * static_cast<double>(count) + 0.5);
-  }
-  return static_cast<double>(hits) / static_cast<double>(n);
+  return evaluate_chunks(inputs, labels, batch, [&](const Tensor& chunk) {
+    return forward(chunk, /*training=*/false);
+  });
 }
 
 std::vector<Tensor> Network::save_mappable_weights() {

@@ -1,4 +1,4 @@
-// 2-D pooling layers (max and average) over NCHW features.
+// 2-D max pooling over NCHW features.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -29,20 +29,6 @@ class MaxPool2D final : public Layer {
  private:
   PoolGeometry geometry_;
   std::vector<std::size_t> argmax_;  // winning flat input index per output
-  std::size_t batch_ = 0;
-};
-
-class AvgPool2D final : public Layer {
- public:
-  AvgPool2D(PoolGeometry geometry, std::string name);
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::size_t output_features(std::size_t input_features) const override;
-  LayerKind kind() const override { return LayerKind::kPool; }
-  const PoolGeometry& geometry() const { return geometry_; }
-
- private:
-  PoolGeometry geometry_;
   std::size_t batch_ = 0;
 };
 

@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "common/shutdown.hpp"
-#include "common/version.hpp"
 #include "net/faulty.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
@@ -163,25 +162,14 @@ std::string error_text(const net::Frame& frame) {
 /// Client-side hello-ack validation: rejects a worker that does not speak
 /// exactly this build's wire and execute codec versions.
 void check_hello_ack(std::string_view payload) {
-  std::uint8_t wire_v = 0;
-  std::uint8_t req_v = 0;
-  std::string build;
+  PeerHello worker;
   try {
-    persist::StateReader r(payload);
-    wire_v = r.u8();
-    req_v = r.u8();
-    build = r.str();
+    worker = read_hello(payload);
   } catch (const Error&) {
     throw net::WireError("remote worker sent a malformed hello ack payload");
   }
-  if (wire_v != net::kWireVersion || req_v != kRequestVersion) {
-    throw net::WireError(
-        "remote worker (build " + build + ") speaks wire v" +
-        std::to_string(wire_v) + " / execute-request v" +
-        std::to_string(req_v) + "; this client (build " +
-        std::string(kBuildVersion) + ") needs wire v" +
-        std::to_string(net::kWireVersion) + " and execute-request v" +
-        std::to_string(kRequestVersion));
+  if (!worker.matches()) {
+    throw net::WireError("remote worker " + worker.mismatch("client", "needs"));
   }
 }
 

@@ -95,6 +95,30 @@ std::string hello_payload() {
   return w.release();
 }
 
+PeerHello read_hello(std::string_view payload) {
+  persist::StateReader r(payload);
+  PeerHello hello;
+  hello.wire_version = r.u8();
+  hello.request_version = r.u8();
+  hello.build = r.str();
+  return hello;
+}
+
+bool PeerHello::matches() const {
+  return wire_version == net::kWireVersion &&
+         request_version == kRequestVersion;
+}
+
+std::string PeerHello::mismatch(std::string_view self,
+                                std::string_view verb) const {
+  return "(build " + build + ") speaks wire v" +
+         std::to_string(wire_version) + " / execute-request v" +
+         std::to_string(request_version) + "; this " + std::string(self) +
+         " (build " + std::string(kBuildVersion) + ") " + std::string(verb) +
+         " wire v" + std::to_string(net::kWireVersion) +
+         " and execute-request v" + std::to_string(kRequestVersion);
+}
+
 // ---------------------------------------------------------------------------
 // Worker-side protocol handlers.
 
@@ -443,18 +467,10 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
           // included) is answered with kError.
           std::string mismatch;
           try {
-            persist::StateReader hr(frame.payload);
-            const std::uint8_t wire_v = hr.u8();
-            const std::uint8_t req_v = hr.u8();
-            const std::string build = hr.str();
-            if (wire_v != net::kWireVersion || req_v != kRequestVersion) {
-              mismatch =
-                  "protocol mismatch: client (build " + build +
-                  ") speaks wire v" + std::to_string(wire_v) +
-                  " / execute-request v" + std::to_string(req_v) +
-                  "; this worker (build " + std::string(kBuildVersion) +
-                  ") speaks wire v" + std::to_string(net::kWireVersion) +
-                  " and execute-request v" + std::to_string(kRequestVersion);
+            const PeerHello peer = read_hello(frame.payload);
+            if (!peer.matches()) {
+              mismatch = "protocol mismatch: client " +
+                         peer.mismatch("worker", "speaks");
             }
           } catch (const Error&) {
             mismatch = "malformed hello payload";
@@ -473,22 +489,10 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
                            hello_payload(), metrics);
           break;
         }
-        case net::MsgType::kHeartbeat: {
-          // With stats attached the ack stamps uptime + protocol
-          // versions; the executor's liveness probe ignores the payload.
-          persist::StateWriter w;
-          if (opts.stats != nullptr) {
-            w.u64(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - opts.stats->started)
-                    .count()));
-            w.u8(net::kWireVersion);
-            w.u8(kRequestVersion);
-          }
-          net::write_frame(t, net::MsgType::kHeartbeatAck, frame.seq_id,
-                           w.data(), metrics);
+        case net::MsgType::kHeartbeat:
+          net::write_frame(t, net::MsgType::kHeartbeatAck, frame.seq_id, {},
+                           metrics);
           break;
-        }
         case net::MsgType::kExecute: {
           if (has_cached && frame.seq_id == cached_id) {
             // A replay is not fresh work: it answers with the cached bytes

@@ -66,6 +66,25 @@ inline constexpr std::uint8_t kRequestVersion = 3;
 /// codec version, and the build string.
 std::string hello_payload();
 
+/// A peer's hello or hello-ack payload, decoded by read_hello().
+struct PeerHello {
+  std::uint8_t wire_version = 0;
+  std::uint8_t request_version = 0;
+  std::string build;
+
+  /// True when the peer speaks exactly this build's wire and execute
+  /// codec versions.
+  bool matches() const;
+  /// "(build B) speaks wire vW / execute-request vR; this <self> (build K)
+  /// <verb> wire vX and execute-request vY": the peer's versions against
+  /// this build's, for a rejection message.
+  std::string mismatch(std::string_view self, std::string_view verb) const;
+};
+
+/// Reads a payload written by hello_payload(); throws CheckpointError
+/// when a field is truncated.
+PeerHello read_hello(std::string_view payload);
+
 /// Serializes a kExecute payload: geometry, device/aging parameters, the
 /// nonideality configuration (so the worker can rebuild the identical
 /// array), the full crossbar state, and the sequence. When

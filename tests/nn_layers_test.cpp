@@ -48,46 +48,12 @@ TEST(TanhLayer, ForwardValues) {
   }
 }
 
-TEST(SigmoidLayer, ForwardValues) {
-  Sigmoid s;
-  Tensor x(Shape{1, 2}, std::vector<float>{0.0f, 100.0f});
-  Tensor y = s.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 0.5f);
-  EXPECT_NEAR(y[1], 1.0f, 1e-6f);
-}
-
 TEST(FlattenLayer, PassThrough) {
   Flatten f;
   Tensor x(Shape{2, 6}, 3.0f);
   EXPECT_TRUE(allclose(f.forward(x, true), x));
   EXPECT_TRUE(allclose(f.backward(x), x));
   EXPECT_EQ(f.output_features(6), 6u);
-}
-
-TEST(DropoutLayer, InferenceIsIdentity) {
-  Dropout d(0.5, 1);
-  Tensor x(Shape{1, 100}, 1.0f);
-  EXPECT_TRUE(allclose(d.forward(x, /*training=*/false), x));
-}
-
-TEST(DropoutLayer, TrainingZeroesAndRescales) {
-  Dropout d(0.5, 2);
-  Tensor x(Shape{1, 10000}, 1.0f);
-  Tensor y = d.forward(x, /*training=*/true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y[i], 2.0f);  // 1 / keep
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.5, 0.03);
-}
-
-TEST(DropoutLayer, RejectsInvalidRate) {
-  EXPECT_THROW(Dropout(1.0, 1), InvalidArgument);
-  EXPECT_THROW(Dropout(-0.1, 1), InvalidArgument);
 }
 
 TEST(DenseLayer, ForwardComputesAffine) {
@@ -247,19 +213,6 @@ TEST(MaxPoolLayer, AllNegativeInfinityWindowKeepsGradientInside) {
   EXPECT_FLOAT_EQ(channel1, 7.0f);
 }
 
-TEST(AvgPoolLayer, AveragesWindows) {
-  PoolGeometry g{1, 2, 2, 2, 2};
-  AvgPool2D pool(g, "pool");
-  Tensor x(Shape{1, 4}, std::vector<float>{1.0f, 2.0f, 3.0f, 6.0f});
-  Tensor y = pool.forward(x, false);
-  ASSERT_EQ(y.numel(), 1u);
-  EXPECT_FLOAT_EQ(y[0], 3.0f);
-  Tensor gx = pool.backward(Tensor(Shape{1, 1}, 4.0f));
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_FLOAT_EQ(gx[i], 1.0f);
-  }
-}
-
 TEST(PoolGeometry, Validation) {
   PoolGeometry bad{0, 4, 4, 2, 2};
   EXPECT_THROW(bad.validate(), InvalidArgument);
@@ -273,7 +226,6 @@ TEST(LayerKind, ToString) {
   EXPECT_EQ(to_string(LayerKind::kPool), "pool");
   EXPECT_EQ(to_string(LayerKind::kActivation), "activation");
   EXPECT_EQ(to_string(LayerKind::kFlatten), "flatten");
-  EXPECT_EQ(to_string(LayerKind::kDropout), "dropout");
 }
 
 }  // namespace

@@ -199,10 +199,11 @@ void expect_fails_closed(const Decode& decode, const std::string& bytes,
 TEST(RemoteCodec, CorruptionOfEveryByteAndTruncationFailsClosed) {
   // The execute request (decoded and run by the worker) and the execute
   // response (decoded, then restored into the client's array the way the
-  // executor does it) of a 3x4 array: every single-byte flip and every
-  // truncation either decodes or throws a typed error. The shipped state
-  // goes through the block readers (crossbar cells, tracker blocks,
-  // sequence ops, per-op results).
+  // executor does it) of a 3x4 array, the hello payload, and a worker
+  // stats snapshot: every single-byte flip and every truncation either
+  // decodes or throws a typed error. The shipped state goes through the
+  // block readers (crossbar cells, tracker blocks, sequence ops, per-op
+  // results).
   NonidealityConfig cfg;
   cfg.write_noise_sigma = 0.01;
   cfg.stuck_off_fraction = 0.1;
@@ -211,6 +212,9 @@ TEST(RemoteCodec, CorruptionOfEveryByteAndTruncationFailsClosed) {
   const ProgramSequence seq = mixed_sequence(3, 4);
   const std::string request = encode_execute_request(xb, seq, true, 3, 1);
   const std::string response = execute_request(request);
+  WorkerStatsState stats;
+  stats.requests_served.store(4);
+  stats.metrics.bucketed_histogram("worker.request_ms").observe(1.5);
 
   struct Case {
     const char* name;
@@ -228,6 +232,10 @@ TEST(RemoteCodec, CorruptionOfEveryByteAndTruncationFailsClosed) {
          persist::StateReader sr(resp.crossbar_state);
          client.load_state(sr);
        }},
+      {"hello", hello_payload(),
+       [](const std::string& bytes) { (void)read_hello(bytes); }},
+      {"stats ack", stats.encode_snapshot(),
+       [](const std::string& bytes) { (void)decode_worker_stats(bytes); }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -610,7 +618,7 @@ TEST(RemoteExecutor_, ReplayAccountingReconcilesUnderLossySchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker stats endpoint, heartbeat stamping, and the versioned hello.
+// Worker stats endpoint and the versioned hello.
 
 /// A versioned kHello payload as the client builds it.
 std::string client_hello(std::uint8_t wire_v, std::uint8_t req_v) {
@@ -733,32 +741,6 @@ TEST(ServeConnection, StatsWithoutStateAnswersError) {
   EXPECT_EQ(err.type, net::MsgType::kError);
   persist::StateReader r(err.payload);
   EXPECT_NE(r.str().find("not enabled"), std::string::npos);
-  client->close();
-  worker.join();
-}
-
-TEST(ServeConnection, HeartbeatAckStampsUptimeAndVersions) {
-  auto [client, server] = net::make_pipe();
-  std::atomic<bool> stop{false};
-  WorkerStatsState stats;
-  std::thread worker([&, t = server.get()] {
-    ServeOptions opts;
-    opts.idle_poll = 20ms;
-    opts.stop = &stop;
-    opts.honor_shutdown_flag = false;
-    opts.stats = &stats;
-    serve_connection(*t, opts);
-  });
-
-  net::write_frame(*client, net::MsgType::kHeartbeat, 2);
-  const net::Frame ack = net::read_frame(*client, 1000ms);
-  ASSERT_EQ(ack.type, net::MsgType::kHeartbeatAck);
-  persist::StateReader r(ack.payload);
-  const std::uint64_t uptime_ms = r.u64();
-  EXPECT_LT(uptime_ms, 60'000u);  // this worker just started
-  EXPECT_EQ(r.u8(), net::kWireVersion);
-  EXPECT_EQ(r.u8(), kRequestVersion);
-  EXPECT_TRUE(r.done());
   client->close();
   worker.join();
 }
