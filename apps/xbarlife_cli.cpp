@@ -865,9 +865,10 @@ int cmd_info() {
              "            [--out FILE]   train and optionally save weights\n"
              "  lifetime  --model ... --scenario tt|stt|stat [--sessions N]\n"
              "            [--quantized] [--strict]  run one lifetime scenario\n"
-             "            (--quantized evaluates accuracy on the int8\n"
-             "            inference path; --strict exits 4 if the array dies\n"
-             "            before the session cap)\n"
+             "            (--quantized runs the tuning and range-selection\n"
+             "            accuracy checks on int8 weights and activations;\n"
+             "            --strict exits 4 if the array dies before the\n"
+             "            session cap)\n"
              "  sweep     --model ... [--replicates N] [--sessions N]\n"
              "            [--quantized] [--strict] run all scenarios x replicates\n"
              "            (parallel fan-out; per-job errors are isolated,\n"

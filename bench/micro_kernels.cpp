@@ -93,8 +93,8 @@ const ConvShape kConv2{{6, 6, 6, 5, 1, 0}, 16};
 const ConvShape kVggConv2{{4, 32, 32, 3, 1, 1}, 4};
 const ConvShape kVggConv10{{32, 4, 4, 3, 1, 1}, 32};
 
-/// One Conv2D forward over state.range(0) samples (64 = an evaluation
-/// batch, 16 = a training batch).
+/// One Conv2D inference (`infer`, float) over state.range(0) samples (64 =
+/// an evaluation batch, 16 = a training batch).
 void BM_ConvForward(benchmark::State& state, const ConvShape& shape) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   Rng rng(15);
@@ -102,7 +102,7 @@ void BM_ConvForward(benchmark::State& state, const ConvShape& shape) {
   const ConvGeometry& g = shape.g;
   const Tensor x = random_matrix(batch, g.in_channels * g.in_h * g.in_w, 16);
   for (auto _ : state) {
-    Tensor y = conv.forward(x, false);
+    Tensor y = conv.infer(x, nullptr);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -125,7 +125,7 @@ void BM_ConvWeightGrad(benchmark::State& state, const ConvShape& shape) {
   const Tensor x = random_matrix(batch, g.in_channels * g.in_h * g.in_w, 16);
   const Tensor gy = random_matrix(
       batch, shape.out_channels * g.out_h() * g.out_w(), 17);
-  conv.forward(x, true);
+  conv.forward(x);
   const float* weight_grad = conv.params()[0].grad->data();
   for (auto _ : state) {
     conv.backward_params(gy);

@@ -7,15 +7,21 @@ namespace xbarlife::nn {
 
 ReLU::ReLU(std::string name) : Layer(std::move(name)) {}
 
-Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
-  mask_ = Tensor(input.shape());
+Tensor ReLU::infer(const Tensor& input, const QuantSpec* /*spec*/) const {
   Tensor out = input;
   for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
+    if (!(out[i] > 0.0f)) {
       out[i] = 0.0f;
     }
+  }
+  return out;
+}
+
+Tensor ReLU::forward(const Tensor& input) {
+  Tensor out = infer(input, nullptr);
+  mask_ = Tensor(out.shape());
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    mask_[i] = out[i] > 0.0f ? 1.0f : 0.0f;
   }
   return out;
 }
@@ -28,9 +34,14 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 Tanh::Tanh(std::string name) : Layer(std::move(name)) {}
 
-Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
-  output_ = Tensor(input.shape());
-  kernels::select().tanh(input.data(), output_.data(), output_.numel());
+Tensor Tanh::infer(const Tensor& input, const QuantSpec* /*spec*/) const {
+  Tensor out(input.shape());
+  kernels::select().tanh(input.data(), out.data(), out.numel());
+  return out;
+}
+
+Tensor Tanh::forward(const Tensor& input) {
+  output_ = infer(input, nullptr);
   return output_;
 }
 
@@ -49,7 +60,7 @@ Tensor Tanh::backward(const Tensor& grad_output) {
 
 Flatten::Flatten(std::string name) : Layer(std::move(name)) {}
 
-Tensor Flatten::forward(const Tensor& input, bool /*training*/) {
+Tensor Flatten::infer(const Tensor& input, const QuantSpec* /*spec*/) const {
   return input;
 }
 

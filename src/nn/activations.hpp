@@ -9,7 +9,8 @@ namespace xbarlife::nn {
 class ReLU final : public Layer {
  public:
   explicit ReLU(std::string name = "relu");
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor infer(const Tensor& input, const QuantSpec* spec) const override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::size_t output_features(std::size_t input_features) const override {
     return input_features;
@@ -24,7 +25,8 @@ class ReLU final : public Layer {
 class Tanh final : public Layer {
  public:
   explicit Tanh(std::string name = "tanh");
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor infer(const Tensor& input, const QuantSpec* spec) const override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::size_t output_features(std::size_t input_features) const override {
     return input_features;
@@ -36,12 +38,12 @@ class Tanh final : public Layer {
 };
 
 /// Shape marker between conv stacks and dense heads. Data is already flat
-/// per sample, so forward is the identity; the layer exists so topology
+/// per sample, so infer is the identity; the layer exists so topology
 /// descriptions read naturally and feature bookkeeping stays explicit.
 class Flatten final : public Layer {
  public:
   explicit Flatten(std::string name = "flatten");
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor infer(const Tensor& input, const QuantSpec* spec) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::size_t output_features(std::size_t input_features) const override {
     return input_features;

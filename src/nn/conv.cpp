@@ -35,22 +35,43 @@ Conv2D::Conv2D(ConvGeometry geometry, std::size_t out_channels, Rng& rng,
   weight_.fill_gaussian(rng, 0.0f, scale);
 }
 
-std::size_t Conv2D::check_input(const Tensor& input) const {
+Tensor Conv2D::infer(const Tensor& input, const QuantSpec* spec) const {
   const std::size_t per_sample =
       geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   XB_CHECK(input.shape().rank() == 2 && input.shape()[1] == per_sample,
            "Conv2D " + name() + " expected (batch, " +
                std::to_string(per_sample) + "), got " +
                input.shape().to_string());
-  return input.shape()[0];
-}
-
-Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
-  const std::size_t batch = check_input(input);
-  input_ = input;
+  const std::size_t batch = input.shape()[0];
   const std::size_t patch = geometry_.patch_size();
   const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
   const std::size_t oc = out_channels_;
+  const float* bias = bias_.data();
+  Tensor out(Shape{batch, oc * pixels});
+  if (spec != nullptr) {
+    // One weight coding shared by the whole batch; activations are coded
+    // per sample (each sample's patches get their own range).
+    const QuantizedTensor qw = quantize_weights(weight_, *spec);
+    const auto run_samples = [&](std::size_t b_begin, std::size_t b_end) {
+      // The int8 GEMM takes (pixels, patch) activations.
+      Tensor rows(Shape{pixels, patch});
+      for (std::size_t b = b_begin; b < b_end; ++b) {
+        taps_.gather_rows(input.flat().subspan(b * per_sample, per_sample),
+                          rows.flat());
+        const QuantizedTensor qa = quantize_activations(rows);
+        const Tensor y = quantized_linear(qa, qw, nullptr);
+        const float* yp = y.data();
+        float* o = out.data() + b * oc * pixels;
+        for (std::size_t c = 0; c < oc; ++c) {
+          for (std::size_t p = 0; p < pixels; ++p) {
+            o[c * pixels + p] = yp[p * oc + c] + bias[c];
+          }
+        }
+      }
+    };
+    parallel_for(0, batch, parallel_grain(batch), run_samples);
+    return out;
+  }
   // Column j = b * pixels + p of the batch-wide product is pixel p of
   // sample b; tiles are whole 16-column AVX2 panels.
   const std::size_t n = batch * pixels;
@@ -58,8 +79,6 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
       std::max<std::size_t>(16, kTileFloats / patch / 16 * 16);
   const std::size_t tiles = (n + width - 1) / width;
   const Tensor wt = weight_.transposed();  // (out_ch, patch)
-  const float* bias = bias_.data();
-  Tensor out(Shape{batch, oc * pixels});
   const kernels::KernelSet& ks = kernels::select();
   // Tiles are independent: each gathers its own columns and writes its
   // own output elements, so they fan out across the pool bit-identically.
@@ -96,34 +115,9 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor Conv2D::forward_quantized(const Tensor& input, const QuantSpec& spec) {
-  const std::size_t batch = check_input(input);
-  const std::size_t per_sample = input.shape()[1];
-  const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
-  // One weight coding shared by the whole batch; activations are coded
-  // per sample (each sample's patches get their own range). The saved
-  // training input is left untouched — this is an inference-only path.
-  const QuantizedTensor qw = quantize_weights(weight_, spec);
-  const float* bias = bias_.data();
-  Tensor out(Shape{batch, out_channels_ * pixels});
-  const auto run_samples = [&](std::size_t b_begin, std::size_t b_end) {
-    // The int8 GEMM takes (pixels, patch) activations.
-    Tensor rows(Shape{pixels, geometry_.patch_size()});
-    for (std::size_t b = b_begin; b < b_end; ++b) {
-      taps_.gather_rows(input.flat().subspan(b * per_sample, per_sample),
-                        rows.flat());
-      const QuantizedTensor qa = quantize_activations(rows);
-      const Tensor y = quantized_linear(qa, qw, nullptr);
-      const float* yp = y.data();
-      float* o = out.data() + b * out_channels_ * pixels;
-      for (std::size_t c = 0; c < out_channels_; ++c) {
-        for (std::size_t p = 0; p < pixels; ++p) {
-          o[c * pixels + p] = yp[p * out_channels_ + c] + bias[c];
-        }
-      }
-    }
-  };
-  parallel_for(0, batch, parallel_grain(batch), run_samples);
+Tensor Conv2D::forward(const Tensor& input) {
+  Tensor out = infer(input, nullptr);
+  input_ = input;
   return out;
 }
 

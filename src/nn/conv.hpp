@@ -11,7 +11,7 @@ namespace xbarlife::nn {
 ///
 /// The kernel tensor is stored as a (patch_size, out_channels) matrix, the
 /// orientation the crossbar mapper expects (inputs drive rows, output
-/// channels are columns). The forward is one batch-wide `W^T * patches`
+/// channels are columns). The float forward is one batch-wide `W^T * patches`
 /// over the (patch_size, batch*pixels) patch matrix, computed tile by
 /// tile from column tiles the tap table gathers; its product rows are
 /// the channel-major outputs. The weight gradient re-gathers each
@@ -21,22 +21,15 @@ class Conv2D final : public Layer {
   Conv2D(ConvGeometry geometry, std::size_t out_channels, Rng& rng,
          std::string name);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor forward_quantized(const Tensor& input,
-                           const QuantSpec& spec) override;
+  Tensor infer(const Tensor& input, const QuantSpec* spec) const override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::size_t output_features(std::size_t input_features) const override;
   LayerKind kind() const override { return LayerKind::kConv; }
 
-  const ConvGeometry& geometry() const { return geometry_; }
-  std::size_t out_channels() const { return out_channels_; }
-  const Tensor& weight() const { return weight_; }
-
  private:
-  /// Checks a (batch, C*H*W) input and returns the batch size.
-  std::size_t check_input(const Tensor& input) const;
   /// Checks `grad_output` against the last forward and returns its batch.
   std::size_t check_grad_output(const Tensor& grad_output) const;
   /// Accumulates the weight and bias gradients and, when `grad_input` is

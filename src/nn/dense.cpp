@@ -22,12 +22,18 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
   weight_.fill_gaussian(rng, 0.0f, scale);
 }
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
+Tensor Dense::infer(const Tensor& input, const QuantSpec* spec) const {
   XB_CHECK(input.shape().rank() == 2 && input.shape()[1] == in_features_,
            "Dense " + name() + " expected (batch, " +
                std::to_string(in_features_) + "), got " +
                input.shape().to_string());
-  input_ = input;
+  if (spec != nullptr) {
+    // Weights are re-coded per call: the online tuner mutates them between
+    // inference epochs, and coding is O(in*out) — noise next to the GEMM.
+    const QuantizedTensor qw = quantize_weights(weight_, *spec);
+    const QuantizedTensor qa = quantize_activations(input);
+    return quantized_linear(qa, qw, &bias_);
+  }
   Tensor out = matmul(input, weight_);
   const std::size_t batch = out.shape()[0];
   const float* bias = bias_.data();
@@ -40,16 +46,10 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
-Tensor Dense::forward_quantized(const Tensor& input, const QuantSpec& spec) {
-  XB_CHECK(input.shape().rank() == 2 && input.shape()[1] == in_features_,
-           "Dense " + name() + " expected (batch, " +
-               std::to_string(in_features_) + "), got " +
-               input.shape().to_string());
-  // Weights are re-coded per call: the online tuner mutates them between
-  // inference epochs, and coding is O(in*out) — noise next to the GEMM.
-  const QuantizedTensor qw = quantize_weights(weight_, spec);
-  const QuantizedTensor qa = quantize_activations(input);
-  return quantized_linear(qa, qw, &bias_);
+Tensor Dense::forward(const Tensor& input) {
+  Tensor out = infer(input, nullptr);
+  input_ = input;
+  return out;
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {

@@ -15,21 +15,15 @@ class Dense final : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
         std::string name);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor forward_quantized(const Tensor& input,
-                           const QuantSpec& spec) override;
+  Tensor infer(const Tensor& input, const QuantSpec* spec) const override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::size_t output_features(std::size_t input_features) const override;
   LayerKind kind() const override { return LayerKind::kDense; }
 
-  std::size_t in_features() const { return in_features_; }
-  std::size_t out_features() const { return out_features_; }
-
-  const Tensor& weight() const { return weight_; }
   Tensor& weight() { return weight_; }
-  const Tensor& bias() const { return bias_; }
 
  private:
   std::size_t in_features_;
@@ -38,7 +32,7 @@ class Dense final : public Layer {
   Tensor bias_;         // (out)
   Tensor weight_grad_;
   Tensor bias_grad_;
-  Tensor input_;        // cached forward input (batch, in)
+  Tensor input_;        // the last forward's input (batch, in)
 };
 
 }  // namespace xbarlife::nn

@@ -22,7 +22,7 @@ GradCheckResult check_gradients(Network& net, const Tensor& input,
 
   SoftmaxCrossEntropy loss;
   auto loss_at = [&]() {
-    Tensor logits = net.forward(input, /*training=*/false);
+    Tensor logits = net.infer(input);
     return loss.forward(logits, labels);
   };
 

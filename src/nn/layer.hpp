@@ -1,8 +1,8 @@
 // Layer abstraction for the training substrate.
 //
 // The paper trains LeNet-5 and VGG-16 in TensorFlow; this module provides
-// the equivalent from-scratch substrate: layers expose forward/backward and
-// their parameters, and the ones that own a weight *matrix* (dense, conv)
+// the equivalent from-scratch substrate: layers expose infer, forward/backward
+// and their parameters, and the ones that own a weight *matrix* (dense, conv)
 // flag it as mappable so the crossbar mapper can find every matrix that will
 // live on a memristor array.
 #pragma once
@@ -38,8 +38,9 @@ struct ParamRef {
   bool mappable = false;
 };
 
-/// Base class of all layers. Layers are stateful: forward caches whatever
-/// backward needs, so a network instance must not be shared across threads.
+/// Base class of all layers. `forward` is stateful: it saves what
+/// `backward` needs, so a layer runs one training step at a time. `infer`
+/// saves nothing and may be called concurrently on one layer.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -47,21 +48,15 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Computes outputs for a batch. Input is rank-2: (batch, features).
-  /// `training` is true inside a training step. No layer reads it yet;
-  /// it is where a layer may skip saving what only backward needs.
-  virtual Tensor forward(const Tensor& input, bool training) = 0;
+  /// Inference on a (batch, features) input. A non-null `spec` runs a
+  /// layer that owns a mappable weight matrix (dense, conv) on the int8
+  /// GEMM path on that grid; every other layer ignores it and runs its
+  /// exact float forward, as dequantizing between layers requires.
+  virtual Tensor infer(const Tensor& input, const QuantSpec* spec) const = 0;
 
-  /// Int8 inference forward on `spec`'s quantization grid. Layers that
-  /// own a mappable weight matrix (dense, conv) override this to run the
-  /// quantized GEMM path; everything else ignores the spec and runs the
-  /// exact float forward, which is what the mathematically equivalent
-  /// dequantize-between-layers composition requires.
-  virtual Tensor forward_quantized(const Tensor& input,
-                                   const QuantSpec& spec) {
-    (void)spec;
-    return forward(input, /*training=*/false);
-  }
+  /// Training forward: infer(input, nullptr) plus whatever backward()
+  /// needs saved. The default saves nothing.
+  virtual Tensor forward(const Tensor& input) { return infer(input, nullptr); }
 
   /// Propagates `grad_output` (same shape as the last forward output) back,
   /// accumulating parameter gradients (writing them after

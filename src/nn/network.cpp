@@ -9,15 +9,16 @@ namespace xbarlife::nn {
 
 namespace {
 
-/// Mean accuracy of `forward_chunk`'s logits over `inputs`, evaluated in
-/// chunks of `batch` rows: the loop evaluate() and evaluate_quantized()
-/// share.
-template <class Forward>
-double evaluate_chunks(const Tensor& inputs,
+/// Samples per chunk of an accuracy evaluation.
+constexpr std::size_t kEvalChunk = 64;
+
+/// Mean accuracy of `net.infer(chunk, specs)`'s logits over `inputs`,
+/// evaluated in chunks of kEvalChunk rows: the one loop behind evaluate()
+/// and evaluate_quantized().
+double evaluate_chunks(const Network& net, const Tensor& inputs,
                        std::span<const std::int32_t> labels,
-                       std::size_t batch, Forward&& forward_chunk) {
+                       std::span<const QuantSpec> specs) {
   XB_CHECK(inputs.shape().rank() == 2, "evaluate expects (n, features)");
-  XB_CHECK(batch > 0, "batch must be positive");
   const std::size_t n = inputs.shape()[0];
   XB_CHECK(labels.size() == n, "labels/inputs size mismatch");
   if (n == 0) {
@@ -25,13 +26,13 @@ double evaluate_chunks(const Tensor& inputs,
   }
   const std::size_t features = inputs.shape()[1];
   std::size_t hits = 0;
-  for (std::size_t start = 0; start < n; start += batch) {
-    const std::size_t count = std::min(batch, n - start);
+  for (std::size_t start = 0; start < n; start += kEvalChunk) {
+    const std::size_t count = std::min(kEvalChunk, n - start);
     Tensor chunk(Shape{count, features},
                  std::vector<float>(
                      inputs.data() + start * features,
                      inputs.data() + (start + count) * features));
-    const Tensor logits = forward_chunk(chunk);
+    const Tensor logits = net.infer(chunk, specs);
     const double acc =
         accuracy(logits, labels.subspan(start, count));
     hits += static_cast<std::size_t>(
@@ -46,8 +47,10 @@ Network::Network(std::string name) : name_(std::move(name)) {}
 
 Network& Network::add(LayerPtr layer) {
   XB_CHECK(layer != nullptr, "cannot add null layer");
-  for (const ParamRef& p : layer->params()) {
-    params_.push_back(p);
+  const std::vector<ParamRef> params = layer->params();
+  params_.insert(params_.end(), params.begin(), params.end());
+  if (std::ranges::any_of(params, &ParamRef::mappable)) {
+    spec_layers_.push_back(layers_.size());
   }
   layers_.push_back(std::move(layer));
   return *this;
@@ -63,46 +66,40 @@ const Layer& Network::layer(std::size_t i) const {
   return *layers_[i];
 }
 
-Tensor Network::forward(const Tensor& input, bool training) {
+Tensor Network::infer(const Tensor& input,
+                      std::span<const QuantSpec> specs) const {
   XB_CHECK(!layers_.empty(), "network has no layers");
-  Tensor x = layers_[0]->forward(input, training);
+  XB_CHECK(specs.empty() || specs.size() == spec_layers_.size(),
+           "infer needs one QuantSpec per mappable weight");
+  std::size_t k = 0;  // the next spec
+  const auto spec_of = [&](std::size_t i) -> const QuantSpec* {
+    return k < specs.size() && spec_layers_[k] == i ? &specs[k++] : nullptr;
+  };
+  Tensor x = layers_[0]->infer(input, spec_of(0));
   for (std::size_t i = 1; i < layers_.size(); ++i) {
-    x = layers_[i]->forward(x, training);
+    x = layers_[i]->infer(x, spec_of(i));
   }
   return x;
 }
 
-Tensor Network::forward_quantized(const Tensor& input,
-                                  std::span<const QuantSpec> specs) {
+Tensor Network::forward(const Tensor& input) {
   XB_CHECK(!layers_.empty(), "network has no layers");
-  Tensor x = input;
-  std::size_t spec_index = 0;
-  for (auto& l : layers_) {
-    bool mappable = false;
-    for (const ParamRef& p : l->params()) {
-      mappable = mappable || p.mappable;
-    }
-    if (mappable) {
-      XB_CHECK(spec_index < specs.size(),
-               "forward_quantized needs one QuantSpec per mappable weight");
-      x = l->forward_quantized(x, specs[spec_index]);
-      ++spec_index;
-    } else {
-      x = l->forward(x, /*training=*/false);
-    }
+  Tensor x = layers_[0]->forward(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    x = layers_[i]->forward(x);
   }
-  XB_CHECK(spec_index == specs.size(),
-           "forward_quantized spec count mismatch");
   return x;
+}
+
+double Network::evaluate(const Tensor& inputs,
+                         std::span<const std::int32_t> labels) const {
+  return evaluate_chunks(*this, inputs, labels, {});
 }
 
 double Network::evaluate_quantized(const Tensor& inputs,
                                    std::span<const std::int32_t> labels,
-                                   std::span<const QuantSpec> specs,
-                                   std::size_t batch) {
-  return evaluate_chunks(inputs, labels, batch, [&](const Tensor& chunk) {
-    return forward_quantized(chunk, specs);
-  });
+                                   std::span<const QuantSpec> specs) const {
+  return evaluate_chunks(*this, inputs, labels, specs);
 }
 
 void Network::backward(const Tensor& grad_output) {
@@ -146,7 +143,7 @@ TrainStats Network::train_batch(const Tensor& input,
                                 std::span<const std::int32_t> labels,
                                 SgdOptimizer& optimizer,
                                 const Regularizer* regularizer) {
-  Tensor logits = forward(input, /*training=*/true);
+  Tensor logits = forward(input);
   TrainStats stats;
   stats.loss = loss_.forward(logits, labels);
   stats.accuracy = accuracy(logits, labels);
@@ -167,18 +164,10 @@ TrainStats Network::train_batch(const Tensor& input,
 
 double Network::compute_gradients(const Tensor& input,
                                   std::span<const std::int32_t> labels) {
-  Tensor logits = forward(input, /*training=*/false);
+  Tensor logits = forward(input);
   const double loss = loss_.forward(logits, labels);
   backward(loss_.backward());
   return loss;
-}
-
-double Network::evaluate(const Tensor& inputs,
-                         std::span<const std::int32_t> labels,
-                         std::size_t batch) {
-  return evaluate_chunks(inputs, labels, batch, [&](const Tensor& chunk) {
-    return forward(chunk, /*training=*/false);
-  });
 }
 
 std::vector<Tensor> Network::save_mappable_weights() {

@@ -44,22 +44,22 @@ class Network {
   Layer& layer(std::size_t i);
   const Layer& layer(std::size_t i) const;
 
-  /// Forward pass over a batch (inference mode unless `training`).
-  Tensor forward(const Tensor& input, bool training = false);
+  /// Inference over a batch; no layer saves anything, so one network may
+  /// serve concurrent calls. With `specs` (one per mappable weight, in
+  /// mappable_weights() order; see HardwareNetwork::quant_specs()), every
+  /// layer with a mappable weight matrix runs the int8 GEMM path on its
+  /// spec; without, every layer runs its float forward, bit for bit what
+  /// forward() computes. Byte-identical at any thread count.
+  Tensor infer(const Tensor& input,
+               std::span<const QuantSpec> specs = {}) const;
 
-  /// Int8 inference forward: every layer with a mappable weight matrix
-  /// runs the quantized GEMM path on its spec (one per mappable weight,
-  /// in mappable_weights() order — see HardwareNetwork::quant_specs());
-  /// all other layers run their exact float forward. Byte-identical at
-  /// any thread count.
-  Tensor forward_quantized(const Tensor& input,
-                           std::span<const QuantSpec> specs);
+  /// Training forward pass: each layer saves what backward() needs.
+  Tensor forward(const Tensor& input);
 
-  /// evaluate() on the quantized forward pass.
+  /// evaluate() on the int8 path of infer(input, specs).
   double evaluate_quantized(const Tensor& inputs,
                             std::span<const std::int32_t> labels,
-                            std::span<const QuantSpec> specs,
-                            std::size_t batch = 64);
+                            std::span<const QuantSpec> specs) const;
 
   /// Backward pass from a loss gradient; writes every parameter gradient
   /// (the previous pass's are replaced, so it needs no zero_grad()). The
@@ -90,10 +90,9 @@ class Network {
   double compute_gradients(const Tensor& input,
                            std::span<const std::int32_t> labels);
 
-  /// Mean accuracy over `inputs` evaluated in chunks of `batch`.
+  /// Mean accuracy of infer() over `inputs`, evaluated in chunks of 64.
   double evaluate(const Tensor& inputs,
-                  std::span<const std::int32_t> labels,
-                  std::size_t batch = 64);
+                  std::span<const std::int32_t> labels) const;
 
   /// Snapshot of every mappable weight matrix (deep copy, layer order).
   std::vector<Tensor> save_mappable_weights();
@@ -112,6 +111,8 @@ class Network {
   std::vector<LayerPtr> layers_;
   /// Every layer's parameters, gathered as the layers are added.
   std::vector<ParamRef> params_;
+  /// The layers that own a mappable weight, which infer() hands a spec.
+  std::vector<std::size_t> spec_layers_;
   SoftmaxCrossEntropy loss_;
 };
 

@@ -15,23 +15,36 @@ MaxPool2D::MaxPool2D(PoolGeometry geometry, std::string name)
   geometry_.validate();
 }
 
-Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool2D::infer(const Tensor& input,
+                        const QuantSpec* /*spec*/) const {
+  return pool(input, nullptr);
+}
+
+Tensor MaxPool2D::forward(const Tensor& input) {
+  return pool(input, &argmax_);
+}
+
+Tensor MaxPool2D::pool(const Tensor& input,
+                       std::vector<std::size_t>* argmax) const {
   const auto& g = geometry_;
   const std::size_t per_sample = g.channels * g.in_h * g.in_w;
   XB_CHECK(input.shape().rank() == 2 && input.shape()[1] == per_sample,
            "pool " + name() + " expected (batch, " +
                std::to_string(per_sample) + "), got " +
                input.shape().to_string());
-  batch_ = input.shape()[0];
+  const std::size_t batch = input.shape()[0];
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
   const std::size_t per_out = g.channels * oh * ow;
-  Tensor out(Shape{batch_, per_out});
-  argmax_.assign(batch_ * per_out, 0);
-  for (std::size_t b = 0; b < batch_; ++b) {
+  Tensor out(Shape{batch, per_out});
+  if (argmax != nullptr) {
+    argmax->assign(batch * per_out, 0);
+  }
+  for (std::size_t b = 0; b < batch; ++b) {
     const float* x = input.data() + b * per_sample;
     float* y = out.data() + b * per_out;
-    std::size_t* arg = argmax_.data() + b * per_out;
+    std::size_t* arg =
+        argmax != nullptr ? argmax->data() + b * per_out : nullptr;
     for (std::size_t c = 0; c < g.channels; ++c) {
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox) {
@@ -53,7 +66,9 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
           }
           const std::size_t o = (c * oh + oy) * ow + ox;
           y[o] = best;
-          arg[o] = best_idx;
+          if (arg != nullptr) {
+            arg[o] = best_idx;
+          }
         }
       }
     }
@@ -64,13 +79,14 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
 Tensor MaxPool2D::backward(const Tensor& grad_output) {
   const auto& g = geometry_;
   const std::size_t per_out = g.channels * g.out_h() * g.out_w();
+  const std::size_t batch = argmax_.size() / per_out;
   XB_CHECK(grad_output.shape().rank() == 2 &&
-               grad_output.shape()[0] == batch_ &&
+               grad_output.shape()[0] == batch &&
                grad_output.shape()[1] == per_out,
            "MaxPool2D backward shape mismatch");
   const std::size_t per_in = g.channels * g.in_h * g.in_w;
-  Tensor grad_input(Shape{batch_, per_in});
-  for (std::size_t b = 0; b < batch_; ++b) {
+  Tensor grad_input(Shape{batch, per_in});
+  for (std::size_t b = 0; b < batch; ++b) {
     float* gx = grad_input.data() + b * per_in;
     const float* gy = grad_output.data() + b * per_out;
     const std::size_t* arg = argmax_.data() + b * per_out;

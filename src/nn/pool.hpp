@@ -20,16 +20,19 @@ struct PoolGeometry {
 class MaxPool2D final : public Layer {
  public:
   MaxPool2D(PoolGeometry geometry, std::string name);
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor infer(const Tensor& input, const QuantSpec* spec) const override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::size_t output_features(std::size_t input_features) const override;
   LayerKind kind() const override { return LayerKind::kPool; }
-  const PoolGeometry& geometry() const { return geometry_; }
 
  private:
+  /// The pooled batch; with `argmax`, also each output's winning flat
+  /// input index.
+  Tensor pool(const Tensor& input, std::vector<std::size_t>* argmax) const;
+
   PoolGeometry geometry_;
-  std::vector<std::size_t> argmax_;  // winning flat input index per output
-  std::size_t batch_ = 0;
+  std::vector<std::size_t> argmax_;  // the last forward's pool() argmax
 };
 
 }  // namespace xbarlife::nn

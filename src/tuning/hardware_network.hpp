@@ -188,7 +188,7 @@ class HardwareNetwork {
   /// Ground-truth aging statistics per deployed layer.
   std::vector<xbar::CrossbarAgingStats> aging_stats() const;
 
-  /// Quantization grids for nn::Network::forward_quantized, one per
+  /// Quantization grids for nn::Network::infer(x, specs), one per
   /// mappable weight in layer order: level count and weight clamp window
   /// from each layer's current mapping plan (aged arrays report fewer
   /// levels, coarsening the int8 grid exactly as the analog array

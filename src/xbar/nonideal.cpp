@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "xbar/crossbar.hpp"
 
 namespace xbarlife::xbar {
 
@@ -77,19 +76,6 @@ double apply_read_noise(const NonidealityConfig& config, double g,
   return g * factor;
 }
 
-double faulted_conductance(FaultMap::Fault fault, double g, double g_min,
-                           double g_max) {
-  switch (fault) {
-    case FaultMap::Fault::kNone:
-      return g;
-    case FaultMap::Fault::kStuckOff:
-      return g_min;
-    case FaultMap::Fault::kStuckOn:
-      return g_max;
-  }
-  return g;
-}
-
 double ir_drop_conductance(const NonidealityConfig& config, double g,
                            std::size_t r, std::size_t c) {
   XB_CHECK(g > 0.0, "conductance must be positive");
@@ -99,30 +85,6 @@ double ir_drop_conductance(const NonidealityConfig& config, double g,
   const double r_wire =
       config.line_resistance * static_cast<double>(r + c + 2);
   return g / (1.0 + g * r_wire);
-}
-
-Tensor observed_conductances(const Crossbar& xb,
-                             const NonidealityConfig& config,
-                             const FaultMap* faults, Rng& rng) {
-  config.validate();
-  XB_CHECK(faults == nullptr ||
-               (faults->rows() == xb.rows() && faults->cols() == xb.cols()),
-           "fault map must match the crossbar");
-  const double g_min = xb.device_params().g_min();
-  const double g_max = xb.device_params().g_max();
-  Tensor g(Shape{xb.rows(), xb.cols()});
-  for (std::size_t r = 0; r < xb.rows(); ++r) {
-    for (std::size_t c = 0; c < xb.cols(); ++c) {
-      double value = xb.cell(r, c).conductance();
-      if (faults != nullptr) {
-        value = faulted_conductance(faults->at(r, c), value, g_min, g_max);
-      }
-      value = apply_read_noise(config, value, rng);
-      value = ir_drop_conductance(config, value, r, c);
-      g.at(r, c) = static_cast<float>(value);
-    }
-  }
-  return g;
 }
 
 }  // namespace xbarlife::xbar

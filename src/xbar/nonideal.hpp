@@ -13,11 +13,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "tensor/tensor.hpp"
 
 namespace xbarlife::xbar {
-
-class Crossbar;
 
 struct NonidealityConfig {
   /// Cycle-to-cycle programming variability: the achieved conductance is
@@ -80,11 +77,6 @@ double apply_write_noise(const NonidealityConfig& config, double g,
 double apply_read_noise(const NonidealityConfig& config, double g,
                         Rng& rng);
 
-/// Conductance override for a faulty cell; `g_min`/`g_max` are the
-/// device's fresh conductance bounds. Returns `g` unchanged for kNone.
-double faulted_conductance(FaultMap::Fault fault, double g, double g_min,
-                           double g_max);
-
 /// First-order IR-drop attenuation of the cell at (r, c) in a rows x cols
 /// array: the effective conductance seen at the periphery shrinks with
 /// the wire length of the current path, g_eff = g / (1 + g * R_wire(r,c))
@@ -92,11 +84,5 @@ double faulted_conductance(FaultMap::Fault fault, double g, double g_min,
 /// farthest from the drivers/sense amps).
 double ir_drop_conductance(const NonidealityConfig& config, double g,
                            std::size_t r, std::size_t c);
-
-/// Noisy, faulty, IR-attenuated snapshot of a crossbar's conductances —
-/// what the analog periphery actually sees during a VMM.
-Tensor observed_conductances(const Crossbar& xb,
-                             const NonidealityConfig& config,
-                             const FaultMap* faults, Rng& rng);
 
 }  // namespace xbarlife::xbar

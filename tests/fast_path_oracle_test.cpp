@@ -682,7 +682,7 @@ TEST(FastPathOracle, ConvMatchesRowLayoutComposition) {
 
           *params[0].grad = weight_grad0;
           *params[1].grad = bias_grad0;
-          expect_same_tensor(conv.forward(x, true), want.y, label + " y");
+          expect_same_tensor(conv.forward(x), want.y, label + " y");
           expect_same_tensor(conv.backward(gy), want.grad_input,
                              label + " grad_input");
           expect_same_tensor(*params[0].grad, want.weight_grad,
@@ -732,7 +732,7 @@ TEST(FastPathOracle, ConvBatchSizeChangesMatchFreshLayer) {
           layer->params()[0].grad->fill(0.0f);
           layer->params()[1].grad->fill(0.0f);
         }
-        expect_same_tensor(conv.forward(x, true), fresh.forward(x, true),
+        expect_same_tensor(conv.forward(x), fresh.forward(x),
                            label + " y");
         expect_same_tensor(conv.backward(gy), fresh.backward(gy),
                            label + " grad_input");
@@ -740,6 +740,88 @@ TEST(FastPathOracle, ConvBatchSizeChangesMatchFreshLayer) {
                            label + " weight_grad");
         expect_same_tensor(*conv.params()[1].grad, *fresh.params()[1].grad,
                            label + " bias_grad");
+      }
+    }
+  }
+}
+
+// --- one inference path ---------------------------------------------------
+
+/// The models infer() serves: MLP (ReLU), LeNet-5 (conv, pool, tanh) and
+/// a narrow VGG-16 (padded 3x3 convs).
+struct InferModel {
+  std::string label;
+  nn::Network net;
+  std::size_t features;
+};
+
+std::vector<InferModel> infer_models() {
+  Rng rng(70);
+  std::vector<InferModel> models;
+  models.push_back({"mlp", nn::make_mlp(48, {24, 12}, 10, rng), 48});
+  models.push_back({"lenet5",
+                    nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng),
+                    3 * 16 * 16});
+  models.push_back({"vgg16",
+                    nn::make_vgg16(nn::ImageSpec{3, 32, 32}, 10, 4, rng),
+                    3 * 32 * 32});
+  return models;
+}
+
+TEST(FastPathOracle, InferMatchesTrainingForward) {
+  // infer() saves nothing; the training forward() also saves what
+  // backward() needs. Their logits must be the same bits.
+  for (const std::string& variant : kernels::available()) {
+    const KernelVariant kv(variant);
+    for (const std::size_t threads : {1u, 4u}) {
+      const ThreadCount tc(threads);
+      for (InferModel& m : infer_models()) {
+        const Tensor x = random_tensor(Shape{5, m.features}, 71);
+        expect_same_tensor(m.net.infer(x), m.net.forward(x),
+                           variant + " t" + std::to_string(threads) + " " +
+                               m.label);
+      }
+    }
+  }
+}
+
+TEST(FastPathOracle, InferReentrantUnderParallelFor) {
+  // One const network serves every chunk of a slice from inside one
+  // parallel_for body; each chunk's logits must be the bits of a serial
+  // infer() of that chunk, on the float and the int8 path.
+  constexpr std::size_t kChunks = 8;
+  constexpr std::size_t kRows = 3;
+  for (InferModel& m : infer_models()) {
+    const std::vector<nn::QuantSpec> specs(m.net.mappable_weights().size(),
+                                           nn::QuantSpec{});
+    const nn::Network& net = m.net;
+    const Tensor slice =
+        random_tensor(Shape{kChunks * kRows, m.features}, 72);
+    std::vector<Tensor> chunks;
+    for (std::size_t i = 0; i < kChunks; ++i) {
+      chunks.emplace_back(
+          Shape{kRows, m.features},
+          std::vector<float>(slice.data() + i * kRows * m.features,
+                             slice.data() + (i + 1) * kRows * m.features));
+    }
+    for (const bool quantized : {false, true}) {
+      const std::span<const nn::QuantSpec> s =
+          quantized ? std::span<const nn::QuantSpec>(specs)
+                    : std::span<const nn::QuantSpec>();
+      std::vector<Tensor> got(kChunks);
+      {
+        const ThreadCount tc(4);
+        parallel_for(0, kChunks, 1, [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) {
+            got[i] = net.infer(chunks[i], s);
+          }
+        });
+      }
+      const ThreadCount tc(1);
+      for (std::size_t i = 0; i < kChunks; ++i) {
+        expect_same_tensor(got[i], net.infer(chunks[i], s),
+                           m.label + (quantized ? " int8" : " float") +
+                               " chunk " + std::to_string(i));
       }
     }
   }
@@ -767,7 +849,7 @@ TEST(FastPathOracle, FirstLayerSkipLeavesGradientsAndStepIdentical) {
 
       ref.zero_grad();
       nn::SoftmaxCrossEntropy loss;
-      loss.forward(ref.forward(x, /*training=*/true), labels);
+      loss.forward(ref.forward(x), labels);
       Tensor g = loss.backward();
       for (std::size_t i = ref.layer_count(); i-- > 0;) {
         g = ref.layer(i).backward(g);
@@ -988,7 +1070,7 @@ double reference_train_step(nn::Network& net, const Tensor& x,
                             std::vector<Tensor>& velocity) {
   net.zero_grad();
   nn::SoftmaxCrossEntropy loss;
-  loss.forward(net.forward(x, /*training=*/true), labels);
+  loss.forward(net.forward(x), labels);
   Tensor g = loss.backward();
   for (std::size_t i = net.layer_count(); i-- > 0;) {
     g = net.layer(i).backward(g);

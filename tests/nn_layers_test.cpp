@@ -17,7 +17,7 @@ namespace {
 TEST(ReLULayer, ForwardClampsNegatives) {
   ReLU relu;
   Tensor x(Shape{1, 4}, std::vector<float>{-1.0f, 0.0f, 2.0f, -3.0f});
-  Tensor y = relu.forward(x, false);
+  Tensor y = relu.infer(x, nullptr);
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
@@ -27,7 +27,7 @@ TEST(ReLULayer, ForwardClampsNegatives) {
 TEST(ReLULayer, BackwardMasksGradient) {
   ReLU relu;
   Tensor x(Shape{1, 3}, std::vector<float>{-1.0f, 1.0f, 2.0f});
-  relu.forward(x, false);
+  relu.forward(x);
   Tensor g(Shape{1, 3}, 1.0f);
   Tensor gx = relu.backward(g);
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
@@ -42,7 +42,7 @@ TEST(TanhLayer, ForwardValues) {
   const std::vector<float> v{0.0f, 1.0f,  -1.0f, 0.25f, -3.0f,
                              21.9f, 22.0f, -1e-20f, 0.5f};
   Tensor x(Shape{1, v.size()}, v);
-  Tensor y = t.forward(x, false);
+  Tensor y = t.infer(x, nullptr);
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_EQ(y[i], std::tanh(v[i])) << "x=" << v[i];
   }
@@ -51,7 +51,7 @@ TEST(TanhLayer, ForwardValues) {
 TEST(FlattenLayer, PassThrough) {
   Flatten f;
   Tensor x(Shape{2, 6}, 3.0f);
-  EXPECT_TRUE(allclose(f.forward(x, true), x));
+  EXPECT_TRUE(allclose(f.forward(x), x));
   EXPECT_TRUE(allclose(f.backward(x), x));
   EXPECT_EQ(f.output_features(6), 6u);
 }
@@ -67,7 +67,7 @@ TEST(DenseLayer, ForwardComputesAffine) {
     }
   }
   Tensor x(Shape{1, 2}, std::vector<float>{1.0f, 2.0f});
-  Tensor y = dense.forward(x, false);
+  Tensor y = dense.infer(x, nullptr);
   // y_j = 1*1 + 2*2 = 5 for every j (bias zero).
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_FLOAT_EQ(y.at(0, j), 5.0f);
@@ -88,7 +88,7 @@ TEST(DenseLayer, ParamsExposeMappableWeight) {
 TEST(DenseLayer, WrongInputWidthThrows) {
   Rng rng(1);
   Dense dense(4, 2, rng, "fc");
-  EXPECT_THROW(dense.forward(Tensor(Shape{1, 3}), false), InvalidArgument);
+  EXPECT_THROW(dense.infer(Tensor(Shape{1, 3}), nullptr), InvalidArgument);
   EXPECT_THROW(dense.output_features(3), InvalidArgument);
 }
 
@@ -97,7 +97,7 @@ TEST(ConvLayer, OutputShapeAndChannelMajorLayout) {
   ConvGeometry g{1, 4, 4, 3, 1, 0};
   Conv2D conv(g, 2, rng, "conv");
   Tensor x(Shape{1, 16}, 1.0f);
-  Tensor y = conv.forward(x, false);
+  Tensor y = conv.infer(x, nullptr);
   EXPECT_EQ(y.shape(), (Shape{1, 2 * 2 * 2}));
   EXPECT_EQ(conv.output_features(16), 8u);
 }
@@ -111,7 +111,7 @@ TEST(ConvLayer, KnownConvolutionValue) {
   params[0].value->fill(1.0f);
   params[1].value->fill(0.0f);
   Tensor x(Shape{1, 9}, std::vector<float>{0, 1, 2, 3, 4, 5, 6, 7, 8});
-  Tensor y = conv.forward(x, false);
+  Tensor y = conv.infer(x, nullptr);
   ASSERT_EQ(y.numel(), 1u);
   EXPECT_FLOAT_EQ(y[0], 36.0f);
 }
@@ -127,7 +127,7 @@ TEST(ConvLayer, ParallelBatchMatchesSerialBitwise) {
   x.fill_gaussian(rng, 0.0f, 1.0f);
 
   set_parallel_threads(1);
-  const Tensor y_serial = conv.forward(x, true);
+  const Tensor y_serial = conv.forward(x);
   Tensor gy(y_serial.shape(), 0.5f);
   const Tensor gx_serial = conv.backward(gy);
   auto params = conv.params();
@@ -136,7 +136,7 @@ TEST(ConvLayer, ParallelBatchMatchesSerialBitwise) {
   params[1].grad->fill(0.0f);
 
   set_parallel_threads(4);
-  const Tensor y_threaded = conv.forward(x, true);
+  const Tensor y_threaded = conv.forward(x);
   const Tensor gx_threaded = conv.backward(gy);
   set_parallel_threads(1);
 
@@ -155,7 +155,7 @@ TEST(ConvLayer, BackwardFailsClosedWithoutMatchingForward) {
   EXPECT_THROW(conv.backward(gy3), InvalidArgument);
   EXPECT_THROW(conv.backward_params(gy3), InvalidArgument);
 
-  conv.forward(Tensor(Shape{2, 2 * 6 * 6}, 1.0f), true);
+  conv.forward(Tensor(Shape{2, 2 * 6 * 6}, 1.0f));
   EXPECT_THROW(conv.backward(gy3), InvalidArgument);
   EXPECT_THROW(conv.backward_params(gy3), InvalidArgument);
   EXPECT_THROW(conv.backward(Tensor(Shape{2, 4 * 6 * 6 - 1})),
@@ -171,7 +171,7 @@ TEST(MaxPoolLayer, SelectsWindowMaxima) {
   for (std::size_t i = 0; i < 16; ++i) {
     x[i] = static_cast<float>(i);
   }
-  Tensor y = pool.forward(x, false);
+  Tensor y = pool.infer(x, nullptr);
   EXPECT_EQ(y.shape(), (Shape{1, 4}));
   EXPECT_FLOAT_EQ(y[0], 5.0f);
   EXPECT_FLOAT_EQ(y[1], 7.0f);
@@ -183,7 +183,7 @@ TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
   PoolGeometry g{1, 2, 2, 2, 2};
   MaxPool2D pool(g, "pool");
   Tensor x(Shape{1, 4}, std::vector<float>{1.0f, 9.0f, 3.0f, 4.0f});
-  pool.forward(x, false);
+  pool.forward(x);
   Tensor gy(Shape{1, 1}, 5.0f);
   Tensor gx = pool.backward(gy);
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
@@ -199,7 +199,7 @@ TEST(MaxPoolLayer, AllNegativeInfinityWindowKeepsGradientInside) {
   const float inf = std::numeric_limits<float>::infinity();
   Tensor x(Shape{1, 8},
            std::vector<float>{1.0f, 9.0f, 3.0f, 4.0f, -inf, -inf, -inf, -inf});
-  Tensor y = pool.forward(x, false);
+  Tensor y = pool.forward(x);
   EXPECT_FLOAT_EQ(y[0], 9.0f);
   EXPECT_EQ(y[1], -inf);
   Tensor gx =

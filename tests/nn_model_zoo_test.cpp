@@ -11,7 +11,7 @@ TEST(ModelZoo, MlpShapes) {
   Rng rng(1);
   Network net = make_mlp(12, {8, 6}, 3, rng);
   Tensor x(Shape{2, 12}, 0.5f);
-  Tensor y = net.forward(x);
+  Tensor y = net.infer(x);
   EXPECT_EQ(y.shape(), (Shape{2, 3}));
   EXPECT_EQ(net.mappable_weights().size(), 3u);
 }
@@ -20,7 +20,7 @@ TEST(ModelZoo, MlpNoHidden) {
   Rng rng(1);
   Network net = make_mlp(4, {}, 2, rng);
   EXPECT_EQ(net.layer_count(), 1u);
-  Tensor y = net.forward(Tensor(Shape{1, 4}, 1.0f));
+  Tensor y = net.infer(Tensor(Shape{1, 4}, 1.0f));
   EXPECT_EQ(y.shape(), (Shape{1, 2}));
 }
 
@@ -32,7 +32,7 @@ TEST(ModelZoo, LeNet5TopologyMatchesPaper) {
   const LayerMix mix = count_layer_mix(net);
   EXPECT_EQ(mix.conv, 2u);
   EXPECT_EQ(mix.dense, 3u);
-  Tensor y = net.forward(Tensor(Shape{1, spec.features()}, 0.1f));
+  Tensor y = net.infer(Tensor(Shape{1, spec.features()}, 0.1f));
   EXPECT_EQ(y.shape(), (Shape{1, 10}));
 }
 
@@ -40,7 +40,7 @@ TEST(ModelZoo, LeNet5On16x16) {
   Rng rng(2);
   const ImageSpec spec{3, 16, 16};
   Network net = make_lenet5(spec, 10, rng);
-  Tensor y = net.forward(Tensor(Shape{2, spec.features()}, 0.1f));
+  Tensor y = net.infer(Tensor(Shape{2, spec.features()}, 0.1f));
   EXPECT_EQ(y.shape(), (Shape{2, 10}));
 }
 
@@ -59,7 +59,7 @@ TEST(ModelZoo, Vgg16TopologyMatchesPaper) {
   EXPECT_EQ(mix.conv, 13u);
   EXPECT_EQ(mix.dense, 3u);
   EXPECT_EQ(net.mappable_weights().size(), 16u);
-  Tensor y = net.forward(Tensor(Shape{1, spec.features()}, 0.1f));
+  Tensor y = net.infer(Tensor(Shape{1, spec.features()}, 0.1f));
   EXPECT_EQ(y.shape(), (Shape{1, 100}));
 }
 

@@ -228,10 +228,10 @@ TEST(QuantizedForward, ByteIdenticalAtAnyThreadCount) {
                                      QuantSpec{});
   const Tensor batch = tl.data.test.images;
   set_parallel_threads(1);
-  const Tensor serial = tl.net.forward_quantized(batch, specs);
+  const Tensor serial = tl.net.infer(batch, specs);
   for (const std::size_t threads : {2u, 4u}) {
     set_parallel_threads(threads);
-    EXPECT_TRUE(tl.net.forward_quantized(batch, specs) == serial)
+    EXPECT_TRUE(tl.net.infer(batch, specs) == serial)
         << "t=" << threads;
   }
   set_parallel_threads(1);
@@ -240,7 +240,7 @@ TEST(QuantizedForward, ByteIdenticalAtAnyThreadCount) {
 TEST(QuantizedForward, SpecCountMismatchThrows) {
   TrainedLeNet& tl = trained_lenet();
   const std::vector<QuantSpec> too_few(1, QuantSpec{});
-  EXPECT_THROW(tl.net.forward_quantized(tl.data.test.images, too_few),
+  EXPECT_THROW(tl.net.infer(tl.data.test.images, too_few),
                Error);
 }
 

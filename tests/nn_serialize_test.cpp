@@ -46,7 +46,7 @@ TEST(Serialize, RestoredNetworkComputesIdenticalOutputs) {
   load_parameters(restored, path);
   Tensor x(Shape{4, 6});
   x.fill_gaussian(rng, 0.0f, 1.0f);
-  EXPECT_TRUE(allclose(original.forward(x), restored.forward(x), 0.0f));
+  EXPECT_TRUE(allclose(original.infer(x), restored.infer(x), 0.0f));
   std::remove(path.c_str());
 }
 

@@ -4,13 +4,9 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "xbar/crossbar.hpp"
 
 namespace xbarlife::xbar {
 namespace {
-
-device::DeviceParams dev() { return device::DeviceParams{}; }
-aging::AgingParams ag() { return aging::AgingParams{}; }
 
 TEST(NonidealityConfig, Validation) {
   NonidealityConfig c;
@@ -77,18 +73,6 @@ TEST(FaultMap, CleanConfigHasNoFaults) {
   EXPECT_EQ(m.at(5, 5), FaultMap::Fault::kNone);
 }
 
-TEST(FaultedConductance, OverridesByFaultKind) {
-  EXPECT_DOUBLE_EQ(
-      faulted_conductance(FaultMap::Fault::kNone, 5e-5, 1e-5, 1e-4),
-      5e-5);
-  EXPECT_DOUBLE_EQ(
-      faulted_conductance(FaultMap::Fault::kStuckOff, 5e-5, 1e-5, 1e-4),
-      1e-5);
-  EXPECT_DOUBLE_EQ(
-      faulted_conductance(FaultMap::Fault::kStuckOn, 5e-5, 1e-5, 1e-4),
-      1e-4);
-}
-
 TEST(IrDrop, AttenuatesFarCellsMore) {
   NonidealityConfig c;
   c.line_resistance = 5.0;
@@ -103,44 +87,6 @@ TEST(IrDrop, AttenuatesFarCellsMore) {
 TEST(IrDrop, ZeroLineResistanceIsIdentity) {
   NonidealityConfig c;
   EXPECT_DOUBLE_EQ(ir_drop_conductance(c, 1e-4, 63, 63), 1e-4);
-}
-
-TEST(ObservedConductances, IdealConfigMatchesTrueState) {
-  Crossbar xb(4, 4, dev(), ag());
-  xb.program_cell(1, 2, 5e4);
-  Rng rng(4);
-  Tensor g = observed_conductances(xb, {}, nullptr, rng);
-  EXPECT_TRUE(allclose(g, xb.conductances(), 1e-9f));
-}
-
-TEST(ObservedConductances, AppliesFaultsAndNoise) {
-  Crossbar xb(6, 6, dev(), ag());
-  NonidealityConfig c;
-  c.read_noise_sigma = 0.02;
-  c.stuck_on_fraction = 0.2;
-  FaultMap faults(6, 6, c, 9);
-  ASSERT_GT(faults.fault_count(), 0u);
-  Rng rng(5);
-  Tensor g = observed_conductances(xb, c, &faults, rng);
-  // Fresh cells sit at g_min; stuck-on cells must read near g_max.
-  bool saw_stuck_on = false;
-  for (std::size_t r = 0; r < 6; ++r) {
-    for (std::size_t col = 0; col < 6; ++col) {
-      if (faults.at(r, col) == FaultMap::Fault::kStuckOn) {
-        saw_stuck_on = true;
-        EXPECT_GT(g.at(r, col), 0.5e-4f);
-      }
-    }
-  }
-  EXPECT_TRUE(saw_stuck_on);
-}
-
-TEST(ObservedConductances, FaultMapSizeMismatchThrows) {
-  Crossbar xb(4, 4, dev(), ag());
-  FaultMap faults(5, 5, {}, 1);
-  Rng rng(6);
-  EXPECT_THROW(observed_conductances(xb, {}, &faults, rng),
-               InvalidArgument);
 }
 
 }  // namespace
