@@ -90,7 +90,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/parse.hpp"
-#include "common/rng.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
@@ -480,28 +479,16 @@ int cmd_train(const Args& args, CliOutput& out) {
               << (skewed ? " with the skewed regularizer" : " with L2")
               << "...\n";
 
-  core::TrainedModel tm{nn::Network{}, {}};
+  std::unique_ptr<persist::CheckpointStore> store;
   if (!ckpt.empty()) {
-    // Checkpoint mode mirrors train_model() step for step (same seeds,
-    // same construction order) but drives the resumable Trainer so the
-    // run snapshots after every epoch.
-    persist::CheckpointStore store(ckpt);
-    Rng rng(cfg.seed);
-    const data::TrainTest data = data::make_synthetic(cfg.dataset);
-    tm.network = core::build_model(cfg, rng);
-    std::shared_ptr<nn::SkewedL2Regularizer> skew_reg;
-    nn::L2Regularizer l2_reg(cfg.l2_lambda);
-    nn::Regularizer* reg = &l2_reg;
-    if (skewed) {
-      skew_reg = core::make_skewed_regularizer(cfg.skew);
-      reg = skew_reg.get();
-    }
-    core::Trainer trainer(tm.network, data, cfg.train_config, reg);
-    tm.history = trainer.run(out.obs(), &store);
-    out.human() << "checkpoint: " << store.path() << " (generation "
-                << store.generation() << ")\n";
-  } else {
-    tm = core::train_model(cfg, skewed, out.obs());
+    store = std::make_unique<persist::CheckpointStore>(ckpt);
+  }
+  core::TrainedModel tm =
+      core::train_model(cfg, data::make_synthetic(cfg.dataset), skewed,
+                        out.obs(), store.get());
+  if (store != nullptr) {
+    out.human() << "checkpoint: " << store->path() << " (generation "
+                << store->generation() << ")\n";
   }
   out.human() << tm.network.summary()
               << core::train_history_table(tm.history);
@@ -516,7 +503,7 @@ int cmd_train(const Args& args, CliOutput& out) {
     out.human() << "Parameters written to " << path << "\n";
     data.set("weights_out", path);
   }
-  if (!ckpt.empty()) {
+  if (store != nullptr) {
     data.set("resume", resume_json("train"));
     out.finish_deterministic("train", std::move(data));
   } else {

@@ -1,9 +1,14 @@
 #include "core/experiment.hpp"
 
+#include <memory>
+
 #include "common/error.hpp"
 #include "persist/state_io.hpp"
 
 namespace xbarlife::core {
+
+/// Penalty of traditional ("T") training.
+constexpr double kL2Lambda = 1e-4;
 
 const ScenarioOutcome& ExperimentResult::outcome(Scenario s) const {
   const auto& slot = scenarios[static_cast<std::size_t>(s)];
@@ -40,17 +45,19 @@ nn::Network build_model(const ExperimentConfig& config, Rng& rng) {
 
 TrainedModel train_model(const ExperimentConfig& config,
                          const data::TrainTest& data, bool skewed,
-                         const obs::Obs& obs) {
+                         const obs::Obs& obs,
+                         persist::CheckpointStore* store) {
   Rng rng(config.seed);
   TrainedModel tm{build_model(config, rng), {}};
+  std::unique_ptr<nn::Regularizer> reg;
   if (skewed) {
-    auto reg = make_skewed_regularizer(config.skew);
-    tm.history =
-        train(tm.network, data, config.train_config, reg.get(), obs);
+    reg = std::make_unique<nn::SkewedL2Regularizer>(
+        config.skew.lambda1, config.skew.lambda2, config.skew.omega_factor);
   } else {
-    nn::L2Regularizer reg(config.l2_lambda);
-    tm.history = train(tm.network, data, config.train_config, &reg, obs);
+    reg = std::make_unique<nn::L2Regularizer>(kL2Lambda);
   }
+  Trainer trainer(tm.network, data, config.train_config, reg.get());
+  tm.history = trainer.run(obs, store);
   return tm;
 }
 
@@ -88,11 +95,6 @@ std::string training_key(const ExperimentConfig& config, bool skewed) {
   w.u64(tc.epochs);
   w.u64(tc.batch);
   w.f64(tc.learning_rate);
-  w.f64(tc.momentum);
-  w.f64(tc.lr_decay);
-  w.u64(tc.omega_freeze_epoch);
-  w.u64(tc.shuffle_seed);
-  w.f64(config.l2_lambda);
   w.f64(config.skew.lambda1);
   w.f64(config.skew.lambda2);
   w.f64(config.skew.omega_factor);
@@ -127,13 +129,11 @@ std::string scenario_key(const ExperimentConfig& config, Scenario s) {
         config.faults.fault_seed, std::uint64_t{lc.levels},
         lc.apps_per_session, std::uint64_t{lc.max_sessions},
         std::uint64_t{tc.max_iterations}, std::uint64_t{tc.batch},
-        std::uint64_t{tc.eval_samples}, std::uint64_t{tc.plateau_iterations},
-        lc.drift_seed, std::uint64_t{lc.selection_eval_samples},
-        std::uint64_t{rc.retry_passes}}) {
+        std::uint64_t{tc.eval_samples}, lc.drift_seed,
+        std::uint64_t{lc.selection_eval_samples}}) {
     w.u64(v);
   }
-  for (const bool v : {tc.quantized_eval, rc.enabled, rc.ladder_enabled,
-                       rc.fault_masking, rc.spare_row_redundancy}) {
+  for (const bool v : {tc.quantized_eval, rc.ladder_enabled}) {
     w.boolean(v);
   }
   return w.release();

@@ -26,7 +26,6 @@ struct ExperimentConfig {
   data::SyntheticSpec dataset;    ///< synthetic data spec (see data/)
 
   TrainConfig train_config;
-  double l2_lambda = 1e-4;        ///< traditional training penalty
   SkewedTrainingParams skew;      ///< Table II-style parameters
 
   device::DeviceParams device;
@@ -72,22 +71,25 @@ struct ExperimentResult {
 nn::Network build_model(const ExperimentConfig& config, Rng& rng);
 
 /// Trains a fresh instance of the configured model on `data` with either
-/// the traditional L2 or the skewed regularizer. Returns the trained
-/// network and its history.
+/// the traditional L2 (lambda 1e-4) or the skewed regularizer. Returns the
+/// trained network and its history. With a `store`, the run snapshots
+/// after every epoch and resumes from the newest valid snapshot (see
+/// Trainer::run).
 struct TrainedModel {
   nn::Network network;
   TrainHistory history;
 };
 TrainedModel train_model(const ExperimentConfig& config,
                          const data::TrainTest& data, bool skewed,
-                         const obs::Obs& obs = {});
+                         const obs::Obs& obs = {},
+                         persist::CheckpointStore* store = nullptr);
 /// As above, on the configured synthetic dataset.
 TrainedModel train_model(const ExperimentConfig& config, bool skewed,
                          const obs::Obs& obs = {});
 
 /// Identity of a training run: the exact persist::StateWriter bytes of
 /// every field build_model, train_model and make_synthetic read (seed,
-/// dataset, model, mlp_hidden, vgg_width, train_config, l2_lambda, skew)
+/// dataset, model, mlp_hidden, vgg_width, train_config, skew)
 /// plus the flavour. Equal keys train bit-identical models, so jobs with
 /// equal keys may share one training.
 std::string training_key(const ExperimentConfig& config, bool skewed);

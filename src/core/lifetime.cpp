@@ -45,18 +45,12 @@ std::uint64_t LifetimeSimulator::fingerprint() const {
   fp.add(config_.tuning.min_grad_fraction);
   fp.add(config_.tuning.step_fraction);
   fp.add(static_cast<std::uint64_t>(config_.tuning.eval_samples));
-  fp.add(static_cast<std::uint64_t>(config_.tuning.plateau_iterations));
   fp.add(static_cast<std::uint64_t>(config_.tuning.quantized_eval));
   fp.add(config_.drift.sigma);
   fp.add(config_.drift_seed);
   fp.add(static_cast<std::uint64_t>(config_.selection_eval_samples));
   fp.add(config_.rescue_switch_margin);
-  fp.add(static_cast<std::uint64_t>(config_.resilience.enabled));
   fp.add(static_cast<std::uint64_t>(config_.resilience.ladder_enabled));
-  fp.add(static_cast<std::uint64_t>(config_.resilience.retry_passes));
-  fp.add(static_cast<std::uint64_t>(config_.resilience.fault_masking));
-  fp.add(
-      static_cast<std::uint64_t>(config_.resilience.spare_row_redundancy));
   fp.add(config_.resilience.degraded_accuracy_floor);
   fp.add(static_cast<std::uint64_t>(policy_));
   if (hw_ != nullptr) {

@@ -47,9 +47,8 @@ struct LifetimeConfig {
   /// the incumbent to justify rewriting the array.
   double rescue_switch_margin = 0.10;
   /// Escalation-ladder policy; governs rescues when the deployed network
-  /// carries a hardware-fault model (or when explicitly enabled). With
-  /// the default config on an ideal array, rescues follow the legacy
-  /// single-shot remap path bit-identically.
+  /// carries a hardware-fault model. On an ideal array, rescues follow
+  /// the legacy single-shot remap path.
   resilience::ResilienceConfig resilience;
 };
 

@@ -13,6 +13,13 @@
 
 namespace xbarlife::core {
 
+constexpr double kMomentum = 0.9;
+/// Multiplies the learning rate after each epoch.
+constexpr double kLrDecay = 0.97;
+/// Skewed training freezes the per-layer omegas after this many epochs.
+constexpr std::size_t kOmegaFreezeEpoch = 1;
+constexpr std::uint64_t kShuffleSeed = 17;
+
 Trainer::Trainer(nn::Network& net, const data::TrainTest& data,
                  TrainConfig config, nn::Regularizer* regularizer)
     : net_(&net),
@@ -20,23 +27,12 @@ Trainer::Trainer(nn::Network& net, const data::TrainTest& data,
       config_(config),
       regularizer_(regularizer),
       skewed_(dynamic_cast<nn::SkewedL2Regularizer*>(regularizer)),
-      optimizer_({config.learning_rate, config.momentum}),
-      shuffle_rng_(config.shuffle_seed) {
+      optimizer_({config.learning_rate, kMomentum}),
+      shuffle_rng_(kShuffleSeed) {
   XB_CHECK(config.epochs > 0, "need at least one epoch");
   XB_CHECK(config.batch > 0, "batch must be positive");
   data.train.validate();
   data.test.validate();
-  if (skewed_ != nullptr && config_.omega_freeze_epoch == 0) {
-    freeze_omegas_now();
-  }
-}
-
-void Trainer::freeze_omegas_now() {
-  std::vector<const Tensor*> weights;
-  for (const nn::MappableWeight& mw : net_->mappable_weights()) {
-    weights.push_back(mw.value);
-  }
-  skewed_->freeze_omegas(weights);
 }
 
 std::string Trainer::kind() const { return "train"; }
@@ -47,10 +43,6 @@ std::uint64_t Trainer::fingerprint() const {
   // Horizon knob (epochs) excluded: a finished run may resume longer.
   fp.add(static_cast<std::uint64_t>(config_.batch));
   fp.add(config_.learning_rate);
-  fp.add(config_.momentum);
-  fp.add(config_.lr_decay);
-  fp.add(static_cast<std::uint64_t>(config_.omega_freeze_epoch));
-  fp.add(config_.shuffle_seed);
   fp.add(static_cast<std::uint64_t>(data_->train.size()));
   fp.add(static_cast<std::uint64_t>(data_->test.size()));
   fp.add(static_cast<std::uint64_t>(net_->parameter_count()));
@@ -243,12 +235,15 @@ TrainHistory Trainer::run(const obs::Obs& obs,
                        {"test_accuracy", es.test_accuracy}});
       }
 
-      optimizer_.set_learning_rate(optimizer_.learning_rate() *
-                                   config_.lr_decay);
+      optimizer_.set_learning_rate(optimizer_.learning_rate() * kLrDecay);
 
       // Freeze the skew reference points once the distribution settles.
-      if (skewed_ != nullptr && epoch + 1 == config_.omega_freeze_epoch) {
-        freeze_omegas_now();
+      if (skewed_ != nullptr && epoch + 1 == kOmegaFreezeEpoch) {
+        std::vector<const Tensor*> weights;
+        for (const nn::MappableWeight& mw : net_->mappable_weights()) {
+          weights.push_back(mw.value);
+        }
+        skewed_->freeze_omegas(weights);
       }
     }
     obs.progress_tick();
@@ -284,19 +279,6 @@ TrainHistory Trainer::run(const obs::Obs& obs,
     }
   }
   return history_;
-}
-
-TrainHistory train(nn::Network& net, const data::TrainTest& data,
-                   const TrainConfig& config, nn::Regularizer* regularizer,
-                   const obs::Obs& obs) {
-  Trainer trainer(net, data, config, regularizer);
-  return trainer.run(obs);
-}
-
-std::shared_ptr<nn::SkewedL2Regularizer> make_skewed_regularizer(
-    const SkewedTrainingParams& params) {
-  return std::make_shared<nn::SkewedL2Regularizer>(
-      params.lambda1, params.lambda2, params.omega_factor);
 }
 
 }  // namespace xbarlife::core

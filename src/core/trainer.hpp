@@ -20,14 +20,6 @@ struct TrainConfig {
   std::size_t epochs = 10;
   std::size_t batch = 32;
   double learning_rate = 0.05;
-  double momentum = 0.9;
-  /// Multiplies the learning rate after each epoch (1.0 = constant).
-  double lr_decay = 0.97;
-  /// For skewed training: freeze the per-layer omegas after this many
-  /// epochs so the reference weights stop chasing the shrinking
-  /// distribution. 0 = freeze immediately from the initialized weights.
-  std::size_t omega_freeze_epoch = 1;
-  std::uint64_t shuffle_seed = 17;
 };
 
 struct EpochStats {
@@ -47,6 +39,11 @@ struct TrainHistory {
 /// velocities, shuffle stream, epoch log) so a run can snapshot after
 /// every epoch and pick up exactly where a killed process stopped.
 ///
+/// One recipe for every network: momentum SGD (0.9) whose learning rate
+/// decays by 0.97 per epoch over a fixed shuffle stream; under the skewed
+/// regularizer the per-layer omegas freeze after the first epoch, so the
+/// reference weights stop chasing the shrinking distribution.
+///
 /// Checkpoint contract: the snapshot captures the network parameters,
 /// optimizer learning rate and velocity buffers, the shuffle stream
 /// position, frozen skew omegas, and (in checkpoint mode) the buffered
@@ -56,15 +53,21 @@ struct TrainHistory {
 /// horizon.
 class Trainer : public persist::Checkpointable {
  public:
-  /// `net`, `data`, and `regularizer` must outlive the trainer;
-  /// `regularizer` may be null.
+  /// `net`, `data`, and `regularizer` must outlive the trainer.
+  /// `regularizer` may be null (no penalty), an L2Regularizer
+  /// (traditional training, "T") or a SkewedL2Regularizer (skewed
+  /// training, "ST").
   Trainer(nn::Network& net, const data::TrainTest& data, TrainConfig config,
           nn::Regularizer* regularizer);
 
-  /// Runs the remaining epochs. With a `store`, the trainer first restores
-  /// the newest valid snapshot (fresh start when none exists), saves after
-  /// every epoch, and raises InterruptedError (CLI exit 6) when a
-  /// cooperative shutdown was requested — after writing a final snapshot.
+  /// Runs the remaining epochs. When observability is attached, every
+  /// epoch emits a `train_epoch` event and the run updates the `train.*`
+  /// metrics; the default handle disables all instrumentation.
+  ///
+  /// With a `store`, the trainer first restores the newest valid snapshot
+  /// (fresh start when none exists), saves after every epoch, and raises
+  /// InterruptedError (CLI exit 6) when a cooperative shutdown was
+  /// requested — after writing a final snapshot.
   TrainHistory run(const obs::Obs& obs = {},
                    persist::CheckpointStore* store = nullptr);
 
@@ -74,8 +77,6 @@ class Trainer : public persist::Checkpointable {
   void restore(std::string_view payload) override;
 
  private:
-  void freeze_omegas_now();
-
   nn::Network* net_;
   const data::TrainTest* data_;
   TrainConfig config_;
@@ -91,17 +92,6 @@ class Trainer : public persist::Checkpointable {
   std::uint64_t trace_seq_ = 0;
 };
 
-/// Trains `net` in place. `regularizer` may be null (no penalty), an
-/// L2Regularizer (traditional training, "T") or a SkewedL2Regularizer
-/// (skewed training, "ST" — omegas are frozen at omega_freeze_epoch).
-///
-/// When observability is attached, every epoch emits a `train_epoch`
-/// event and the run updates the `train.*` metrics; the default handle
-/// disables all instrumentation.
-TrainHistory train(nn::Network& net, const data::TrainTest& data,
-                   const TrainConfig& config, nn::Regularizer* regularizer,
-                   const obs::Obs& obs = {});
-
 /// Paper-style parameter bundle for skewed training (Table II): the
 /// reference weight is omega_factor * sigma_i per layer, with penalties
 /// lambda1 (left of omega) and lambda2 (right of omega).
@@ -110,9 +100,5 @@ struct SkewedTrainingParams {
   double lambda2 = 5e-5;
   double omega_factor = -1.0;  ///< omega_i = factor * stddev(W_i)
 };
-
-/// Convenience: builds the skewed regularizer from `params`.
-std::shared_ptr<nn::SkewedL2Regularizer> make_skewed_regularizer(
-    const SkewedTrainingParams& params);
 
 }  // namespace xbarlife::core

@@ -55,11 +55,9 @@ class JsonValue {
     return v;
   }
 
-  bool is_null() const { return std::holds_alternative<std::nullptr_t>(value_); }
   bool is_object() const { return std::holds_alternative<Object>(value_); }
-  bool is_array() const { return std::holds_alternative<Array>(value_); }
 
-  /// Appends to an array value (precondition: is_array()).
+  /// Appends to an array value (precondition: the value is an array).
   void push_back(JsonValue v);
 
   /// Sets a key on an object value (precondition: is_object()); an
@@ -70,7 +68,6 @@ class JsonValue {
   const JsonValue* find(std::string_view key) const;
 
   const Object* as_object() const { return std::get_if<Object>(&value_); }
-  const Array* as_array() const { return std::get_if<Array>(&value_); }
 
   /// Serializes to compact JSON (no whitespace). Non-finite doubles emit
   /// null, per the usual JSON convention.

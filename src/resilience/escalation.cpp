@@ -112,22 +112,18 @@ RescueOutcome EscalationLadder::rescue(const RescueContext& ctx,
     return out;
   }
 
-  // Rung 1: write-verify retry of clamped cells. Each pass gives every
+  // Rung 1: write-verify retry of clamped cells: one pass gives every
   // clamped (not dead) cell one more chance against its current target.
-  for (std::size_t pass = 0; pass < config_.retry_passes; ++pass) {
-    if (census(ctx.hw).clamped == 0) {
-      break;
-    }
-    if (attempt(Rung::kRetry, [&] {
-          for (std::size_t i = 0; i < ctx.hw.layer_count(); ++i) {
-            ctx.hw.retry_clamped_cells(i);
-          }
-          ctx.hw.sync_network_to_hardware();
-          return true;
-        })) {
-      out.converged = true;
-      return out;
-    }
+  if (census(ctx.hw).clamped > 0 &&
+      attempt(Rung::kRetry, [&] {
+        for (std::size_t i = 0; i < ctx.hw.layer_count(); ++i) {
+          ctx.hw.retry_clamped_cells(i);
+        }
+        ctx.hw.sync_network_to_hardware();
+        return true;
+      })) {
+    out.converged = true;
+    return out;
   }
 
   // Rung 2: the legacy rescue — redeploy under the scenario policy (the
@@ -145,16 +141,14 @@ RescueOutcome EscalationLadder::rescue(const RescueContext& ctx,
   }
 
   // Rung 3: fault masking within the rows already in use.
-  if (config_.fault_masking &&
-      attempt(Rung::kFaultMask,
+  if (attempt(Rung::kFaultMask,
               [&] { return apply_masking(ctx, /*use_spares=*/false); })) {
     out.converged = true;
     return out;
   }
 
   // Rung 4: draft unused spare rows for the worst physical rows.
-  if (config_.spare_row_redundancy &&
-      ctx.hw.fault_config().spare_rows > 0 &&
+  if (ctx.hw.fault_config().spare_rows > 0 &&
       attempt(Rung::kSpareRows,
               [&] { return apply_masking(ctx, /*use_spares=*/true); })) {
     out.converged = true;

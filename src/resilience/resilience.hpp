@@ -6,8 +6,8 @@
 // The ladder trades programming pulses (which age the array) for lifetime:
 // each rung is strictly more invasive than the previous one, and a rung
 // only runs when the cheaper ones failed to restore the tuning target.
-// With an all-default config and an ideal array the ladder never engages
-// and the lifetime protocol behaves exactly as before.
+// The ladder engages only on an array with a hardware fault model; on an
+// ideal array a failed session gets the single-shot remap rescue.
 #pragma once
 
 #include <cstddef>
@@ -20,20 +20,9 @@ namespace xbarlife::resilience {
 
 /// Knobs of the escalation ladder (see escalation.hpp for the rungs).
 struct ResilienceConfig {
-  /// Force-enables the ladder even on an ideal (fault-free) array.
-  bool enabled = false;
   /// Master switch: with the ladder off, a failed session falls back to
   /// the legacy single-shot remap rescue even on a faulty array.
   bool ladder_enabled = true;
-  /// Rung 1: (retry clamped cells + reprogram + tune) passes before
-  /// escalating. Each pass burns at most one pulse per clamped cell.
-  std::size_t retry_passes = 1;
-  /// Rung 3: steer high-magnitude logical rows away from fault-heavy
-  /// physical rows (Song-style fault masking).
-  bool fault_masking = true;
-  /// Rung 4: swap the worst physical rows for unused spare rows (needs
-  /// HardwareFaultConfig::spare_rows > 0).
-  bool spare_row_redundancy = true;
   /// Rung 5: a session that still misses the tuning target keeps serving
   /// in degraded mode while accuracy stays at or above this floor; below
   /// it the array is end-of-life. Set to 1.0 to disable degraded mode.
@@ -42,9 +31,9 @@ struct ResilienceConfig {
   void validate() const;
 
   /// Whether the ladder governs rescues for a network deployed with
-  /// `faults`: explicitly enabled, or any hardware fault model present.
+  /// `faults`: switched on, with any hardware fault model present.
   bool active_for(const tuning::HardwareFaultConfig& faults) const {
-    return ladder_enabled && (enabled || faults.active());
+    return ladder_enabled && faults.active();
   }
 };
 

@@ -107,14 +107,6 @@ Tensor& Tensor::scale_(float s) {
   return *this;
 }
 
-Tensor& Tensor::axpy_(float s, const Tensor& other) {
-  check_same_shape(*this, other, "axpy");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += s * other.data_[i];
-  }
-  return *this;
-}
-
 Tensor Tensor::add(const Tensor& other) const {
   Tensor out = *this;
   out.add_(other);
@@ -165,14 +157,6 @@ float Tensor::max() const {
   return *std::max_element(data_.begin(), data_.end());
 }
 
-float Tensor::squared_norm() const {
-  double acc = 0.0;
-  for (float x : data_) {
-    acc += static_cast<double>(x) * static_cast<double>(x);
-  }
-  return static_cast<float>(acc);
-}
-
 std::size_t Tensor::argmax() const {
   XB_CHECK(!data_.empty(), "argmax of empty tensor");
   return static_cast<std::size_t>(
@@ -182,12 +166,6 @@ std::size_t Tensor::argmax() const {
 void Tensor::fill_gaussian(Rng& rng, float mean, float stddev) {
   for (float& x : data_) {
     x = static_cast<float>(rng.gaussian(mean, stddev));
-  }
-}
-
-void Tensor::fill_uniform(Rng& rng, float lo, float hi) {
-  for (float& x : data_) {
-    x = static_cast<float>(rng.uniform(lo, hi));
   }
 }
 

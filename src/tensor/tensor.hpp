@@ -56,8 +56,6 @@ class Tensor {
   Tensor& sub_(const Tensor& other);
   Tensor& mul_(const Tensor& other);
   Tensor& scale_(float s);
-  /// this += s * other (axpy)
-  Tensor& axpy_(float s, const Tensor& other);
 
   /// Out-of-place counterparts.
   Tensor add(const Tensor& other) const;
@@ -69,16 +67,12 @@ class Tensor {
   float abs_max() const;
   float min() const;
   float max() const;
-  /// Squared L2 norm.
-  float squared_norm() const;
 
   /// Index of the largest element (ties: first).
   std::size_t argmax() const;
 
   /// Fills with N(mean, stddev) draws.
   void fill_gaussian(Rng& rng, float mean, float stddev);
-  /// Fills with U[lo, hi) draws.
-  void fill_uniform(Rng& rng, float lo, float hi);
 
   /// Rank-2 transpose.
   Tensor transposed() const;

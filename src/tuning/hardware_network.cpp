@@ -245,10 +245,6 @@ void HardwareNetwork::sync_network_to_hardware() {
   }
 }
 
-void HardwareNetwork::restore_targets_to_network() {
-  net_->load_mappable_weights(targets_);
-}
-
 mapping::MappingReport HardwareNetwork::retry_clamped_cells(std::size_t i) {
   DeployedLayer& l = layer(i);
   for (std::size_t idx = 0; idx < l.stuck.size(); ++idx) {

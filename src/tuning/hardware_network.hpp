@@ -144,10 +144,6 @@ class HardwareNetwork {
   /// Writes the crossbars' current effective weights into the network.
   void sync_network_to_hardware();
 
-  /// Restores the software target weights into the network (e.g. to
-  /// retrain in software between deployments).
-  void restore_targets_to_network();
-
   /// Resilience rung 1: gives every write-verify *clamped* (not dead)
   /// cell of layer `i` a fresh verdict and reprograms the layer's
   /// targets. Returns the new mapping report.

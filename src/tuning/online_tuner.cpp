@@ -10,6 +10,10 @@
 
 namespace xbarlife::tuning {
 
+/// A session aborts when the eval accuracy has not improved for this many
+/// consecutive iterations: pulsing a saturated array only ages it.
+constexpr std::size_t kPlateauIterations = 20;
+
 OnlineTuner::OnlineTuner(TuningConfig config) : config_(config) {
   XB_CHECK(config.max_iterations > 0, "need at least one iteration");
   XB_CHECK(config.target_accuracy > 0.0 && config.target_accuracy <= 1.0,
@@ -136,8 +140,7 @@ TuningResult OnlineTuner::tune(HardwareNetwork& hw,
       result.converged = true;
       break;
     }
-    if (config_.plateau_iterations > 0 &&
-        since_improvement >= config_.plateau_iterations) {
+    if (since_improvement >= kPlateauIterations) {
       break;  // saturated: further pulses only age the array
     }
     ++result.iterations;

@@ -34,10 +34,6 @@ struct TuningConfig {
   double step_fraction = 0.02;
   /// Samples of the eval slice used for the convergence check.
   std::size_t eval_samples = 128;
-  /// Abort the session early when the eval accuracy has not improved for
-  /// this many consecutive iterations: pulsing a saturated array only
-  /// ages it. 0 disables the plateau abort.
-  std::size_t plateau_iterations = 20;
   /// Run the accuracy evaluations on the int8 quantized inference path
   /// (nn::Network::evaluate_quantized with specs derived from each
   /// layer's mapping plan). Gradient computation stays on the exact

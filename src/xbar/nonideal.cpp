@@ -29,7 +29,6 @@ FaultMap::FaultMap(std::size_t rows, std::size_t cols,
     if (u < config.stuck_off_fraction) {
       f = static_cast<std::uint8_t>(Fault::kStuckOff);
       ++faults_total_;
-      ++stuck_off_;
     } else if (u < config.stuck_off_fraction + config.stuck_on_fraction) {
       f = static_cast<std::uint8_t>(Fault::kStuckOn);
       ++faults_total_;
@@ -40,16 +39,6 @@ FaultMap::FaultMap(std::size_t rows, std::size_t cols,
 FaultMap::Fault FaultMap::at(std::size_t r, std::size_t c) const {
   XB_CHECK(r < rows_ && c < cols_, "fault map index out of range");
   return static_cast<Fault>(faults_[r * cols_ + c]);
-}
-
-std::size_t FaultMap::row_fault_count(std::size_t r) const {
-  XB_CHECK(r < rows_, "fault map row out of range");
-  std::size_t n = 0;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    n += faults_[r * cols_ + c] !=
-         static_cast<std::uint8_t>(Fault::kNone);
-  }
-  return n;
 }
 
 double apply_write_noise(const NonidealityConfig& config, double g,

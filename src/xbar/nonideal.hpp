@@ -55,17 +55,12 @@ class FaultMap {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t fault_count() const { return faults_total_; }
-  std::size_t stuck_off_count() const { return stuck_off_; }
-  std::size_t stuck_on_count() const { return faults_total_ - stuck_off_; }
-  /// Faulty cells in physical row `r`.
-  std::size_t row_fault_count(std::size_t r) const;
 
  private:
   std::size_t rows_;
   std::size_t cols_;
   std::vector<std::uint8_t> faults_;
   std::size_t faults_total_ = 0;
-  std::size_t stuck_off_ = 0;
 };
 
 /// Applies write noise to a target conductance (returns the perturbed

@@ -44,7 +44,7 @@ int run_cli(const std::string& args) {
 }
 
 std::string slurp(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
@@ -148,6 +148,38 @@ TEST(CliOutput, SweepCheckpointFromAnotherModelExitsIo) {
   EXPECT_EQ(run_cli(cmd + " --model lenet5"), 3);
   std::remove(ckpt.c_str());
   std::remove((ckpt + ".bak").c_str());
+}
+
+// `train --checkpoint` runs the same training as a plain `train`: both
+// write byte-identical weights, and rerunning the finished checkpointed
+// command (a resume with no epoch left) writes the same bytes again.
+TEST(CliOutput, CheckpointedTrainWritesThePlainRunsWeights) {
+  const std::string dir = ::testing::TempDir();
+  const std::string plain_out = dir + "/xbarlife_train_plain.bin";
+  const std::string ckpt_out = dir + "/xbarlife_train_ckpt.bin";
+  const std::string ckpt = dir + "/xbarlife_train.ckpt";
+  const auto clean = [&] {
+    for (const std::string& path :
+         {plain_out, ckpt_out, ckpt, ckpt + ".bak"}) {
+      std::remove(path.c_str());
+    }
+  };
+  for (const std::string flavour : {"", " --skewed"}) {
+    SCOPED_TRACE("train --model mlp" + flavour);
+    clean();
+    const std::string train = "train --model mlp" + flavour;
+    ASSERT_EQ(run_cli(train + " --out " + plain_out), 0);
+    const std::string weights = slurp(plain_out);
+    ASSERT_FALSE(weights.empty());
+    const std::string checkpointed =
+        train + " --checkpoint " + ckpt + " --out " + ckpt_out;
+    ASSERT_EQ(run_cli(checkpointed), 0);
+    EXPECT_EQ(slurp(ckpt_out), weights);
+    std::remove(ckpt_out.c_str());
+    ASSERT_EQ(run_cli(checkpointed), 0);
+    EXPECT_EQ(slurp(ckpt_out), weights);
+  }
+  clean();
 }
 
 // Outside a fan-out there is no entry to isolate the failure into: an

@@ -110,17 +110,12 @@ std::string canonical_trace(const std::vector<std::string>& lines) {
 TrainHistory run_trainer_checkpointed(const ExperimentConfig& cfg,
                                       const std::string& path,
                                       obs::EventTrace* trace) {
-  // Mirrors train_model(skewed=true) step for step — a resumed process
-  // reconstructs the same fresh state before restoring the snapshot.
-  Rng rng(cfg.seed);
-  const data::TrainTest data = data::make_synthetic(cfg.dataset);
-  nn::Network net = build_model(cfg, rng);
-  const auto reg = make_skewed_regularizer(cfg.skew);
-  Trainer trainer(net, data, cfg.train_config, reg.get());
   persist::CheckpointStore store(path);
   obs::Obs obs;
   obs.trace = trace;
-  return trainer.run(obs, &store);
+  return train_model(cfg, data::make_synthetic(cfg.dataset),
+                     /*skewed=*/true, obs, &store)
+      .history;
 }
 
 TEST(TrainerCheckpoint, KillAtEveryEpochBoundaryResumesBitIdentically) {

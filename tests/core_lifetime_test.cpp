@@ -21,7 +21,7 @@ struct Fixture {
     cfg.epochs = 10;
     cfg.batch = 20;
     cfg.learning_rate = 0.05;
-    train(net, data, cfg, nullptr);
+    Trainer(net, data, cfg, nullptr).run();
   }
 
   static nn::Network make() {
@@ -95,7 +95,7 @@ TEST(LifetimeSimulator, ImpossibleTargetDiesImmediately) {
   nn::Network net = nn::make_mlp(8, {12}, 4, rng);
   TrainConfig cfg;
   cfg.epochs = 5;
-  train(net, noisy, cfg, nullptr);
+  Trainer(net, noisy, cfg, nullptr).run();
   tuning::HardwareNetwork hw(net, {}, {});
   LifetimeConfig lc = small_config(0.9999);  // unreachable
   lc.tuning.max_iterations = 5;

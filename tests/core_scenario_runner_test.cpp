@@ -258,15 +258,6 @@ TEST(TrainingKey, ChangesWithEveryTrainingInput) {
            [](ExperimentConfig& c) { ++c.train_config.batch; }},
           {"train_config.learning_rate",
            [](ExperimentConfig& c) { c.train_config.learning_rate *= 2; }},
-          {"train_config.momentum",
-           [](ExperimentConfig& c) { c.train_config.momentum /= 2; }},
-          {"train_config.lr_decay",
-           [](ExperimentConfig& c) { c.train_config.lr_decay /= 2; }},
-          {"train_config.omega_freeze_epoch",
-           [](ExperimentConfig& c) { ++c.train_config.omega_freeze_epoch; }},
-          {"train_config.shuffle_seed",
-           [](ExperimentConfig& c) { ++c.train_config.shuffle_seed; }},
-          {"l2_lambda", [](ExperimentConfig& c) { c.l2_lambda *= 2; }},
           {"skew.lambda1", [](ExperimentConfig& c) { c.skew.lambda1 *= 2; }},
           {"skew.lambda2", [](ExperimentConfig& c) { c.skew.lambda2 *= 2; }},
           {"skew.omega_factor",
@@ -303,7 +294,7 @@ TEST(TrainingKey, IgnoresDeploymentAndLifetimeFields) {
              ++c.lifetime.levels;
              ++c.lifetime.drift_seed;
              c.lifetime.tuning.max_iterations = 3;
-             c.lifetime.resilience.enabled = true;
+             c.lifetime.resilience.ladder_enabled = false;
            }},
           {"absolute_tuning_target",
            [](ExperimentConfig& c) { c.absolute_tuning_target = 0.5; }},
@@ -330,14 +321,13 @@ TEST(TrainingKey, IgnoresDeploymentAndLifetimeFields) {
 /// listed here, and the test below then checks that the keys cover it.
 template <class Visit>
 void visit_config_fields(ExperimentConfig& c, Visit visit) {
-  auto& [name, model, vgg_width, mlp_hidden, dataset, train_config,
-         l2_lambda, skew, device, aging, faults, lifetime,
-         absolute_tuning_target, target_accuracy_fraction, seed] = c;
+  auto& [name, model, vgg_width, mlp_hidden, dataset, train_config, skew,
+         device, aging, faults, lifetime, absolute_tuning_target,
+         target_accuracy_fraction, seed] = c;
   (void)name;  // a label: scenario_key documents it as not keyed
   visit("model", model, true);
   visit("vgg_width", vgg_width, true);
   visit("mlp_hidden", mlp_hidden, true);
-  visit("l2_lambda", l2_lambda, true);
   visit("seed", seed, true);
   visit("absolute_tuning_target", absolute_tuning_target, false);
   visit("target_accuracy_fraction", target_accuracy_fraction, false);
@@ -355,15 +345,10 @@ void visit_config_fields(ExperimentConfig& c, Visit visit) {
     visit("dataset.seed", data_seed, true);
   }
   {
-    auto& [epochs, batch, learning_rate, momentum, lr_decay,
-           omega_freeze_epoch, shuffle_seed] = train_config;
+    auto& [epochs, batch, learning_rate] = train_config;
     visit("train_config.epochs", epochs, true);
     visit("train_config.batch", batch, true);
     visit("train_config.learning_rate", learning_rate, true);
-    visit("train_config.momentum", momentum, true);
-    visit("train_config.lr_decay", lr_decay, true);
-    visit("train_config.omega_freeze_epoch", omega_freeze_epoch, true);
-    visit("train_config.shuffle_seed", shuffle_seed, true);
   }
   {
     auto& [lambda1, lambda2, omega_factor] = skew;
@@ -422,24 +407,16 @@ void visit_config_fields(ExperimentConfig& c, Visit visit) {
     auto& [sigma] = drift;
     visit("lifetime.drift.sigma", sigma, false);
     auto& [max_iterations, target_accuracy, batch, min_grad_fraction,
-           step_fraction, eval_samples, plateau_iterations,
-           quantized_eval] = tuning;
+           step_fraction, eval_samples, quantized_eval] = tuning;
     visit("lifetime.tuning.max_iterations", max_iterations, false);
     visit("lifetime.tuning.target_accuracy", target_accuracy, false);
     visit("lifetime.tuning.batch", batch, false);
     visit("lifetime.tuning.min_grad_fraction", min_grad_fraction, false);
     visit("lifetime.tuning.step_fraction", step_fraction, false);
     visit("lifetime.tuning.eval_samples", eval_samples, false);
-    visit("lifetime.tuning.plateau_iterations", plateau_iterations, false);
     visit("lifetime.tuning.quantized_eval", quantized_eval, false);
-    auto& [enabled, ladder_enabled, retry_passes, fault_masking,
-           spare_row_redundancy, degraded_accuracy_floor] = resilience;
-    visit("lifetime.resilience.enabled", enabled, false);
+    auto& [ladder_enabled, degraded_accuracy_floor] = resilience;
     visit("lifetime.resilience.ladder_enabled", ladder_enabled, false);
-    visit("lifetime.resilience.retry_passes", retry_passes, false);
-    visit("lifetime.resilience.fault_masking", fault_masking, false);
-    visit("lifetime.resilience.spare_row_redundancy", spare_row_redundancy,
-          false);
     visit("lifetime.resilience.degraded_accuracy_floor",
           degraded_accuracy_floor, false);
   }
@@ -496,7 +473,7 @@ TEST(ConfigKeys, EveryFieldOfTheForkedConfigIsKeyed) {
       EXPECT_EQ(training_key(cfg, true), train_key) << name;
     }
   }
-  EXPECT_EQ(fields, 71u);
+  EXPECT_EQ(fields, 61u);
   ExperimentConfig renamed = base;
   renamed.name = "other";
   EXPECT_EQ(scenario_key(renamed, Scenario::kSTAT), key);

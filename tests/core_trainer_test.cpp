@@ -21,7 +21,7 @@ TEST(Trainer, LossDecreasesOverEpochs) {
   cfg.epochs = 8;
   cfg.batch = 20;
   cfg.learning_rate = 0.05;
-  const TrainHistory h = train(net, data, cfg, nullptr);
+  const TrainHistory h = Trainer(net, data, cfg, nullptr).run();
   ASSERT_EQ(h.epochs.size(), 8u);
   EXPECT_LT(h.epochs.back().loss, h.epochs.front().loss);
   EXPECT_GT(h.final_test_accuracy, 0.7);
@@ -35,37 +35,41 @@ TEST(Trainer, L2RegularizerReportsPenalty) {
   nn::L2Regularizer reg(1e-2);
   TrainConfig cfg;
   cfg.epochs = 2;
-  const TrainHistory h = train(net, data, cfg, &reg);
+  const TrainHistory h = Trainer(net, data, cfg, &reg).run();
   EXPECT_GT(h.epochs[0].penalty, 0.0);
 }
 
 TEST(Trainer, SkewedTrainingFreezesOmegasAtConfiguredEpoch) {
   const auto data = blob_data();
-  Rng rng(3);
-  nn::Network net = nn::make_mlp(10, {8}, 3, rng);
-  auto reg = make_skewed_regularizer({5e-2, 1e-3, -1.0});
-  TrainConfig cfg;
-  cfg.epochs = 4;
-  cfg.omega_freeze_epoch = 2;
-  train(net, data, cfg, reg.get());
+  // The omegas freeze after the first epoch: a one-epoch run leaves them
+  // at omega_factor * stddev of its trained weights, and a longer run
+  // keeps exactly those values.
+  const auto train_skewed = [&](std::size_t epochs,
+                                nn::SkewedL2Regularizer& reg) {
+    Rng rng(3);
+    nn::Network net = nn::make_mlp(10, {8}, 3, rng);
+    TrainConfig cfg;
+    cfg.epochs = epochs;
+    Trainer(net, data, cfg, &reg).run();
+    return net;
+  };
+  nn::SkewedL2Regularizer one_epoch(5e-2, 1e-3, -1.0);
+  nn::Network net1 = train_skewed(1, one_epoch);
+  const nn::SkewedL2Regularizer live(5e-2, 1e-3, -1.0);
+  const double omega1 = live.omega(*net1.mappable_weights()[0].value, 0);
+  ASSERT_FALSE(one_epoch.frozen_omegas().empty());
+  ASSERT_TRUE(one_epoch.frozen_omegas()[0].has_value());
+  EXPECT_DOUBLE_EQ(*one_epoch.frozen_omegas()[0], omega1);
+
+  nn::SkewedL2Regularizer reg(5e-2, 1e-3, -1.0);
+  nn::Network net = train_skewed(4, reg);
   // After training, the omegas must be pinned: mutating the weights must
   // not change them.
   const auto mws = net.mappable_weights();
-  const double omega_before = reg->omega(*mws[0].value, 0);
+  EXPECT_NE(live.omega(*mws[0].value, 0), omega1);
+  EXPECT_DOUBLE_EQ(reg.omega(*mws[0].value, 0), omega1);
   mws[0].value->scale_(10.0f);
-  const double omega_after = reg->omega(*mws[0].value, 0);
-  EXPECT_DOUBLE_EQ(omega_before, omega_after);
-}
-
-TEST(Trainer, ImmediateFreezeUsesInitWeights) {
-  const auto data = blob_data();
-  Rng rng(4);
-  nn::Network net = nn::make_mlp(10, {8}, 3, rng);
-  auto reg = make_skewed_regularizer({5e-2, 1e-3, -1.0});
-  TrainConfig cfg;
-  cfg.epochs = 1;
-  cfg.omega_freeze_epoch = 0;
-  EXPECT_NO_THROW(train(net, data, cfg, reg.get()));
+  EXPECT_DOUBLE_EQ(reg.omega(*mws[0].value, 0), omega1);
 }
 
 TEST(Trainer, RejectsBadConfig) {
@@ -74,10 +78,10 @@ TEST(Trainer, RejectsBadConfig) {
   nn::Network net = nn::make_mlp(10, {8}, 3, rng);
   TrainConfig cfg;
   cfg.epochs = 0;
-  EXPECT_THROW(train(net, data, cfg, nullptr), InvalidArgument);
+  EXPECT_THROW(Trainer(net, data, cfg, nullptr), InvalidArgument);
   cfg = TrainConfig{};
   cfg.batch = 0;
-  EXPECT_THROW(train(net, data, cfg, nullptr), InvalidArgument);
+  EXPECT_THROW(Trainer(net, data, cfg, nullptr), InvalidArgument);
 }
 
 TEST(Trainer, DeterministicGivenConfig) {
@@ -87,7 +91,7 @@ TEST(Trainer, DeterministicGivenConfig) {
     nn::Network net = nn::make_mlp(10, {8}, 3, rng);
     TrainConfig cfg;
     cfg.epochs = 3;
-    train(net, data, cfg, nullptr);
+    Trainer(net, data, cfg, nullptr).run();
     return net.save_mappable_weights();
   };
   const auto a = run();

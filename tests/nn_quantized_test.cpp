@@ -204,7 +204,7 @@ TrainedLeNet& trained_lenet() {
     config.epochs = 6;
     config.batch = 16;
     config.learning_rate = 0.05;
-    core::train(t->net, t->data, config, nullptr);
+    core::Trainer(t->net, t->data, config, nullptr).run();
     return t;
   }();
   return *holder;

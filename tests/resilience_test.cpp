@@ -54,7 +54,7 @@ TEST(ResilienceConfig, ValidatesFloor) {
 TEST(ResilienceConfig, ActiveForGating) {
   ResilienceConfig c;
   tuning::HardwareFaultConfig faults;
-  // Ideal array, ladder not forced: inactive.
+  // Ideal array: inactive.
   EXPECT_FALSE(c.active_for(faults));
   // Any hardware fault model activates it.
   faults.nonideal.stuck_off_fraction = 0.01;
@@ -62,10 +62,6 @@ TEST(ResilienceConfig, ActiveForGating) {
   // The master switch wins over everything.
   c.ladder_enabled = false;
   EXPECT_FALSE(c.active_for(faults));
-  // Force-enable on an ideal array.
-  c.ladder_enabled = true;
-  c.enabled = true;
-  EXPECT_TRUE(c.active_for(tuning::HardwareFaultConfig{}));
 }
 
 TEST(FaultCensus, ManufactureFractionMatchesConfiguredRates) {

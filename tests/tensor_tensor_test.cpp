@@ -62,8 +62,6 @@ TEST(Tensor, ElementwiseInPlace) {
   EXPECT_EQ(a[0], 6.0f);
   a.scale_(0.5f);
   EXPECT_EQ(a[0], 3.0f);
-  a.axpy_(2.0f, b);
-  EXPECT_EQ(a[0], 9.0f);
 }
 
 TEST(Tensor, ElementwiseShapeMismatchThrows) {
@@ -87,7 +85,6 @@ TEST(Tensor, Reductions) {
   EXPECT_FLOAT_EQ(t.abs_max(), 5.0f);
   EXPECT_FLOAT_EQ(t.min(), -5.0f);
   EXPECT_FLOAT_EQ(t.max(), 3.0f);
-  EXPECT_FLOAT_EQ(t.squared_norm(), 1.0f + 25.0f + 9.0f + 4.0f);
   EXPECT_EQ(t.argmax(), 2u);
 }
 
@@ -100,11 +97,6 @@ TEST(Tensor, RandomFills) {
     sum += g[i];
   }
   EXPECT_NEAR(sum / static_cast<double>(g.numel()), 1.0, 0.1);
-
-  Tensor u(Shape{1000});
-  u.fill_uniform(rng, -1.0f, 1.0f);
-  EXPECT_GE(u.min(), -1.0f);
-  EXPECT_LT(u.max(), 1.0f);
 }
 
 TEST(Tensor, Transpose) {

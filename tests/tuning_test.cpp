@@ -67,18 +67,6 @@ TEST(HardwareNetwork, DeployWritesEffectiveWeightsIntoNetwork) {
   EXPECT_FALSE(allclose(targets[0], current[0], 1e-7f));
 }
 
-TEST(HardwareNetwork, RestoreTargetsRoundTrips) {
-  Fixture f;
-  HardwareNetwork hw(f.net, dev(), quiet_aging());
-  const auto before = hw.targets();
-  hw.deploy(MappingPolicy::kFresh, 16);
-  hw.restore_targets_to_network();
-  const auto after = f.net.save_mappable_weights();
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_TRUE(allclose(before[i], after[i]));
-  }
-}
-
 TEST(HardwareNetwork, AgingAwareDeployNeedsEvaluator) {
   Fixture f;
   HardwareNetwork hw(f.net, dev(), quiet_aging());
@@ -275,7 +263,6 @@ TEST(OnlineTuner, TuneSetSmallerThanBatchWrapsWithoutEmptyBatch) {
   tc.max_iterations = 6;
   tc.batch = 16;  // larger than the tuning set
   tc.eval_samples = 40;
-  tc.plateau_iterations = 0;
   OnlineTuner tuner(tc);
   const TuningResult r = tuner.tune(hw, tiny, f.data.test);
   // All six iterations ran gradients on real data; an empty batch would
@@ -296,7 +283,6 @@ TEST(OnlineTuner, CursorWrapsMidSetAcrossSessions) {
   tc.max_iterations = 4;  // crosses the wrap at cursor == 10
   tc.batch = 4;
   tc.eval_samples = 40;
-  tc.plateau_iterations = 0;
   OnlineTuner tuner(tc);
   EXPECT_EQ(tuner.tune(hw, tiny, f.data.test).iterations, 4u);
   // Second session reuses the same tuner (and cursor) — still no empty
