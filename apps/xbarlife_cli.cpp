@@ -23,12 +23,12 @@
 //   --kernel V       compute-kernel dispatch variant (auto|scalar|avx2|
 //                    neon, default auto or $XBARLIFE_KERNEL); each variant
 //                    is deterministic on its own, goldens pin scalar
-//   --executor V     crossbar programming backend (auto|sim|percell|remote,
+//   --executor V     crossbar programming backend (auto|sim|remote,
 //                    default auto/sim or $XBARLIFE_EXECUTOR); sim batches
-//                    pulse sequences per column, percell replays the
-//                    legacy one-call-per-cell path — both bit-identical;
-//                    remote ships sequences over xbarlife.wire.v1 to a
-//                    worker and falls back to sim when the link dies
+//                    pulse sequences per column, bit-identical to the
+//                    one-call-per-cell reference the tests check it
+//                    against; remote ships sequences over xbarlife.wire.v1
+//                    to a worker and falls back to sim when the link dies
 //   --remote ADDR    remote-executor endpoint: loopback (in-process worker
 //                    thread, default), unix:/path, or host:port (see
 //                    xbarlife-worker --listen); also $XBARLIFE_REMOTE.
@@ -893,13 +893,11 @@ int cmd_info() {
              "                  are bit-identical per variant at any thread\n"
              "                  count, goldens pin scalar\n"
              "  --executor V    crossbar programming backend: auto|sim|\n"
-             "                  percell|remote (default auto/sim or\n"
+             "                  remote (default auto/sim or\n"
              "                  $XBARLIFE_EXECUTOR); sim executes batched\n"
-             "                  ProgramSequences, percell the legacy\n"
-             "                  per-cell path — outputs are bit-identical;\n"
-             "                  remote ships sequences to a worker over\n"
-             "                  xbarlife.wire.v1 with retry/backoff and\n"
-             "                  graceful fallback to sim\n"
+             "                  ProgramSequences, remote ships sequences\n"
+             "                  to a worker over xbarlife.wire.v1 with\n"
+             "                  retry/backoff and graceful fallback to sim\n"
              "  --remote ADDR   remote-executor endpoint: loopback (default,\n"
              "                  in-process worker thread), unix:/path, or\n"
              "                  host:port (see xbarlife-worker); also\n"

@@ -51,7 +51,7 @@ CKPT_SCHEMA = "xbarlife.ckpt.v1"
 CKPT_KINDS = ("train", "lifetime", "sweep", "faults")
 RESULT_KEYS = ["schema", "command", "kernel", "executor", "data", "metrics"]
 METRIC_KEYS = ["counters", "gauges", "histograms"]
-KNOWN_EXECUTORS = ("sim", "percell", "remote")
+KNOWN_EXECUTORS = ("sim", "remote")
 DEGRADATION_KEYS = ["fallback_executor", "fallbacks", "retries", "reconnects"]
 POOL_ENDPOINT_KEYS = ["address", "circuit", "requests", "failovers",
                       "circuit_opens"]

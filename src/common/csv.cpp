@@ -3,9 +3,26 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/table.hpp"
 
 namespace xbarlife {
+
+std::string csv_escape(const std::string& cell) {
+  const bool needs_quotes =
+      cell.find_first_of(",\"\n") != std::string::npos;
+  if (!needs_quotes) {
+    return cell;
+  }
+  std::string out = "\"";
+  for (char ch : cell) {
+    if (ch == '"') {
+      out += "\"\"";
+    } else {
+      out += ch;
+    }
+  }
+  out += "\"";
+  return out;
+}
 
 CsvWriter::CsvWriter(const std::string& path,
                      std::vector<std::string> headers)

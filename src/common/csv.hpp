@@ -7,6 +7,9 @@
 
 namespace xbarlife {
 
+/// Escapes a CSV cell (quotes cells containing comma/quote/newline).
+std::string csv_escape(const std::string& cell);
+
 /// Streams rows to a CSV file; throws xbarlife::Error on I/O failure.
 class CsvWriter {
  public:

@@ -85,13 +85,4 @@ std::string Histogram::render(std::size_t width) const {
   return oss.str();
 }
 
-std::string Histogram::to_csv() const {
-  std::ostringstream oss;
-  oss << "bin_center,count,density\n";
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    oss << bin_center(b) << "," << counts_[b] << "," << density(b) << "\n";
-  }
-  return oss.str();
-}
-
 }  // namespace xbarlife

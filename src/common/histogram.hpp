@@ -1,4 +1,4 @@
-// Fixed-bin histogram with ASCII rendering and CSV export.
+// Fixed-bin histogram with ASCII rendering.
 //
 // The paper's Figs. 3, 6 and 9 are weight/resistance/conductance
 // distributions; the bench harness reproduces them as histograms printed to
@@ -38,9 +38,6 @@ class Histogram {
 
   /// Multi-line ASCII bar chart, `width` characters for the largest bar.
   std::string render(std::size_t width = 50) const;
-
-  /// CSV rows "bin_center,count,density" with a header line.
-  std::string to_csv() const;
 
  private:
   double lo_;

@@ -27,9 +27,6 @@ class RunningStats {
     m2_ += delta * (x - mean_);
   }
 
-  /// Merge another accumulator (parallel-friendly Chan et al. combine).
-  void merge(const RunningStats& other);
-
   std::size_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
   double mean() const;

@@ -52,21 +52,6 @@ std::string TablePrinter::render() const {
   return out;
 }
 
-std::string TablePrinter::to_csv() const {
-  std::ostringstream oss;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    oss << (c ? "," : "") << csv_escape(headers_[c]);
-  }
-  oss << "\n";
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      oss << (c ? "," : "") << csv_escape(row[c]);
-    }
-    oss << "\n";
-  }
-  return oss.str();
-}
-
 std::string format_double(double value, int digits) {
   std::ostringstream oss;
   oss << std::fixed << std::setprecision(digits) << value;
@@ -81,24 +66,6 @@ std::string format_double(double value, int digits) {
     }
   }
   return s;
-}
-
-std::string csv_escape(const std::string& cell) {
-  const bool needs_quotes =
-      cell.find_first_of(",\"\n") != std::string::npos;
-  if (!needs_quotes) {
-    return cell;
-  }
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') {
-      out += "\"\"";
-    } else {
-      out += ch;
-    }
-  }
-  out += "\"";
-  return out;
 }
 
 }  // namespace xbarlife

@@ -20,9 +20,6 @@ class TablePrinter {
   /// Renders the table with a header separator and box-drawing rules.
   std::string render() const;
 
-  /// Renders rows as CSV (headers first).
-  std::string to_csv() const;
-
   std::size_t rows() const { return rows_.size(); }
 
  private:
@@ -32,8 +29,5 @@ class TablePrinter {
 
 /// Formats a double with `digits` significant decimals, trimming noise.
 std::string format_double(double value, int digits = 4);
-
-/// Escapes a CSV cell (quotes cells containing comma/quote/newline).
-std::string csv_escape(const std::string& cell);
 
 }  // namespace xbarlife

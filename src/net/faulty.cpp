@@ -90,16 +90,6 @@ std::vector<std::string> split_fault_specs(const std::string& spec,
   return specs;
 }
 
-std::vector<FaultPlan> FaultPlan::parse_list(const std::string& spec,
-                                             std::size_t n) {
-  std::vector<FaultPlan> plans;
-  plans.reserve(n);
-  for (const std::string& s : split_fault_specs(spec, n)) {
-    plans.push_back(parse(s));
-  }
-  return plans;
-}
-
 FaultyTransport::FaultyTransport(std::unique_ptr<Transport> inner,
                                  const FaultPlan& plan, std::uint64_t stream)
     : inner_(std::move(inner)), plan_(plan), rng_(Rng(plan.seed).fork(stream)) {}

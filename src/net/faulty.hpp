@@ -42,21 +42,16 @@ struct FaultPlan {
   /// disconnect, delay_ms. Probabilities must lie in [0, 1]. An empty
   /// spec is the all-zero (transparent) plan. Throws InvalidArgument.
   static FaultPlan parse(const std::string& spec);
-
-  /// Per-endpoint plans for a pool of `n` endpoints. A spec without ';'
-  /// applies the same plan to every endpoint (each endpoint decorrelates
-  /// via its transport streams); "specA;;specC" assigns segment i to
-  /// endpoint i, missing/empty segments meaning a clean link — which is
-  /// how a chaos test kills worker 2 of 3 while leaving its peers
-  /// untouched. Throws InvalidArgument when the list names more
-  /// endpoints than the pool has.
-  static std::vector<FaultPlan> parse_list(const std::string& spec,
-                                           std::size_t n);
 };
 
 /// Splits a ';'-separated per-endpoint fault-spec list into exactly `n`
-/// single-endpoint specs (the string form of FaultPlan::parse_list, for
-/// callers that hand specs on to per-endpoint configs).
+/// single-endpoint specs for a pool of `n` endpoints. A spec without ';'
+/// applies the same spec to every endpoint (each endpoint decorrelates
+/// via its transport streams); "specA;;specC" assigns segment i to
+/// endpoint i, missing/empty segments meaning a clean link — which is
+/// how a chaos test kills worker 2 of 3 while leaving its peers
+/// untouched. Throws InvalidArgument when the list names more endpoints
+/// than the pool has.
 std::vector<std::string> split_fault_specs(const std::string& spec,
                                            std::size_t n);
 

@@ -178,17 +178,6 @@ std::vector<Tensor> Network::save_mappable_weights() {
   return snapshot;
 }
 
-void Network::load_mappable_weights(const std::vector<Tensor>& snapshot) {
-  auto weights = mappable_weights();
-  XB_CHECK(snapshot.size() == weights.size(),
-           "snapshot layer count mismatch");
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    XB_CHECK(snapshot[i].shape() == weights[i].value->shape(),
-             "snapshot shape mismatch at " + weights[i].name);
-    *weights[i].value = snapshot[i];
-  }
-}
-
 std::size_t Network::parameter_count() {
   std::size_t n = 0;
   for (const ParamRef& p : params()) {

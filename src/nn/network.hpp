@@ -97,9 +97,6 @@ class Network {
   /// Snapshot of every mappable weight matrix (deep copy, layer order).
   std::vector<Tensor> save_mappable_weights();
 
-  /// Restores a snapshot taken by save_mappable_weights().
-  void load_mappable_weights(const std::vector<Tensor>& snapshot);
-
   /// Total number of trainable scalars.
   std::size_t parameter_count();
 

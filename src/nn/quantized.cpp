@@ -91,15 +91,6 @@ QuantizedTensor quantize_activations(const Tensor& x) {
   return out;
 }
 
-void requantize(const std::int32_t* acc, std::size_t n, float multiplier,
-                float bias, std::int32_t zero_point, std::int8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const long v =
-        std::lround(static_cast<float>(acc[i]) * multiplier + bias);
-    out[i] = saturate_s8(v + zero_point);
-  }
-}
-
 Tensor quantized_linear(const QuantizedTensor& qa, const QuantizedTensor& qw,
                         const Tensor* bias) {
   XB_CHECK(qa.cols == qw.rows, "quantized_linear inner dimension mismatch");

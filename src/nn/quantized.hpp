@@ -3,7 +3,7 @@
 // The aging-aware mapper already discretizes weights onto conductance
 // levels; this module mirrors that scheme digitally so inference epochs
 // can run on the int8 GEMM kernels (lib_nn-style: int32 accumulate, then
-// a per-channel multiplier+bias requantize with saturation).
+// per-channel zero-point-corrected dequantization to float).
 //
 // Scheme (see docs/kernels.md):
 //   * Weights: per-output-channel symmetric. With L usable conductance
@@ -65,13 +65,6 @@ QuantizedTensor quantize_weights(const Tensor& w, const QuantSpec& spec);
 /// Per-tensor asymmetric activation quantization to [-127, 127] from the
 /// tensor's min/max (always covering 0 so the zero-point is exact).
 QuantizedTensor quantize_activations(const Tensor& x);
-
-/// The lib_nn-style requantize primitive: for each of the n int32
-/// accumulators, out = saturate_int8(round(acc * multiplier + bias) +
-/// zero_point) with round-half-away-from-zero and saturation to
-/// [-128, 127].
-void requantize(const std::int32_t* acc, std::size_t n, float multiplier,
-                float bias, std::int32_t zero_point, std::int8_t* out);
 
 /// y(float) = dequant(qa * qw) + bias: int8 GEMM with int32 accumulate
 /// on the dispatched kernel, then per-channel zero-point-corrected

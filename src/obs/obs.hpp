@@ -95,9 +95,6 @@ struct Obs {
 ///   * a sample in `metrics->histogram(name + "_ms")` (the existing
 ///     wall-clock histogram convention, excluded from determinism checks).
 /// With no sink attached the constructor never reads the clock.
-///
-/// The legacy (Registry*, histogram_name) constructor keeps the historical
-/// ScopeTimer behavior: metrics only, histogram name used verbatim.
 class Span {
  public:
   Span(const Obs& obs, std::string_view name)
@@ -115,15 +112,6 @@ class Span {
     }
     if (histogram_ != nullptr || trace_ != nullptr ||
         profiler_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-
-  Span(Registry* metrics, std::string_view histogram_name)
-      : histogram_(metrics != nullptr ? &metrics->histogram(histogram_name)
-                                      : nullptr),
-        name_(histogram_name) {
-    if (histogram_ != nullptr) {
       start_ = std::chrono::steady_clock::now();
     }
   }
@@ -162,9 +150,5 @@ class Span {
   std::string name_;
   std::chrono::steady_clock::time_point start_{};
 };
-
-/// Historical name for the metrics-only scope timer; Span subsumes it (and
-/// fixes the old gap where a trace-only run recorded nothing from timers).
-using ScopeTimer = Span;
 
 }  // namespace xbarlife::obs

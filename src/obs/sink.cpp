@@ -6,11 +6,6 @@
 
 namespace xbarlife::obs {
 
-void NullSink::write(const std::string& line) {
-  (void)line;
-  ++dropped_;
-}
-
 void StreamSink::write(const std::string& line) {
   const std::lock_guard<std::mutex> lock(mu_);
   *out_ << line << '\n';

@@ -23,16 +23,6 @@ class Sink {
   virtual void flush() {}
 };
 
-/// Discards everything (useful to force the serialization path in tests).
-class NullSink : public Sink {
- public:
-  void write(const std::string& line) override;
-  std::size_t lines_dropped() const { return dropped_; }
-
- private:
-  std::size_t dropped_ = 0;
-};
-
 /// Appends lines to a caller-owned std::ostream (e.g. std::cout).
 class StreamSink : public Sink {
  public:

@@ -23,14 +23,6 @@ std::size_t Shape::numel() const {
   return n;
 }
 
-std::vector<std::size_t> Shape::strides() const {
-  std::vector<std::size_t> s(dims_.size(), 1);
-  for (std::size_t i = dims_.size(); i-- > 1;) {
-    s[i - 1] = s[i] * dims_[i];
-  }
-  return s;
-}
-
 std::string Shape::to_string() const {
   std::ostringstream oss;
   oss << "[";

@@ -25,9 +25,6 @@ class Shape {
   bool operator==(const Shape& other) const { return dims_ == other.dims_; }
   bool operator!=(const Shape& other) const { return !(*this == other); }
 
-  /// Row-major strides (stride of the last axis is 1).
-  std::vector<std::size_t> strides() const;
-
   /// "[2, 3, 4]"
   std::string to_string() const;
 

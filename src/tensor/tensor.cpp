@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -84,14 +83,6 @@ Tensor& Tensor::add_(const Tensor& other) {
   return *this;
 }
 
-Tensor& Tensor::sub_(const Tensor& other) {
-  check_same_shape(*this, other, "sub");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] -= other.data_[i];
-  }
-  return *this;
-}
-
 Tensor& Tensor::mul_(const Tensor& other) {
   check_same_shape(*this, other, "mul");
   for (std::size_t i = 0; i < data_.size(); ++i) {
@@ -107,36 +98,10 @@ Tensor& Tensor::scale_(float s) {
   return *this;
 }
 
-Tensor Tensor::add(const Tensor& other) const {
-  Tensor out = *this;
-  out.add_(other);
-  return out;
-}
-
-Tensor Tensor::sub(const Tensor& other) const {
-  Tensor out = *this;
-  out.sub_(other);
-  return out;
-}
-
 Tensor Tensor::mul(const Tensor& other) const {
   Tensor out = *this;
   out.mul_(other);
   return out;
-}
-
-Tensor Tensor::scaled(float s) const {
-  Tensor out = *this;
-  out.scale_(s);
-  return out;
-}
-
-float Tensor::sum() const {
-  double acc = 0.0;
-  for (float x : data_) {
-    acc += x;
-  }
-  return static_cast<float>(acc);
 }
 
 float Tensor::abs_max() const {
@@ -157,12 +122,6 @@ float Tensor::max() const {
   return *std::max_element(data_.begin(), data_.end());
 }
 
-std::size_t Tensor::argmax() const {
-  XB_CHECK(!data_.empty(), "argmax of empty tensor");
-  return static_cast<std::size_t>(
-      std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
 void Tensor::fill_gaussian(Rng& rng, float mean, float stddev) {
   for (float& x : data_) {
     x = static_cast<float>(rng.gaussian(mean, stddev));
@@ -180,20 +139,6 @@ Tensor Tensor::transposed() const {
     }
   }
   return out;
-}
-
-std::string Tensor::to_string(std::size_t max_elems) const {
-  std::ostringstream oss;
-  oss << "Tensor" << shape_.to_string() << " {";
-  const std::size_t n = std::min(max_elems, data_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    oss << (i ? ", " : "") << data_[i];
-  }
-  if (n < data_.size()) {
-    oss << ", ...";
-  }
-  oss << "}";
-  return oss.str();
 }
 
 bool allclose(const Tensor& a, const Tensor& b, float tol) {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -53,31 +52,21 @@ class Tensor {
 
   /// In-place elementwise operations.
   Tensor& add_(const Tensor& other);
-  Tensor& sub_(const Tensor& other);
   Tensor& mul_(const Tensor& other);
   Tensor& scale_(float s);
 
-  /// Out-of-place counterparts.
-  Tensor add(const Tensor& other) const;
-  Tensor sub(const Tensor& other) const;
+  /// Out-of-place multiply.
   Tensor mul(const Tensor& other) const;
-  Tensor scaled(float s) const;
 
-  float sum() const;
   float abs_max() const;
   float min() const;
   float max() const;
-
-  /// Index of the largest element (ties: first).
-  std::size_t argmax() const;
 
   /// Fills with N(mean, stddev) draws.
   void fill_gaussian(Rng& rng, float mean, float stddev);
 
   /// Rank-2 transpose.
   Tensor transposed() const;
-
-  std::string to_string(std::size_t max_elems = 16) const;
 
   bool operator==(const Tensor& other) const {
     return shape_ == other.shape_ && data_ == other.data_;

@@ -226,10 +226,11 @@ class Crossbar {
   /// conductance matrix.
   device::Memristor& mutable_cell(std::size_t r, std::size_t c);
 
-  /// Legacy per-pulse body shared by program_cell and the percell
-  /// executor: full per-pulse device math plus immediate tracker/counter
-  /// updates. The batched path reproduces these floating-point updates
-  /// exactly (see program_batch) while hoisting the invariants.
+  /// Reference per-pulse body behind program_cell (and so the
+  /// PerCellExecutor): full per-pulse device math plus immediate
+  /// tracker/counter updates. The batched path reproduces these
+  /// floating-point updates exactly (see program_batch) while hoisting
+  /// the invariants.
   double apply_pulse_percell(const ProgramOp& op);
 
   /// Stuck-cell snap-back / write-noise step shared verbatim by the

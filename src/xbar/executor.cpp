@@ -68,9 +68,8 @@ ExecReport PerCellExecutor::execute(Crossbar& xb,
 namespace {
 
 const SimExecutor g_sim;
-const PerCellExecutor g_percell;
 
-/// The remote backend carries configuration, so unlike sim/percell it is
+/// The remote backend carries configuration, so unlike sim it is
 /// built on demand: from configure_remote_executor() when the CLI passed
 /// flags, else from the environment the first time "remote" resolves.
 std::mutex g_remote_mu;
@@ -87,9 +86,6 @@ ProgramExecutor& remote_instance() {
 const ProgramExecutor* resolve(const std::string& name) {
   if (name.empty() || name == "auto" || name == "sim") {
     return &g_sim;
-  }
-  if (name == "percell") {
-    return &g_percell;
   }
   if (name == "remote") {
     return &remote_instance();
@@ -149,7 +145,7 @@ void set_executor(const std::string& name) {
 std::string executor_name() { return select_executor().name(); }
 
 std::vector<std::string> available_executors() {
-  return {"sim", "percell", "remote"};
+  return {"sim", "remote"};
 }
 
 RemoteConfig remote_config_from_env() {
@@ -202,8 +198,7 @@ ExecutorPoolSummary executor_pool_summary() {
     std::lock_guard<std::mutex> lock(g_remote_mu);
     pool = g_remote.get();
     // Stamp only when the remote backend is the *active* one: a
-    // configured but unselected one must not perturb sim/percell
-    // documents.
+    // configured but unselected one must not perturb sim documents.
     if (pool == nullptr || g_active.load(std::memory_order_acquire) != pool) {
       return out;
     }

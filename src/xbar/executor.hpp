@@ -4,15 +4,12 @@
 // Mirrors the PR 6 kernel registry: the backend is resolved once at
 // startup (--executor / XBARLIFE_EXECUTOR, unknown name -> exit 2 with
 // the usable list) and stamped into result/bench envelopes as the
-// "executor" key. Three backends ship today, two of them in-process:
+// "executor" key. Two backends can be selected:
 //
 //   sim      (default) column-batched simulator: contiguous pulse runs
 //            execute through Crossbar::program_batch, which hoists the
 //            per-pulse transcendental math and amortizes tracker and
-//            obs-counter updates across the batch. Bit-identical to
-//            percell by construction.
-//   percell  legacy reference: every pulse goes through the original
-//            one-call-per-cell Crossbar::program_cell path.
+//            obs-counter updates across the batch.
 //   remote   ships each sequence (plus full crossbar state) over a socket
 //            to one of a list of worker processes — or in-process
 //            loopback workers — with failover, retry/backoff and graceful
@@ -20,6 +17,11 @@
 //            single address is a list of one. Configured via
 //            --remote/--remote-faults or
 //            XBARLIFE_REMOTE/XBARLIFE_REMOTE_FAULTS.
+//
+// PerCellExecutor is not selectable: it is the reference the sim backend
+// is checked against (every pulse through the one-call-per-cell
+// Crossbar::program_cell path), built directly by the tests and the
+// micro benchmarks.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +66,8 @@ class SimExecutor final : public ProgramExecutor {
   ExecReport execute(Crossbar& xb, const ProgramSequence& seq) const override;
 };
 
-/// Legacy per-cell reference backend: one program_cell call per pulse.
+/// Per-cell reference: one program_cell call per pulse. SimExecutor must
+/// match it bit for bit (tests/fast_path_oracle_test.cpp).
 class PerCellExecutor final : public ProgramExecutor {
  public:
   const char* name() const override { return "percell"; }
@@ -77,7 +80,7 @@ class PerCellExecutor final : public ProgramExecutor {
 /// through and falls back to this one when none is given.
 const ProgramExecutor& select_executor();
 
-/// Activates a backend by name ("sim", "percell", "remote"; "" / "auto"
+/// Activates a backend by name ("sim", "remote"; "" / "auto"
 /// -> default). Throws InvalidArgument listing the usable names otherwise.
 void set_executor(const std::string& name);
 

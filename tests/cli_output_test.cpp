@@ -249,37 +249,20 @@ TEST(CliOutput, UnknownExecutorExitsUsage) {
 #endif
 }
 
-// The executor backend is a pure implementation choice: the same run
-// under --executor sim and --executor percell must produce identical
-// result streams except for the envelope's own "executor" stamp.
-TEST(CliOutput, ExecutorBackendsProduceIdenticalResultsModuloStamp) {
-  const std::string sim_json = ::testing::TempDir() + "/xbarlife_sim.jsonl";
-  const std::string per_json =
-      ::testing::TempDir() + "/xbarlife_percell.jsonl";
-  std::remove(sim_json.c_str());
-  std::remove(per_json.c_str());
-  ASSERT_EQ(run_cli("device --pulses 50 --executor sim --json " + sim_json),
-            0);
-  ASSERT_EQ(run_cli("device --pulses 50 --executor percell --json " +
-                    per_json),
-            0);
-  std::string sim_text = slurp(sim_json);
-  std::string per_text = slurp(per_json);
-  ASSERT_FALSE(sim_text.empty());
-  ASSERT_FALSE(per_text.empty());
-  EXPECT_NE(sim_text.find("\"executor\":\"sim\""), std::string::npos);
-  EXPECT_NE(per_text.find("\"executor\":\"percell\""), std::string::npos);
-  const auto unstamp = [](std::string text, const std::string& name) {
-    const std::string needle = "\"executor\":\"" + name + "\"";
-    for (std::size_t pos = text.find(needle); pos != std::string::npos;
-         pos = text.find(needle, pos)) {
-      text.replace(pos, needle.size(), "\"executor\":\"*\"");
-    }
-    return text;
-  };
-  EXPECT_EQ(unstamp(sim_text, "sim"), unstamp(per_text, "percell"));
-  std::remove(sim_json.c_str());
-  std::remove(per_json.c_str());
+// The per-cell executor is the sim backend's test reference, not a
+// backend: naming it, by flag or by environment, is a usage error whose
+// message lists the usable names.
+TEST(CliOutput, PerCellIsNotASelectableExecutor) {
+  const std::string err = ::testing::TempDir() + "/xbarlife_percell.err";
+  for (const std::string& cmd :
+       {cli_path() + " device --pulses 5 --executor percell",
+        "XBARLIFE_EXECUTOR=percell " + cli_path() + " device --pulses 5"}) {
+    std::remove(err.c_str());
+    EXPECT_EQ(exit_code_of(cmd + " >/dev/null 2>" + err), 2) << cmd;
+    EXPECT_NE(slurp(err).find("(available: sim, remote)"), std::string::npos)
+        << cmd;
+  }
+  std::remove(err.c_str());
 }
 
 TEST(CliOutput, ProfileEnvVarEnablesProfiling) {

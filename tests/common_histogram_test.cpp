@@ -76,14 +76,6 @@ TEST(Histogram, RenderContainsBarsAndCounts) {
   EXPECT_NE(out.find(" 2"), std::string::npos);
 }
 
-TEST(Histogram, CsvHasHeaderAndRows) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25);
-  const std::string csv = h.to_csv();
-  EXPECT_NE(csv.find("bin_center,count,density"), std::string::npos);
-  EXPECT_NE(csv.find("0.25,1,1"), std::string::npos);
-}
-
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 0.0, 4), InvalidArgument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);

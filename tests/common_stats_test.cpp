@@ -43,37 +43,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(rs.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesSinglePass) {
-  Rng rng(5);
-  RunningStats whole;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.gaussian(2.0, 3.0);
-    whole.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(Quantile, SortedInterpolation) {
   const std::vector<double> v{0.0, 1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.0), 0.0);

@@ -31,14 +31,6 @@ TEST(TablePrinter, EmptyHeadersRejected) {
   EXPECT_THROW(TablePrinter({}), InvalidArgument);
 }
 
-TEST(TablePrinter, CsvOutput) {
-  TablePrinter t({"x", "y"});
-  t.add_row({"1", "a,b"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("x,y\n"), std::string::npos);
-  EXPECT_NE(csv.find("1,\"a,b\"\n"), std::string::npos);
-}
-
 TEST(FormatDouble, TrimsTrailingZeros) {
   EXPECT_EQ(format_double(1.5, 4), "1.5");
   EXPECT_EQ(format_double(2.0, 4), "2.0");

@@ -23,6 +23,7 @@
 #include "obs/event_trace.hpp"
 #include "obs/sink.hpp"
 #include "persist/checkpoint.hpp"
+#include "tuning/hardware_network.hpp"
 #include "xbar/executor.hpp"
 
 namespace xbarlife::core {
@@ -219,11 +220,32 @@ TEST(LifetimeCheckpoint, KillAtEverySessionBoundaryResumesBitIdentically) {
   remove_generations(killed_path);
 }
 
-// Mid-campaign snapshots are backend-portable: a faulted, ladder-enabled
+/// run_scenario with every sequence programmed through `executor`: the
+/// train, deploy and lifetime steps of run_scenario and run_trained.
+ScenarioOutcome run_scenario_on(const ExperimentConfig& cfg, Scenario s,
+                                const xbar::ProgramExecutor& executor,
+                                persist::CheckpointStore* store) {
+  const data::TrainTest data = data::make_synthetic(cfg.dataset);
+  TrainedModel tm = train_model(cfg, data, uses_skewed_training(s));
+  ScenarioOutcome outcome;
+  outcome.scenario = s;
+  outcome.software_accuracy = tm.history.final_test_accuracy;
+  outcome.tuning_target =
+      cfg.target_accuracy_fraction * outcome.software_accuracy;
+  LifetimeConfig lc = cfg.lifetime;
+  lc.tuning.target_accuracy = outcome.tuning_target;
+  tuning::HardwareNetwork hw(tm.network, cfg.device, cfg.aging, cfg.faults,
+                             executor);
+  outcome.lifetime = LifetimeSimulator(lc).run(
+      hw, data.train, data.test, mapping_policy(s), obs::Obs{}, store);
+  return outcome;
+}
+
+// Mid-campaign snapshots are executor-portable: a faulted, ladder-enabled
 // campaign killed at every session boundary must resume byte-identically
-// even when the resuming process alternates between the batched (sim)
-// and per-cell executor backends — the checkpointed crossbar state and
-// the programming semantics are independent of the backend choice.
+// even when the resuming attempts alternate between the batched sim
+// executor and the per-cell reference — the checkpointed crossbar state
+// and the programming semantics are independent of the executor.
 TEST(LifetimeCheckpoint, FaultedLadderCampaignResumesAcrossBackends) {
   EnvGuard guard;
   ExperimentConfig cfg = tiny_config();
@@ -234,8 +256,9 @@ TEST(LifetimeCheckpoint, FaultedLadderCampaignResumesAcrossBackends) {
   cfg.lifetime.resilience.ladder_enabled = true;
   const Scenario scenario = Scenario::kSTAT;
 
-  xbar::set_executor("sim");
   const ScenarioOutcome reference = run_scenario(cfg, scenario);
+  const xbar::SimExecutor sim;
+  const xbar::PerCellExecutor percell;
 
   const std::string killed_path = temp_path("resume_ladder_killed.ckpt");
   remove_generations(killed_path);
@@ -243,18 +266,19 @@ TEST(LifetimeCheckpoint, FaultedLadderCampaignResumesAcrossBackends) {
   std::size_t interrupts = 0;
   bool completed = false;
   for (std::size_t attempt = 0; attempt < 32 && !completed; ++attempt) {
-    xbar::set_executor(attempt % 2 == 0 ? "sim" : "percell");
+    const xbar::ProgramExecutor& executor =
+        attempt % 2 == 0 ? static_cast<const xbar::ProgramExecutor&>(sim)
+                         : percell;
     persist::CheckpointStore store(killed_path);
     request_shutdown();
     try {
-      resumed = run_scenario(cfg, scenario, obs::Obs{}, &store);
+      resumed = run_scenario_on(cfg, scenario, executor, &store);
       completed = true;
     } catch (const InterruptedError&) {
       ++interrupts;
     }
     reset_shutdown();
   }
-  xbar::set_executor("sim");
   ASSERT_TRUE(completed);
   EXPECT_GE(interrupts, 1U);
   EXPECT_EQ(scenario_outcome_json(resumed).dump(),

@@ -8,10 +8,14 @@ Each matrix cell runs the built CLI over three commands and diffs every
 output against the sim / 1-thread / fresh reference of its own kernel:
 
   axes     threads {1, 4}
-           x kernel auto   x executor {sim, percell, remote, pool3, chaos}
+           x kernel auto   x executor {sim, remote, pool3, chaos}
                            x run {fresh, resumed}
            + kernel scalar x executor sim x run fresh    (see KERNEL_AXES)
   commands sweep (with --profile), faults, lifetime (see COMMANDS)
+
+The per-cell programming reference is not an executor a run can select;
+FastPathOracle.SimMatchesPerCellOverLifetimes (fast_path_oracle_test)
+checks sim against it on the same three workloads.
 
 A "resumed" cell gets SIGINT as soon as the CLI has armed its handler, so
 the cooperative shutdown fires at the first snapshot boundary, right after
@@ -134,7 +138,6 @@ THREADS = (1, 4)
 RUNS = ("fresh", "resumed")
 EXECUTORS = {
     "sim": ["--executor", "sim"],
-    "percell": ["--executor", "percell"],
     "remote": ["--executor", "remote", "--remote", "loopback"],
     "pool3": ["--executor", "remote",
               "--remote", "loopback,loopback,loopback"],

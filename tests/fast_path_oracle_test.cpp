@@ -3,7 +3,7 @@
 // Each fast path (the aging statistics pass, the drift pass, network sync,
 // tuning sign updates, the SGD step, the regularizers, the fused training
 // step and the convolution lowering, including the network's first-layer
-// backward) is checked
+// backward, and the sim executor's batched programming) is checked
 // against a reference written with the checked public API only — the
 // exhaustive-enumeration-plus-bound idiom with a bound of zero: every
 // case must agree bit for bit.
@@ -24,6 +24,9 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/experiment.hpp"
+#include "core/model_registry.hpp"
+#include "core/report.hpp"
+#include "core/scenario_runner.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv.hpp"
 #include "nn/loss.hpp"
@@ -35,8 +38,10 @@
 #include "tensor/im2col.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/matmul.hpp"
+#include "tuning/hardware_network.hpp"
 #include "tuning/online_tuner.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/executor.hpp"
 #include "xbar/program_sequence.hpp"
 
 namespace xbarlife {
@@ -404,7 +409,12 @@ TEST(FastPathOracle, SyncAndSignUpdatesMatchCheckedPath) {
 
       fast.hw->sync_network_to_hardware();
       const std::vector<Tensor> want = reference_sync(*ref.hw);
-      ref.net.load_mappable_weights(want);
+      const std::vector<nn::MappableWeight> ref_weights =
+          ref.net.mappable_weights();
+      ASSERT_EQ(ref_weights.size(), want.size()) << name;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        *ref_weights[i].value = want[i];
+      }
       expect_same_weights(fast.net.save_mappable_weights(), want,
                           name + " iteration " + std::to_string(iter));
       // Same read-noise stream positions and network parameters.
@@ -1228,6 +1238,121 @@ TEST(FastPathOracle, TrainModelDigestsArePinned) {
             << variant << (lenet ? " lenet5" : " mlp")
             << (skewed ? " ST" : " T");
       }
+    }
+  }
+}
+
+// --- sim executor against the per-cell reference over whole lifetimes -----
+
+/// What a lifetime leaves behind: its result document and the bytes of
+/// every deployed array, plus how many sessions climbed the ladder.
+struct LifetimeOutput {
+  std::string result;
+  std::string state;
+  std::size_t rescues = 0;
+};
+
+/// core::run_trained with every sequence programmed through `executor`.
+LifetimeOutput run_lifetime_on(const core::ScenarioJob& job,
+                               core::TrainedModel tm,
+                               const data::TrainTest& data,
+                               const xbar::ProgramExecutor& executor) {
+  core::LifetimeConfig lc = job.config.lifetime;
+  lc.tuning.target_accuracy =
+      job.config.target_accuracy_fraction * tm.history.final_test_accuracy;
+  tuning::HardwareNetwork hw(tm.network, job.config.device, job.config.aging,
+                             job.config.faults, executor);
+  const core::LifetimeResult result = core::LifetimeSimulator(lc).run(
+      hw, data.train, data.test, core::mapping_policy(job.scenario));
+  persist::StateWriter w;
+  hw.save_state(w);
+  const auto rescues = std::count_if(
+      result.sessions.begin(), result.sessions.end(),
+      [](const core::SessionRecord& s) { return !s.rescue_rungs.empty(); });
+  return {core::lifetime_result_json(result).dump(), w.data(),
+          static_cast<std::size_t>(rescues)};
+}
+
+// SimExecutor runs each column's pulses as one batch with the per-pulse
+// device math hoisted; PerCellExecutor programs one cell per call through
+// Crossbar::program_cell. Over the determinism matrix's three workloads
+// (the MLP sweep, the faulted MLP with and without the escalation ladder,
+// LeNet-5 ST+AT), and a small faulted campaign whose sessions tune, climb
+// the ladder and remap onto spare rows, every programming pass must leave
+// the same result document and the same array bytes.
+TEST(FastPathOracle, SimMatchesPerCellOverLifetimes) {
+  using core::Scenario;
+  const core::ScenarioRunner runner(7);
+  core::ExperimentConfig mlp = core::make_model_config("mlp");
+  mlp.lifetime.max_sessions = 2;
+  std::vector<core::ScenarioJob> jobs = core::ScenarioRunner::cross(
+      mlp, {Scenario::kTT, Scenario::kSTT, Scenario::kSTAT});
+  core::ExperimentConfig faulted = mlp;
+  faulted.faults.nonideal.stuck_off_fraction = 0.02;
+  faulted.faults.nonideal.write_noise_sigma = 0.02;
+  for (const bool ladder : {true, false}) {
+    faulted.lifetime.resilience.ladder_enabled = ladder;
+    jobs.push_back({ladder ? "faults" : "faults_noladder", faulted,
+                    Scenario::kSTAT});
+  }
+  for (core::ScenarioJob& job : jobs) {
+    job.config = runner.forked_config(job);
+  }
+  core::ExperimentConfig lenet = core::make_model_config("lenet5");
+  lenet.lifetime.max_sessions = 2;
+  jobs.push_back({"lenet5", lenet, Scenario::kSTAT});
+  core::ExperimentConfig ladder;
+  ladder.model = core::ExperimentConfig::Model::kMlp;
+  ladder.mlp_hidden = {16};
+  ladder.dataset.classes = 4;
+  ladder.dataset.channels = 1;
+  ladder.dataset.height = 6;
+  ladder.dataset.width = 6;
+  ladder.dataset.train_per_class = 24;
+  ladder.dataset.test_per_class = 6;
+  ladder.dataset.noise = 0.1;
+  ladder.train_config.epochs = 2;
+  ladder.train_config.batch = 16;
+  ladder.train_config.learning_rate = 0.05;
+  ladder.lifetime.max_sessions = 8;
+  ladder.lifetime.tuning.eval_samples = 24;
+  ladder.lifetime.tuning.max_iterations = 20;
+  ladder.target_accuracy_fraction = 0.9;
+  ladder.faults.nonideal.stuck_off_fraction = 0.18;
+  ladder.faults.nonideal.stuck_on_fraction = 0.05;
+  ladder.faults.nonideal.write_noise_sigma = 0.05;
+  ladder.faults.spare_rows = 4;
+  ladder.faults.fault_seed = 22;
+  jobs.push_back({"ladder", ladder, Scenario::kSTAT});
+
+  // Positions 2j and 2j+1 share job j's training: one deploys it on the
+  // per-cell reference, the other on sim.
+  std::vector<std::string> keys;
+  for (const core::ScenarioJob& job : jobs) {
+    keys.insert(keys.end(), 2,
+                core::training_key(job.config,
+                                   core::uses_skewed_training(job.scenario)));
+  }
+  core::SharedSlots<core::TrainedParams> trainings(keys);
+  const xbar::SimExecutor sim;
+  const xbar::PerCellExecutor percell;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const core::ScenarioJob& job = jobs[j];
+    const data::TrainTest data = data::make_synthetic(job.config.dataset);
+    const bool skewed = core::uses_skewed_training(job.scenario);
+    const LifetimeOutput want = run_lifetime_on(
+        job,
+        core::share_training(trainings, 2 * j, job.config, data, skewed, {}),
+        data, percell);
+    const LifetimeOutput got = run_lifetime_on(
+        job,
+        core::share_training(trainings, 2 * j + 1, job.config, data, skewed,
+                             {}),
+        data, sim);
+    EXPECT_EQ(got.result, want.result) << job.label;
+    EXPECT_TRUE(got.state == want.state) << job.label << ": array bytes differ";
+    if (job.label == "ladder") {
+      EXPECT_GT(want.rescues, 0u) << "the ladder campaign never rescued";
     }
   }
 }

@@ -1,14 +1,10 @@
-// Int8 quantized inference: the requantize primitive (exhaustively swept
-// against an exact reference, lib_nn's measure_quantisation idiom), the
-// coding schemes, quantized_linear parity with the float GEMM, and the
-// end-to-end LeNet-5 contract — accuracy within 0.5% of float and
-// byte-identical output at any thread count.
+// Int8 quantized inference: the coding schemes, quantized_linear parity
+// with the float GEMM, and the end-to-end LeNet-5 contract — accuracy
+// within 0.5% of float and byte-identical output at any thread count.
 #include "nn/quantized.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -24,43 +20,6 @@
 
 namespace xbarlife::nn {
 namespace {
-
-// --- requantize --------------------------------------------------------
-
-TEST(Requantize, ExhaustiveSweepWithinOneLsb) {
-  // Sweep every int8-reachable accumulator against an exact double
-  // reference over a grid of multipliers/biases/zero-points; the rounded
-  // saturating fixed-point result must stay within 1 LSB everywhere.
-  std::vector<std::int32_t> acc;
-  for (std::int32_t v = -1 << 15; v <= 1 << 15; v += 7) {
-    acc.push_back(v);
-  }
-  std::vector<std::int8_t> out(acc.size());
-  for (const float multiplier : {0.25f, 0.01f, 0.0042f, 1.0f / 300.0f}) {
-    for (const float bias : {0.0f, -3.7f, 12.25f}) {
-      for (const std::int32_t zp : {0, -17, 42}) {
-        requantize(acc.data(), acc.size(), multiplier, bias, zp,
-                   out.data());
-        for (std::size_t i = 0; i < acc.size(); ++i) {
-          const double exact = std::clamp(
-              static_cast<double>(acc[i]) * multiplier + bias + zp,
-              -128.0, 127.0);
-          EXPECT_LE(std::fabs(static_cast<double>(out[i]) - exact), 1.0)
-              << "acc=" << acc[i] << " mult=" << multiplier
-              << " bias=" << bias << " zp=" << zp;
-        }
-      }
-    }
-  }
-}
-
-TEST(Requantize, SaturatesInsteadOfWrapping) {
-  const std::int32_t acc[2] = {1 << 20, -(1 << 20)};
-  std::int8_t out[2] = {0, 0};
-  requantize(acc, 2, 1.0f, 0.0f, 0, out);
-  EXPECT_EQ(out[0], 127);
-  EXPECT_EQ(out[1], -128);
-}
 
 // --- coding schemes ----------------------------------------------------
 

@@ -98,30 +98,6 @@ TEST(Network, SkewedTrainingShiftsDistributionRight) {
   EXPECT_GT(ss.min, sp.min);  // left tail got compressed
 }
 
-TEST(Network, SaveLoadMappableWeightsRoundtrip) {
-  Rng rng(2);
-  Network net = make_mlp(4, {6}, 2, rng);
-  const auto snapshot = net.save_mappable_weights();
-  ASSERT_EQ(snapshot.size(), 2u);
-  // Perturb then restore.
-  for (const MappableWeight& mw : net.mappable_weights()) {
-    mw.value->fill(9.0f);
-  }
-  net.load_mappable_weights(snapshot);
-  const auto after = net.save_mappable_weights();
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    EXPECT_TRUE(allclose(snapshot[i], after[i]));
-  }
-}
-
-TEST(Network, LoadRejectsWrongShapes) {
-  Rng rng(2);
-  Network net = make_mlp(4, {6}, 2, rng);
-  std::vector<Tensor> bad{Tensor(Shape{1, 1}), Tensor(Shape{1, 1})};
-  EXPECT_THROW(net.load_mappable_weights(bad), InvalidArgument);
-  EXPECT_THROW(net.load_mappable_weights({}), InvalidArgument);
-}
-
 TEST(Network, MappableWeightsCarryLayerKind) {
   Rng rng(3);
   const ImageSpec spec{1, 16, 16};

@@ -221,13 +221,13 @@ TEST(Span, RecordsHistogramTraceAndProfilerSpan) {
   EXPECT_EQ(prof.records()[0].counters[0].second, 3u);
 }
 
-// The old ScopeTimer gap: with only a trace attached (no metrics), timer
-// scopes must still leave a record.
+// With only a trace attached (no metrics), a span must still leave a
+// record.
 TEST(Span, TraceOnlyRunRecordsSpanEvents) {
   MemorySink sink;
   EventTrace trace(&sink);
   const Obs obs{nullptr, &trace, nullptr};
-  { const ScopeTimer timer(obs, "tuning.session"); }
+  { const Span span(obs, "tuning.session"); }
   ASSERT_EQ(sink.lines().size(), 2u);
   EXPECT_NE(sink.lines()[0].find("span_begin"), std::string::npos);
   EXPECT_NE(sink.lines()[1].find("span_end"), std::string::npos);

@@ -196,33 +196,6 @@ TEST(EscalationLadder, ExtendsLifetimeUnderManufactureFaults) {
   EXPECT_TRUE(saw_rung);
 }
 
-// Every programming path the ladder exercises (deploys, reprograms,
-// spare-row remaps, retry-clamped rungs) now flows through
-// ProgramSequences, so the whole faulted campaign must be byte-identical
-// whichever executor backend runs it — batched sim vs the per-cell
-// reference is a pure implementation choice.
-TEST(EscalationLadder, CampaignByteIdenticalAcrossExecutorBackends) {
-  core::ExperimentConfig cfg = tiny_config();
-  cfg.target_accuracy_fraction = 0.9;
-  cfg.faults.nonideal.stuck_off_fraction = 0.18;
-  cfg.faults.nonideal.stuck_on_fraction = 0.05;
-  cfg.faults.nonideal.write_noise_sigma = 0.05;
-  cfg.faults.spare_rows = 4;
-  cfg.faults.fault_seed = 22;
-  cfg.lifetime.resilience.ladder_enabled = true;
-
-  xbar::set_executor("sim");
-  const core::ScenarioOutcome batched =
-      core::run_scenario(cfg, core::Scenario::kSTAT);
-  xbar::set_executor("percell");
-  const core::ScenarioOutcome percell =
-      core::run_scenario(cfg, core::Scenario::kSTAT);
-  xbar::set_executor("sim");
-
-  EXPECT_EQ(core::scenario_outcome_json(batched).dump(),
-            core::scenario_outcome_json(percell).dump());
-}
-
 // Degraded mode: with an aggressive fault model and a permissive floor,
 // sessions that miss the tuning target keep serving (and count
 // applications) instead of ending the array's life on the spot.

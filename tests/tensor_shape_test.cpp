@@ -28,14 +28,6 @@ TEST(Shape, Equality) {
   EXPECT_NE((Shape{2, 3}), (Shape{2, 3, 1}));
 }
 
-TEST(Shape, RowMajorStrides) {
-  const auto strides = Shape{2, 3, 4}.strides();
-  ASSERT_EQ(strides.size(), 3u);
-  EXPECT_EQ(strides[0], 12u);
-  EXPECT_EQ(strides[1], 4u);
-  EXPECT_EQ(strides[2], 1u);
-}
-
 TEST(Shape, ToString) {
   EXPECT_EQ((Shape{2, 3}).to_string(), "[2, 3]");
   EXPECT_EQ(Shape{}.to_string(), "[]");

@@ -1,6 +1,7 @@
-// Executor-backend contract tests: registry selection, the sim-vs-percell
-// byte-identity guarantee, program_cell's thin-wrapper equivalence, and
-// the pulse/batch accounting invariants shared by every backend.
+// Executor-backend contract tests: registry selection, sim's
+// byte-identity with the per-cell reference, program_cell's thin-wrapper
+// equivalence, and the pulse/batch accounting invariants shared by every
+// backend.
 #include "xbar/executor.hpp"
 
 #include <gtest/gtest.h>
@@ -49,16 +50,15 @@ ProgramSequence mixed_sequence(std::size_t rows, std::size_t cols) {
 
 TEST(ExecutorRegistry, ListsAllBackends) {
   const auto names = available_executors();
-  ASSERT_EQ(names.size(), 3u);
+  ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "sim");
-  EXPECT_EQ(names[1], "percell");
-  EXPECT_EQ(names[2], "remote");
+  EXPECT_EQ(names[1], "remote");
 }
 
 TEST(ExecutorRegistry, SetExecutorSwitchesActiveBackend) {
-  set_executor("percell");
-  EXPECT_EQ(executor_name(), "percell");
-  EXPECT_STREQ(select_executor().name(), "percell");
+  set_executor("remote");
+  EXPECT_EQ(executor_name(), "remote");
+  EXPECT_STREQ(select_executor().name(), "remote");
   set_executor("sim");
   EXPECT_EQ(executor_name(), "sim");
   // "" and "auto" resolve to the default (sim).
@@ -71,18 +71,19 @@ TEST(ExecutorRegistry, SetExecutorSwitchesActiveBackend) {
 TEST(ExecutorRegistry, UnknownNameThrowsListingBackends) {
   // Whatever is active (the suite may run under XBARLIFE_EXECUTOR), a
   // failed set must leave it untouched.
+  // The per-cell reference is not a backend either.
   const std::string before = executor_name();
-  try {
-    set_executor("fpga");
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("fpga"), std::string::npos);
-    EXPECT_NE(msg.find("sim"), std::string::npos);
-    EXPECT_NE(msg.find("percell"), std::string::npos);
-    EXPECT_NE(msg.find("remote"), std::string::npos);
+  for (const std::string name : {"fpga", "percell"}) {
+    try {
+      set_executor(name);
+      FAIL() << "expected InvalidArgument for " << name;
+    } catch (const InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + name + "'"), std::string::npos);
+      EXPECT_NE(msg.find("(available: sim, remote)"), std::string::npos);
+    }
+    EXPECT_EQ(executor_name(), before);
   }
-  EXPECT_EQ(executor_name(), before);
 }
 
 TEST(Executors, SimMatchesPerCellByteIdenticalOnIdealArray) {
