@@ -8,8 +8,8 @@
 //                      [--spare-rows N] [--no-ladder]
 //   xbarlife sweep     --model <name> [--replicates N] [--quantized]
 //                      [--strict] [--checkpoint PATH] [--job-timeout MS]
-//   xbarlife faults    --model <name> [--stuck-off LIST] [--stuck-on LIST]
-//                      [--write-noise LIST] [--read-noise LIST]
+//   xbarlife faults    --model <name> [--scenario LIST] [--stuck-off LIST]
+//                      [--stuck-on LIST] [--write-noise LIST] [--read-noise LIST]
 //                      [--compare-ladder] [--checkpoint PATH]
 //                      [--job-timeout MS] [--strict]
 //   xbarlife device    [--pulses N] [--target-r OHMS]
@@ -361,8 +361,7 @@ core::ExperimentConfig config_for(const Args& args) {
   return cfg;
 }
 
-core::Scenario scenario_for(const Args& args) {
-  const std::string name = args.get("scenario", "stat");
+core::Scenario parse_scenario(const std::string& name) {
   if (name == "tt") {
     return core::Scenario::kTT;
   }
@@ -374,6 +373,10 @@ core::Scenario scenario_for(const Args& args) {
   }
   throw xbarlife::InvalidArgument("unknown --scenario '" + name +
                                   "' (expected tt|stt|stat)");
+}
+
+core::Scenario scenario_for(const Args& args) {
+  return parse_scenario(args.get("scenario", "stat"));
 }
 
 /// Applies the shared nonideality/resilience flags to `cfg` and validates
@@ -663,7 +666,11 @@ int cmd_sweep(const Args& args, CliOutput& out) {
 int cmd_faults(const Args& args, CliOutput& out) {
   core::FaultCampaignConfig campaign;
   campaign.base = config_for(args);
-  campaign.scenarios = {scenario_for(args)};
+  campaign.scenarios.clear();
+  for (const std::string& name :
+       split_list(args.get("scenario", "stat"), "scenario")) {
+    campaign.scenarios.push_back(parse_scenario(name));
+  }
   campaign.replicates = args.number<std::size_t>("replicates", 1);
   campaign.campaign_seed = args.number<std::uint64_t>("seed", 7);
   campaign.checkpoint_path = checkpoint_path_for(args);
@@ -860,7 +867,7 @@ int cmd_info() {
              "            [--quantized] [--strict] run all scenarios x replicates\n"
              "            (parallel fan-out; per-job errors are isolated,\n"
              "            --strict exits 4 if any job failed or timed out)\n"
-             "  faults    --model ... [--scenario S] [--replicates N]\n"
+             "  faults    --model ... [--scenario LIST] [--replicates N]\n"
              "            [--compare-ladder] [--strict]\n"
              "            deterministic fault-injection campaign over the\n"
              "            cross product of the fault lists\n"

@@ -16,6 +16,11 @@ way. The final document's type is auto-detected:
   * progress snapshots — schema "xbarlife.progress.v1" as written by
                          --status-file (phase, done/total, ETA, counters).
 
+Every `lifetime_shared` event (an ST+AT job's ride on its ST+T owner)
+must carry owner/sessions/fork_session, plus layer/fresh_bound/
+aware_bound when it forked; a job has at most one, before its
+sweep_job_done.
+
 Histograms inside result/workerstats metrics are checked against the
 bucketed-histogram schema: plain summaries carry count/sum/min/max/mean;
 bucketed ones append p50/p95/p99 and a sparse "buckets" object whose
@@ -116,6 +121,48 @@ def validate_faults_data(data):
             fail(f"campaign entry {index} is timed_out but not failed")
         if "wall_ms" in entry:
             fail(f"campaign entry {index} carries nondeterministic wall_ms")
+
+
+def validate_lifetime_shared(docs):
+    """At most one well-formed lifetime_shared per job, before its
+    sweep_job_done."""
+    shared = set()
+    done = set()
+    for doc in docs:
+        if not isinstance(doc, dict):
+            continue
+        job = doc.get("job")
+        if doc.get("event") == "sweep_job_done":
+            done.add(job)
+        if doc.get("event") != "lifetime_shared":
+            continue
+        where = f"lifetime_shared of job {job!r}"
+        if job in shared:
+            fail(f"{where}: a job rides at most once")
+        if job in done:
+            fail(f"{where}: comes after the job's sweep_job_done")
+        shared.add(job)
+        if not isinstance(doc.get("owner"), str) or not doc["owner"]:
+            fail(f"{where}: owner must be a non-empty string")
+        sessions = doc.get("sessions")
+        if not isinstance(sessions, int) or sessions < 0:
+            fail(f"{where}: sessions must be a non-negative integer")
+        if "fork_session" not in doc:
+            fail(f"{where}: missing fork_session")
+        fork = doc["fork_session"]
+        if fork is None:
+            continue
+        if not isinstance(fork, int) or fork < sessions:
+            fail(f"{where}: fork_session must be an integer >= sessions")
+        layer = doc.get("layer")
+        if not isinstance(layer, int) or layer < 0:
+            fail(f"{where}: layer must be a non-negative integer")
+        for key in ("fresh_bound", "aware_bound"):
+            if not isinstance(doc.get(key), (int, float)) or doc[key] <= 0:
+                fail(f"{where}: {key} must be a positive number")
+        if doc["aware_bound"] == doc["fresh_bound"]:
+            fail(f"{where}: a fork needs an aware_bound other than "
+                 f"fresh_bound")
 
 
 def validate_histograms(histograms, where):
@@ -460,6 +507,7 @@ def main():
         if isinstance(doc, dict) and "event" in doc:
             events[doc["event"]] += 1
 
+    validate_lifetime_shared(docs)
     result = docs[-1]
     if not isinstance(result, dict):
         fail("final line is not a JSON object")

@@ -139,8 +139,6 @@ std::string scenario_key(const ExperimentConfig& config, Scenario s) {
   return w.release();
 }
 
-namespace {
-
 TrainedParams capture_params(TrainedModel& tm) {
   TrainedParams out;
   out.history = tm.history;
@@ -169,17 +167,14 @@ TrainedModel rebuild_model(const ExperimentConfig& config,
   return tm;
 }
 
-}  // namespace
-
-TrainedModel share_training(SharedSlots<TrainedParams>& trainings,
-                            std::size_t k, const ExperimentConfig& config,
-                            const data::TrainTest& data, bool skewed,
-                            const obs::Obs& obs) {
-  const auto params = trainings.acquire(k, [&] {
+std::shared_ptr<const TrainedParams> share_training(
+    SharedSlots<TrainedParams>& trainings, std::size_t k,
+    const ExperimentConfig& config, const data::TrainTest& data,
+    bool skewed, const obs::Obs& obs) {
+  return trainings.acquire(k, [&] {
     TrainedModel tm = train_model(config, data, skewed, obs);
     return std::make_shared<const TrainedParams>(capture_params(tm));
   });
-  return rebuild_model(config, *params);
 }
 
 ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
@@ -202,26 +197,75 @@ ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
   return run_trained(config, s, std::move(tm), data, obs, store);
 }
 
-ScenarioOutcome run_trained(const ExperimentConfig& config, Scenario s,
-                            TrainedModel tm, const data::TrainTest& data,
-                            const obs::Obs& obs,
-                            persist::CheckpointStore* store) {
+namespace {
+
+/// Everything of a scenario's outcome but its lifetime.
+ScenarioOutcome trained_outcome(const ExperimentConfig& config, Scenario s,
+                                const TrainHistory& history) {
   ScenarioOutcome outcome;
   outcome.scenario = s;
-  outcome.software_accuracy = tm.history.final_test_accuracy;
+  outcome.software_accuracy = history.final_test_accuracy;
   outcome.tuning_target =
       config.absolute_tuning_target > 0.0
           ? config.absolute_tuning_target
           : config.target_accuracy_fraction * outcome.software_accuracy;
+  return outcome;
+}
 
+}  // namespace
+
+ScenarioOutcome run_trained(const ExperimentConfig& config, Scenario s,
+                            TrainedModel tm, const data::TrainTest& data,
+                            const obs::Obs& obs,
+                            persist::CheckpointStore* store,
+                            AgingAwareRide* ride) {
+  ScenarioOutcome outcome = trained_outcome(config, s, tm.history);
   LifetimeConfig lc = config.lifetime;
   lc.tuning.target_accuracy = outcome.tuning_target;
 
   tuning::HardwareNetwork hw(tm.network, config.device, config.aging,
                              config.faults);
   LifetimeSimulator sim(lc);
-  outcome.lifetime =
-      sim.run(hw, data.train, data.test, mapping_policy(s), obs, store);
+  outcome.lifetime = sim.run(hw, data.train, data.test, mapping_policy(s),
+                             obs, store, ride);
+  return outcome;
+}
+
+ScenarioOutcome ride_aging_aware(const ExperimentConfig& config,
+                                 AgingAwareRide& ride,
+                                 const TrainedParams& params,
+                                 const data::TrainTest& data,
+                                 std::string_view owner,
+                                 const obs::Obs& obs) {
+  if (!ride.settled()) {
+    ride = AgingAwareRide{};
+    ride.stop_at_fork = true;
+    run_trained(config, Scenario::kSTT, rebuild_model(config, params), data,
+                {}, nullptr, &ride);
+  }
+  if (obs.trace_enabled()) {
+    std::vector<obs::Field> fields{
+        {"owner", owner},
+        {"sessions", ride.shared_sessions()},
+        {"fork_session", ride.fork.has_value()
+                             ? obs::JsonValue(ride.fork->session)
+                             : obs::JsonValue(nullptr)}};
+    if (ride.fork.has_value()) {
+      fields.emplace_back("layer", ride.fork->shadow.layer);
+      fields.emplace_back("fresh_bound", config.device.r_max_fresh);
+      fields.emplace_back("aware_bound", ride.fork->shadow.aware_bound);
+    }
+    obs.event("lifetime_shared", fields);
+  }
+  if (ride.fork.has_value()) {
+    return run_trained(config, Scenario::kSTAT, rebuild_model(config, params),
+                       data, obs, nullptr, &ride);
+  }
+  ScenarioOutcome outcome =
+      trained_outcome(config, Scenario::kSTAT, params.history);
+  outcome.lifetime = *ride.unforked;
+  obs.set_gauge("lifetime.applications_final",
+                static_cast<double>(outcome.lifetime.lifetime_applications));
   return outcome;
 }
 
@@ -230,34 +274,40 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   ExperimentResult result;
   result.name = config.name;
   ExperimentConfig shared = config;
-  constexpr std::array<Scenario, 3> kScenarios{Scenario::kTT, Scenario::kSTT,
-                                               Scenario::kSTAT};
-  std::vector<std::string> keys;
-  for (const Scenario s : kScenarios) {
-    keys.push_back(training_key(config, uses_skewed_training(s)));
-  }
-  SharedSlots<TrainedParams> trainings(keys);
   const data::TrainTest data = data::make_synthetic(config.dataset);
-  for (std::size_t k = 0; k < kScenarios.size(); ++k) {
-    const Scenario s = kScenarios[k];
+  const auto record = [&](ScenarioOutcome outcome) -> const ScenarioOutcome& {
+    auto& slot = result.scenarios[static_cast<std::size_t>(outcome.scenario)];
+    slot = std::move(outcome);
+    return *slot;
+  };
+  {
     const obs::Span scenario_span(obs, "experiment.scenario");
-    ScenarioOutcome outcome = run_trained(
-        shared, s,
-        share_training(trainings, k, shared, data, uses_skewed_training(s),
-                       obs),
-        data, obs);
-    if (s == Scenario::kTT) {
-      result.accuracy_traditional = outcome.software_accuracy;
-      // One application-level target for every scenario (see the field's
-      // documentation): anchor it to the baseline network.
-      if (shared.absolute_tuning_target <= 0.0) {
-        shared.absolute_tuning_target = outcome.tuning_target;
-      }
-    } else if (result.accuracy_skewed == 0.0) {
-      result.accuracy_skewed = outcome.software_accuracy;
+    const ScenarioOutcome& tt =
+        record(run_trained(shared, Scenario::kTT,
+                           train_model(shared, data, false, obs), data, obs));
+    result.accuracy_traditional = tt.software_accuracy;
+    // One application-level target for every scenario (see the field's
+    // documentation): anchor it to the baseline network.
+    if (shared.absolute_tuning_target <= 0.0) {
+      shared.absolute_tuning_target = tt.tuning_target;
     }
-    result.scenarios[static_cast<std::size_t>(s)] = std::move(outcome);
   }
+  // ST+T and ST+AT share one skewed training, and ST+AT rides on ST+T's
+  // lifetime up to its fork.
+  TrainedParams skewed;
+  AgingAwareRide ride;
+  {
+    const obs::Span scenario_span(obs, "experiment.scenario");
+    TrainedModel tm = train_model(shared, data, true, obs);
+    skewed = capture_params(tm);
+    result.accuracy_skewed =
+        record(run_trained(shared, Scenario::kSTT, std::move(tm), data, obs,
+                           nullptr, &ride))
+            .software_accuracy;
+  }
+  const obs::Span scenario_span(obs, "experiment.scenario");
+  record(ride_aging_aware(shared, ride, skewed, data,
+                          to_string(Scenario::kSTT), obs));
   return result;
 }
 

@@ -5,8 +5,10 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/lifetime.hpp"
 #include "core/shared_slots.hpp"
@@ -110,15 +112,22 @@ struct TrainedParams {
   TrainHistory history;
 };
 
-/// Position `k`'s trained model out of `trainings`: the owner of its key
-/// trains on `data` (observed through `obs`) and publishes the captured
-/// parameters; every position, owner included, rebuilds its own network
-/// from them (build_model with the same seed, then the parameters
-/// loaded), since deployment mutates the network it is given.
-TrainedModel share_training(SharedSlots<TrainedParams>& trainings,
-                            std::size_t k, const ExperimentConfig& config,
-                            const data::TrainTest& data, bool skewed,
-                            const obs::Obs& obs);
+/// Copies `tm`'s parameters and history.
+TrainedParams capture_params(TrainedModel& tm);
+
+/// Position `k`'s trained parameters out of `trainings`: the owner of its
+/// key trains on `data` (observed through `obs`) and publishes the
+/// captured parameters; every other position waits for them.
+std::shared_ptr<const TrainedParams> share_training(
+    SharedSlots<TrainedParams>& trainings, std::size_t k,
+    const ExperimentConfig& config, const data::TrainTest& data,
+    bool skewed, const obs::Obs& obs);
+
+/// A network of its own from trained parameters (build_model with the
+/// same seed, then the parameters loaded), since deployment mutates the
+/// network it is given.
+TrainedModel rebuild_model(const ExperimentConfig& config,
+                           const TrainedParams& params);
 
 /// Runs one scenario: trains (per the scenario's flavour), deploys, and
 /// simulates the lifetime protocol. The optional observability handle is
@@ -135,13 +144,32 @@ ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
 
 /// The deploy + lifetime half of run_scenario: derives the tuning target
 /// from `tm`'s history, deploys `tm` and simulates the lifetime on `data`.
+/// With a `ride`, ST+AT rides on this ST+T run, or (for ST+AT) continues
+/// from its fork (see LifetimeSimulator::run).
 ScenarioOutcome run_trained(const ExperimentConfig& config, Scenario s,
                             TrainedModel tm, const data::TrainTest& data,
                             const obs::Obs& obs = {},
-                            persist::CheckpointStore* store = nullptr);
+                            persist::CheckpointStore* store = nullptr,
+                            AgingAwareRide* ride = nullptr);
+
+/// ST+AT's outcome from the ride it took on the ST+T run labelled `owner`
+/// (`config` is ST+AT's, whose scenario_key equals ST+T's apart from the
+/// scenario): without a fork it is ST+T's lifetime; with one, ST+AT runs
+/// on from the fork on a network rebuilt from `params`. A ride that did
+/// not settle (its ST+T run never ran here, or failed before the fork)
+/// is first taken alone, unobserved, up to the fork. `obs` sees one
+/// `lifetime_shared` event, then ST+AT's events after the fork: the
+/// shared prefix belongs to the ST+T run.
+ScenarioOutcome ride_aging_aware(const ExperimentConfig& config,
+                                 AgingAwareRide& ride,
+                                 const TrainedParams& params,
+                                 const data::TrainTest& data,
+                                 std::string_view owner,
+                                 const obs::Obs& obs = {});
 
 /// Runs all three scenarios (T+T, ST+T, ST+AT) on one dataset; ST+T and
-/// ST+AT share one skewed training.
+/// ST+AT share one skewed training, and ST+AT rides on ST+T's lifetime
+/// up to its fork (ride_aging_aware).
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const obs::Obs& obs = {});
 

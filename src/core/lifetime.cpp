@@ -30,6 +30,15 @@ void LifetimeSimulator::apply_drift(tuning::HardwareNetwork& hw, Rng& rng) {
   }
 }
 
+std::size_t AgingAwareRide::shared_sessions() const {
+  if (unforked.has_value()) {
+    return unforked->sessions.size();
+  }
+  return fork.has_value() && fork->start.has_value()
+             ? fork->start->result.sessions.size()
+             : 0;
+}
+
 std::string LifetimeSimulator::kind() const { return "lifetime"; }
 
 std::uint64_t LifetimeSimulator::fingerprint() const {
@@ -157,9 +166,15 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
                                       const data::Dataset& eval_data,
                                       tuning::MappingPolicy policy,
                                       const obs::Obs& obs,
-                                      persist::CheckpointStore* store) {
+                                      persist::CheckpointStore* store,
+                                      AgingAwareRide* ride) {
   tune_data.validate();
   eval_data.validate();
+  XB_CHECK(ride == nullptr || store == nullptr,
+           "a ride does not checkpoint");
+  XB_CHECK(ride == nullptr || policy == tuning::MappingPolicy::kFresh ||
+               ride->fork.has_value(),
+           "ST+AT resumes only from a forked ride");
   if (obs.metrics_enabled()) {
     hw.attach_metrics(*obs.metrics);
   }
@@ -176,6 +191,24 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
   restored_ = false;
   trace_lines_.clear();
   trace_seq_ = 0;
+
+  // ST+AT from a ride's fork: restart that session's rescue from the
+  // copied state (a fork at the initial deployment starts from scratch).
+  const bool aware = policy == tuning::MappingPolicy::kAgingAware;
+  const RescueStart* resume =
+      ride != nullptr && aware && ride->fork->start.has_value()
+          ? &*ride->fork->start
+          : nullptr;
+  if (resume != nullptr) {
+    persist::StateReader r(resume->hw_state);
+    hw.load_state(r);
+    XB_CHECK(r.done(), "rescue-start state has trailing bytes");
+    result_ = resume->result;
+    drift_rng_ = resume->drift_rng;
+    tuner.set_cursor(resume->tuner_cursor);
+    next_session_ = resume->rec.session;
+  }
+  bool riding = ride != nullptr && !aware;
 
   if (store != nullptr) {
     const auto info = store->load(*this);
@@ -217,14 +250,33 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
     return net.evaluate(selection_slice.images, selection_slice.labels);
   };
 
+  // Every policy-dependent deployment. While ST+AT rides along, a fresh
+  // deployment also makes the aging-aware choice into `shadow`.
+  tuning::AwareShadow shadow;
+  const auto redeploy = [&](double keep_threshold, double switch_margin) {
+    hw.deploy(policy, config_.levels, aware || riding ? evaluator : nullptr,
+              keep_threshold, switch_margin, riding ? &shadow : nullptr);
+  };
+  // Records the ride's fork once `shadow` differs; true when the ST+T run
+  // should end there.
+  const auto forked = [&](std::size_t session,
+                          std::optional<RescueStart> start) {
+    if (!riding || !shadow.differs) {
+      return false;
+    }
+    ride->fork = AgingAwareRide::Fork{session, shadow, std::move(start)};
+    riding = false;
+    return ride->stop_at_fork;
+  };
+
   // Initial hardware mapping (Fig. 5). On a fresh array the aging-aware
   // selection degenerates to the fresh range, so both policies start
-  // identically. A restored snapshot already holds the deployed (and
-  // aged) state, so redeploying would wipe it.
-  if (!restored_) {
-    hw.deploy(policy, config_.levels,
-              policy == tuning::MappingPolicy::kAgingAware ? evaluator
-                                                           : nullptr);
+  // identically. A restored snapshot (or a fork's copy) already holds
+  // the deployed (and aged) state, so redeploying would wipe it.
+  bool stop = false;
+  if (!restored_ && resume == nullptr) {
+    redeploy(/*keep_threshold=*/2.0, /*switch_margin=*/0.05);
+    stop = forked(0, std::nullopt);
   }
 
   obs.progress_phase("lifetime.sessions", next_session_,
@@ -234,34 +286,47 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
   obs::Obs phases;
   phases.profiler = run_obs.profiler;
   for (std::size_t session = next_session_;
-       session < config_.max_sessions && !result_.died; ++session) {
+       session < config_.max_sessions && !result_.died && !stop; ++session) {
     check_job_deadline();
     // The session span closes before the snapshot drain below, so the
     // persisted stream holds the complete begin/end pair.
     std::optional<obs::Span> session_span;
     session_span.emplace(run_obs, "lifetime.session");
-    run_obs.count("lifetime.sessions");
-    if (run_obs.trace_enabled()) {
-      run_obs.event("session_start",
-                    {{"session", session},
-                     {"applications", result_.lifetime_applications},
-                     {"pulses_total", hw.total_pulses()}});
-    }
-    // Recoverable drift accumulated while processing the previous chunk
-    // of applications; online tuning is the routine corrector.
-    if (session > 0) {
-      const obs::Span span(phases, "lifetime.drift");
-      apply_drift(hw, drift_rng_);
-    }
-    tuning::TuningResult tr =
-        tuner.tune(hw, tune_data, eval_data, run_obs);
-
     SessionRecord rec;
-    rec.session = session;
-    rec.tuning_iterations = tr.iterations;
-    rec.start_accuracy = tr.start_accuracy;
+    tuning::TuningResult tr;
+    if (resume != nullptr) {
+      // ST+AT's first session after a fork starts at the rescue.
+      rec = resume->rec;
+      tr = resume->tuned;
+      resume = nullptr;
+    } else {
+      run_obs.count("lifetime.sessions");
+      if (run_obs.trace_enabled()) {
+        run_obs.event("session_start",
+                      {{"session", session},
+                       {"applications", result_.lifetime_applications},
+                       {"pulses_total", hw.total_pulses()}});
+      }
+      // Recoverable drift accumulated while processing the previous chunk
+      // of applications; online tuning is the routine corrector.
+      if (session > 0) {
+        const obs::Span span(phases, "lifetime.drift");
+        apply_drift(hw, drift_rng_);
+      }
+      tr = tuner.tune(hw, tune_data, eval_data, run_obs);
+      rec.session = session;
+      rec.tuning_iterations = tr.iterations;
+      rec.start_accuracy = tr.start_accuracy;
+    }
 
     if (!tr.converged) {
+      std::optional<RescueStart> start;
+      if (riding) {
+        persist::StateWriter w;
+        hw.save_state(w);
+        start = RescueStart{w.release(), result_, drift_rng_,
+                            tuner.cursor(), rec, tr};
+      }
       // Rescue: remap under the scenario policy and retry once. The
       // fresh-range policies rewrite toward the same unreachable targets;
       // the aging-aware policy re-selects the common range (Fig. 8).
@@ -285,7 +350,8 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
             config_.levels,
             evaluator,
             /*keep_threshold=*/config_.tuning.target_accuracy,
-            config_.rescue_switch_margin};
+            config_.rescue_switch_margin,
+            riding ? &shadow : nullptr};
         const resilience::RescueOutcome ro =
             ladder.rescue(ctx, session, tr.final_accuracy, run_obs);
         rec.tuning_iterations += ro.iterations;
@@ -294,13 +360,13 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
         tr.converged = ro.converged;
         tr.final_accuracy = ro.accuracy;
       } else {
-        hw.deploy(policy, config_.levels,
-                  policy == tuning::MappingPolicy::kAgingAware ? evaluator
-                                                               : nullptr,
-                  /*keep_threshold=*/config_.tuning.target_accuracy,
-                  config_.rescue_switch_margin);
+        redeploy(/*keep_threshold=*/config_.tuning.target_accuracy,
+                 config_.rescue_switch_margin);
         tr = tuner.tune(hw, tune_data, eval_data, run_obs);
         rec.tuning_iterations += tr.iterations;
+      }
+      if (forked(session, std::move(start))) {
+        break;
       }
     }
 
@@ -386,6 +452,9 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
   }
   obs.set_gauge("lifetime.applications_final",
                 static_cast<double>(result_.lifetime_applications));
+  if (riding) {
+    ride->unforked = result_;
+  }
 
   // Replay the buffered (restored + fresh) stream into the real trace.
   if (store != nullptr && obs.trace_enabled()) {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,42 @@ struct LifetimeResult {
   bool died = false;  ///< true if a session failed before max_sessions
 };
 
+/// The run state at a rescue's start, copied while ST+AT rides on an
+/// ST+T run: what ST+AT restarts that rescue from when it forks there.
+struct RescueStart {
+  std::string hw_state;   ///< HardwareNetwork::save_state bytes
+  LifetimeResult result;  ///< the sessions before this one
+  Rng drift_rng{0};
+  std::size_t tuner_cursor = 0;
+  SessionRecord rec;           ///< this session up to its rescue
+  tuning::TuningResult tuned;  ///< the tune that did not converge
+};
+
+/// ST+AT riding on an ST+T lifetime (LifetimeSimulator::run's `ride`).
+/// The two scenarios differ only in the range a (re)deployment picks, so
+/// they are one run until the first deployment whose aging-aware choice
+/// is not the fresh range.
+struct AgingAwareRide {
+  struct Fork {
+    /// Session whose deployment differed; without `start` it was the
+    /// initial deployment, and ST+AT starts from scratch.
+    std::size_t session = 0;
+    tuning::AwareShadow shadow;
+    std::optional<RescueStart> start;
+  };
+
+  /// In: end the ST+T run at the fork (only ST+AT's result is wanted).
+  bool stop_at_fork = false;
+  /// Out: the ST+T run that never forked; ST+AT's result equals it.
+  std::optional<LifetimeResult> unforked;
+  /// Out: the first deployment that differed.
+  std::optional<Fork> fork;
+
+  bool settled() const { return unforked.has_value() || fork.has_value(); }
+  /// Whole sessions ST+AT takes from the ST+T run.
+  std::size_t shared_sessions() const;
+};
+
 class LifetimeSimulator : public persist::Checkpointable {
  public:
   explicit LifetimeSimulator(LifetimeConfig config);
@@ -108,12 +145,24 @@ class LifetimeSimulator : public persist::Checkpointable {
   /// hardware state, drift stream position, tuner cursor, session log,
   /// and buffered trace events; the fingerprint excludes `max_sessions`
   /// so a finished run can resume toward a longer horizon.
+  ///
+  /// With a `ride` (never with a `store`) and kFresh, ST+AT rides along:
+  /// every policy-dependent deployment (the initial one, the plain
+  /// rescue, the ladder's remap rung) also makes the aging-aware choice,
+  /// unobserved. The state is copied at each rescue's start and dropped
+  /// once the rescue kept the fresh range; the first deployment that
+  /// differs is recorded in `ride->fork` with that copy, and a run that
+  /// never forks leaves its result in `ride->unforked`. With a forked
+  /// `ride` and kAgingAware, the run is ST+AT's from the fork on: the
+  /// copy is loaded into `hw` (built like the ST+T run's) and the session
+  /// loop restarts the rescue.
   LifetimeResult run(tuning::HardwareNetwork& hw,
                      const data::Dataset& tune_data,
                      const data::Dataset& eval_data,
                      tuning::MappingPolicy policy,
                      const obs::Obs& obs = {},
-                     persist::CheckpointStore* store = nullptr);
+                     persist::CheckpointStore* store = nullptr,
+                     AgingAwareRide* ride = nullptr);
 
   std::string kind() const override;
   std::uint64_t fingerprint() const override;

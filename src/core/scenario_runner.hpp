@@ -91,7 +91,10 @@ class ScenarioRunner {
   /// jobs with the same training_key() share one training (ST+T and ST+AT
   /// of a replicate), with bit-identical outcomes. A shared training's
   /// events, spans and train.* counters appear once, in the lowest-index
-  /// job of the key.
+  /// job of the key that is not an ST+AT rider (see run_each). Each ST+AT
+  /// job rides on the lifetime of an ST+T job whose scenario_key equals
+  /// its own apart from the scenario (ride_aging_aware); the shared
+  /// prefix is observed once, under the ST+T job.
   std::vector<ScenarioSweepEntry> run(const std::vector<ScenarioJob>& jobs,
                                       const obs::Obs& obs = {}) const;
 
@@ -101,12 +104,18 @@ class ScenarioRunner {
   /// Each job runs on its forked_config(), arms the per-job watchdog,
   /// isolates exceptions into a failed entry, and measures wall_ms.
   ///
-  /// Datasets and trainings are shared within the pass only. A training
-  /// is observed (through fork.job(i)) only when i is the lowest index of
-  /// its key in the whole `jobs` list; any other job that has to train —
-  /// on a resumed run, or when the owner ran in an earlier pass — trains
-  /// unobserved. So serial == threaded and killed-and-resumed ==
-  /// uninterrupted stay byte-identical.
+  /// Datasets and trainings are shared within the pass only. Pairs are
+  /// decided over the whole list: each ST+AT job rides on the lowest-index
+  /// ST+T job with its scenario_key (apart from the scenario) that no
+  /// other ST+AT job rides on. When both are in the pass, the ST+T job's
+  /// task runs the pair and hands both entries to `done`, and the
+  /// rider's own task returns at once; a rider whose owner is not in the
+  /// pass, or failed before the fork, rides alone. A training is
+  /// observed (through fork.job(i)) only when i is the lowest index of
+  /// its key among the jobs that are not riders; any other job that has
+  /// to train — on a resumed run, or when the owner ran in an earlier
+  /// pass — trains unobserved. So serial == threaded and
+  /// killed-and-resumed == uninterrupted stay byte-identical.
   void run_each(
       const std::vector<ScenarioJob>& jobs,
       const std::vector<std::size_t>& indices, obs::ObsFork& fork,

@@ -1,7 +1,9 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -74,6 +76,10 @@ void load_parameters(Network& net, const std::string& path) {
   XB_CHECK(count == params.size(),
            "parameter count mismatch: file has " + std::to_string(count) +
                ", network has " + std::to_string(params.size()));
+  // Every value is read and checked before any parameter changes, so a
+  // corrupt file leaves the network as it was.
+  std::vector<std::vector<float>> values;
+  values.reserve(params.size());
   for (const ParamRef& p : params) {
     const std::string name = read_string(in);
     XB_CHECK(name == p.name, "parameter name mismatch: file has '" + name +
@@ -86,10 +92,15 @@ void load_parameters(Network& net, const std::string& path) {
       XB_CHECK(dim == p.value->shape()[axis],
                "parameter shape mismatch at " + name);
     }
-    in.read(reinterpret_cast<char*>(p.value->data()),
-            static_cast<std::streamsize>(p.value->numel() *
-                                         sizeof(float)));
+    std::vector<float>& v = values.emplace_back(p.value->numel());
+    in.read(reinterpret_cast<char*>(v.data()),
+            static_cast<std::streamsize>(v.size() * sizeof(float)));
     XB_CHECK(static_cast<bool>(in), "truncated parameter file at " + name);
+  }
+  XB_CHECK(in.peek() == std::ifstream::traits_type::eof(),
+           "trailing bytes after the last parameter: " + path);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(values[i].begin(), values[i].end(), params[i].value->data());
   }
 }
 

@@ -130,10 +130,11 @@ RescueOutcome EscalationLadder::rescue(const RescueContext& ctx,
   // aging-aware path re-selects the common range, Fig. 8).
   if (attempt(Rung::kRemap, [&] {
         ctx.hw.deploy(ctx.policy, ctx.levels,
-                      ctx.policy == tuning::MappingPolicy::kAgingAware
+                      ctx.policy == tuning::MappingPolicy::kAgingAware ||
+                              ctx.shadow != nullptr
                           ? ctx.evaluator
                           : nullptr,
-                      ctx.keep_threshold, ctx.switch_margin);
+                      ctx.keep_threshold, ctx.switch_margin, ctx.shadow);
         return true;
       })) {
     out.converged = true;

@@ -68,6 +68,9 @@ struct RescueContext {
   const tuning::NetworkEvaluator& evaluator;
   double keep_threshold;
   double switch_margin;
+  /// While ST+AT rides on this kFresh run: the remap rung's deploy also
+  /// makes the aging-aware choice (HardwareNetwork::deploy's `shadow`).
+  tuning::AwareShadow* shadow = nullptr;
 };
 
 class EscalationLadder {

@@ -89,53 +89,68 @@ void HardwareNetwork::capture_targets() {
   targets_ = net_->save_mappable_weights();
 }
 
+double HardwareNetwork::aware_upper_bound(std::size_t i, std::size_t levels,
+                                          const NetworkEvaluator& evaluate,
+                                          double keep_threshold,
+                                          double switch_margin) {
+  const DeployedLayer& layer = layers_[i];
+  Tensor& value = *net_->mappable_weights()[i].value;
+  // Score candidates by loading the layer's predicted effective weights
+  // into the evaluation engine.
+  auto scorer = [&](const Tensor& predicted) {
+    Tensor saved = value;
+    value = predicted;
+    const double score = evaluate();
+    value = saved;
+    return score;
+  };
+  // The currently programmed range (if any) competes as the incumbent
+  // and wins near-ties, since switching rewrites the whole array.
+  const mapping::ResistanceRange* incumbent =
+      layer.plan != nullptr ? &layer.plan->resistance_range() : nullptr;
+  // Candidate bounds come from the 1-of-9 trace; candidate *scoring*
+  // uses the simulated per-cell windows, as the paper's TF simulation
+  // does when it picks the accuracy-argmax. Logical row indices go
+  // through the layer's permutation.
+  auto true_windows = [&layer](std::size_t r, std::size_t c) {
+    return layer.xbar->cell(layer.physical_row(r), c).aged_window();
+  };
+  return mapping::select_common_range(
+             layer.xbar->tracker(), layer.xbar->aging_model(),
+             dev_.r_min_fresh, dev_.r_max_fresh, targets_[i], levels, scorer,
+             incumbent, keep_threshold, switch_margin, 8, true_windows)
+      .selected.r_hi;
+}
+
 std::vector<mapping::MappingReport> HardwareNetwork::deploy(
     MappingPolicy policy, std::size_t levels,
     const NetworkEvaluator& evaluate, double keep_threshold,
-    double switch_margin) {
+    double switch_margin, AwareShadow* shadow) {
   XB_CHECK(policy == MappingPolicy::kFresh || evaluate != nullptr,
            "aging-aware deployment needs a network evaluator");
+  XB_CHECK(shadow == nullptr ||
+               (policy == MappingPolicy::kFresh && evaluate != nullptr),
+           "a shadow selection needs a fresh deployment and an evaluator");
   std::vector<mapping::MappingReport> reports;
-  auto mappable = net_->mappable_weights();
-  XB_ASSERT(mappable.size() == layers_.size(),
+  XB_ASSERT(net_->mappable_weights().size() == layers_.size(),
             "network mappable-weight count changed after deployment");
 
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     DeployedLayer& layer = layers_[i];
-    const Tensor& target_w = targets_[i];
-    const mapping::WeightRange wr = mapping::weight_range_of(target_w);
+    const mapping::WeightRange wr = mapping::weight_range_of(targets_[i]);
 
     const mapping::ResistanceRange fresh{dev_.r_min_fresh,
                                          dev_.r_max_fresh};
     double upper_cut = fresh.r_hi;
     if (policy == MappingPolicy::kAgingAware) {
-      // Score candidates by loading the layer's predicted effective
-      // weights into the evaluation engine.
-      auto scorer = [&](const Tensor& predicted) {
-        Tensor saved = *mappable[i].value;
-        *mappable[i].value = predicted;
-        const double score = evaluate();
-        *mappable[i].value = saved;
-        return score;
-      };
-      // The currently programmed range (if any) competes as the incumbent
-      // and wins near-ties, since switching rewrites the whole array.
-      const mapping::ResistanceRange* incumbent =
-          layer.plan != nullptr ? &layer.plan->resistance_range() : nullptr;
-      // Candidate bounds come from the 1-of-9 trace; candidate *scoring*
-      // uses the simulated per-cell windows, as the paper's TF simulation
-      // does when it picks the accuracy-argmax. Logical row indices go
-      // through the layer's permutation.
-      const DeployedLayer& l = layer;
-      auto true_windows = [&l](std::size_t r, std::size_t c) {
-        return l.xbar->cell(l.physical_row(r), c).aged_window();
-      };
-      const mapping::RangeSelectionResult sel =
-          mapping::select_common_range(
-              layer.xbar->tracker(), layer.xbar->aging_model(),
-              dev_.r_min_fresh, dev_.r_max_fresh, target_w, levels, scorer,
-              incumbent, keep_threshold, switch_margin, 8, true_windows);
-      upper_cut = sel.selected.r_hi;
+      upper_cut = aware_upper_bound(i, levels, evaluate, keep_threshold,
+                                    switch_margin);
+    } else if (shadow != nullptr && !shadow->differs) {
+      const double aware = aware_upper_bound(i, levels, evaluate,
+                                             keep_threshold, switch_margin);
+      if (aware != fresh.r_hi) {
+        *shadow = AwareShadow{true, i, aware};
+      }
     }
 
     auto new_plan =

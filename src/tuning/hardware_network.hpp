@@ -87,6 +87,17 @@ struct LayerFaultCounts {
 /// evaluation engine; returns classification accuracy in [0, 1].
 using NetworkEvaluator = std::function<double()>;
 
+/// What a kFresh deploy finds when it also makes the aging-aware choice
+/// (deploy's `shadow`): the first layer whose Fig. 8 selection, made on
+/// the same state just before that layer is programmed, returns an upper
+/// bound other than r_max_fresh. Up to that layer a kFresh and a
+/// kAgingAware deployment program the same cells.
+struct AwareShadow {
+  bool differs = false;
+  std::size_t layer = 0;     ///< first differing layer
+  double aware_bound = 0.0;  ///< its aging-aware upper bound
+};
+
 class HardwareNetwork {
  public:
   /// Builds one crossbar per mappable weight of `net`. `net` must outlive
@@ -136,10 +147,16 @@ class HardwareNetwork {
   /// Afterwards the network holds the new effective weights.
   /// `switch_margin` is the predicted-accuracy gain a candidate range
   /// must deliver over the incumbent to justify rewriting the array.
+  ///
+  /// With a `shadow` (kFresh only, `evaluate` then required), each layer
+  /// also makes the aging-aware selection, on the same state and with the
+  /// same arguments, just before it is programmed, until one differs from
+  /// the fresh range; the scoring changes nothing.
   std::vector<mapping::MappingReport> deploy(
       MappingPolicy policy, std::size_t levels,
       const NetworkEvaluator& evaluate = nullptr,
-      double keep_threshold = 2.0, double switch_margin = 0.05);
+      double keep_threshold = 2.0, double switch_margin = 0.05,
+      AwareShadow* shadow = nullptr);
 
   /// Writes the crossbars' current effective weights into the network.
   void sync_network_to_hardware();
@@ -205,6 +222,11 @@ class HardwareNetwork {
   void load_state(persist::StateReader& r);
 
  private:
+  /// Layer `i`'s aging-aware common upper bound (Fig. 8) on the current
+  /// state; the network's weights are restored after scoring.
+  double aware_upper_bound(std::size_t i, std::size_t levels,
+                           const NetworkEvaluator& evaluate,
+                           double keep_threshold, double switch_margin);
   /// Physical (rows + spares) target tensor for layer `i` under its
   /// current row permutation; spare/unmapped rows hold zeros.
   Tensor physical_targets(std::size_t i) const;

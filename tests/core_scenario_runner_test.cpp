@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,7 +21,10 @@
 #include "common/parallel.hpp"
 #include "core/fault_campaign.hpp"
 #include "core/shared_slots.hpp"
+#include "obs/event_trace.hpp"
+#include "obs/fork.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "xbar/executor.hpp"
 #include "xbar/remote.hpp"
 
@@ -623,6 +628,230 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<const char*>& param_info) {
       return std::string(param_info.param);
     });
+
+/// A tiny MLP whose ST+T run rescues on arrays aged far enough that the
+/// aging-aware choice (with no switch margin) takes an aged upper bound,
+/// so ST+AT forks from its ride. `ladder` adds faulty arrays with spare
+/// rows: the rescue then forks at the ladder's remap rung instead of the
+/// plain rescue.
+ExperimentConfig forking_config(bool ladder) {
+  ExperimentConfig cfg = tiny_config();
+  cfg.lifetime.max_sessions = 40;
+  cfg.aging.a_f = 4.0e9;  // R_max ages ten times faster
+  cfg.lifetime.drift.sigma = 0.08;
+  cfg.lifetime.rescue_switch_margin = 0.0;
+  if (ladder) {
+    cfg.faults.nonideal.stuck_off_fraction = 0.05;
+    cfg.faults.nonideal.write_noise_sigma = 0.05;
+    cfg.faults.spare_rows = 4;
+  }
+  return cfg;
+}
+
+/// `line` without its wall-clock fields ("t_ms", and a span_end's
+/// trailing "wall_ms").
+std::string without_clock(std::string line) {
+  std::size_t at = line.find("\"t_ms\":");
+  if (at != std::string::npos) {
+    line.erase(at, line.find(',', at) + 1 - at);
+  }
+  at = line.find(",\"wall_ms\":");
+  if (at != std::string::npos) {
+    line.erase(at, line.find('}', at) - at);
+  }
+  return line;
+}
+
+/// Every line job `job` emitted, without wall-clock fields (the fan-in's
+/// sweep_job_done is the sweep's, not the job's).
+std::vector<std::string> job_lines(const std::vector<std::string>& lines,
+                                   const std::string& job) {
+  std::vector<std::string> out;
+  for (const std::string& line : lines) {
+    if (line.find("\"job\":\"" + job + "\"") != std::string::npos &&
+        line.find("\"event\":\"sweep_job_done\"") == std::string::npos) {
+      out.push_back(without_clock(line));
+    }
+  }
+  return out;
+}
+
+/// The `lifetime_shared` line of every job that has one, by job label.
+std::map<std::string, std::string> shared_lines(
+    const std::vector<std::string>& lines) {
+  std::map<std::string, std::string> out;
+  for (const std::string& line : lines) {
+    if (line.find("\"event\":\"lifetime_shared\"") == std::string::npos) {
+      continue;
+    }
+    const std::size_t at = line.find("\"job\":\"") + 7;
+    const std::string job = line.substr(at, line.find('"', at) - at);
+    EXPECT_TRUE(out.emplace(job, without_clock(line)).second)
+        << "two lifetime_shared events for " << job;
+  }
+  return out;
+}
+
+/// The fork session a `lifetime_shared` line names; -1 for none.
+long long fork_session(const std::string& line) {
+  const std::size_t at = line.find("\"fork_session\":") + 15;
+  return line.compare(at, 4, "null") == 0 ? -1 : std::stoll(line.substr(at));
+}
+
+struct ForkCase {
+  const char* name;
+  bool ladder;
+  bool quantized;
+  std::uint64_t sweep_seed;  ///< one under which replicate 0 forks
+};
+
+void PrintTo(const ForkCase& fc, std::ostream* os) { *os << fc.name; }
+
+class SharedSweepFork : public ::testing::TestWithParam<ForkCase> {};
+
+TEST_P(SharedSweepFork, ForkingPairsMatchTheirStandaloneRunsAtAnyThreadCount) {
+  ThreadGuard guard;
+  const ForkCase& fc = GetParam();
+  const bool ladder = fc.ladder;
+  const ScenarioRunner runner(fc.sweep_seed);
+  ExperimentConfig cfg = forking_config(ladder);
+  cfg.lifetime.tuning.quantized_eval = fc.quantized;
+  const auto jobs = ScenarioRunner::cross(
+      cfg, {Scenario::kSTT, Scenario::kSTAT}, 2);
+  std::vector<ScenarioSweepEntry> serial;
+  std::vector<std::string> serial_lines;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_parallel_threads(threads);
+    obs::MemorySink sink;
+    obs::EventTrace trace(&sink);
+    obs::Obs o;
+    o.trace = &trace;
+    const auto entries = runner.run(jobs, o);
+    if (serial.empty()) {
+      serial = entries;
+      serial_lines = sink.lines();
+      continue;
+    }
+    for (const ScenarioJob& job : jobs) {
+      EXPECT_EQ(job_lines(sink.lines(), job.label),
+                job_lines(serial_lines, job.label))
+          << job.label;
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_TRUE(entries_identical(entries[i], serial[i])) << i;
+    }
+  }
+  auto serial_shared = shared_lines(serial_lines);
+  // Riders whose owners are out of reach (not in the pass) ride alone:
+  // the same entries and the same event streams.
+  obs::MemorySink sink;
+  obs::EventTrace trace(&sink);
+  obs::Obs o;
+  o.trace = &trace;
+  obs::ObsFork fork(o, {"ST+T/r0", "ST+AT/r0", "ST+T/r1", "ST+AT/r1"});
+  std::vector<ScenarioSweepEntry> alone(jobs.size());
+  runner.run_each(jobs, {1, 3}, fork,
+                  [&](std::size_t i, ScenarioSweepEntry entry) {
+                    alone[i] = std::move(entry);
+                  });
+  fork.merge_into();
+  for (const std::size_t i : {std::size_t{1}, std::size_t{3}}) {
+    EXPECT_TRUE(entries_identical(alone[i], serial[i])) << i;
+    EXPECT_EQ(job_lines(sink.lines(), jobs[i].label),
+              job_lines(serial_lines, jobs[i].label))
+        << jobs[i].label;
+  }
+
+  set_parallel_threads(1);
+  expect_matches_standalone(jobs, serial);
+  // Replicate 0 forked: ST+AT follows ST+T up to the fork session's
+  // rescue and differs after it.
+  ASSERT_EQ(serial_shared.count("ST+AT/r0"), 1u);
+  const long long at = fork_session(serial_shared["ST+AT/r0"]);
+  ASSERT_GT(at, 0) << serial_shared["ST+AT/r0"];
+  if (ladder) {
+    EXPECT_NE(serial_shared["ST+AT/r0"].find("\"layer\":1,"),
+              std::string::npos)
+        << serial_shared["ST+AT/r0"];
+  }
+  const auto& stt = serial[0].outcome.lifetime.sessions;
+  const auto& stat = serial[1].outcome.lifetime.sessions;
+  const auto fork_at = static_cast<std::size_t>(at);
+  ASSERT_LT(fork_at, stt.size());
+  ASSERT_LT(fork_at, stat.size());
+  for (std::size_t k = 0; k < fork_at; ++k) {
+    EXPECT_TRUE(records_identical(stt[k], stat[k])) << k;
+  }
+  EXPECT_FALSE(records_identical(stt[fork_at], stat[fork_at]));
+  EXPECT_TRUE(stt[fork_at].rescued);
+  const auto& rungs = stt[fork_at].rescue_rungs;
+  if (ladder) {
+    EXPECT_NE(std::find(rungs.begin(), rungs.end(), "remap"), rungs.end());
+  } else {
+    EXPECT_TRUE(rungs.empty());
+  }
+}
+
+// The ladder cases fork at their second layer, after the first kept the
+// fresh range; under --quantized its scoring sees the first layer's new
+// plan through quant_specs().
+INSTANTIATE_TEST_SUITE_P(
+    Rescues, SharedSweepFork,
+    ::testing::Values(ForkCase{"PlainRescue", false, false, 3},
+                      ForkCase{"LadderRemap", true, false, 15},
+                      ForkCase{"QuantizedLadderRemap", true, true, 2}),
+    [](const ::testing::TestParamInfo<ForkCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+/// Throws on the `n`th event of type `type`.
+class ThrowingSink : public obs::Sink {
+ public:
+  ThrowingSink(std::string type, std::size_t n)
+      : needle_("\"event\":\"" + type + "\""), left_(n) {}
+  void write(const std::string& line) override {
+    if (line.find(needle_) != std::string::npos && --left_ == 0) {
+      throw IoError("sink gave up at " + line);
+    }
+  }
+
+ private:
+  std::string needle_;
+  std::size_t left_;
+};
+
+TEST(SharedSweepRider, RiderOfAnOwnerThatThrowsFinishesAlone) {
+  const ExperimentConfig cfg = forking_config(false);
+  const data::TrainTest data = data::make_synthetic(cfg.dataset);
+  TrainedModel tm = train_model(cfg, data, /*skewed=*/true);
+  const TrainedParams params = capture_params(tm);
+  const ScenarioOutcome alone = run_scenario(cfg, Scenario::kSTAT);
+  // Before the fork (session 3 ends) and after it (at ST+T's end of life,
+  // which comes in the fork session).
+  for (const bool after_fork : {false, true}) {
+    ThrowingSink sink(after_fork ? "eol" : "session_end",
+                      after_fork ? 1 : 4);
+    obs::EventTrace trace(&sink);
+    obs::Obs o;
+    o.trace = &trace;
+    AgingAwareRide ride;
+    EXPECT_THROW(run_trained(cfg, Scenario::kSTT, rebuild_model(cfg, params),
+                             data, o, nullptr, &ride),
+                 IoError);
+    EXPECT_EQ(ride.fork.has_value(), after_fork);
+    const ScenarioOutcome got =
+        ride_aging_aware(cfg, ride, params, data, "ST+T");
+    ASSERT_EQ(got.lifetime.sessions.size(), alone.lifetime.sessions.size());
+    for (std::size_t k = 0; k < got.lifetime.sessions.size(); ++k) {
+      EXPECT_TRUE(records_identical(got.lifetime.sessions[k],
+                                    alone.lifetime.sessions[k]))
+          << after_fork << " " << k;
+    }
+    EXPECT_EQ(got.lifetime.lifetime_applications,
+              alone.lifetime.lifetime_applications);
+    EXPECT_EQ(got.tuning_target, alone.tuning_target);
+  }
+}
 
 TEST(SharedSlots, FailedOwnerLetsEverySharerBuildForItself) {
   ThreadGuard guard;

@@ -4,18 +4,19 @@
 xbarlife promises that a run's results do not depend on how it was
 executed: the thread count, the kernel variant, the programming executor
 (including a faulted link and a worker pool) and a checkpoint resume.
-Each matrix cell runs the built CLI over three commands and diffs every
+Each matrix cell runs the built CLI over its commands and diffs every
 output against the sim / 1-thread / fresh reference of its own kernel:
 
   axes     threads {1, 4}
            x kernel auto   x executor {sim, remote, pool3, chaos}
                            x run {fresh, resumed}
            + kernel scalar x executor sim x run fresh    (see KERNEL_AXES)
-  commands sweep (with --profile), faults, lifetime (see COMMANDS)
+  commands sweep (with --profile), faults, lifetime, and on the sim
+           executor fork (see COMMANDS)
 
 The per-cell programming reference is not an executor a run can select;
 FastPathOracle.SimMatchesPerCellOverLifetimes (fast_path_oracle_test)
-checks sim against it on the same three workloads.
+checks sim against it on the sweep, faults and lifetime workloads.
 
 A "resumed" cell gets SIGINT as soon as the CLI has armed its handler, so
 the cooperative shutdown fires at the first snapshot boundary, right after
@@ -125,14 +126,26 @@ COMMANDS = {
                "--stuck-off", "0,0.02", "--write-noise", "0.02",
                "--compare-ladder"],
     "lifetime": ["lifetime", "--model", "lenet5", "--sessions", "2"],
+    # An ST+T / ST+AT pair on faulty arrays that tunes (456 iterations)
+    # and walks the ladder; ST+AT rides on ST+T up to session 37, whose
+    # remap rung picks an aged upper bound, and forks there.
+    "fork": ["faults", "--model", "mlp", "--sessions", "38",
+             "--stuck-off", "0.02", "--write-noise", "0.02",
+             "--spare-rows", "4", "--scenario", "stt,stat"],
 }
+# Run on the sim executor only. Over the remote link the fork command
+# costs 4x (loopback) to over 100x (chaos) its sim time, and a chaos link
+# that dies over 38 sessions engages the ladder's fallback-executor rung,
+# which changes the results by design. The sweep command's pairs, which
+# do not fork, carry lifetime_shared across every executor.
+SIM_ONLY = ("fork",)
 # Fresh runs of these also write a Perfetto profile (checkpoint-mode runs
 # use the deterministic finisher, which profiles nothing per job).
 PROFILED = ("sweep",)
 # Snapshot granularity for checkpointed runs: one job per chunk, so a
 # sweep is cut at a chunk boundary and a lifetime at a session boundary.
 CHECKPOINT_FLAGS = {"sweep": ["--chunk", "1"], "faults": ["--chunk", "1"],
-                    "lifetime": []}
+                    "lifetime": [], "fork": ["--chunk", "1"]}
 
 THREADS = (1, 4)
 RUNS = ("fresh", "resumed")
@@ -280,10 +293,12 @@ def run_cell(name, cli, workdir):
         and "resumed" in KERNEL_AXES[kernel][1])
     # The commands are independent; running them side by side keeps a
     # faulted cell's retry deadlines from adding up.
-    with concurrent.futures.ThreadPoolExecutor(len(COMMANDS)) as pool:
+    commands = {cmd: argv for cmd, argv in COMMANDS.items()
+                if executor == "sim" or cmd not in SIM_ONLY}
+    with concurrent.futures.ThreadPoolExecutor(len(commands)) as pool:
         jobs = [pool.submit(run_command, cli, cmd, argv + knobs, cwd,
                             executor, run, checkpointed)
-                for cmd, argv in COMMANDS.items()]
+                for cmd, argv in commands.items()]
         pairs = [pair for job in jobs for pair in job.result()]
     validator = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
                  / "validate_json_output.py")

@@ -1342,12 +1342,17 @@ TEST(FastPathOracle, SimMatchesPerCellOverLifetimes) {
     const bool skewed = core::uses_skewed_training(job.scenario);
     const LifetimeOutput want = run_lifetime_on(
         job,
-        core::share_training(trainings, 2 * j, job.config, data, skewed, {}),
+        core::rebuild_model(job.config,
+                            *core::share_training(trainings, 2 * j,
+                                                  job.config, data, skewed,
+                                                  {})),
         data, percell);
     const LifetimeOutput got = run_lifetime_on(
         job,
-        core::share_training(trainings, 2 * j + 1, job.config, data, skewed,
-                             {}),
+        core::rebuild_model(job.config,
+                            *core::share_training(trainings, 2 * j + 1,
+                                                  job.config, data, skewed,
+                                                  {})),
         data, sim);
     EXPECT_EQ(got.result, want.result) << job.label;
     EXPECT_TRUE(got.state == want.state) << job.label << ": array bytes differ";

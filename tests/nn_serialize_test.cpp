@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "nn/model_zoo.hpp"
@@ -91,6 +94,68 @@ TEST(Serialize, TruncatedFileIsRejected) {
   std::filesystem::resize_file(path, size / 2);
   Network victim = make_mlp(8, {16}, 4, rng);
   EXPECT_THROW(load_parameters(victim, path), Error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, CorruptionOfEveryByteAndTruncationFailsClosed) {
+  // Every single-byte flip and every truncation of a small weight file
+  // either loads or throws InvalidArgument, and a load that throws leaves
+  // the network as it was. The names, ranks, dims and counts go through
+  // the length-checked readers; the ASan/UBSan job runs this table too.
+  Rng rng(8);
+  Network source = make_mlp(4, {3}, 2, rng);
+  const std::string path = temp_path("xbarlife_weights6.bin");
+  save_parameters(source, path);
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  Rng rng2(9);
+  Network net = make_mlp(4, {3}, 2, rng2);
+  std::vector<Tensor> before;
+  for (const ParamRef& p : net.params()) {
+    before.push_back(*p.value);
+  }
+  const auto attempt = [&](const std::string& bytes, const std::string& what) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      load_parameters(net, path);
+    } catch (const InvalidArgument&) {
+      const auto params = net.params();
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        EXPECT_TRUE(allclose(*params[i].value, before[i], 0.0f))
+            << what << ": a failed load changed " << params[i].name;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": untyped failure: " << e.what();
+    }
+    const auto params = net.params();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      *params[i].value = before[i];
+    }
+  };
+  attempt(good, "unmodified");
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (const unsigned mask : {0x01U, 0x80U, 0xffU}) {
+      std::string mutated = good;
+      mutated[i] = static_cast<char>(
+          static_cast<unsigned char>(mutated[i]) ^ mask);
+      attempt(mutated, "flip at " + std::to_string(i));
+    }
+  }
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    attempt(good.substr(0, len), "truncation to " + std::to_string(len));
+  }
+  // Bytes past the last parameter are refused, not ignored.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << good << 'x';
+  }
+  EXPECT_THROW(load_parameters(net, path), InvalidArgument);
   std::remove(path.c_str());
 }
 
