@@ -20,15 +20,16 @@
 // Global options (every command):
 //   --threads N      worker-pool size (0 = all cores); results are
 //                    bit-identical at any thread count
-//   --kernel V       compute-kernel dispatch variant (auto|scalar|avx2|
-//                    neon, default auto or $XBARLIFE_KERNEL); each variant
-//                    is deterministic on its own, goldens pin scalar
+//   --kernel V       compute-kernel dispatch variant (auto|scalar|avx2,
+//                    default auto or $XBARLIFE_KERNEL); each variant is
+//                    deterministic on its own, goldens pin scalar
 //   --executor V     crossbar programming backend (auto|sim|remote,
 //                    default auto/sim or $XBARLIFE_EXECUTOR); sim batches
 //                    pulse sequences per column, bit-identical to the
 //                    one-call-per-cell reference the tests check it
 //                    against; remote ships sequences over xbarlife.wire.v1
-//                    to a worker and falls back to sim when the link dies
+//                    to a worker and falls back to sim for the rest of the
+//                    run when the link dies
 //   --remote ADDR    remote-executor endpoint: loopback (in-process worker
 //                    thread, default), unix:/path, or host:port (see
 //                    xbarlife-worker --listen); also $XBARLIFE_REMOTE.
@@ -895,7 +896,7 @@ int cmd_info() {
              "  --threads N     worker threads (0 = all cores; default 1 or\n"
              "                  $XBARLIFE_THREADS); results are identical at\n"
              "                  any thread count\n"
-             "  --kernel V      compute-kernel variant: auto|scalar|avx2|neon\n"
+             "  --kernel V      compute-kernel variant: auto|scalar|avx2\n"
              "                  (default auto or $XBARLIFE_KERNEL); results\n"
              "                  are bit-identical per variant at any thread\n"
              "                  count, goldens pin scalar\n"

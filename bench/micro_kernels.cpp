@@ -285,8 +285,6 @@ BENCHMARK_CAPTURE(BM_Tanh, scalar, std::string("scalar"))
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Tanh, avx2, std::string("avx2"))
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_Tanh, neon, std::string("neon"))
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_CrossbarVmm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -4,14 +4,11 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "xbar/executor.hpp"
 
 namespace xbarlife::resilience {
 
 const char* to_string(Rung rung) {
   switch (rung) {
-    case Rung::kFallbackExecutor:
-      return "fallback_executor";
     case Rung::kRetry:
       return "retry";
     case Rung::kRemap:
@@ -87,30 +84,6 @@ RescueOutcome EscalationLadder::rescue(const RescueContext& ctx,
     }
     return tr.converged;
   };
-
-  // Rung 0: when the network's executor is running degraded (the remote
-  // backend fell back mid-session), pin execution to its local fallback
-  // path and retune once with the link failure out of the picture — the
-  // cheapest possible rescue, since nothing about the array changes. The
-  // pin is permanent and pin_local_fallback() returns true only on the
-  // transition, so later rescues skip this rung entirely.
-  const xbar::ProgramExecutor& executor = ctx.hw.executor();
-  if (executor.degraded() &&
-      attempt(Rung::kFallbackExecutor, [&] {
-        if (!executor.pin_local_fallback()) {
-          return false;
-        }
-        // Reprogram every layer so any sequence lost to the dying link
-        // is re-applied through the now-local executor.
-        for (std::size_t i = 0; i < ctx.hw.layer_count(); ++i) {
-          ctx.hw.reprogram_targets(i);
-        }
-        ctx.hw.sync_network_to_hardware();
-        return true;
-      })) {
-    out.converged = true;
-    return out;
-  }
 
   // Rung 1: write-verify retry of clamped cells: one pass gives every
   // clamped (not dead) cell one more chance against its current target.

@@ -1,12 +1,6 @@
 // Bounded escalation ladder: the rescue policy a failed tuning session
 // walks through before the array is declared end-of-life.
 //
-//   0. kFallbackExecutor — engaged only when the network's program
-//                   executor reports itself degraded (the remote backend
-//                   exhausted its retries mid-session): execution is
-//                   pinned to the local fallback path and the session
-//                   retunes once over a link that can no longer fail.
-//                   Runs at most once per executor (the pin is permanent).
 //   1. kRetry     — clamped cells get a fresh write-verify verdict and the
 //                   layer is reprogrammed (cheapest; a handful of pulses).
 //   2. kRemap     — the legacy rescue: redeploy under the scenario policy
@@ -21,7 +15,10 @@
 //
 // Each rung reprograms / retunes at most once, emits a `resilience_rung`
 // trace event plus a `resilience.rung.<name>` counter, and the ladder
-// stops at the first rung that restores the tuning target.
+// stops at the first rung that restores the tuning target. Every rung
+// answers the array's own state: a failing remote link never reaches the
+// ladder, because the remote executor runs the sequence locally instead
+// (xbar/remote.hpp) and the results stay sim's.
 #pragma once
 
 #include <string>
@@ -36,7 +33,6 @@ namespace xbarlife::resilience {
 
 /// Rungs in order of invasiveness.
 enum class Rung {
-  kFallbackExecutor,
   kRetry,
   kRemap,
   kFaultMask,

@@ -2,10 +2,10 @@
 //
 // The simulator's dense inner loops (GEMM, the crossbar VMM, the int8
 // quantized GEMM) and the tanh activation funnel through a KernelSet
-// chosen once at startup: AVX2+FMA on capable x86-64, NEON on aarch64,
-// and a portable scalar fallback everywhere. Selection is overridable
-// with the XBARLIFE_KERNEL environment variable or the CLI --kernel flag
-// (values: auto, scalar, avx2, neon).
+// chosen once at startup: AVX2+FMA on capable x86-64, and a portable
+// scalar fallback everywhere else (aarch64 included). Selection is
+// overridable with the XBARLIFE_KERNEL environment variable or the CLI
+// --kernel flag (values: auto, scalar, avx2).
 //
 // Determinism contract: each kernel computes every output element with a
 // fixed ascending-k accumulation order that depends only on the operand
@@ -32,7 +32,7 @@ namespace xbarlife::kernels {
 /// Threading lives in the callers (matmul.cpp, crossbar.cpp), which
 /// partition output rows/columns and invoke these on disjoint slices.
 struct KernelSet {
-  /// Variant name as reported by kernel_name(): "scalar", "avx2", "neon".
+  /// Variant name as reported by kernel_name(): "scalar", "avx2".
   const char* name;
 
   /// C(MxN) += A(MxK) * B(KxN), row-major, serial over [row_begin, row_end).
@@ -83,12 +83,12 @@ void tanh_reference(const float* x, float* y, std::size_t n);
 /// atomic load. Thread-safe.
 const KernelSet& select();
 
-/// Forces the active variant by name ("scalar", "avx2", "neon"); "auto"
+/// Forces the active variant by name ("scalar", "avx2"); "auto"
 /// or "" re-runs CPU detection. Throws InvalidArgument when the variant
 /// is unknown or not compiled into this binary, listing what is.
 void set_kernel(const std::string& name);
 
-/// Name of the active variant ("scalar", "avx2", "neon").
+/// Name of the active variant ("scalar", "avx2").
 const char* kernel_name();
 
 /// Names of every variant compiled in and usable on this CPU.

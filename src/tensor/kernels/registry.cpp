@@ -8,11 +8,9 @@
 namespace xbarlife::kernels {
 
 // Each variant translation unit exports its KernelSet, or nullptr when
-// the variant is not compiled for this target (see scalar.cpp, avx2.cpp,
-// neon.cpp).
+// the variant is not compiled for this target (see scalar.cpp, avx2.cpp).
 const KernelSet* scalar_kernels();
 const KernelSet* avx2_kernels();
-const KernelSet* neon_kernels();
 
 namespace {
 
@@ -25,21 +23,8 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
-/// True when the running CPU can execute the NEON kernels. The NEON
-/// variant is only compiled for aarch64, where NEON is architectural.
-bool cpu_has_neon() {
-#if defined(__aarch64__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 const KernelSet* detect_best() {
   if (const KernelSet* k = avx2_kernels(); k != nullptr && cpu_has_avx2_fma()) {
-    return k;
-  }
-  if (const KernelSet* k = neon_kernels(); k != nullptr && cpu_has_neon()) {
     return k;
   }
   return scalar_kernels();
@@ -55,13 +40,6 @@ const KernelSet* resolve(const std::string& name) {
   if (name == "avx2") {
     const KernelSet* k = avx2_kernels();
     if (k != nullptr && cpu_has_avx2_fma()) {
-      return k;
-    }
-    return nullptr;
-  }
-  if (name == "neon") {
-    const KernelSet* k = neon_kernels();
-    if (k != nullptr && cpu_has_neon()) {
       return k;
     }
     return nullptr;
@@ -123,9 +101,6 @@ const char* kernel_name() { return select().name; }
 std::vector<std::string> available() {
   std::vector<std::string> out;
   if (const KernelSet* k = avx2_kernels(); k != nullptr && cpu_has_avx2_fma()) {
-    out.emplace_back(k->name);
-  }
-  if (const KernelSet* k = neon_kernels(); k != nullptr && cpu_has_neon()) {
     out.emplace_back(k->name);
   }
   out.emplace_back(scalar_kernels()->name);

@@ -2,7 +2,7 @@
 //
 // tanh_reference() is a port of fdlibm's __tanhf over __expm1f, the
 // algorithms glibc uses for the float tanh on every target. The scalar
-// and neon variants call it directly. tanh_avx2() runs the same IEEE
+// variant calls it directly. tanh_avx2() runs the same IEEE
 // operations 8 lanes wide: every branch is computed and the results are
 // blended per lane, and tail and non-finite lanes go to the reference.
 // Both therefore return std::tanh's bits for every float input: like

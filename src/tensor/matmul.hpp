@@ -3,7 +3,7 @@
 // The training substrate and the ideal software path of the crossbar
 // simulator both reduce to dense GEMM. All entry points dispatch to the
 // runtime-selected kernel variant (see tensor/kernels/kernels.hpp):
-// AVX2+FMA, NEON, or the portable scalar fallback.
+// AVX2+FMA or the portable scalar fallback.
 //
 // Accumulation policy: float accumulators everywhere, in a fixed
 // ascending-k order per output element. Every variant (including

@@ -12,9 +12,11 @@
 //            obs-counter updates across the batch.
 //   remote   ships each sequence (plus full crossbar state) over a socket
 //            to one of a list of worker processes — or in-process
-//            loopback workers — with failover, retry/backoff and graceful
-//            fallback to `sim` (see xbar/remote.hpp, xbar/pool.hpp). A
-//            single address is a list of one. Configured via
+//            loopback workers — with failover and retry/backoff; once
+//            one sequence has exhausted every endpoint, it and every later
+//            sequence run on `sim` (see xbar/remote.hpp, xbar/pool.hpp).
+//            Either way the results are sim's. A single address is a list
+//            of one. Configured via
 //            --remote/--remote-faults or
 //            XBARLIFE_REMOTE/XBARLIFE_REMOTE_FAULTS.
 //
@@ -47,16 +49,6 @@ class ProgramExecutor {
   virtual ~ProgramExecutor() = default;
   virtual const char* name() const = 0;
   virtual ExecReport execute(Crossbar& xb, const ProgramSequence& seq) const = 0;
-
-  /// True when the backend is running degraded (the remote backend: at
-  /// least one sequence fell back to local execution). In-process
-  /// backends never degrade.
-  virtual bool degraded() const { return false; }
-
-  /// Permanently routes execution to the backend's local fallback path
-  /// (the resilience ladder's fallback-executor rung). Returns true on
-  /// the transition, false when unsupported or already pinned.
-  virtual bool pin_local_fallback() const { return false; }
 };
 
 /// Column-batched in-process simulator (default backend).

@@ -471,13 +471,6 @@ void RemoteExecutor::backoff_sleep(int round) const {
 
 ExecReport RemoteExecutor::execute(Crossbar& xb,
                                    const ProgramSequence& seq) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pinned_) {
-      return SimExecutor{}.execute(xb, seq);
-    }
-    ++stats_.requests;
-  }
   // With a profiler attached the request carries a trace context and asks
   // the worker to profile itself; the worker's span tree grafts under
   // this client-side span, next to the client's own encode / frame /
@@ -486,13 +479,19 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
   obs::Profiler* profiler = xb.profiler();
   obs::Registry* reg = xb.metrics();
   const SpanGuard span(profiler, "executor.remote.execute");
+  bool degraded = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.requests;
+    degraded = degraded_;
+  }
   // One id per logical request, reused on every attempt and endpoint: the
   // worker's replay key and the trace id it echoes back. The frame (and
   // its CRC) is therefore encoded once and re-sent as is.
   const std::uint64_t id = ++next_id_;
   Reply reply;
   Endpoint* ep = nullptr;
-  {
+  if (!degraded) {
     std::string frame;
     {
       std::string payload;
@@ -509,16 +508,10 @@ ExecReport RemoteExecutor::execute(Crossbar& xb,
     ep = exchange(xb.owner_key(), id, frame, reg, reply);
   }
   if (ep == nullptr) {
-    if (!config_.fallback_to_sim) {
-      throw net::TransportError(
-          "remote executor: all " + std::to_string(endpoints_.size()) +
-          " worker endpoint(s) of '" + config_.address +
-          "' unreachable after " + std::to_string(config_.max_attempts) +
-          " round(s) and local fallback is disabled");
-    }
-    // Graceful degradation: no attempt mutated local state (every attempt
-    // shipped the same pre-state), so executing locally now yields exactly
-    // what any worker would have produced.
+    // Degradation: no attempt mutated local state (every attempt shipped
+    // the same pre-state), so executing locally now yields exactly what
+    // any worker would have produced. The first fallback pins the
+    // executor: every later sequence lands here without dialing.
     {
       std::lock_guard<std::mutex> lock(mu_);
       degraded_ = true;
@@ -663,16 +656,6 @@ RemoteExecutor::Endpoint* RemoteExecutor::exchange(
 bool RemoteExecutor::degraded() const {
   std::lock_guard<std::mutex> lock(mu_);
   return degraded_;
-}
-
-bool RemoteExecutor::pin_local_fallback() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pinned_) {
-    return false;
-  }
-  pinned_ = true;
-  degraded_ = true;
-  return true;
 }
 
 RemoteLinkStats RemoteExecutor::link_stats() const {

@@ -19,7 +19,8 @@
 // the next live endpoint *before* burning the global max_attempts budget:
 // one budget round means "every endpoint was tried and failed", so
 // local-sim fallback — and the executor_degradation stamp — engages only
-// when every worker is down. Byte-identity is preserved by construction:
+// when every worker is down, and then holds for every later sequence.
+// Byte-identity is preserved by construction:
 // every worker runs the stock SimExecutor on shipped full pre-state, so
 // which endpoint (or the local fallback) executes a sequence can never
 // change its results.

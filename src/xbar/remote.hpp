@@ -16,11 +16,11 @@
 // the full pre-state, re-execution after a lost response is naturally
 // idempotent — and the worker additionally caches its last response per
 // connection, replaying it without re-executing when the same id arrives
-// again. When every attempt is exhausted the executor degrades gracefully
-// (when enabled): the sequence runs on the local SimExecutor, the
-// executor marks itself degraded (stamped into the result document, and
-// picked up by the resilience ladder's fallback-executor rung), and the
-// run continues with bit-identical results.
+// again. When every attempt is exhausted the executor degrades: the
+// sequence runs on the local SimExecutor, the executor marks itself
+// degraded (stamped into the result document) and runs every later
+// sequence locally too without dialing, and the run continues with
+// bit-identical results.
 #pragma once
 
 #include <atomic>
@@ -248,9 +248,6 @@ struct RemoteConfig {
   /// (endpoint i's circuit probes draw from jitter_stream(1 + i)).
   std::chrono::milliseconds backoff_initial{10};
   std::chrono::milliseconds backoff_max{250};
-  /// Degrade to the local SimExecutor when all attempts fail; when false
-  /// the executor throws TransportError instead (CLI exit 3).
-  bool fallback_to_sim = true;
   /// Circuit breaker: the jittered exponential backoff between half-open
   /// heartbeat probes of an open endpoint (a circuit opens after
   /// CircuitBreaker::kFailureThreshold consecutive failures).
@@ -264,6 +261,7 @@ struct RemoteLinkStats {
   std::uint64_t retries = 0;     ///< attempts after the first, any endpoint
   std::uint64_t reconnects = 0;  ///< connections re-established
   std::uint64_t fallbacks = 0;   ///< sequences executed via local fallback
+                                 ///< (the first one and every later one)
 };
 
 /// The remote backend (implemented in xbar/pool.cpp). Each array has a
@@ -271,7 +269,9 @@ struct RemoteLinkStats {
 /// every endpoint has its own circuit breaker, and dispatch fails over to
 /// the next live endpoint before spending the max_attempts budget;
 /// local-sim fallback engages only when every endpoint failed in every
-/// round.
+/// round. From then on the executor is degraded: every later sequence
+/// runs on the local SimExecutor without dialing, and counts as a request
+/// and a fallback.
 ///
 /// Telemetry goes to the executing array's registry (Crossbar::metrics,
 /// nothing when detached): per endpoint i the executor.remote.<i>.
@@ -291,14 +291,9 @@ class RemoteExecutor final : public ProgramExecutor {
   const char* name() const override { return "remote"; }
   ExecReport execute(Crossbar& xb, const ProgramSequence& seq) const override;
 
-  /// True once at least one sequence fell back to local execution (or the
-  /// executor was pinned). The resilience ladder's fallback-executor rung
-  /// keys off this.
-  bool degraded() const override;
-
-  /// Pins every future execute() to the local SimExecutor (no more remote
-  /// attempts). Returns true on the transition, false when already pinned.
-  bool pin_local_fallback() const override;
+  /// True once a sequence fell back to local execution; every later
+  /// sequence then runs locally too.
+  bool degraded() const;
 
   RemoteLinkStats link_stats() const;
 
@@ -331,7 +326,6 @@ class RemoteExecutor final : public ProgramExecutor {
   mutable std::mutex mu_;  ///< circuits + stats; never held across I/O
   mutable RemoteLinkStats stats_;
   mutable bool degraded_ = false;
-  mutable bool pinned_ = false;
   mutable Rng jitter_;
 };
 

@@ -133,11 +133,10 @@ COMMANDS = {
              "--stuck-off", "0.02", "--write-noise", "0.02",
              "--spare-rows", "4", "--scenario", "stt,stat"],
 }
-# Run on the sim executor only. Over the remote link the fork command
-# costs 4x (loopback) to over 100x (chaos) its sim time, and a chaos link
-# that dies over 38 sessions engages the ladder's fallback-executor rung,
-# which changes the results by design. The sweep command's pairs, which
-# do not fork, carry lifetime_shared across every executor.
+# Run on the sim executor only: over the remote link the fork command
+# costs 4x (loopback) to about 50x (chaos) its sim time. The sweep
+# command's pairs, which do not fork, carry lifetime_shared across every
+# executor.
 SIM_ONLY = ("fork",)
 # Fresh runs of these also write a Perfetto profile (checkpoint-mode runs
 # use the deterministic finisher, which profiles nothing per job).

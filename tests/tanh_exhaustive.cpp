@@ -35,8 +35,8 @@ constexpr std::size_t kBlocks = (std::size_t{1} << 32) / kBlock;
 int main(int argc, char** argv) {
   set_parallel_threads(argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 0);
 
-  // Each distinct function once: the scalar and neon variants are the
-  // reference itself.
+  // Each distinct function once: the scalar variant is the reference
+  // itself.
   std::vector<Candidate> candidates{{"reference", kernels::tanh_reference}};
   for (const std::string& name : kernels::available()) {
     kernels::set_kernel(name);

@@ -55,16 +55,20 @@ TEST(KernelRegistry, SetKernelSwitchesActiveVariant) {
 }
 
 TEST(KernelRegistry, UnknownVariantThrowsAndListsAvailable) {
-  try {
-    kernels::set_kernel("mmx");
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("mmx"), std::string::npos);
-    EXPECT_NE(msg.find("scalar"), std::string::npos);
+  // "neon" is no variant: aarch64 runs scalar.
+  for (const std::string name : {"mmx", "neon"}) {
+    SCOPED_TRACE(name);
+    try {
+      kernels::set_kernel(name);
+      FAIL() << "expected InvalidArgument";
+    } catch (const InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(name), std::string::npos);
+      EXPECT_NE(msg.find("scalar"), std::string::npos);
+    }
+    // A failed switch must leave the previous variant active.
+    EXPECT_NE(std::string(kernels::kernel_name()), name);
   }
-  // A failed switch must leave the previous variant active.
-  EXPECT_NE(std::string(kernels::kernel_name()), "mmx");
 }
 
 TEST(KernelRegistry, AutoRedetects) {

@@ -472,21 +472,6 @@ TEST(Pool, WholePoolDownFallsBackToLocalSim) {
   EXPECT_EQ(stats.retries, 5u);
 }
 
-TEST(Pool, WholePoolDownWithFallbackDisabledThrows) {
-  RemoteConfig cfg = pool_config("127.0.0.1:1,127.0.0.1:1");
-  cfg.fallback_to_sim = false;
-  cfg.max_attempts = 1;
-  const RemoteExecutor pool{cfg};
-  Crossbar xb(4, 4, dev(), ag_crosstalk());
-  const std::string before = snapshot(xb);
-  EXPECT_THROW(pool.execute(xb, mixed_sequence(4, 4)),
-               net::TransportError);
-  // A failed request must leave the local array untouched.
-  EXPECT_EQ(snapshot(xb), before);
-  EXPECT_FALSE(pool.degraded());
-  EXPECT_EQ(pool.link_stats().fallbacks, 0u);
-}
-
 TEST(Pool, WorkerRejectionDoesNotFailOver) {
   // A deterministic worker-side rejection (sequence geometry exceeding
   // the shipped array) would be rejected identically by every worker:
@@ -503,24 +488,39 @@ TEST(Pool, WorkerRejectionDoesNotFailOver) {
 
 TEST(Pool, PinLocalFallbackRoutesEverythingLocal) {
   const RemoteExecutor pool{pool_config("127.0.0.1:1,127.0.0.1:1")};
-  EXPECT_TRUE(pool.pin_local_fallback());
-  EXPECT_FALSE(pool.pin_local_fallback());  // only the transition is true
-  EXPECT_TRUE(pool.degraded());
-
-  // Pinned executes never dial: with both endpoints dead this would
-  // otherwise cost dial timeouts and count failovers.
   Crossbar local(4, 4, dev(), ag_crosstalk());
   Crossbar pooled(4, 4, dev(), ag_crosstalk());
   const ProgramSequence seq = mixed_sequence(4, 4);
+  SimExecutor{}.execute(local, seq);
+  pool.execute(pooled, seq);
+  ASSERT_TRUE(pool.degraded());
+  const RemoteLinkStats before = pool.link_stats();
+  const std::vector<PoolEndpointSummary> endpoints_before =
+      pool.endpoint_summaries();
+
+  // After the first fallback the executor pins itself to local sim: the
+  // next sequence never dials (its profile holds no encode or wait span)
+  // and counts no failover, yet it still counts as a request and as a
+  // fallback.
+  obs::Profiler prof;
+  pooled.attach_profiler(&prof);
   const ExecReport want = SimExecutor{}.execute(local, seq);
   const ExecReport got = pool.execute(pooled, seq);
+  ASSERT_EQ(prof.records().size(), 1u);
+  EXPECT_EQ(prof.records()[0].name, "executor.remote.execute");
   EXPECT_EQ(got.results, want.results);
   EXPECT_EQ(snapshot(pooled), snapshot(local));
-  EXPECT_EQ(pool.link_stats().retries, 0u);
-  EXPECT_EQ(pool.link_stats().requests, 0u);
-  for (const auto& ep : pool.endpoint_summaries()) {
-    EXPECT_EQ(ep.failovers, 0u);
-    EXPECT_EQ(ep.requests, 0u);
+  const RemoteLinkStats after = pool.link_stats();
+  EXPECT_EQ(after.requests, before.requests + 1);
+  EXPECT_EQ(after.fallbacks, before.fallbacks + 1);
+  EXPECT_EQ(after.retries, before.retries);
+  EXPECT_EQ(after.reconnects, before.reconnects);
+  const std::vector<PoolEndpointSummary> endpoints_after =
+      pool.endpoint_summaries();
+  ASSERT_EQ(endpoints_after.size(), endpoints_before.size());
+  for (std::size_t i = 0; i < endpoints_after.size(); ++i) {
+    EXPECT_EQ(endpoints_after[i].failovers, endpoints_before[i].failovers);
+    EXPECT_EQ(endpoints_after[i].requests, 0u);
   }
 }
 

@@ -418,36 +418,31 @@ TEST(RemoteExecutor_, DeadEndpointFallsBackToSimByteIdentical) {
   EXPECT_EQ(stats.fallbacks, 1u);
 }
 
-TEST(RemoteExecutor_, DeadEndpointWithoutFallbackThrowsTransportError) {
-  RemoteConfig cfg = dead_endpoint_config();
-  cfg.fallback_to_sim = false;
-  const RemoteExecutor remote{cfg};
-  Crossbar xb(4, 4, dev(), ag_crosstalk());
-  const std::string before = snapshot(xb);
-  EXPECT_THROW(remote.execute(xb, mixed_sequence(4, 4)),
-               net::TransportError);
-  // A failed request must leave the local array untouched.
-  EXPECT_EQ(snapshot(xb), before);
-  EXPECT_FALSE(remote.degraded());
-  EXPECT_EQ(remote.link_stats().fallbacks, 0u);
-}
-
 TEST(RemoteExecutor_, PinLocalFallbackSkipsTheLinkEntirely) {
   const RemoteExecutor remote{dead_endpoint_config()};
-  EXPECT_TRUE(remote.pin_local_fallback());
-  EXPECT_FALSE(remote.pin_local_fallback());  // transition happens once
-  EXPECT_TRUE(remote.degraded());
-
-  // Pinned execution never dials: no retries accrue even on the dead
-  // endpoint, and the result still matches sim.
   const ProgramSequence seq = mixed_sequence(5, 4);
   Crossbar local(5, 4, dev(), ag_crosstalk());
   Crossbar remote_xb(5, 4, dev(), ag_crosstalk());
   SimExecutor{}.execute(local, seq);
   remote.execute(remote_xb, seq);
+  ASSERT_TRUE(remote.degraded());
+  const RemoteLinkStats before = remote.link_stats();
+
+  // After the first fallback the executor pins itself to local sim: the
+  // next sequence never dials (its profile holds no encode or wait span),
+  // counts as a request and a fallback, and still matches sim.
+  obs::Profiler prof;
+  remote_xb.attach_profiler(&prof);
+  SimExecutor{}.execute(local, seq);
+  remote.execute(remote_xb, seq);
+  ASSERT_EQ(prof.records().size(), 1u);
+  EXPECT_EQ(prof.records()[0].name, "executor.remote.execute");
   EXPECT_EQ(snapshot(remote_xb), snapshot(local));
-  EXPECT_EQ(remote.link_stats().retries, 0u);
-  EXPECT_EQ(remote.link_stats().requests, 0u);
+  const RemoteLinkStats after = remote.link_stats();
+  EXPECT_EQ(after.requests, before.requests + 1);
+  EXPECT_EQ(after.fallbacks, before.fallbacks + 1);
+  EXPECT_EQ(after.retries, before.retries);
+  EXPECT_EQ(after.reconnects, before.reconnects);
 }
 
 TEST(RemoteExecutor_, ShutdownRequestInterruptsRetryLoop) {
