@@ -250,18 +250,55 @@ class CliOutput {
 
   bool json_enabled() const { return json_sink_ != nullptr; }
 
-  /// Emits the versioned result document as the stream's final line.
-  void finish(const std::string& command, obs::JsonValue data) {
-    emit(command, std::move(data), &registry_, /*include_profile=*/true);
+  /// The run commands' validated --checkpoint path ("" without the flag).
+  const std::string& checkpoint(const Args& args) {
+    if (args.flag("checkpoint")) {
+      checkpoint_ = args.get("checkpoint", "");
+      if (checkpoint_.empty()) {
+        throw xbarlife::InvalidArgument("--checkpoint needs a file path");
+      }
+    }
+    return checkpoint_;
   }
 
-  /// Like finish(), but omits the metrics snapshot and the profile key.
-  /// Campaign documents must be byte-identical between fresh and
-  /// checkpoint-resumed runs, and the executed/resumed job counters (and
-  /// span counts) necessarily differ.
-  void finish_deterministic(const std::string& command,
-                            obs::JsonValue data) {
-    emit(command, std::move(data), nullptr, /*include_profile=*/false);
+  /// A store on --checkpoint for the single-loop commands (train,
+  /// lifetime); null without the flag.
+  persist::CheckpointStore* checkpoint_store(const Args& args) {
+    if (checkpoint(args).empty()) {
+      return nullptr;
+    }
+    return &store_.emplace(checkpoint_);
+  }
+
+  /// The human "checkpoint: PATH (generation N)" line, `detail`
+  /// appended; nothing without --checkpoint.
+  void report_checkpoint(std::uint64_t generation,
+                         std::string_view detail = {}) {
+    if (!checkpoint_.empty()) {
+      human() << "checkpoint: " << checkpoint_ << " (generation "
+              << generation << ")" << detail << "\n";
+    }
+  }
+
+  /// Emits the versioned result document as the stream's final line. With
+  /// --checkpoint (or `deterministic`), the document omits the metrics
+  /// snapshot and the profile key: it must be byte-identical between
+  /// fresh and checkpoint-resumed runs, whose counters (and span counts)
+  /// necessarily differ. A checkpointed document gains a deterministic
+  /// "resume":{"checkpoint","kind"} data key; the generation and the
+  /// restored-job counts differ by kill point, so they go to the human
+  /// report and the meta trace lines instead.
+  void finish(const std::string& command, obs::JsonValue data,
+              bool deterministic = false) {
+    if (!checkpoint_.empty()) {
+      obs::JsonValue resume = obs::JsonValue::object();
+      resume.set("checkpoint", persist::kCheckpointSchema);
+      resume.set("kind", command);
+      data.set("resume", std::move(resume));
+      deterministic = true;
+    }
+    emit(command, std::move(data), deterministic ? nullptr : &registry_,
+         /*include_profile=*/!deterministic);
   }
 
   /// Emits a pre-built document (e.g. xbarlife.workerstats.v1) as the
@@ -346,6 +383,8 @@ class CliOutput {
   std::unique_ptr<obs::Profiler> profiler_;
   std::unique_ptr<obs::ProgressReporter> progress_;
   std::size_t root_span_ = obs::kNoSpan;
+  std::string checkpoint_;
+  std::optional<persist::CheckpointStore> store_;
   NullStream null_;
   bool human_enabled_ = true;
 };
@@ -430,18 +469,6 @@ std::vector<std::string> split_list(const std::string& value,
   return out;
 }
 
-/// Validated --checkpoint path ("" when the flag is absent).
-std::string checkpoint_path_for(const Args& args) {
-  if (!args.flag("checkpoint")) {
-    return "";
-  }
-  const std::string path = args.get("checkpoint", "");
-  if (path.empty()) {
-    throw xbarlife::InvalidArgument("--checkpoint needs a file path");
-  }
-  return path;
-}
-
 /// Validated --job-timeout value in milliseconds (0 = no watchdog).
 double job_timeout_for(const Args& args) {
   if (!args.flag("job-timeout")) {
@@ -464,36 +491,18 @@ std::size_t checkpoint_chunk_for(const Args& args) {
   return chunk;
 }
 
-/// Deterministic "resume" rollup for checkpoint-mode result documents.
-/// Only fields identical between a fresh and a killed-and-resumed run
-/// belong here (the generation and resumed-job counts differ by kill
-/// point, so they go to the human report and the meta trace lines).
-obs::JsonValue resume_json(std::string_view kind) {
-  obs::JsonValue out = obs::JsonValue::object();
-  out.set("checkpoint", persist::kCheckpointSchema);
-  out.set("kind", kind);
-  return out;
-}
-
 int cmd_train(const Args& args, CliOutput& out) {
   core::ExperimentConfig cfg = config_for(args);
   const bool skewed = args.flag("skewed");
-  const std::string ckpt = checkpoint_path_for(args);
+  persist::CheckpointStore* store = out.checkpoint_store(args);
   out.human() << "Training " << cfg.name
               << (skewed ? " with the skewed regularizer" : " with L2")
               << "...\n";
 
-  std::unique_ptr<persist::CheckpointStore> store;
-  if (!ckpt.empty()) {
-    store = std::make_unique<persist::CheckpointStore>(ckpt);
-  }
   core::TrainedModel tm =
       core::train_model(cfg, data::make_synthetic(cfg.dataset), skewed,
-                        out.obs(), store.get());
-  if (store != nullptr) {
-    out.human() << "checkpoint: " << store->path() << " (generation "
-                << store->generation() << ")\n";
-  }
+                        out.obs(), store);
+  out.report_checkpoint(store != nullptr ? store->generation() : 0);
   out.human() << tm.network.summary()
               << core::train_history_table(tm.history);
 
@@ -507,12 +516,7 @@ int cmd_train(const Args& args, CliOutput& out) {
     out.human() << "Parameters written to " << path << "\n";
     data.set("weights_out", path);
   }
-  if (store != nullptr) {
-    data.set("resume", resume_json("train"));
-    out.finish_deterministic("train", std::move(data));
-  } else {
-    out.finish("train", std::move(data));
-  }
+  out.finish("train", std::move(data));
   return 0;
 }
 
@@ -533,11 +537,7 @@ int cmd_lifetime(const Args& args, CliOutput& out) {
                 << format_double(cfg.faults.nonideal.read_noise_sigma, 3)
                 << ", spare rows " << cfg.faults.spare_rows << "\n";
   }
-  const std::string ckpt = checkpoint_path_for(args);
-  std::unique_ptr<persist::CheckpointStore> store;
-  if (!ckpt.empty()) {
-    store = std::make_unique<persist::CheckpointStore>(ckpt);
-  }
+  persist::CheckpointStore* store = out.checkpoint_store(args);
   // Outside a sweep fan-out there is no per-job isolation: an expired
   // deadline propagates as TimeoutError (exit 8).
   std::optional<xbarlife::JobDeadline> deadline;
@@ -547,7 +547,7 @@ int cmd_lifetime(const Args& args, CliOutput& out) {
                      std::string("lifetime ") + core::to_string(scenario));
   }
   const core::ScenarioOutcome o =
-      core::run_scenario(cfg, scenario, out.obs(), store.get());
+      core::run_scenario(cfg, scenario, out.obs(), store);
   out.human() << "software accuracy: "
               << format_double(o.software_accuracy, 3)
               << ", tuning target: " << format_double(o.tuning_target, 3)
@@ -557,21 +557,13 @@ int cmd_lifetime(const Args& args, CliOutput& out) {
               << " applications over " << o.lifetime.sessions.size()
               << " sessions ("
               << (o.lifetime.died ? "died" : "survived the cap") << ")\n";
-  if (store != nullptr) {
-    out.human() << "checkpoint: " << store->path() << " (generation "
-                << store->generation() << ")\n";
-  }
+  out.report_checkpoint(store != nullptr ? store->generation() : 0);
 
   obs::JsonValue data = obs::JsonValue::object();
   data.set("config", core::experiment_config_json(cfg));
   data.set("quantized", cfg.lifetime.tuning.quantized_eval);
   data.set("outcome", core::scenario_outcome_json(o));
-  if (store != nullptr) {
-    data.set("resume", resume_json("lifetime"));
-    out.finish_deterministic("lifetime", std::move(data));
-  } else {
-    out.finish("lifetime", std::move(data));
-  }
+  out.finish("lifetime", std::move(data));
   if (args.flag("strict") && o.lifetime.died) {
     throw xbarlife::ConvergenceError(
         "lifetime run died after " +
@@ -582,21 +574,18 @@ int cmd_lifetime(const Args& args, CliOutput& out) {
   return 0;
 }
 
-/// Checkpoint line for grid commands, with the restored/executed split
-/// on a resumed run; nothing without a checkpoint.
-void report_checkpoint(std::ostream& human, const std::string& checkpoint,
-                       const core::SweepOutcome& outcome) {
-  if (checkpoint.empty()) {
-    return;
-  }
-  human << "checkpoint: " << checkpoint << " (generation "
-        << outcome.checkpoint_generation << ")";
+/// The checkpoint line of a grid command, with the restored/executed
+/// split on a resumed run.
+void report_grid_checkpoint(CliOutput& out,
+                            const core::SweepOutcome& outcome) {
+  std::string detail;
   if (outcome.resumed) {
-    human << ", " << outcome.resumed_jobs << " job(s) restored, "
-          << outcome.executed_jobs << " executed"
-          << (outcome.fallback_used ? " (fallback generation)" : "");
+    detail = ", " + std::to_string(outcome.resumed_jobs) +
+             " job(s) restored, " + std::to_string(outcome.executed_jobs) +
+             " executed" +
+             (outcome.fallback_used ? " (fallback generation)" : "");
   }
-  human << "\n";
+  out.report_checkpoint(outcome.checkpoint_generation, detail);
 }
 
 /// Shared --strict gate for grid commands: any failed job (a timed-out
@@ -633,7 +622,7 @@ int cmd_sweep(const Args& args, CliOutput& out) {
               << " thread(s)...\n";
 
   core::SweepConfig sweep_config;
-  sweep_config.checkpoint_path = checkpoint_path_for(args);
+  sweep_config.checkpoint_path = out.checkpoint(args);
   sweep_config.chunk = checkpoint_chunk_for(args);
   const bool resumable = !sweep_config.checkpoint_path.empty();
   const core::SweepOutcome outcome = core::run_sweep(
@@ -643,7 +632,7 @@ int cmd_sweep(const Args& args, CliOutput& out) {
       },
       out.obs());
   out.human() << core::sweep_table(outcome);
-  report_checkpoint(out.human(), sweep_config.checkpoint_path, outcome);
+  report_grid_checkpoint(out, outcome);
 
   obs::JsonValue sweep = obs::JsonValue::object();
   sweep.set("job_count", outcome.jobs.size());
@@ -654,12 +643,7 @@ int cmd_sweep(const Args& args, CliOutput& out) {
   data.set("sweep_seed", runner.sweep_seed());
   data.set("replicates", replicates);
   data.set("sweep", std::move(sweep));
-  if (resumable) {
-    data.set("resume", resume_json("sweep"));
-    out.finish_deterministic("sweep", std::move(data));
-  } else {
-    out.finish("sweep", std::move(data));
-  }
+  out.finish("sweep", std::move(data));
   enforce_strict(args, out.human(), "sweep", outcome);
   return 0;
 }
@@ -674,7 +658,7 @@ int cmd_faults(const Args& args, CliOutput& out) {
   }
   campaign.replicates = args.number<std::size_t>("replicates", 1);
   campaign.campaign_seed = args.number<std::uint64_t>("seed", 7);
-  campaign.checkpoint_path = checkpoint_path_for(args);
+  campaign.checkpoint_path = out.checkpoint(args);
   campaign.checkpoint_chunk = checkpoint_chunk_for(args);
   campaign.job_timeout_ms = job_timeout_for(args);
 
@@ -736,15 +720,12 @@ int cmd_faults(const Args& args, CliOutput& out) {
   const core::SweepOutcome result =
       core::run_fault_campaign(campaign, out.obs());
   out.human() << core::sweep_table(result);
-  report_checkpoint(out.human(), campaign.checkpoint_path, result);
+  report_grid_checkpoint(out, result);
 
   obs::JsonValue data = obs::JsonValue::object();
   data.set("config", core::experiment_config_json(campaign.base));
   data.set("campaign", core::fault_campaign_json(result));
-  if (!campaign.checkpoint_path.empty()) {
-    data.set("resume", resume_json("faults"));
-  }
-  out.finish_deterministic("faults", std::move(data));
+  out.finish("faults", std::move(data), /*deterministic=*/true);
   enforce_strict(args, out.human(), "campaign", result);
   return 0;
 }
@@ -825,14 +806,13 @@ int cmd_device(const Args& args, CliOutput& out) {
 }
 
 int cmd_models(CliOutput& out) {
-  const core::ModelRegistry& registry = core::ModelRegistry::instance();
   TablePrinter table({"model", "description"});
   obs::JsonValue models = obs::JsonValue::array();
-  for (const std::string& name : registry.names()) {
-    table.add_row({name, registry.describe(name)});
+  for (const std::string& name : core::model_names()) {
+    table.add_row({name, core::describe_model(name)});
     obs::JsonValue entry = obs::JsonValue::object();
     entry.set("name", name);
-    entry.set("description", registry.describe(name));
+    entry.set("description", core::describe_model(name));
     models.push_back(std::move(entry));
   }
   out.human() << table.render();

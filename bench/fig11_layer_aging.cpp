@@ -21,9 +21,8 @@ int main() {
   }
   std::cout << "Simulating the ST+T lifetime of LeNet-5 and aggregating\n"
                "per-layer-type aged R_max...\n";
-  core::TrainedModel tm =
-      core::train_model(cfg, /*skewed=*/true);
   const data::TrainTest data = data::make_synthetic(cfg.dataset);
+  core::TrainedModel tm = core::train_model(cfg, data, /*skewed=*/true);
 
   core::LifetimeConfig lc = cfg.lifetime;
   lc.tuning.target_accuracy =

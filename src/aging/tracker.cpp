@@ -87,18 +87,6 @@ std::uint64_t RepresentativeTracker::pulse_estimate(std::size_t r,
   return pulses_[block_index(r, c)];
 }
 
-std::vector<AgedWindow> RepresentativeTracker::estimated_windows(
-    const AgingModel& model, double r_fresh_min, double r_fresh_max) const {
-  std::vector<AgedWindow> windows;
-  windows.reserve(stress_.size());
-  for (std::size_t b = 0; b < stress_.size(); ++b) {
-    windows.push_back(model.aged_window(
-        r_fresh_min, r_fresh_max,
-        stress_[b] + ambient_ - self_ambient_[b]));
-  }
-  return windows;
-}
-
 void RepresentativeTracker::attach_counters(obs::Counter* pulses,
                                             obs::Counter* traced_pulses) {
   pulse_counter_ = pulses;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "aging/aging_model.hpp"
 #include "obs/metrics.hpp"
 #include "persist/state_io.hpp"
 
@@ -70,11 +69,6 @@ class RepresentativeTracker {
 
   /// Traced pulse count of the representative covering (r, c).
   std::uint64_t pulse_estimate(std::size_t r, std::size_t c) const;
-
-  /// Estimated aged windows of all representatives, given fresh bounds.
-  std::vector<AgedWindow> estimated_windows(const AgingModel& model,
-                                            double r_fresh_min,
-                                            double r_fresh_max) const;
 
   std::size_t block_rows() const { return block_rows_; }
   std::size_t block_cols() const { return block_cols_; }

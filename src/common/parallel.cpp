@@ -165,8 +165,6 @@ void set_parallel_threads(std::size_t n) {
   ThreadPool::instance().resize(n);
 }
 
-bool in_parallel_region() { return t_in_region; }
-
 std::size_t parallel_grain(std::size_t count) {
   const std::size_t threads = t_in_region ? 1 : parallel_threads();
   if (threads == 1) {

@@ -42,10 +42,6 @@ std::size_t parallel_threads();
 /// Must not be called from inside a parallel_for body.
 void set_parallel_threads(std::size_t n);
 
-/// True while the calling thread is executing a parallel_for chunk; any
-/// nested parallel_for runs inline.
-bool in_parallel_region();
-
 /// Load-balancing grain for `count` independent work items whose
 /// partition never shows up in the bits: ~4 chunks per pool thread, and
 /// `count` (one chunk, run inline) where the work runs serially — a

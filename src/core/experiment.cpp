@@ -180,14 +180,8 @@ std::shared_ptr<const TrainedParams> share_training(
 ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
                              const obs::Obs& obs,
                              persist::CheckpointStore* store) {
-  // The scenario span cannot survive a process restart (a resumed run
-  // would re-open it on every attempt), so in checkpoint mode it feeds
-  // the profiler only.
-  obs::Obs span_obs = obs;
-  if (store != nullptr) {
-    span_obs.trace = nullptr;
-  }
-  const obs::Span scenario_span(span_obs, "experiment.scenario");
+  const obs::Span scenario_span(run_level_obs(obs, store),
+                                "experiment.scenario");
   const data::TrainTest data = data::make_synthetic(config.dataset);
   // Checkpoint mode re-runs the (deterministic) training phase on every
   // resume, so it runs unobserved: a resumed run's trace would otherwise

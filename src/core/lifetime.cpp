@@ -1,14 +1,9 @@
 #include "core/lifetime.hpp"
 
-#include <memory>
 #include <optional>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "common/shutdown.hpp"
-#include "core/report.hpp"
-#include "obs/event_trace.hpp"
-#include "obs/sink.hpp"
 #include "persist/state_io.hpp"
 
 namespace xbarlife::core {
@@ -39,9 +34,19 @@ std::size_t AgingAwareRide::shared_sessions() const {
              : 0;
 }
 
-std::string LifetimeSimulator::kind() const { return "lifetime"; }
+LifetimeState::LifetimeState(const LifetimeConfig& config,
+                             tuning::HardwareNetwork& hw,
+                             tuning::OnlineTuner& tuner,
+                             tuning::MappingPolicy policy)
+    : drift_rng(config.drift_seed),
+      config_(config),
+      hw_(&hw),
+      tuner_(&tuner),
+      policy_(policy) {}
 
-std::uint64_t LifetimeSimulator::fingerprint() const {
+std::string LifetimeState::kind() const { return "lifetime"; }
+
+std::uint64_t LifetimeState::fingerprint() const {
   persist::Fingerprint fp;
   fp.add(std::string_view{"lifetime"});
   // Horizon knob (max_sessions) excluded: a finished run may resume
@@ -62,18 +67,15 @@ std::uint64_t LifetimeSimulator::fingerprint() const {
   fp.add(static_cast<std::uint64_t>(config_.resilience.ladder_enabled));
   fp.add(config_.resilience.degraded_accuracy_floor);
   fp.add(static_cast<std::uint64_t>(policy_));
-  if (hw_ != nullptr) {
-    fp.add(static_cast<std::uint64_t>(hw_->layer_count()));
-    fp.add(static_cast<std::uint64_t>(hw_->network().parameter_count()));
-  }
+  fp.add(static_cast<std::uint64_t>(hw_->layer_count()));
+  fp.add(static_cast<std::uint64_t>(hw_->network().parameter_count()));
   return fp.value();
 }
 
-std::string LifetimeSimulator::serialize() const {
-  persist::StateWriter w;
-  w.u64(next_session_);
-  w.u64(result_.sessions.size());
-  for (const SessionRecord& rec : result_.sessions) {
+void LifetimeState::save(persist::StateWriter& w) const {
+  w.u64(next_session);
+  w.u64(result.sessions.size());
+  for (const SessionRecord& rec : result.sessions) {
     w.u64(rec.session);
     w.u64(rec.applications);
     w.u64(rec.tuning_iterations);
@@ -100,24 +102,17 @@ std::string LifetimeSimulator::serialize() const {
     w.u64(rec.cells_clamped);
     w.u64(rec.cells_dead);
   }
-  w.u64(result_.lifetime_applications);
-  w.boolean(result_.died);
-  persist::write_rng_state(w, drift_rng_);
-  w.u64(tuner_ != nullptr ? tuner_->cursor() : 0);
+  w.u64(result.lifetime_applications);
+  w.boolean(result.died);
+  persist::write_rng_state(w, drift_rng);
+  w.u64(tuner_->cursor());
   hw_->save_state(w);
-  w.u64(trace_seq_);
-  w.u64(trace_lines_.size());
-  for (const std::string& line : trace_lines_) {
-    w.str(line);
-  }
-  return w.release();
 }
 
-void LifetimeSimulator::restore(std::string_view payload) {
-  persist::StateReader r(payload);
-  next_session_ = r.u64();
-  result_.sessions.resize(r.array_count(8));
-  for (SessionRecord& rec : result_.sessions) {
+void LifetimeState::load(persist::StateReader& r) {
+  next_session = r.u64();
+  result.sessions.resize(r.array_count(8));
+  for (SessionRecord& rec : result.sessions) {
     rec.session = r.u64();
     rec.applications = r.u64();
     rec.tuning_iterations = r.u64();
@@ -144,21 +139,11 @@ void LifetimeSimulator::restore(std::string_view payload) {
     rec.cells_clamped = r.u64();
     rec.cells_dead = r.u64();
   }
-  result_.lifetime_applications = r.u64();
-  result_.died = r.boolean();
-  persist::read_rng_state(r, drift_rng_);
-  const std::size_t cursor = r.u64();
-  if (tuner_ != nullptr) {
-    tuner_->set_cursor(cursor);
-  }
+  result.lifetime_applications = r.u64();
+  result.died = r.boolean();
+  persist::read_rng_state(r, drift_rng);
+  tuner_->set_cursor(r.u64());
   hw_->load_state(r);
-  trace_seq_ = r.u64();
-  trace_lines_.resize(r.array_count(8));
-  for (std::string& line : trace_lines_) {
-    line = r.str();
-  }
-  XB_CHECK(r.done(), "lifetime snapshot has trailing bytes");
-  restored_ = true;
 }
 
 LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
@@ -182,15 +167,7 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
   // (and graft the worker's span tree under it) in profiled runs.
   hw.attach_profiler(obs.profiler);
   tuning::OnlineTuner tuner(config_.tuning);
-  hw_ = &hw;
-  tuner_ = &tuner;
-  policy_ = policy;
-  drift_rng_ = Rng(config_.drift_seed);
-  result_ = {};
-  next_session_ = 0;
-  restored_ = false;
-  trace_lines_.clear();
-  trace_seq_ = 0;
+  LifetimeState st(config_, hw, tuner, policy);
 
   // ST+AT from a ride's fork: restart that session's rescue from the
   // copied state (a fork at the initial deployment starts from scratch).
@@ -203,32 +180,16 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
     persist::StateReader r(resume->hw_state);
     hw.load_state(r);
     XB_CHECK(r.done(), "rescue-start state has trailing bytes");
-    result_ = resume->result;
-    drift_rng_ = resume->drift_rng;
+    st.result = resume->result;
+    st.drift_rng = resume->drift_rng;
     tuner.set_cursor(resume->tuner_cursor);
-    next_session_ = resume->rec.session;
+    st.next_session = resume->rec.session;
   }
   bool riding = ride != nullptr && !aware;
 
-  if (store != nullptr) {
-    const auto info = store->load(*this);
-    if (info.has_value()) {
-      emit_resume_event(obs, "lifetime", info->generation,
-                        info->fallback_used);
-    }
-  }
-
-  // In checkpoint mode events are buffered per session and persisted with
-  // the snapshot, so a resumed run replays the complete stream; the child
-  // trace continues the stored seq numbering.
-  obs::Obs run_obs = obs;
-  obs::MemorySink buffer;
-  std::unique_ptr<obs::EventTrace> child;
-  if (store != nullptr && obs.trace_enabled()) {
-    child = std::make_unique<obs::EventTrace>(&buffer);
-    child->set_next_seq(trace_seq_);
-    run_obs.trace = child.get();
-  }
+  CheckpointLoop loop(st, store, obs);
+  const obs::Obs& run_obs = loop.obs();
+  LifetimeResult& result = st.result;
 
   const bool ladder_active =
       config_.resilience.active_for(hw.fault_config());
@@ -274,22 +235,22 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
   // identically. A restored snapshot (or a fork's copy) already holds
   // the deployed (and aged) state, so redeploying would wipe it.
   bool stop = false;
-  if (!restored_ && resume == nullptr) {
+  if (!loop.restored().has_value() && resume == nullptr) {
     redeploy(/*keep_threshold=*/2.0, /*switch_margin=*/0.05);
     stop = forked(0, std::nullopt);
   }
 
-  obs.progress_phase("lifetime.sessions", next_session_,
+  obs.progress_phase("lifetime.sessions", st.next_session,
                      config_.max_sessions);
   // Phase spans inside a session are profiler-only, like tuning's: the
   // event stream and the checkpointed trace lines keep their shape.
   obs::Obs phases;
   phases.profiler = run_obs.profiler;
-  for (std::size_t session = next_session_;
-       session < config_.max_sessions && !result_.died && !stop; ++session) {
+  for (std::size_t session = st.next_session;
+       session < config_.max_sessions && !result.died && !stop; ++session) {
     check_job_deadline();
-    // The session span closes before the snapshot drain below, so the
-    // persisted stream holds the complete begin/end pair.
+    // The session span closes before the commit below, so the persisted
+    // stream holds the complete begin/end pair.
     std::optional<obs::Span> session_span;
     session_span.emplace(run_obs, "lifetime.session");
     SessionRecord rec;
@@ -304,14 +265,14 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
       if (run_obs.trace_enabled()) {
         run_obs.event("session_start",
                       {{"session", session},
-                       {"applications", result_.lifetime_applications},
+                       {"applications", result.lifetime_applications},
                        {"pulses_total", hw.total_pulses()}});
       }
       // Recoverable drift accumulated while processing the previous chunk
       // of applications; online tuning is the routine corrector.
       if (session > 0) {
         const obs::Span span(phases, "lifetime.drift");
-        apply_drift(hw, drift_rng_);
+        apply_drift(hw, st.drift_rng);
       }
       tr = tuner.tune(hw, tune_data, eval_data, run_obs);
       rec.session = session;
@@ -324,7 +285,7 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
       if (riding) {
         persist::StateWriter w;
         hw.save_state(w);
-        start = RescueStart{w.release(), result_, drift_rng_,
+        start = RescueStart{w.release(), result, st.drift_rng,
                             tuner.cursor(), rec, tr};
       }
       // Rescue: remap under the scenario policy and retry once. The
@@ -391,7 +352,7 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
     if (tr.converged || rec.degraded) {
       // Degraded sessions keep serving applications (below target, above
       // the accuracy floor) — graceful degradation instead of EOL.
-      result_.lifetime_applications += config_.apps_per_session;
+      result.lifetime_applications += config_.apps_per_session;
       run_obs.count("lifetime.applications", config_.apps_per_session);
       if (rec.degraded) {
         run_obs.count("lifetime.degraded_sessions");
@@ -399,10 +360,10 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
     } else {
       // Even the rescue ladder failed: end-of-life; these applications
       // were not processed successfully.
-      result_.died = true;
+      result.died = true;
     }
-    rec.applications = result_.lifetime_applications;
-    result_.sessions.push_back(rec);
+    rec.applications = result.lifetime_applications;
+    result.sessions.push_back(rec);
     if (run_obs.trace_enabled()) {
       std::vector<obs::Field> fields{
           {"session", rec.session},
@@ -420,51 +381,29 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
       }
       run_obs.event("session_end", fields);
     }
-    if (result_.died && run_obs.trace_enabled()) {
+    if (result.died && run_obs.trace_enabled()) {
       run_obs.event(
           "eol",
           {{"session", session},
-           {"lifetime_applications", result_.lifetime_applications},
+           {"lifetime_applications", result.lifetime_applications},
            {"pulses_total", rec.pulses_total}});
     }
     session_span.reset();
     obs.progress_tick();
 
-    if (store != nullptr) {
-      if (child != nullptr) {
-        for (const std::string& line : buffer.lines()) {
-          trace_lines_.push_back(line);
-        }
-        buffer.clear();
-        trace_seq_ = child->events_emitted();
-      }
-      next_session_ = session + 1;
-      store->save(*this);
-      emit_checkpoint_saved(obs, "lifetime", store->generation());
-      if (shutdown_requested() && !result_.died &&
-          session + 1 < config_.max_sessions) {
-        throw InterruptedError(
-            "lifetime simulation interrupted after session " +
-            std::to_string(session) +
-            "; resume with the same checkpoint: " + store->path());
-      }
-    }
+    st.next_session = session + 1;
+    loop.commit(!result.died && session + 1 < config_.max_sessions,
+                "lifetime simulation interrupted after session " +
+                    std::to_string(session));
   }
   obs.set_gauge("lifetime.applications_final",
-                static_cast<double>(result_.lifetime_applications));
+                static_cast<double>(result.lifetime_applications));
   if (riding) {
-    ride->unforked = result_;
+    ride->unforked = result;
   }
 
-  // Replay the buffered (restored + fresh) stream into the real trace.
-  if (store != nullptr && obs.trace_enabled()) {
-    for (const std::string& line : trace_lines_) {
-      obs.trace->emit_line(line);
-    }
-  }
-  hw_ = nullptr;
-  tuner_ = nullptr;
-  return result_;
+  loop.replay();
+  return result;
 }
 
 }  // namespace xbarlife::core

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint_loop.hpp"
 #include "core/scenario.hpp"
 #include "data/dataset.hpp"
 #include "obs/obs.hpp"
@@ -121,7 +122,33 @@ struct AgingAwareRide {
   std::size_t shared_sessions() const;
 };
 
-class LifetimeSimulator : public persist::Checkpointable {
+/// A lifetime run's resumable state: the session log, the drift stream
+/// position, the tuner's cursor and the full aged hardware state. The
+/// fingerprint covers the config (max_sessions aside), the policy and the
+/// network's shape.
+class LifetimeState : public LoopState {
+ public:
+  /// `config`, `hw` and `tuner` must outlive the state.
+  LifetimeState(const LifetimeConfig& config, tuning::HardwareNetwork& hw,
+                tuning::OnlineTuner& tuner, tuning::MappingPolicy policy);
+
+  LifetimeResult result;
+  Rng drift_rng;
+  std::size_t next_session = 0;
+
+  std::string kind() const override;
+  std::uint64_t fingerprint() const override;
+  void save(persist::StateWriter& w) const override;
+  void load(persist::StateReader& r) override;
+
+ private:
+  const LifetimeConfig& config_;
+  tuning::HardwareNetwork* hw_;
+  tuning::OnlineTuner* tuner_;
+  tuning::MappingPolicy policy_;
+};
+
+class LifetimeSimulator {
  public:
   explicit LifetimeSimulator(LifetimeConfig config);
 
@@ -137,14 +164,9 @@ class LifetimeSimulator : public persist::Checkpointable {
   /// and maintains the `lifetime.*` metrics. The default handle disables
   /// all instrumentation.
   ///
-  /// With a `store`, the simulator restores the newest valid snapshot
-  /// (skipping the initial deployment — the restored crossbars already
-  /// hold the deployed state), saves after every completed session, and
-  /// raises InterruptedError when a cooperative shutdown was requested
-  /// with sessions still pending. The snapshot captures the full aged
-  /// hardware state, drift stream position, tuner cursor, session log,
-  /// and buffered trace events; the fingerprint excludes `max_sessions`
-  /// so a finished run can resume toward a longer horizon.
+  /// With a `store`, every session is a checkpointed unit of a
+  /// LifetimeState; a restored run skips the initial deployment, since
+  /// the restored crossbars already hold the deployed (and aged) state.
   ///
   /// With a `ride` (never with a `store`) and kFresh, ST+AT rides along:
   /// every policy-dependent deployment (the initial one, the plain
@@ -164,30 +186,11 @@ class LifetimeSimulator : public persist::Checkpointable {
                      persist::CheckpointStore* store = nullptr,
                      AgingAwareRide* ride = nullptr);
 
-  std::string kind() const override;
-  std::uint64_t fingerprint() const override;
-  std::string serialize() const override;
-  void restore(std::string_view payload) override;
-
  private:
   /// Applies one session's recoverable drift to every crossbar cell.
   void apply_drift(tuning::HardwareNetwork& hw, Rng& rng);
 
   LifetimeConfig config_;
-
-  // --- run state, owned by run() and referenced by serialize()/restore();
-  // valid only while a run is in flight.
-  tuning::HardwareNetwork* hw_ = nullptr;
-  tuning::OnlineTuner* tuner_ = nullptr;
-  tuning::MappingPolicy policy_ = tuning::MappingPolicy::kFresh;
-  Rng drift_rng_{0};
-  LifetimeResult result_;
-  std::size_t next_session_ = 0;
-  bool restored_ = false;
-  /// Checkpoint-mode event buffer: events already emitted by completed
-  /// sessions, persisted so a resumed run replays the full stream.
-  std::vector<std::string> trace_lines_;
-  std::uint64_t trace_seq_ = 0;
 };
 
 }  // namespace xbarlife::core

@@ -1,94 +1,65 @@
 #include "core/model_registry.hpp"
 
+#include <array>
+
 #include "common/error.hpp"
 
 namespace xbarlife::core {
 
-ModelRegistry& ModelRegistry::instance() {
-  static ModelRegistry* registry = [] {
-    auto* r = new ModelRegistry();
-    r->add("lenet5", "LeNet-5 on synthetic CIFAR-10 (paper test case 1)",
-           [] { return lenet_experiment_config(); });
-    r->add("vgg16", "VGG-16 on synthetic CIFAR-100 (paper test case 2)",
-           [] { return vgg_experiment_config(); });
-    r->add("mlp", "small MLP on synthetic CIFAR-10 (fast smoke model)", [] {
-      ExperimentConfig cfg = lenet_experiment_config();
-      cfg.name = "MLP / SynthCifar10";
-      cfg.model = ExperimentConfig::Model::kMlp;
-      cfg.mlp_hidden = {64, 32};
-      return cfg;
-    });
-    return r;
-  }();
-  return *registry;
+namespace {
+
+ExperimentConfig mlp_config() {
+  ExperimentConfig cfg = lenet_experiment_config();
+  cfg.name = "MLP / SynthCifar10";
+  cfg.model = ExperimentConfig::Model::kMlp;
+  cfg.mlp_hidden = {64, 32};
+  return cfg;
 }
 
-void ModelRegistry::add(const std::string& name,
-                        const std::string& description, Factory factory) {
-  XB_CHECK(!name.empty(), "model name must not be empty");
-  XB_CHECK(factory != nullptr, "model factory must not be null");
-  const std::lock_guard<std::mutex> lock(mu_);
-  XB_CHECK(entries_.find(name) == entries_.end(),
-           "model already registered: " + name);
-  entries_.emplace(name, Entry{description, std::move(factory)});
-}
+struct Model {
+  const char* name;
+  const char* description;
+  ExperimentConfig (*config)();
+};
 
-ExperimentConfig ModelRegistry::make(const std::string& name) const {
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      throw InvalidArgument("unknown model '" + name +
-                            "' (available: " + names_joined_locked() + ")");
+/// Sorted by name.
+constexpr std::array<Model, 3> kModels{{
+    {"lenet5", "LeNet-5 on synthetic CIFAR-10 (paper test case 1)",
+     lenet_experiment_config},
+    {"mlp", "small MLP on synthetic CIFAR-10 (fast smoke model)",
+     mlp_config},
+    {"vgg16", "VGG-16 on synthetic CIFAR-100 (paper test case 2)",
+     vgg_experiment_config},
+}};
+
+const Model& find_model(const std::string& name) {
+  std::string available;
+  for (const Model& m : kModels) {
+    if (name == m.name) {
+      return m;
     }
-    factory = it->second.factory;
+    available += available.empty() ? m.name : std::string(", ") + m.name;
   }
-  return factory();
+  throw InvalidArgument("unknown model '" + name +
+                        "' (available: " + available + ")");
 }
 
-bool ModelRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return entries_.find(name) != entries_.end();
-}
-
-std::string ModelRegistry::describe(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    throw InvalidArgument("unknown model '" + name +
-                          "' (available: " + names_joined_locked() + ")");
-  }
-  return it->second.description;
-}
-
-std::vector<std::string> ModelRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    out.push_back(name);
-  }
-  return out;  // std::map iterates in sorted order
-}
-
-std::string ModelRegistry::names_joined_locked() const {
-  std::string joined;
-  for (const auto& [name, entry] : entries_) {
-    if (!joined.empty()) {
-      joined += ", ";
-    }
-    joined += name;
-  }
-  return joined;
-}
+}  // namespace
 
 ExperimentConfig make_model_config(const std::string& name) {
-  return ModelRegistry::instance().make(name);
+  return find_model(name).config();
 }
 
 std::vector<std::string> model_names() {
-  return ModelRegistry::instance().names();
+  std::vector<std::string> out;
+  for (const Model& m : kModels) {
+    out.emplace_back(m.name);
+  }
+  return out;
+}
+
+std::string describe_model(const std::string& name) {
+  return find_model(name).description;
 }
 
 }  // namespace xbarlife::core

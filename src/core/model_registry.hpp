@@ -1,15 +1,11 @@
-// Named model registry: one place that maps a model name to its
-// ExperimentConfig factory.
+// The built-in models: one fixed table that maps a model name to its
+// ExperimentConfig and a one-line description.
 //
-// The CLI, the bench binaries, and the examples all used to hand-roll the
-// same lenet5/vgg16/mlp switch; they now resolve names here, and an
-// unknown name fails with an error that lists what is available. New
-// models (including test doubles) can be registered at runtime.
+// The CLI, the bench binaries, and the examples resolve names here instead
+// of hand-rolling the same lenet5/vgg16/mlp switch, and an unknown name
+// fails with an error that lists what is available.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,47 +13,15 @@
 
 namespace xbarlife::core {
 
-class ModelRegistry {
- public:
-  using Factory = std::function<ExperimentConfig()>;
-
-  /// The process-wide registry, pre-populated with the built-in models
-  /// ("lenet5", "vgg16", "mlp").
-  static ModelRegistry& instance();
-
-  /// Registers a model; throws InvalidArgument on an empty name or a
-  /// duplicate.
-  void add(const std::string& name, const std::string& description,
-           Factory factory);
-
-  /// Builds the named model's config; an unknown name throws
-  /// InvalidArgument listing the registered names.
-  ExperimentConfig make(const std::string& name) const;
-
-  bool contains(const std::string& name) const;
-
-  /// One-line description of a registered model.
-  std::string describe(const std::string& name) const;
-
-  /// Registered names in sorted order.
-  std::vector<std::string> names() const;
-
- private:
-  struct Entry {
-    std::string description;
-    Factory factory;
-  };
-
-  std::string names_joined_locked() const;
-
-  mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
-};
-
-/// Shorthand for ModelRegistry::instance().make(name).
+/// The named model's config; an unknown name throws InvalidArgument
+/// listing the built-in names.
 ExperimentConfig make_model_config(const std::string& name);
 
-/// Shorthand for ModelRegistry::instance().names().
+/// Built-in model names in sorted order.
 std::vector<std::string> model_names();
+
+/// One-line description of a built-in model (`xbarlife models`); an
+/// unknown name throws like make_model_config.
+std::string describe_model(const std::string& name);
 
 }  // namespace xbarlife::core

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/table.hpp"
-#include "persist/checkpoint.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "xbar/executor.hpp"
 
@@ -280,32 +279,6 @@ obs::JsonValue sweep_entry_json(const ScenarioSweepEntry& entry,
     out.set("wall_ms", entry.wall_ms);
   }
   return out;
-}
-
-void emit_checkpoint_saved(const obs::Obs& obs, std::string_view kind,
-                           std::uint64_t generation) {
-  if (!obs.trace_enabled()) {
-    return;
-  }
-  obs::JsonValue line = obs::JsonValue::object();
-  line.set("event", "checkpoint_saved");
-  line.set("kind", kind);
-  line.set("generation", generation);
-  obs.trace->emit_line(line.dump());
-}
-
-void emit_resume_event(const obs::Obs& obs, std::string_view kind,
-                       std::uint64_t generation, bool fallback_used) {
-  if (!obs.trace_enabled()) {
-    return;
-  }
-  obs::JsonValue line = obs::JsonValue::object();
-  line.set("event", "resume");
-  line.set("checkpoint", persist::kCheckpointSchema);
-  line.set("kind", kind);
-  line.set("generation", generation);
-  line.set("fallback_used", fallback_used);
-  obs.trace->emit_line(line.dump());
 }
 
 }  // namespace xbarlife::core

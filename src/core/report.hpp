@@ -59,14 +59,4 @@ std::string lifetime_session_table(const LifetimeResult& result,
 obs::JsonValue sweep_entry_json(const ScenarioSweepEntry& entry,
                                 bool with_wall_ms);
 
-/// Persist meta trace lines. These are spliced into the trace verbatim
-/// (no seq, no t_ms) so checkpoint I/O never shifts the deterministic
-/// seq numbering of real events; consumers comparing resumed against
-/// uninterrupted traces must strip them along with t_ms (see
-/// docs/output_schema.md). No-ops when the trace sink is absent.
-void emit_checkpoint_saved(const obs::Obs& obs, std::string_view kind,
-                           std::uint64_t generation);
-void emit_resume_event(const obs::Obs& obs, std::string_view kind,
-                       std::uint64_t generation, bool fallback_used);
-
 }  // namespace xbarlife::core

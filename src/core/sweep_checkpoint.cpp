@@ -4,115 +4,85 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "common/shutdown.hpp"
 #include "common/table.hpp"
-#include "core/report.hpp"
 #include "obs/fork.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
 
 namespace xbarlife::core {
 
-namespace {
+SweepState::SweepState(const ScenarioRunner& runner,
+                       const std::vector<ScenarioJob>& jobs,
+                       std::string kind, std::vector<SweepJobResult>& rows)
+    : runner_(&runner), jobs_(&jobs), kind_(std::move(kind)), rows_(&rows) {}
 
-/// Identity of a grid: its kind, root seed and every job's label, stream
-/// and forked scenario config (max_sessions included — unlike a lifetime
-/// snapshot, a finished entry cannot continue toward a longer cap).
-std::uint64_t grid_fingerprint(const ScenarioRunner& runner,
-                               const std::vector<ScenarioJob>& jobs,
-                               const std::string& kind) {
+std::uint64_t SweepState::fingerprint() const {
   persist::Fingerprint fp;
   fp.add(std::string_view{"sweep-ckpt"});
-  fp.add(kind);
-  fp.add(runner.sweep_seed());
-  fp.add(static_cast<std::uint64_t>(jobs.size()));
-  for (const ScenarioJob& job : jobs) {
+  fp.add(kind_);
+  fp.add(runner_->sweep_seed());
+  fp.add(static_cast<std::uint64_t>(jobs_->size()));
+  for (const ScenarioJob& job : *jobs_) {
     fp.add(job.label);
     fp.add(job.stream);
-    fp.add(scenario_key(runner.forked_config(job), job.scenario));
+    fp.add(scenario_key(runner_->forked_config(job), job.scenario));
   }
   return fp.value();
 }
 
-/// The engine's snapshot target: a view over the (partially filled) row
-/// vector. Only completed jobs — non-empty entry_json — are serialized.
-class SweepState : public persist::Checkpointable {
- public:
-  SweepState(std::string kind, std::uint64_t fingerprint,
-             std::vector<SweepJobResult>& results)
-      : kind_(std::move(kind)),
-        fingerprint_(fingerprint),
-        results_(&results) {}
-
-  std::string kind() const override { return kind_; }
-
-  std::uint64_t fingerprint() const override { return fingerprint_; }
-
-  std::string serialize() const override {
-    persist::StateWriter w;
-    w.u64(results_->size());
-    for (const SweepJobResult& job : *results_) {
-      const bool done = !job.entry_json.empty();
-      w.boolean(done);
-      if (!done) {
-        continue;
-      }
-      w.str(job.entry_json);
-      w.u8(static_cast<std::uint8_t>(job.scenario));
-      w.u64(job.stream);
-      w.u64(job.seed);
-      w.f64(job.software_accuracy);
-      w.f64(job.tuning_target);
-      w.u64(job.lifetime_applications);
-      w.u64(job.sessions);
-      w.boolean(job.died);
-      w.boolean(job.failed);
-      w.boolean(job.timed_out);
-      w.str(job.error);
-      w.u64(job.trace_lines.size());
-      for (const std::string& line : job.trace_lines) {
-        w.str(line);
-      }
+void SweepState::save(persist::StateWriter& w) const {
+  w.u64(rows_->size());
+  for (const SweepJobResult& job : *rows_) {
+    const bool done = !job.entry_json.empty();
+    w.boolean(done);
+    if (!done) {
+      continue;
     }
-    return w.release();
-  }
-
-  void restore(std::string_view payload) override {
-    persist::StateReader r(payload);
-    XB_CHECK(r.u64() == results_->size(),
-             "sweep snapshot job count does not match this grid");
-    for (SweepJobResult& job : *results_) {
-      if (!r.boolean()) {
-        continue;
-      }
-      job.entry_json = r.str();
-      job.scenario = static_cast<Scenario>(r.u8());
-      job.stream = r.u64();
-      job.seed = r.u64();
-      job.software_accuracy = r.f64();
-      job.tuning_target = r.f64();
-      job.lifetime_applications = r.u64();
-      job.sessions = r.u64();
-      job.died = r.boolean();
-      job.failed = r.boolean();
-      job.timed_out = r.boolean();
-      job.error = r.str();
-      job.trace_lines.resize(r.array_count(8));
-      for (std::string& line : job.trace_lines) {
-        line = r.str();
-      }
-      job.resumed = true;
+    w.str(job.entry_json);
+    w.u8(static_cast<std::uint8_t>(job.scenario));
+    w.u64(job.stream);
+    w.u64(job.seed);
+    w.f64(job.software_accuracy);
+    w.f64(job.tuning_target);
+    w.u64(job.lifetime_applications);
+    w.u64(job.sessions);
+    w.boolean(job.died);
+    w.boolean(job.failed);
+    w.boolean(job.timed_out);
+    w.str(job.error);
+    w.u64(job.trace_lines.size());
+    for (const std::string& line : job.trace_lines) {
+      w.str(line);
     }
-    XB_CHECK(r.done(), "sweep snapshot has trailing bytes");
   }
+}
 
- private:
-  std::string kind_;
-  std::uint64_t fingerprint_;
-  std::vector<SweepJobResult>* results_;
-};
-
-}  // namespace
+void SweepState::load(persist::StateReader& r) {
+  XB_CHECK(r.u64() == rows_->size(),
+           "sweep snapshot job count does not match this grid");
+  for (SweepJobResult& job : *rows_) {
+    if (!r.boolean()) {
+      continue;
+    }
+    job.entry_json = r.str();
+    job.scenario = static_cast<Scenario>(r.u8());
+    job.stream = r.u64();
+    job.seed = r.u64();
+    job.software_accuracy = r.f64();
+    job.tuning_target = r.f64();
+    job.lifetime_applications = r.u64();
+    job.sessions = r.u64();
+    job.died = r.boolean();
+    job.failed = r.boolean();
+    job.timed_out = r.boolean();
+    job.error = r.str();
+    job.trace_lines.resize(r.array_count(8));
+    for (std::string& line : job.trace_lines) {
+      line = r.str();
+    }
+    job.resumed = true;
+  }
+}
 
 SweepOutcome run_sweep(const ScenarioRunner& runner,
                        const std::vector<ScenarioJob>& jobs,
@@ -135,21 +105,18 @@ SweepOutcome run_sweep(const ScenarioRunner& runner,
     labels.push_back(jobs[i].label);
   }
 
-  std::optional<SweepState> state;
+  SweepState state(runner, jobs, config.kind, out.jobs);
   std::optional<persist::CheckpointStore> store;
   if (persistent) {
-    state.emplace(config.kind, grid_fingerprint(runner, jobs, config.kind),
-                  out.jobs);
     store.emplace(config.checkpoint_path);
-    const auto info = store->load(*state);
-    if (info.has_value()) {
-      out.resumed = true;
-      out.fallback_used = info->fallback_used;
-      for (const SweepJobResult& job : out.jobs) {
-        out.resumed_jobs += job.resumed;
-      }
-      emit_resume_event(obs, config.kind, info->generation,
-                        info->fallback_used);
+  }
+  CheckpointLoop loop(state, persistent ? &*store : nullptr, obs,
+                      CheckpointLoop::Trace::kDirect);
+  if (loop.restored().has_value()) {
+    out.resumed = true;
+    out.fallback_used = loop.restored()->fallback_used;
+    for (const SweepJobResult& job : out.jobs) {
+      out.resumed_jobs += job.resumed;
     }
   }
 
@@ -215,18 +182,12 @@ SweepOutcome run_sweep(const ScenarioRunner& runner,
     for (std::size_t k = start; k < end; ++k) {
       out.jobs[pending[k]].trace_lines = fork.take_job_lines(pending[k]);
     }
-    store->save(*state);
-    emit_checkpoint_saved(obs, config.kind, store->generation());
-    // Cooperative shutdown boundary: the chunk just finished is on disk,
-    // so stopping here loses nothing — and every attempt makes at least
-    // one chunk of progress even when the signal arrived mid-chunk.
-    if (shutdown_requested() && end < pending.size()) {
-      throw InterruptedError(
-          config.kind + " run interrupted with " +
-          std::to_string(pending.size() - end) +
-          " job(s) pending; resume with the same checkpoint: " +
-          store->path());
-    }
+    // A shutdown stops at the chunk boundary: the chunk is on disk, so
+    // nothing is lost, and every attempt makes at least one chunk of
+    // progress even when the signal arrived mid-chunk.
+    loop.commit(end < pending.size(),
+                config.kind + " run interrupted with " +
+                    std::to_string(pending.size() - end) + " job(s) pending");
   }
   if (persistent) {
     out.checkpoint_generation = store->generation();

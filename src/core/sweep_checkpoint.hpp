@@ -7,22 +7,16 @@
 // profiles merge in job order, and each job closes with its
 // sweep_job_done event (wall_ms included) and a sweep.job_ms sample.
 //
-// With a path, jobs run in fixed-size chunks; after each chunk the engine
-// atomically rewrites an "xbarlife.ckpt.v1" snapshot (see
-// persist/checkpoint.hpp) holding every completed job's serialized
-// result-document entry, its deterministic summary scalars, and its
-// buffered trace lines. A resumed run restores the completed jobs,
+// With a path, jobs run in fixed-size chunks, each a CheckpointLoop unit
+// (core/checkpoint_loop.hpp) whose snapshot holds every completed job's
+// serialized result-document entry, its deterministic summary scalars,
+// and its buffered trace lines. A resumed run restores the completed jobs,
 // executes only the pending ones, and fans everything in strictly in
 // global job order — so the result document and the event stream (t_ms
 // and the seq-less persist meta lines aside) are byte-identical whether
 // the run was killed zero or many times, at any thread count. The
 // snapshot's fingerprint covers every job's forked config, so a snapshot
 // from another grid, model, fault point or session cap fails closed.
-//
-// A cooperative shutdown (SIGINT/SIGTERM via common/shutdown.hpp) is
-// honored at chunk boundaries: the previous chunk's snapshot is already
-// on disk, so the engine raises InterruptedError (CLI exit 6) without
-// losing completed work.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint_loop.hpp"
 #include "core/scenario_runner.hpp"
 #include "obs/json.hpp"
 
@@ -86,6 +81,30 @@ struct SweepOutcome {
   std::uint64_t checkpoint_generation = 0;
   bool fallback_used = false;  ///< restored from the .bak generation
   bool resumed = false;        ///< any snapshot was restored
+};
+
+/// A grid's snapshot state: a view over the (partially filled) rows, of
+/// which only completed ones (non-empty entry_json) are persisted. The
+/// fingerprint covers the kind, the root seed and every job's label,
+/// stream and forked config (max_sessions included: a finished entry
+/// cannot continue toward a longer cap).
+class SweepState : public LoopState {
+ public:
+  /// `runner`, `jobs` and `rows` must outlive the state.
+  SweepState(const ScenarioRunner& runner,
+             const std::vector<ScenarioJob>& jobs, std::string kind,
+             std::vector<SweepJobResult>& rows);
+
+  std::string kind() const override { return kind_; }
+  std::uint64_t fingerprint() const override;
+  void save(persist::StateWriter& w) const override;
+  void load(persist::StateReader& r) override;
+
+ private:
+  const ScenarioRunner* runner_;
+  const std::vector<ScenarioJob>* jobs_;
+  std::string kind_;
+  std::vector<SweepJobResult>* rows_;
 };
 
 /// Turns one finished job (global job index, entry) into its row's

@@ -6,9 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "common/shutdown.hpp"
-#include "core/report.hpp"
-#include "obs/event_trace.hpp"
 #include "persist/state_io.hpp"
 
 namespace xbarlife::core {
@@ -60,8 +57,7 @@ std::uint64_t Trainer::fingerprint() const {
   return fp.value();
 }
 
-std::string Trainer::serialize() const {
-  persist::StateWriter w;
+void Trainer::save(persist::StateWriter& w) const {
   w.u64(next_epoch_);
   w.u64(history_.epochs.size());
   for (const EpochStats& es : history_.epochs) {
@@ -97,16 +93,9 @@ std::string Trainer::serialize() const {
       w.f64(o.value_or(0.0));
     }
   }
-  w.u64(trace_seq_);
-  w.u64(trace_lines_.size());
-  for (const std::string& line : trace_lines_) {
-    w.str(line);
-  }
-  return w.release();
 }
 
-void Trainer::restore(std::string_view payload) {
-  persist::StateReader r(payload);
+void Trainer::load(persist::StateReader& r) {
   next_epoch_ = r.u64();
   history_.epochs.resize(r.array_count(8));
   for (EpochStats& es : history_.epochs) {
@@ -139,58 +128,27 @@ void Trainer::restore(std::string_view payload) {
   XB_CHECK(has_skewed == (skewed_ != nullptr),
            "training snapshot regularizer does not match this run");
   if (skewed_ != nullptr) {
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
+    const std::size_t count = r.array_count(9);
+    for (std::size_t i = 0; i < count; ++i) {
       const bool frozen = r.boolean();
       const double value = r.f64();
       if (frozen) {
-        skewed_->freeze_omega(static_cast<std::size_t>(i), value);
+        skewed_->freeze_omega(i, value);
       }
     }
   }
-  trace_seq_ = r.u64();
-  trace_lines_.resize(r.array_count(8));
-  for (std::string& line : trace_lines_) {
-    line = r.str();
-  }
-  XB_CHECK(r.done(), "training snapshot has trailing bytes");
 }
 
 TrainHistory Trainer::run(const obs::Obs& obs,
                           persist::CheckpointStore* store) {
-  if (store != nullptr) {
-    const auto info = store->load(*this);
-    if (info.has_value() && obs.trace_enabled()) {
-      emit_resume_event(obs, "train", info->generation,
-                        info->fallback_used);
-    }
-  }
-
-  // In checkpoint mode events are buffered per epoch and persisted with
-  // the snapshot, so a resumed run can replay the complete stream; the
-  // child trace continues the stored seq numbering.
-  obs::Obs run_obs = obs;
-  obs::MemorySink buffer;
-  std::unique_ptr<obs::EventTrace> child;
-  if (store != nullptr && obs.trace_enabled()) {
-    child = std::make_unique<obs::EventTrace>(&buffer);
-    child->set_next_seq(trace_seq_);
-    run_obs.trace = child.get();
-  }
-
-  // The run-level span cannot survive a process restart (a resumed run
-  // would re-open it on every attempt), so in checkpoint mode it feeds
-  // the profiler only; per-epoch spans are replayable and stay traced.
-  obs::Obs fit_obs = run_obs;
-  if (store != nullptr) {
-    fit_obs.trace = nullptr;
-  }
-  const obs::Span fit_span(fit_obs, "train.fit");
+  CheckpointLoop loop(*this, store, obs);
+  const obs::Obs& run_obs = loop.obs();
+  const obs::Span fit_span(run_level_obs(obs, store), "train.fit");
   obs.progress_phase("train.epochs", next_epoch_, config_.epochs);
   for (std::size_t epoch = next_epoch_; epoch < config_.epochs; ++epoch) {
     check_job_deadline();
-    // Inner scope: the epoch span must close before the snapshot drain
-    // below, so the persisted stream holds the complete begin/end pair.
+    // Inner scope: the epoch span must close before the commit below, so
+    // the persisted stream holds the complete begin/end pair.
     {
       const obs::Span epoch_span(run_obs, "train.epoch");
       const auto order =
@@ -247,37 +205,15 @@ TrainHistory Trainer::run(const obs::Obs& obs,
       }
     }
     obs.progress_tick();
-
-    if (store != nullptr) {
-      if (child != nullptr) {
-        for (const std::string& line : buffer.lines()) {
-          trace_lines_.push_back(line);
-        }
-        buffer.clear();
-        trace_seq_ = child->events_emitted();
-      }
-      next_epoch_ = epoch + 1;
-      store->save(*this);
-      emit_checkpoint_saved(obs, "train", store->generation());
-      // A signal during the final epoch changes nothing: the run is
-      // complete, so it finishes normally instead of reporting exit 6.
-      if (shutdown_requested() && epoch + 1 < config_.epochs) {
-        throw InterruptedError(
-            "training interrupted after epoch " + std::to_string(epoch) +
-            "; resume with the same checkpoint: " + store->path());
-      }
-    }
+    next_epoch_ = epoch + 1;
+    loop.commit(epoch + 1 < config_.epochs,
+                "training interrupted after epoch " + std::to_string(epoch));
   }
   XB_CHECK(!history_.epochs.empty(), "training produced no epochs");
   history_.final_test_accuracy = history_.epochs.back().test_accuracy;
   obs.set_gauge("train.final_test_accuracy", history_.final_test_accuracy);
 
-  // Replay the buffered (restored + fresh) stream into the real trace.
-  if (store != nullptr && obs.trace_enabled()) {
-    for (const std::string& line : trace_lines_) {
-      obs.trace->emit_line(line);
-    }
-  }
+  loop.replay();
   return history_;
 }
 

@@ -6,12 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint_loop.hpp"
 #include "data/synthetic.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/regularizer.hpp"
 #include "obs/obs.hpp"
-#include "obs/sink.hpp"
 #include "persist/checkpoint.hpp"
 
 namespace xbarlife::core {
@@ -44,14 +44,12 @@ struct TrainHistory {
 /// regularizer the per-layer omegas freeze after the first epoch, so the
 /// reference weights stop chasing the shrinking distribution.
 ///
-/// Checkpoint contract: the snapshot captures the network parameters,
-/// optimizer learning rate and velocity buffers, the shuffle stream
-/// position, frozen skew omegas, and (in checkpoint mode) the buffered
-/// trace events — a killed-and-resumed run reproduces the uninterrupted
-/// run's history and trace bit-identically (t_ms aside). The fingerprint
-/// excludes `epochs`, so a finished run can be resumed toward a longer
-/// horizon.
-class Trainer : public persist::Checkpointable {
+/// An epoch is a CheckpointLoop unit (core/checkpoint_loop.hpp). The
+/// trainer's state is the network parameters, the optimizer learning
+/// rate and velocity buffers, the shuffle stream position and the frozen
+/// skew omegas, so a killed-and-resumed run reproduces the uninterrupted
+/// run's history and trace bit-identically (t_ms aside).
+class Trainer : public LoopState {
  public:
   /// `net`, `data`, and `regularizer` must outlive the trainer.
   /// `regularizer` may be null (no penalty), an L2Regularizer
@@ -64,17 +62,14 @@ class Trainer : public persist::Checkpointable {
   /// epoch emits a `train_epoch` event and the run updates the `train.*`
   /// metrics; the default handle disables all instrumentation.
   ///
-  /// With a `store`, the trainer first restores the newest valid snapshot
-  /// (fresh start when none exists), saves after every epoch, and raises
-  /// InterruptedError (CLI exit 6) when a cooperative shutdown was
-  /// requested — after writing a final snapshot.
+  /// With a `store`, every epoch is a checkpointed unit.
   TrainHistory run(const obs::Obs& obs = {},
                    persist::CheckpointStore* store = nullptr);
 
   std::string kind() const override;
   std::uint64_t fingerprint() const override;
-  std::string serialize() const override;
-  void restore(std::string_view payload) override;
+  void save(persist::StateWriter& w) const override;
+  void load(persist::StateReader& r) override;
 
  private:
   nn::Network* net_;
@@ -86,10 +81,6 @@ class Trainer : public persist::Checkpointable {
   Rng shuffle_rng_;
   TrainHistory history_;
   std::size_t next_epoch_ = 0;
-  /// Checkpoint-mode event buffer: events already emitted by completed
-  /// epochs, persisted so a resumed run replays the full stream.
-  std::vector<std::string> trace_lines_;
-  std::uint64_t trace_seq_ = 0;
 };
 
 /// Paper-style parameter bundle for skewed training (Table II): the

@@ -67,12 +67,4 @@ std::vector<std::size_t> shuffled_indices(std::size_t n, Rng& rng) {
   return idx;
 }
 
-std::vector<std::size_t> class_counts(const Dataset& ds) {
-  std::vector<std::size_t> counts(ds.classes, 0);
-  for (std::int32_t label : ds.labels) {
-    ++counts[static_cast<std::size_t>(label)];
-  }
-  return counts;
-}
-
 }  // namespace xbarlife::data

@@ -45,7 +45,4 @@ Batch make_batch(const Dataset& ds, std::size_t start, std::size_t count);
 /// Random permutation of [0, n).
 std::vector<std::size_t> shuffled_indices(std::size_t n, Rng& rng);
 
-/// Per-class sample counts; length == ds.classes.
-std::vector<std::size_t> class_counts(const Dataset& ds);
-
 }  // namespace xbarlife::data

@@ -141,31 +141,6 @@ TrainTest make_synthetic(const SyntheticSpec& spec) {
   return tt;
 }
 
-TrainTest make_synth_cifar10(std::size_t train_per_class,
-                             std::size_t test_per_class,
-                             std::uint64_t seed) {
-  SyntheticSpec spec;
-  spec.classes = 10;
-  spec.train_per_class = train_per_class;
-  spec.test_per_class = test_per_class;
-  spec.seed = seed;
-  return make_synthetic(spec);
-}
-
-TrainTest make_synth_cifar100(std::size_t train_per_class,
-                              std::size_t test_per_class,
-                              std::uint64_t seed) {
-  SyntheticSpec spec;
-  spec.classes = 100;
-  spec.train_per_class = train_per_class;
-  spec.test_per_class = test_per_class;
-  // More waves per class so 100 prototypes stay distinguishable.
-  spec.texture_waves = 6;
-  spec.noise = 0.2;
-  spec.seed = seed;
-  return make_synthetic(spec);
-}
-
 TrainTest make_blobs(std::size_t classes, std::size_t features,
                      std::size_t train_per_class,
                      std::size_t test_per_class, double spread,

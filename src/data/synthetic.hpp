@@ -35,16 +35,6 @@ struct TrainTest {
 /// spec.seed; train and test are disjoint draws from the same class models.
 TrainTest make_synthetic(const SyntheticSpec& spec);
 
-/// "SynthCifar10": 10-class default configuration at the given scale.
-TrainTest make_synth_cifar10(std::size_t train_per_class,
-                             std::size_t test_per_class,
-                             std::uint64_t seed = 1);
-
-/// "SynthCifar100": 100-class variant (harder: more classes, same pixels).
-TrainTest make_synth_cifar100(std::size_t train_per_class,
-                              std::size_t test_per_class,
-                              std::uint64_t seed = 2);
-
 /// Low-dimensional Gaussian-blob dataset for fast unit tests: `classes`
 /// isotropic blobs in `features` dimensions.
 TrainTest make_blobs(std::size_t classes, std::size_t features,

@@ -74,13 +74,4 @@ std::size_t ResistanceQuantizer::nearest_level_for_conductance(
   return (std::fabs(g - g_lo) <= std::fabs(g - g_hi)) ? lo : hi;
 }
 
-std::vector<double> ResistanceQuantizer::conductance_levels_ascending()
-    const {
-  std::vector<double> g(usable_levels_);
-  for (std::size_t k = 0; k < usable_levels_; ++k) {
-    g[k] = level_conductance(usable_levels_ - 1 - k);
-  }
-  return g;
-}
-
 }  // namespace xbarlife::mapping

@@ -61,9 +61,6 @@ class ResistanceQuantizer {
   /// conductance from Eq. (4) snaps to the nearest usable level.
   std::size_t nearest_level_for_conductance(double g) const;
 
-  /// All usable conductance levels ascending (for plotting Fig. 3(c)).
-  std::vector<double> conductance_levels_ascending() const;
-
   /// Spacing of the fresh resistance grid.
   double resistance_step() const { return step_; }
 

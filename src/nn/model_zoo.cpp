@@ -103,21 +103,4 @@ Network make_vgg16(const ImageSpec& input, std::size_t classes,
   return net;
 }
 
-LayerMix count_layer_mix(Network& net) {
-  LayerMix mix;
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    switch (net.layer(i).kind()) {
-      case LayerKind::kConv:
-        ++mix.conv;
-        break;
-      case LayerKind::kDense:
-        ++mix.dense;
-        break;
-      default:
-        break;
-    }
-  }
-  return mix;
-}
-
 }  // namespace xbarlife::nn

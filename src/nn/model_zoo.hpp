@@ -40,11 +40,4 @@ Network make_lenet5(const ImageSpec& input, std::size_t classes, Rng& rng);
 Network make_vgg16(const ImageSpec& input, std::size_t classes,
                    std::size_t width, Rng& rng);
 
-/// Number of conv layers / dense layers in a network, for reports.
-struct LayerMix {
-  std::size_t conv = 0;
-  std::size_t dense = 0;
-};
-LayerMix count_layer_mix(Network& net);
-
 }  // namespace xbarlife::nn

@@ -54,14 +54,6 @@ float Tensor::at(std::size_t n, std::size_t c, std::size_t h,
   return const_cast<Tensor&>(*this).at(n, c, h, w);
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
-  XB_CHECK(new_shape.numel() == numel(),
-           "reshape must preserve element count: " + shape_.to_string() +
-               " -> " + new_shape.to_string());
-  Tensor out(std::move(new_shape), data_);
-  return out;
-}
-
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }
@@ -74,14 +66,6 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
   }
 }
 }  // namespace
-
-Tensor& Tensor::add_(const Tensor& other) {
-  check_same_shape(*this, other, "add");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += other.data_[i];
-  }
-  return *this;
-}
 
 Tensor& Tensor::mul_(const Tensor& other) {
   check_same_shape(*this, other, "mul");
@@ -102,14 +86,6 @@ Tensor Tensor::mul(const Tensor& other) const {
   Tensor out = *this;
   out.mul_(other);
   return out;
-}
-
-float Tensor::abs_max() const {
-  float m = 0.0f;
-  for (float x : data_) {
-    m = std::max(m, std::fabs(x));
-  }
-  return m;
 }
 
 float Tensor::min() const {

@@ -44,21 +44,16 @@ class Tensor {
   float& at(std::size_t n, std::size_t c, std::size_t h, std::size_t w);
   float at(std::size_t n, std::size_t c, std::size_t h, std::size_t w) const;
 
-  /// Reinterprets the storage under a new shape with equal numel.
-  Tensor reshaped(Shape new_shape) const;
-
   void fill(float value);
   void zero() { fill(0.0f); }
 
   /// In-place elementwise operations.
-  Tensor& add_(const Tensor& other);
   Tensor& mul_(const Tensor& other);
   Tensor& scale_(float s);
 
   /// Out-of-place multiply.
   Tensor mul(const Tensor& other) const;
 
-  float abs_max() const;
   float min() const;
   float max() const;
 

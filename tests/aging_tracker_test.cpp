@@ -90,20 +90,6 @@ TEST(Tracker, RepresentativeSelfShareNotDoubleCounted) {
   }
   EXPECT_DOUBLE_EQ(t.ambient_stress(), 1.0);
   EXPECT_DOUBLE_EQ(t.stress_estimate(1, 1), 10.0);
-  const auto windows = t.estimated_windows(AgingModel({}), 1e4, 1e5);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_NEAR(windows[0].r_max, AgingModel({}).aged_r_max(1e5, 10.0),
-              1e-9);
-}
-
-TEST(Tracker, EstimatedWindowsUseModel) {
-  RepresentativeTracker t(3, 3);
-  AgingModel model({});
-  t.record_pulse(1, 1, 1e-4);
-  const auto windows = t.estimated_windows(model, 1e4, 1e5);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_LT(windows[0].r_max, 1e5);
-  EXPECT_NEAR(windows[0].r_max, model.aged_r_max(1e5, 1e-4), 1e-9);
 }
 
 TEST(Tracker, ResetClearsEverything) {

@@ -90,10 +90,8 @@ TEST(Parallel, ReduceIsThreadCountInvariant) {
 TEST(Parallel, NestedParallelForRunsInline) {
   ThreadGuard guard;
   set_parallel_threads(4);
-  EXPECT_FALSE(in_parallel_region());
   std::atomic<bool> nested_seen{false};
   parallel_for(0, 8, 1, [&](std::size_t b, std::size_t e) {
-    EXPECT_TRUE(in_parallel_region());
     // A nested region must execute inline on the calling thread, in
     // order — fan-out layers rely on this for byte-identical results.
     std::vector<std::size_t> order;
@@ -107,7 +105,6 @@ TEST(Parallel, NestedParallelForRunsInline) {
     (void)b;
     (void)e;
   });
-  EXPECT_FALSE(in_parallel_region());
   EXPECT_TRUE(nested_seen.load());
 }
 

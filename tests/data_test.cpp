@@ -65,8 +65,27 @@ TEST(ShuffledIndices, IsPermutation) {
   EXPECT_EQ(*unique.rbegin(), 99u);
 }
 
+/// The 10-class generator at `per_class` train and test samples.
+TrainTest ten_classes(std::size_t per_class, std::uint64_t seed) {
+  SyntheticSpec spec;
+  spec.classes = 10;
+  spec.train_per_class = per_class;
+  spec.test_per_class = per_class;
+  spec.seed = seed;
+  return make_synthetic(spec);
+}
+
+/// Per-class sample counts; length == ds.classes.
+std::vector<std::size_t> class_counts(const Dataset& ds) {
+  std::vector<std::size_t> counts(ds.classes, 0);
+  for (const std::int32_t label : ds.labels) {
+    ++counts[static_cast<std::size_t>(label)];
+  }
+  return counts;
+}
+
 TEST(ClassCounts, BalancedGenerator) {
-  const auto tt = make_synth_cifar10(6, 3, 5);
+  const auto tt = ten_classes(6, 5);
   const auto counts = class_counts(tt.train);
   ASSERT_EQ(counts.size(), 10u);
   for (std::size_t c = 0; c < counts.size(); ++c) {
@@ -104,9 +123,8 @@ TEST(Synthetic, DifferentSeedsDiffer) {
 }
 
 TEST(Synthetic, TrainAndTestAreDistinctDraws) {
-  const auto tt = make_synth_cifar10(4, 4, 9);
-  EXPECT_FALSE(allclose(tt.train.images.reshaped(tt.test.images.shape()),
-                        tt.test.images));
+  const auto tt = ten_classes(4, 9);
+  EXPECT_FALSE(allclose(tt.train.images, tt.test.images));
 }
 
 TEST(Synthetic, ShapesMatchSpec) {
@@ -128,7 +146,7 @@ TEST(Synthetic, ShapesMatchSpec) {
 TEST(Synthetic, PrefixIsClassBalanced) {
   // Samples are interleaved by class, so any prefix of k*classes rows
   // contains k of each class — the property eval slices rely on.
-  const auto tt = make_synth_cifar10(4, 4, 21);
+  const auto tt = ten_classes(4, 21);
   const Dataset head = tt.test.head(20);
   const auto counts = class_counts(head);
   for (std::size_t c = 0; c < counts.size(); ++c) {
@@ -149,7 +167,15 @@ TEST(Synthetic, RejectsBadSpecs) {
 }
 
 TEST(Synthetic, Cifar100VariantHas100Classes) {
-  const auto tt = make_synth_cifar100(1, 1, 3);
+  // VGG-16's dataset shape: 100 classes, more texture waves per class.
+  SyntheticSpec spec;
+  spec.classes = 100;
+  spec.train_per_class = 1;
+  spec.test_per_class = 1;
+  spec.texture_waves = 6;
+  spec.noise = 0.2;
+  spec.seed = 3;
+  const auto tt = make_synthetic(spec);
   EXPECT_EQ(tt.train.classes, 100u);
   EXPECT_EQ(tt.train.size(), 100u);
 }

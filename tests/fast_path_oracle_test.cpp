@@ -625,8 +625,13 @@ ConvResult reference_conv(const ConvGeometry& g, const Tensor& w,
         bg[c] += gyb.at(p, c);
       }
     }
-    r.weight_grad.add_(matmul_tn(patches, gyb));
-    r.bias_grad.add_(bg);
+    const Tensor wg = matmul_tn(patches, gyb);
+    for (std::size_t i = 0; i < wg.numel(); ++i) {
+      r.weight_grad[i] += wg[i];
+    }
+    for (std::size_t c = 0; c < oc; ++c) {
+      r.bias_grad[c] += bg[c];
+    }
     row_col2im(matmul_nt(gyb, w), g, r.grad_input.data() + b * per_sample);
   }
   return r;

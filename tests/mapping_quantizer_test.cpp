@@ -28,8 +28,11 @@ TEST(Quantizer, ConductanceLevelsDenseNearGmin) {
   // Fig. 3(c): reciprocal of uniform resistance levels concentrates
   // levels at the low-conductance end.
   ResistanceQuantizer q(kFresh, 10);
-  const auto g = q.conductance_levels_ascending();
-  ASSERT_EQ(g.size(), 10u);
+  ASSERT_EQ(q.levels(), 10u);
+  std::vector<double> g;  // ascending: the highest resistance first
+  for (std::size_t k = q.levels(); k > 0; --k) {
+    g.push_back(q.level_conductance(k - 1));
+  }
   for (std::size_t i = 1; i < g.size(); ++i) {
     EXPECT_GT(g[i], g[i - 1]);
   }

@@ -7,6 +7,19 @@
 namespace xbarlife::nn {
 namespace {
 
+/// Number of conv / dense layers, from the mappable weights.
+struct LayerMix {
+  std::size_t conv = 0;
+  std::size_t dense = 0;
+};
+LayerMix count_layer_mix(Network& net) {
+  LayerMix mix;
+  for (const MappableWeight& mw : net.mappable_weights()) {
+    ++(mw.layer_kind == LayerKind::kConv ? mix.conv : mix.dense);
+  }
+  return mix;
+}
+
 TEST(ModelZoo, MlpShapes) {
   Rng rng(1);
   Network net = make_mlp(12, {8, 6}, 3, rng);

@@ -133,14 +133,15 @@ TEST(Network, ZeroGradClearsAllGradients) {
   net.compute_gradients(x, labels);
   bool any_nonzero = false;
   for (const ParamRef& p : net.params()) {
-    if (p.grad->abs_max() > 0.0f) {
+    if (p.grad->min() < 0.0f || p.grad->max() > 0.0f) {
       any_nonzero = true;
     }
   }
   EXPECT_TRUE(any_nonzero);
   net.zero_grad();
   for (const ParamRef& p : net.params()) {
-    EXPECT_EQ(p.grad->abs_max(), 0.0f);
+    EXPECT_EQ(p.grad->min(), 0.0f);
+    EXPECT_EQ(p.grad->max(), 0.0f);
   }
 }
 

@@ -1,14 +1,17 @@
 // The byte format itself, not just round trips: CRC-32 against a bytewise
 // reference, the exact bytes of each StateWriter field, the block reader's
 // bounds, FNV-1a digests of a crossbar state and of an execute request and
-// response, and a checkpoint file written by the field-by-field codec
-// (tests/golden/hardware_state.ckpt) that this build must still load and
-// re-serialize byte for byte.
+// response, and committed checkpoint files that this build must still load
+// and re-serialize byte for byte: tests/golden/hardware_state.ckpt
+// (written by the field-by-field codec) and one train, lifetime and sweep
+// snapshot each (*_tiny.ckpt, written by the build before the checkpoint
+// protocol moved into core::CheckpointLoop).
 //
-// The digests and the checkpoint file were produced by the codec that
-// wrote every field with its own loop; a change that moves one byte of
-// the wire or checkpoint format fails here, and needs a new kWireVersion,
-// kRequestVersion or checkpoint schema rather than new constants.
+// A change that moves one byte of the wire or checkpoint format fails
+// here, and needs a new kWireVersion, kRequestVersion or checkpoint schema
+// rather than new constants. Every checkpoint kind also fails closed: each
+// truncation and each high-bit flip of a count or length field raises a
+// typed error instead of restoring, or allocating, out of range.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,10 +22,18 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/checkpoint_loop.hpp"
+#include "core/experiment.hpp"
+#include "core/lifetime.hpp"
+#include "core/scenario_runner.hpp"
+#include "core/sweep_checkpoint.hpp"
+#include "core/trainer.hpp"
 #include "nn/model_zoo.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "tuning/hardware_network.hpp"
+#include "tuning/online_tuner.hpp"
 #include "xbar/crossbar.hpp"
 #include "xbar/program_sequence.hpp"
 #include "xbar/remote.hpp"
@@ -257,21 +268,29 @@ class HardwareSnapshot final : public persist::Checkpointable {
   tuning::HardwareNetwork& hw_;
 };
 
-TEST(StateFormat, LoadsACheckpointWrittenByTheFieldByFieldCodec) {
-  const std::string path =
-      std::string(XBARLIFE_GOLDEN_DIR) + "/hardware_state.ckpt";
+std::string golden_path(const std::string& name) {
+  return std::string(XBARLIFE_GOLDEN_DIR) + "/" + name;
+}
+
+/// A committed checkpoint file's payload (the bytes after the header).
+std::string golden_payload(const std::string& name) {
   std::string file;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr) << path;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-      file.append(buf, n);
-    }
-    std::fclose(f);
+  std::FILE* f = std::fopen(golden_path(name).c_str(), "rb");
+  if (f == nullptr) {
+    throw IoError("cannot open " + golden_path(name));
   }
-  const std::string payload = file.substr(file.find('\n') + 1);
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    file.append(buf, n);
+  }
+  std::fclose(f);
+  return file.substr(file.find('\n') + 1);
+}
+
+TEST(StateFormat, LoadsACheckpointWrittenByTheFieldByFieldCodec) {
+  const std::string path = golden_path("hardware_state.ckpt");
+  const std::string payload = golden_payload("hardware_state.ckpt");
 
   // The same network, built and deployed today, serializes to exactly
   // the committed payload...
@@ -290,6 +309,263 @@ TEST(StateFormat, LoadsACheckpointWrittenByTheFieldByFieldCodec) {
   ASSERT_TRUE(info.has_value());
   EXPECT_FALSE(info->fallback_used);
   EXPECT_EQ(target.serialize(), payload);
+}
+
+// --- train, lifetime and sweep snapshots ---------------------------------
+
+/// core_checkpoint_resume_test's tiny_config: the *_tiny.ckpt goldens are
+/// its final snapshots under the scalar kernel with a trace attached (so
+/// their trace trailers are not empty): a skewed training, an ST+AT
+/// lifetime and the 6-job sweep of seed 33 in chunks of 2.
+core::ExperimentConfig tiny_config() {
+  core::ExperimentConfig cfg;
+  cfg.name = "resume-tiny";
+  cfg.model = core::ExperimentConfig::Model::kMlp;
+  cfg.mlp_hidden = {16};
+  cfg.dataset.classes = 4;
+  cfg.dataset.channels = 1;
+  cfg.dataset.height = 6;
+  cfg.dataset.width = 6;
+  cfg.dataset.train_per_class = 24;
+  cfg.dataset.test_per_class = 6;
+  cfg.dataset.noise = 0.1;
+  cfg.train_config.epochs = 4;
+  cfg.train_config.batch = 16;
+  cfg.train_config.learning_rate = 0.05;
+  cfg.lifetime.max_sessions = 4;
+  cfg.lifetime.tuning.eval_samples = 24;
+  cfg.lifetime.tuning.max_iterations = 20;
+  cfg.target_accuracy_fraction = 0.8;
+  return cfg;
+}
+
+/// Walks a payload's layout and records where its count and length
+/// fields start.
+class FieldWalker {
+ public:
+  explicit FieldWalker(std::string_view payload)
+      : r_(payload), size_(payload.size()) {}
+
+  std::uint64_t count() {
+    fields.push_back(size_ - r_.remaining());
+    return r_.u64();
+  }
+  void str() {
+    fields.push_back(size_ - r_.remaining());
+    r_.str_view();
+  }
+  void skip(std::size_t n) { r_.take(n); }
+  bool boolean() { return r_.boolean(); }
+  /// The trace trailer: the next seq, then the buffered lines.
+  void trailer() {
+    skip(8);
+    for (std::uint64_t i = count(); i > 0; --i) {
+      str();
+    }
+  }
+  bool done() const { return r_.done(); }
+
+  std::vector<std::size_t> fields;
+
+ private:
+  persist::StateReader r_;
+  std::size_t size_;
+};
+
+/// A skewed training's state.
+struct TrainKind {
+  core::ExperimentConfig cfg = tiny_config();
+  data::TrainTest data = data::make_synthetic(cfg.dataset);
+  nn::Network net = [this] {
+    Rng rng(cfg.seed);
+    return core::build_model(cfg, rng);
+  }();
+  nn::SkewedL2Regularizer reg{cfg.skew.lambda1, cfg.skew.lambda2,
+                              cfg.skew.omega_factor};
+  core::Trainer trainer{net, data, cfg.train_config, &reg};
+  core::CheckpointLoop loop{trainer, nullptr, {}};
+
+  static constexpr const char* kGolden = "train_tiny.ckpt";
+
+  void walk(FieldWalker& w) const {
+    w.skip(8);  // next epoch
+    for (std::uint64_t i = w.count(); i > 0; --i) {
+      w.skip(8 + 4 * 8);  // epoch, loss, penalty, accuracies
+    }
+    w.skip(8 + persist::kRngStateBytes);  // learning rate, shuffle stream
+    for (std::uint64_t p = w.count(); p > 0; --p) {
+      const std::uint64_t numel = w.count();
+      w.skip(4 * numel);
+      if (w.boolean()) {
+        w.skip(4 * numel);  // velocity
+      }
+    }
+    if (w.boolean()) {
+      w.skip(9 * w.count());  // frozen omegas
+    }
+    w.trailer();
+  }
+};
+
+/// An ST+AT lifetime's state, on the network the golden run trained (its
+/// tuning target, part of the fingerprint, comes from the scalar
+/// kernel's training).
+struct LifetimeKind {
+  core::ExperimentConfig cfg = tiny_config();
+  data::TrainTest data = data::make_synthetic(cfg.dataset);
+  core::TrainedModel tm = [this] {
+    const std::string kernel = kernels::kernel_name();
+    kernels::set_kernel("scalar");
+    core::TrainedModel out = core::train_model(cfg, data, true);
+    kernels::set_kernel(kernel);
+    return out;
+  }();
+  core::LifetimeConfig lc = [this] {
+    core::LifetimeConfig out = cfg.lifetime;
+    out.tuning.target_accuracy =
+        cfg.target_accuracy_fraction * tm.history.final_test_accuracy;
+    return out;
+  }();
+  tuning::HardwareNetwork hw{tm.network, cfg.device, cfg.aging, cfg.faults};
+  tuning::OnlineTuner tuner{lc.tuning};
+  core::LifetimeState state{lc, hw, tuner,
+                            tuning::MappingPolicy::kAgingAware};
+  core::CheckpointLoop loop{state, nullptr, {}};
+
+  static constexpr const char* kGolden = "lifetime_tiny.ckpt";
+
+  void walk(FieldWalker& w) const {
+    w.skip(8);  // next session
+    for (std::uint64_t s = w.count(); s > 0; --s) {
+      w.skip(3 * 8 + 2 + 2 * 8 + 8);  // through pulses_total
+      w.skip(8 * w.count());          // layer_mean_aged_rmax
+      w.skip(8 * w.count());          // layer_mean_usable_levels
+      w.skip(2);                      // resilience_active, degraded
+      for (std::uint64_t r = w.count(); r > 0; --r) {
+        w.str();  // rescue rung
+      }
+      w.skip(3 * 8);  // cell census
+    }
+    // applications, died, drift stream, tuner cursor
+    w.skip(8 + 1 + persist::kRngStateBytes + 8);
+    // The HardwareNetwork block (see HardwareNetwork::save_state).
+    w.count();  // layers
+    for (std::size_t li = 0; li < hw.layer_count(); ++li) {
+      if (w.boolean()) {
+        w.skip(6 * 8);  // plan
+      }
+      w.skip(5 * 8);             // last mapping report
+      w.skip(w.count());         // stuck cells
+      w.skip(4 * w.count());     // pinned conductances
+      w.skip(8 * w.count());     // row permutation
+      w.count();                 // crossbar rows
+      w.count();                 // crossbar columns
+      w.skip(hw.layer(li).xbar->state_bytes() - 16);
+    }
+    for (std::uint64_t t = w.count(); t > 0; --t) {
+      w.skip(4 * w.count());  // target tensor
+    }
+    for (std::uint64_t p = w.count(); p > 0; --p) {
+      w.skip(4 * w.count());  // parameter tensor
+    }
+    w.trailer();
+  }
+};
+
+/// The 6-job sweep's state (direct trace mode: no trailer).
+struct SweepKind {
+  core::ScenarioRunner runner{33};
+  std::vector<core::ScenarioJob> jobs = core::ScenarioRunner::cross(
+      tiny_config(),
+      {core::Scenario::kTT, core::Scenario::kSTT, core::Scenario::kSTAT}, 2);
+  std::vector<core::SweepJobResult> rows =
+      std::vector<core::SweepJobResult>(jobs.size());
+  core::SweepState state{runner, jobs, "sweep", rows};
+  core::CheckpointLoop loop{state, nullptr, {},
+                            core::CheckpointLoop::Trace::kDirect};
+
+  static constexpr const char* kGolden = "sweep_tiny.ckpt";
+
+  void walk(FieldWalker& w) const {
+    for (std::uint64_t j = w.count(); j > 0; --j) {
+      if (!w.boolean()) {
+        continue;
+      }
+      w.str();  // entry JSON
+      w.skip(1 + 2 * 8 + 2 * 8 + 2 * 8 + 3);  // through timed_out
+      w.str();                                // error
+      for (std::uint64_t l = w.count(); l > 0; --l) {
+        w.str();  // trace line
+      }
+    }
+  }
+};
+
+/// Loads the kind's golden file through a CheckpointStore (its header's
+/// kind and fingerprint must match this build's state) and re-serializes
+/// the payload.
+template <class Kind>
+void expect_golden_reserializes() {
+  Kind kind;
+  const std::string payload = golden_payload(Kind::kGolden);
+  persist::CheckpointStore store(golden_path(Kind::kGolden));
+  const auto info = store.load(kind.loop);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_FALSE(info->fallback_used);
+  EXPECT_EQ(kind.loop.serialize(), payload);
+}
+
+/// Restores every truncation of the kind's golden payload, and the payload
+/// with a high bit flipped in each count or length field.
+template <class Kind>
+void expect_corruption_fails_closed() {
+  Kind kind;
+  const std::string payload = golden_payload(Kind::kGolden);
+  FieldWalker walker(payload);
+  kind.walk(walker);
+  ASSERT_TRUE(walker.done()) << "the walk does not cover the payload";
+  ASSERT_FALSE(walker.fields.empty());
+
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_THROW(kind.loop.restore(std::string_view(payload).substr(0, len)),
+                 Error)
+        << "truncated to " << len;
+  }
+  // A high bit set in a count or length asks for an element count (or a
+  // byte length) no payload can back.
+  for (const std::size_t at : walker.fields) {
+    for (const int bit : {32, 47, 63}) {
+      std::string bad = payload;
+      bad[at + static_cast<std::size_t>(bit) / 8] ^=
+          static_cast<char>(1 << (bit % 8));
+      EXPECT_THROW(kind.loop.restore(bad), Error)
+          << "bit " << bit << " of the field at " << at;
+    }
+  }
+}
+
+TEST(CheckpointKinds, TrainGoldenReserializesByteForByte) {
+  expect_golden_reserializes<TrainKind>();
+}
+
+TEST(CheckpointKinds, LifetimeGoldenReserializesByteForByte) {
+  expect_golden_reserializes<LifetimeKind>();
+}
+
+TEST(CheckpointKinds, SweepGoldenReserializesByteForByte) {
+  expect_golden_reserializes<SweepKind>();
+}
+
+TEST(CheckpointKinds, TrainCorruptionFailsClosed) {
+  expect_corruption_fails_closed<TrainKind>();
+}
+
+TEST(CheckpointKinds, LifetimeCorruptionFailsClosed) {
+  expect_corruption_fails_closed<LifetimeKind>();
+}
+
+TEST(CheckpointKinds, SweepCorruptionFailsClosed) {
+  expect_corruption_fails_closed<SweepKind>();
 }
 
 }  // namespace
