@@ -16,13 +16,12 @@
 // The bound address is printed to stdout as `listening on <addr>` once the
 // socket is ready, so scripts can wait for it (and discover an ephemeral
 // port). SIGINT/SIGTERM request a graceful stop: in-flight requests finish,
-// then the process exits 0. A client kShutdown frame does the same.
+// then the process exits 0.
 //
 // Exit codes: 0 clean shutdown, 2 bad arguments or a bind that cannot
 // succeed as asked (address already bound, unwritable unix socket path —
 // the one-line error says what to fix), 3 socket failure after startup,
 // 5 internal error.
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -61,9 +60,7 @@ int run(const std::string& address) {
             << static_cast<int>(xbarlife::net::kWireVersion) << ")\n"
             << "listening on " << listener->address() << std::endl;
 
-  // One serving thread per accepted connection; `shutdown` also trips when
-  // any client sends kShutdown so the accept loop below can exit.
-  std::atomic<bool> shutdown{false};
+  // One serving thread per accepted connection.
   std::mutex mu;
   std::vector<std::thread> threads;
   // One process-wide stats block shared by every serving thread: uptime,
@@ -71,8 +68,7 @@ int run(const std::string& address) {
   // queryable live via `xbarlife worker-status`.
   xbarlife::xbar::WorkerStatsState stats;
 
-  while (!xbarlife::shutdown_requested() &&
-         !shutdown.load(std::memory_order_relaxed)) {
+  while (!xbarlife::shutdown_requested()) {
     std::unique_ptr<xbarlife::net::Transport> conn;
     try {
       conn = listener->accept(200ms);
@@ -83,18 +79,14 @@ int run(const std::string& address) {
     }
     std::lock_guard<std::mutex> lock(mu);
     threads.emplace_back(
-        [&shutdown, &stats,
-         c = std::shared_ptr<xbarlife::net::Transport>(
-             std::move(conn))]() mutable {
+        [&stats, c = std::shared_ptr<xbarlife::net::Transport>(
+                     std::move(conn))]() mutable {
           xbarlife::xbar::ServeOptions opts;
           opts.idle_poll = 200ms;
-          opts.stop = &shutdown;
           opts.honor_shutdown_flag = true;
           opts.stats = &stats;
           try {
-            if (xbarlife::xbar::serve_connection(*c, opts)) {
-              shutdown.store(true, std::memory_order_relaxed);
-            }
+            xbarlife::xbar::serve_connection(*c, opts);
           } catch (const std::exception& e) {
             // A dying connection must not take the worker down.
             std::cerr << "xbarlife-worker: connection error: " << e.what()

@@ -1,5 +1,9 @@
 // Fig. 10: online-tuning iterations vs number of processed applications
-// for the three scenarios — the failure knee.
+// for the three scenarios — the failure knee. The series come from one
+// core::run_experiment, Table I's protocol: one tuning target for all
+// three scenarios, one skewed training for ST+T and ST+AT, and ST+AT
+// riding on ST+T up to its fork. In full mode the three lifetimes are
+// table1_lifetime's LeNet-5 row.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -28,10 +32,11 @@ int main() {
   TablePrinter summary({"scenario", "sessions", "knee (apps)",
                         "median iters (first half)", "max iters"});
 
+  std::cout << "Simulating " << cfg.name << " (3 scenarios)...\n";
+  const core::ExperimentResult result = core::run_experiment(cfg);
   for (core::Scenario s : {core::Scenario::kTT, core::Scenario::kSTT,
                            core::Scenario::kSTAT}) {
-    std::cout << "Simulating " << core::to_string(s) << "...\n";
-    const core::ScenarioOutcome o = core::run_scenario(cfg, s);
+    const core::ScenarioOutcome& o = result.outcome(s);
     std::size_t max_iters = 0;
     std::vector<std::size_t> first_half;
     for (const core::SessionRecord& rec : o.lifetime.sessions) {
@@ -54,7 +59,7 @@ int main() {
          std::to_string(median), std::to_string(max_iters)});
 
     // Compact console sparkline of the series.
-    std::cout << "  iterations: ";
+    std::cout << "  " << core::to_string(s) << " iterations: ";
     const auto& sessions = o.lifetime.sessions;
     const std::size_t stride = std::max<std::size_t>(1, sessions.size() / 40);
     for (std::size_t i = 0; i < sessions.size(); i += stride) {

@@ -286,26 +286,6 @@ BENCHMARK_CAPTURE(BM_Tanh, scalar, std::string("scalar"))
 BENCHMARK_CAPTURE(BM_Tanh, avx2, std::string("avx2"))
     ->Unit(benchmark::kMicrosecond);
 
-void BM_CrossbarVmm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  xbar::Crossbar xb(n, n, {}, {});
-  Rng rng(4);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      xb.program_cell(r, c, rng.uniform(1e4, 1e5));
-    }
-  }
-  std::vector<float> v(n, 0.5f);
-  std::vector<float> out(n);
-  for (auto _ : state) {
-    xb.vmm(v, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_CrossbarVmm)->Arg(64)->Arg(128)->Arg(256);
-
 /// Pure pulse-stream execution: a pre-built full-array ProgramSequence
 /// (one pulse per cell, canonical column-batched order) executed on a
 /// persistent crossbar through a fixed backend, with the observability
@@ -482,7 +462,7 @@ BENCHMARK_CAPTURE(BM_CrossbarStateCodec, load, true)
     ->Unit(benchmark::kMicrosecond);
 
 /// Encodes one remote execute request for the same array: a write pass
-/// of one pulse per cell plus a verify per column.
+/// of one pulse per cell, column-batched.
 void BM_EncodeExecuteRequest(benchmark::State& state, std::size_t rows,
                              std::size_t cols) {
   xbar::Crossbar xb(rows, cols, {}, {});
@@ -492,7 +472,6 @@ void BM_EncodeExecuteRequest(benchmark::State& state, std::size_t rows,
     for (std::size_t r = 0; r < rows; ++r) {
       builder.pulse(r, c, rng.uniform(1e4, 1e5));
     }
-    builder.verify(0, c);
   }
   const xbar::ProgramSequence seq = builder.build();
   std::size_t bytes = 0;

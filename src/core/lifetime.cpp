@@ -29,9 +29,8 @@ std::size_t AgingAwareRide::shared_sessions() const {
   if (unforked.has_value()) {
     return unforked->sessions.size();
   }
-  return fork.has_value() && fork->start.has_value()
-             ? fork->start->result.sessions.size()
-             : 0;
+  // Every session before the fork's logged one record.
+  return fork.has_value() ? fork->session : 0;
 }
 
 LifetimeState::LifetimeState(const LifetimeConfig& config,
@@ -170,20 +169,16 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
   LifetimeState st(config_, hw, tuner, policy);
 
   // ST+AT from a ride's fork: restart that session's rescue from the
-  // copied state (a fork at the initial deployment starts from scratch).
+  // saved state (a fork at the initial deployment starts from scratch).
   const bool aware = policy == tuning::MappingPolicy::kAgingAware;
   const RescueStart* resume =
       ride != nullptr && aware && ride->fork->start.has_value()
           ? &*ride->fork->start
           : nullptr;
   if (resume != nullptr) {
-    persist::StateReader r(resume->hw_state);
-    hw.load_state(r);
+    persist::StateReader r(resume->state);
+    st.load(r);
     XB_CHECK(r.done(), "rescue-start state has trailing bytes");
-    st.result = resume->result;
-    st.drift_rng = resume->drift_rng;
-    tuner.set_cursor(resume->tuner_cursor);
-    st.next_session = resume->rec.session;
   }
   bool riding = ride != nullptr && !aware;
 
@@ -284,9 +279,8 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
       std::optional<RescueStart> start;
       if (riding) {
         persist::StateWriter w;
-        hw.save_state(w);
-        start = RescueStart{w.release(), result, st.drift_rng,
-                            tuner.cursor(), rec, tr};
+        st.save(w);
+        start = RescueStart{w.release(), rec, tr};
       }
       // Rescue: remap under the scenario policy and retry once. The
       // fresh-range policies rewrite toward the same unreachable targets;

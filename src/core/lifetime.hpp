@@ -86,13 +86,12 @@ struct LifetimeResult {
   bool died = false;  ///< true if a session failed before max_sessions
 };
 
-/// The run state at a rescue's start, copied while ST+AT rides on an
+/// The run state at a rescue's start, captured while ST+AT rides on an
 /// ST+T run: what ST+AT restarts that rescue from when it forks there.
 struct RescueStart {
-  std::string hw_state;   ///< HardwareNetwork::save_state bytes
-  LifetimeResult result;  ///< the sessions before this one
-  Rng drift_rng{0};
-  std::size_t tuner_cursor = 0;
+  /// LifetimeState::save bytes: the sessions before this one, the drift
+  /// stream, the tuner cursor and the hardware.
+  std::string state;
   SessionRecord rec;           ///< this session up to its rescue
   tuning::TuningResult tuned;  ///< the tune that did not converge
 };
@@ -171,13 +170,13 @@ class LifetimeSimulator {
   /// With a `ride` (never with a `store`) and kFresh, ST+AT rides along:
   /// every policy-dependent deployment (the initial one, the plain
   /// rescue, the ladder's remap rung) also makes the aging-aware choice,
-  /// unobserved. The state is copied at each rescue's start and dropped
-  /// once the rescue kept the fresh range; the first deployment that
-  /// differs is recorded in `ride->fork` with that copy, and a run that
-  /// never forks leaves its result in `ride->unforked`. With a forked
-  /// `ride` and kAgingAware, the run is ST+AT's from the fork on: the
-  /// copy is loaded into `hw` (built like the ST+T run's) and the session
-  /// loop restarts the rescue.
+  /// unobserved. The LifetimeState is saved at each rescue's start and
+  /// dropped once the rescue kept the fresh range; the first deployment
+  /// that differs is recorded in `ride->fork` with that snapshot, and a
+  /// run that never forks leaves its result in `ride->unforked`. With a
+  /// forked `ride` and kAgingAware, the run is ST+AT's from the fork on:
+  /// the snapshot is loaded onto `hw` (built like the ST+T run's) and the
+  /// session loop restarts the rescue.
   LifetimeResult run(tuning::HardwareNetwork& hw,
                      const data::Dataset& tune_data,
                      const data::Dataset& eval_data,

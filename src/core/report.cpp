@@ -1,7 +1,6 @@
 #include "core/report.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/table.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -64,33 +63,8 @@ obs::JsonValue result_document(std::string_view command,
 }
 
 std::string profile_table(const obs::Profiler& profiler) {
-  // Same aggregation as Profiler::report_json, rendered for the console.
-  struct Aggregate {
-    std::uint64_t count = 0;
-    double total_ms = 0.0;
-    double self_ms = 0.0;
-    std::map<std::string, std::uint64_t> counters;
-  };
-  const auto& records = profiler.records();
-  std::vector<double> child_ms(records.size(), 0.0);
-  for (const obs::SpanRecord& rec : records) {
-    if (rec.parent != obs::kNoSpan) {
-      child_ms[rec.parent] += rec.dur_ms;
-    }
-  }
-  std::map<std::string, Aggregate> by_name;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const obs::SpanRecord& rec = records[i];
-    Aggregate& agg = by_name[rec.name];
-    ++agg.count;
-    agg.total_ms += rec.dur_ms;
-    agg.self_ms += std::max(0.0, rec.dur_ms - child_ms[i]);
-    for (const auto& [key, value] : rec.counters) {
-      agg.counters[key] += value;
-    }
-  }
   TablePrinter table({"span", "calls", "total ms", "self ms", "counters"});
-  for (const auto& [name, agg] : by_name) {
+  for (const obs::Profiler::Rollup& agg : profiler.rollup()) {
     std::string counters;
     for (const auto& [key, value] : agg.counters) {
       if (!counters.empty()) {
@@ -98,7 +72,7 @@ std::string profile_table(const obs::Profiler& profiler) {
       }
       counters += key + "=" + std::to_string(value);
     }
-    table.add_row({name, std::to_string(agg.count),
+    table.add_row({agg.name, std::to_string(agg.count),
                    format_double(agg.total_ms, 2),
                    format_double(agg.self_ms, 2), counters});
   }

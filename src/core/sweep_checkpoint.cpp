@@ -60,14 +60,26 @@ void SweepState::save(persist::StateWriter& w) const {
 void SweepState::load(persist::StateReader& r) {
   XB_CHECK(r.u64() == rows_->size(),
            "sweep snapshot job count does not match this grid");
-  for (SweepJobResult& job : *rows_) {
+  for (std::size_t i = 0; i < rows_->size(); ++i) {
+    SweepJobResult& job = (*rows_)[i];
     if (!r.boolean()) {
       continue;
     }
     job.entry_json = r.str();
-    job.scenario = static_cast<Scenario>(r.u8());
+    // The fingerprint covers the job list, so each row's identity must be
+    // its job's: a row that names another scenario, stream or seed is
+    // corrupt, not a row to splice back.
+    const ScenarioJob& spec = (*jobs_)[i];
+    const std::uint8_t scenario = r.u8();
     job.stream = r.u64();
     job.seed = r.u64();
+    if (scenario != static_cast<std::uint8_t>(spec.scenario) ||
+        job.stream != spec.stream ||
+        job.seed != runner_->forked_config(spec).seed) {
+      throw CheckpointError("sweep snapshot row " + std::to_string(i) +
+                            " does not match job " + spec.label);
+    }
+    job.scenario = spec.scenario;
     job.software_accuracy = r.f64();
     job.tuning_target = r.f64();
     job.lifetime_applications = r.u64();

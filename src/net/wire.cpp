@@ -32,8 +32,6 @@ const char* to_string(MsgType type) {
       return "heartbeat_ack";
     case MsgType::kError:
       return "error";
-    case MsgType::kShutdown:
-      return "shutdown";
     case MsgType::kStats:
       return "stats";
     case MsgType::kStatsAck:
@@ -105,7 +103,8 @@ Frame read_frame(Transport& t, std::chrono::milliseconds timeout,
   }
   const std::uint8_t type = r.u8();
   if (type < static_cast<std::uint8_t>(MsgType::kHello) ||
-      type > static_cast<std::uint8_t>(MsgType::kExecuteReplay)) {
+      type > static_cast<std::uint8_t>(MsgType::kExecuteReplay) ||
+      type == 8) {
     throw WireError("unknown frame type " + std::to_string(type));
   }
   r.u8();  // flags (reserved)

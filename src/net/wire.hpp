@@ -55,6 +55,8 @@ class WireError : public TransportError {
   explicit WireError(const std::string& what) : TransportError(what) {}
 };
 
+/// Frame types. The numeric values are the wire encoding; 8 is unassigned
+/// and read_frame refuses it like any unknown type.
 enum class MsgType : std::uint8_t {
   kHello = 1,          ///< client -> worker: version handshake
   kHelloAck = 2,       ///< worker -> client
@@ -63,7 +65,6 @@ enum class MsgType : std::uint8_t {
   kHeartbeat = 5,      ///< client -> worker: liveness probe
   kHeartbeatAck = 6,   ///< worker -> client
   kError = 7,          ///< worker -> client: str(message) payload
-  kShutdown = 8,       ///< client -> worker: stop serving after this frame
   kStats = 9,          ///< client -> worker: request a stats snapshot
   kStatsAck = 10,      ///< worker -> client: xbarlife.workerstats.v1 payload
   /// worker -> client: a kExecuteResult served from the worker's one-deep

@@ -108,13 +108,7 @@ void Profiler::graft(const std::vector<RemoteSpan>& spans,
   }
 }
 
-JsonValue Profiler::report_json(bool include_times) const {
-  struct Aggregate {
-    std::uint64_t count = 0;
-    double total_ms = 0.0;
-    double self_ms = 0.0;
-    std::map<std::string, std::uint64_t> counters;
-  };
+std::vector<Profiler::Rollup> Profiler::rollup() const {
   // Children's durations subtract from the parent's self time. Jobs
   // adopted from a concurrent fan-out overlap in wall clock, so a
   // fan-out span's self time clamps at zero rather than going negative.
@@ -124,10 +118,10 @@ JsonValue Profiler::report_json(bool include_times) const {
       child_ms[rec.parent] += rec.dur_ms;
     }
   }
-  std::map<std::string, Aggregate> by_name;
+  std::map<std::string, Rollup> by_name;
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const SpanRecord& rec = records_[i];
-    Aggregate& agg = by_name[rec.name];
+    Rollup& agg = by_name[rec.name];
     ++agg.count;
     agg.total_ms += rec.dur_ms;
     agg.self_ms += std::max(0.0, rec.dur_ms - child_ms[i]);
@@ -135,11 +129,20 @@ JsonValue Profiler::report_json(bool include_times) const {
       agg.counters[key] += value;
     }
   }
+  std::vector<Rollup> out;
+  out.reserve(by_name.size());
+  for (auto& [name, agg] : by_name) {
+    agg.name = name;
+    out.push_back(std::move(agg));
+  }
+  return out;
+}
 
+JsonValue Profiler::report_json(bool include_times) const {
   JsonValue spans = JsonValue::array();
-  for (const auto& [name, agg] : by_name) {
+  for (const Rollup& agg : rollup()) {
     JsonValue entry = JsonValue::object();
-    entry.set("name", name);
+    entry.set("name", agg.name);
     entry.set("count", agg.count);
     if (include_times) {
       entry.set("total_ms", agg.total_ms);

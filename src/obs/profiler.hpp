@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -117,7 +118,22 @@ class Profiler {
   /// adoption order.
   const std::vector<std::string>& track_names() const { return tracks_; }
 
-  /// Per-phase aggregate rollup, grouped by span name and sorted by name:
+  /// One span name's totals over every record with that name.
+  struct Rollup {
+    std::string name;
+    std::uint64_t count = 0;
+    double total_ms = 0.0;
+    /// total_ms less the children's durations, each record clamped at
+    /// zero (adopted jobs of a concurrent fan-out overlap in wall clock).
+    double self_ms = 0.0;
+    std::map<std::string, std::uint64_t> counters;
+  };
+
+  /// Per-phase aggregate, grouped by span name and sorted by name: what
+  /// report_json and the CLI's console table render.
+  std::vector<Rollup> rollup() const;
+
+  /// The rollup as JSON:
   ///   {"span_count":N,"spans":[{"name":...,"count":...,
   ///     "total_ms":...,"self_ms":...,"counters":{...}}]}
   /// `include_times` = false omits the wall-clock fields, leaving the

@@ -221,28 +221,6 @@ void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-void vmm_avx2(const float* v, const float* g, float* out, std::size_t rows,
-              std::size_t cols, std::size_t col_begin, std::size_t col_end) {
-  const std::size_t span = col_end - col_begin;
-  const std::size_t body = span - span % 8;
-  const __m256i m_tail = tail_mask(span % 8);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const __m256 vr = _mm256_broadcast_ss(v + r);
-    const float* grow = g + r * cols + col_begin;
-    float* orow = out + col_begin;
-    for (std::size_t c = 0; c < body; c += 8) {
-      _mm256_storeu_ps(orow + c,
-                       _mm256_fmadd_ps(vr, _mm256_loadu_ps(grow + c),
-                                       _mm256_loadu_ps(orow + c)));
-    }
-    if (body < span) {
-      const __m256 gv = _mm256_maskload_ps(grow + body, m_tail);
-      const __m256 ov = _mm256_maskload_ps(orow + body, m_tail);
-      _mm256_maskstore_ps(orow + body, m_tail, _mm256_fmadd_ps(vr, gv, ov));
-    }
-  }
-}
-
 // Int8 GEMM. Deliberately avoids _mm256_maddubs_epi16, whose pairwise
 // s16 sums saturate; cvtepi8_epi16 + mullo_epi16 keeps every product
 // exact (|product| <= 128*128 < 2^15) before widening to s32, so the
@@ -288,8 +266,8 @@ void gemm_s8_avx2(const std::int8_t* a, const std::int8_t* b,
 }
 
 constexpr KernelSet kAvx2{
-    "avx2",   gemm_avx2,    gemm_nt_avx2, gemm_tn_avx2,
-    vmm_avx2, gemm_s8_avx2, tanh_avx2,
+    "avx2",       gemm_avx2,    gemm_nt_avx2,
+    gemm_tn_avx2, gemm_s8_avx2, tanh_avx2,
 };
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Runtime-dispatched compute kernels.
 //
-// The simulator's dense inner loops (GEMM, the crossbar VMM, the int8
-// quantized GEMM) and the tanh activation funnel through a KernelSet
-// chosen once at startup: AVX2+FMA on capable x86-64, and a portable
-// scalar fallback everywhere else (aarch64 included). Selection is
+// The simulator's dense inner loops (GEMM, the int8 quantized GEMM) and
+// the tanh activation funnel through a KernelSet chosen once at startup:
+// AVX2+FMA on capable x86-64, and a portable scalar fallback everywhere
+// else (aarch64 included). Selection is
 // overridable with the XBARLIFE_KERNEL environment variable or the CLI
 // --kernel flag (values: auto, scalar, avx2).
 //
@@ -11,11 +11,10 @@
 // fixed ascending-k accumulation order that depends only on the operand
 // shapes — never on how callers partition rows/columns across threads.
 // Results are therefore bit-identical at any thread count *per dispatch
-// variant*. The float GEMMs and the VMM of different variants (scalar vs
-// avx2) may differ in the last ulp because the vector kernels use FMA;
-// tests and goldens that need host-independent bytes pin
-// XBARLIFE_KERNEL=scalar. gemm_s8 and tanh give the same bits on every
-// variant.
+// variant*. The float GEMMs of different variants (scalar vs avx2) may
+// differ in the last ulp because the vector kernels use FMA; tests and
+// goldens that need host-independent bytes pin XBARLIFE_KERNEL=scalar.
+// gemm_s8 and tanh give the same bits on every variant.
 //
 // Accumulation policy: float accumulators everywhere (scalar included).
 // See docs/kernels.md for the rationale and the error model.
@@ -29,8 +28,8 @@
 namespace xbarlife::kernels {
 
 /// A dispatch variant: one set of serial per-chunk compute primitives.
-/// Threading lives in the callers (matmul.cpp, crossbar.cpp), which
-/// partition output rows/columns and invoke these on disjoint slices.
+/// Threading lives in the callers (matmul.cpp, conv.cpp, quantized.cpp),
+/// which partition output rows and invoke these on disjoint slices.
 struct KernelSet {
   /// Variant name as reported by kernel_name(): "scalar", "avx2".
   const char* name;
@@ -56,11 +55,6 @@ struct KernelSet {
   void (*gemm_tn)(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, std::size_t row_begin,
                   std::size_t row_end, bool accumulate);
-
-  /// Crossbar vector-matrix multiply: out[c] = sum_r v[r] * g[r*cols + c]
-  /// for c in [col_begin, col_end). `out` is pre-zeroed by the caller.
-  void (*vmm)(const float* v, const float* g, float* out, std::size_t rows,
-              std::size_t cols, std::size_t col_begin, std::size_t col_end);
 
   /// Int8 GEMM: C(MxN, int32) += A(MxK, int8) * B(KxN, int8). Integer
   /// accumulation is exact, so this is order-independent and identical

@@ -68,18 +68,6 @@ void gemm_nt_scalar(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-void vmm_scalar(const float* v, const float* g, float* out, std::size_t rows,
-                std::size_t cols, std::size_t col_begin,
-                std::size_t col_end) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float vr = v[r];
-    const float* grow = g + r * cols;
-    for (std::size_t c = col_begin; c < col_end; ++c) {
-      out[c] += vr * grow[c];
-    }
-  }
-}
-
 void gemm_s8_scalar(const std::int8_t* a, const std::int8_t* b,
                     std::int32_t* c, std::size_t m, std::size_t k,
                     std::size_t n, std::size_t row_begin,
@@ -99,8 +87,8 @@ void gemm_s8_scalar(const std::int8_t* a, const std::int8_t* b,
 }
 
 constexpr KernelSet kScalar{
-    "scalar",       gemm_scalar,    gemm_nt_scalar, gemm_tn_scalar,
-    vmm_scalar,     gemm_s8_scalar, tanh_reference,
+    "scalar",       gemm_scalar,    gemm_nt_scalar,
+    gemm_tn_scalar, gemm_s8_scalar, tanh_reference,
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "tensor/kernels/kernels.hpp"
 
 namespace xbarlife::xbar {
 
@@ -33,7 +32,6 @@ const device::Memristor& Crossbar::cell(std::size_t r, std::size_t c) const {
 
 device::Memristor& Crossbar::mutable_cell(std::size_t r, std::size_t c) {
   XB_CHECK(r < rows_ && c < cols_, "crossbar cell out of range");
-  g_cache_valid_ = false;
   return cells_[r * cols_ + c];
 }
 
@@ -122,13 +120,12 @@ void Crossbar::program_batch(std::span<const ProgramOp> ops,
   if (ops.empty()) {
     return;
   }
-  // One cache invalidation and one counter flush per batch; the per-pulse
-  // loop below otherwise performs the exact floating-point updates of
-  // apply_pulse_percell — program_with inlines the identical expressions
-  // with the transcendental invariants hoisted into pulse_ctx_, and the
+  // One counter flush per batch; the per-pulse loop below otherwise
+  // performs the exact floating-point updates of apply_pulse_percell —
+  // program_with inlines the identical expressions with the
+  // transcendental invariants hoisted into pulse_ctx_, and the
   // ambient/tracker accumulations keep their per-pulse order (they are
   // order-dependent FP sums).
-  g_cache_valid_ = false;
   // Validation runs as a pre-pass so the hot loop carries no branches on
   // op metadata: a malformed batch throws before any pulse lands (the
   // per-cell path throws mid-stream instead, but no caller observes
@@ -187,7 +184,6 @@ void Crossbar::drift_cell(std::size_t r, std::size_t c, double new_r) {
 }
 
 void Crossbar::drift_pass(Rng& rng, double sigma) {
-  g_cache_valid_ = false;
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
       device::Memristor& m = cells_[r * cols_ + c];
@@ -216,57 +212,6 @@ double Crossbar::read_resistance(std::size_t r, std::size_t c) const {
     return cell(r, c).resistance();
   }
   return 1.0 / read_conductance(r, c);
-}
-
-void Crossbar::vmm(std::span<const float> v_in,
-                   std::span<float> i_out) const {
-  XB_CHECK(v_in.size() == rows_, "vmm input size must equal rows");
-  XB_CHECK(i_out.size() == cols_, "vmm output size must equal cols");
-  // Lazily refresh the flat conductance matrix: read epochs (inference
-  // over a batch) reuse it across every vmm call until the next
-  // programming/drift pulse invalidates it via mutable_cell().
-  if (!g_cache_valid_) {
-    g_cache_.resize(rows_ * cols_);
-    parallel_for(0, cells_.size(), 4096,
-                 [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     g_cache_[i] = static_cast<float>(cells_[i].conductance());
-                   }
-                 });
-    g_cache_valid_ = true;
-  }
-  std::fill(i_out.begin(), i_out.end(), 0.0f);
-  // Fan out over output columns: each chunk owns a disjoint slice of
-  // i_out and the kernel accumulates rows in ascending order, so the
-  // currents are bit-identical at any thread count.
-  const kernels::KernelSet& ks = kernels::select();
-  parallel_for(0, cols_, 64, [&](std::size_t col_begin,
-                                 std::size_t col_end) {
-    ks.vmm(v_in.data(), g_cache_.data(), i_out.data(), rows_, cols_,
-           col_begin, col_end);
-  });
-}
-
-Tensor Crossbar::conductances() const {
-  Tensor g(Shape{rows_, cols_});
-  parallel_for(0, cells_.size(), 4096,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   g[i] = static_cast<float>(cells_[i].conductance());
-                 }
-               });
-  return g;
-}
-
-Tensor Crossbar::resistances() const {
-  Tensor r(Shape{rows_, cols_});
-  parallel_for(0, cells_.size(), 4096,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t i = begin; i < end; ++i) {
-                   r[i] = static_cast<float>(cells_[i].resistance());
-                 }
-               });
-  return r;
 }
 
 namespace {
@@ -391,8 +336,6 @@ void Crossbar::load_state(persist::StateReader& r) {
   ambient_stress_ = r.f64();
   persist::read_rng_state(r, write_rng_);
   persist::read_rng_state(r, read_rng_);
-  // Cells were restored without passing through mutable_cell().
-  g_cache_valid_ = false;
 }
 
 }  // namespace xbarlife::xbar

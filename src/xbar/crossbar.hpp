@@ -1,11 +1,12 @@
 // Memristor crossbar array (Fig. 1 of the paper).
 //
 // A crossbar holds rows x cols memristor cells sharing one device-parameter
-// set and one aging model. Input voltages drive the rows; column currents
-// are I_j = sum_i V_i * g_ij. Every cell programming operation is mirrored
-// into the RepresentativeTracker (the 1-of-9 traced history the aging-aware
-// mapper is allowed to inspect) while the cells themselves keep the exact
-// ground-truth stress used by the simulator.
+// set and one aging model. It is driven the way a run drives it: programming
+// pulses (which age the cells) and reads through the periphery, from which
+// the network's weights are rebuilt for evaluation. Every cell programming
+// operation is mirrored into the RepresentativeTracker (the 1-of-9 traced
+// history the aging-aware mapper is allowed to inspect) while the cells
+// themselves keep the exact ground-truth stress used by the simulator.
 #pragma once
 
 #include <memory>
@@ -17,7 +18,6 @@
 #include "aging/tracker.hpp"
 #include "common/rng.hpp"
 #include "device/memristor.hpp"
-#include "tensor/tensor.hpp"
 #include "xbar/nonideal.hpp"
 #include "xbar/program_sequence.hpp"
 
@@ -108,8 +108,7 @@ class Crossbar {
 
   /// Executes a contiguous run of kProgramPulse ops in order with the
   /// per-pulse invariants (Arrhenius factor, window-exponent pow, bounds
-  /// setup, tracker counter flush, conductance-cache invalidation) hoisted
-  /// out of the loop. `results[i]` receives each achieved resistance.
+  /// setup, tracker counter flush) hoisted out of the loop. `results[i]` receives each achieved resistance.
   /// Bit-identical to issuing the same ops through program_cell one at a
   /// time. Called by SimExecutor; not intended as a user-facing API.
   void program_batch(std::span<const ProgramOp> ops,
@@ -148,15 +147,6 @@ class Crossbar {
   /// Reciprocal view of read_conductance; returns the exact stored
   /// resistance (no double roundtrip) on an ideal array.
   double read_resistance(std::size_t r, std::size_t c) const;
-
-  /// Analog VMM: i_out[j] = sum_i v_in[i] * g_ij. Sizes must match.
-  void vmm(std::span<const float> v_in, std::span<float> i_out) const;
-
-  /// Snapshot of all conductances as a (rows, cols) tensor.
-  Tensor conductances() const;
-
-  /// Snapshot of all resistances as a (rows, cols) tensor.
-  Tensor resistances() const;
 
   /// Ground-truth aging aggregate over all cells.
   CrossbarAgingStats aging_stats() const;
@@ -221,9 +211,7 @@ class Crossbar {
   void load_state(persist::StateReader& r);
 
  private:
-  /// Every mutation path (program/drift/force) obtains its cell here, so
-  /// this is the single chokepoint that invalidates the VMM's cached
-  /// conductance matrix.
+  /// Bounds-checked mutable access for the per-cell paths.
   device::Memristor& mutable_cell(std::size_t r, std::size_t c);
 
   /// Reference per-pulse body behind program_cell (and so the
@@ -261,11 +249,6 @@ class Crossbar {
   std::unique_ptr<FaultMap> faults_;
   Rng write_rng_{0};
   mutable Rng read_rng_{0};
-  /// Flat row-major copy of every cell's conductance, rebuilt lazily by
-  /// vmm() so the hot loop streams floats instead of chasing Memristor
-  /// getters. Invalidated by mutable_cell() and load_state().
-  mutable std::vector<float> g_cache_;
-  mutable bool g_cache_valid_ = false;
 };
 
 }  // namespace xbarlife::xbar

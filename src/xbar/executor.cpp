@@ -17,24 +17,15 @@ ExecReport SimExecutor::execute(Crossbar& xb, const ProgramSequence& seq) const 
   report.results.assign(ops.size(), 0.0);
   std::size_t i = 0;
   while (i < ops.size()) {
-    const ProgramOp& op = ops[i];
-    switch (op.kind) {
-      case OpKind::kProgramPulse: {
-        // Maximal contiguous pulse run -> one batched device transaction.
-        std::size_t j = i + 1;
-        while (j < ops.size() && ops[j].kind == OpKind::kProgramPulse) ++j;
-        xb.program_batch({ops.data() + i, j - i}, {report.results.data() + i, j - i});
-        i = j;
-        continue;
-      }
-      case OpKind::kVerifyRead:
-        report.results[i] = xb.read_conductance(op.row, op.col);
-        break;
-      case OpKind::kWait:
-      case OpKind::kBarrier:
-        break;
+    if (ops[i].kind != OpKind::kProgramPulse) {
+      ++i;
+      continue;
     }
-    ++i;
+    // Maximal contiguous pulse run -> one batched device transaction.
+    std::size_t j = i + 1;
+    while (j < ops.size() && ops[j].kind == OpKind::kProgramPulse) ++j;
+    xb.program_batch({ops.data() + i, j - i}, {report.results.data() + i, j - i});
+    i = j;
   }
   report.stats = seq.stats();
   xb.note_sequence_executed(report.stats);
@@ -48,16 +39,8 @@ ExecReport PerCellExecutor::execute(Crossbar& xb,
   report.results.assign(ops.size(), 0.0);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const ProgramOp& op = ops[i];
-    switch (op.kind) {
-      case OpKind::kProgramPulse:
-        report.results[i] = xb.program_cell(op.row, op.col, op.value);
-        break;
-      case OpKind::kVerifyRead:
-        report.results[i] = xb.read_conductance(op.row, op.col);
-        break;
-      case OpKind::kWait:
-      case OpKind::kBarrier:
-        break;
+    if (op.kind == OpKind::kProgramPulse) {
+      report.results[i] = xb.program_cell(op.row, op.col, op.value);
     }
   }
   report.stats = seq.stats();

@@ -37,8 +37,7 @@ namespace xbarlife::xbar {
 class Crossbar;
 
 /// Per-op outcome of an executed sequence. `results` is aligned with the
-/// sequence ops: achieved resistance for a pulse, read conductance for a
-/// verify, 0.0 for waits/barriers.
+/// sequence ops: achieved resistance for a pulse, 0.0 for a barrier.
 struct ExecReport {
   std::vector<double> results;
   SequenceStats stats;

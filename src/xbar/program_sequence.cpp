@@ -8,26 +8,12 @@ SequenceStats ProgramSequence::stats() const {
   SequenceStats s;
   bool in_pulse_run = false;
   for (const ProgramOp& op : ops_) {
-    switch (op.kind) {
-      case OpKind::kProgramPulse:
-        ++s.pulses;
-        if (!in_pulse_run) {
-          ++s.batches;
-          in_pulse_run = true;
-        }
-        continue;
-      case OpKind::kVerifyRead:
-        ++s.verifies;
-        break;
-      case OpKind::kWait:
-        ++s.waits;
-        s.wait_us += op.value;
-        break;
-      case OpKind::kBarrier:
-        ++s.barriers;
-        break;
+    const bool pulse = op.kind == OpKind::kProgramPulse;
+    if (pulse) {
+      ++s.pulses;
+      if (!in_pulse_run) ++s.batches;
     }
-    in_pulse_run = false;
+    in_pulse_run = pulse;
   }
   return s;
 }
@@ -51,7 +37,8 @@ ProgramSequence ProgramSequence::load_state(persist::StateReader& r) {
   for (ProgramOp& op : seq.ops_) {
     std::uint8_t kind = 0;
     p = persist::get(p, kind);
-    if (kind > static_cast<std::uint8_t>(OpKind::kBarrier)) {
+    if (kind != static_cast<std::uint8_t>(OpKind::kProgramPulse) &&
+        kind != static_cast<std::uint8_t>(OpKind::kBarrier)) {
       throw InvalidArgument("ProgramSequence: bad op kind " +
                             std::to_string(kind));
     }
@@ -82,21 +69,6 @@ void SequenceBuilder::pulse(std::size_t r, std::size_t c, double target_r) {
                           ")");
   }
   lane(c).push_back(ProgramOp::pulse(r, c, target_r));
-  ++staged_;
-}
-
-void SequenceBuilder::verify(std::size_t r, std::size_t c) {
-  if (r >= rows_) {
-    throw InvalidArgument("SequenceBuilder: row " + std::to_string(r) +
-                          " out of range (rows=" + std::to_string(rows_) +
-                          ")");
-  }
-  lane(c).push_back(ProgramOp::verify(r, c));
-  ++staged_;
-}
-
-void SequenceBuilder::wait(std::size_t c, double microseconds) {
-  lane(c).push_back(ProgramOp::wait(microseconds));
   ++staged_;
 }
 

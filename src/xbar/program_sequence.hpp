@@ -3,8 +3,8 @@
 //
 // Controllers (the mapper's write-verify pass, the online tuner, the
 // resilience ladder) no longer poke cells one program_cell() call at a
-// time; they *emit* a compact instruction sequence — program pulses,
-// verify reads, waits, barriers — and hand it to a ProgramExecutor
+// time; they *emit* a compact instruction sequence — program pulses
+// separated by barriers — and hand it to a ProgramExecutor
 // (executor.hpp) for execution against the device. The split is the
 // SoftMC idiom: building the command stream is cheap and backend-free,
 // executing it is where the device model (or, later, real hardware /
@@ -27,16 +27,15 @@
 
 namespace xbarlife::xbar {
 
-/// Instruction kinds. The numeric values are the wire encoding.
+/// Instruction kinds. The numeric values are the wire encoding; 1 and 2
+/// are unassigned and refused by load_state like any unknown kind.
 enum class OpKind : std::uint8_t {
   kProgramPulse = 0,  ///< program cell (row, col) toward `value` ohms
-  kVerifyRead = 1,    ///< read cell (row, col) through the periphery
-  kWait = 2,          ///< idle for `value` microseconds (HIL settling)
   kBarrier = 3,       ///< ordering fence between column batches
 };
 
-/// One instruction. `value` is the target resistance (ohms) for a pulse
-/// and the delay (microseconds) for a wait; zero otherwise.
+/// One instruction. `value` is the target resistance (ohms) for a pulse,
+/// zero for a barrier.
 struct ProgramOp {
   OpKind kind = OpKind::kBarrier;
   std::uint32_t row = 0;
@@ -47,13 +46,6 @@ struct ProgramOp {
     return {OpKind::kProgramPulse, static_cast<std::uint32_t>(r),
             static_cast<std::uint32_t>(c), target_r};
   }
-  static ProgramOp verify(std::size_t r, std::size_t c) {
-    return {OpKind::kVerifyRead, static_cast<std::uint32_t>(r),
-            static_cast<std::uint32_t>(c), 0.0};
-  }
-  static ProgramOp wait(double microseconds) {
-    return {OpKind::kWait, 0, 0, microseconds};
-  }
   static ProgramOp barrier() { return {OpKind::kBarrier, 0, 0, 0.0}; }
 
   bool operator==(const ProgramOp&) const = default;
@@ -63,13 +55,9 @@ struct ProgramOp {
 /// batch counters are identical across backends by construction.
 struct SequenceStats {
   std::uint64_t pulses = 0;
-  std::uint64_t verifies = 0;
-  std::uint64_t waits = 0;
-  std::uint64_t barriers = 0;
   /// Maximal contiguous runs of program pulses — the units a batching
   /// executor executes with hoisted per-batch state.
   std::uint64_t batches = 0;
-  double wait_us = 0.0;
 };
 
 /// An immutable-after-build instruction stream.
@@ -103,15 +91,11 @@ class ProgramSequence {
 /// Builds the canonical column-batched sequence: ops are staged into
 /// per-column lanes in push order, and build() emits the non-empty lanes
 /// in ascending column order with a barrier between consecutive columns.
-/// Wait ops ride in the lane of the column they follow.
 class SequenceBuilder {
  public:
   SequenceBuilder(std::size_t rows, std::size_t cols);
 
   void pulse(std::size_t r, std::size_t c, double target_r);
-  void verify(std::size_t r, std::size_t c);
-  /// Settling delay appended to column `c`'s lane.
-  void wait(std::size_t c, double microseconds);
 
   std::size_t staged_ops() const { return staged_; }
   bool empty() const { return staged_ == 0; }

@@ -433,7 +433,7 @@ struct ConnectionScope {
 
 }  // namespace
 
-bool serve_connection(net::Transport& t, const ServeOptions& opts) {
+void serve_connection(net::Transport& t, const ServeOptions& opts) {
   // Worker-side frames count into the worker's stats registry (or
   // nowhere).
   obs::Registry* metrics =
@@ -449,7 +449,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
     if ((opts.stop != nullptr &&
          opts.stop->load(std::memory_order_relaxed)) ||
         (opts.honor_shutdown_flag && shutdown_requested())) {
-      return false;
+      return;
     }
     net::Frame frame;
     try {
@@ -457,7 +457,7 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
     } catch (const net::TransportTimeout&) {
       continue;  // idle: loop back to the stop-flag checks
     } catch (const net::TransportError&) {
-      return false;  // peer gone or stream desynced (WireError)
+      return;  // peer gone or stream desynced (WireError)
     }
     try {
       switch (frame.type) {
@@ -550,13 +550,11 @@ bool serve_connection(net::Transport& t, const ServeOptions& opts) {
           }
           break;
         }
-        case net::MsgType::kShutdown:
-          return true;
         default:
           break;  // acks/errors from a confused peer: ignore
       }
     } catch (const net::TransportError&) {
-      return false;
+      return;
     }
   }
 }

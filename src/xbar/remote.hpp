@@ -182,9 +182,8 @@ struct ServeOptions {
 };
 
 /// Serves one client connection until it closes, a framing error occurs,
-/// a stop flag trips, or the client sends kShutdown (returns true in the
-/// kShutdown case — the worker app exits its accept loop on it).
-bool serve_connection(net::Transport& t, const ServeOptions& opts);
+/// or a stop flag trips.
+void serve_connection(net::Transport& t, const ServeOptions& opts);
 
 // ---------------------------------------------------------------------------
 // In-process loopback worker: a worker thread per connection over pipe

@@ -258,13 +258,6 @@ TEST(FastPathOracle, DriftPassMatchesDriftCellLoop) {
         EXPECT_EQ(array_state(fast), array_state(ref))
             << name << " sigma=" << sigma << " pass " << pass;
         EXPECT_EQ(fast_rng(), ref_rng()) << name << " pass " << pass;
-        // The VMM cache must see the drifted cells.
-        const std::vector<float> v(fast.rows(), 0.5f);
-        std::vector<float> fast_i(fast.cols());
-        std::vector<float> ref_i(ref.cols());
-        fast.vmm(v, fast_i);
-        ref.vmm(v, ref_i);
-        EXPECT_EQ(fast_i, ref_i) << name << " pass " << pass;
       }
     }
   }

@@ -85,7 +85,7 @@ TEST(Wire, FrameRoundTripsThroughPipe) {
 TEST(Wire, MsgTypeNamesAreStable) {
   EXPECT_STREQ(to_string(MsgType::kHello), "hello");
   EXPECT_STREQ(to_string(MsgType::kExecute), "execute");
-  EXPECT_STREQ(to_string(MsgType::kShutdown), "shutdown");
+  EXPECT_STREQ(to_string(MsgType::kExecuteReplay), "execute_replay");
 }
 
 TEST(Wire, RejectsBadMagic) {
@@ -104,12 +104,14 @@ TEST(Wire, RejectsUnknownVersionAndType) {
     a->send(frame);
     EXPECT_THROW(read_frame(*b, 1000ms), WireError);
   }
-  {
+  // Type bytes outside [kHello, kExecuteReplay], and 8, the unassigned
+  // gap inside it.
+  for (const int type : {0, 8, 12, 127}) {
     auto [a, b] = make_pipe();
     std::string frame = encode_frame(MsgType::kHello, 1, "");
-    frame[5] = 200;  // type byte outside [kHello, kShutdown]
+    frame[5] = static_cast<char>(type);
     a->send(frame);
-    EXPECT_THROW(read_frame(*b, 1000ms), WireError);
+    EXPECT_THROW(read_frame(*b, 1000ms), WireError) << type;
   }
 }
 

@@ -34,16 +34,16 @@ std::string snapshot(const Crossbar& xb) {
   return w.data();
 }
 
-/// A sequence exercising every op kind across several columns: two
-/// multi-pulse column batches, interleaved verifies, a wait.
+/// A sequence exercising both op kinds across several columns:
+/// multi-pulse column batches separated by barriers, each ending with a
+/// second pulse on its first cell.
 ProgramSequence mixed_sequence(std::size_t rows, std::size_t cols) {
   SequenceBuilder b(rows, cols);
   for (std::size_t c = 0; c < cols; c += 2) {
     for (std::size_t r = 0; r < rows; ++r) {
       b.pulse(r, c, 1e4 + 1e3 * static_cast<double>(r + c * rows));
     }
-    b.verify(0, c);
-    b.wait(c, 2.5);
+    b.pulse(0, c, 2.5e4);
   }
   return b.build();
 }
@@ -145,19 +145,17 @@ TEST(Executors, SimMatchesPerCellByteIdenticalUnderNonideality) {
 TEST(Executors, ReportAlignsResultsWithOps) {
   SequenceBuilder b(3, 3);
   b.pulse(0, 1, 2e4);
-  b.verify(0, 1);
-  b.wait(1, 4.0);
+  b.pulse(2, 2, 3e4);
   const ProgramSequence seq = b.build();
 
   Crossbar xb(3, 3, dev(), ag());
   const ExecReport rep = SimExecutor{}.execute(xb, seq);
   ASSERT_EQ(rep.results.size(), seq.size());
   EXPECT_DOUBLE_EQ(rep.results[0], 2e4);  // achieved resistance
-  EXPECT_DOUBLE_EQ(rep.results[1], xb.read_conductance(0, 1));
-  EXPECT_DOUBLE_EQ(rep.results[2], 0.0);  // wait carries no result
-  EXPECT_EQ(rep.stats.pulses, 1u);
-  EXPECT_EQ(rep.stats.verifies, 1u);
-  EXPECT_EQ(rep.stats.waits, 1u);
+  EXPECT_DOUBLE_EQ(rep.results[1], 0.0);  // barrier carries no result
+  EXPECT_DOUBLE_EQ(rep.results[2], 3e4);
+  EXPECT_EQ(rep.stats.pulses, 2u);
+  EXPECT_EQ(rep.stats.batches, 2u);
 }
 
 TEST(Executors, ProgramCellEqualsOneOpSequence) {
@@ -235,7 +233,7 @@ TEST(Executors, EmptySequenceIsANoOp) {
 
 TEST(Executors, BatchRejectsNonPulseOpsAndBadCoordinates) {
   Crossbar xb(2, 2, dev(), ag());
-  const ProgramOp bad_kind = ProgramOp::verify(0, 0);
+  const ProgramOp bad_kind = ProgramOp::barrier();
   double out = 0.0;
   EXPECT_THROW(xb.program_batch({&bad_kind, 1}, {&out, 1}), Error);
   const ProgramOp bad_row = ProgramOp::pulse(7, 0, 1e4);

@@ -54,8 +54,7 @@ ProgramSequence mixed_sequence(std::size_t rows, std::size_t cols) {
     for (std::size_t r = 0; r < rows; ++r) {
       b.pulse(r, c, 1e4 + 1e3 * static_cast<double>(r + c * rows));
     }
-    b.verify(0, c);
-    b.wait(c, 2.5);
+    b.pulse(0, c, 2.5e4);
   }
   return b.build();
 }

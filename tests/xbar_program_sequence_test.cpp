@@ -15,16 +15,6 @@ TEST(ProgramOp, FactoriesEncodeKindAndOperands) {
   EXPECT_EQ(p.col, 7u);
   EXPECT_DOUBLE_EQ(p.value, 5e4);
 
-  const ProgramOp v = ProgramOp::verify(1, 2);
-  EXPECT_EQ(v.kind, OpKind::kVerifyRead);
-  EXPECT_EQ(v.row, 1u);
-  EXPECT_EQ(v.col, 2u);
-  EXPECT_DOUBLE_EQ(v.value, 0.0);
-
-  const ProgramOp w = ProgramOp::wait(12.5);
-  EXPECT_EQ(w.kind, OpKind::kWait);
-  EXPECT_DOUBLE_EQ(w.value, 12.5);
-
   const ProgramOp b = ProgramOp::barrier();
   EXPECT_EQ(b.kind, OpKind::kBarrier);
   EXPECT_DOUBLE_EQ(b.value, 0.0);
@@ -35,22 +25,17 @@ TEST(ProgramOp, FactoriesEncodeKindAndOperands) {
 
 TEST(ProgramSequence, StatsCountKindsAndContiguousPulseRuns) {
   ProgramSequence seq;
-  // Two pulse runs (lengths 2 and 1) split by a verify, plus a wait and
-  // a barrier: batches counts maximal contiguous pulse runs.
+  // Two pulse runs (lengths 2 and 1) split by a barrier, plus a trailing
+  // barrier: batches counts maximal contiguous pulse runs.
   seq.push(ProgramOp::pulse(0, 0, 1e4));
   seq.push(ProgramOp::pulse(1, 0, 2e4));
-  seq.push(ProgramOp::verify(0, 0));
+  seq.push(ProgramOp::barrier());
   seq.push(ProgramOp::pulse(2, 0, 3e4));
-  seq.push(ProgramOp::wait(7.0));
   seq.push(ProgramOp::barrier());
 
   const SequenceStats s = seq.stats();
   EXPECT_EQ(s.pulses, 3u);
-  EXPECT_EQ(s.verifies, 1u);
-  EXPECT_EQ(s.waits, 1u);
-  EXPECT_EQ(s.barriers, 1u);
   EXPECT_EQ(s.batches, 2u);
-  EXPECT_DOUBLE_EQ(s.wait_us, 7.0);
 }
 
 TEST(ProgramSequence, EmptySequenceHasZeroStats) {
@@ -64,9 +49,8 @@ TEST(ProgramSequence, EmptySequenceHasZeroStats) {
 TEST(ProgramSequence, SerializationRoundTripIsByteIdentical) {
   ProgramSequence seq;
   seq.push(ProgramOp::pulse(5, 9, 12345.6789));
-  seq.push(ProgramOp::verify(5, 9));
-  seq.push(ProgramOp::wait(0.25));
   seq.push(ProgramOp::barrier());
+  seq.push(ProgramOp::pulse(0, 3, 0.25));
 
   persist::StateWriter w;
   seq.save_state(w);
@@ -83,14 +67,18 @@ TEST(ProgramSequence, SerializationRoundTripIsByteIdentical) {
 }
 
 TEST(ProgramSequence, LoadRejectsUnknownOpKind) {
-  persist::StateWriter w;
-  w.u64(1);
-  w.u8(200);  // not a valid OpKind
-  w.u32(0);
-  w.u32(0);
-  w.f64(0.0);
-  persist::StateReader r(w.data());
-  EXPECT_THROW(ProgramSequence::load_state(r), InvalidArgument);
+  // Only pulse (0) and barrier (3) are op kinds; 1 and 2 are unassigned.
+  for (const int kind : {1, 2, 4, 200}) {
+    persist::StateWriter w;
+    w.u64(1);
+    w.u8(static_cast<std::uint8_t>(kind));
+    w.u32(0);
+    w.u32(0);
+    w.f64(0.0);
+    persist::StateReader r(w.data());
+    EXPECT_THROW(ProgramSequence::load_state(r), InvalidArgument)
+        << "kind " << kind;
+  }
 }
 
 TEST(SequenceBuilder, GroupsOpsIntoAscendingColumnsWithBarriers) {
@@ -99,7 +87,7 @@ TEST(SequenceBuilder, GroupsOpsIntoAscendingColumnsWithBarriers) {
   // barrier, then column 3's lane (empty columns are skipped).
   b.pulse(0, 3, 1e4);
   b.pulse(1, 1, 2e4);
-  b.verify(2, 1);
+  b.pulse(2, 1, 4e4);
   b.pulse(3, 3, 3e4);
   EXPECT_EQ(b.staged_ops(), 4u);
 
@@ -107,7 +95,7 @@ TEST(SequenceBuilder, GroupsOpsIntoAscendingColumnsWithBarriers) {
   const auto& ops = seq.ops();
   ASSERT_EQ(ops.size(), 5u);
   EXPECT_EQ(ops[0], ProgramOp::pulse(1, 1, 2e4));
-  EXPECT_EQ(ops[1], ProgramOp::verify(2, 1));
+  EXPECT_EQ(ops[1], ProgramOp::pulse(2, 1, 4e4));
   EXPECT_EQ(ops[2], ProgramOp::barrier());
   EXPECT_EQ(ops[3], ProgramOp::pulse(0, 3, 1e4));
   EXPECT_EQ(ops[4], ProgramOp::pulse(3, 3, 3e4));
@@ -132,12 +120,11 @@ TEST(SequenceBuilder, SingleColumnEmitsNoBarrier) {
   SequenceBuilder b(3, 3);
   b.pulse(0, 2, 1e4);
   b.pulse(1, 2, 2e4);
-  b.wait(2, 5.0);
   const ProgramSequence seq = b.build();
+  EXPECT_EQ(seq.ops(), (std::vector<ProgramOp>{ProgramOp::pulse(0, 2, 1e4),
+                                               ProgramOp::pulse(1, 2, 2e4)}));
   const SequenceStats s = seq.stats();
-  EXPECT_EQ(s.barriers, 0u);
   EXPECT_EQ(s.pulses, 2u);
-  EXPECT_EQ(s.waits, 1u);
   EXPECT_EQ(s.batches, 1u);
 }
 
@@ -145,8 +132,7 @@ TEST(SequenceBuilder, RejectsOutOfRangeCoordinates) {
   SequenceBuilder b(2, 3);
   EXPECT_THROW(b.pulse(2, 0, 1e4), InvalidArgument);
   EXPECT_THROW(b.pulse(0, 3, 1e4), InvalidArgument);
-  EXPECT_THROW(b.verify(5, 0), InvalidArgument);
-  EXPECT_THROW(b.wait(3, 1.0), InvalidArgument);
+  EXPECT_THROW(b.pulse(5, 0, 1e4), InvalidArgument);
 }
 
 }  // namespace

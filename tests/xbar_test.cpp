@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "tensor/matmul.hpp"
 
 namespace xbarlife::xbar {
 namespace {
@@ -80,44 +79,6 @@ TEST(Crossbar, TrackerEstimateMatchesCellTruthUnderCrosstalk) {
   const auto& idle = xb.cell(2, 2);
   EXPECT_DOUBLE_EQ(idle.own_stress(), 0.0);
   EXPECT_DOUBLE_EQ(idle.stress(), xb.ambient_stress());
-}
-
-TEST(Crossbar, VmmMatchesDenseReference) {
-  Crossbar xb(4, 3, dev(), ag());
-  Rng rng(5);
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      xb.program_cell(r, c, rng.uniform(1e4, 1e5));
-    }
-  }
-  std::vector<float> v{0.5f, -0.25f, 1.0f, 0.0f};
-  std::vector<float> out(3);
-  xb.vmm(v, out);
-
-  Tensor g = xb.conductances();
-  Tensor vin(Shape{1, 4}, std::vector<float>(v));
-  Tensor expected = matmul(vin, g);
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(out[c], expected.at(0, c), 1e-9f);
-  }
-}
-
-TEST(Crossbar, VmmSizeMismatchThrows) {
-  Crossbar xb(2, 2, dev(), ag());
-  std::vector<float> v(3);
-  std::vector<float> out(2);
-  EXPECT_THROW(xb.vmm(v, out), InvalidArgument);
-}
-
-TEST(Crossbar, ConductanceAndResistanceSnapshotsConsistent) {
-  Crossbar xb(2, 2, dev(), ag());
-  xb.program_cell(0, 0, 2e4);
-  Tensor g = xb.conductances();
-  Tensor r = xb.resistances();
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(g[i] * r[i], 1.0f, 1e-5f);
-  }
-  EXPECT_NEAR(r.at(0, 0), 2e4f, 1.0f);
 }
 
 TEST(Crossbar, AgingStatsAggregate) {
