@@ -5,12 +5,15 @@
 // cluttering the working directory.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iostream>
 #include <string>
+
+#include "core/experiment.hpp"
 
 namespace xbarlife::bench {
 
@@ -27,6 +30,18 @@ inline std::string results_path(const std::string& name) {
 inline bool quick_mode() {
   const char* env = std::getenv("XBARLIFE_QUICK");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+/// The quick-mode shrink of a Table I experiment: a quarter of the
+/// training set (at least 8 per class), a third of the epochs (at least
+/// 2) and 60 sessions. Fig. 10 and Fig. 11 take it too, so their quick
+/// LeNet-5 runs are Table I's quick LeNet-5 row.
+inline void shrink_for_quick(core::ExperimentConfig& cfg) {
+  cfg.dataset.train_per_class = std::max<std::size_t>(
+      8, cfg.dataset.train_per_class / 4);
+  cfg.train_config.epochs = std::max<std::size_t>(
+      2, cfg.train_config.epochs / 3);
+  cfg.lifetime.max_sessions = 60;
 }
 
 inline void print_header(const std::string& title,

@@ -2,8 +2,9 @@
 // for the three scenarios — the failure knee. The series come from one
 // core::run_experiment, Table I's protocol: one tuning target for all
 // three scenarios, one skewed training for ST+T and ST+AT, and ST+AT
-// riding on ST+T up to its fork. In full mode the three lifetimes are
-// table1_lifetime's LeNet-5 row.
+// riding on ST+T up to its fork. The three lifetimes are
+// table1_lifetime's LeNet-5 row, in quick mode too (both shrink through
+// bench::shrink_for_quick).
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -21,9 +22,7 @@ int main() {
   // but the shape (flat, creep, explosion) is the result under test.
   core::ExperimentConfig cfg = core::lenet_experiment_config();
   if (bench::quick_mode()) {
-    cfg.dataset.train_per_class = 12;
-    cfg.train_config.epochs = 3;
-    cfg.lifetime.max_sessions = 80;
+    bench::shrink_for_quick(cfg);
   }
 
   CsvWriter csv(bench::results_path("fig10_tuning_series.csv"),

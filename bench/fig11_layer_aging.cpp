@@ -15,9 +15,7 @@ int main() {
 
   core::ExperimentConfig cfg = core::lenet_experiment_config();
   if (bench::quick_mode()) {
-    cfg.dataset.train_per_class = 12;
-    cfg.train_config.epochs = 3;
-    cfg.lifetime.max_sessions = 80;
+    bench::shrink_for_quick(cfg);
   }
   std::cout << "Simulating the ST+T lifetime of LeNet-5 and aggregating\n"
                "per-layer-type aged R_max...\n";

@@ -88,10 +88,10 @@ struct ConvShape {
   ConvGeometry g;
   std::size_t out_channels;
 };
-const ConvShape kConv1{{3, 16, 16, 5, 1, 0}, 6};
-const ConvShape kConv2{{6, 6, 6, 5, 1, 0}, 16};
-const ConvShape kVggConv2{{4, 32, 32, 3, 1, 1}, 4};
-const ConvShape kVggConv10{{32, 4, 4, 3, 1, 1}, 32};
+const ConvShape kConv1{{3, 16, 16, 5, 0}, 6};
+const ConvShape kConv2{{6, 6, 6, 5, 0}, 16};
+const ConvShape kVggConv2{{4, 32, 32, 3, 1}, 4};
+const ConvShape kVggConv10{{32, 4, 4, 3, 1}, 32};
 
 /// One Conv2D inference (`infer`, float) over state.range(0) samples (64 =
 /// an evaluation batch, 16 = a training batch).

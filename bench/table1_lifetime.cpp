@@ -10,18 +10,6 @@
 
 using namespace xbarlife;
 
-namespace {
-
-void shrink_for_quick(core::ExperimentConfig& cfg) {
-  cfg.dataset.train_per_class = std::max<std::size_t>(
-      8, cfg.dataset.train_per_class / 4);
-  cfg.train_config.epochs = std::max<std::size_t>(
-      2, cfg.train_config.epochs / 3);
-  cfg.lifetime.max_sessions = 60;
-}
-
-}  // namespace
-
 int main() {
   bench::print_header("Table I — lifetime comparison", "Table I");
 
@@ -29,7 +17,7 @@ int main() {
       core::make_model_config("lenet5"), core::make_model_config("vgg16")};
   if (bench::quick_mode()) {
     for (auto& cfg : configs) {
-      shrink_for_quick(cfg);
+      bench::shrink_for_quick(cfg);
     }
   }
 

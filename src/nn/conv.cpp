@@ -28,21 +28,31 @@ Conv2D::Conv2D(ConvGeometry geometry, std::size_t out_channels, Rng& rng,
       bias_(Shape{out_channels}),
       weight_grad_(Shape{geometry.patch_size(), out_channels}),
       bias_grad_(Shape{out_channels}),
-      taps_(geometry) {
+      taps_(geometry.padded()) {
   XB_CHECK(out_channels > 0, "Conv2D needs at least one output channel");
   const auto scale = static_cast<float>(
       std::sqrt(2.0 / static_cast<double>(geometry_.patch_size())));
   weight_.fill_gaussian(rng, 0.0f, scale);
 }
 
-Tensor Conv2D::infer(const Tensor& input, const QuantSpec* spec) const {
+void Conv2D::check_input(const Tensor& input) const {
   const std::size_t per_sample =
       geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   XB_CHECK(input.shape().rank() == 2 && input.shape()[1] == per_sample,
            "Conv2D " + name() + " expected (batch, " +
                std::to_string(per_sample) + "), got " +
                input.shape().to_string());
+}
+
+Tensor Conv2D::infer(const Tensor& input, const QuantSpec* spec) const {
+  check_input(input);
+  return geometry_.pad == 0 ? lowered(input, spec)
+                            : lowered(pad_images(input, geometry_), spec);
+}
+
+Tensor Conv2D::lowered(const Tensor& input, const QuantSpec* spec) const {
   const std::size_t batch = input.shape()[0];
+  const std::size_t per_sample = input.shape()[1];
   const std::size_t patch = geometry_.patch_size();
   const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
   const std::size_t oc = out_channels_;
@@ -116,9 +126,9 @@ Tensor Conv2D::infer(const Tensor& input, const QuantSpec* spec) const {
 }
 
 Tensor Conv2D::forward(const Tensor& input) {
-  Tensor out = infer(input, nullptr);
-  input_ = input;
-  return out;
+  check_input(input);
+  input_ = geometry_.pad == 0 ? input : pad_images(input, geometry_);
+  return lowered(input_, nullptr);
 }
 
 std::size_t Conv2D::check_grad_output(const Tensor& grad_output) const {
@@ -126,7 +136,8 @@ std::size_t Conv2D::check_grad_output(const Tensor& grad_output) const {
            "Conv2D " + name() + " backward before any forward");
   const std::size_t batch = input_.shape()[0];
   XB_CHECK(grad_output.shape() ==
-               Shape({batch, output_features(input_.shape()[1])}),
+               Shape({batch, out_channels_ * geometry_.out_h() *
+                                 geometry_.out_w()}),
            "Conv2D " + name() + " backward shape mismatch: " +
                grad_output.shape().to_string() + " for a batch of " +
                std::to_string(batch));
@@ -152,6 +163,8 @@ void Conv2D::backprop(const Tensor& grad_output, Tensor* grad_input) {
   const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
   const std::size_t oc = out_channels_;
   const std::size_t per_sample = input_.shape()[1];
+  const std::size_t per_image =
+      geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   const bool accumulate = accumulate_grads();
   // Per-sample weight/bias contributions land in index-addressed slots and
   // are merged in sample order below, so the accumulated gradients do not
@@ -163,6 +176,7 @@ void Conv2D::backprop(const Tensor& grad_output, Tensor* grad_input) {
     std::vector<float> rows(pixels * patch);
     std::vector<float> gy(grad_input != nullptr ? pixels * oc : 0);
     std::vector<float> gcols(grad_input != nullptr ? patch * pixels : 0);
+    std::vector<float> padded(grad_input != nullptr ? per_sample : 0);
     for (std::size_t b = b_begin; b < b_end; ++b) {
       // The (out_ch, pixels) gradient matrix of this sample.
       const float* g = grad_output.data() + b * oc * pixels;
@@ -182,7 +196,7 @@ void Conv2D::backprop(const Tensor& grad_output, Tensor* grad_input) {
       }
       // dCols = W * gy^T over the (pixels, out_ch) gradient gy, each
       // element the dot product over out_ch; then dX = col2im(dCols)
-      // straight into this sample's row.
+      // through the padded scratch into this sample's row.
       for (std::size_t c = 0; c < oc; ++c) {
         for (std::size_t p = 0; p < pixels; ++p) {
           gy[p * oc + c] = g[c * pixels + p];
@@ -191,8 +205,8 @@ void Conv2D::backprop(const Tensor& grad_output, Tensor* grad_input) {
       std::fill(gcols.begin(), gcols.end(), 0.0f);
       ks.gemm_nt(weight_.data(), gy.data(), gcols.data(), patch, oc, pixels, 0,
                  patch);
-      col2im(gcols, geometry_,
-             grad_input->flat().subspan(b * per_sample, per_sample));
+      col2im(gcols, geometry_, padded,
+             grad_input->flat().subspan(b * per_image, per_image));
     }
   };
   parallel_for(0, batch, parallel_grain(batch), run_samples);

@@ -1,5 +1,5 @@
-// 2-D convolution layer (square kernels) lowered to GEMM over patches
-// gathered straight from the input images.
+// 2-D convolution layer (square kernels, stride 1) lowered to GEMM over
+// patches gathered straight from the (zero-padded) input images.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -14,8 +14,10 @@ namespace xbarlife::nn {
 /// channels are columns). The float forward is one batch-wide `W^T * patches`
 /// over the (patch_size, batch*pixels) patch matrix, computed tile by
 /// tile from column tiles the tap table gathers; its product rows are
-/// the channel-major outputs. The weight gradient re-gathers each
-/// sample's (pixels, patch_size) patches from the saved input.
+/// the channel-major outputs. A padded layer zero-pads its input once per
+/// call; a pad-0 layer gathers from the input itself. The weight gradient
+/// re-gathers each sample's (pixels, patch_size) patches from the saved
+/// (padded) input.
 class Conv2D final : public Layer {
  public:
   Conv2D(ConvGeometry geometry, std::size_t out_channels, Rng& rng,
@@ -30,6 +32,12 @@ class Conv2D final : public Layer {
   LayerKind kind() const override { return LayerKind::kConv; }
 
  private:
+  /// Checks that `input` is a batch of this layer's images.
+  void check_input(const Tensor& input) const;
+  /// The float or int8 (`spec`) forward over `input`, a batch of pad-free
+  /// images: the layer input itself at pad 0, its pad_images copy
+  /// otherwise.
+  Tensor lowered(const Tensor& input, const QuantSpec* spec) const;
   /// Checks `grad_output` against the last forward and returns its batch.
   std::size_t check_grad_output(const Tensor& grad_output) const;
   /// Accumulates the weight and bias gradients and, when `grad_input` is
@@ -42,8 +50,8 @@ class Conv2D final : public Layer {
   Tensor bias_;         // (out_channels)
   Tensor weight_grad_;
   Tensor bias_grad_;
-  TapTable taps_;
-  Tensor input_;  // the last forward's input, (batch, C*H*W)
+  TapTable taps_;  // over geometry_.padded()
+  Tensor input_;   // the last forward's padded input, one row per sample
 };
 
 }  // namespace xbarlife::nn

@@ -33,16 +33,16 @@ Network make_lenet5(const ImageSpec& input, std::size_t classes, Rng& rng) {
   Network net("lenet5");
 
   ConvGeometry c1{input.channels, input.height, input.width,
-                  /*kernel=*/5, /*stride=*/1, /*pad=*/0};
+                  /*kernel=*/5, /*pad=*/0};
   net.add(std::make_unique<Conv2D>(c1, 6, rng, "conv1"));
   net.add(std::make_unique<Tanh>("tanh1"));
-  PoolGeometry p1{6, c1.out_h(), c1.out_w(), 2, 2};
+  PoolGeometry p1{6, c1.out_h(), c1.out_w()};
   net.add(std::make_unique<MaxPool2D>(p1, "pool1"));
 
-  ConvGeometry c2{6, p1.out_h(), p1.out_w(), 5, 1, 0};
+  ConvGeometry c2{6, p1.out_h(), p1.out_w(), 5, 0};
   net.add(std::make_unique<Conv2D>(c2, 16, rng, "conv2"));
   net.add(std::make_unique<Tanh>("tanh2"));
-  PoolGeometry p2{16, c2.out_h(), c2.out_w(), 2, 2};
+  PoolGeometry p2{16, c2.out_h(), c2.out_w()};
   net.add(std::make_unique<MaxPool2D>(p2, "pool2"));
 
   const std::size_t flat = 16 * p2.out_h() * p2.out_w();
@@ -79,14 +79,13 @@ Network make_vgg16(const ImageSpec& input, std::size_t classes,
   for (const Block& blk : blocks) {
     for (std::size_t i = 0; i < blk.convs; ++i) {
       ++conv_id;
-      ConvGeometry g{channels, side, side, /*kernel=*/3, /*stride=*/1,
-                     /*pad=*/1};
+      ConvGeometry g{channels, side, side, /*kernel=*/3, /*pad=*/1};
       net.add(std::make_unique<Conv2D>(g, blk.channels, rng,
                                        "conv" + std::to_string(conv_id)));
       net.add(std::make_unique<ReLU>("relu" + std::to_string(conv_id)));
       channels = blk.channels;
     }
-    PoolGeometry p{channels, side, side, 2, 2};
+    PoolGeometry p{channels, side, side};
     net.add(std::make_unique<MaxPool2D>(
         p, "pool" + std::to_string(conv_id)));
     side /= 2;

@@ -6,8 +6,8 @@ namespace xbarlife::nn {
 
 void PoolGeometry::validate() const {
   XB_CHECK(channels > 0 && in_h > 0 && in_w > 0, "empty pool input");
-  XB_CHECK(window > 0 && stride > 0, "pool window/stride must be positive");
-  XB_CHECK(in_h >= window && in_w >= window, "pool window exceeds input");
+  XB_CHECK(in_h >= kPoolWindow && in_w >= kPoolWindow,
+           "pool window exceeds input");
 }
 
 MaxPool2D::MaxPool2D(PoolGeometry geometry, std::string name)
@@ -52,11 +52,11 @@ Tensor MaxPool2D::pool(const Tensor& input,
           // finite maximum (all -inf, or NaN first) still routes its
           // gradient inside itself.
           const std::size_t first =
-              (c * g.in_h + oy * g.stride) * g.in_w + ox * g.stride;
+              (c * g.in_h + oy * kPoolWindow) * g.in_w + ox * kPoolWindow;
           float best = x[first];
           std::size_t best_idx = first;
-          for (std::size_t wy = 0; wy < g.window; ++wy) {
-            for (std::size_t wx = 0; wx < g.window; ++wx) {
+          for (std::size_t wy = 0; wy < kPoolWindow; ++wy) {
+            for (std::size_t wx = 0; wx < kPoolWindow; ++wx) {
               const std::size_t idx = first + wy * g.in_w + wx;
               if (x[idx] > best) {
                 best = x[idx];

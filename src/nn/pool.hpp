@@ -5,15 +5,17 @@
 
 namespace xbarlife::nn {
 
+/// Every pooling layer takes 2x2 windows at stride 2, as LeNet-5 and
+/// VGG-16 do.
+inline constexpr std::size_t kPoolWindow = 2;
+
 struct PoolGeometry {
   std::size_t channels = 0;
   std::size_t in_h = 0;
   std::size_t in_w = 0;
-  std::size_t window = 2;
-  std::size_t stride = 2;
 
-  std::size_t out_h() const { return (in_h - window) / stride + 1; }
-  std::size_t out_w() const { return (in_w - window) / stride + 1; }
+  std::size_t out_h() const { return in_h / kPoolWindow; }
+  std::size_t out_w() const { return in_w / kPoolWindow; }
   void validate() const;
 };
 

@@ -3,10 +3,11 @@
 // Convolutions in the NN substrate are computed as GEMMs over patches,
 // matching how the crossbar executes them: each output pixel's receptive
 // field becomes one input vector applied to the weight matrix. No patch
-// matrix is ever materialised. A TapTable maps every (kernel tap, output
-// pixel) pair to the image element it reads, and its two gathers copy
+// matrix is ever materialised. A padded layer zero-pads its images once
+// (pad_images), so every gather reads a pad-free image: a TapTable maps
+// every kernel row to its offset in the image, and its two gathers copy
 // exactly the slice of the patch matrix a product needs, straight from
-// the input images:
+// the images:
 //
 //   * gather_cols: a column tile of the batch-wide `(patch_size,
 //     batch*pixels)` matrix, whose column b*pixels + p is pixel p of
@@ -24,28 +25,38 @@
 
 namespace xbarlife {
 
+/// A stride-1 convolution with square kernels and a zero border of `pad`
+/// pixels on every side.
 struct ConvGeometry {
   std::size_t in_channels = 0;
   std::size_t in_h = 0;
   std::size_t in_w = 0;
-  std::size_t kernel = 0;   // square kernels
-  std::size_t stride = 1;
+  std::size_t kernel = 0;
   std::size_t pad = 0;
 
-  std::size_t out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
-  std::size_t out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
+  std::size_t out_h() const { return in_h + 2 * pad - kernel + 1; }
+  std::size_t out_w() const { return in_w + 2 * pad - kernel + 1; }
   /// Rows of the patch matrix = size of one receptive field.
   std::size_t patch_size() const { return in_channels * kernel * kernel; }
+  /// The same convolution over the zero-padded images: pad 0, same output.
+  ConvGeometry padded() const {
+    return {in_channels, in_h + 2 * pad, in_w + 2 * pad, kernel, 0};
+  }
   /// Validates that the geometry is realizable.
   void validate() const;
 };
 
-/// The tap-offset table of one geometry: per kernel tap t = (c, ky, kx),
-/// the image element it reads for output pixel (0, 0) and the output rows
-/// and columns whose read lands inside the image. Every other read is a
-/// padding tap and gathers 0.
+/// `images`, a whole number of C*H*W images back to back, with each image
+/// zero-padded by `g.pad` on every side: one row per image, of
+/// `g.padded()`'s C*H*W floats.
+Tensor pad_images(const Tensor& images, const ConvGeometry& g);
+
+/// The tap-offset table of one pad-free geometry: per kernel row (c, ky),
+/// the image element its first tap reads for output pixel (0, 0). Tap
+/// (c, ky, kx) of pixel (oy, ox) reads that offset + oy*in_w + ox + kx.
 class TapTable {
  public:
+  /// `g.pad` must be 0: pad the images first and pass `g.padded()`.
   explicit TapTable(const ConvGeometry& g);
 
   /// Writes columns [j0, j1) of the batch-wide patch matrix of `images`
@@ -59,34 +70,18 @@ class TapTable {
   void gather_rows(std::span<const float> image, std::span<float> rows) const;
 
  private:
-  /// Tap t reads image element `base + (oy*in_w + ox) * stride` for
-  /// output pixel (oy, ox) with oy in [y_lo, y_hi) and ox in [x_lo, x_hi).
-  struct Tap {
-    std::ptrdiff_t base;
-    std::size_t y_lo, y_hi, x_lo, x_hi;
-  };
-
-  /// Tile columns [col, col + len): pixels (oy, ox0 .. ox0 + len) of one
-  /// image, which tap t reads at `taps_[t].base + at` onward (`at`
-  /// counts from the first image of the batch).
-  struct Run {
-    std::size_t at, col, len, oy, ox0;
-  };
-
-  /// gather_cols for a tap that reads padding somewhere in `run`.
-  void gather_clipped(const Tap& tap, const float* images, const Run& run,
-                      float* d) const;
-
   ConvGeometry g_;
   std::size_t pixels_;
-  std::vector<Tap> taps_;  // patch_size entries, in (c, ky, kx) order
+  std::vector<std::size_t> row_base_;  // C*kernel entries, in (c, ky) order
 };
 
-/// Adds a (patch_size, out_h*out_w) patch gradient into the image
-/// gradient `image` (flat C*H*W): the adjoint of the patch gather.
-/// Contributions reach each image element in ascending output-pixel
-/// order.
+/// Writes into `image` (flat C*H*W) the gradient of a (patch_size,
+/// out_h*out_w) patch gradient: the adjoint of padding and gathering.
+/// The patch gradient is scattered into `padded`, scratch for one image
+/// of `g.padded()`, from zero and without bounds checks, so every element
+/// receives its contributions in ascending output-pixel order; the
+/// interior is then copied into `image`.
 void col2im(std::span<const float> cols, const ConvGeometry& g,
-            std::span<float> image);
+            std::span<float> padded, std::span<float> image);
 
 }  // namespace xbarlife

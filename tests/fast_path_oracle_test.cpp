@@ -545,9 +545,9 @@ Tensor row_patches(const float* image, const ConvGeometry& g) {
     for (std::size_t c = 0; c < g.in_channels; ++c) {
       for (std::size_t ky = 0; ky < g.kernel; ++ky) {
         for (std::size_t kx = 0; kx < g.kernel; ++kx, ++k) {
-          const auto iy = static_cast<long long>((p / ow) * g.stride + ky) -
+          const auto iy = static_cast<long long>(p / ow + ky) -
                           static_cast<long long>(g.pad);
-          const auto ix = static_cast<long long>((p % ow) * g.stride + kx) -
+          const auto ix = static_cast<long long>(p % ow + kx) -
                           static_cast<long long>(g.pad);
           if (iy >= 0 && ix >= 0 && iy < static_cast<long long>(g.in_h) &&
               ix < static_cast<long long>(g.in_w)) {
@@ -571,9 +571,9 @@ void row_col2im(const Tensor& gpatches, const ConvGeometry& g, float* image) {
     for (std::size_t c = 0; c < g.in_channels; ++c) {
       for (std::size_t ky = 0; ky < g.kernel; ++ky) {
         for (std::size_t kx = 0; kx < g.kernel; ++kx, ++k) {
-          const auto iy = static_cast<long long>((p / ow) * g.stride + ky) -
+          const auto iy = static_cast<long long>(p / ow + ky) -
                           static_cast<long long>(g.pad);
-          const auto ix = static_cast<long long>((p % ow) * g.stride + kx) -
+          const auto ix = static_cast<long long>(p % ow + kx) -
                           static_cast<long long>(g.pad);
           if (iy >= 0 && ix >= 0 && iy < static_cast<long long>(g.in_h) &&
               ix < static_cast<long long>(g.in_w)) {
@@ -651,12 +651,12 @@ TEST(FastPathOracle, ConvMatchesRowLayoutComposition) {
     std::size_t out_channels;
   };
   const Case cases[] = {
-      {{3, 16, 16, 5, 1, 0}, 6},   // LeNet-5 conv1
-      {{6, 6, 6, 5, 1, 0}, 16},    // LeNet-5 conv2
-      {{2, 8, 8, 3, 1, 1}, 5},     // padded
-      {{3, 9, 9, 3, 2, 1}, 7},     // strided and padded
-      {{2, 11, 11, 4, 3, 0}, 4},   // strided
-      {{12, 7, 7, 5, 1, 2}, 9},    // patch 300 crosses the AVX2 kKc block
+      {{3, 16, 16, 5, 0}, 6},   // LeNet-5 conv1
+      {{6, 6, 6, 5, 0}, 16},    // LeNet-5 conv2
+      {{2, 8, 8, 3, 1}, 5},     // padded
+      {{12, 7, 7, 5, 2}, 9},    // patch 300 crosses the AVX2 kKc block
+      {{4, 32, 32, 3, 1}, 4},   // VGG-16 (width 4) conv2
+      {{32, 4, 4, 3, 1}, 32},   // VGG-16 conv10: 12 of 16 pixels on the edge
   };
   for (const std::string& variant : kernels::available()) {
     const KernelVariant kv(variant);
@@ -670,8 +670,8 @@ TEST(FastPathOracle, ConvMatchesRowLayoutComposition) {
           const std::string label =
               variant + " t" + std::to_string(threads) + " b" +
               std::to_string(batch) + " c" + std::to_string(g.in_channels) +
-              " k" + std::to_string(g.kernel) + " s" +
-              std::to_string(g.stride) + " p" + std::to_string(g.pad);
+              " k" + std::to_string(g.kernel) + " p" +
+              std::to_string(g.pad);
           Rng rng(g.patch_size() + batch);
           nn::Conv2D conv(g, cs.out_channels, rng, "conv");
           std::vector<nn::ParamRef> params = conv.params();
@@ -715,8 +715,7 @@ TEST(FastPathOracle, ConvBatchSizeChangesMatchFreshLayer) {
   // The tuning loop evaluates 64-sample batches and trains on 16: one
   // layer run at 64 -> 16 -> 64 samples must give, pass by pass, the
   // bits of a fresh layer with the same parameters.
-  const ConvGeometry geometries[] = {{3, 16, 16, 5, 1, 0},
-                                     {6, 6, 6, 5, 1, 0}};
+  const ConvGeometry geometries[] = {{3, 16, 16, 5, 0}, {6, 6, 6, 5, 0}};
   for (const std::string& variant : kernels::available()) {
     const KernelVariant kv(variant);
     for (const ConvGeometry& g : geometries) {

@@ -67,7 +67,7 @@ TEST(GradCheck, TanhStack) {
 TEST(GradCheck, ConvStack) {
   Rng rng(5);
   Network net("conv");
-  ConvGeometry g{2, 5, 5, 3, 1, 1};
+  ConvGeometry g{2, 5, 5, 3, 1};
   net.add(std::make_unique<Conv2D>(g, 3, rng, "conv1"));
   net.add(std::make_unique<ReLU>());
   net.add(std::make_unique<Flatten>());
@@ -80,10 +80,10 @@ TEST(GradCheck, ConvStack) {
 TEST(GradCheck, MaxPoolStack) {
   Rng rng(6);
   Network net("pool");
-  ConvGeometry g{1, 6, 6, 3, 1, 0};
+  ConvGeometry g{1, 6, 6, 3, 0};
   net.add(std::make_unique<Conv2D>(g, 2, rng, "conv1"));
   net.add(std::make_unique<Tanh>());
-  PoolGeometry p{2, 4, 4, 2, 2};
+  PoolGeometry p{2, 4, 4};
   net.add(std::make_unique<MaxPool2D>(p, "pool"));
   net.add(std::make_unique<Flatten>());
   net.add(std::make_unique<Dense>(2 * 2 * 2, 3, rng, "fc"));
@@ -95,10 +95,10 @@ TEST(GradCheck, MaxPoolStack) {
 TEST(GradCheck, LeNetStyleEndToEnd) {
   Rng rng(8);
   Network net("mini-lenet");
-  ConvGeometry c1{1, 8, 8, 3, 1, 0};
+  ConvGeometry c1{1, 8, 8, 3, 0};
   net.add(std::make_unique<Conv2D>(c1, 2, rng, "conv1"));
   net.add(std::make_unique<Tanh>());
-  PoolGeometry p1{2, 6, 6, 2, 2};
+  PoolGeometry p1{2, 6, 6};
   net.add(std::make_unique<MaxPool2D>(p1, "pool1"));
   net.add(std::make_unique<Flatten>());
   net.add(std::make_unique<Dense>(2 * 3 * 3, 6, rng, "fc1"));

@@ -94,7 +94,7 @@ TEST(DenseLayer, WrongInputWidthThrows) {
 
 TEST(ConvLayer, OutputShapeAndChannelMajorLayout) {
   Rng rng(2);
-  ConvGeometry g{1, 4, 4, 3, 1, 0};
+  ConvGeometry g{1, 4, 4, 3, 0};
   Conv2D conv(g, 2, rng, "conv");
   Tensor x(Shape{1, 16}, 1.0f);
   Tensor y = conv.infer(x, nullptr);
@@ -104,7 +104,7 @@ TEST(ConvLayer, OutputShapeAndChannelMajorLayout) {
 
 TEST(ConvLayer, KnownConvolutionValue) {
   Rng rng(2);
-  ConvGeometry g{1, 3, 3, 3, 1, 0};
+  ConvGeometry g{1, 3, 3, 3, 0};
   Conv2D conv(g, 1, rng, "conv");
   auto params = conv.params();
   // All-ones kernel, zero bias: output = sum of image.
@@ -121,7 +121,7 @@ TEST(ConvLayer, ParallelBatchMatchesSerialBitwise) {
   // gradient partials in sample order: outputs and gradients must be
   // bit-identical at any thread count.
   Rng rng(31);
-  ConvGeometry g{2, 6, 6, 3, 1, 1};
+  ConvGeometry g{2, 6, 6, 3, 1};
   Conv2D conv(g, 4, rng, "conv");
   Tensor x(Shape{5, 2 * 6 * 6});
   x.fill_gaussian(rng, 0.0f, 1.0f);
@@ -149,7 +149,7 @@ TEST(ConvLayer, BackwardFailsClosedWithoutMatchingForward) {
   // The gradients re-gather patches from the last forward's input, so
   // a backward with no forward, or for another batch, must throw.
   Rng rng(32);
-  ConvGeometry g{2, 6, 6, 3, 1, 1};
+  ConvGeometry g{2, 6, 6, 3, 1};
   Conv2D conv(g, 4, rng, "conv");
   const Tensor gy3(Shape{3, 4 * 6 * 6}, 0.5f);
   EXPECT_THROW(conv.backward(gy3), InvalidArgument);
@@ -165,7 +165,7 @@ TEST(ConvLayer, BackwardFailsClosedWithoutMatchingForward) {
 }
 
 TEST(MaxPoolLayer, SelectsWindowMaxima) {
-  PoolGeometry g{1, 4, 4, 2, 2};
+  PoolGeometry g{1, 4, 4};
   MaxPool2D pool(g, "pool");
   Tensor x(Shape{1, 16});
   for (std::size_t i = 0; i < 16; ++i) {
@@ -180,7 +180,7 @@ TEST(MaxPoolLayer, SelectsWindowMaxima) {
 }
 
 TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
-  PoolGeometry g{1, 2, 2, 2, 2};
+  PoolGeometry g{1, 2, 2};
   MaxPool2D pool(g, "pool");
   Tensor x(Shape{1, 4}, std::vector<float>{1.0f, 9.0f, 3.0f, 4.0f});
   pool.forward(x);
@@ -194,7 +194,7 @@ TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
 TEST(MaxPoolLayer, AllNegativeInfinityWindowKeepsGradientInside) {
   // Channel 1's only window holds no finite value: its output is -inf
   // and its gradient must land inside that window, not on channel 0.
-  PoolGeometry g{2, 2, 2, 2, 2};
+  PoolGeometry g{2, 2, 2};
   MaxPool2D pool(g, "pool");
   const float inf = std::numeric_limits<float>::infinity();
   Tensor x(Shape{1, 8},
@@ -214,10 +214,10 @@ TEST(MaxPoolLayer, AllNegativeInfinityWindowKeepsGradientInside) {
 }
 
 TEST(PoolGeometry, Validation) {
-  PoolGeometry bad{0, 4, 4, 2, 2};
+  PoolGeometry bad{0, 4, 4};
   EXPECT_THROW(bad.validate(), InvalidArgument);
-  PoolGeometry window_too_big{1, 2, 2, 3, 1};
-  EXPECT_THROW(window_too_big.validate(), InvalidArgument);
+  PoolGeometry too_small{1, 1, 4};  // one row: no 2x2 window fits
+  EXPECT_THROW(too_small.validate(), InvalidArgument);
 }
 
 TEST(LayerKind, ToString) {

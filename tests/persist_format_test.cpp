@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "aging/tracker.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/checkpoint_loop.hpp"
@@ -464,9 +465,15 @@ struct LifetimeKind {
       w.skip(w.count());         // stuck cells
       w.skip(4 * w.count());     // pinned conductances
       w.skip(8 * w.count());     // row permutation
-      w.count();                 // crossbar rows
-      w.count();                 // crossbar columns
-      w.skip(hw.layer(li).xbar->state_bytes() - 16);
+      // The crossbar block (see Crossbar::save_state).
+      const std::uint64_t rows = w.count();
+      const std::uint64_t cols = w.count();
+      w.skip(rows * cols * xbar::Crossbar::kCellStateBytes);  // cells
+      const std::uint64_t blocks = w.count();  // tracker blocks
+      // the blocks, then the tracker's ambient term
+      w.skip(blocks * aging::RepresentativeTracker::kBlockStateBytes + 8);
+      // total pulses, ambient stress, write and read noise streams
+      w.skip(8 + 8 + 2 * persist::kRngStateBytes);
     }
     for (std::uint64_t t = w.count(); t > 0; --t) {
       w.skip(4 * w.count());  // target tensor

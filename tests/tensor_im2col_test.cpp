@@ -14,18 +14,21 @@ namespace xbarlife {
 namespace {
 
 /// One image's (patch_size, pixels) patch matrix: all of its columns,
-/// gathered in one tile.
+/// gathered in one tile from the padded image.
 Tensor lower(const Tensor& image, const ConvGeometry& g) {
   const std::size_t pixels = g.out_h() * g.out_w();
   Tensor cols(Shape{g.patch_size(), pixels});
-  TapTable(g).gather_cols(image.flat(), 0, pixels, cols.flat());
+  TapTable(g.padded())
+      .gather_cols(pad_images(image, g).flat(), 0, pixels, cols.flat());
   return cols;
 }
 
-/// col2im into a fresh zero image.
+/// col2im into a fresh image.
 Tensor raise(const Tensor& cols, const ConvGeometry& g) {
+  const ConvGeometry p = g.padded();
+  std::vector<float> padded(p.in_channels * p.in_h * p.in_w);
   Tensor image(Shape{g.in_channels * g.in_h * g.in_w});
-  col2im(cols.flat(), g, image.flat());
+  col2im(cols.flat(), g, padded, image.flat());
   return image;
 }
 
@@ -33,10 +36,10 @@ Tensor raise(const Tensor& cols, const ConvGeometry& g) {
 /// for padding.
 long long tap_source(const ConvGeometry& g, std::size_t c, std::size_t ky,
                      std::size_t kx, std::size_t oy, std::size_t ox) {
-  const auto iy = static_cast<long long>(oy * g.stride + ky) -
-                  static_cast<long long>(g.pad);
-  const auto ix = static_cast<long long>(ox * g.stride + kx) -
-                  static_cast<long long>(g.pad);
+  const auto iy =
+      static_cast<long long>(oy + ky) - static_cast<long long>(g.pad);
+  const auto ix =
+      static_cast<long long>(ox + kx) - static_cast<long long>(g.pad);
   if (iy < 0 || ix < 0 || iy >= static_cast<long long>(g.in_h) ||
       ix >= static_cast<long long>(g.in_w)) {
     return -1;
@@ -47,31 +50,26 @@ long long tap_source(const ConvGeometry& g, std::size_t c, std::size_t ky,
 }
 
 TEST(ConvGeometry, OutputDims) {
-  ConvGeometry g{3, 32, 32, 5, 1, 0};
+  ConvGeometry g{3, 32, 32, 5, 0};
   EXPECT_EQ(g.out_h(), 28u);
   EXPECT_EQ(g.out_w(), 28u);
   EXPECT_EQ(g.patch_size(), 75u);
 
-  ConvGeometry padded{1, 8, 8, 3, 1, 1};
+  ConvGeometry padded{1, 8, 8, 3, 1};
   EXPECT_EQ(padded.out_h(), 8u);
   EXPECT_EQ(padded.out_w(), 8u);
-
-  ConvGeometry strided{1, 8, 8, 2, 2, 0};
-  EXPECT_EQ(strided.out_h(), 4u);
 }
 
 TEST(ConvGeometry, ValidationErrors) {
-  ConvGeometry zero{0, 8, 8, 3, 1, 0};
+  ConvGeometry zero{0, 8, 8, 3, 0};
   EXPECT_THROW(zero.validate(), InvalidArgument);
-  ConvGeometry big_kernel{1, 4, 4, 9, 1, 0};
+  ConvGeometry big_kernel{1, 4, 4, 9, 0};
   EXPECT_THROW(big_kernel.validate(), InvalidArgument);
-  ConvGeometry zero_stride{1, 8, 8, 3, 0, 0};
-  EXPECT_THROW(zero_stride.validate(), InvalidArgument);
 }
 
 TEST(Im2col, IdentityKernelExtractsPixels) {
   // 1x1 kernel: the patch matrix is just the image pixels, row per pixel.
-  ConvGeometry g{2, 3, 3, 1, 1, 0};
+  ConvGeometry g{2, 3, 3, 1, 0};
   Tensor image(Shape{2 * 3 * 3});
   for (std::size_t i = 0; i < image.numel(); ++i) {
     image[i] = static_cast<float>(i);
@@ -85,7 +83,7 @@ TEST(Im2col, IdentityKernelExtractsPixels) {
 }
 
 TEST(Im2col, KnownPatchValues) {
-  ConvGeometry g{1, 3, 3, 2, 1, 0};
+  ConvGeometry g{1, 3, 3, 2, 0};
   Tensor image(Shape{9}, std::vector<float>{0, 1, 2, 3, 4, 5, 6, 7, 8});
   Tensor cols = lower(image, g);
   EXPECT_EQ(cols.shape(), (Shape{4, 4}));
@@ -100,7 +98,7 @@ TEST(Im2col, KnownPatchValues) {
 }
 
 TEST(Im2col, PaddingYieldsZeros) {
-  ConvGeometry g{1, 2, 2, 3, 1, 1};
+  ConvGeometry g{1, 2, 2, 3, 1};
   Tensor image(Shape{4}, std::vector<float>{1, 2, 3, 4});
   Tensor cols = lower(image, g);
   EXPECT_EQ(cols.shape(), (Shape{9, 4}));
@@ -110,7 +108,7 @@ TEST(Im2col, PaddingYieldsZeros) {
 }
 
 TEST(Im2col, InputSizeMismatchThrows) {
-  ConvGeometry g{1, 4, 4, 3, 1, 0};
+  ConvGeometry g{1, 4, 4, 3, 0};
   const TapTable taps(g);
   Tensor cols(Shape{g.patch_size(), g.out_h() * g.out_w()});
   EXPECT_THROW(taps.gather_cols(Tensor(Shape{15}).flat(), 0, 4, cols.flat()),
@@ -130,6 +128,8 @@ TEST(Im2col, InputSizeMismatchThrows) {
                InvalidArgument);
   EXPECT_THROW(taps.gather_rows(image.flat(), Tensor(Shape{3, 3}).flat()),
                InvalidArgument);
+  // A tap table reads pad-free images only.
+  EXPECT_THROW(TapTable(ConvGeometry{1, 4, 4, 3, 1}), InvalidArgument);
 }
 
 TEST(Im2col, BatchTilesAndRowsMatchPerImageColumns) {
@@ -139,11 +139,11 @@ TEST(Im2col, BatchTilesAndRowsMatchPerImageColumns) {
   // 1 to 3 taps per row give runs shorter than 4 floats, whose 4-float
   // moves must stop at the end of the image and of the rows. The last
   // geometry pads by more than the kernel: some pixels read only zeros.
-  const ConvGeometry geometries[] = {{2, 6, 6, 3, 1, 1}, {3, 7, 7, 3, 2, 0},
-                                     {6, 6, 6, 5, 1, 0}, {2, 5, 5, 1, 1, 0},
-                                     {3, 6, 6, 2, 1, 0}, {1, 3, 3, 2, 1, 3}};
+  const ConvGeometry geometries[] = {{2, 6, 6, 3, 1}, {3, 7, 7, 3, 0},
+                                     {6, 6, 6, 5, 0}, {2, 5, 5, 1, 0},
+                                     {3, 6, 6, 2, 0}, {1, 3, 3, 2, 3}};
   for (const ConvGeometry& g : geometries) {
-    const TapTable taps(g);
+    const TapTable taps(g.padded());
     const std::size_t patch = g.patch_size();
     const std::size_t pixels = g.out_h() * g.out_w();
     const std::size_t per_image = g.in_channels * g.in_h * g.in_w;
@@ -151,13 +151,16 @@ TEST(Im2col, BatchTilesAndRowsMatchPerImageColumns) {
     Rng rng(patch + pixels);
     Tensor images(Shape{kBatch, per_image});
     images.fill_gaussian(rng, 0.0f, 1.0f);
+    const Tensor padded = pad_images(images, g);
+    const std::size_t per_padded = padded.shape()[1];
     std::vector<Tensor> cols;
     for (std::size_t b = 0; b < kBatch; ++b) {
       Tensor image(Shape{per_image});
       std::copy_n(images.data() + b * per_image, per_image, image.data());
       cols.push_back(lower(image, g));
       Tensor rows(Shape{pixels, patch});
-      taps.gather_rows(image.flat(), rows.flat());
+      taps.gather_rows(padded.flat().subspan(b * per_padded, per_padded),
+                       rows.flat());
       EXPECT_TRUE(rows == cols.back().transposed());
     }
     const std::size_t n = kBatch * pixels;
@@ -165,7 +168,7 @@ TEST(Im2col, BatchTilesAndRowsMatchPerImageColumns) {
       for (std::size_t j0 = 0; j0 < n; j0 += width) {
         const std::size_t w = std::min(width, n - j0);
         Tensor tile(Shape{patch, w});
-        taps.gather_cols(images.flat(), j0, j0 + w, tile.flat());
+        taps.gather_cols(padded.flat(), j0, j0 + w, tile.flat());
         for (std::size_t t = 0; t < patch; ++t) {
           for (std::size_t i = 0; i < w; ++i) {
             const std::size_t j = j0 + i;
@@ -181,7 +184,7 @@ TEST(Im2col, BatchTilesAndRowsMatchPerImageColumns) {
 TEST(Col2im, IsAdjointOfIm2col) {
   // <patches(x), y> == <x, col2im(y)> — the defining adjoint property,
   // checked with random tensors.
-  ConvGeometry g{2, 6, 5, 3, 1, 1};
+  ConvGeometry g{2, 6, 5, 3, 1};
   Rng rng(11);
   Tensor x(Shape{g.in_channels * g.in_h * g.in_w});
   x.fill_gaussian(rng, 0.0f, 1.0f);
@@ -202,12 +205,15 @@ TEST(Col2im, IsAdjointOfIm2col) {
 }
 
 TEST(Col2im, ShapeMismatchThrows) {
-  ConvGeometry g{1, 4, 4, 3, 1, 0};
+  ConvGeometry g{1, 4, 4, 3, 1};
+  std::vector<float> padded(36);
   Tensor image(Shape{16});
-  EXPECT_THROW(col2im(Tensor(Shape{3, 3}).flat(), g, image.flat()),
+  EXPECT_THROW(col2im(Tensor(Shape{3, 3}).flat(), g, padded, image.flat()),
                InvalidArgument);
   Tensor cols(Shape{g.patch_size(), g.out_h() * g.out_w()});
-  EXPECT_THROW(col2im(cols.flat(), g, Tensor(Shape{15}).flat()),
+  EXPECT_THROW(col2im(cols.flat(), g, padded, Tensor(Shape{15}).flat()),
+               InvalidArgument);
+  EXPECT_THROW(col2im(cols.flat(), g, Tensor(Shape{16}).flat(), image.flat()),
                InvalidArgument);
 }
 
@@ -217,7 +223,7 @@ class Im2colGeometrySweep
 
 TEST_P(Im2colGeometrySweep, RoundtripAdjointHolds) {
   const auto [channels, side, kernel, pad] = GetParam();
-  ConvGeometry g{channels, side, side, kernel, 1, pad};
+  ConvGeometry g{channels, side, side, kernel, pad};
   g.validate();
   Rng rng(channels * 100 + side * 10 + kernel);
   Tensor x(Shape{g.in_channels * g.in_h * g.in_w});
@@ -244,19 +250,19 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4, 6, 3, 1),
                       std::make_tuple(1, 12, 5, 0)));
 
-TEST(Im2col, MatchesDefinitionAndAdjointOnStridedGeometries) {
+TEST(Im2col, MatchesDefinitionAndAdjointOnPaddedGeometries) {
   // Every element of the gathered patch matrix and col2im against the
   // per-tap definition, and <col2im(g), x> == <g, patches(x)> in float,
-  // on padded and strided geometries.
+  // on pad-0 and padded geometries, up to a border wider than the kernel.
   const ConvGeometry geometries[] = {
-      {1, 7, 7, 3, 2, 0}, {2, 8, 8, 3, 2, 1}, {3, 9, 9, 2, 3, 1},
-      {1, 6, 6, 5, 1, 4}, {2, 5, 5, 3, 3, 2}, {4, 16, 16, 5, 1, 0},
-      {1, 3, 3, 2, 1, 3}};
+      {1, 7, 7, 3, 0}, {2, 8, 8, 3, 1}, {3, 9, 9, 2, 1},
+      {1, 6, 6, 5, 4}, {2, 5, 5, 3, 2}, {4, 16, 16, 5, 0},
+      {1, 3, 3, 2, 3}};
   for (const ConvGeometry& g : geometries) {
     SCOPED_TRACE(::testing::Message()
                  << g.in_channels << "x" << g.in_h << "x" << g.in_w << " k"
-                 << g.kernel << " s" << g.stride << " p" << g.pad);
-    Rng rng(g.kernel * 100 + g.stride * 10 + g.pad);
+                 << g.kernel << " p" << g.pad);
+    Rng rng(g.kernel * 100 + 10 + g.pad);
     Tensor x(Shape{g.in_channels * g.in_h * g.in_w});
     x.fill_gaussian(rng, 0.0f, 1.0f);
     const std::size_t pixels = g.out_h() * g.out_w();

@@ -139,7 +139,7 @@ TEST(RemoteCodec, RejectsGeometryNotBackedByState) {
   const ProgramSequence seq = mixed_sequence(3, 3);
   std::string request = encode_execute_request(xb, seq);
   // rows is the u64 right after the 1-byte version: blow it up.
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     request[1 + i] = static_cast<char>(0xff);
   }
   try {
