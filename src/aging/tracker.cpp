@@ -82,22 +82,10 @@ double RepresentativeTracker::stress_estimate(std::size_t r,
   return stress_[b] + ambient_ - self_ambient_[b];
 }
 
-std::uint64_t RepresentativeTracker::pulse_estimate(std::size_t r,
-                                                    std::size_t c) const {
-  return pulses_[block_index(r, c)];
-}
-
 void RepresentativeTracker::attach_counters(obs::Counter* pulses,
                                             obs::Counter* traced_pulses) {
   pulse_counter_ = pulses;
   traced_pulse_counter_ = traced_pulses;
-}
-
-void RepresentativeTracker::reset() {
-  std::fill(stress_.begin(), stress_.end(), 0.0);
-  std::fill(self_ambient_.begin(), self_ambient_.end(), 0.0);
-  std::fill(pulses_.begin(), pulses_.end(), 0);
-  ambient_ = 0.0;
 }
 
 void RepresentativeTracker::save_state(persist::StateWriter& w) const {

@@ -67,15 +67,8 @@ class RepresentativeTracker {
     return stress_;
   }
 
-  /// Traced pulse count of the representative covering (r, c).
-  std::uint64_t pulse_estimate(std::size_t r, std::size_t c) const;
-
   std::size_t block_rows() const { return block_rows_; }
   std::size_t block_cols() const { return block_cols_; }
-
-  /// Resets all traced history (fresh array). Attached counters are kept
-  /// (they are cumulative run totals, not array state).
-  void reset();
 
   /// Attaches observability counters (either may be null): `pulses` counts
   /// every recorded pulse, `traced_pulses` only those landing on a

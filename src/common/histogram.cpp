@@ -36,12 +36,6 @@ void Histogram::add(std::span<const double> xs) {
   }
 }
 
-void Histogram::add(std::span<const float> xs) {
-  for (float x : xs) {
-    add(static_cast<double>(x));
-  }
-}
-
 std::size_t Histogram::count(std::size_t bin) const {
   XB_CHECK(bin < counts_.size(), "histogram bin out of range");
   return counts_[bin];

@@ -21,7 +21,6 @@ class Histogram {
 
   void add(double x);
   void add(std::span<const double> xs);
-  void add(std::span<const float> xs);
 
   std::size_t bins() const { return counts_.size(); }
   double lo() const { return lo_; }

@@ -17,10 +17,11 @@ namespace {
 //                    limits inside the handler and happens on the polling
 //                    side instead.
 //   g_programmatic   written by request_shutdown()/reset_shutdown() from
-//                    ordinary threads (tests, embedders, the remote
-//                    executor's retry loop). A std::atomic keeps those
-//                    cross-thread writes race-free under TSan without
-//                    dragging the handler into atomics.
+//                    ordinary threads (the tests' seams into the flag).
+//                    The remote executor's retry loop and the worker
+//                    pool only read shutdown_requested(). A std::atomic
+//                    keeps those cross-thread writes race-free under
+//                    TSan without dragging the handler into atomics.
 //
 // shutdown_requested() ORs the two. reset_shutdown() clears both; it runs
 // from normal context between test cycles, where no signal is in flight.

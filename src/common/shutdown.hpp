@@ -16,7 +16,7 @@ void install_signal_handlers();
 /// True once a shutdown has been requested (by a signal or explicitly).
 bool shutdown_requested();
 
-/// Requests a shutdown programmatically (tests, embedding applications).
+/// Requests a shutdown programmatically (the tests' interrupt seam).
 void request_shutdown();
 
 /// Clears the flag (tests re-running the interrupt/resume cycle).

@@ -18,16 +18,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double RunningStats::min() const {
-  XB_CHECK(count_ > 0, "min() of empty RunningStats");
-  return min_;
-}
-
-double RunningStats::max() const {
-  XB_CHECK(count_ > 0, "max() of empty RunningStats");
-  return max_;
-}
-
 double quantile_sorted(std::span<const double> sorted, double q) {
   XB_CHECK(q >= 0.0 && q <= 1.0, "quantile q must lie in [0, 1]");
   if (sorted.empty()) {
@@ -73,10 +63,6 @@ Summary summarize(std::span<const double> values) {
   return summarize_doubles(std::vector<double>(values.begin(), values.end()));
 }
 
-Summary summarize(std::span<const float> values) {
-  return summarize_doubles(std::vector<double>(values.begin(), values.end()));
-}
-
 double skewness(std::span<const double> values) {
   if (values.size() < 2) {
     return 0.0;
@@ -95,11 +81,6 @@ double skewness(std::span<const double> values) {
     m3 += d * d * d;
   }
   return m3 / static_cast<double>(values.size());
-}
-
-double skewness(std::span<const float> values) {
-  std::vector<double> d(values.begin(), values.end());
-  return skewness(std::span<const double>(d));
 }
 
 }  // namespace xbarlife

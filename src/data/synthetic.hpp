@@ -35,11 +35,4 @@ struct TrainTest {
 /// spec.seed; train and test are disjoint draws from the same class models.
 TrainTest make_synthetic(const SyntheticSpec& spec);
 
-/// Low-dimensional Gaussian-blob dataset for fast unit tests: `classes`
-/// isotropic blobs in `features` dimensions.
-TrainTest make_blobs(std::size_t classes, std::size_t features,
-                     std::size_t train_per_class,
-                     std::size_t test_per_class, double spread,
-                     std::uint64_t seed = 3);
-
 }  // namespace xbarlife::data

@@ -199,16 +199,4 @@ MappingReport program_weights(xbar::Crossbar& xbar, const Tensor& weights,
   return report;
 }
 
-Tensor effective_weights(const xbar::Crossbar& xbar,
-                         const MappingPlan& plan) {
-  Tensor eff(Shape{xbar.rows(), xbar.cols()});
-  for (std::size_t r = 0; r < xbar.rows(); ++r) {
-    for (std::size_t c = 0; c < xbar.cols(); ++c) {
-      eff.at(r, c) = static_cast<float>(
-          plan.weight_of_resistance(xbar.read_resistance(r, c)));
-    }
-  }
-  return eff;
-}
-
 }  // namespace xbarlife::mapping

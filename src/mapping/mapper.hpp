@@ -73,13 +73,6 @@ Tensor predict_effective_weights(
     const std::function<aging::AgedWindow(std::size_t, std::size_t)>&
         window_of);
 
-/// Programs `weights` (rank-2, shape == crossbar dims) into `xbar`.
-///
-/// With `skip_unchanged` (read-verify-program controller), cells already
-/// within half a conductance step of their target are not pulsed; without
-/// it every cell receives a write pulse, which is how a full hardware
-/// mapping pass behaves (Fig. 5's "hardware mapping" stage). Returns the
-/// report; fetch effective weights afterwards via effective_weights().
 /// Write-verify cell states tracked by the controller's bad-cell list.
 inline constexpr std::uint8_t kCellHealthy = 0;
 /// Window no longer covers the target: best-effort writes continue (they
@@ -91,6 +84,14 @@ inline constexpr std::uint8_t kCellClamped = 1;
 /// either.
 inline constexpr std::uint8_t kCellDead = 2;
 
+/// Programs `weights` (rank-2, shape == crossbar dims) into `xbar` and
+/// returns the report.
+///
+/// With `skip_unchanged` (read-verify-program controller), cells already
+/// within half a conductance step of their target are not pulsed; without
+/// it every cell receives a write pulse, which is how a full hardware
+/// mapping pass behaves (Fig. 5's "hardware mapping" stage).
+///
 /// `stuck`, when non-null, is a rows*cols row-major bad-cell list the
 /// write-verify controller maintains with the kCell* states above, and
 /// `pinned_g` (same size, required with `stuck`) remembers each clamped
@@ -116,11 +117,5 @@ MappingReport program_weights(
     std::vector<float>* pinned_g = nullptr,
     const std::vector<std::uint8_t>* row_active = nullptr,
     const xbar::ProgramExecutor* executor = nullptr);
-
-/// Weights currently held by the crossbar under `plan`'s transfer, as
-/// seen through the read periphery (read noise / IR drop when the array
-/// is nonideal; the exact stored values otherwise).
-Tensor effective_weights(const xbar::Crossbar& xbar,
-                         const MappingPlan& plan);
 
 }  // namespace xbarlife::mapping

@@ -30,10 +30,6 @@ ResistanceQuantizer::ResistanceQuantizer(ResistanceRange fresh,
       fresh_.r_lo + static_cast<double>(usable_levels_ - 1) * step_};
 }
 
-ResistanceQuantizer::ResistanceQuantizer(ResistanceRange fresh,
-                                         std::size_t fresh_levels)
-    : ResistanceQuantizer(fresh, fresh_levels, fresh.r_hi) {}
-
 double ResistanceQuantizer::level_resistance(std::size_t k) const {
   XB_CHECK(k < usable_levels_, "level index out of range");
   return fresh_.r_lo + static_cast<double>(k) * step_;
@@ -41,15 +37,6 @@ double ResistanceQuantizer::level_resistance(std::size_t k) const {
 
 double ResistanceQuantizer::level_conductance(std::size_t k) const {
   return 1.0 / level_resistance(k);
-}
-
-std::size_t ResistanceQuantizer::nearest_level_for_resistance(
-    double r) const {
-  const double clamped =
-      std::clamp(r, usable_range_.r_lo, usable_range_.r_hi);
-  const auto k = static_cast<std::size_t>(
-      std::llround((clamped - usable_range_.r_lo) / step_));
-  return std::min(k, usable_levels_ - 1);
 }
 
 std::size_t ResistanceQuantizer::nearest_level_for_conductance(

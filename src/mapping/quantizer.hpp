@@ -36,9 +36,6 @@ class ResistanceQuantizer {
   ResistanceQuantizer(ResistanceRange fresh, std::size_t fresh_levels,
                       double upper_cut);
 
-  /// Untruncated grid (upper_cut = fresh.r_hi).
-  ResistanceQuantizer(ResistanceRange fresh, std::size_t fresh_levels);
-
   /// Number of *usable* levels (after the cut).
   std::size_t levels() const { return usable_levels_; }
   /// Total levels of the fresh grid.
@@ -52,9 +49,6 @@ class ResistanceQuantizer {
   double level_resistance(std::size_t k) const;
   /// Conductance of usable level k (= 1 / level_resistance(k)).
   double level_conductance(std::size_t k) const;
-
-  /// Usable level whose resistance is closest to `r` (clamped).
-  std::size_t nearest_level_for_resistance(double r) const;
 
   /// Usable level whose *conductance* is closest to `g` (clamped). This is
   /// the quantization applied during weight mapping: the target

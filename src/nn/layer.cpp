@@ -18,10 +18,4 @@ std::string to_string(LayerKind kind) {
   return "unknown";
 }
 
-void Layer::zero_grad() {
-  for (ParamRef& p : params()) {
-    p.grad->zero();
-  }
-}
-
 }  // namespace xbarlife::nn

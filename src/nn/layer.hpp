@@ -80,12 +80,9 @@ class Layer {
   virtual LayerKind kind() const = 0;
   const std::string& name() const { return name_; }
 
-  /// Zeroes all parameter gradients.
-  void zero_grad();
-
   /// Makes the next backward() or backward_params() write this layer's
-  /// parameter gradients instead of adding to them: zero_grad() folded
-  /// into the backward pass, with no pass over the gradients of its own.
+  /// parameter gradients instead of adding to them: zeroing folded into
+  /// the backward pass, with no pass over the gradients of its own.
   void overwrite_grads() { overwrite_grads_ = true; }
 
  protected:

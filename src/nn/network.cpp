@@ -56,16 +56,6 @@ Network& Network::add(LayerPtr layer) {
   return *this;
 }
 
-Layer& Network::layer(std::size_t i) {
-  XB_CHECK(i < layers_.size(), "layer index out of range");
-  return *layers_[i];
-}
-
-const Layer& Network::layer(std::size_t i) const {
-  XB_CHECK(i < layers_.size(), "layer index out of range");
-  return *layers_[i];
-}
-
 Tensor Network::infer(const Tensor& input,
                       std::span<const QuantSpec> specs) const {
   XB_CHECK(!layers_.empty(), "network has no layers");
@@ -112,12 +102,6 @@ void Network::backward(const Tensor& grad_output) {
     g = layers_[i]->backward(g);
   }
   layers_[0]->backward_params(g);
-}
-
-void Network::zero_grad() {
-  for (auto& l : layers_) {
-    l->zero_grad();
-  }
 }
 
 std::vector<MappableWeight> Network::mappable_weights() {

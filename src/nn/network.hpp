@@ -41,8 +41,6 @@ class Network {
 
   const std::string& name() const { return name_; }
   std::size_t layer_count() const { return layers_.size(); }
-  Layer& layer(std::size_t i);
-  const Layer& layer(std::size_t i) const;
 
   /// Inference over a batch; no layer saves anything, so one network may
   /// serve concurrent calls. With `specs` (one per mappable weight, in
@@ -62,12 +60,9 @@ class Network {
                             std::span<const QuantSpec> specs) const;
 
   /// Backward pass from a loss gradient; writes every parameter gradient
-  /// (the previous pass's are replaced, so it needs no zero_grad()). The
+  /// (the previous pass's are replaced, so nothing zeroes them first). The
   /// first layer computes no input gradient (see Layer::backward_params).
   void backward(const Tensor& grad_output);
-
-  /// Zeroes all parameter gradients.
-  void zero_grad();
 
   /// All parameters of all layers, in layer order.
   const std::vector<ParamRef>& params() { return params_; }

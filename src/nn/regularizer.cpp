@@ -13,12 +13,6 @@ double Regularizer::penalty(const Tensor& w, std::size_t layer_index) const {
   return t.penalty(penalty_sums(w.flat(), t));
 }
 
-void Regularizer::add_gradient(const Tensor& w, std::size_t layer_index,
-                               Tensor& grad) const {
-  XB_CHECK(grad.shape() == w.shape(), "regularizer gradient shape mismatch");
-  add_term_gradient(w.flat(), grad.flat(), term(w, layer_index));
-}
-
 L2Regularizer::L2Regularizer(double lambda) : lambda_(lambda) {
   XB_CHECK(lambda >= 0.0, "L2 lambda must be non-negative");
 }

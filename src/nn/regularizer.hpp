@@ -30,10 +30,6 @@ class Regularizer {
 
   /// Penalty value contributed by layer `layer_index` with weights `w`.
   double penalty(const Tensor& w, std::size_t layer_index) const;
-
-  /// Accumulates d(penalty)/dw into `grad` (same shape as `w`).
-  void add_gradient(const Tensor& w, std::size_t layer_index,
-                    Tensor& grad) const;
 };
 
 /// Classic L2: lambda * ||W||^2.

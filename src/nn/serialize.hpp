@@ -1,9 +1,8 @@
 // Network parameter serialization.
 //
 // Simple self-describing binary container ("XBW1"): per parameter, the
-// name, shape and float data. Covers the train-once / deploy-many workflow
-// (train a network, persist it, map it onto crossbars later) without
-// pulling in a serialization dependency.
+// name, shape and float data. `train --out` writes it; no program in this
+// repository reads it back.
 #pragma once
 
 #include <string>
@@ -15,10 +14,5 @@ namespace xbarlife::nn {
 /// Writes every parameter (weights and biases) of `net` to `path`.
 /// Throws xbarlife::Error on I/O failure.
 void save_parameters(Network& net, const std::string& path);
-
-/// Loads parameters saved by save_parameters into `net`. Names and shapes
-/// must match exactly (same topology, same layer names); throws
-/// InvalidArgument otherwise.
-void load_parameters(Network& net, const std::string& path);
 
 }  // namespace xbarlife::nn

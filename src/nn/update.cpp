@@ -144,11 +144,4 @@ PenaltySums penalty_sums(std::span<const float> w,
                                   w.size(), term, 0.0f, 0.0f);
 }
 
-void add_term_gradient(std::span<const float> w, std::span<float> g,
-                       const RegularizerTerm& term) {
-  XB_CHECK(g.size() == w.size(), "regularizer gradient shape mismatch");
-  pass<true, true, false>(w.data(), nullptr, g.data(), nullptr, w.size(),
-                          term, 0.0f, 0.0f);
-}
-
 }  // namespace xbarlife::nn

@@ -1,7 +1,7 @@
 // The training step's per-element rule: regularizer gradient, momentum
 // SGD and the penalty sums, fused into one pass over each parameter
 // tensor (Network::train_batch), and the same rule behind
-// Regularizer::penalty / add_gradient and SgdOptimizer::step.
+// Regularizer::penalty and SgdOptimizer::step.
 //
 // Bits: each element's float operations keep the order of the separate
 // passes this replaced (g += reg'(w), then v = mu*v - lr*g, then w += v)
@@ -54,9 +54,5 @@ PenaltySums update_tensor(std::span<float> w, std::span<float> g,
 /// The term's penalty sums over `w`, nothing updated.
 PenaltySums penalty_sums(std::span<const float> w,
                          const RegularizerTerm& term);
-
-/// g += reg'(w), nothing else.
-void add_term_gradient(std::span<const float> w, std::span<float> g,
-                       const RegularizerTerm& term);
 
 }  // namespace xbarlife::nn

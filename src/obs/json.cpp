@@ -25,19 +25,6 @@ void JsonValue::set(std::string key, JsonValue v) {
   obj->emplace_back(std::move(key), std::move(v));
 }
 
-const JsonValue* JsonValue::find(std::string_view key) const {
-  const auto* obj = std::get_if<Object>(&value_);
-  if (obj == nullptr) {
-    return nullptr;
-  }
-  for (const auto& [k, v] : *obj) {
-    if (k == key) {
-      return &v;
-    }
-  }
-  return nullptr;
-}
-
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

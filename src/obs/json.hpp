@@ -64,9 +64,6 @@ class JsonValue {
   /// existing key is overwritten in place, a new one appends.
   void set(std::string key, JsonValue v);
 
-  /// Object lookup; nullptr when absent or not an object.
-  const JsonValue* find(std::string_view key) const;
-
   const Object* as_object() const { return std::get_if<Object>(&value_); }
 
   /// Serializes to compact JSON (no whitespace). Non-finite doubles emit

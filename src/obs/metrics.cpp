@@ -267,9 +267,4 @@ void Registry::visit_counters(
   }
 }
 
-std::size_t Registry::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 }  // namespace xbarlife::obs

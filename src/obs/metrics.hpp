@@ -155,8 +155,6 @@ class Registry {
   void visit_counters(
       const std::function<void(const std::string&, std::uint64_t)>& fn) const;
 
-  std::size_t size() const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

@@ -64,26 +64,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
-  check_rank2(a, "A");
-  check_rank2(b, "B");
-  check_rank2(c, "C");
-  const std::size_t m = a.shape()[0];
-  const std::size_t k = a.shape()[1];
-  if (b.shape()[0] != k || c.shape()[0] != m || c.shape()[1] != b.shape()[1]) {
-    throw ShapeError("matmul_accumulate shape mismatch");
-  }
-  gemm_dispatch(a.data(), b.data(), c.data(), m, k, b.shape()[1]);
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  check_rank2(a, "A");
-  check_rank2(b, "B");
-  Tensor c(Shape{a.shape()[1], b.shape()[1]});
-  matmul_tn_into(a, b, c, /*accumulate=*/false);
-  return c;
-}
-
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& c,
                     bool accumulate) {
   check_rank2(a, "A");
@@ -128,31 +108,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
                  ks.gemm_nt(a.data(), b.data(), c.data(), m, k, n, row_begin,
                             row_end);
                });
-  return c;
-}
-
-Tensor matmul_naive(const Tensor& a, const Tensor& b) {
-  check_rank2(a, "A");
-  check_rank2(b, "B");
-  const std::size_t m = a.shape()[0];
-  const std::size_t k = a.shape()[1];
-  if (b.shape()[0] != k) {
-    throw ShapeError("matmul_naive inner dimension mismatch");
-  }
-  const std::size_t n = b.shape()[1];
-  Tensor c(Shape{m, n});
-  // Same float accumulation policy as the dispatched kernels (see
-  // matmul.hpp); ascending-k order makes this the order-exact reference
-  // for the scalar variant.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += a.at(i, kk) * b.at(kk, j);
-      }
-      c.at(i, j) = acc;
-    }
-  }
   return c;
 }
 

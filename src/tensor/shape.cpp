@@ -8,8 +8,6 @@ namespace xbarlife {
 
 Shape::Shape(std::initializer_list<std::size_t> dims) : dims_(dims) {}
 
-Shape::Shape(std::vector<std::size_t> dims) : dims_(std::move(dims)) {}
-
 std::size_t Shape::dim(std::size_t axis) const {
   XB_CHECK(axis < dims_.size(), "shape axis out of range: " + to_string());
   return dims_[axis];

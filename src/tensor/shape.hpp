@@ -13,7 +13,6 @@ class Shape {
  public:
   Shape() = default;
   Shape(std::initializer_list<std::size_t> dims);
-  explicit Shape(std::vector<std::size_t> dims);
 
   std::size_t rank() const { return dims_.size(); }
   std::size_t dim(std::size_t axis) const;

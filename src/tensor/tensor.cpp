@@ -1,7 +1,6 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -39,19 +38,6 @@ float& Tensor::at(std::size_t r, std::size_t c) {
 
 float Tensor::at(std::size_t r, std::size_t c) const {
   return const_cast<Tensor&>(*this).at(r, c);
-}
-
-float& Tensor::at(std::size_t n, std::size_t c, std::size_t h,
-                  std::size_t w) {
-  XB_CHECK(shape_.rank() == 4, "4-D accessor on tensor " + shape_.to_string());
-  XB_CHECK(n < shape_[0] && c < shape_[1] && h < shape_[2] && w < shape_[3],
-           "4-D index out of range");
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-float Tensor::at(std::size_t n, std::size_t c, std::size_t h,
-                 std::size_t w) const {
-  return const_cast<Tensor&>(*this).at(n, c, h, w);
 }
 
 void Tensor::fill(float value) {
@@ -115,18 +101,6 @@ Tensor Tensor::transposed() const {
     }
   }
   return out;
-}
-
-bool allclose(const Tensor& a, const Tensor& b, float tol) {
-  if (a.shape() != b.shape()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    if (std::fabs(a[i] - b[i]) > tol) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace xbarlife

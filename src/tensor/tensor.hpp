@@ -40,10 +40,6 @@ class Tensor {
   float& at(std::size_t r, std::size_t c);
   float at(std::size_t r, std::size_t c) const;
 
-  /// 4-D accessors (checked): requires rank 4 (N, C, H, W).
-  float& at(std::size_t n, std::size_t c, std::size_t h, std::size_t w);
-  float at(std::size_t n, std::size_t c, std::size_t h, std::size_t w) const;
-
   void fill(float value);
   void zero() { fill(0.0f); }
 
@@ -71,8 +67,5 @@ class Tensor {
   Shape shape_;
   std::vector<float> data_;
 };
-
-/// True when every element differs by at most `tol`. Shape mismatch -> false.
-bool allclose(const Tensor& a, const Tensor& b, float tol = 1e-5f);
 
 }  // namespace xbarlife

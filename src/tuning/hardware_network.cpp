@@ -302,10 +302,6 @@ void HardwareNetwork::set_row_permutation(std::size_t i,
   }
 }
 
-std::size_t HardwareNetwork::physical_rows(std::size_t i) const {
-  return layer(i).xbar->rows();
-}
-
 LayerFaultCounts HardwareNetwork::fault_counts(std::size_t i) const {
   const DeployedLayer& l = layer(i);
   LayerFaultCounts counts;

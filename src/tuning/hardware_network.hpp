@@ -177,9 +177,6 @@ class HardwareNetwork {
   /// (dead cells stay retired); call reprogram_targets afterwards.
   void set_row_permutation(std::size_t i, std::vector<std::size_t> perm);
 
-  /// Physical rows of layer `i`'s crossbar (logical rows + spares).
-  std::size_t physical_rows(std::size_t i) const;
-
   /// Bad-cell census of layer `i`, restricted to its active cells.
   LayerFaultCounts fault_counts(std::size_t i) const;
 

@@ -57,12 +57,10 @@ TEST(Tracker, RecordsOnlyRepresentativePulses) {
   RepresentativeTracker t(6, 6);
   t.record_pulse(0, 0, 1.0);  // untraced
   EXPECT_DOUBLE_EQ(t.stress_estimate(0, 0), 0.0);
-  EXPECT_EQ(t.pulse_estimate(0, 0), 0u);
   t.record_pulse(1, 1, 2.0);  // representative of block (0,0)
   EXPECT_DOUBLE_EQ(t.stress_estimate(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(t.stress_estimate(2, 2), 2.0);  // same block
   EXPECT_DOUBLE_EQ(t.stress_estimate(3, 3), 0.0);  // other block
-  EXPECT_EQ(t.pulse_estimate(1, 1), 1u);
 }
 
 TEST(Tracker, AmbientIsAlwaysAccumulated) {
@@ -90,15 +88,6 @@ TEST(Tracker, RepresentativeSelfShareNotDoubleCounted) {
   }
   EXPECT_DOUBLE_EQ(t.ambient_stress(), 1.0);
   EXPECT_DOUBLE_EQ(t.stress_estimate(1, 1), 10.0);
-}
-
-TEST(Tracker, ResetClearsEverything) {
-  RepresentativeTracker t(3, 3);
-  t.record_pulse(1, 1, 1.0, 0.1);
-  t.reset();
-  EXPECT_DOUBLE_EQ(t.stress_estimate(1, 1), 0.0);
-  EXPECT_DOUBLE_EQ(t.ambient_stress(), 0.0);
-  EXPECT_EQ(t.pulse_estimate(1, 1), 0u);
 }
 
 TEST(Tracker, RepresentativeStressesSizeMatchesBlocks) {

@@ -91,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(
         SinkCase{"device", "--profile"},
         SinkCase{"models", "--json"}, SinkCase{"models", "--trace"},
         SinkCase{"models", "--profile"}),
-    [](const ::testing::TestParamInfo<SinkCase>& info) {
-      return PrintToString(info.param);
+    [](const ::testing::TestParamInfo<SinkCase>& param_info) {
+      return PrintToString(param_info.param);
     });
 
 TEST(CliOutput, UnknownCommandExitsUsage) {

@@ -58,12 +58,10 @@ TEST(Histogram, DensityOfEmptyIsZero) {
 
 TEST(Histogram, SpanOverloads) {
   Histogram h(0.0, 1.0, 2);
-  const std::vector<double> d{0.1, 0.6};
-  const std::vector<float> f{0.2f, 0.7f};
+  const std::vector<double> d{0.1, 0.6, 0.2};
   h.add(d);
-  h.add(f);
   EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 2u);
+  EXPECT_EQ(h.count(1), 1u);
 }
 
 TEST(Histogram, RenderContainsBarsAndCounts) {

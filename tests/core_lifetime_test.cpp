@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "core/trainer.hpp"
 #include "nn/model_zoo.hpp"
+#include "support/blobs.hpp"
 
 namespace xbarlife::core {
 namespace {

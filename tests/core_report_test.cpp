@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "core/model_registry.hpp"
@@ -20,6 +21,20 @@
 
 namespace xbarlife::core {
 namespace {
+
+/// Member `key` of object `v`; nullptr when absent or not an object.
+const obs::JsonValue* member(const obs::JsonValue& v, std::string_view key) {
+  const obs::JsonValue::Object* obj = v.as_object();
+  if (obj == nullptr) {
+    return nullptr;
+  }
+  for (const auto& [k, value] : *obj) {
+    if (k == key) {
+      return &value;
+    }
+  }
+  return nullptr;
+}
 
 std::string read_golden(const std::string& name) {
   const std::string path = std::string(XBARLIFE_GOLDEN_DIR) + "/" + name;
@@ -92,13 +107,13 @@ TEST(ResultDocumentTest, EnvelopeKeysAndSchema) {
   }
   EXPECT_EQ((*obj)[4 + shift].first, "data");
   EXPECT_EQ((*obj)[5 + shift].first, "metrics");
-  EXPECT_EQ(doc.find("schema")->dump(), "\"xbarlife.result.v1\"");
-  EXPECT_EQ(doc.find("command")->dump(), "\"lifetime\"");
-  const obs::JsonValue* metrics = doc.find("metrics");
+  EXPECT_EQ(member(doc, "schema")->dump(), "\"xbarlife.result.v1\"");
+  EXPECT_EQ(member(doc, "command")->dump(), "\"lifetime\"");
+  const obs::JsonValue* metrics = member(doc, "metrics");
   ASSERT_NE(metrics, nullptr);
-  EXPECT_NE(metrics->find("counters"), nullptr);
-  EXPECT_NE(metrics->find("gauges"), nullptr);
-  EXPECT_NE(metrics->find("histograms"), nullptr);
+  EXPECT_NE(member(*metrics, "counters"), nullptr);
+  EXPECT_NE(member(*metrics, "gauges"), nullptr);
+  EXPECT_NE(member(*metrics, "histograms"), nullptr);
 }
 
 TEST(ResultDocumentTest, LifetimeResultJsonMatchesGolden) {
@@ -112,9 +127,9 @@ TEST(ResultDocumentTest, SessionRecordJsonCarriesAllScalars) {
        {"session", "applications", "tuning_iterations", "rescued",
         "converged", "start_accuracy", "accuracy", "pulses_total",
         "layer_mean_aged_rmax", "layer_mean_usable_levels"}) {
-    EXPECT_NE(j.find(key), nullptr) << key;
+    EXPECT_NE(member(j, key), nullptr) << key;
   }
-  EXPECT_EQ(j.find("rescued")->dump(), "true");
+  EXPECT_EQ(member(j, "rescued")->dump(), "true");
 }
 
 TEST(ResultDocumentTest, SweepEntriesJsonShape) {
@@ -129,12 +144,12 @@ TEST(ResultDocumentTest, SweepEntriesJsonShape) {
   entry.outcome.tuning_target = 0.7;
   entry.outcome.lifetime = sample_lifetime();
   const obs::JsonValue job = sweep_entry_json(entry, /*with_wall_ms=*/true);
-  EXPECT_EQ(job.find("label")->dump(), "\"T+T/r0\"");
-  EXPECT_EQ(job.find("lifetime_applications")->dump(), "300");
-  EXPECT_EQ(job.find("died")->dump(), "true");
-  EXPECT_NE(job.find("wall_ms"), nullptr);
+  EXPECT_EQ(member(job, "label")->dump(), "\"T+T/r0\"");
+  EXPECT_EQ(member(job, "lifetime_applications")->dump(), "300");
+  EXPECT_EQ(member(job, "died")->dump(), "true");
+  EXPECT_NE(member(job, "wall_ms"), nullptr);
   // Checkpoint-mode entries carry no wall clock.
-  EXPECT_EQ(sweep_entry_json(entry, false).find("wall_ms"), nullptr);
+  EXPECT_EQ(member(sweep_entry_json(entry, false), "wall_ms"), nullptr);
 }
 
 TEST(ResultDocumentTest, SessionTableSubsamplesButKeepsLastRow) {
@@ -197,9 +212,9 @@ TEST(ResultDocumentTest, ProfilerAppendsTrailingProfileKey) {
   const std::size_t shift = xbar::executor_pool_summary().active ? 1 : 0;
   ASSERT_EQ(obj->size(), 7u + shift);
   EXPECT_EQ(obj->back().first, "profile");
-  const obs::JsonValue* profile = doc.find("profile");
+  const obs::JsonValue* profile = member(doc, "profile");
   ASSERT_NE(profile, nullptr);
-  EXPECT_EQ(profile->find("span_count")->dump(), "3");
+  EXPECT_EQ(member(*profile, "span_count")->dump(), "3");
   // The embedded rollup carries the wall-clock aggregates.
   const std::string text = profile->dump();
   EXPECT_NE(text.find("\"total_ms\":"), std::string::npos);

@@ -5,6 +5,8 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "core/experiment.hpp"
+#include "support/blobs.hpp"
+#include "support/tensor_oracles.hpp"
 
 namespace xbarlife::core {
 namespace {

@@ -4,6 +4,8 @@
 
 #include "common/error.hpp"
 #include "data/synthetic.hpp"
+#include "support/blobs.hpp"
+#include "support/tensor_oracles.hpp"
 
 namespace xbarlife::data {
 namespace {

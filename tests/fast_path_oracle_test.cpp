@@ -28,13 +28,17 @@
 #include "core/report.hpp"
 #include "core/scenario_runner.hpp"
 #include "data/synthetic.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv.hpp"
+#include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/pool.hpp"
 #include "nn/regularizer.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/state_io.hpp"
+#include "support/blobs.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/matmul.hpp"
@@ -480,19 +484,9 @@ TEST(FastPathOracle, SgdStepRejectsMismatchedGradient) {
 }
 
 TEST(FastPathOracle, RegularizersMatchScalarReference) {
+  // Omega and the penalty; FusedUpdateMatchesSeparatePasses checks the
+  // gradient the training step adds.
   const Tensor w = random_tensor(Shape{9, 11}, 5);
-  const Tensor grad0 = random_tensor(Shape{9, 11}, 6);
-
-  const nn::L2Regularizer l2(1e-3);
-  Tensor grad = grad0;
-  l2.add_gradient(w, 0, grad);
-  Tensor want = grad0;
-  const auto scale = static_cast<float>(2.0 * 1e-3);
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    want[i] += scale * w[i];
-  }
-  expect_same_tensor(grad, want, "L2 gradient");
-
   nn::SkewedL2Regularizer skewed(4e-3, 1e-4, 0.8);
   for (const bool frozen : {false, true}) {
     if (frozen) {
@@ -517,18 +511,6 @@ TEST(FastPathOracle, RegularizersMatchScalarReference) {
     }
     EXPECT_TRUE(same_bits(skewed.penalty(w, 0), 4e-3 * left + 1e-4 * right))
         << label;
-
-    grad = grad0;
-    skewed.add_gradient(w, 0, grad);
-    want = grad0;
-    const auto omf = static_cast<float>(om);
-    const auto s1 = static_cast<float>(2.0 * 4e-3);
-    const auto s2 = static_cast<float>(2.0 * 1e-4);
-    for (std::size_t i = 0; i < w.numel(); ++i) {
-      const float d = w[i] - omf;
-      want[i] += (d < 0.0f ? s1 : s2) * d;
-    }
-    expect_same_tensor(grad, want, "skewed gradient " + label);
   }
 }
 
@@ -594,7 +576,7 @@ struct ConvResult {
 };
 
 /// The row-layout composition: per sample im2col -> matmul -> transpose
-/// to channel-major, then matmul_tn / matmul_nt / col2im, with weight and
+/// to channel-major, then matmul_tn_into / matmul_nt / col2im, with weight and
 /// bias partials added to the starting gradients in sample order.
 ConvResult reference_conv(const ConvGeometry& g, const Tensor& w,
                           const Tensor& bias, const Tensor& x,
@@ -618,7 +600,8 @@ ConvResult reference_conv(const ConvGeometry& g, const Tensor& w,
         bg[c] += gyb.at(p, c);
       }
     }
-    const Tensor wg = matmul_tn(patches, gyb);
+    Tensor wg(Shape{patches.shape()[1], oc});
+    matmul_tn_into(patches, gyb, wg, /*accumulate=*/false);
     for (std::size_t i = 0; i < wg.numel(); ++i) {
       r.weight_grad[i] += wg[i];
     }
@@ -834,18 +817,76 @@ TEST(FastPathOracle, InferReentrantUnderParallelFor) {
   }
 }
 
+/// The zoo's LeNet-5 on 3x16x16 inputs or its MLP 48-24-12-10 with the
+/// draws of `seed`, built layer for layer as make_lenet5 / make_mlp build
+/// them, so that a reference can drive each layer itself; the tests below
+/// compare its parameters with the zoo's network bit for bit.
+struct LayerStack {
+  nn::Network net;
+  std::vector<nn::Layer*> layers;
+
+  LayerStack(bool lenet, std::uint64_t seed) {
+    Rng rng(seed);
+    const auto add = [this](nn::LayerPtr layer) {
+      layers.push_back(layer.get());
+      net.add(std::move(layer));
+    };
+    if (!lenet) {
+      add(std::make_unique<nn::Dense>(48, 24, rng, "fc1"));
+      add(std::make_unique<nn::ReLU>("relu1"));
+      add(std::make_unique<nn::Dense>(24, 12, rng, "fc2"));
+      add(std::make_unique<nn::ReLU>("relu2"));
+      add(std::make_unique<nn::Dense>(12, 10, rng, "fc_out"));
+      return;
+    }
+    const ConvGeometry c1{3, 16, 16, 5, 0};
+    add(std::make_unique<nn::Conv2D>(c1, 6, rng, "conv1"));
+    add(std::make_unique<nn::Tanh>("tanh1"));
+    const nn::PoolGeometry p1{6, c1.out_h(), c1.out_w()};
+    add(std::make_unique<nn::MaxPool2D>(p1, "pool1"));
+    const ConvGeometry c2{6, p1.out_h(), p1.out_w(), 5, 0};
+    add(std::make_unique<nn::Conv2D>(c2, 16, rng, "conv2"));
+    add(std::make_unique<nn::Tanh>("tanh2"));
+    const nn::PoolGeometry p2{16, c2.out_h(), c2.out_w()};
+    add(std::make_unique<nn::MaxPool2D>(p2, "pool2"));
+    add(std::make_unique<nn::Flatten>("flatten"));
+    add(std::make_unique<nn::Dense>(16 * p2.out_h() * p2.out_w(), 120, rng,
+                                    "fc1"));
+    add(std::make_unique<nn::Tanh>("tanh3"));
+    add(std::make_unique<nn::Dense>(120, 84, rng, "fc2"));
+    add(std::make_unique<nn::Tanh>("tanh4"));
+    add(std::make_unique<nn::Dense>(84, 10, rng, "fc3"));
+  }
+
+  /// Zeroed gradients, then every layer's full backward() from the loss
+  /// gradient of a training forward pass on `x`.
+  void backward_by_hand(const Tensor& x,
+                        const std::vector<std::int32_t>& labels) {
+    for (const nn::ParamRef& p : net.params()) {
+      p.grad->zero();
+    }
+    nn::SoftmaxCrossEntropy loss;
+    loss.forward(net.forward(x), labels);
+    Tensor g = loss.backward();
+    for (std::size_t i = layers.size(); i-- > 0;) {
+      g = layers[i]->backward(g);
+    }
+  }
+};
+
+nn::Network zoo_network(bool lenet, std::uint64_t seed) {
+  Rng rng(seed);
+  return lenet ? nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng)
+               : nn::make_mlp(48, {24, 12}, 10, rng);
+}
+
 TEST(FastPathOracle, FirstLayerSkipLeavesGradientsAndStepIdentical) {
   // Network::backward asks its first layer for parameter gradients only;
   // the reference walks every layer's full backward() by hand.
-  const auto build = [](bool lenet) {
-    Rng rng(40);
-    return lenet ? nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng)
-                 : nn::make_mlp(48, {24, 12}, 10, rng);
-  };
   for (const bool lenet : {true, false}) {
     const std::string label = lenet ? "lenet5" : "mlp";
-    nn::Network net = build(lenet);
-    nn::Network ref = build(lenet);
+    nn::Network net = zoo_network(lenet, 40);
+    LayerStack ref(lenet, 40);
     const std::size_t features = lenet ? 3 * 16 * 16 : 48;
     const Tensor x = random_tensor(Shape{5, features}, 41);
     const std::vector<std::int32_t> labels{0, 3, 9, 4, 7};
@@ -853,16 +894,9 @@ TEST(FastPathOracle, FirstLayerSkipLeavesGradientsAndStepIdentical) {
     nn::SgdOptimizer ref_opt({0.05, 0.9});
     for (int step = 0; step < 2; ++step) {
       net.train_batch(x, labels, opt, nullptr);
-
-      ref.zero_grad();
-      nn::SoftmaxCrossEntropy loss;
-      loss.forward(ref.forward(x), labels);
-      Tensor g = loss.backward();
-      for (std::size_t i = ref.layer_count(); i-- > 0;) {
-        g = ref.layer(i).backward(g);
-      }
+      ref.backward_by_hand(x, labels);
       std::vector<nn::ParamRef> got = net.params();
-      std::vector<nn::ParamRef> want = ref.params();
+      std::vector<nn::ParamRef> want = ref.net.params();
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         expect_same_tensor(*got[i].grad, *want[i].grad,
@@ -917,7 +951,7 @@ struct RefRegularizer {
 };
 
 /// The penalty of weight `index` and its gradient added into `grad`, as
-/// the separate penalty() and add_gradient() passes computed them.
+/// the separate penalty and gradient passes computed them.
 double reference_regularize(const RefRegularizer& r, const Tensor& w,
                             std::size_t index, Tensor& grad) {
   if (r.kind == RefRegularizer::Kind::kL2) {
@@ -1052,9 +1086,6 @@ TEST(FastPathOracle, FusedUpdateMatchesSeparatePasses) {
             penalty_want = reference_regularize(reg, w_want, 0, g_want);
             EXPECT_TRUE(same_bits(regularizer->penalty(w, 0), penalty_want))
                 << label << " penalty()";
-            Tensor g_added = g;
-            regularizer->add_gradient(w, 0, g_added);
-            expect_same_tensor(g_added, g_want, label + " add_gradient()");
           }
           reference_sgd(w_want, g_want, v_want, 0.05f,
                         static_cast<float>(momentum));
@@ -1068,21 +1099,15 @@ TEST(FastPathOracle, FusedUpdateMatchesSeparatePasses) {
   }
 }
 
-/// Today's training step with the checked public API: zero_grad, every
-/// layer's full backward, then per mappable weight the penalty and its
-/// gradient, then one SGD pass per parameter. Returns the penalty.
-double reference_train_step(nn::Network& net, const Tensor& x,
+/// Today's training step with the checked public API: zeroed gradients,
+/// every layer's full backward, then per mappable weight the penalty and
+/// its gradient, then one SGD pass per parameter. Returns the penalty.
+double reference_train_step(LayerStack& ref, const Tensor& x,
                             const std::vector<std::int32_t>& labels,
                             const RefRegularizer& reg, float lr, float mu,
                             std::vector<Tensor>& velocity) {
-  net.zero_grad();
-  nn::SoftmaxCrossEntropy loss;
-  loss.forward(net.forward(x), labels);
-  Tensor g = loss.backward();
-  for (std::size_t i = net.layer_count(); i-- > 0;) {
-    g = net.layer(i).backward(g);
-  }
-  const std::vector<nn::ParamRef> params = net.params();
+  ref.backward_by_hand(x, labels);
+  const std::vector<nn::ParamRef> params = ref.net.params();
   double penalty = 0.0;
   if (reg.kind != RefRegularizer::Kind::kNone) {
     std::size_t index = 0;
@@ -1119,13 +1144,6 @@ void plant_edge_weights(nn::Network& net, float omega) {
 
 TEST(FastPathOracle, TrainBatchMatchesSeparatePassesReference) {
   const float omega = 0.03125f;
-  const auto build = [omega](bool lenet) {
-    Rng rng(80);
-    nn::Network net = lenet ? nn::make_lenet5(nn::ImageSpec{3, 16, 16}, 10, rng)
-                            : nn::make_mlp(48, {24, 12}, 10, rng);
-    plant_edge_weights(net, omega);
-    return net;
-  };
   const std::vector<std::int32_t> labels{0, 3, 9, 4, 7, 1};
   for (const std::string& variant : kernels::available()) {
     const KernelVariant kv(variant);
@@ -1134,7 +1152,8 @@ TEST(FastPathOracle, TrainBatchMatchesSeparatePassesReference) {
       Tensor x = random_tensor(Shape{labels.size(), features}, 81);
       x[0] = -0.0f;
       x[1] = std::numeric_limits<float>::denorm_min();
-      const std::size_t mappable = build(lenet).mappable_weights().size();
+      const std::size_t mappable =
+          zoo_network(lenet, 80).mappable_weights().size();
       for (const RefRegularizer& reg : reference_regularizers(
                std::vector<double>(mappable, static_cast<double>(omega)))) {
         const std::unique_ptr<nn::Regularizer> regularizer = reg.make();
@@ -1142,8 +1161,10 @@ TEST(FastPathOracle, TrainBatchMatchesSeparatePassesReference) {
           const std::string label = variant + (lenet ? " lenet5 " : " mlp ") +
                                     reg.label() + " mu " +
                                     std::to_string(momentum);
-          nn::Network net = build(lenet);
-          nn::Network ref = build(lenet);
+          nn::Network net = zoo_network(lenet, 80);
+          plant_edge_weights(net, omega);
+          LayerStack ref(lenet, 80);
+          plant_edge_weights(ref.net, omega);
           nn::SgdOptimizer opt({0.05, momentum});
           std::vector<Tensor> velocity;
           for (int step = 0; step < 3; ++step) {
@@ -1155,7 +1176,7 @@ TEST(FastPathOracle, TrainBatchMatchesSeparatePassesReference) {
                 velocity);
             EXPECT_TRUE(same_bits(stats.penalty, penalty)) << at;
             const std::vector<nn::ParamRef> got = net.params();
-            const std::vector<nn::ParamRef> want = ref.params();
+            const std::vector<nn::ParamRef> want = ref.net.params();
             ASSERT_EQ(got.size(), want.size());
             for (std::size_t i = 0; i < got.size(); ++i) {
               const std::string name = at + " " + want[i].name;
@@ -1210,7 +1231,7 @@ std::uint64_t training_digest(core::TrainedModel& tm) {
 }
 
 TEST(FastPathOracle, TrainModelDigestsArePinned) {
-  // Written by the separate-pass training step (penalty, add_gradient,
+  // Written by the separate-pass training step (penalty, its gradient,
   // SGD step, zero-filled gradients) before the step was fused; the order
   // is mlp T, mlp ST, lenet5 T, lenet5 ST.
   const std::map<std::string, std::vector<std::uint64_t>> pinned{

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "support/tensor_oracles.hpp"
 
 namespace xbarlife::mapping {
 namespace {
@@ -33,13 +34,26 @@ Tensor random_weights(std::size_t rows, std::size_t cols,
   return w;
 }
 
+/// The weights the crossbar holds under `plan`'s transfer, read back cell
+/// by cell as program_weights reads its achieved values.
+Tensor read_back(const xbar::Crossbar& xb, const MappingPlan& plan) {
+  Tensor eff(Shape{xb.rows(), xb.cols()});
+  for (std::size_t r = 0; r < xb.rows(); ++r) {
+    for (std::size_t c = 0; c < xb.cols(); ++c) {
+      eff.at(r, c) = static_cast<float>(
+          plan.weight_of_resistance(xb.read_resistance(r, c)));
+    }
+  }
+  return eff;
+}
+
 TEST(MappingPlan, TargetResistanceIsOnTheGrid) {
   Tensor w = random_weights(4, 4, 1);
   MappingPlan plan(weight_range_of(w), kFresh, 16);
   const auto& q = plan.quantizer();
   for (std::size_t i = 0; i < w.numel(); ++i) {
     const double r = plan.target_resistance(static_cast<double>(w[i]));
-    const std::size_t level = q.nearest_level_for_resistance(r);
+    const std::size_t level = q.nearest_level_for_conductance(1.0 / r);
     EXPECT_NEAR(q.level_resistance(level), r, 1e-9);
   }
 }
@@ -99,7 +113,7 @@ TEST(ProgramWeights, EffectiveWeightsCloseToTargets) {
   Tensor w = random_weights(6, 6, 4);
   MappingPlan plan(weight_range_of(w), kFresh, 64);
   const MappingReport report = program_weights(xb, w, plan);
-  Tensor eff = effective_weights(xb, plan);
+  Tensor eff = read_back(xb, plan);
   // RMSE from the report must match a direct computation and be small
   // for 64 levels.
   double sq = 0.0;
@@ -225,7 +239,7 @@ TEST(PredictEffectiveWeights, MatchesProgrammingOutcome) {
   };
   Tensor predicted = predict_effective_weights(w, plan, fresh_window);
   program_weights(xb, w, plan);
-  Tensor actual = effective_weights(xb, plan);
+  Tensor actual = read_back(xb, plan);
   EXPECT_TRUE(allclose(predicted, actual, 1e-4f));
 }
 

@@ -13,7 +13,7 @@ namespace {
 constexpr ResistanceRange kFresh{1e4, 1e5};
 
 TEST(Quantizer, FreshGridLevelsAreUniformInResistance) {
-  ResistanceQuantizer q(kFresh, 10);
+  ResistanceQuantizer q(kFresh, 10, kFresh.r_hi);
   EXPECT_EQ(q.levels(), 10u);
   EXPECT_DOUBLE_EQ(q.level_resistance(0), 1e4);
   EXPECT_DOUBLE_EQ(q.level_resistance(9), 1e5);
@@ -27,7 +27,7 @@ TEST(Quantizer, FreshGridLevelsAreUniformInResistance) {
 TEST(Quantizer, ConductanceLevelsDenseNearGmin) {
   // Fig. 3(c): reciprocal of uniform resistance levels concentrates
   // levels at the low-conductance end.
-  ResistanceQuantizer q(kFresh, 10);
+  ResistanceQuantizer q(kFresh, 10, kFresh.r_hi);
   ASSERT_EQ(q.levels(), 10u);
   std::vector<double> g;  // ascending: the highest resistance first
   for (std::size_t k = q.levels(); k > 0; --k) {
@@ -43,7 +43,7 @@ TEST(Quantizer, ConductanceLevelsDenseNearGmin) {
 
 TEST(Quantizer, TruncationKeepsFreshSpacing) {
   // Fig. 4/8: aging removes top levels; spacing never changes.
-  ResistanceQuantizer full(kFresh, 10);
+  ResistanceQuantizer full(kFresh, 10, kFresh.r_hi);
   ResistanceQuantizer cut(kFresh, 10, 5.5e4);
   EXPECT_EQ(cut.levels(), 5u);  // 10k, 20k, 30k, 40k, 50k
   EXPECT_DOUBLE_EQ(cut.resistance_step(), full.resistance_step());
@@ -68,19 +68,8 @@ TEST(Quantizer, CutAboveFreshIsClamped) {
   EXPECT_EQ(cut.levels(), 10u);
 }
 
-TEST(Quantizer, NearestLevelForResistance) {
-  ResistanceQuantizer q(kFresh, 10);
-  EXPECT_EQ(q.nearest_level_for_resistance(1e4), 0u);
-  EXPECT_EQ(q.nearest_level_for_resistance(1e5), 9u);
-  EXPECT_EQ(q.nearest_level_for_resistance(2.4e4), 1u);
-  EXPECT_EQ(q.nearest_level_for_resistance(2.6e4), 2u);
-  // Clamping outside the range.
-  EXPECT_EQ(q.nearest_level_for_resistance(1.0), 0u);
-  EXPECT_EQ(q.nearest_level_for_resistance(1e9), 9u);
-}
-
 TEST(Quantizer, NearestLevelForConductanceComparesInGSpace) {
-  ResistanceQuantizer q(kFresh, 10);
+  ResistanceQuantizer q(kFresh, 10, kFresh.r_hi);
   // Exactly at a level.
   EXPECT_EQ(q.nearest_level_for_conductance(1.0 / 1e4), 0u);
   EXPECT_EQ(q.nearest_level_for_conductance(1.0 / 1e5), 9u);
@@ -91,9 +80,8 @@ TEST(Quantizer, NearestLevelForConductanceComparesInGSpace) {
 }
 
 TEST(Quantizer, NearestLevelRoundtripOnEveryLevel) {
-  ResistanceQuantizer q(kFresh, 32);
+  ResistanceQuantizer q(kFresh, 32, kFresh.r_hi);
   for (std::size_t k = 0; k < q.levels(); ++k) {
-    EXPECT_EQ(q.nearest_level_for_resistance(q.level_resistance(k)), k);
     EXPECT_EQ(q.nearest_level_for_conductance(q.level_conductance(k)), k);
   }
 }
@@ -106,19 +94,17 @@ TEST(Quantizer, ExactLevelResistancesBracketCorrectly) {
   // is not representable exactly in binary.
   const ResistanceRange awkward{1e4 / 3.0, 1e5 / 3.0};
   for (std::size_t levels : {3u, 7u, 10u, 31u, 32u, 64u}) {
-    ResistanceQuantizer q(awkward, levels);
+    ResistanceQuantizer q(awkward, levels, awkward.r_hi);
     for (std::size_t k = 0; k < q.levels(); ++k) {
       const double r = q.level_resistance(k);
       EXPECT_EQ(q.nearest_level_for_conductance(1.0 / r), k)
-          << "levels=" << levels << " k=" << k;
-      EXPECT_EQ(q.nearest_level_for_resistance(r), k)
           << "levels=" << levels << " k=" << k;
     }
   }
 }
 
 TEST(Quantizer, ConductanceJustInsideRangeEdgesStaysInRange) {
-  ResistanceQuantizer q(kFresh, 10);
+  ResistanceQuantizer q(kFresh, 10, kFresh.r_hi);
   const double g_min = q.range().g_min();
   const double g_max = q.range().g_max();
   EXPECT_EQ(q.nearest_level_for_conductance(std::nextafter(g_min, 0.0)),
@@ -139,10 +125,10 @@ TEST(Quantizer, TruncatedGridExactBoundaryLevel) {
 }
 
 TEST(Quantizer, RejectsInvalidConstruction) {
-  EXPECT_THROW(ResistanceQuantizer({1e5, 1e4}, 10), InvalidArgument);
-  EXPECT_THROW(ResistanceQuantizer(kFresh, 1), InvalidArgument);
+  EXPECT_THROW(ResistanceQuantizer({1e5, 1e4}, 10, 1e4), InvalidArgument);
+  EXPECT_THROW(ResistanceQuantizer(kFresh, 1, kFresh.r_hi), InvalidArgument);
   EXPECT_THROW(ResistanceQuantizer(kFresh, 10, -5.0), InvalidArgument);
-  ResistanceQuantizer q(kFresh, 4);
+  ResistanceQuantizer q(kFresh, 4, kFresh.r_hi);
   EXPECT_THROW(q.level_resistance(4), InvalidArgument);
   EXPECT_THROW(q.nearest_level_for_conductance(0.0), InvalidArgument);
 }
@@ -153,7 +139,7 @@ class QuantizerLevelSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(QuantizerLevelSweep, NearestConductanceIsArgmin) {
   const std::size_t levels = GetParam();
-  ResistanceQuantizer q(kFresh, levels);
+  ResistanceQuantizer q(kFresh, levels, kFresh.r_hi);
   for (int i = 0; i <= 100; ++i) {
     const double g =
         kFresh.g_min() +

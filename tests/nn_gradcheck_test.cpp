@@ -1,7 +1,7 @@
 // Numerical gradient checks: the backbone of trust in the training
 // substrate. Every layer type participates in at least one checked
 // topology.
-#include "nn/gradient_check.hpp"
+#include "support/gradient_check.hpp"
 
 #include <gtest/gtest.h>
 

@@ -10,6 +10,7 @@
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/pool.hpp"
+#include "support/tensor_oracles.hpp"
 
 namespace xbarlife::nn {
 namespace {

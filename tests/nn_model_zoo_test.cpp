@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "support/tensor_oracles.hpp"
 
 namespace xbarlife::nn {
 namespace {

@@ -11,9 +11,10 @@
 #include "data/synthetic.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
-#include "nn/gradient_check.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/network.hpp"
+#include "support/blobs.hpp"
+#include "support/gradient_check.hpp"
 
 namespace xbarlife::nn {
 namespace {
@@ -123,26 +124,6 @@ TEST(Network, EvaluateChunksMatchSinglePass) {
   const double acc_one_pass =
       accuracy(net.infer(data.test.images), data.test.labels);
   EXPECT_NEAR(acc_chunked, acc_one_pass, 1e-9);
-}
-
-TEST(Network, ZeroGradClearsAllGradients) {
-  Rng rng(5);
-  Network net = make_mlp(4, {5}, 2, rng);
-  Tensor x(Shape{2, 4}, 1.0f);
-  const std::vector<std::int32_t> labels{0, 1};
-  net.compute_gradients(x, labels);
-  bool any_nonzero = false;
-  for (const ParamRef& p : net.params()) {
-    if (p.grad->min() < 0.0f || p.grad->max() > 0.0f) {
-      any_nonzero = true;
-    }
-  }
-  EXPECT_TRUE(any_nonzero);
-  net.zero_grad();
-  for (const ParamRef& p : net.params()) {
-    EXPECT_EQ(p.grad->min(), 0.0f);
-    EXPECT_EQ(p.grad->max(), 0.0f);
-  }
 }
 
 TEST(Network, SummaryListsLayers) {

@@ -134,7 +134,10 @@ TEST(RegistryTest, FindOrCreateReturnsStableHandles) {
   reg.counter("a").add(3);
   EXPECT_EQ(reg.counter("a").value(), 5u);
   EXPECT_EQ(&reg.counter("a"), &c);
-  EXPECT_EQ(reg.size(), 1u);
+  std::size_t counters = 0;
+  reg.visit_counters(
+      [&](const std::string&, std::uint64_t) { ++counters; });
+  EXPECT_EQ(counters, 1u);
 }
 
 TEST(RegistryTest, CrossKindNameCollisionThrows) {

@@ -192,7 +192,7 @@ TEST(StateIo, ProgramSequenceCorruptionFuzzFailsClosed) {
   }
 
   for (std::size_t i = 0; i < good.size(); ++i) {
-    for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+    for (const unsigned mask : {0x01U, 0x80U, 0xffU}) {
       std::string mutated = good;
       mutated[i] = static_cast<char>(
           static_cast<unsigned char>(mutated[i]) ^ mask);

@@ -107,7 +107,7 @@ TEST(SpareRows, CrossbarsGainPhysicalRowsOnlyWhenFaultsActive) {
   faults.spare_rows = 3;
   tuning::HardwareNetwork hw(net, cfg.device, cfg.aging, faults);
   for (std::size_t i = 0; i < hw.layer_count(); ++i) {
-    EXPECT_EQ(hw.physical_rows(i), hw.layer(i).logical_rows + 3);
+    EXPECT_EQ(hw.layer(i).xbar->rows(), hw.layer(i).logical_rows + 3);
   }
 
   // An inactive config must not grow the arrays.
@@ -115,7 +115,7 @@ TEST(SpareRows, CrossbarsGainPhysicalRowsOnlyWhenFaultsActive) {
   tuning::HardwareNetwork plain(net2, cfg.device, cfg.aging,
                                 tuning::HardwareFaultConfig{});
   for (std::size_t i = 0; i < plain.layer_count(); ++i) {
-    EXPECT_EQ(plain.physical_rows(i), plain.layer(i).logical_rows);
+    EXPECT_EQ(plain.layer(i).xbar->rows(), plain.layer(i).logical_rows);
   }
 }
 

@@ -1,4 +1,4 @@
-#include "nn/gradient_check.hpp"
+#include "support/gradient_check.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-// Numerical gradient checking for the NN substrate. Test-support code, but
-// shipped in the library so downstream users can validate custom layers.
+// Numerical gradient checking for the NN substrate: the tests' oracle for
+// every layer's analytic backward pass.
 #pragma once
 
 #include <cstdint>

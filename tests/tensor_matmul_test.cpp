@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "support/tensor_oracles.hpp"
 
 namespace xbarlife {
 namespace {
@@ -18,6 +19,13 @@ Tensor random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Tensor t(Shape{rows, cols});
   t.fill_gaussian(rng, 0.0f, 1.0f);
   return t;
+}
+
+/// A^T * B written into a fresh tensor by matmul_tn_into.
+Tensor product_tn(const Tensor& a, const Tensor& b) {
+  Tensor c(Shape{a.shape()[1], b.shape()[1]});
+  matmul_tn_into(a, b, c, /*accumulate=*/false);
+  return c;
 }
 
 TEST(Matmul, SmallKnownProduct) {
@@ -50,11 +58,11 @@ TEST(Matmul, ShapeErrors) {
 
 TEST(Matmul, AccumulateAddsIntoC) {
   Rng rng(2);
-  Tensor a = random_matrix(3, 4, rng);
-  Tensor b = random_matrix(4, 5, rng);
+  Tensor a = random_matrix(4, 3, rng);  // (K x M)
+  Tensor b = random_matrix(4, 5, rng);  // (K x N)
   Tensor c(Shape{3, 5}, 1.0f);
-  matmul_accumulate(a, b, c);
-  Tensor expected = matmul(a, b);
+  matmul_tn_into(a, b, c, /*accumulate=*/true);
+  Tensor expected = matmul(a.transposed(), b);
   for (std::size_t i = 0; i < c.numel(); ++i) {
     EXPECT_NEAR(c[i], expected[i] + 1.0f, 1e-4f);
   }
@@ -65,7 +73,7 @@ TEST(Matmul, TnMatchesExplicitTranspose) {
   Tensor a = random_matrix(6, 4, rng);  // (K x M)
   Tensor b = random_matrix(6, 5, rng);  // (K x N)
   Tensor expected = matmul(a.transposed(), b);
-  EXPECT_TRUE(allclose(matmul_tn(a, b), expected, 1e-4f));
+  EXPECT_TRUE(allclose(product_tn(a, b), expected, 1e-4f));
 }
 
 TEST(Matmul, NtMatchesExplicitTranspose) {
@@ -119,7 +127,7 @@ TEST(Matmul, NonFiniteBPropagatesInTn) {
   const float inf = std::numeric_limits<float>::infinity();
   Tensor a(Shape{2, 2}, std::vector<float>{0, 1, 0, 2});  // a^T has zeros
   Tensor b(Shape{2, 2}, std::vector<float>{inf, 1, 2, 3});
-  const Tensor got = matmul_tn(a, b);
+  const Tensor got = product_tn(a, b);
   const Tensor ref = matmul_naive(a.transposed(), b);
   for (std::size_t i = 0; i < got.numel(); ++i) {
     EXPECT_EQ(std::isnan(got[i]), std::isnan(ref[i])) << "i=" << i;
@@ -135,11 +143,11 @@ TEST(Matmul, ParallelMatchesSerialBitwise) {
   Tensor b = random_matrix(41, 53, rng);
   set_parallel_threads(1);
   const Tensor serial = matmul(a, b);
-  const Tensor serial_tn = matmul_tn(a.transposed(), b);
+  const Tensor serial_tn = product_tn(a.transposed(), b);
   const Tensor serial_nt = matmul_nt(a, b.transposed());
   set_parallel_threads(4);
   EXPECT_TRUE(matmul(a, b) == serial);
-  EXPECT_TRUE(matmul_tn(a.transposed(), b) == serial_tn);
+  EXPECT_TRUE(product_tn(a.transposed(), b) == serial_tn);
   EXPECT_TRUE(matmul_nt(a, b.transposed()) == serial_nt);
   set_parallel_threads(1);
 }

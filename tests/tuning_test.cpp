@@ -4,6 +4,8 @@
 #include "common/error.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model_zoo.hpp"
+#include "support/blobs.hpp"
+#include "support/tensor_oracles.hpp"
 #include "tuning/online_tuner.hpp"
 
 namespace xbarlife::tuning {
