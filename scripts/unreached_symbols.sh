@@ -23,14 +23,13 @@
 # build trees and must lie outside the source tree; a second run reuses it.
 set -euo pipefail
 
-root=$(cd "$(dirname "$0")/.." && pwd)
-work=${1:-${TMPDIR:-/tmp}/xbarlife-unreached}
-mkdir -p "$work"
-work=$(cd "$work" && pwd)
+root=$(realpath "$(dirname "$0")/..")
+work=$(realpath -m "${1:-${TMPDIR:-/tmp}/xbarlife-unreached}")
 case "$work/" in
   "$root"/*) echo "unreached_symbols: $work is inside the source tree" >&2
              exit 2 ;;
 esac
+mkdir -p "$work"
 allowlist=$root/scripts/unreached_allowlist.txt
 jobs=${JOBS:-2}
 generator=()
