@@ -5,8 +5,8 @@
 // and its fused update pass, one LeNet-5 accuracy evaluation,
 // crossbar VMM, programming, the array-state codec of the wire and of
 // checkpoints (CRC-32, crossbar save/load, execute-request encoding), the
-// aging-model hot path and the per-session lifetime passes (aging
-// statistics, drift, the SGD step).
+// aging-model hot path, the per-session lifetime passes (aging
+// statistics, drift, the SGD step) and the synthetic dataset render.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
+#include "data/synthetic.hpp"
 #include "device/memristor.hpp"
 #include "mapping/mapper.hpp"
 #include "nn/conv.hpp"
@@ -564,6 +566,27 @@ void BM_SgdStep(benchmark::State& state) {
                                                     bias.numel()));
 }
 BENCHMARK(BM_SgdStep)->Unit(benchmark::kMicrosecond);
+
+/// One train/test render of an experiment's dataset: LeNet-5's (also
+/// the MLP's: 640 3x16x16 images, 4 texture waves) and VGG-16's (1,600
+/// 3x32x32 images, 6 waves). Items are pixels.
+void BM_MakeSynthetic(benchmark::State& state,
+                      const data::SyntheticSpec& spec) {
+  std::size_t pixels = 0;
+  for (auto _ : state) {
+    const data::TrainTest tt = data::make_synthetic(spec);
+    pixels = tt.train.images.numel() + tt.test.images.numel();
+    benchmark::DoNotOptimize(tt.train.images.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pixels));
+}
+BENCHMARK_CAPTURE(BM_MakeSynthetic, lenet5,
+                  core::lenet_experiment_config().dataset)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MakeSynthetic, vgg16,
+                  core::vgg_experiment_config().dataset)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

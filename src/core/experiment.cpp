@@ -67,6 +67,14 @@ TrainedModel train_model(const ExperimentConfig& config, bool skewed,
                      obs);
 }
 
+data::TrainTest render_dataset(const data::SyntheticSpec& spec,
+                               const obs::Obs& obs) {
+  obs::Obs profile;
+  profile.profiler = obs.profiler;
+  const obs::Span span(profile, "data.make_synthetic");
+  return data::make_synthetic(spec);
+}
+
 std::string dataset_key(const data::SyntheticSpec& spec) {
   persist::StateWriter w;
   w.u64(spec.classes);
@@ -182,7 +190,7 @@ ScenarioOutcome run_scenario(const ExperimentConfig& config, Scenario s,
                              persist::CheckpointStore* store) {
   const obs::Span scenario_span(run_level_obs(obs, store),
                                 "experiment.scenario");
-  const data::TrainTest data = data::make_synthetic(config.dataset);
+  const data::TrainTest data = render_dataset(config.dataset, obs);
   // Checkpoint mode re-runs the (deterministic) training phase on every
   // resume, so it runs unobserved: a resumed run's trace would otherwise
   // repeat the training events an uninterrupted run emits exactly once.
@@ -268,7 +276,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   ExperimentResult result;
   result.name = config.name;
   ExperimentConfig shared = config;
-  const data::TrainTest data = data::make_synthetic(config.dataset);
+  const data::TrainTest data = render_dataset(config.dataset, obs);
   const auto record = [&](ScenarioOutcome outcome) -> const ScenarioOutcome& {
     auto& slot = result.scenarios[static_cast<std::size_t>(outcome.scenario)];
     slot = std::move(outcome);

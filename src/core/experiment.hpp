@@ -89,6 +89,11 @@ TrainedModel train_model(const ExperimentConfig& config,
 TrainedModel train_model(const ExperimentConfig& config, bool skewed,
                          const obs::Obs& obs = {});
 
+/// make_synthetic(spec) under a `data.make_synthetic` span that only the
+/// profiler sees: event traces and metrics documents keep their shape.
+data::TrainTest render_dataset(const data::SyntheticSpec& spec,
+                               const obs::Obs& obs);
+
 /// Identity of a training run: the exact persist::StateWriter bytes of
 /// every field build_model, train_model and make_synthetic read (seed,
 /// dataset, model, mlp_hidden, vgg_width, train_config, skew)

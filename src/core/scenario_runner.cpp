@@ -182,7 +182,7 @@ void ScenarioRunner::run_each(
           [&](const ExperimentConfig& cfg, const obs::Obs& job_obs) {
             data = datasets.acquire(p, [&] {
               return std::make_shared<const data::TrainTest>(
-                  data::make_synthetic(cfg.dataset));
+                  render_dataset(cfg.dataset, job_obs));
             });
             params = share_training(trainings, p, cfg, *data,
                                     uses_skewed_training(jobs[i].scenario),
@@ -210,7 +210,7 @@ void ScenarioRunner::run_each(
           [&](const ExperimentConfig& cfg, const obs::Obs& job_obs) {
             if (data == nullptr) {
               data = std::make_shared<const data::TrainTest>(
-                  data::make_synthetic(cfg.dataset));
+                  render_dataset(cfg.dataset, job_obs));
             }
             if (params == nullptr) {
               TrainedModel tm = train_model(cfg, *data, /*skewed=*/true);
